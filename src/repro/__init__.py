@@ -35,7 +35,6 @@ from repro.core import (
     SocialTemporalLinker,
 )
 from repro.core.batch import LinkRequest, MicroBatchLinker
-from repro.core.parallel import LinkerRecipe, ParallelBatchLinker
 from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.baselines import CollectiveLinker, OnTheFlyLinker
 from repro.eval import build_experiment, mention_and_tweet_accuracy
@@ -48,7 +47,6 @@ from repro.graph import (
     TwoHopCover,
     build_transitive_closure_incremental,
     build_transitive_closure_naive,
-    build_transitive_closure_parallel,
     build_two_hop_cover,
     weighted_reachability,
 )
@@ -97,10 +95,8 @@ __all__ = [
     "LinkRequest",
     "LinkResult",
     "LinkerConfig",
-    "LinkerRecipe",
     "MalformedTweetError",
     "MicroBatchLinker",
-    "ParallelBatchLinker",
     "OnTheFlyLinker",
     "OnlineReachability",
     "PersonalizedSearchEngine",
@@ -125,7 +121,6 @@ __all__ = [
     "get_logger",
     "build_transitive_closure_incremental",
     "build_transitive_closure_naive",
-    "build_transitive_closure_parallel",
     "build_two_hop_cover",
     "load_world",
     "mention_and_tweet_accuracy",

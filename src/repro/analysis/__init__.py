@@ -1,10 +1,10 @@
 """repro.analysis — the project's AST-based invariant linter.
 
 ``repro check`` enforces, before every PR, the conventions the serving
-and parallel layers rely on but cannot assert at runtime: seeded
-randomness and argument-passed timestamps (**DET**), the typed error
-taxonomy (**ERR**), worker-snapshot discipline (**PAR**), tolerance-
-aware float comparisons in ranking code (**NUM**), interface hygiene
+layer relies on but cannot assert at runtime: seeded randomness and
+argument-passed timestamps (**DET**), the typed error taxonomy
+(**ERR**), tolerance-aware float comparisons in ranking code (**NUM**),
+interface hygiene
 (**API**), and — via the whole-program layer
 (:mod:`repro.analysis.project`) — the *cross-module* generalizations of
 all of the above (**FLOW**): interprocedural determinism taint, the

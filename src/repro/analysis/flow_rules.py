@@ -4,7 +4,7 @@ Per-file rules (:mod:`repro.analysis.rules`) catch a wall-clock read *in*
 a scoring module; these rules catch the scoring function that reaches one
 *three calls away*, the serve handler that lets a ``ValueError`` cross
 the typed-error boundary, the mutator that bumps an epoch but skips the
-listener notify the snapshot journal depends on.  Each is the
+listener notify the burst tracker depends on.  Each is the
 interprocedural generalization of an existing invariant:
 
 ========  ====================================================  =========
@@ -15,7 +15,7 @@ FLOW-001  scoring paths never transitively reach wall clock /   DET-00x
 FLOW-002  only ``ReproError`` subtypes escape the serve          ERR-00x
           boundary (proven from may-raise summaries)
 FLOW-003  epoch-bumping mutators on listener-bearing classes     CACHE-001
-          notify their listeners (snapshot-delta parity)
+          notify their listeners (link-listener parity)
 FLOW-004  no top-level import cycles; no dead module-level       —
           imports
 FLOW-005  schema-versioned exporters never iterate raw sets      —
@@ -188,7 +188,7 @@ class MutatorListenerParityRule(ProjectRule):
     severity = Severity.ERROR
     summary = (
         "epoch-bumping mutators on listener-bearing classes must notify "
-        "their listeners (snapshot deltas depend on the journal)"
+        "their listeners (sliding-window counts depend on the feed)"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -229,10 +229,10 @@ class MutatorListenerParityRule(ProjectRule):
                             message=(
                                 f"{cls.name}.{method}() bumps epoch "
                                 f"{sorted(bumped)[0]!r} without notifying "
-                                f"{cls.listener_attrs[0]}; snapshot deltas "
-                                "built from the mutation journal silently "
-                                "miss this mutation — call the _notify* "
-                                "hook (or delegate to a mutator that does)"
+                                f"{cls.listener_attrs[0]}; subscribers "
+                                "(BurstTracker's window counts) silently "
+                                "miss this mutation — notify the listeners "
+                                "(or delegate to a mutator that does)"
                             ),
                             severity=self.severity,
                         )

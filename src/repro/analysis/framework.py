@@ -146,7 +146,7 @@ class Rule:
     """Base class of every check; subclasses self-register via
     :func:`register` and yield findings from :meth:`check`.
 
-    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/PAR/NUM/CACHE/API/ANA families);
+    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/NUM/CACHE/API/ANA families);
     ``summary`` is the one-liner shown in reports and the DESIGN.md rule
     table.
     """

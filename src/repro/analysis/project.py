@@ -3,8 +3,8 @@
 The per-file rules of :mod:`repro.analysis.rules` see one AST at a time;
 the invariants that actually break in practice are *cross-module*: a
 scoring function three calls away reads the wall clock, a serve handler
-lets a non-``ReproError`` escape the typed-error boundary, a graph
-mutator forgets the listener notification the snapshot journal depends
+lets a non-``ReproError`` escape the typed-error boundary, a KB
+mutator forgets the listener notification the burst tracker depends
 on.  This module derives, from one parse of the whole tree:
 
 * an **import graph** — project-internal module dependencies, split into

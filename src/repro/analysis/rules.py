@@ -3,17 +3,13 @@
 Each rule encodes a convention PR 1 and PR 2 established but, until now,
 only enforced by review:
 
-* **DET** — determinism.  Bit-identical parallel/sequential linking and
+* **DET** — determinism.  Bit-identical batch/sequential linking and
   reproducible evaluation both die the moment an unseeded RNG or a wall
   clock leaks into a scoring path (the paper's recency model, Eq. 9, is
   a function of the *query* time, which must arrive as an argument).
 * **ERR** — the typed error taxonomy.  The transient/permanent retry
   split in :mod:`repro.errors` only works if code raises taxonomy types
   and handlers catch exactly what they can handle.
-* **PAR** — parallel safety.  Worker processes snapshot the linker at
-  pool creation; mutable module state or un-refreshed mutation silently
-  breaks the bit-identical guarantee of
-  :class:`~repro.core.parallel.ParallelBatchLinker`.
 * **NUM** — numeric discipline.  Ranking ties decided by ``==`` on
   floats are platform lottery; ties must use exact-zero guards,
   tolerances, or total-order keys.
@@ -39,14 +35,9 @@ from repro.analysis.framework import FileContext, Finding, Rule, Severity, regis
 
 __all__ = [
     "EPOCH_MUTATOR_METHODS",
-    "MUTATOR_METHODS",
-    "PARALLEL_MODULES",
     "SCORING_MODULES",
     "SHADOWED_BUILTINS",
 ]
-
-#: Modules whose code runs inside (or feeds) sharded worker processes.
-PARALLEL_MODULES = ("repro.core.parallel", "repro.parallelism")
 
 #: Scoring/linking scope of the wall-clock ban: everything whose output
 #: feeds a score, a rank, or an evaluation table.  Serving-side modules
@@ -62,7 +53,6 @@ SCORING_MODULES = (
     "repro.search",
     "repro.eval",
     "repro.text",
-    "repro.parallelism",
     "repro.obs",
     "repro.cache",
     # The serving front end is in scope because the load harness promises
@@ -86,11 +76,6 @@ SHADOWED_BUILTINS = frozenset(
         "range", "repr", "round", "set", "slice", "sorted", "str", "sum",
         "super", "tuple", "type", "vars", "zip",
     }
-)
-
-#: Methods that mutate a linker/KB/graph snapshot (PAR-002).
-MUTATOR_METHODS = frozenset(
-    {"confirm_link", "add_link", "add_edge", "remove_edge", "prune"}
 )
 
 #: Methods that mutate an epoch-versioned structure (CACHE-001).  Any
@@ -345,156 +330,6 @@ class GenericRaiseRule(Rule):
                     "repro.errors taxonomy class (serving failures) or a "
                     "specific contract error (ValueError/TypeError)",
                 )
-
-
-# ---------------------------------------------------------------------- #
-# PAR — parallel safety
-# ---------------------------------------------------------------------- #
-@register
-class ModuleMutableStateRule(Rule):
-    id = "PAR-001"
-    severity = Severity.ERROR
-    summary = (
-        "no module-level mutable containers in worker-sharded modules "
-        "(fork snapshots them silently)"
-    )
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict", "Counter",
-         "OrderedDict", "deque"}
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_module(*PARALLEL_MODULES):
-            return
-        for node in ctx.tree.body:  # module level only — that is the hazard
-            value = None
-            if isinstance(node, ast.Assign):
-                value = node.value
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value = node.value
-                targets = [node.target]
-            if value is None:
-                continue
-            # __all__ and friends are interpreter metadata, not shared state
-            if any(
-                isinstance(t, ast.Name) and t.id.startswith("__") for t in targets
-            ):
-                continue
-            if self._is_mutable_container(value):
-                yield self.finding(
-                    ctx,
-                    value,
-                    "module-level mutable container in a worker-sharded "
-                    "module: each forked worker gets a silent copy that "
-                    "drifts from the parent; keep worker state in "
-                    "None-initialized slots installed by the pool "
-                    "initializer, or pass it through shard payloads",
-                )
-
-    def _is_mutable_container(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            return (
-                dotted is not None
-                and dotted.split(".")[-1] in self._MUTABLE_CALLS
-            )
-        return False
-
-
-@register
-class MutationWithoutRefreshRule(Rule):
-    id = "PAR-002"
-    severity = Severity.ERROR
-    summary = (
-        "snapshot mutators in worker-sharded modules require a refresh() "
-        "in the same module"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_module(*PARALLEL_MODULES):
-            return
-        has_refresh = any(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == "refresh"
-            for node in ast.walk(ctx.tree)
-        )
-        if has_refresh:
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATOR_METHODS
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{node.func.attr}() mutates a linker/KB/graph snapshot "
-                    "in a worker-sharded module with no refresh() defined; "
-                    "workers keep serving the stale pre-mutation snapshot "
-                    "forever",
-                )
-
-
-#: Function names on the per-batch hot path (PAR-003).  Pickling inside
-#: any of these re-serializes world-sized state on every call — the exact
-#: regression the fork-once snapshot protocol exists to prevent.
-PER_BATCH_FUNCTIONS = frozenset(
-    {
-        "link_batch",
-        "link_tweets",
-        "map",
-        "map_per_worker",
-        "broadcast",
-        "_link_shard",
-        "handle",
-        "imap",
-    }
-)
-
-
-@register
-class PerBatchPickleRule(Rule):
-    id = "PAR-003"
-    severity = Severity.ERROR
-    summary = (
-        "no pickling inside per-batch code paths of worker-sharded modules "
-        "(serialize the world once at pool creation, ship epoch deltas after)"
-    )
-
-    _PICKLE_CALLS = frozenset({"pickle.dumps", "pickle.loads", "pickle.dump",
-                               "pickle.load"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_module(*PARALLEL_MODULES):
-            return
-        bare_pickle = _from_imports(ctx.tree, "pickle")
-        for function in ast.walk(ctx.tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if function.name not in PER_BATCH_FUNCTIONS:
-                continue
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = _dotted(node.func)
-                if dotted is None:
-                    continue
-                if dotted in self._PICKLE_CALLS or dotted in bare_pickle:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{dotted}() inside per-batch function "
-                        f"{function.name}(): serialization on the hot path "
-                        "re-ships state every batch — freeze the world once "
-                        "when the pool starts (snapshot.freeze) and send "
-                        "epoch deltas from refresh() instead",
-                    )
 
 
 # ---------------------------------------------------------------------- #

@@ -3,8 +3,7 @@
 One command builds a seeded synthetic world, times every expensive stage
 of the system, and writes a **schema-stable** ``BENCH_linking.json``:
 
-* ``build``    — reachability-index and propagation-network construction,
-  sequential and parallel;
+* ``build``    — reachability-index and propagation-network construction;
 * ``reachability`` — the single-source micro-benchmark: the one-pass
   followee-mask propagation vs. the per-target DAG-walk baseline it
   replaced (the Fig. 5 inner loop), with an output-equality check;
@@ -13,14 +12,8 @@ of the system, and writes a **schema-stable** ``BENCH_linking.json``:
 * ``single_mention_cached`` — the same workload replayed warm through a
   ``score_caching`` linker sharing the uncached linker's indexes, with an
   inline bit-identity check and the score-cache hit rates;
-* ``batch``    — sharded batch-linking throughput per worker count, with
-  speedups against the one-worker run measured on the same machine; rows
-  whose worker count exceeds the schedulable CPU set carry
-  ``"undersubscribed": true`` (their regressions are warnings, not gate
-  failures — a 1-CPU runner cannot demonstrate scaling either way);
-* ``snapshot`` — the fork-once / epoch-delta worker-update protocol:
-  bytes shipped per refresh versus the re-pickling baseline (one full
-  blob per refresh), with a post-refresh parity check;
+* ``batch``    — in-process micro-batch replay throughput
+  (:class:`~repro.core.batch.MicroBatchLinker`);
 * ``scale``    — streaming-world tiers (1k / 50k / 500k users by
   default): per tier, the backend ``LinkerConfig`` dispatch selects,
   its build time, **index bytes** (precise ``label_bytes``, not
@@ -42,17 +35,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform
 import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import parallelism
 from repro.cache import hit_rate_names
 from repro.config import LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import SocialTemporalLinker
-from repro.core.parallel import ParallelBatchLinker
 from repro.core.recency import RecencyPropagationNetwork
 from repro.eval.context import build_experiment
 from repro.graph.compact_labels import build_compact_two_hop_cover
@@ -66,10 +58,7 @@ from repro.graph.reachability import (
     weighted_reachability_from,
     weighted_reachability_from_per_target,
 )
-from repro.graph.transitive_closure import (
-    build_transitive_closure_incremental,
-    build_transitive_closure_parallel,
-)
+from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.graph.two_hop import build_two_hop_cover
 from repro.kb.builder import KBProfile
 from repro.log import get_logger
@@ -79,7 +68,7 @@ from repro.stream.profiles import quick_profiles
 
 _log = get_logger(__name__)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: section -> required keys; the CI smoke job and the tests validate every
 #: emitted document against this shape.
@@ -89,16 +78,13 @@ _REQUIRED_SECTIONS: Dict[str, Tuple[str, ...]] = {
         "tool",
         "seed",
         "smoke",
-        "workers_measured",
         "tiers_measured",
     ),
-    "environment": ("python", "platform", "cpu_count", "start_method"),
+    "environment": ("python", "platform", "cpu_count"),
     "world": ("users", "tweets", "entities", "graph_edges", "test_mentions"),
     "build": (
         "transitive_closure_s",
-        "transitive_closure_parallel_s",
         "two_hop_s",
-        "two_hop_parallel_s",
         "propagation_network_s",
         "closure_nonzero_entries",
         "two_hop_label_entries",
@@ -122,25 +108,10 @@ _REQUIRED_SECTIONS: Dict[str, Tuple[str, ...]] = {
         "outputs_identical",
         "hit_rates",
     ),
-    "batch": ("requests", "results"),
-    "snapshot": (
-        "workers",
-        "refreshes",
-        "full_blob_bytes",
-        "delta_bytes_total",
-        "delta_bytes_per_refresh",
-        "reduction_x",
-        "deltas",
-        "resyncs",
-        "outputs_identical",
-    ),
+    "batch": ("requests", "seconds", "throughput_rps"),
     "scale": ("tiers",),
     "perf": ("counters", "cache_hit_rates", "timers"),
 }
-
-_BATCH_RESULT_KEYS = (
-    "workers", "seconds", "throughput_rps", "speedup_vs_1", "undersubscribed"
-)
 
 _SCALE_TIER_KEYS = (
     "users",
@@ -183,19 +154,6 @@ def validate_bench_document(doc: object) -> List[str]:
             f"meta.schema_version is {meta.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}"
         )
-    batch = doc.get("batch")
-    if isinstance(batch, dict):
-        results = batch.get("results")
-        if not isinstance(results, list) or not results:
-            problems.append("batch.results must be a non-empty list")
-        else:
-            for index, row in enumerate(results):
-                if not isinstance(row, dict):
-                    problems.append(f"batch.results[{index}] is not an object")
-                    continue
-                for key in _BATCH_RESULT_KEYS:
-                    if key not in row:
-                        problems.append(f"batch.results[{index}].{key} missing")
     scale = doc.get("scale")
     if isinstance(scale, dict):
         tiers = scale.get("tiers")
@@ -227,18 +185,12 @@ _LATENCY_SLACK_MS = 0.05
 #: Build-time keys compared warn-only (shared runners are too noisy).
 _BUILD_TIME_KEYS: Tuple[str, ...] = (
     "transitive_closure_s",
-    "transitive_closure_parallel_s",
     "two_hop_s",
-    "two_hop_parallel_s",
     "propagation_network_s",
 )
 
 #: Minimum warm-cache speedup below which the comparison warns.
 _MIN_CACHED_SPEEDUP = 2.0
-
-#: Minimum bytes-per-refresh reduction of the epoch-delta snapshot
-#: protocol versus re-pickling the full blob every refresh.
-_MIN_SNAPSHOT_REDUCTION = 10.0
 
 
 def compare_bench_documents(
@@ -250,15 +202,12 @@ def compare_bench_documents(
     job: an invalid document, a workload mismatch (different seed/smoke —
     the numbers would not be comparable), a single-mention p50 regression
     beyond ``tolerance`` (relative), a cached run whose outputs were
-    not bit-identical to the uncached oracle, a pool that diverged after
-    delta refreshes, a *fully subscribed* multi-worker speedup falling
-    more than ``tolerance`` below the baseline's, a scale tier whose
+    not bit-identical to the uncached oracle, a scale tier whose
     compact cover diverged from the dict-backed cover, or a tier whose
     index blew its memory budget.  Build-time regressions, lost batch
-    throughput, undersubscribed speedup drops (the runner has fewer
-    cores than workers — on either side), a warm-cache speedup below
-    ``2.0``, and per-tier index-bytes growth are warnings only: they
-    track real machines, not the code alone.
+    throughput, a warm-cache speedup below ``2.0``, and per-tier
+    index-bytes growth are warnings only: they track real machines, not
+    the code alone.
     """
     if not 0.0 < tolerance:
         raise ValueError("tolerance must be positive")
@@ -293,11 +242,6 @@ def compare_bench_documents(
             "single_mention_cached.outputs_identical is false: the cached "
             "path diverged from the uncached oracle"
         )
-    if not current["snapshot"]["outputs_identical"]:
-        errors.append(
-            "snapshot.outputs_identical is false: the worker pool diverged "
-            "from the parent linker after epoch-delta refreshes"
-        )
     for key in _BUILD_TIME_KEYS:
         now = float(current["build"][key])
         then = float(baseline["build"][key])
@@ -311,41 +255,10 @@ def compare_bench_documents(
             f"warm-cache speedup {speedup}x is below the "
             f"{_MIN_CACHED_SPEEDUP}x target"
         )
-    then_rows = {
-        row["workers"]: row for row in baseline["batch"]["results"]
-    }
-    for row in current["batch"]["results"]:
-        before = then_rows.get(row["workers"])
-        if before is None:
-            continue
-        now_rps = float(row["throughput_rps"])
-        then_rps = float(before["throughput_rps"])
-        if then_rps > 0 and now_rps < then_rps * (1.0 - tolerance):
-            warnings.append(
-                f"batch throughput at workers={row['workers']} dropped "
-                f"{then_rps} -> {now_rps} rps"
-            )
-        if int(row["workers"]) > 1:
-            now_speedup = float(row["speedup_vs_1"])
-            then_speedup = float(before["speedup_vs_1"])
-            undersubscribed = bool(row.get("undersubscribed")) or bool(
-                before.get("undersubscribed")
-            )
-            if then_speedup > 0 and now_speedup < then_speedup * (1.0 - tolerance):
-                message = (
-                    f"batch speedup at workers={row['workers']} dropped "
-                    f"{then_speedup}x -> {now_speedup}x"
-                )
-                if undersubscribed:
-                    warnings.append(message + " (undersubscribed: warning only)")
-                else:
-                    errors.append(message)
-    reduction = float(current["snapshot"]["reduction_x"])
-    if current["snapshot"]["deltas"] and reduction < _MIN_SNAPSHOT_REDUCTION:
-        warnings.append(
-            f"snapshot delta reduction {reduction}x is below the "
-            f"{_MIN_SNAPSHOT_REDUCTION}x target"
-        )
+    now_rps = float(current["batch"]["throughput_rps"])
+    then_rps = float(baseline["batch"]["throughput_rps"])
+    if then_rps > 0 and now_rps < then_rps * (1.0 - tolerance):
+        warnings.append(f"batch throughput dropped {then_rps} -> {now_rps} rps")
     baseline_tiers = {
         row["users"]: row for row in baseline["scale"]["tiers"]
     }
@@ -519,98 +432,18 @@ def _cached_single_mention_bench(context, requests: Sequence[LinkRequest]) -> Di
     }
 
 
-def _batch_bench(
-    linker, requests: Sequence[LinkRequest], workers_list: Sequence[int]
-) -> Dict:
-    results: List[Dict] = []
-    base_seconds: Optional[float] = None
-    schedulable = parallelism.resolve_workers(None)
-    for workers in workers_list:
-        with ParallelBatchLinker(linker, workers=workers, min_pool_batch=1) as parallel:
-            # warm-up pass pays fork + per-worker cache warm-up once, the
-            # measured pass shows steady-state throughput (the streaming
-            # regime the batch path exists for)
-            parallel.link_batch(requests[: max(1, len(requests) // 10)])
-            start = time.perf_counter()
-            parallel.link_batch(requests)
-            seconds = time.perf_counter() - start
-        if workers == 1:
-            base_seconds = seconds
-        results.append(
-            {
-                "workers": workers,
-                "seconds": round(seconds, 6),
-                "throughput_rps": round(len(requests) / seconds, 3)
-                if seconds > 0
-                else 0.0,
-                "speedup_vs_1": round(base_seconds / seconds, 3)
-                if base_seconds and seconds > 0
-                else 1.0,
-                # a pool wider than the schedulable CPU set cannot show a
-                # real speedup; comparisons treat these rows as warn-only
-                "undersubscribed": workers > schedulable,
-            }
-        )
-    return {"requests": len(requests), "results": results}
-
-
-def _snapshot_bench(linker, requests: Sequence[LinkRequest], smoke: bool) -> Dict:
-    """Measure the epoch-delta snapshot protocol on a mutating linker.
-
-    One full sync pays the blob; each subsequent refresh confirms a few
-    links on the parent and ships the resulting delta.  ``reduction_x``
-    is the acceptance metric: bytes shipped per refresh under the delta
-    protocol versus the re-pickling baseline (which shipped the whole
-    blob every refresh).  ``outputs_identical`` re-links a probe batch
-    through the pool after all refreshes and compares against the
-    parent's own batcher — the freshness *and* parity check in one.
-
-    Runs last: it mutates the shared ckb via ``confirm_link``.
-    """
-    refreshes = 4 if smoke else 8
-    probe = requests[: 32 if smoke else 64]
-    counter_names = (
-        "snapshot.bytes_full",
-        "snapshot.bytes_delta",
-        "snapshot.deltas",
-        "snapshot.full_syncs",
-        "pool.resync",
-    )
-    before = {name: PERF.counter(name) for name in counter_names}
-    entities = sorted(linker.ckb.linked_entities())[:4]
-    stamp = 0.0
-    with ParallelBatchLinker(linker, workers=2, min_pool_batch=1) as parallel:
-        parallel.link_batch(probe)  # the one full sync
-        for _ in range(refreshes):
-            for entity_id in entities:
-                stamp += 1.0
-                linker.confirm_link(entity_id, user=0, timestamp=stamp)
-            parallel.refresh()
-        linked = parallel.link_batch(probe)
-    expected = MicroBatchLinker(linker).link_batch(probe)
-    identical = all(
-        a.ranked == b.ranked and a.degradation == b.degradation
-        for a, b in zip(linked, expected)
-    )
-    moved = {name: PERF.counter(name) - before[name] for name in counter_names}
-    full_syncs = max(1, moved["snapshot.full_syncs"])
-    full_blob_bytes = moved["snapshot.bytes_full"] // full_syncs
-    deltas = moved["snapshot.deltas"]
-    delta_bytes_per_refresh = (
-        moved["snapshot.bytes_delta"] / deltas if deltas else 0.0
-    )
+def _batch_bench(linker, requests: Sequence[LinkRequest]) -> Dict:
+    batcher = MicroBatchLinker(linker)
+    # warm-up pass, so the measured pass shows steady-state throughput
+    # (the streaming regime the batch path exists for)
+    batcher.link_batch(requests[: max(1, len(requests) // 10)])
+    start = time.perf_counter()
+    batcher.link_batch(requests)
+    seconds = time.perf_counter() - start
     return {
-        "workers": 2,
-        "refreshes": refreshes,
-        "full_blob_bytes": full_blob_bytes,
-        "delta_bytes_total": moved["snapshot.bytes_delta"],
-        "delta_bytes_per_refresh": round(delta_bytes_per_refresh, 3),
-        "reduction_x": round(full_blob_bytes / delta_bytes_per_refresh, 3)
-        if delta_bytes_per_refresh > 0
-        else 0.0,
-        "deltas": deltas,
-        "resyncs": moved["pool.resync"],
-        "outputs_identical": identical,
+        "requests": len(requests),
+        "seconds": round(seconds, 6),
+        "throughput_rps": round(len(requests) / seconds, 3) if seconds > 0 else 0.0,
     }
 
 
@@ -759,7 +592,6 @@ def _scale_bench(tiers: Sequence[int], seed: int, config: LinkerConfig) -> Dict:
 def run_bench(
     seed: int = 11,
     smoke: bool = False,
-    workers_list: Optional[Sequence[int]] = None,
     out: Optional[str] = "BENCH_linking.json",
     tiers: Optional[Sequence[int]] = None,
 ) -> Dict:
@@ -769,10 +601,6 @@ def run_bench(
     ``None`` means ``(1000,)`` for smoke runs and ``(1000, 50000,
     500000)`` for full runs.
     """
-    if workers_list is None:
-        workers_list = (1, 2) if smoke else (1, 2, 4)
-    if 1 not in workers_list:
-        raise ValueError("workers_list must include 1 (the speedup baseline)")
     if tiers is None:
         tiers = (1_000,) if smoke else (1_000, 50_000, 500_000)
     if not tiers or any(t < 1 for t in tiers):
@@ -791,26 +619,14 @@ def run_bench(
             graph, max_hops=config.max_hops
         )
         build["transitive_closure_s"] = round(time.perf_counter() - start, 6)
-        parallel_workers = max(workers_list)
-        start = time.perf_counter()
-        build_transitive_closure_parallel(
-            graph, max_hops=config.max_hops, workers=parallel_workers
-        )
-        build["transitive_closure_parallel_s"] = round(
-            time.perf_counter() - start, 6
-        )
         start = time.perf_counter()
         cover = build_two_hop_cover(graph, max_hops=config.max_hops)
         build["two_hop_s"] = round(time.perf_counter() - start, 6)
-        start = time.perf_counter()
-        build_two_hop_cover(graph, max_hops=config.max_hops, workers=parallel_workers)
-        build["two_hop_parallel_s"] = round(time.perf_counter() - start, 6)
         start = time.perf_counter()
         RecencyPropagationNetwork(
             world.kb,
             relatedness_threshold=config.relatedness_threshold,
             propagation_lambda=config.propagation_lambda,
-            workers=parallel_workers,
         )
         build["propagation_network_s"] = round(time.perf_counter() - start, 6)
         build["closure_nonzero_entries"] = closure.nonzero_entries()
@@ -829,9 +645,8 @@ def run_bench(
         single_requests = requests[: 100 if smoke else 400]
         single = _single_mention_bench(linker, single_requests)
         single_cached = _cached_single_mention_bench(context, single_requests)
-        batch = _batch_bench(linker, requests, workers_list)
+        batch = _batch_bench(linker, requests)
         scale = _scale_bench(tiers, seed, config)
-        snapshot = _snapshot_bench(linker, requests, smoke)
 
         document = {
             "meta": {
@@ -839,14 +654,14 @@ def run_bench(
                 "tool": "repro bench",
                 "seed": seed,
                 "smoke": smoke,
-                "workers_measured": list(workers_list),
                 "tiers_measured": list(tiers),
             },
             "environment": {
                 "python": platform.python_version(),
                 "platform": platform.system().lower(),
-                "cpu_count": parallelism.resolve_workers(None),
-                "start_method": parallelism.start_method(),
+                "cpu_count": len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count(),
             },
             "world": {
                 "users": world.num_users,
@@ -861,7 +676,6 @@ def run_bench(
             "single_mention_cached": single_cached,
             "batch": batch,
             "scale": scale,
-            "snapshot": snapshot,
             "perf": PERF.snapshot(),
         }
     finally:

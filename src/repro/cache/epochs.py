@@ -31,8 +31,7 @@ class Epoch:
 
     # __slots__ classes pickle via __reduce_ex__ protocol 2, but an
     # explicit __getstate__/__setstate__ pair keeps the wire format
-    # independent of slot layout (workers inherit epochs by fork or
-    # pickle, and both sides must agree).
+    # independent of slot layout.
     def __getstate__(self) -> int:
         return self.value
 

@@ -31,11 +31,10 @@ suite in ``tests/test_cache_properties.py`` replays randomized
 link/mutate/advance/feedback interleavings against both).
 
 Hit/miss/eviction counters go to :data:`repro.perf.PERF` (prefix
-``score_cache.``), *not* to ``repro.obs`` METRICS: batch-path metrics
-must be partition-invariant across worker counts, and cache hits are
-not — two shards may each miss on a key a single worker would have
-missed only once.  ``PERF.snapshot()`` derives the hit rates that
-``repro bench`` publishes.
+``score_cache.``), *not* to ``repro.obs`` METRICS, which records
+decisions only: a hit or a miss depends on what ran before, not on the
+request.  ``PERF.snapshot()`` derives the hit rates that ``repro bench``
+publishes.
 """
 
 from __future__ import annotations

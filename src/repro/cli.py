@@ -8,7 +8,7 @@ Subcommands::
     repro link      --world world.json.gz --surface jordan --user 7 --day 90
     repro search    --world world.json.gz --query "jordan dunk" --user 7
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro bench     [--smoke --workers 1 2 4 --tiers 1000 50000 --out BENCH_linking.json]
+    repro bench     [--smoke --tiers 1000 50000 --out BENCH_linking.json]
     repro check     [src ...] [--strict --format json --baseline base.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--complement", choices=("collective", "truth"), default="collective"
     )
     evaluate.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the social-temporal replay "
-        "(predictions are identical at any count)",
-    )
-    evaluate.add_argument(
         "--metrics-out", default=None,
         help="write the run's metrics document (repro.obs) to this path",
     )
@@ -158,12 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=0, help="seed of the fault schedule"
     )
     stream.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for linking; worker snapshots are refreshed "
-        "at --checkpoint-every cadence, so confirmed links reach the "
-        "workers one refresh late",
-    )
-    stream.add_argument(
         "--metrics-out", default=None,
         help="write the run's metrics document (repro.obs) to this path",
     )
@@ -184,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke", action="store_true",
         help="small world and short request list (the CI smoke job)",
-    )
-    bench.add_argument(
-        "--workers", type=int, nargs="+", default=None,
-        help="worker counts to measure, e.g. --workers 1 2 4 (must include 1)",
     )
     bench.add_argument(
         "--tiers", type=int, nargs="+", default=None, metavar="USERS",
@@ -298,16 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--world", required=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8355)
-    serve.add_argument(
-        "--microbatch", action="store_true",
-        help="coalesce link requests per tenant through the asyncio "
-        "micro-batch front end (latency SLO knobs live in LinkerConfig)",
-    )
-    serve.add_argument(
-        "--batch-workers", type=int, default=1,
-        help="with --microbatch: worker processes behind each tenant's "
-        "coalescer (>1 uses the persistent sharded pool)",
-    )
     serve.add_argument(
         "--admin-token", default=None,
         help="bearer token enabling the tenant admin endpoint "
@@ -512,7 +487,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     selected = METHODS if args.method == "all" else (args.method,)
     adapters = {
-        "ours": lambda: context.social_temporal(workers=args.workers),
+        "ours": context.social_temporal,
         "onthefly": context.onthefly,
         "collective": context.collective,
     }
@@ -615,16 +590,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     :class:`~repro.stream.ingest.ResilientIngestor`, per-mention deadline
     budgets and circuit-broken reachability in the linker, and periodic
     complemented-KB checkpoints for crash recovery.
-
-    With ``--workers N`` released tweets are linked through the sharded
-    parallel batch path.  Worker snapshots are refreshed at checkpoint
-    cadence: links confirmed since the last refresh influence scores one
-    refresh late — the documented staleness trade of the pool design.
     """
     import dataclasses as _dc
 
     from repro.core.linker import SocialTemporalLinker
-    from repro.core.parallel import ParallelBatchLinker
     from repro.kb.checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
     from repro.resilience.breaker import CircuitBreaker
     from repro.stream.ingest import ResilientIngestor, TweetValidator
@@ -648,7 +617,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         config = _dc.replace(config, deadline_ms=args.deadline_ms)
     if args.cached:
         config = _dc.replace(config, score_caching=True)
-    provider = context.closure
+    provider = context.reachability_index
     if args.fault_rate > 0.0:
         from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider
 
@@ -681,11 +650,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # tweets still sitting in the reordering buffer at checkpoint time must
     # be re-admitted on recovery, or their links would be lost.
     applied = set(seen_ids)
-    parallel = (
-        ParallelBatchLinker(linker, workers=args.workers)
-        if args.workers > 1
-        else None
-    )
 
     def _apply(tweet, results) -> None:
         nonlocal degraded, confirmed
@@ -700,36 +664,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         applied.add(tweet.tweet_id)
 
     def _consume(released) -> None:
-        if parallel is not None:
-            released = list(released)
-            grouped = parallel.link_tweets(released)
-            for tweet in released:
-                _apply(tweet, grouped[tweet.tweet_id])
-            return
         for tweet in released:
             _apply(tweet, [o.result for o in linker.link_tweet(tweet)])
 
-    try:
-        for index, tweet in enumerate(tweets, start=1):
-            _consume(ingestor.push(tweet))
-            if index % args.checkpoint_every == 0:
-                if args.checkpoint:
-                    save_checkpoint(
-                        snapshot(ckb, ingestor.watermark, applied),
-                        args.checkpoint,
-                    )
-                    checkpoints += 1
-                if parallel is not None:
-                    parallel.refresh()
-        _consume(ingestor.flush())
-        if args.checkpoint:
+    for index, tweet in enumerate(tweets, start=1):
+        _consume(ingestor.push(tweet))
+        if index % args.checkpoint_every == 0 and args.checkpoint:
             save_checkpoint(
-                snapshot(ckb, ingestor.watermark, applied), args.checkpoint
+                snapshot(ckb, ingestor.watermark, applied),
+                args.checkpoint,
             )
             checkpoints += 1
-    finally:
-        if parallel is not None:
-            parallel.close()
+    _consume(ingestor.flush())
+    if args.checkpoint:
+        save_checkpoint(
+            snapshot(ckb, ingestor.watermark, applied), args.checkpoint
+        )
+        checkpoints += 1
 
     stats = ingestor.stats
     rows = [
@@ -757,16 +708,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     document = run_bench(
         seed=args.seed,
         smoke=args.smoke,
-        workers_list=args.workers,
         out=args.out,
         tiers=args.tiers,
     )
+    batch = document["batch"]
     print(
-        format_table(
-            document["batch"]["results"],
-            title=f"batch linking throughput "
-            f"({document['batch']['requests']} requests)",
-        )
+        f"batch linking: {batch['throughput_rps']} req/s "
+        f"({batch['requests']} requests in {batch['seconds']} s)"
     )
     tier_rows = [
         {
@@ -1103,53 +1051,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args, clock=_time.monotonic, sleep=_time.sleep if chaos.enabled else None,
         defer_release=False,
     )
-    front_ends = {}
-    if args.microbatch:
-        from repro.core.batch import MicroBatchLinker
-        from repro.core.microbatch import MicroBatchFrontEnd
-        from repro.core.parallel import ParallelBatchLinker
-
-        def _attach(tenant) -> None:
-            config = tenant.linker.config
-            if config.batch_dispatch(config.microbatch_max_batch, args.batch_workers) == "pool":
-                backend: object = ParallelBatchLinker(
-                    tenant.linker, workers=args.batch_workers
-                )
-            else:
-                backend = MicroBatchLinker(tenant.linker)
-            front_end = MicroBatchFrontEnd.from_config(backend, config)
-            front_end.start()
-            tenant.batcher = front_end
-            front_ends[tenant.name] = (front_end, backend)
-
-        def _detach(tenant) -> None:
-            tenant.batcher = None
-            entry = front_ends.pop(tenant.name, None)
-            if entry is not None:
-                front_end, backend = entry
-                front_end.stop()
-                if hasattr(backend, "close"):
-                    backend.close()
-
-        for name in app.registry.names():
-            _attach(app.registry.get(name))
-        # Hot-churned tenants get the same coalescer wiring as boot-time
-        # ones, attached/torn down by the admin endpoint's hooks.
-        app.tenant_added_hook = _attach
-        app.tenant_removed_hook = _detach
     print(
         f"serving tenants {', '.join(app.registry.names())} "
         f"on http://{args.host}:{args.port} (chaos={'on' if chaos.enabled else 'off'}"
-        f"{', microbatch' if args.microbatch else ''}"
         f"{', admin' if args.admin_token else ''})"
     )
-    try:
-        serve_forever(app, host=args.host, port=args.port)
-    finally:
-        for front_end, backend in list(front_ends.values()):
-            front_end.stop()
-            if hasattr(backend, "close"):
-                backend.close()
+    serve_forever(app, host=args.host, port=args.port)
     return 0
 
 

@@ -92,23 +92,6 @@ class LinkerConfig:
     #: Capacity of each epoch-keyed score cache (candidates, popularity,
     #: interest), LRU-evicted independently.
     score_cache_size: int = 4096
-    #: Scale-aware dispatch floor for :class:`repro.core.ParallelBatchLinker`:
-    #: batches smaller than this run in-process even when a worker pool is
-    #: configured, because pipe + result-merge overhead exceeds the scoring
-    #: work.  Results are bit-identical either way.
-    parallel_min_batch: int = 8
-    #: Full-resync threshold for epoch-delta snapshot updates: when a
-    #: pickled delta exceeds this fraction of the full world blob, re-ship
-    #: the blob instead (a delta that large buys nothing and replays
-    #: slower than a fresh deserialize).
-    snapshot_resync_ratio: float = 0.25
-    #: Micro-batch front end (``repro.core.microbatch``): maximum time a
-    #: request may wait for co-arrivals before its batch is flushed — the
-    #: added-latency SLO of the coalescer.
-    microbatch_max_delay_ms: float = 2.0
-    #: Micro-batch front end: flush immediately once this many requests
-    #: have coalesced, regardless of the delay budget.
-    microbatch_max_batch: int = 64
     #: Reachability index backend: ``"auto"`` picks by graph size (the
     #: The-Pulse-style dispatch of ROADMAP item 1), or force one of
     #: ``"closure"`` (extended transitive closure, Algorithm 1),
@@ -155,14 +138,6 @@ class LinkerConfig:
             raise ValueError("influential_cache_size must be at least 1")
         if self.score_cache_size < 1:
             raise ValueError("score_cache_size must be at least 1")
-        if self.parallel_min_batch < 1:
-            raise ValueError("parallel_min_batch must be at least 1")
-        if self.snapshot_resync_ratio <= 0:
-            raise ValueError("snapshot_resync_ratio must be positive")
-        if self.microbatch_max_delay_ms < 0:
-            raise ValueError("microbatch_max_delay_ms must be non-negative")
-        if self.microbatch_max_batch < 1:
-            raise ValueError("microbatch_max_batch must be at least 1")
         if self.index_backend not in ("auto", "closure", "two-hop", "compact"):
             raise ValueError(f"unknown index backend {self.index_backend!r}")
         if self.closure_max_nodes < 0:
@@ -173,27 +148,15 @@ class LinkerConfig:
         ):
             raise ValueError("index_memory_budget_bytes must be positive when set")
 
-    def batch_dispatch(self, batch_size: int, workers: int) -> str:
-        """Scale-aware dispatch decision: ``"serial"`` or ``"pool"``.
-
-        The pool only pays when there is real parallelism (more than one
-        worker) *and* enough requests per call to amortize pipe transfer
-        and result merging (``parallel_min_batch``).  The choice never
-        affects outputs — only where they are computed.
-        """
-        if workers <= 1 or batch_size < self.parallel_min_batch:
-            return "serial"
-        return "pool"
-
     def select_index_backend(self, num_nodes: int) -> str:
         """Scale-aware reachability-index choice (ROADMAP item 1).
 
         ``"auto"`` resolves by graph size: the transitive closure at or
         below ``closure_max_nodes`` (O(1) lookups, |V|²-bounded build),
         the compact 2-hop cover above it.  A forced ``index_backend``
-        short-circuits.  Like :meth:`batch_dispatch`, the choice moves
-        where the work happens, not what the linker decides — the
-        scale-dispatch regression tests pin decision parity.
+        short-circuits.  The choice moves where the work happens, not
+        what the linker decides — the scale-dispatch regression tests pin
+        decision parity.
         """
         if self.index_backend != "auto":
             return self.index_backend

@@ -7,15 +7,12 @@ ablation experiments and reuse.
 
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.candidates import CandidateGenerator
-from repro.core.parallel import LinkerRecipe, ParallelBatchLinker
 from repro.core.explain import LinkExplanation, explain_link
 from repro.core.feedback import FeedbackOutcome, InteractiveLinkingSession
 from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.core.influence import entropy_influence, tfidf_influence, top_influential_users
 from repro.core.interest import OnlineReachability, ReachabilityProvider, user_interest
 from repro.core.linker import LinkResult, MentionResult, SocialTemporalLinker
-from repro.core.microbatch import MicroBatchFrontEnd
-from repro.core.snapshot import MutationJournal, SnapshotDelta, SnapshotEpochs
 from repro.core.popularity import popularity_scores
 from repro.core.recency import RecencyPropagationNetwork, sliding_window_recency
 from repro.core.scoring import ScoredCandidate, combine_scores
@@ -28,13 +25,7 @@ __all__ = [
     "LinkExplanation",
     "LinkRequest",
     "LinkResult",
-    "LinkerRecipe",
-    "MicroBatchFrontEnd",
     "MicroBatchLinker",
-    "MutationJournal",
-    "ParallelBatchLinker",
-    "SnapshotDelta",
-    "SnapshotEpochs",
     "TextLinkingPipeline",
     "explain_link",
     "MentionResult",

@@ -86,12 +86,9 @@ class MicroBatchLinker:
         results: List[LinkResult] = []
         for request in requests:
             # Cache counters below are keyed per *distinct surface* (or
-            # per surface × recency bucket), which makes their totals
-            # partition-invariant under ParallelBatchLinker's by-surface
-            # sharding — the worker-count parity test relies on that.
-            # The (user, candidate-set) interest cache is NOT invariant
-            # (two distinct surfaces can share a candidate set) and is
-            # therefore deliberately absent from the metrics registry.
+            # per surface × recency bucket).  The (user, candidate-set)
+            # interest cache is deliberately absent from the metrics
+            # registry.
             METRICS.incr("link.requests")
             with TRACE.span(
                 "link.request", surface=request.surface, user=request.user

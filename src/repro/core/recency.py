@@ -23,22 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import parallelism
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
-
-
-def _score_pair_shard(
-    pairs: Sequence[Tuple[int, int]],
-) -> List[Tuple[Tuple[int, int], float]]:
-    """Score one shard of co-citation pairs against the shared KB."""
-    kb, threshold = parallelism.payload()
-    scored = []
-    for pair in pairs:
-        weight = kb.relatedness(*pair)
-        if weight >= threshold:
-            scored.append((pair, weight))
-    return scored
 
 
 def sliding_window_recency(
@@ -72,12 +58,7 @@ class RecencyPropagationNetwork:
         propagation_lambda: float,
         max_iterations: int = 6,
         tolerance: float = 1e-5,
-        workers: int = 1,
     ) -> None:
-        """``workers > 1`` fans the WLM scoring of co-citation pairs — the
-        dominant cost of construction on a dense KB — across processes;
-        results are independent per pair, so the network is identical for
-        every worker count."""
         if not 0.0 <= relatedness_threshold <= 1.0:
             raise ValueError("relatedness_threshold must be in [0, 1]")
         if not 0.0 <= propagation_lambda <= 1.0:
@@ -87,7 +68,6 @@ class RecencyPropagationNetwork:
         self._lambda = propagation_lambda
         self._max_iterations = max_iterations
         self._tolerance = tolerance
-        self._workers = parallelism.resolve_workers(workers)
         # adjacency: entity -> [(neighbor, normalized weight P(e_i, e_j))]
         self._edges: Dict[int, List[Tuple[int, float]]] = {}
         self._component_of: Dict[int, int] = {}
@@ -137,17 +117,11 @@ class RecencyPropagationNetwork:
             for i, a in enumerate(targets):
                 for b in targets[i + 1 :]:
                     pairs.add((min(a, b), max(a, b)))
-        allowed = sorted(pair for pair in pairs if pair not in forbidden)
-        if not allowed:
-            return {}
-        workers = min(self._workers, len(allowed))
-        step = (len(allowed) + workers - 1) // workers
-        shards = [allowed[lo : lo + step] for lo in range(0, len(allowed), step)]
         edges: Dict[Tuple[int, int], float] = {}
-        for scored in parallelism.map_sharded(
-            (self._kb, self._threshold), _score_pair_shard, shards, workers
-        ):
-            edges.update(scored)
+        for pair in sorted(pair for pair in pairs if pair not in forbidden):
+            weight = self._kb.relatedness(*pair)
+            if weight >= self._threshold:
+                edges[pair] = weight
         return edges
 
     def _find_components(self) -> None:

@@ -93,27 +93,6 @@ class CheckpointCorruptError(ReproError):
 
 
 # ---------------------------------------------------------------------- #
-# parallel snapshot protocol (repro.core.snapshot / repro.parallelism)
-# ---------------------------------------------------------------------- #
-class SnapshotSyncError(ReproError):
-    """A worker's snapshot state disagrees with an epoch-delta update.
-
-    Raised inside a worker when a :class:`repro.core.snapshot.SnapshotDelta`
-    does not apply cleanly (base epochs mismatch, unknown op, or the
-    post-apply epochs differ from the delta's target).  The parent treats
-    it as a resync signal: tear the pool down and re-ship the full blob.
-    """
-
-
-class WorkerCrashError(TransientError):
-    """A pool worker died mid-conversation (closed pipe / hard exit).
-
-    Transient by design: the owning :class:`ParallelBatchLinker` responds
-    by restarting the pool from a fresh full snapshot and retrying once.
-    """
-
-
-# ---------------------------------------------------------------------- #
 # serving-front-end rejections (repro.serve) — every rejection the HTTP
 # layer can emit maps to one of these, so error bodies are always typed:
 # ``status`` is the HTTP status code, ``kind`` the schema-stable

@@ -21,7 +21,6 @@ from repro.core.recency import RecencyPropagationNetwork
 from repro.eval.harness import (
     CollectiveAdapter,
     OnTheFlyAdapter,
-    ParallelSocialTemporalAdapter,
     SocialTemporalAdapter,
 )
 from repro.graph.dispatch import build_reachability_index
@@ -127,14 +126,8 @@ class ExperimentContext:
         self,
         config: Optional[LinkerConfig] = None,
         reachability: str = "transitive-closure",
-        workers: int = 1,
     ) -> SocialTemporalAdapter:
-        """Our method, backed by the chosen reachability provider.
-
-        ``workers > 1`` returns the sharded-parallel replay adapter —
-        same predictions (the replay never mutates the linker), parallel
-        wall clock.
-        """
+        """Our method, backed by the chosen reachability provider."""
         effective = config or self.config
         if reachability == "transitive-closure":
             provider = self.closure
@@ -156,8 +149,6 @@ class ExperimentContext:
             reachability=provider,
             propagation_network=propagation,
         )
-        if workers > 1:
-            return ParallelSocialTemporalAdapter(linker, workers=workers)
         return SocialTemporalAdapter(linker)
 
     def onthefly(self) -> OnTheFlyAdapter:

@@ -15,9 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.baselines.collective import CollectiveLinker
 from repro.baselines.onthefly import OnTheFlyLinker
-from repro.core.batch import LinkRequest
 from repro.core.linker import SocialTemporalLinker
-from repro.core.parallel import ParallelBatchLinker
 from repro.eval.metrics import Predictions
 from repro.stream.dataset import TweetDataset
 from repro.stream.tweet import Tweet
@@ -76,55 +74,6 @@ class SocialTemporalAdapter:
             total_seconds=elapsed,
             num_tweets=dataset.num_tweets,
             num_mentions=_count_mentions(dataset.tweets),
-        )
-
-
-class ParallelSocialTemporalAdapter:
-    """Replays the dataset through the sharded parallel batch linker.
-
-    The eval replay never mutates the linker (no ``confirm_link``), so the
-    worker snapshots stay valid for the whole run and predictions are
-    bit-identical to :class:`SocialTemporalAdapter` at any worker count;
-    only the wall-clock accounting changes.  Pool start-up is included in
-    ``total_seconds`` — throughput claims must pay for their forks.
-    """
-
-    def __init__(
-        self,
-        linker: SocialTemporalLinker,
-        workers: int,
-        name: str = "social-temporal-parallel",
-    ):
-        self._linker = linker
-        self.workers = workers
-        self.name = name
-
-    def run(self, dataset: TweetDataset) -> PredictionRun:
-        requests: List[LinkRequest] = []
-        layout: List[int] = []
-        for tweet in dataset.tweets:
-            for mention in tweet.mentions:
-                requests.append(
-                    LinkRequest(
-                        surface=mention.surface, user=tweet.user, now=tweet.timestamp
-                    )
-                )
-                layout.append(tweet.tweet_id)
-        predictions: Predictions = {t.tweet_id: [] for t in dataset.tweets}
-        start = time.perf_counter()
-        with ParallelBatchLinker(self._linker, workers=self.workers) as parallel:
-            flat = parallel.link_batch(requests)
-        elapsed = time.perf_counter() - start
-        for tweet_id, result in zip(layout, flat):
-            predictions[tweet_id].append(
-                result.best.entity_id if result.best else None
-            )
-        return PredictionRun(
-            method=self.name,
-            predictions=predictions,
-            total_seconds=elapsed,
-            num_tweets=dataset.num_tweets,
-            num_mentions=len(requests),
         )
 
 

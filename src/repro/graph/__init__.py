@@ -43,7 +43,6 @@ from repro.graph.transitive_closure import (
     TransitiveClosure,
     build_transitive_closure_incremental,
     build_transitive_closure_naive,
-    build_transitive_closure_parallel,
 )
 from repro.graph.two_hop import TwoHopCover, build_two_hop_cover
 
@@ -62,7 +61,6 @@ __all__ = [
     "build_reachability_index",
     "build_transitive_closure_incremental",
     "build_transitive_closure_naive",
-    "build_transitive_closure_parallel",
     "build_two_hop_cover",
     "random_digraph",
     "stream_follow_edges",

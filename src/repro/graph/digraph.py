@@ -30,11 +30,6 @@ class DiGraph:
         #: Structure version for ``repro.cache``: every node/edge mutation
         #: bumps it (CACHE-001), invalidating memoized interest shares.
         self.epoch = Epoch()
-        # objects with on_graph_op(op_tuple), e.g. the mutation journal of
-        # repro.core.snapshot — notified once per *effective* mutation
-        # (exactly the calls that bump the epoch, so op counts and epoch
-        # deltas stay in lockstep)
-        self._mutation_listeners: List[object] = []
 
     # ------------------------------------------------------------------ #
     # construction
@@ -53,7 +48,6 @@ class DiGraph:
         self._in.append([])
         self._out_sets.append(set())
         self.epoch.bump()
-        self._notify(("node",))
         return len(self._out) - 1
 
     def add_edge(self, u: int, v: int) -> bool:
@@ -69,7 +63,6 @@ class DiGraph:
         self._in[v].append(u)
         self._num_edges += 1
         self.epoch.bump()
-        self._notify(("edge+", u, v))
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -81,29 +74,7 @@ class DiGraph:
         self._in[v].remove(u)
         self._num_edges -= 1
         self.epoch.bump()
-        self._notify(("edge-", u, v))
         return True
-
-    def _notify(self, op: Tuple) -> None:
-        for listener in self._mutation_listeners:
-            listener.on_graph_op(op)  # type: ignore[attr-defined]
-
-    def add_mutation_listener(self, listener: object) -> None:
-        """Subscribe to structural mutations.
-
-        ``listener`` must expose ``on_graph_op(op)`` where ``op`` is one of
-        ``("node",)``, ``("edge+", u, v)``, ``("edge-", u, v)`` — emitted
-        only for effective mutations (a duplicate ``add_edge`` notifies
-        nobody, exactly as it bumps no epoch).  The epoch-delta snapshot
-        journal (:class:`repro.core.snapshot.MutationJournal`) replays
-        these ops inside pool workers instead of re-shipping the graph.
-        """
-        self._mutation_listeners.append(listener)
-
-    def remove_mutation_listener(self, listener: object) -> None:
-        """Unsubscribe; unknown listeners are ignored."""
-        if listener in self._mutation_listeners:
-            self._mutation_listeners.remove(listener)
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff ``u`` follows ``v``."""

@@ -10,8 +10,7 @@ the linker should score Eq. 4 against at that scale:
   :mod:`repro.graph.compact_labels`) in exact-followees mode, so both
   backends evaluate Eq. 4 on the exact ``F_st`` and link decisions match.
 
-The chosen backend is recorded in an ``index.selected`` trace event — the
-dispatch equivalent of the ``build.serial_fallback`` breadcrumb — so a
+The chosen backend is recorded in an ``index.selected`` trace event, so a
 production trace always shows *which* index served a linker and why.
 """
 
@@ -27,9 +26,7 @@ from repro.obs.trace import TRACE
 __all__ = ["build_reachability_index"]
 
 
-def build_reachability_index(
-    graph: DiGraph, config: LinkerConfig = DEFAULT_CONFIG, workers: int = 1
-):
+def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONFIG):
     """Build the reachability provider ``config`` selects for ``graph``.
 
     Every returned object satisfies the
@@ -52,9 +49,7 @@ def build_reachability_index(
             graph, max_hops=config.max_hops
         )
     if backend == "two-hop":
-        return build_two_hop_cover(
-            graph, max_hops=config.max_hops, workers=workers
-        )
+        return build_two_hop_cover(graph, max_hops=config.max_hops)
     return build_compact_two_hop_cover(
         graph,
         max_hops=config.max_hops,

@@ -25,15 +25,13 @@ Two storage backends:
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro import parallelism
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
-from repro.obs.trace import TRACE
-from repro.graph.reachability import weighted_reachability, weighted_reachability_from
+from repro.graph.reachability import weighted_reachability
 from repro.graph.traversal import shortest_path_dag, followees_on_shortest_paths
 
 #: Above this node count the incremental builder defaults to the sparse
@@ -209,72 +207,6 @@ def _build_incremental_sparse(graph: DiGraph, max_hops: int) -> TransitiveClosur
         if not any_new:
             break
     return TransitiveClosure(n, max_hops, sparse=reach)
-
-
-def _closure_row_shard(
-    sources: Sequence[int],
-) -> List[Tuple[int, Dict[int, float]]]:
-    graph, max_hops = parallelism.payload()
-    return [
-        (source, weighted_reachability_from(graph, source, max_hops))
-        for source in sources
-    ]
-
-
-def build_transitive_closure_parallel(
-    graph: DiGraph,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    workers: Optional[int] = None,
-) -> TransitiveClosure:
-    """Fan the per-source one-pass BFS across worker processes.
-
-    Each source's row is an independent :func:`weighted_reachability_from`
-    call (exact, Eq. 4), so the build is embarrassingly parallel: sources
-    are split into ``workers`` contiguous shards, the graph travels to
-    workers once (``fork`` shares it zero-copy), and rows come back ready
-    to install.  The result matches the incremental builder's values on
-    every pair; ``workers=1`` runs in-process with no pool.  Always uses
-    the sparse backend — rows arrive as dicts.
-
-    When the schedulable CPU set cannot host a real pool (1-CPU
-    containers) or the graph is below
-    :data:`repro.parallelism.SERIAL_BUILD_THRESHOLD`, the build falls
-    back to the *fastest* serial path — the incremental hop-by-hop
-    builder of :func:`build_transitive_closure_incremental`, which beats
-    per-source BFS by ~5x on bench-sized graphs — instead of merely
-    dropping to one worker.  Values may differ from the BFS rows by
-    float32 rounding when the dense backend engages (sub-1e-6,
-    within every consumer's tolerance).  The fallback is recorded as a
-    ``build.serial_fallback`` trace event.
-    """
-    requested = parallelism.resolve_workers(workers)
-    effective = parallelism.effective_workers(workers)
-    n = graph.num_nodes
-    workers = requested
-    if requested > 1 and (
-        effective <= 1 or n < parallelism.SERIAL_BUILD_THRESHOLD
-    ):
-        TRACE.event(
-            "build.serial_fallback",
-            builder="transitive_closure",
-            requested_workers=requested,
-            effective_workers=effective,
-            nodes=n,
-            algorithm="incremental",
-        )
-        return build_transitive_closure_incremental(graph, max_hops=max_hops)
-    sparse: List[Dict[int, float]] = [dict() for _ in range(n)]
-    if n == 0:
-        return TransitiveClosure(n, max_hops, sparse=sparse)
-    shard_count = min(workers, n)
-    step = (n + shard_count - 1) // shard_count
-    shards = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    for rows in parallelism.map_sharded(
-        (graph, max_hops), _closure_row_shard, shards, workers
-    ):
-        for source, row in rows:
-            sparse[source] = row
-    return TransitiveClosure(n, max_hops, sparse=sparse)
 
 
 def exact_followee_set(

@@ -28,12 +28,10 @@ from __future__ import annotations
 import random
 import sys
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro import parallelism
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
-from repro.obs.trace import TRACE
 
 #: Sentinel distance for unreachable pairs.
 INF = float("inf")
@@ -210,7 +208,6 @@ def build_two_hop_cover(
     max_hops: int = DEFAULT_MAX_HOPS,
     order: str = "degree",
     seed: int = 0,
-    workers: int = 1,
 ) -> TwoHopCover:
     """Algorithm 2 — pruned landmark labeling with followee bookkeeping.
 
@@ -221,149 +218,16 @@ def build_two_hop_cover(
     * ``"coverage"`` — degree *product* ``(in+1)·(out+1)``, descending — a
       cheap proxy for how many s→t pairs route through the node;
     * ``"random"`` — baseline showing how much ordering matters.
-
-    ``workers > 1`` processes landmarks in batches: each batch's backward
-    and forward BFS runs in worker processes against a *snapshot* of the
-    labels, and the parent merges the returned entries sequentially in
-    landmark order, re-checking every entry against the fresh labels.
-    Stale pruning only *weakens* pruning (workers return a superset of the
-    sequential entries, the merge filters), so distances stay exact and the
-    recovered followee sets keep their subset/non-emptiness guarantees;
-    label size may differ slightly from the sequential build.  ``workers=1``
-    is the unchanged sequential algorithm, bit-identical to before.
     """
     n = graph.num_nodes
     label_in: List[Dict[int, int]] = [dict() for _ in range(n)]
     label_out: List[Dict[int, Tuple[int, Set[int]]]] = [dict() for _ in range(n)]
     cover = TwoHopCover(graph, label_in, label_out, max_hops)
     landmarks = _landmark_order(graph, order, seed)
-    requested = parallelism.resolve_workers(workers)
-    effective = parallelism.effective_workers(workers)
-    workers = requested
-    if requested > 1 and (
-        effective <= 1 or n < parallelism.SERIAL_BUILD_THRESHOLD
-    ):
-        # A pool wider than the CPU set (or a small graph) pays fork +
-        # label-snapshot pickling for no concurrency; the sequential
-        # algorithm is strictly faster and yields the same distances.
-        TRACE.event(
-            "build.serial_fallback",
-            builder="two_hop_cover",
-            requested_workers=requested,
-            effective_workers=effective,
-            nodes=n,
-        )
-        workers = 1
-    if workers <= 1:
-        for landmark in landmarks:
-            _backward_bfs(graph, cover, label_out, landmark, max_hops)
-            _forward_bfs(graph, cover, label_in, landmark, max_hops)
-        return cover
-    # One fork per batch snapshots the labels built so far; larger batches
-    # amortize the fork, smaller ones keep pruning fresher (smaller index).
-    batch_size = workers * 4
-    for start in range(0, len(landmarks), batch_size):
-        batch = landmarks[start : start + batch_size]
-        results = parallelism.map_sharded(
-            (graph, cover, max_hops), _landmark_bfs_shard, batch, workers
-        )
-        for landmark, out_entries, in_entries in results:
-            _merge_landmark(cover, label_in, label_out, landmark, out_entries, in_entries)
+    for landmark in landmarks:
+        _backward_bfs(graph, cover, label_out, landmark, max_hops)
+        _forward_bfs(graph, cover, label_in, landmark, max_hops)
     return cover
-
-
-def _landmark_bfs_shard(
-    landmark: int,
-) -> Tuple[int, List[Tuple[int, int, Tuple[int, ...]]], List[Tuple[int, int]]]:
-    """One landmark's backward + forward BFS against the snapshot labels.
-
-    Mirrors :func:`_backward_bfs` / :func:`_forward_bfs`, but records the
-    would-be label writes locally instead of mutating the (shared,
-    read-only) snapshot.  Within the BFS, a locally recorded distance
-    stands in for the label entry the sequential algorithm would have
-    written, so the traversal expands the same frontier it would have with
-    a private copy of the labels.
-    """
-    graph, cover, max_hops = parallelism.payload()
-    local_out: Dict[int, Tuple[int, Set[int]]] = {}
-    queue = deque([(landmark, 0)])
-    enqueued: Set[int] = {landmark}
-    while queue:
-        node, length = queue.popleft()
-        length += 1
-        if length > max_hops:
-            continue
-        for s in graph.in_neighbors(node):
-            if s == landmark:
-                continue
-            local = local_out.get(s)
-            current = local[0] if local is not None else cover.distance(s, landmark)
-            if length < current:
-                local_out[s] = (length, {node})
-                if length < max_hops and s not in enqueued:
-                    enqueued.add(s)
-                    queue.append((s, length))
-            elif length == current:
-                if local is None:
-                    _, f_known = cover.query(s, landmark)
-                    if node not in f_known:
-                        local_out[s] = (length, {node})
-                elif node not in local[1]:
-                    local[1].add(node)
-    local_in: Dict[int, int] = {}
-    queue = deque([(landmark, 0)])
-    enqueued = {landmark}
-    while queue:
-        node, length = queue.popleft()
-        length += 1
-        if length > max_hops:
-            continue
-        for t in graph.out_neighbors(node):
-            if t == landmark:
-                continue
-            if length < local_in.get(t, cover.distance(landmark, t)):
-                local_in[t] = length
-                if length < max_hops and t not in enqueued:
-                    enqueued.add(t)
-                    queue.append((t, length))
-    out_entries = [
-        (s, d, tuple(sorted(followees)))
-        for s, (d, followees) in sorted(local_out.items())
-    ]
-    in_entries = sorted(local_in.items())
-    return landmark, out_entries, in_entries
-
-
-def _merge_landmark(
-    cover: TwoHopCover,
-    label_in: List[Dict[int, int]],
-    label_out: List[Dict[int, Tuple[int, Set[int]]]],
-    landmark: int,
-    out_entries: Sequence[Tuple[int, int, Tuple[int, ...]]],
-    in_entries: Sequence[Tuple[int, int]],
-) -> None:
-    """Apply one landmark's recorded writes against the *fresh* labels.
-
-    Entries that an earlier landmark of the same batch has since covered
-    fail the distance re-check here and are dropped — the same pruning
-    decision the sequential algorithm would have made, taken at merge time
-    instead of traversal time.
-    """
-    for s, d, followees in out_entries:
-        current = cover.distance(s, landmark)
-        if d < current:
-            label_out[s][landmark] = (d, set(followees))
-        elif d == current:
-            entry = label_out[s].get(landmark)
-            if entry is None:
-                _, f_known = cover.query(s, landmark)
-                if any(f not in f_known for f in followees):
-                    label_out[s][landmark] = (d, set(followees))
-            else:
-                entry[1].update(followees)
-    for t, d in in_entries:
-        if d < cover.distance(landmark, t):
-            label_in[t][landmark] = d
 
 
 def _landmark_order(graph: DiGraph, order: str, seed: int) -> List[int]:

@@ -86,14 +86,7 @@ class ComplementedKnowledgebase:
         self._total_links += 1
         self.link_epoch.bump()
         for listener in self._link_listeners:
-            # Rich subscribers (the snapshot mutation journal) need the full
-            # record to replay the mutation in a worker; plain subscribers
-            # (BurstTracker) only track the timestamp histogram.
-            rich = getattr(listener, "on_link_record", None)
-            if rich is not None:
-                rich(entity_id, record)
-            else:
-                listener.on_link(entity_id, timestamp)  # type: ignore[attr-defined]
+            listener.on_link(entity_id, timestamp)  # type: ignore[attr-defined]
 
     def bulk_link(
         self, links: Iterable[Tuple[int, int, float]]
@@ -141,9 +134,6 @@ class ComplementedKnowledgebase:
         ``listener`` must expose ``on_link(entity_id, timestamp)`` and
         ``on_prune(cutoff)``; :class:`repro.cache.BurstTracker` uses this
         to maintain sliding-window counts as deltas instead of rescans.
-        A listener exposing ``on_link_record(entity_id, record)`` receives
-        the full :class:`LinkedTweet` instead of ``on_link`` — the form the
-        epoch-delta snapshot journal needs to replay links in workers.
         """
         self._link_listeners.append(listener)
 

@@ -6,9 +6,8 @@ Three pure-stdlib pieces:
   clocks, one root span per link request) behind the process-global
   :data:`TRACE`;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
-  behind :data:`METRICS`, mergeable across
-  :class:`~repro.core.parallel.ParallelBatchLinker` worker shards and
-  able to absorb the :mod:`repro.perf` registry at export time;
+  behind :data:`METRICS`, mergeable across registries and able to
+  absorb the :mod:`repro.perf` registry at export time;
 * :mod:`repro.obs.export` — the schema-stable JSON-lines trace document
   (``repro trace``), its validator, and the field-level diff the
   golden-trace regression suite is built on.

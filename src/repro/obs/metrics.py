@@ -8,16 +8,17 @@ design constraints, in order:
 
 1. **Determinism** — every metric recorded by the library encodes a
    *decision*, never a duration, so identical seeded runs produce
-   identical snapshots and ``ParallelBatchLinker`` merges to the same
-   totals at any worker count (wall-clock timing stays in
-   :mod:`repro.perf` and is absorbed only at export time).
-2. **Mergeability** — worker processes accumulate into their own
-   registry; :meth:`MetricsRegistry.merge` folds a worker's snapshot
-   into the parent by summing counters and histogram buckets (gauges
-   take the max, the only order-free combiner for level readings).
+   identical snapshots (wall-clock timing stays in :mod:`repro.perf`
+   and is absorbed only at export time).
+2. **Mergeability** — :meth:`MetricsRegistry.merge` folds another
+   registry's snapshot in by summing counters and histogram buckets
+   (gauges take the max, the only order-free combiner for level
+   readings); ``repro trace`` combines its per-scenario registries
+   this way.
 3. **Fixed buckets** — histogram boundaries are declared at first
-   ``observe`` and never inferred from data, so two shards' histograms
-   are always bucket-compatible and snapshots diff cleanly across runs.
+   ``observe`` and never inferred from data, so two registries'
+   histograms are always bucket-compatible and snapshots diff cleanly
+   across runs.
 
 The process-global :data:`METRICS` mirrors :data:`repro.perf.PERF`:
 always-on dictionary updates, cheap enough for the linking hot path, not
@@ -67,8 +68,7 @@ class Histogram:
 
     Deliberately integer-only state (bucket tallies and the observation
     count) — a floating-point running sum would make merged totals
-    depend on shard partitioning and merge order (float addition is not
-    associative), breaking the worker-count parity guarantee.
+    depend on merge order (float addition is not associative).
     """
 
     __slots__ = ("boundaries", "bucket_counts", "count")
@@ -140,7 +140,7 @@ class MetricsRegistry:
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
-        """Set level reading ``name`` (merges take the max across shards)."""
+        """Set level reading ``name`` (merges take the max)."""
         self._gauges[name] = float(value)
 
     def observe(
@@ -152,7 +152,7 @@ class MetricsRegistry:
         """Record ``value`` into histogram ``name``.
 
         ``boundaries`` bind on first use; later calls must agree (fixed
-        buckets are what keep shard histograms mergeable).
+        buckets are what keep histograms mergeable).
         """
         histogram = self._histograms.get(name)
         if histogram is None:
@@ -202,10 +202,10 @@ class MetricsRegistry:
     # aggregation
     # ------------------------------------------------------------------ #
     def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold one shard's :meth:`snapshot` into this registry.
+        """Fold another registry's :meth:`snapshot` into this one.
 
         Counters and histogram buckets sum; gauges keep the maximum —
-        the only combiner that is independent of shard arrival order.
+        the only combiner that is independent of merge order.
         """
         for name, value in snapshot.get("counters", {}).items():  # type: ignore[union-attr]
             self.incr(name, int(value))

@@ -21,9 +21,7 @@ Overhead discipline mirrors :mod:`repro.perf`: the process-global
 :data:`TRACE` is disabled by default, and a disabled :meth:`Tracer.span`
 returns a shared no-op span whose methods do nothing — the linking hot
 path pays one attribute check per span site.  The tracer is per-process
-and single-threaded by design, exactly like the sharded-ownership model
-of :mod:`repro.core.parallel`; worker processes trace into their own
-(usually disabled) copy.
+and single-threaded by design.
 """
 
 from __future__ import annotations

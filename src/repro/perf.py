@@ -8,12 +8,10 @@ One process-global :data:`PERF` registry collects
   while :meth:`PerfRegistry.enabled` is true so the production path never
   pays a ``perf_counter`` call it did not ask for.
 
-The registry is per-process by design: forked pool workers inherit a copy
-and the parent's numbers stay untouched — exactly the sharded-ownership
-model of :mod:`repro.core.parallel`.  ``repro bench`` enables the registry,
-drives a workload, and publishes :meth:`PerfRegistry.snapshot` inside
-``BENCH_linking.json``; cache hit *rates* are derived in the snapshot from
-``<name>.hit`` / ``<name>.miss`` counter pairs.
+``repro bench`` enables the registry, drives a workload, and publishes
+:meth:`PerfRegistry.snapshot` inside ``BENCH_linking.json``; cache hit
+*rates* are derived in the snapshot from ``<name>.hit`` / ``<name>.miss``
+counter pairs.
 
 Not thread-safe: the linker and builders are single-threaded per process,
 and a torn read in a diagnostics counter would not be worth a lock on the

@@ -31,7 +31,6 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import LinkerConfig
-from repro.core.batch import LinkRequest
 from repro.core.linker import LinkResult
 from repro.errors import (
     BadRequestError,
@@ -175,10 +174,6 @@ class ServeApp:
         self._clock = clock
         self._defer_release = defer_release
         self._admin_token = admin_token
-        #: Optional callables the CLI wires so hot-added/-removed tenants
-        #: get their micro-batch front ends attached and torn down.
-        self.tenant_added_hook: Optional[Callable[[Tenant], None]] = None
-        self.tenant_removed_hook: Optional[Callable[[Tenant], None]] = None
         for tenant in registry.tenants():
             self._require_known_class(tenant.spec)
 
@@ -311,8 +306,6 @@ class ServeApp:
             self.registry.add(tenant)
         except ValueError as error:
             raise BadRequestError(str(error)) from error
-        if self.tenant_added_hook is not None:
-            self.tenant_added_hook(tenant)
         METRICS.incr("serve.admin.tenant_added")
         return 200, {
             "schema_version": ADMIN_SCHEMA_VERSION,
@@ -322,9 +315,7 @@ class ServeApp:
         }
 
     def _admin_remove(self, name: str) -> Response:
-        tenant = self.registry.remove(name)
-        if self.tenant_removed_hook is not None:
-            self.tenant_removed_hook(tenant)
+        self.registry.remove(name)
         METRICS.incr("serve.admin.tenant_removed")
         return 200, {
             "schema_version": ADMIN_SCHEMA_VERSION,
@@ -345,16 +336,7 @@ class ServeApp:
         top_k = _require_int(request, "top_k", default=3)
         if top_k < 1:
             raise BadRequestError("'top_k' must be at least 1")
-        if tenant.batcher is not None:
-            # Micro-batch path: the request parks on the tenant's coalescer
-            # and rides a batch to the backend.  Results are identical to
-            # the direct call — coalescing never changes scoring — so the
-            # response body does not depend on which path served it.
-            result = tenant.batcher.link_sync(  # type: ignore[attr-defined]
-                LinkRequest(surface=surface, user=user, now=now)
-            )
-        else:
-            result = tenant.linker.link(surface, user, now)
+        result = tenant.linker.link(surface, user, now)
         return 200, _render_link(tenant, result, top_k)
 
 

@@ -17,15 +17,12 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import LinkerConfig
+from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.errors import UnknownTenantError
 from repro.resilience.breaker import CircuitBreaker
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.core.microbatch import MicroBatchFrontEnd
 
 __all__ = [
     "ChaosConfig",
@@ -165,12 +162,6 @@ class Tenant:
         # deterministic under the virtual clock
         self.requests = 0
         self.ratelimited = 0
-        #: Optional :class:`repro.core.microbatch.MicroBatchFrontEnd`;
-        #: when set (``repro serve --microbatch``), link requests coalesce
-        #: through it instead of hitting ``linker.link`` one by one.  The
-        #: in-process load harness leaves it ``None`` so replays stay
-        #: byte-identical and scheduling-free.
-        self.batcher: Optional["MicroBatchFrontEnd"] = None
 
     @property
     def name(self) -> str:
@@ -275,7 +266,6 @@ class TenantProvisioner:
         self,
         world,
         context,
-        base_config: LinkerConfig,
         clock: Callable[[], float],
         chaos: Optional[ChaosConfig],
         sleep: Optional[Callable[[float], None]],
@@ -283,13 +273,13 @@ class TenantProvisioner:
     ) -> None:
         self._world = world
         self._context = context
-        self._config = base_config
+        self._config: LinkerConfig = context.config
         self._clock = clock
         self._chaos = chaos
         self._sleep = sleep
         self._threshold = threshold
         self._propagation = (
-            context.propagation_network if base_config.recency_propagation else None
+            context.propagation_network if self._config.recency_propagation else None
         )
         self._next_index = 0
         self._lock = threading.Lock()
@@ -301,7 +291,7 @@ class TenantProvisioner:
             self._next_index += 1
         from repro.eval.context import complement_knowledgebase
 
-        provider = self._context.closure
+        provider = self._context.reachability_index
         if self._chaos is not None and self._chaos.enabled:
             # Lazy import: repro.testing is opt-in wiring, never a cost of
             # the fault-free serving path.
@@ -309,7 +299,7 @@ class TenantProvisioner:
 
             clock_shim = _AdvanceShim(self._clock, self._sleep)
             provider = FlakyReachabilityProvider(
-                self._context.closure,
+                provider,
                 schedule=FaultSchedule(
                     seed=self._chaos.seed * 1000 + index,
                     error_rate=self._chaos.error_rate,
@@ -376,12 +366,14 @@ def build_tenant_registry(
     from repro.eval.context import build_experiment
 
     context = build_experiment(
-        world=world, threshold=threshold, complement_method="truth"
+        world=world,
+        threshold=threshold,
+        complement_method="truth",
+        config=config or DEFAULT_CONFIG,
     )
     provisioner = TenantProvisioner(
         world,
         context,
-        base_config=config or context.config,
         clock=clock,
         chaos=chaos,
         sleep=sleep,

@@ -275,131 +275,6 @@ class TestErrorTaxonomyRules:
         )
 
 
-class TestParallelSafetyRules:
-    def test_par001_flags_module_level_container(self):
-        findings = check_snippet(
-            "PAR-001",
-            """
-            _CACHE = {}
-            """,
-            path="src/repro/core/parallel.py",
-        )
-        assert len(findings) == 1
-
-    def test_par001_allows_none_slot_and_dunder(self):
-        assert not check_snippet(
-            "PAR-001",
-            """
-            from typing import Optional
-
-            __all__ = ["thing"]
-            _WORKER_STATE: Optional[object] = None
-            """,
-            path="src/repro/core/parallel.py",
-        )
-
-    def test_par001_out_of_scope_module_is_clean(self):
-        assert not check_snippet(
-            "PAR-001",
-            """
-            _CACHE = {}
-            """,
-            path="src/repro/eval/fake.py",
-        )
-
-    def test_par002_flags_mutation_without_refresh(self):
-        findings = check_snippet(
-            "PAR-002",
-            """
-            def apply(linker, result, tweet):
-                linker.confirm_link(result, tweet.user, tweet.timestamp)
-            """,
-            path="src/repro/parallelism.py",
-        )
-        assert len(findings) == 1
-
-    def test_par002_clean_when_refresh_defined(self):
-        assert not check_snippet(
-            "PAR-002",
-            """
-            class Pool:
-                def refresh(self):
-                    self._pool = None
-
-                def apply(self, linker, result, tweet):
-                    linker.confirm_link(result, tweet.user, tweet.timestamp)
-            """,
-            path="src/repro/parallelism.py",
-        )
-
-    def test_par003_flags_pickle_in_link_batch(self):
-        findings = check_snippet(
-            "PAR-003",
-            """
-            import pickle
-
-            class Linker:
-                def link_batch(self, requests):
-                    blob = pickle.dumps(self._spec)
-                    return self._pool.map(blob, requests)
-            """,
-            path="src/repro/core/parallel.py",
-        )
-        assert len(findings) == 1
-        assert "hot path" in findings[0].message
-
-    def test_par003_flags_bare_from_import(self):
-        findings = check_snippet(
-            "PAR-003",
-            """
-            from pickle import loads
-
-            def _link_shard(shard):
-                return loads(shard)
-            """,
-            path="src/repro/parallelism.py",
-        )
-        assert len(findings) == 1
-
-    def test_par003_allows_pickle_outside_per_batch_paths(self):
-        assert not check_snippet(
-            "PAR-003",
-            """
-            import pickle
-
-            class Pool:
-                def refresh(self):
-                    blob = pickle.dumps(self._delta)
-                    self._pool.broadcast_bytes(blob)
-            """,
-            path="src/repro/core/parallel.py",
-        )
-
-    def test_par003_ignores_other_modules(self):
-        assert not check_snippet(
-            "PAR-003",
-            """
-            import pickle
-
-            def link_batch(requests):
-                return pickle.dumps(requests)
-            """,
-            path="src/repro/kb/checkpoint.py",
-        )
-
-    def test_par003_ignores_json_dumps(self):
-        assert not check_snippet(
-            "PAR-003",
-            """
-            import json
-
-            def link_batch(requests):
-                return json.dumps(requests)
-            """,
-            path="src/repro/core/parallel.py",
-        )
-
-
 class TestNumericRules:
     def test_num001_flags_float_equality_on_scores(self):
         findings = check_snippet(

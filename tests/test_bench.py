@@ -16,7 +16,7 @@ from repro.bench import (
 @pytest.fixture(scope="module")
 def smoke_document(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "BENCH_linking.json"
-    document = run_bench(seed=5, smoke=True, workers_list=(1,), out=str(out))
+    document = run_bench(seed=5, smoke=True, out=str(out))
     return document, out
 
 
@@ -34,12 +34,12 @@ class TestSmokeRun:
         document, _ = smoke_document
         assert document["reachability"]["outputs_identical"] is True
 
-    def test_batch_rows_match_workers(self, smoke_document):
+    def test_batch_section_reports_throughput(self, smoke_document):
         document, _ = smoke_document
-        rows = document["batch"]["results"]
-        assert [row["workers"] for row in rows] == [1]
-        assert rows[0]["speedup_vs_1"] == 1.0
-        assert rows[0]["throughput_rps"] > 0
+        batch = document["batch"]
+        assert batch["requests"] > 0
+        assert batch["seconds"] > 0
+        assert batch["throughput_rps"] > 0
 
     def test_meta_records_inputs(self, smoke_document):
         document, _ = smoke_document
@@ -52,26 +52,6 @@ class TestSmokeRun:
         document, _ = smoke_document
         counters = document["perf"]["counters"]
         assert counters.get("graph.one_pass_bfs", 0) > 0
-
-    def test_requires_baseline_worker(self):
-        with pytest.raises(ValueError):
-            run_bench(smoke=True, workers_list=(2, 4), out=None)
-
-    def test_snapshot_section_populated(self, smoke_document):
-        """The epoch-delta protocol actually ran and stayed bit-identical."""
-        document, _ = smoke_document
-        snapshot = document["snapshot"]
-        assert snapshot["outputs_identical"] is True
-        assert snapshot["full_blob_bytes"] > 0
-        assert snapshot["deltas"] > 0
-        assert snapshot["resyncs"] == 0
-        assert snapshot["reduction_x"] > 1.0
-        assert snapshot["delta_bytes_per_refresh"] < snapshot["full_blob_bytes"]
-
-    def test_batch_rows_flag_undersubscription(self, smoke_document):
-        """workers=1 can never exceed the schedulable CPU set."""
-        document, _ = smoke_document
-        assert document["batch"]["results"][0]["undersubscribed"] is False
 
     def test_cached_section_outputs_identical(self, smoke_document):
         """The warm-cache run replays the same mentions through cached and
@@ -112,27 +92,9 @@ class TestValidator:
         problems = validate_bench_document(valid)
         assert any("schema_version" in p for p in problems)
 
-    def test_empty_batch_results(self, valid):
-        valid["batch"]["results"] = []
-        assert "batch.results must be a non-empty list" in validate_bench_document(
-            valid
-        )
-
     def test_malformed_batch_row(self, valid):
-        del valid["batch"]["results"][0]["throughput_rps"]
-        assert "batch.results[0].throughput_rps missing" in validate_bench_document(
-            valid
-        )
-
-    def test_missing_snapshot_key(self, valid):
-        del valid["snapshot"]["reduction_x"]
-        assert "snapshot.reduction_x missing" in validate_bench_document(valid)
-
-    def test_missing_undersubscribed_flag(self, valid):
-        del valid["batch"]["results"][0]["undersubscribed"]
-        assert "batch.results[0].undersubscribed missing" in validate_bench_document(
-            valid
-        )
+        del valid["batch"]["throughput_rps"]
+        assert "batch.throughput_rps missing" in validate_bench_document(valid)
 
     def test_missing_cached_section(self, valid):
         del valid["single_mention_cached"]
@@ -193,12 +155,12 @@ class TestCompare:
 
     def test_build_time_regression_only_warns(self, docs):
         current, baseline = docs
-        current["build"]["transitive_closure_parallel_s"] = (
-            baseline["build"]["transitive_closure_parallel_s"] * 10.0 + 1.0
+        current["build"]["transitive_closure_s"] = (
+            baseline["build"]["transitive_closure_s"] * 10.0 + 1.0
         )
         errors, warnings = compare_bench_documents(current, baseline)
         assert errors == []
-        assert any("transitive_closure_parallel_s" in w for w in warnings)
+        assert any("transitive_closure_s" in w for w in warnings)
 
     def test_low_speedup_only_warns(self, docs):
         current, baseline = docs
@@ -207,45 +169,12 @@ class TestCompare:
         assert errors == []
         assert any("speedup" in w for w in warnings)
 
-    def _with_worker_row(self, document, speedup, undersubscribed):
-        document["batch"]["results"].append(
-            {
-                "workers": 4,
-                "seconds": 1.0,
-                "throughput_rps": 100.0,
-                "speedup_vs_1": speedup,
-                "undersubscribed": undersubscribed,
-            }
-        )
-
-    def test_subscribed_speedup_drop_is_an_error(self, docs):
+    def test_batch_throughput_drop_only_warns(self, docs):
         current, baseline = docs
-        self._with_worker_row(baseline, speedup=3.0, undersubscribed=False)
-        self._with_worker_row(current, speedup=1.0, undersubscribed=False)
-        errors, _ = compare_bench_documents(current, baseline, tolerance=0.25)
-        assert any("batch speedup at workers=4 dropped" in e for e in errors)
-
-    def test_undersubscribed_speedup_drop_only_warns(self, docs):
-        """A 1-core runner cannot fail the gate for lacking cores."""
-        current, baseline = docs
-        self._with_worker_row(baseline, speedup=3.0, undersubscribed=False)
-        self._with_worker_row(current, speedup=1.0, undersubscribed=True)
+        current["batch"]["throughput_rps"] = baseline["batch"]["throughput_rps"] / 2
         errors, warnings = compare_bench_documents(current, baseline, tolerance=0.25)
         assert errors == []
-        assert any("undersubscribed: warning only" in w for w in warnings)
-
-    def test_snapshot_divergence_is_an_error(self, docs):
-        current, baseline = docs
-        current["snapshot"]["outputs_identical"] = False
-        errors, _ = compare_bench_documents(current, baseline)
-        assert any("snapshot.outputs_identical" in e for e in errors)
-
-    def test_low_snapshot_reduction_warns(self, docs):
-        current, baseline = docs
-        current["snapshot"]["reduction_x"] = 2.0
-        errors, warnings = compare_bench_documents(current, baseline)
-        assert errors == []
-        assert any("snapshot delta reduction" in w for w in warnings)
+        assert any("batch throughput dropped" in w for w in warnings)
 
     def test_invalid_baseline_is_an_error(self, docs):
         current, _ = docs

@@ -29,6 +29,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--world", "w", "--workers", "2"],
+            ["stream", "--world", "w", "--workers", "2"],
+            ["bench", "--workers", "2"],
+            ["serve", "--world", "w", "--microbatch"],
+            ["serve", "--world", "w", "--batch-workers", "2"],
+        ],
+    )
+    def test_second_concurrency_model_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
 
 class TestGenerate:
     def test_generates_and_reports(self, tmp_path, capsys):
@@ -125,39 +140,6 @@ class TestValidate:
         assert "activity_gini" in out
 
 
-class TestEvaluateParallel:
-    def test_workers_preserve_accuracy(self, world_file, capsys):
-        """evaluate --workers N reports the same accuracy as sequential."""
-
-        def accuracy_cells(argv):
-            assert main(argv) == 0
-            for line in capsys.readouterr().out.splitlines():
-                cells = line.split()
-                if cells and cells[0] == "ours":
-                    return cells[1:3]  # mention, tweet (ms/tweet may differ)
-            raise AssertionError("no 'ours' row in evaluate output")
-
-        base = [
-            "evaluate", "--world", world_file, "--method", "ours",
-            "--complement", "truth",
-        ]
-        assert accuracy_cells(base + ["--workers", "2"]) == accuracy_cells(base)
-
-
-class TestStreamParallel:
-    def test_parallel_stream_replays(self, world_file, capsys):
-        code = main(
-            [
-                "stream", "--world", world_file, "--limit", "40",
-                "--workers", "2", "--checkpoint-every", "20",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resilient stream replay" in out
-        assert "confirmed_links" in out
-
-
 class TestBench:
     def test_smoke_bench_writes_valid_document(self, tmp_path, capsys):
         import json
@@ -167,8 +149,7 @@ class TestBench:
         out = tmp_path / "BENCH_linking.json"
         code = main(
             [
-                "bench", "--smoke", "--seed", "5", "--workers", "1",
-                "--out", str(out),
+                "bench", "--smoke", "--seed", "5", "--out", str(out),
             ]
         )
         assert code == 0
@@ -177,11 +158,3 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "one-pass reachability" in stdout
         assert "benchmark written" in stdout
-
-    def test_rejects_workers_without_baseline(self, tmp_path):
-        out = tmp_path / "BENCH_linking.json"
-        code = main(
-            ["bench", "--smoke", "--workers", "2", "--out", str(out)]
-        )
-        assert code == 1  # ValueError -> clean diagnostic, not a traceback
-        assert not out.exists()

@@ -1,5 +1,5 @@
-"""Observability wiring end to end: instrumented modules, worker-count
-metrics parity, degradation counting, and the ``repro trace`` CLI."""
+"""Observability wiring end to end: instrumented modules, degradation
+counting, and the ``repro trace`` CLI."""
 
 import json
 import os
@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.config import DAY, LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import SocialTemporalLinker
-from repro.core.parallel import ParallelBatchLinker
 from repro.core.pipeline import TextLinkingPipeline
 from repro.errors import IndexUnavailableError
 from repro.graph.digraph import DiGraph
@@ -152,20 +151,6 @@ class TestBatchInstrumentation:
             batch["histograms"]["link.candidates_per_request"]
             == single["histograms"]["link.candidates_per_request"]
         )
-
-
-class TestWorkerCountParity:
-    def test_workers_1_and_4_merge_to_identical_totals(self, linker):
-        requests = _requests() * 3
-        with ParallelBatchLinker(linker, workers=1) as sequential:
-            sequential.link_batch(requests)
-        single = METRICS.snapshot()
-        METRICS.reset()
-        with ParallelBatchLinker(linker, workers=4) as parallel:
-            parallel.link_batch(requests)
-        merged = METRICS.snapshot()
-        assert merged["counters"] == single["counters"]
-        assert merged["histograms"] == single["histograms"]
 
 
 class TestPipelineAndStreamInstrumentation:

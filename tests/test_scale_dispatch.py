@@ -4,20 +4,17 @@
 (closure below the node threshold, compact 2-hop cover above), never
 *what* the linker decides — these tests pin link-decision parity across
 backends at and around the threshold, assert the ``index.selected``
-trace breadcrumb, and cover the parallel snapshot path with a compact
-provider.
+trace breadcrumb, and cover the serving tenants' use of the same dispatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
-from repro.core.parallel import ParallelBatchLinker
 from repro.graph.compact_labels import CompactTwoHopCover
 from repro.graph.dispatch import build_reachability_index
 from repro.graph.transitive_closure import TransitiveClosure
@@ -188,21 +185,31 @@ class TestDecisionParity:
             c.entity_id for c in oracle.ranked
         ]
 
-    def test_snapshot_path_with_compact_provider(self, small_context):
-        """The compact index survives pickling into pool workers."""
-        config = dataclasses.replace(small_context.config, closure_max_nodes=1)
-        linker = SocialTemporalLinker.with_scale_aware_index(
-            small_context.ckb, small_context.world.graph, config=config
-        )
-        blob = pickle.dumps(linker.reachability_provider)
-        assert isinstance(pickle.loads(blob), CompactTwoHopCover)
-        from repro.core.batch import LinkRequest
 
+class TestServeDispatch:
+    """``repro serve`` tenants get their index from the same dispatch."""
+
+    def test_tenant_above_threshold_serves_from_the_compact_cover(self, small_world):
+        from repro.serve.tenants import TenantSpec, build_tenant_registry
+
+        specs = [TenantSpec(name="alpha", deadline_ms=None)]
+        above = dataclasses.replace(
+            DEFAULT_CONFIG, closure_max_nodes=small_world.graph.num_nodes - 1
+        )
+        below_registry, context = build_tenant_registry(small_world, specs)
+        above_registry, _ = build_tenant_registry(small_world, specs, config=above)
+        via_closure = below_registry.get("alpha").linker
+        via_compact = above_registry.get("alpha").linker
+        assert isinstance(via_closure.reachability_provider, TransitiveClosure)
+        assert isinstance(via_compact.reachability_provider, CompactTwoHopCover)
         requests = [
-            LinkRequest(surface=s, user=u, now=n)
-            for s, u, n in self._requests(small_context, cap=40)
-        ]
-        serial = [linker.link(r.surface, r.user, r.now) for r in requests]
-        with ParallelBatchLinker(linker, workers=2, min_pool_batch=1) as pool:
-            parallel = pool.link_batch(requests)
-        assert [r.ranked for r in parallel] == [r.ranked for r in serial]
+            (m.surface, t.user, t.timestamp)
+            for t in context.test_dataset.tweets
+            for m in t.mentions
+        ][:120]
+        assert requests
+        for surface, user, now in requests:
+            a = via_closure.link(surface, user, now)
+            b = via_compact.link(surface, user, now)
+            assert [c.entity_id for c in a.ranked] == [c.entity_id for c in b.ranked]
+            assert a.degradation == b.degradation

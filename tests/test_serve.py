@@ -327,6 +327,77 @@ class TestServeApp:
 
 
 # ---------------------------------------------------------------------- #
+# the one serve path: handler threads call app.handle concurrently
+# ---------------------------------------------------------------------- #
+class TestConcurrentHandle:
+    THREADS = 8
+
+    def test_threaded_bodies_match_sequential_replay(self, small_world):
+        """What ``ThreadingHTTPServer`` does — many handler threads inside
+        ``ServeApp.handle`` at once — answers every read-only request with
+        the body a sequential replay gives it."""
+        import random
+        import sys
+        import threading
+
+        clock = FakeClock()
+        registry, context = build_tenant_registry(
+            small_world,
+            [TenantSpec(name=name, rate=1e6, burst=1e6, deadline_ms=None)
+             for name in ("alpha", "beta")],
+            clock=clock,
+        )
+        # capacity above the thread count: nothing may be shed
+        app = ServeApp(
+            registry,
+            admission=AdmissionController(capacity=2 * self.THREADS, queue_limit=0),
+            clock=clock,
+        )
+        mentions = [
+            (tweet, m) for tweet in context.test_dataset.tweets for m in tweet.mentions
+        ]
+        rng = random.Random(23)
+        bodies = [
+            _link_body(rng.choice(("alpha", "beta")), m.surface, tweet.user, tweet.timestamp)
+            for tweet, m in (rng.choice(mentions) for _ in range(240))
+        ]
+
+        def serve(body):
+            status, document = app.handle("POST", "/v1/link", body)
+            return status, json.dumps(document, sort_keys=True)
+
+        sequential = [serve(body) for body in bodies]
+        assert {status for status, _ in sequential} == {200}
+
+        threaded = [None] * len(bodies)
+        start = threading.Barrier(self.THREADS)
+
+        def worker(offset):
+            start.wait(timeout=30)
+            for index in range(offset, len(bodies), self.THREADS):
+                threaded[index] = serve(bodies[index])
+
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave inside handle(), not between calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == sequential
+        admission = app.admission.snapshot()
+        assert (admission["pending"], admission["shed"]) == (0, 0)
+        assert admission["admitted"] == 2 * len(bodies)
+
+
+# ---------------------------------------------------------------------- #
 # real sockets (ephemeral port)
 # ---------------------------------------------------------------------- #
 class TestHTTPSmoke:
@@ -410,3 +481,51 @@ class TestHTTPSmoke:
             connection.close()
         assert response.status == 400
         assert doc["error"]["type"] == "bad_request"
+
+    def test_keep_alive_round_trips_do_not_wait_out_a_delayed_ack(self, http_server):
+        """A response written as two small segments stalls ~40 ms per
+        request on a keep-alive connection (Nagle holds the body until the
+        client's delayed ACK).  Plain socket on purpose: ``http.client``
+        sets TCP_NODELAY and ``perfbench`` is not imported by the tests."""
+        import socket
+        import statistics
+        import time
+
+        server, _, context = http_server
+        tweet, mention = next(
+            (tweet, m)
+            for tweet in context.test_dataset.tweets
+            for m in tweet.mentions
+        )
+        body = _link_body("alpha", mention.surface, tweet.user, tweet.timestamp)
+        post = (
+            b"POST /v1/link HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        get = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+        def round_trip(connection, request):
+            connection.sendall(request)
+            received = b""
+            while b"\r\n\r\n" not in received:
+                received += connection.recv(65536)
+            head, _, payload = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            length = next(
+                int(line.split(b":")[1])
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+            while len(payload) < length:
+                payload += connection.recv(65536)
+            return json.loads(payload)
+
+        with socket.create_connection(server.address, timeout=10) as connection:
+            for request in (post, get):
+                round_trip(connection, request)  # connection + caches warm
+                elapsed = []
+                for _ in range(20):
+                    begin = time.perf_counter()
+                    round_trip(connection, request)
+                    elapsed.append(time.perf_counter() - begin)
+                assert statistics.median(elapsed) < 0.020
