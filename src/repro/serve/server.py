@@ -43,11 +43,6 @@ def _internal_error_body(message: str) -> bytes:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
-    # Buffered and flushed once per response, so status line, headers and
-    # body leave in one send.  With the stdlib's unbuffered default the
-    # body is a second small segment that Nagle holds until the keep-alive
-    # client's delayed ACK (~40 ms per response).
-    wbufsize = -1
 
     # set by ReproHTTPServer
     app: ServeApp = None  # type: ignore[assignment]
@@ -98,7 +93,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
-        self.wfile.flush()
 
     def log_message(self, message_format: str, *args) -> None:
         _log.debug("%s - %s", self.address_string(), message_format % args)

@@ -481,51 +481,3 @@ class TestHTTPSmoke:
             connection.close()
         assert response.status == 400
         assert doc["error"]["type"] == "bad_request"
-
-    def test_keep_alive_round_trips_do_not_wait_out_a_delayed_ack(self, http_server):
-        """A response written as two small segments stalls ~40 ms per
-        request on a keep-alive connection (Nagle holds the body until the
-        client's delayed ACK).  Plain socket on purpose: ``http.client``
-        sets TCP_NODELAY and ``perfbench`` is not imported by the tests."""
-        import socket
-        import statistics
-        import time
-
-        server, _, context = http_server
-        tweet, mention = next(
-            (tweet, m)
-            for tweet in context.test_dataset.tweets
-            for m in tweet.mentions
-        )
-        body = _link_body("alpha", mention.surface, tweet.user, tweet.timestamp)
-        post = (
-            b"POST /v1/link HTTP/1.1\r\nHost: test\r\n"
-            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
-        )
-        get = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
-
-        def round_trip(connection, request):
-            connection.sendall(request)
-            received = b""
-            while b"\r\n\r\n" not in received:
-                received += connection.recv(65536)
-            head, _, payload = received.partition(b"\r\n\r\n")
-            assert head.startswith(b"HTTP/1.1 200")
-            length = next(
-                int(line.split(b":")[1])
-                for line in head.split(b"\r\n")
-                if line.lower().startswith(b"content-length:")
-            )
-            while len(payload) < length:
-                payload += connection.recv(65536)
-            return json.loads(payload)
-
-        with socket.create_connection(server.address, timeout=10) as connection:
-            for request in (post, get):
-                round_trip(connection, request)  # connection + caches warm
-                elapsed = []
-                for _ in range(20):
-                    begin = time.perf_counter()
-                    round_trip(connection, request)
-                    elapsed.append(time.perf_counter() - begin)
-                assert statistics.median(elapsed) < 0.020
