@@ -13,8 +13,8 @@ import time
 
 from repro.eval.reporting import format_table
 from repro.graph.generators import SocialGraphConfig, topical_social_graph
-from repro.graph.two_hop import build_two_hop_cover
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
+from repro.testing.oracles import build_two_hop_cover
 
 ORDERS = ("degree", "coverage", "random")
 

@@ -1,9 +1,9 @@
 """Ablation (DESIGN.md) — reachability provider inside the linker.
 
-The linker runs unchanged on four providers: the materialized transitive
-closure, the extended 2-hop cover, GRAIL-certificate-pruned BFS, and plain
-cached online BFS (the latter two are the "online search" category of
-Sec. 2).  Expected shape: accuracy is essentially
+The linker runs unchanged on three providers: the materialized transitive
+closure, the extended 2-hop cover (the dict oracle, label-recovered
+followee sets), and plain cached online BFS (the "online search" category
+of Sec. 2).  Expected shape: accuracy is essentially
 identical across providers (the 2-hop label-recovered followee sets are
 lower bounds, so tiny deviations are allowed); the closure-backed linker is
 the fastest and the pre-computation-free online provider pays at query time
@@ -16,8 +16,7 @@ from repro.core.linker import SocialTemporalLinker
 from repro.eval.harness import SocialTemporalAdapter
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
-from repro.graph.grail import GrailPrunedReachability
-from repro.graph.two_hop import build_two_hop_cover
+from repro.testing.oracles import build_two_hop_cover
 
 
 def test_ablation_reachability_provider(benchmark, contexts, report):
@@ -25,26 +24,19 @@ def test_ablation_reachability_provider(benchmark, contexts, report):
     build_times = {
         "transitive closure": None,
         "2-hop cover": None,
-        "GRAIL-pruned BFS": None,
         "online BFS": 0.0,
     }
 
     started = time.perf_counter()
-    closure = context.closure
+    closure = context.reachability_index
     build_times["transitive closure"] = time.perf_counter() - started
     started = time.perf_counter()
     cover = build_two_hop_cover(context.world.graph, context.config.max_hops)
     build_times["2-hop cover"] = time.perf_counter() - started
-    started = time.perf_counter()
-    grail = GrailPrunedReachability(
-        context.world.graph, max_hops=context.config.max_hops
-    )
-    build_times["GRAIL-pruned BFS"] = time.perf_counter() - started
 
     providers = {
         "transitive closure": closure,
         "2-hop cover": cover,
-        "GRAIL-pruned BFS": grail,
         "online BFS": None,  # linker builds its cached BFS provider
     }
     rows = []

@@ -13,10 +13,8 @@ import time
 
 from repro.eval.reporting import format_table
 from repro.graph.generators import random_digraph
-from repro.graph.transitive_closure import (
-    build_transitive_closure_incremental,
-    build_transitive_closure_naive,
-)
+from repro.graph.transitive_closure import build_transitive_closure_incremental
+from repro.testing.oracles import build_transitive_closure_naive
 
 #: (num_nodes, num_edges): naive is only feasible on the small ones.
 SIZES = [(30, 120), (60, 300), (120, 700), (240, 1700), (480, 4000)]

@@ -20,8 +20,8 @@ from repro.eval.reporting import format_table
 from repro.graph.generators import SocialGraphConfig, topical_social_graph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.graph.two_hop import build_two_hop_cover
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
+from repro.testing.oracles import build_two_hop_cover
 
 #: Follow-graph sizes standing in for the D90..D10 / full-crawl rows.
 SIZES = [("D90'", 200), ("D70'", 400), ("D50'", 700), ("D10'", 1200)]

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Weighted-reachability index trade-offs on a synthetic follow graph.
 
-Builds the extended transitive closure (Algorithm 1) and the extended 2-hop
-cover (Algorithm 2) over the same followee-follower network and reports the
-Table-5 trade-off: the closure answers queries fastest, the 2-hop cover is
-far smaller; both agree with exact per-pair BFS.
+``build_reachability_index`` is how the library obtains an index: the
+extended transitive closure (Algorithm 1) up to ``closure_max_nodes``
+users, the compact extended 2-hop cover (Algorithm 2) above.  This script
+forces each backend over the same followee-follower network and reports
+the Table-5 trade-off: the closure answers queries fastest, the 2-hop
+cover is what still fits when |V|² does not; both agree with exact
+per-pair BFS.
 
 Run:  python examples/reachability_indexes.py
 """
@@ -12,10 +15,9 @@ Run:  python examples/reachability_indexes.py
 import random
 import time
 
+from repro.config import LinkerConfig
+from repro.graph import build_reachability_index, weighted_reachability
 from repro.graph.generators import SocialGraphConfig, topical_social_graph
-from repro.graph.reachability import weighted_reachability
-from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.graph.two_hop import build_two_hop_cover
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
 
 
@@ -27,40 +29,33 @@ def main() -> None:
     stats = graph.stats()
     print(f"follow graph: {stats['nodes']} users, {stats['edges']} edges, "
           f"max degree {stats['max_degree']}")
-
-    started = time.perf_counter()
-    closure = build_transitive_closure_incremental(graph)
-    closure_build = time.perf_counter() - started
-    started = time.perf_counter()
-    cover = build_two_hop_cover(graph)
-    cover_build = time.perf_counter() - started
+    print(f"auto dispatch at this size: "
+          f"{LinkerConfig().select_index_backend(graph.num_nodes)}")
 
     rng = random.Random(7)
     pairs = [(rng.randrange(800), rng.randrange(800)) for _ in range(20_000)]
 
-    started = time.perf_counter()
-    for u, v in pairs:
-        closure.reachability(u, v)
-    closure_query = (time.perf_counter() - started) / len(pairs)
-    started = time.perf_counter()
-    for u, v in pairs:
-        cover.reachability(u, v)
-    cover_query = (time.perf_counter() - started) / len(pairs)
-
     print(f"\n{'index':20s} {'build':>9s} {'size':>10s} {'query':>10s}")
-    print(f"{'transitive closure':20s} {closure_build:8.2f}s "
-          f"{closure.size_bytes() / 1e6:8.1f}MB {closure_query * 1e6:8.2f}µs")
-    print(f"{'2-hop cover':20s} {cover_build:8.2f}s "
-          f"{cover.size_bytes() / 1e6:8.1f}MB {cover_query * 1e6:8.2f}µs")
+    indexes = {}
+    for backend in ("closure", "compact"):
+        started = time.perf_counter()
+        index = build_reachability_index(graph, LinkerConfig(index_backend=backend))
+        build = time.perf_counter() - started
+        started = time.perf_counter()
+        for u, v in pairs:
+            index.reachability(u, v)
+        query = (time.perf_counter() - started) / len(pairs)
+        indexes[backend] = index
+        print(f"{backend:20s} {build:8.2f}s "
+              f"{index.size_bytes() / 1e6:8.1f}MB {query * 1e6:8.2f}µs")
 
     # agreement spot-check against exact BFS (Eq. 4)
     mismatches = 0
     for u, v in pairs[:200]:
         exact = weighted_reachability(graph, u, v)
-        if abs(closure.reachability(u, v) - exact) > 1e-6:
-            mismatches += 1
-        if abs(cover.reachability(u, v, exact_followees=True) - exact) > 1e-6:
-            mismatches += 1
+        for index in indexes.values():
+            if abs(index.reachability(u, v) - exact) > 1e-6:
+                mismatches += 1
     print(f"\nagreement with exact BFS on 200 sampled pairs: "
           f"{'OK' if mismatches == 0 else f'{mismatches} mismatches'}")
 

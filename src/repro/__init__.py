@@ -39,15 +39,12 @@ from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.baselines import CollectiveLinker, OnTheFlyLinker
 from repro.eval import build_experiment, mention_and_tweet_accuracy
 from repro.graph import (
+    CompactTwoHopCover,
     DiGraph,
     DynamicTransitiveClosure,
-    GrailIndex,
-    GrailPrunedReachability,
     TransitiveClosure,
-    TwoHopCover,
+    build_reachability_index,
     build_transitive_closure_incremental,
-    build_transitive_closure_naive,
-    build_two_hop_cover,
     weighted_reachability,
 )
 from repro.io import load_world, save_world
@@ -78,6 +75,7 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "CollectiveLinker",
+    "CompactTwoHopCover",
     "ComplementedKnowledgebase",
     "DAY",
     "DeadlineExceededError",
@@ -86,8 +84,6 @@ __all__ = [
     "DEFAULT_MAX_HOPS",
     "DiGraph",
     "DynamicTransitiveClosure",
-    "GrailIndex",
-    "GrailPrunedReachability",
     "IndexUnavailableError",
     "InteractiveLinkingSession",
     "KBProfile",
@@ -114,14 +110,12 @@ __all__ = [
     "Tweet",
     "TweetStore",
     "TweetValidator",
-    "TwoHopCover",
     "UnknownUserError",
     "build_experiment",
     "configure_logging",
     "get_logger",
+    "build_reachability_index",
     "build_transitive_closure_incremental",
-    "build_transitive_closure_naive",
-    "build_two_hop_cover",
     "load_world",
     "mention_and_tweet_accuracy",
     "save_world",

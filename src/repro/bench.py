@@ -54,17 +54,17 @@ from repro.graph.generators import (
     stream_tweet_events,
     streaming_world_graph,
 )
-from repro.graph.reachability import (
-    weighted_reachability_from,
-    weighted_reachability_from_per_target,
-)
+from repro.graph.reachability import weighted_reachability_from
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.graph.two_hop import build_two_hop_cover
 from repro.kb.builder import KBProfile
 from repro.log import get_logger
 from repro.perf import PERF, percentile
 from repro.stream.generator import StreamProfile, SyntheticWorld
 from repro.stream.profiles import quick_profiles
+from repro.testing.oracles import (
+    build_two_hop_cover,
+    weighted_reachability_from_per_target,
+)
 
 _log = get_logger(__name__)
 
@@ -371,14 +371,14 @@ def _cached_single_mention_bench(context, requests: Sequence[LinkRequest]) -> Di
         context.ckb,
         context.world.graph,
         config=context.config,
-        reachability=context.closure,
+        reachability=context.reachability_index,
         propagation_network=context.propagation_network,
     )
     cached = SocialTemporalLinker(
         context.ckb,
         context.world.graph,
         config=dataclasses.replace(context.config, score_caching=True),
-        reachability=context.closure,
+        reachability=context.reachability_index,
         propagation_network=context.propagation_network,
     )
     for request in requests:  # warm pass
@@ -554,7 +554,7 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
 
     budget = tier_config.index_memory_budget_bytes
     within_budget = True
-    if budget is not None and backend in ("compact", "two-hop"):
+    if budget is not None and backend == "compact":
         within_budget = index_bytes <= budget
     return {
         "users": users,

@@ -64,6 +64,10 @@ from repro.cache.burst import BurstTracker
 K = TypeVar("K")
 V = TypeVar("V")
 
+#: Capacity of each epoch-keyed score cache (candidates, popularity,
+#: interest, recency clusters), LRU-evicted independently.
+SCORE_CACHE_SIZE = 4096
+
 
 class EpochKeyedCache:
     """LRU memo table whose entries carry the epochs they were built under.
@@ -136,7 +140,7 @@ class IncrementalRecency:
         network: Optional["RecencyPropagationNetwork"],
         window: float,
         burst_threshold: int,
-        capacity: int = 4096,
+        capacity: int = SCORE_CACHE_SIZE,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
@@ -250,12 +254,11 @@ class ScoreCaches:
     ) -> None:
         self._ckb = ckb
         self._graph = graph
-        capacity = config.score_cache_size
-        self.candidates = EpochKeyedCache("score_cache.candidates", capacity)
-        self.popularity = EpochKeyedCache("score_cache.popularity", capacity)
-        self.interest = EpochKeyedCache("score_cache.interest", capacity)
+        self.candidates = EpochKeyedCache("score_cache.candidates", SCORE_CACHE_SIZE)
+        self.popularity = EpochKeyedCache("score_cache.popularity", SCORE_CACHE_SIZE)
+        self.interest = EpochKeyedCache("score_cache.interest", SCORE_CACHE_SIZE)
         self.recency = IncrementalRecency(
-            ckb, network, config.window, config.burst_threshold, capacity=capacity
+            ckb, network, config.window, config.burst_threshold
         )
 
     def candidate_epochs(self) -> Tuple[int, ...]:

@@ -89,18 +89,15 @@ class LinkerConfig:
     #: are untouched; when on, the linker's output is bit-identical to the
     #: uncached path.
     score_caching: bool = False
-    #: Capacity of each epoch-keyed score cache (candidates, popularity,
-    #: interest), LRU-evicted independently.
-    score_cache_size: int = 4096
     #: Reachability index backend: ``"auto"`` picks by graph size (the
     #: The-Pulse-style dispatch of ROADMAP item 1), or force one of
-    #: ``"closure"`` (extended transitive closure, Algorithm 1),
-    #: ``"two-hop"`` (dict-backed 2-hop cover, Algorithm 2), ``"compact"``
-    #: (array-backed 2-hop cover, docs/scaling.md).
+    #: ``"closure"`` (extended transitive closure, Algorithm 1) and
+    #: ``"compact"`` (array-backed 2-hop cover, Algorithm 2,
+    #: docs/scaling.md).
     index_backend: str = "auto"
     #: ``"auto"`` node threshold: at or below it the closure's O(1) lookups
-    #: win; above it the |V|² (dense) or per-pair-dict (sparse) closure
-    #: stops fitting and the compact 2-hop cover takes over.
+    #: win; above it the |V|² matrix stops fitting and the compact 2-hop
+    #: cover takes over.
     closure_max_nodes: int = 2000
     #: Optional hard cap on a compact index's ``label_bytes()``.  The
     #: distance backbone is never pruned; followee pools are dropped for
@@ -136,9 +133,7 @@ class LinkerConfig:
             raise ValueError("deadline_ms must be positive when set")
         if self.influential_cache_size < 1:
             raise ValueError("influential_cache_size must be at least 1")
-        if self.score_cache_size < 1:
-            raise ValueError("score_cache_size must be at least 1")
-        if self.index_backend not in ("auto", "closure", "two-hop", "compact"):
+        if self.index_backend not in ("auto", "closure", "compact"):
             raise ValueError(f"unknown index backend {self.index_backend!r}")
         if self.closure_max_nodes < 0:
             raise ValueError("closure_max_nodes must be non-negative")

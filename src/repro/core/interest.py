@@ -33,7 +33,8 @@ class ReachabilityProvider(Protocol):
     """Anything that answers weighted reachability queries.
 
     Satisfied by :class:`repro.graph.TransitiveClosure`,
-    :class:`repro.graph.TwoHopCover` and :class:`OnlineReachability`.
+    :class:`repro.graph.CompactTwoHopCover`, :class:`OnlineReachability`
+    and :class:`repro.graph.DynamicTransitiveClosure`.
     """
 
     def reachability(self, source: int, target: int) -> float:

@@ -48,7 +48,6 @@ from repro.core.recency import (
 )
 from repro.core.scoring import ScoredCandidate, combine_scores
 from repro.graph.digraph import DiGraph
-from repro.graph.dispatch import build_reachability_index
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.tweet import Tweet
 
@@ -205,9 +204,10 @@ class SocialTemporalLinker:
         Parameters
         ----------
         reachability:
-            Pre-built index (:class:`~repro.graph.TransitiveClosure` or
-            :class:`~repro.graph.TwoHopCover`); defaults to cached online
-            BFS, which needs no pre-computation but has higher latency.
+            Pre-built index, normally from
+            :func:`~repro.graph.build_reachability_index`; defaults to
+            cached online BFS, which needs no pre-computation but has
+            higher latency.
         propagation_network:
             Pre-built recency clusters; built from the KB on demand when
             ``config.recency_propagation`` is on.
@@ -253,25 +253,6 @@ class SocialTemporalLinker:
                 config=config,
             )
 
-    @classmethod
-    def with_scale_aware_index(
-        cls,
-        ckb: ComplementedKnowledgebase,
-        graph: DiGraph,
-        config: LinkerConfig = DEFAULT_CONFIG,
-        **kwargs,
-    ) -> "SocialTemporalLinker":
-        """Build a linker on the backend ``config.select_index_backend``
-        picks for this graph's size (ROADMAP item 1's dispatch).
-
-        The plain constructor keeps its cached-online-BFS default so
-        existing call sites (and golden traces) are untouched; this
-        factory is the production path where an index is built per world.
-        Emits an ``index.selected`` trace event.
-        """
-        provider = build_reachability_index(graph, config)
-        return cls(ckb, graph, config=config, reachability=provider, **kwargs)
-
     # ------------------------------------------------------------------ #
     # properties
     # ------------------------------------------------------------------ #
@@ -290,8 +271,8 @@ class SocialTemporalLinker:
 
     @property
     def reachability_provider(self) -> ReachabilityProvider:
-        """The index answering Eq. 4 for this linker (closure, cover,
-        compact cover, or the cached online BFS default)."""
+        """The index answering Eq. 4 for this linker (closure, compact
+        cover, or the cached online BFS default)."""
         return self._reachability
 
     @property

@@ -24,10 +24,6 @@ from repro.eval.harness import (
     SocialTemporalAdapter,
 )
 from repro.graph.dispatch import build_reachability_index
-from repro.graph.transitive_closure import (
-    TransitiveClosure,
-    build_transitive_closure_incremental,
-)
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.dataset import DatasetCatalog, TweetDataset, split_by_activity
 from repro.stream.generator import SyntheticWorld
@@ -72,9 +68,8 @@ class ExperimentContext:
     ckb: ComplementedKnowledgebase
     config: LinkerConfig
     _scorer: Optional[IntraTweetScorer] = None
-    _closure: Optional[TransitiveClosure] = None
     _propagation: Optional[RecencyPropagationNetwork] = None
-    _scale_index: Optional[object] = None
+    _reachability_index: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # shared heavy pieces (built once, reused across methods)
@@ -84,15 +79,6 @@ class ExperimentContext:
         if self._scorer is None:
             self._scorer = IntraTweetScorer(self.ckb)
         return self._scorer
-
-    @property
-    def closure(self) -> TransitiveClosure:
-        """Extended transitive closure of the follow graph (Algorithm 1)."""
-        if self._closure is None:
-            self._closure = build_transitive_closure_incremental(
-                self.world.graph, max_hops=self.config.max_hops
-            )
-        return self._closure
 
     @property
     def propagation_network(self) -> RecencyPropagationNetwork:
@@ -109,11 +95,11 @@ class ExperimentContext:
         """The backend ``config.select_index_backend`` picks for this
         world's graph (closure below the node threshold, compact 2-hop
         cover above — docs/scaling.md)."""
-        if self._scale_index is None:
-            self._scale_index = build_reachability_index(
+        if self._reachability_index is None:
+            self._reachability_index = build_reachability_index(
                 self.world.graph, self.config
             )
-        return self._scale_index
+        return self._reachability_index
 
     @property
     def test_dataset(self) -> TweetDataset:
@@ -123,22 +109,10 @@ class ExperimentContext:
     # method factories
     # ------------------------------------------------------------------ #
     def social_temporal(
-        self,
-        config: Optional[LinkerConfig] = None,
-        reachability: str = "transitive-closure",
+        self, config: Optional[LinkerConfig] = None
     ) -> SocialTemporalAdapter:
-        """Our method, backed by the chosen reachability provider."""
+        """Our method, scoring Eq. 4 against :attr:`reachability_index`."""
         effective = config or self.config
-        if reachability == "transitive-closure":
-            provider = self.closure
-        elif reachability == "online":
-            provider = None  # linker builds cached online BFS itself
-        elif reachability == "auto":
-            # scale-aware dispatch: closure below the threshold, compact
-            # 2-hop cover above (ROADMAP item 1)
-            provider = self.reachability_index
-        else:
-            raise ValueError(f"unknown reachability provider {reachability!r}")
         propagation = (
             self.propagation_network if effective.recency_propagation else None
         )
@@ -146,7 +120,7 @@ class ExperimentContext:
             self.ckb,
             self.world.graph,
             config=effective,
-            reachability=provider,
+            reachability=self.reachability_index,
             propagation_network=propagation,
         )
         return SocialTemporalAdapter(linker)

@@ -8,15 +8,20 @@ Sec. 4.1 of the paper lives here:
 * :mod:`repro.graph.traversal` — BFS levels and shortest-path DAGs.
 * :mod:`repro.graph.reachability` — the exact per-pair weighted reachability
   of Eq. 4, used as ground truth for the indexes.
-* :mod:`repro.graph.transitive_closure` — extended transitive closure with
-  the naive and the incremental (Algorithm 1) builders.
-* :mod:`repro.graph.two_hop` — the extended 2-hop cover (Algorithm 2).
-* :mod:`repro.graph.compact_labels` — the same cover in flat
-  ``array``/``bytes`` buffers with an optional memory budget (the
-  production index past the closure's |V|² wall — docs/scaling.md).
-* :mod:`repro.graph.dispatch` — scale-aware index selection.
+* :mod:`repro.graph.transitive_closure` — extended transitive closure,
+  built incrementally (Algorithm 1).
+* :mod:`repro.graph.compact_labels` — the extended 2-hop cover
+  (Algorithm 2) in flat ``array``/``bytes`` buffers with an optional
+  memory budget (the index past the closure's |V|² wall — docs/scaling.md).
+* :mod:`repro.graph.online` — cached per-source BFS, the no-index provider.
+* :mod:`repro.graph.dynamic` — the closure maintained under follow/unfollow.
+* :mod:`repro.graph.dispatch` — :func:`build_reachability_index`, the one
+  way production code obtains an index (closure or compact, by graph size).
 * :mod:`repro.graph.generators` — synthetic followee-follower networks,
   including the streaming 100k–1M-user hub/faction worlds.
+
+The slower, literal versions of Algorithms 1–2 the shipped providers are
+tested against live in :mod:`repro.testing.oracles`.
 """
 
 from repro.graph.compact_labels import (
@@ -37,31 +42,25 @@ from repro.graph.generators import (
     topical_social_graph,
     random_digraph,
 )
-from repro.graph.grail import GrailIndex, GrailPrunedReachability
+from repro.graph.online import OnlineReachability
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import (
     TransitiveClosure,
     build_transitive_closure_incremental,
-    build_transitive_closure_naive,
 )
-from repro.graph.two_hop import TwoHopCover, build_two_hop_cover
 
 __all__ = [
     "CompactTwoHopCover",
     "DiGraph",
     "DynamicTransitiveClosure",
-    "GrailIndex",
-    "GrailPrunedReachability",
+    "OnlineReachability",
     "SocialGraphConfig",
     "StreamingChunk",
     "StreamingWorldProfile",
     "TransitiveClosure",
-    "TwoHopCover",
     "build_compact_two_hop_cover",
     "build_reachability_index",
     "build_transitive_closure_incremental",
-    "build_transitive_closure_naive",
-    "build_two_hop_cover",
     "random_digraph",
     "stream_follow_edges",
     "stream_tweet_events",

@@ -1,11 +1,33 @@
-"""Compact ``array``/``bytes``-backed extended 2-hop labels (DESIGN.md §7,
-docs/scaling.md).
+"""Extended 2-hop cover for weighted reachability (Sec. 4.1.1, Algorithm 2)
+in flat ``array``/``bytes`` buffers (DESIGN.md §7, docs/scaling.md).
 
-:mod:`repro.graph.two_hop` stores the pruned-landmark labeling as
-dict-of-dicts with one Python ``set`` per out-entry — convenient, but the
-per-object overhead (~100 bytes per entry, ~220 per set) is what actually
-breaks long before the |V|² closure does.  This module stores the *same*
-labels in flat typed buffers, CSR-style:
+A pruned-landmark labeling (PLL) in the style of Akiba et al. SIGMOD'13,
+extended so that queries recover not only the shortest-path distance
+``d_st`` but also the followee set ``F_st`` needed by Eq. 4:
+
+* ``L_in(v)  = {pivot: d_pivot_v}``   — pivots that can reach ``v``;
+* ``L_out(v) = {pivot: (d_v_pivot, F_v_pivot)}`` — pivots reachable from
+  ``v`` together with the followees of ``v`` on shortest paths to the pivot.
+
+Landmarks are processed in descending degree order.  For each landmark a
+*backward* BFS updates ``L_out`` of the nodes that reach it (recording the
+followee through which each shortest path leaves, lines 5–29 of Algorithm 2)
+and a *forward* BFS updates ``L_in`` of the nodes it reaches (line 30).
+
+Queries (Eq. 5) intersect ``L_out(s) ∪ {s}`` with ``L_in(t) ∪ {t}`` and,
+per Theorem 2, union the followee sets of every pivot achieving the minimal
+distance.  Distances are exact within the ``H``-hop horizon; the recovered
+followee set is guaranteed to be a *subset* of the exact one (a pivot exists
+on at least one shortest path, not necessarily on all of them) and is
+non-empty for every reachable pair — see DESIGN.md.  The optional
+``exact_followees`` query mode recomputes ``F_st`` exactly from per-followee
+distance queries (Theorem 1) at an ``O(|F_s|)`` label-lookup cost.
+
+The literal dict-of-dicts form of these labels (one Python ``set`` per
+out-entry, :class:`repro.testing.oracles.TwoHopCover`) costs ~100 bytes
+per entry and ~220 per set, which breaks long before the |V|² closure
+does.  This module stores the *same* labels in flat typed buffers,
+CSR-style:
 
 * ``landmarks[r]`` — node id of the landmark processed at rank ``r``;
   ``rank_of[v]`` is the inverse permutation.  Per-node label entries are
@@ -33,7 +55,7 @@ Two classes of out-entry store no pool span:
   superset of the dropped label subset and still a subset of the exact
   ``F_st``, and ``reachability(..., exact_followees=True)`` is unchanged.
 
-Without a budget the stored label data is identical to the dict cover's,
+Without a budget the stored label data is identical to the dict oracle's,
 so every query — ``distance``, ``query``, ``exact_followee_set``,
 ``reachability`` in both modes — returns bit-identical values; the
 randomized battery in ``tests/test_compact_labels.py`` enforces this.
@@ -41,16 +63,35 @@ randomized battery in ``tests/test_compact_labels.py`` enforces this.
 
 from __future__ import annotations
 
+import random
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
-from repro.graph.two_hop import INF, TwoHopCover, _landmark_order
 
 __all__ = ["CompactTwoHopCover", "build_compact_two_hop_cover"]
+
+#: Sentinel distance for unreachable pairs.
+INF = float("inf")
+
+
+def _landmark_order(graph: DiGraph, order: str, seed: int) -> List[int]:
+    if order == "degree":
+        return sorted(graph.nodes(), key=graph.degree, reverse=True)
+    if order == "coverage":
+        return sorted(
+            graph.nodes(),
+            key=lambda v: (graph.in_degree(v) + 1) * (graph.out_degree(v) + 1),
+            reverse=True,
+        )
+    if order == "random":
+        nodes = list(graph.nodes())
+        random.Random(seed).shuffle(nodes)
+        return nodes
+    raise ValueError(f"unknown landmark order {order!r}")
 
 
 def _index_of(pivots, lo: int, hi: int, rank: int) -> int:
@@ -62,9 +103,10 @@ def _index_of(pivots, lo: int, hi: int, rank: int) -> int:
 
 
 class CompactTwoHopCover:
-    """The extended 2-hop cover of :class:`TwoHopCover`, in flat buffers.
+    """Queryable extended 2-hop labeling of a followee-follower network.
 
-    Query API and semantics match :class:`TwoHopCover` exactly (and
+    Query API and semantics match the dict oracle
+    (:class:`repro.testing.oracles.TwoHopCover`) exactly (and
     bit-identically when no memory budget pruned followee pools).
     ``exact_reachability=True`` makes :meth:`reachability` default to the
     Theorem-1 exact followee recovery — the mode the scale-aware dispatch
@@ -109,7 +151,7 @@ class CompactTwoHopCover:
         self._pruned_followee_entries = pruned_followee_entries
 
     # ------------------------------------------------------------------ #
-    # queries (same contracts as TwoHopCover)
+    # queries (same contracts as the dict oracle)
     # ------------------------------------------------------------------ #
     @property
     def max_hops(self) -> int:
@@ -214,8 +256,9 @@ class CompactTwoHopCover:
         """Weighted reachability ``R(source, target)`` (Eq. 4).
 
         ``exact_followees=None`` defers to the ``exact_reachability``
-        construction flag; explicit ``True``/``False`` behave exactly like
-        :meth:`TwoHopCover.reachability`.
+        construction flag.  With ``False`` (the paper's scheme) the
+        followee set comes from the stored labels, a cheap lower bound;
+        with ``True`` it is recovered exactly per Theorem 1.
         """
         if exact_followees is None:
             exact_followees = self._exact_reachability
@@ -290,39 +333,6 @@ class CompactTwoHopCover:
     def pruned_followee_entries(self) -> int:
         return self._pruned_followee_entries
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_cover(
-        cls,
-        cover: TwoHopCover,
-        graph: DiGraph,
-        order: str = "degree",
-        seed: int = 0,
-        memory_budget_bytes: Optional[int] = None,
-        exact_reachability: bool = False,
-    ) -> "CompactTwoHopCover":
-        """Freeze an existing dict-backed cover into compact buffers.
-
-        ``order``/``seed`` must name the landmark order the cover was
-        built with so budget pruning drops the same (least-central-first)
-        followee sets a direct :func:`build_compact_two_hop_cover` would.
-        Queries are rank-order independent either way.
-        """
-        landmarks = _landmark_order(graph, order, seed)
-        stage = _StagingLabels(graph, cover.max_hops, landmarks)
-        rank_of = stage.rank_of
-        for node in range(graph.num_nodes):
-            in_label = cover.in_label(node)
-            for pivot in sorted(in_label, key=rank_of.__getitem__):
-                stage.append_in(node, rank_of[pivot], in_label[pivot])
-            out_label = cover.out_label(node)
-            for pivot in sorted(out_label, key=rank_of.__getitem__):
-                dist, followees = out_label[pivot]
-                stage.append_out(node, rank_of[pivot], dist, followees)
-        return stage.finalize(memory_budget_bytes, exact_reachability)
-
 
 class _StagingLabels:
     """Per-node growable label buffers used while the index is built.
@@ -367,7 +377,7 @@ class _StagingLabels:
             None if dist == 1 else tuple(sorted(followees))
         )
 
-    # -- pruning queries used by the landmark BFS (mirror TwoHopCover) -- #
+    # -- pruning queries used by the landmark BFS -- #
     def distance(self, source: int, target: int) -> float:
         if source == target:
             return 0.0
@@ -398,8 +408,8 @@ class _StagingLabels:
         return best if best <= self.max_hops else INF
 
     def followees(self, source: int, target: int, best: int) -> Set[int]:
-        """Followee union over minimal pivots — ``TwoHopCover.query``'s
-        second component, for the equal-length pruning check."""
+        """Followee union over minimal pivots — ``query``'s second
+        component, for the equal-length pruning check."""
         found: Set[int] = set()
         out_pivots, out_dists = self.out_pivots[source], self.out_dists[source]
         in_pivots, in_dists = self.in_pivots[target], self.in_dists[target]
@@ -529,14 +539,19 @@ def build_compact_two_hop_cover(
 ) -> CompactTwoHopCover:
     """Algorithm 2 directly into compact buffers, one landmark at a time.
 
-    Produces the same labels as the sequential
-    :func:`repro.graph.two_hop.build_two_hop_cover`: each landmark's
+    Produces the same labels as the dict oracle
+    (:func:`repro.testing.oracles.build_two_hop_cover`): each landmark's
     backward/forward BFS records its would-be writes in a local dict (the
     landmark only ever touches its *own* entries, so a local record always
     wins over the staged labels — the identical pruning decisions in a
     different order of bookkeeping) and appends them to the staging
     buffers when the BFS finishes.  Peak memory is O(final index), never
     O(dict-of-dicts).
+
+    ``order`` picks the landmark processing order, the main lever of PLL
+    index size: ``"degree"`` (total degree, descending — Algorithm 2
+    line 1), ``"coverage"`` (degree product ``(in+1)·(out+1)``) or
+    ``"random"`` (seeded baseline).
     """
     landmarks = _landmark_order(graph, order, seed)
     stage = _StagingLabels(graph, max_hops, landmarks)
@@ -591,10 +606,3 @@ def build_compact_two_hop_cover(
         for t, dist in local_in.items():
             stage.append_in(t, rank, dist)
     return stage.finalize(memory_budget_bytes, exact_reachability)
-
-
-def _iter_out_entries(cover: CompactTwoHopCover) -> Iterator[Tuple[int, int, int]]:
-    """(node, rank, dist) triples — test/introspection helper."""
-    for node in range(cover._graph.num_nodes):
-        for k in range(cover._out_offsets[node], cover._out_offsets[node + 1]):
-            yield node, cover._out_pivots[k], cover._out_dists[k]

@@ -20,7 +20,6 @@ from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.graph.compact_labels import build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.graph.two_hop import build_two_hop_cover
 from repro.obs.trace import TRACE
 
 __all__ = ["build_reachability_index"]
@@ -48,8 +47,6 @@ def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONF
         return build_transitive_closure_incremental(
             graph, max_hops=config.max_hops
         )
-    if backend == "two-hop":
-        return build_two_hop_cover(graph, max_hops=config.max_hops)
     return build_compact_two_hop_cover(
         graph,
         max_hops=config.max_hops,

@@ -5,8 +5,8 @@
 ``R(u, v) = 0`` when ``v`` is not reachable from ``u`` within ``H`` hops.
 
 The index structures (:mod:`repro.graph.transitive_closure`,
-:mod:`repro.graph.two_hop`) must agree with this definition; the test suite
-checks them against it on random graphs.
+:mod:`repro.graph.compact_labels`) must agree with this definition; the test
+suite checks them against it on random graphs.
 
 The single-source variant :func:`weighted_reachability_from` is the inner
 loop of :class:`repro.graph.online.OnlineReachability`, the index fallback
@@ -97,27 +97,4 @@ def weighted_reachability_from(
         inv = 1.0 / (depth * num_followees)
         for v in frontier:
             result[v] = masks[v].bit_count() * inv
-    return result
-
-
-def weighted_reachability_from_per_target(
-    graph: DiGraph, source: int, max_hops: int = DEFAULT_MAX_HOPS
-) -> Dict[int, float]:
-    """The pre-one-pass implementation: one backward DAG walk per target.
-
-    Kept as the oracle for the property tests and as the baseline the
-    ``repro bench`` reachability micro-benchmark measures the one-pass
-    rewrite against; not used on any production path.
-    """
-    result: Dict[int, float] = {}
-    num_followees = graph.out_degree(source)
-    if num_followees == 0:
-        return result
-    dist, preds = shortest_path_dag(graph, source, max_hops)
-    for target, d_uv in dist.items():
-        if d_uv == 1:
-            result[target] = 1.0
-            continue
-        followees = followees_on_shortest_paths(graph, source, dist, preds, target)
-        result[target] = (1.0 / d_uv) * (len(followees) / num_followees)
     return result

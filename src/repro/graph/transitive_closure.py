@@ -1,42 +1,31 @@
 """Extended transitive closure for weighted reachability (Sec. 4.1.1).
 
 The paper assumes query efficiency dominates and materializes the full
-``|V| x |V|`` weighted reachability matrix ``R``.  Two builders are provided:
+``|V| x |V|`` weighted reachability matrix ``R``.
+:func:`build_transitive_closure_incremental` is Algorithm 1: grow the
+matrix hop by hop.  At iteration ``len`` a pair ``(u, v)`` still unset is
+assigned ``R(u, v) = (1/len) * n_v / |F_u|`` where ``n_v`` counts ``u``'s
+followees whose distance to ``v`` is exactly ``len - 1`` (Theorem 1) —
+``O(H * |V|^2)`` over numpy ``float32``/``int16`` matrices, where iteration
+``len`` is one boolean matrix product ``A @ (D == len-1)``, which is what
+makes the build fast in pure Python.  (The paper's per-pair strawman it is
+benchmarked against in Fig. 5(b) is
+:func:`repro.testing.oracles.build_transitive_closure_naive`.)
 
-* :func:`build_transitive_closure_naive` — the paper's strawman: one
-  BFS-with-shortest-path-DAG per node pair, ``O(|V|^2 * |E|)`` overall.
-  Only usable on tiny graphs; benchmarked against the incremental
-  algorithm in Fig. 5(b).
-* :func:`build_transitive_closure_incremental` — Algorithm 1: grow the
-  matrix hop by hop.  At iteration ``len`` a pair ``(u, v)`` still unset is
-  assigned ``R(u, v) = (1/len) * n_v / |F_u|`` where ``n_v`` counts ``u``'s
-  followees whose distance to ``v`` is exactly ``len - 1`` (Theorem 1).
-  ``O(H * |V|^2)`` with the dense backend.
-
-Two storage backends:
-
-* ``dense`` — numpy ``float32``/``int16`` matrices; iteration ``len`` is one
-  boolean matrix product ``A @ (D == len-1)``, which is what makes the
-  incremental build fast in pure Python.
-* ``sparse`` — dict-of-dicts; preferable when hop-``H`` neighbourhoods are
-  small relative to ``|V|`` (large sparse graphs).
+:class:`TransitiveClosure` also accepts dict-of-dicts rows: that is what
+:meth:`repro.graph.dynamic.DynamicTransitiveClosure.snapshot` freezes into.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
-from repro.graph.reachability import weighted_reachability
 from repro.graph.traversal import shortest_path_dag, followees_on_shortest_paths
-
-#: Above this node count the incremental builder defaults to the sparse
-#: backend (a dense float32 + int16 pair costs ~6 bytes * |V|^2).
-_DENSE_NODE_LIMIT = 4096
 
 
 class TransitiveClosure:
@@ -99,35 +88,8 @@ class TransitiveClosure:
         return sum(overhead + 100 * len(row) for row in self._sparse)
 
 
-def build_transitive_closure_naive(
-    graph: DiGraph,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    pairs: Optional[Iterable[tuple]] = None,
-) -> TransitiveClosure:
-    """The paper's naive baseline: an independent BFS per node pair.
-
-    ``pairs`` restricts the computation to the given (source, target) pairs
-    (the Fig. 5(b) bench uses this to extrapolate without running for hours);
-    by default all ordered pairs are computed.  Deliberately does *not* reuse
-    the single-source DAG across targets — that reuse is precisely the
-    advantage the incremental algorithm demonstrates.
-    """
-    sparse: List[Dict[int, float]] = [dict() for _ in graph.nodes()]
-    if pairs is None:
-        pairs = (
-            (u, v) for u in graph.nodes() for v in graph.nodes() if u != v
-        )
-    for u, v in pairs:
-        r = weighted_reachability(graph, u, v, max_hops)
-        if r:
-            sparse[u][v] = r
-    return TransitiveClosure(graph.num_nodes, max_hops, sparse=sparse)
-
-
 def build_transitive_closure_incremental(
-    graph: DiGraph,
-    max_hops: int = DEFAULT_MAX_HOPS,
-    backend: Optional[str] = None,
+    graph: DiGraph, max_hops: int = DEFAULT_MAX_HOPS
 ) -> TransitiveClosure:
     """Algorithm 1 — incremental hop-by-hop construction.
 
@@ -136,16 +98,6 @@ def build_transitive_closure_incremental(
     entries written at iteration ``len`` carry distance ``len`` and are never
     read back within the same iteration.
     """
-    if backend is None:
-        backend = "dense" if graph.num_nodes <= _DENSE_NODE_LIMIT else "sparse"
-    if backend == "dense":
-        return _build_incremental_dense(graph, max_hops)
-    if backend == "sparse":
-        return _build_incremental_sparse(graph, max_hops)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _build_incremental_dense(graph: DiGraph, max_hops: int) -> TransitiveClosure:
     n = graph.num_nodes
     reach = np.zeros((n, n), dtype=np.float32)
     dist = np.full((n, n), np.iinfo(np.int16).max, dtype=np.int16)
@@ -170,43 +122,6 @@ def _build_incremental_dense(graph: DiGraph, max_hops: int) -> TransitiveClosure
         reach[rows, cols] = (counts[rows, cols] / safe_degrees[rows]) / length
         dist[rows, cols] = length
     return TransitiveClosure(n, max_hops, dense=reach)
-
-
-def _build_incremental_sparse(graph: DiGraph, max_hops: int) -> TransitiveClosure:
-    n = graph.num_nodes
-    reach: List[Dict[int, float]] = [dict() for _ in range(n)]
-    dist: List[Dict[int, int]] = [dict() for _ in range(n)]
-    # per node: nodes at exactly the previous distance (the BFS frontier)
-    frontier: List[List[int]] = [list(graph.out_neighbors(u)) for u in range(n)]
-    for u in range(n):
-        for v in graph.out_neighbors(u):
-            reach[u][v] = 1.0
-            dist[u][v] = 1
-    for length in range(2, max_hops + 1):
-        next_frontier: List[List[int]] = [[] for _ in range(n)]
-        any_new = False
-        for u in range(n):
-            followees = graph.out_neighbors(u)
-            if not followees:
-                continue
-            counts: Dict[int, int] = {}
-            for t in followees:
-                for v in frontier[t]:
-                    counts[v] = counts.get(v, 0) + 1
-            known = dist[u]
-            inv = 1.0 / (length * len(followees))
-            fresh = next_frontier[u]
-            for v, n_v in counts.items():
-                if v != u and v not in known:
-                    known[v] = length
-                    reach[u][v] = n_v * inv
-                    fresh.append(v)
-            if fresh:
-                any_new = True
-        frontier = next_frontier
-        if not any_new:
-            break
-    return TransitiveClosure(n, max_hops, sparse=reach)
 
 
 def exact_followee_set(

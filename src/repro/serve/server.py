@@ -19,16 +19,18 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
+from repro.errors import BadRequestError
 from repro.log import get_logger
 from repro.obs.metrics import METRICS
-from repro.serve.handlers import ERROR_SCHEMA_VERSION, ServeApp
+from repro.serve.handlers import ERROR_SCHEMA_VERSION, ServeApp, error_body
 
 __all__ = ["ReproHTTPServer", "serve_forever"]
 
 _log = get_logger(__name__)
 
 #: Cap on accepted request bodies; larger payloads get a typed 400
-#: without being read (a link request is a few hundred bytes).
+#: without being read, and the connection is closed (a link request is a
+#: few hundred bytes).
 MAX_BODY_BYTES = 64 * 1024
 
 
@@ -54,25 +56,31 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("DELETE", body=None)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reject_body(f"invalid Content-Length {raw!r}")
+            return
         if length > MAX_BODY_BYTES:
-            self._write(
-                400,
-                json.dumps(
-                    {
-                        "schema_version": ERROR_SCHEMA_VERSION,
-                        "error": {
-                            "type": "bad_request",
-                            "status": 400,
-                            "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                        },
-                    },
-                    sort_keys=True,
-                ).encode("utf-8"),
-            )
+            self._reject_body(f"body exceeds {MAX_BODY_BYTES} bytes")
             return
         body = self.rfile.read(length) if length else b""
         self._dispatch("POST", body=body)
+
+    def _reject_body(self, message: str) -> None:
+        """Typed 400 for a body this transport will not read.
+
+        The unread bytes are still on the socket, so the connection is
+        closed: on a keep-alive connection they would otherwise be parsed
+        as the next requests.
+        """
+        status, document = error_body(BadRequestError(message))
+        METRICS.incr("serve.error.bad_request")
+        self.close_connection = True
+        self._write(status, json.dumps(document, sort_keys=True).encode("utf-8"))
 
     def _dispatch(self, method: str, body: Optional[bytes]) -> None:
         try:

@@ -1,40 +1,41 @@
-"""Extended 2-hop cover for weighted reachability (Sec. 4.1.1, Algorithm 2).
+"""Reference implementations the shipped reachability providers are tested against.
 
-A pruned-landmark labeling (PLL) in the style of Akiba et al. SIGMOD'13,
-extended so that queries recover not only the shortest-path distance
-``d_st`` but also the followee set ``F_st`` needed by Eq. 4:
+Nothing here serves a mention: ``repro.graph`` ships the dense transitive
+closure, the compact 2-hop cover, cached online BFS and the dynamic
+closure, and :func:`repro.graph.build_reachability_index` picks between
+the first two.  These are the slower, more literal versions of the same
+algorithms, kept as oracles for the property battery, ``repro bench``'s
+identity gates and the paper's index tables (``benchmarks/``):
 
-* ``L_in(v)  = {pivot: d_pivot_v}``   — pivots that can reach ``v``;
-* ``L_out(v) = {pivot: (d_v_pivot, F_v_pivot)}`` — pivots reachable from
-  ``v`` together with the followees of ``v`` on shortest paths to the pivot.
-
-Landmarks are processed in descending degree order.  For each landmark a
-*backward* BFS updates ``L_out`` of the nodes that reach it (recording the
-followee through which each shortest path leaves, lines 5–29 of Algorithm 2)
-and a *forward* BFS updates ``L_in`` of the nodes it reaches (line 30).
-
-Queries (Eq. 5) intersect ``L_out(s) ∪ {s}`` with ``L_in(t) ∪ {t}`` and,
-per Theorem 2, union the followee sets of every pivot achieving the minimal
-distance.  Distances are exact within the ``H``-hop horizon; the recovered
-followee set is guaranteed to be a *subset* of the exact one (a pivot exists
-on at least one shortest path, not necessarily on all of them) and is
-non-empty for every reachable pair — see DESIGN.md.  The optional
-``exact_followees`` query mode recomputes ``F_st`` exactly from per-followee
-distance queries (Theorem 1) at an ``O(|F_s|)`` label-lookup cost.
+* :class:`TwoHopCover` / :func:`build_two_hop_cover` — Algorithm 2 as
+  dict-of-dicts with one Python ``set`` per out-entry; the compact cover
+  (:mod:`repro.graph.compact_labels`, where the algorithm is described)
+  must answer every query bit-identically.
+* :func:`build_transitive_closure_naive` — the paper's Fig. 5(b) strawman,
+  one BFS per node pair.
+* :func:`weighted_reachability_from_per_target` — the pre-one-pass
+  single-source Eq. 4, one backward DAG walk per target.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
+from repro.graph.compact_labels import INF, _landmark_order
 from repro.graph.digraph import DiGraph
+from repro.graph.reachability import weighted_reachability
+from repro.graph.transitive_closure import TransitiveClosure
+from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
 
-#: Sentinel distance for unreachable pairs.
-INF = float("inf")
+__all__ = [
+    "TwoHopCover",
+    "build_transitive_closure_naive",
+    "build_two_hop_cover",
+    "weighted_reachability_from_per_target",
+]
 
 
 class TwoHopCover:
@@ -152,7 +153,7 @@ class TwoHopCover:
         return (1.0 / d_st) * (len(followees) / num_followees)
 
     # ------------------------------------------------------------------ #
-    # label access (read-only; used by the compact freezer and tests)
+    # label access (read-only; used by tests)
     # ------------------------------------------------------------------ #
     def in_label(self, node: int) -> Dict[int, int]:
         """``L_in(node)`` — treat as read-only."""
@@ -230,22 +231,6 @@ def build_two_hop_cover(
     return cover
 
 
-def _landmark_order(graph: DiGraph, order: str, seed: int) -> List[int]:
-    if order == "degree":
-        return sorted(graph.nodes(), key=graph.degree, reverse=True)
-    if order == "coverage":
-        return sorted(
-            graph.nodes(),
-            key=lambda v: (graph.in_degree(v) + 1) * (graph.out_degree(v) + 1),
-            reverse=True,
-        )
-    if order == "random":
-        nodes = list(graph.nodes())
-        random.Random(seed).shuffle(nodes)
-        return nodes
-    raise ValueError(f"unknown landmark order {order!r}")
-
-
 def _backward_bfs(
     graph: DiGraph,
     cover: TwoHopCover,
@@ -308,3 +293,51 @@ def _forward_bfs(
                 if length < max_hops and t not in enqueued:
                     enqueued.add(t)
                     queue.append((t, length))
+
+
+def build_transitive_closure_naive(
+    graph: DiGraph,
+    max_hops: int = DEFAULT_MAX_HOPS,
+    pairs: Optional[Iterable[tuple]] = None,
+) -> TransitiveClosure:
+    """The paper's naive baseline: an independent BFS per node pair.
+
+    ``pairs`` restricts the computation to the given (source, target) pairs
+    (the Fig. 5(b) bench uses this to extrapolate without running for hours);
+    by default all ordered pairs are computed.  Deliberately does *not* reuse
+    the single-source DAG across targets — that reuse is precisely the
+    advantage the incremental algorithm demonstrates.
+    """
+    sparse: List[Dict[int, float]] = [dict() for _ in graph.nodes()]
+    if pairs is None:
+        pairs = (
+            (u, v) for u in graph.nodes() for v in graph.nodes() if u != v
+        )
+    for u, v in pairs:
+        r = weighted_reachability(graph, u, v, max_hops)
+        if r:
+            sparse[u][v] = r
+    return TransitiveClosure(graph.num_nodes, max_hops, sparse=sparse)
+
+
+def weighted_reachability_from_per_target(
+    graph: DiGraph, source: int, max_hops: int = DEFAULT_MAX_HOPS
+) -> Dict[int, float]:
+    """The pre-one-pass implementation: one backward DAG walk per target.
+
+    Kept as the oracle for the property tests and as the baseline the
+    ``repro bench`` reachability micro-benchmark measures the one-pass
+    rewrite against; not used on any production path.
+    """
+    result: Dict[int, float] = {}
+    num_followees = graph.out_degree(source)
+    if num_followees == 0:
+        return result
+    dist, preds = shortest_path_dag(graph, source, max_hops)
+    for target, d_uv in dist.items():
+        if d_uv == 1:
+            result[target] = 1.0
+            continue
+        followees = followees_on_shortest_paths(graph, source, dist, preds, target)
+        result[target] = (1.0 / d_uv) * (len(followees) / num_followees)
+    return result

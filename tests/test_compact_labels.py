@@ -4,7 +4,7 @@ The compact cover (:mod:`repro.graph.compact_labels`) is the production
 reachability index past the closure's |V|² wall, so its contract is
 **bit-identity**: on any graph, every ``distance`` / ``query`` /
 ``exact_followee_set`` / ``reachability`` answer must equal the
-dict-of-dicts :class:`~repro.graph.two_hop.TwoHopCover` — same values,
+dict-of-dicts :class:`~repro.testing.oracles.TwoHopCover` — same values,
 same types — and ``reachability(exact_followees=True)`` must equal the
 BFS ground truth :func:`~repro.graph.reachability.weighted_reachability`.
 The randomized suite here sweeps density, hop horizon, and seeds; the
@@ -19,16 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.compact_labels import (
-    CompactTwoHopCover,
-    build_compact_two_hop_cover,
-)
+from repro.graph.compact_labels import INF, build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import (
     weighted_reachability,
     weighted_reachability_from,
 )
-from repro.graph.two_hop import INF, build_two_hop_cover
+from repro.testing.oracles import build_two_hop_cover
 
 from conftest import random_graph
 
@@ -91,23 +88,6 @@ class TestRandomizedIdentity:
                 assert got == pytest.approx(want, abs=1e-12), (s, t)
                 single = weighted_reachability(graph, s, t, 4)
                 assert got == pytest.approx(single, abs=1e-12), (s, t)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        nodes=st.integers(min_value=2, max_value=20),
-        density=st.floats(min_value=0.05, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_from_cover_freeze_is_identical(self, nodes, density, seed):
-        """Freezing a built dict cover == building compactly from scratch."""
-        edges = int(density * nodes * (nodes - 1))
-        graph = random_graph(nodes, edges, seed)
-        oracle = build_two_hop_cover(graph, max_hops=4)
-        frozen = CompactTwoHopCover.from_cover(oracle, graph)
-        direct = build_compact_two_hop_cover(graph, max_hops=4)
-        assert frozen.num_label_entries() == direct.num_label_entries()
-        assert_bit_identical(frozen, oracle, graph)
-        assert_bit_identical(direct, oracle, graph)
 
 
 class TestEdgeCases:
@@ -247,7 +227,7 @@ class TestLabelBytes:
     def test_compact_bytes_match_hand_computed_fixture(self, diamond_graph):
         """The documented layout formula, fed only by oracle label shape."""
         cover = build_two_hop_cover(diamond_graph, max_hops=4)
-        compact = CompactTwoHopCover.from_cover(cover, diamond_graph)
+        compact = build_compact_two_hop_cover(diamond_graph, max_hops=4)
         n = diamond_graph.num_nodes
         total_in = sum(len(cover.in_label(v)) for v in diamond_graph.nodes())
         total_out = sum(len(cover.out_label(v)) for v in diamond_graph.nodes())
@@ -294,5 +274,5 @@ class TestLabelBytes:
     def test_compact_is_smaller_than_dict_cover(self):
         graph = random_graph(60, 500, 5)
         cover = build_two_hop_cover(graph, max_hops=4)
-        compact = CompactTwoHopCover.from_cover(cover, graph)
+        compact = build_compact_two_hop_cover(graph, max_hops=4)
         assert compact.label_bytes() < cover.label_bytes() / 4

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment, complement_knowledgebase
+from repro.eval.harness import SocialTemporalAdapter
+from repro.graph.online import OnlineReachability
+from repro.graph.transitive_closure import TransitiveClosure
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 
@@ -34,13 +38,19 @@ class TestAdapters:
         assert row["ms/mention"] >= 0.0
 
     def test_online_reachability_variant(self, small_context):
-        adapter = small_context.social_temporal(reachability="online")
-        run = adapter.run(small_context.test_dataset)
+        """No ``reachability=``: the linker falls back to cached online BFS
+        and decides exactly what the context's index-backed linker does."""
+        linker = SocialTemporalLinker(
+            small_context.ckb,
+            small_context.world.graph,
+            config=small_context.config,
+            propagation_network=small_context.propagation_network,
+        )
+        assert isinstance(linker.reachability_provider, OnlineReachability)
+        run = SocialTemporalAdapter(linker).run(small_context.test_dataset)
         assert run.num_tweets == small_context.test_dataset.num_tweets
-
-    def test_unknown_reachability_rejected(self, small_context):
-        with pytest.raises(ValueError):
-            small_context.social_temporal(reachability="quantum")
+        indexed = small_context.social_temporal().run(small_context.test_dataset)
+        assert run.predictions == indexed.predictions
 
 
 class TestContext:
@@ -70,7 +80,9 @@ class TestContext:
             build_experiment(world=small_world, complement_method="oracle")
 
     def test_closure_shared_and_cached(self, small_context):
-        assert small_context.closure is small_context.closure
+        """One index per context — the closure, at this world's size."""
+        assert small_context.reachability_index is small_context.reachability_index
+        assert isinstance(small_context.reachability_index, TransitiveClosure)
 
     def test_ours_beats_chance(self, small_context):
         """End-to-end sanity: with truth complementation our linker must be

@@ -26,7 +26,7 @@ class TestFullPipeline:
         for adapter in (
             small_context.onthefly(),
             small_context.collective(),
-            small_context.social_temporal(reachability="online"),
+            small_context.social_temporal(),
         ):
             run = adapter.run(small_context.test_dataset)
             assert run.num_tweets == small_context.test_dataset.num_tweets

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.interest import OnlineReachability, normalized_interest, user_interest
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.graph.two_hop import build_two_hop_cover
+from repro.testing.oracles import build_two_hop_cover
 
 from conftest import random_graph
 

@@ -274,8 +274,8 @@ class TestOnePassReachability:
         from repro.graph.reachability import (
             weighted_reachability,
             weighted_reachability_from,
-            weighted_reachability_from_per_target,
         )
+        from repro.testing.oracles import weighted_reachability_from_per_target
 
         graph = DiGraph.from_edges(12, edges)
         one_pass = weighted_reachability_from(graph, source, max_hops=max_hops)

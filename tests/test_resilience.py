@@ -740,7 +740,7 @@ class TestDefaultsUnchanged:
             small_context.world.graph,
             config=small_context.config,
             reachability=FlakyReachabilityProvider(
-                small_context.closure, FaultSchedule()  # injection off
+                small_context.reachability_index, FaultSchedule()  # injection off
             ),
             propagation_network=small_context.propagation_network,
             breaker=CircuitBreaker(),

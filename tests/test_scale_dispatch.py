@@ -5,6 +5,9 @@
 *what* the linker decides — these tests pin link-decision parity across
 backends at and around the threshold, assert the ``index.selected``
 trace breadcrumb, and cover the serving tenants' use of the same dispatch.
+They also pin the shelf itself: ``repro.graph`` ships four providers, and
+every one of them answers Eq. 4 like the ground truth and the oracles of
+:mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,21 @@ import dataclasses
 
 import pytest
 
+import repro.graph
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.graph.compact_labels import CompactTwoHopCover
 from repro.graph.dispatch import build_reachability_index
+from repro.graph.dynamic import DynamicTransitiveClosure
+from repro.graph.online import OnlineReachability
+from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
-from repro.graph.two_hop import TwoHopCover
 from repro.obs.trace import TRACE
+from repro.testing.oracles import (
+    build_transitive_closure_naive,
+    build_two_hop_cover,
+    weighted_reachability_from_per_target,
+)
 
 from conftest import random_graph
 
@@ -40,6 +51,70 @@ def _selection_events():
         for event in span.events
         if event.name == "index.selected"
     ]
+
+
+SHIPPED_PROVIDERS = {
+    "closure": lambda graph, hops: build_reachability_index(
+        graph, LinkerConfig(index_backend="closure", max_hops=hops)
+    ),
+    "compact": lambda graph, hops: build_reachability_index(
+        graph, LinkerConfig(index_backend="compact", max_hops=hops)
+    ),
+    "online": lambda graph, hops: OnlineReachability(graph, max_hops=hops),
+    "dynamic-snapshot": lambda graph, hops: DynamicTransitiveClosure(
+        graph, max_hops=hops
+    ).snapshot(),
+}
+
+
+class TestShippedShelf:
+    """Four providers, one protocol, one answer to Eq. 4."""
+
+    def test_graph_exports_are_pinned(self):
+        assert sorted(repro.graph.__all__) == [
+            "CompactTwoHopCover",
+            "DiGraph",
+            "DynamicTransitiveClosure",
+            "OnlineReachability",
+            "SocialGraphConfig",
+            "StreamingChunk",
+            "StreamingWorldProfile",
+            "TransitiveClosure",
+            "build_compact_two_hop_cover",
+            "build_reachability_index",
+            "build_transitive_closure_incremental",
+            "random_digraph",
+            "stream_follow_edges",
+            "stream_tweet_events",
+            "stream_user_chunks",
+            "streaming_world_graph",
+            "topical_social_graph",
+            "weighted_reachability",
+        ]
+
+    @pytest.mark.parametrize("provider", sorted(SHIPPED_PROVIDERS))
+    @pytest.mark.parametrize(
+        "nodes, edges, seed, hops", [(14, 40, 2, 4), (22, 110, 5, 3), (30, 70, 9, 2)]
+    )
+    def test_provider_matches_ground_truth_and_oracles(
+        self, provider, nodes, edges, seed, hops
+    ):
+        graph = random_graph(nodes, edges, seed)
+        index = SHIPPED_PROVIDERS[provider](graph, hops)
+        naive = build_transitive_closure_naive(graph, max_hops=hops)
+        cover = build_two_hop_cover(graph, max_hops=hops)
+        for s in graph.nodes():
+            row = weighted_reachability_from_per_target(graph, s, max_hops=hops)
+            for t in graph.nodes():
+                got = index.reachability(s, t)
+                truth = weighted_reachability(graph, s, t, hops)
+                # the dense closure stores R in float32
+                assert got == pytest.approx(truth, abs=1e-6), (s, t)
+                assert naive.reachability(s, t) == truth, (s, t)
+                assert cover.reachability(s, t, exact_followees=True) == truth, (s, t)
+                assert (row.get(t, 0.0) if s != t else 0.0) == pytest.approx(
+                    truth, abs=1e-12
+                ), (s, t)
 
 
 class TestConfigValidation:
@@ -68,7 +143,7 @@ class TestSelection:
         assert config.select_index_backend(100) == "closure"
         assert config.select_index_backend(101) == "compact"
 
-    @pytest.mark.parametrize("backend", ["closure", "two-hop", "compact"])
+    @pytest.mark.parametrize("backend", ["closure", "compact"])
     def test_forced_backend_short_circuits(self, backend):
         config = LinkerConfig(index_backend=backend, closure_max_nodes=100)
         assert config.select_index_backend(2) == backend
@@ -87,9 +162,10 @@ class TestDispatchBuild:
         assert isinstance(index, CompactTwoHopCover)
 
     def test_forced_two_hop(self):
-        graph = random_graph(30, 120, seed=1)
-        index = build_reachability_index(graph, LinkerConfig(index_backend="two-hop"))
-        assert isinstance(index, TwoHopCover)
+        """The dict cover is a test oracle, not a selectable backend: the
+        config rejects the value before any dispatch happens."""
+        with pytest.raises(ValueError):
+            LinkerConfig(index_backend="two-hop")
 
     def test_selection_is_traced(self):
         graph = random_graph(30, 120, seed=1)
@@ -164,26 +240,12 @@ class TestDecisionParity:
                 assert ca.score == pytest.approx(cb.score, abs=1e-6)
 
     def test_context_auto_provider_matches_default(self, small_context):
-        auto = small_context.social_temporal(reachability="auto")
-        default = small_context.social_temporal()
-        for surface, user, now in self._requests(small_context, cap=60):
-            a = auto._linker.link(surface, user, now)
-            b = default._linker.link(surface, user, now)
-            assert a.ranked == b.ranked
-            assert a.degradation == b.degradation
-
-    def test_with_scale_aware_index_classmethod(self, small_context):
-        config = dataclasses.replace(small_context.config, closure_max_nodes=1)
-        linker = SocialTemporalLinker.with_scale_aware_index(
-            small_context.ckb, small_context.world.graph, config=config
-        )
-        assert isinstance(linker.reachability_provider, CompactTwoHopCover)
-        surface, user, now = self._requests(small_context, cap=1)[0]
-        oracle = small_context.social_temporal()._linker.link(surface, user, now)
-        linked = linker.link(surface, user, now)
-        assert [c.entity_id for c in linked.ranked] == [
-            c.entity_id for c in oracle.ranked
-        ]
+        """``social_temporal()`` (and so ``repro evaluate``) scores against
+        the context's one cached, auto-dispatched index — the closure at
+        this world's size."""
+        linker = small_context.social_temporal()._linker
+        assert linker.reachability_provider is small_context.reachability_index
+        assert isinstance(linker.reachability_provider, TransitiveClosure)
 
 
 class TestServeDispatch:

@@ -481,3 +481,57 @@ class TestHTTPSmoke:
             connection.close()
         assert response.status == 400
         assert doc["error"]["type"] == "bad_request"
+
+    # -- Content-Length is outside input: every bad value is one typed
+    # 400, and the connection closes so unread bytes are never parsed as
+    # further requests ------------------------------------------------ #
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @staticmethod
+    def raw_exchange(server, payload):
+        """Send ``payload`` on one plain socket, read until the peer closes."""
+        import socket
+
+        with socket.create_connection(server.address, timeout=10) as sock:
+            try:
+                sock.sendall(payload)
+            except OSError:
+                pass  # the server may close before the whole body is out
+            chunks = []
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize(
+        "length, body",
+        [
+            ("abc", b""),
+            ("-5", b""),
+            (str(70_000), SMUGGLED + b"x" * (70_000 - len(SMUGGLED))),
+        ],
+        ids=["non-numeric", "negative", "oversize"],
+    )
+    def test_bad_content_length_is_one_typed_400_then_close(
+        self, http_server, length, body
+    ):
+        from repro.serve.handlers import validate_error_body
+
+        server, _, _ = http_server
+        head = (
+            "POST /v1/link HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        # the trailing GET would be answered on a kept-alive connection
+        received = self.raw_exchange(server, head + body + self.SMUGGLED)
+        assert received.count(b"HTTP/1.1 ") == 1, received[:400]
+        headers, _, payload = received.partition(b"\r\n\r\n")
+        assert headers.startswith(b"HTTP/1.1 400 ")
+        document = json.loads(payload.decode())
+        assert validate_error_body(document) == []
+        assert document["error"]["type"] == "bad_request"

