@@ -10,8 +10,7 @@ interface hygiene
 all of the above (**FLOW**): interprocedural determinism taint, the
 serve exception contract, mutator/listener parity, import hygiene and
 schema-export stability.  See DESIGN.md §8 for the rule table and
-``docs/static-analysis.md`` for the JSON report schema, the graph
-export, and the incremental-cache invalidation contract.
+``docs/static-analysis.md`` for the JSON report schema.
 
 Programmatic use::
 
@@ -21,8 +20,6 @@ Programmatic use::
     assert report.exit_code(strict=True) == 0, report.findings
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.cache import AnalysisCache, DEFAULT_CACHE_PATH
 from repro.analysis.framework import (
     CheckReport,
     FileContext,
@@ -34,11 +31,6 @@ from repro.analysis.framework import (
     register,
     run_check,
 )
-from repro.analysis.graph_export import (
-    render_graph_document,
-    validate_graph_document,
-    write_graph_document,
-)
 from repro.analysis.pragmas import Pragma, parse_pragmas
 from repro.analysis.project import ProjectContext
 from repro.analysis.reporters import (
@@ -48,11 +40,7 @@ from repro.analysis.reporters import (
 )
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
-    "BaselineEntry",
     "CheckReport",
-    "DEFAULT_CACHE_PATH",
     "FileContext",
     "Finding",
     "Pragma",
@@ -63,11 +51,8 @@ __all__ = [
     "all_rules",
     "parse_pragmas",
     "register",
-    "render_graph_document",
     "render_json",
     "render_text",
     "run_check",
     "validate_check_document",
-    "validate_graph_document",
-    "write_graph_document",
 ]

@@ -15,16 +15,13 @@ The moving parts:
 * :func:`register` / :func:`all_rules` — the registry that makes the
   rule pack discoverable without hard-coding a list anywhere;
 * :func:`run_check` — the driver: walk files, parse, run every rule,
-  apply ``noqa[...]`` pragmas and the committed baseline, and return a
-  :class:`CheckReport`.
+  apply ``noqa[...]`` pragmas, and return a :class:`CheckReport`.
 
-Suppression has exactly two mechanisms, both carrying a *justification*
-so a grandfathered finding never loses its paper trail: inline pragmas
-(:mod:`repro.analysis.pragmas`) for intentional boundaries, and the
-baseline file (:mod:`repro.analysis.baseline`) for findings inherited
-from before a rule existed.  A pragma without a justification is itself
-a finding (``ANA-001``) — the suppression still applies, but the gate
-stays red until the "why" is written down.
+Suppression has exactly one mechanism, the inline pragma
+(:mod:`repro.analysis.pragmas`), and it carries a *justification* so an
+exempted finding never loses its paper trail.  A pragma without a
+justification is itself a finding (``ANA-001``) — the suppression still
+applies, but the gate stays red until the "why" is written down.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import (
     Type,
 )
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.pragmas import Pragma, parse_pragmas
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -177,8 +173,8 @@ class ProjectRule(Rule):
     Project rules see the :class:`repro.analysis.project.ProjectContext`
     built from every scanned file at once; their per-file :meth:`check`
     is a no-op so the registry can hold both kinds uniformly.  Findings
-    they yield carry normal file/line anchors, so pragmas and the
-    baseline apply to them exactly like to per-file findings.
+    they yield carry normal file/line anchors, so pragmas apply to them
+    exactly like to per-file findings.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -269,23 +265,8 @@ class CheckReport:
 
     findings: List[Finding]
     suppressed_pragma: List[Finding]
-    suppressed_baseline: List[Finding]
     files_scanned: int
     parse_errors: List[Finding] = dataclasses.field(default_factory=list)
-    #: Incremental-cache accounting: how many files went through the
-    #: expensive path (parse + per-file rules + summarize) vs. were served
-    #: from the content-hash cache.  Without a cache, reanalyzed equals
-    #: files_scanned.
-    cache_enabled: bool = False
-    files_reanalyzed: int = 0
-    files_cached: int = 0
-    #: Baseline entries that matched no current finding (stale).
-    stale_baseline: List[BaselineEntry] = dataclasses.field(default_factory=list)
-    #: The whole-program context of this run (``--graph`` export reuses it
-    #: instead of re-parsing); absent when no project rule was selected.
-    project: Optional["ProjectContext"] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def errors(self) -> List[Finding]:
@@ -311,14 +292,16 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     Deduplication is by normalized path, so overlapping arguments
     (``repro check src src/repro``) and spelling variants (``./src`` vs
     ``src``) never double-report the same file; the first spelling given
-    wins so report paths stay stable.
+    wins so report paths stay stable.  A path that does not exist raises
+    ``FileNotFoundError``: a mistyped argument must not pass the gate by
+    scanning nothing.
     """
     seen = set()
     collected: List[str] = []
     for path in paths:
         if os.path.isfile(path):
             candidates: Iterable[str] = [path]
-        else:
+        elif os.path.isdir(path):
             # os.walk order is fs-dependent; the final sorted() makes the
             # file list deterministic regardless
             candidates = (
@@ -326,6 +309,8 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                 for dirpath, _dirnames, names in os.walk(path)
                 for name in names
             )
+        else:
+            raise FileNotFoundError(f"no such file or directory: {path}")
         for candidate in candidates:
             normalized = os.path.normpath(candidate)
             if candidate.endswith(".py") and normalized not in seen:
@@ -338,11 +323,8 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 class _FileRecord:
     """One scanned file's per-run state (pre-suppression)."""
 
-    file_path: str  # as opened on disk
-    path: str  # repo-relative posix path (report key)
     lines: Tuple[str, ...]
     raw: List[Finding]
-    parse_errors: List[Finding]
     anchors: Dict[int, int]
 
 
@@ -350,178 +332,79 @@ def run_check(
     paths: Sequence[str],
     root: str = "",
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-    cache_path: Optional[str] = None,
 ) -> CheckReport:
     """Run every rule over every python file under ``paths``.
 
-    ``root`` anchors the repo-relative paths used in reports, pragmas and
-    baseline keys, so a run from any working directory produces identical
-    output.  Unparseable files produce an ``ANA-002`` error finding
-    instead of crashing the gate (a syntax error must fail CI loudly, not
-    with a traceback).
+    ``root`` anchors the repo-relative paths used in reports and pragmas,
+    so a run from any working directory produces identical output.
+    Unparseable files produce an ``ANA-002`` error finding instead of
+    crashing the gate (a syntax error must fail CI loudly, not with a
+    traceback).  ``paths`` naming no python file at all raises
+    ``FileNotFoundError``.
 
-    The run has two phases: per-file rules over each file's AST, then the
-    whole-program (FLOW) phase over the :class:`ProjectContext` built
-    from every file's module summary.  With ``cache_path`` set, per-file
-    work is skipped for files whose content hash and transitive imports
-    are unchanged (:mod:`repro.analysis.cache`); pragmas and the baseline
-    are re-applied from the freshly read lines either way, so suppression
-    edits never need a re-analysis.
+    The run is one pass: read and parse each file, run the per-file rules
+    over its AST, build the :class:`ProjectContext` from every file's
+    module summary and run the whole-program (FLOW) rules over it, then
+    apply the pragmas.
     """
-    from repro.analysis.cache import (
-        AnalysisCache,
-        CacheEntry,
-        content_hash,
-        rules_signature,
-    )
     from repro.analysis.project import ProjectContext, summarize
 
     selected = list(rules) if rules is not None else all_rules()
     file_rules = [rule for rule in selected if not isinstance(rule, ProjectRule)]
     project_rules = [rule for rule in selected if isinstance(rule, ProjectRule)]
-    report = CheckReport(
-        findings=[],
-        suppressed_pragma=[],
-        suppressed_baseline=[],
-        files_scanned=0,
-        cache_enabled=cache_path is not None,
-    )
-    cache = (
-        AnalysisCache(
-            cache_path,
-            rules_signature([rule.id for rule in selected]),
-            root=root,
-        )
-        if cache_path is not None
-        else None
-    )
+    report = CheckReport(findings=[], suppressed_pragma=[], files_scanned=0)
 
-    # ---- phase 0: read and hash every file (always cheap) ------------- #
-    sources: Dict[str, Tuple[str, str, str]] = {}  # path -> (file_path, source, hash)
-    current: Dict[str, Tuple[str, str]] = {}  # path -> (hash, module)
+    # ---- per-file rules + module summaries ---------------------------- #
+    records: Dict[str, _FileRecord] = {}  # by repo-relative posix path
+    summaries = []
     for file_path in iter_python_files(paths):
         with open(file_path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        relative = (
-            os.path.relpath(file_path, root) if root else file_path
-        ).replace(os.sep, "/")
-        digest = content_hash(source)
-        sources[relative] = (file_path, source, digest)
-        current[relative] = (digest, _module_name(relative))
-    reusable = cache.plan(current) if cache is not None else {}
-
-    # ---- phase 1: per-file rules + summaries (cached or fresh) -------- #
-    records: List[_FileRecord] = []
-    summaries = []
-    for relative in sorted(sources):
-        file_path, source, digest = sources[relative]
-        lines = tuple(source.splitlines())
-        entry = reusable.get(relative)
-        if entry is not None:
-            report.files_cached += 1
-            raw = [_finding_from_dict(row) for row in entry.findings]
-            parse_errors = [_finding_from_dict(row) for row in entry.parse_errors]
-            anchors = dict(entry.summary.anchors) if entry.summary else {}
-            if entry.summary is not None:
-                summaries.append(entry.summary)
-                report.files_scanned += 1
-            records.append(
-                _FileRecord(file_path, relative, lines, raw, parse_errors, anchors)
-            )
-            continue
-        report.files_reanalyzed += 1
         try:
             ctx = FileContext.parse(file_path, source, root=root)
         except SyntaxError as exc:
-            parse_error = Finding(
-                path=relative,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule="ANA-002",
-                message=f"file does not parse: {exc.msg}",
-                severity=Severity.ERROR,
-            )
-            records.append(
-                _FileRecord(file_path, relative, lines, [], [parse_error], {})
-            )
-            if cache is not None:
-                cache.store(
-                    CacheEntry(
-                        path=relative,
-                        content_hash=digest,
-                        module=current[relative][1],
-                        findings=[],
-                        parse_errors=[parse_error.as_dict()],
-                        summary=None,
-                    )
+            relative = (
+                os.path.relpath(file_path, root) if root else file_path
+            ).replace(os.sep, "/")
+            report.parse_errors.append(
+                Finding(
+                    path=relative,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    rule="ANA-002",
+                    message=f"file does not parse: {exc.msg}",
+                    severity=Severity.ERROR,
                 )
+            )
+            records[relative] = _FileRecord(tuple(source.splitlines()), [], {})
             continue
         report.files_scanned += 1
-        raw = []
+        raw: List[Finding] = []
         for rule in file_rules:
             raw.extend(rule.check(ctx))
         summary = summarize(ctx)
         summaries.append(summary)
-        records.append(
-            _FileRecord(
-                file_path, relative, lines, raw, [], dict(summary.anchors)
-            )
-        )
-        if cache is not None:
-            cache.store(
-                CacheEntry(
-                    path=relative,
-                    content_hash=digest,
-                    module=current[relative][1],
-                    findings=[finding.as_dict() for finding in raw],
-                    parse_errors=[],
-                    summary=summary,
-                )
-            )
+        records[ctx.path] = _FileRecord(ctx.lines, raw, summary.anchors)
+    if not records:
+        raise FileNotFoundError(f"no python file under: {' '.join(paths)}")
 
-    # ---- phase 2: whole-program (FLOW) rules over the summaries ------- #
+    # ---- whole-program (FLOW) rules over the summaries ---------------- #
     if project_rules and summaries:
         project = ProjectContext(summaries)
-        report.project = project
-        by_path: Dict[str, _FileRecord] = {record.path: record for record in records}
         for rule in project_rules:
             for finding in rule.check_project(project):
-                record = by_path.get(finding.path)
+                record = records.get(finding.path)
                 if record is not None:
                     record.raw.append(finding)
 
-    # ---- phase 3: suppression from fresh lines (never cached) --------- #
-    if baseline is not None:
-        baseline.reset_matches()
-    for record in records:
-        report.parse_errors.extend(record.parse_errors)
+    # ---- suppression --------------------------------------------------- #
+    for path, record in records.items():
         kept, by_pragma = _apply_pragmas(
-            record.raw, parse_pragmas(record.lines), record.path, record.anchors
+            record.raw, parse_pragmas(record.lines), path, record.anchors
         )
-        if baseline is not None:
-            kept, by_baseline = baseline.partition(kept, record.lines)
-            report.suppressed_baseline.extend(by_baseline)
         report.suppressed_pragma.extend(by_pragma)
         report.findings.extend(kept)
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_entries(set(sources))
     report.findings.extend(report.parse_errors)
     report.findings.sort()
     report.suppressed_pragma.sort()
-    report.suppressed_baseline.sort()
-    if cache is not None:
-        cache.drop_missing()
-        cache.save()
     return report
-
-
-def _finding_from_dict(row: Dict[str, object]) -> Finding:
-    return Finding(
-        path=str(row["path"]),
-        line=int(row["line"]),
-        col=int(row["col"]),
-        rule=str(row["rule"]),
-        message=str(row["message"]),
-        severity=Severity(str(row["severity"])),
-    )

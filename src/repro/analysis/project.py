@@ -8,8 +8,7 @@ mutator forgets the listener notification the burst tracker depends
 on.  This module derives, from one parse of the whole tree:
 
 * an **import graph** — project-internal module dependencies, split into
-  top-level (cycle-relevant) and deferred/``TYPE_CHECKING`` edges (used
-  only for cache invalidation);
+  top-level (cycle-relevant) and deferred/``TYPE_CHECKING`` edges;
 * a best-effort **call graph** — module-qualified resolution of direct
   calls, ``self.`` methods, imported names, annotated parameters and
   attribute-type chains (``self.registry.get(...)`` resolves through the
@@ -20,10 +19,6 @@ on.  This module derives, from one parse of the whole tree:
   use, may-raise sets (propagated through the call graph with handler
   subtraction against the project's own exception hierarchy), epoch
   bumps, listener notifications, and schema-document exports.
-
-Everything is plain dataclasses serializable to JSON, so the incremental
-cache (:mod:`repro.analysis.cache`) can persist summaries per file and
-rebuild a :class:`ProjectContext` without re-parsing unchanged files.
 """
 
 from __future__ import annotations
@@ -34,6 +29,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.analysis.framework import FileContext
 from repro.analysis.pragmas import parse_pragmas
+from repro.analysis.rules import (
+    RANDOM_MODULE_FUNCTIONS,
+    WALL_CLOCK_CALLS,
+    _dotted,
+)
 
 __all__ = [
     "CallSite",
@@ -45,39 +45,7 @@ __all__ = [
     "RaiseSite",
     "statement_anchors",
     "summarize",
-    "summary_from_dict",
-    "summary_to_dict",
 ]
-
-#: Wall-clock spellings mirrored from DET-003 (kept in sync by a test).
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.localtime",
-        "time.gmtime",
-        "time.ctime",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "date.today",
-    }
-)
-
-#: Stateful module-level ``random`` functions mirrored from DET-002.
-RANDOM_MODULE_FUNCTIONS = frozenset(
-    {
-        "betavariate", "choice", "choices", "expovariate", "gauss",
-        "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-        "randbytes", "randint", "random", "randrange", "sample", "seed",
-        "shuffle", "triangular", "uniform", "vonmisesvariate",
-        "weibullvariate",
-    }
-)
 
 #: Minimal builtin exception hierarchy (child -> parent) for may-raise
 #: guard subtraction.  Project classes extend it via their ``bases``.
@@ -116,7 +84,7 @@ BUILTIN_EXCEPTION_PARENTS: Dict[str, str] = {
 
 
 # ---------------------------------------------------------------------- #
-# serializable summaries
+# summaries
 # ---------------------------------------------------------------------- #
 @dataclasses.dataclass(frozen=True)
 class CallSite:
@@ -248,17 +216,6 @@ def statement_anchors(tree: ast.Module) -> Dict[int, int]:
         for line in range(start + 1, end + 1):
             anchors[line] = start
     return anchors
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
@@ -714,8 +671,8 @@ class ProjectContext:
 
     The resolver is deliberately *best-effort and explicit about it*:
     :attr:`unresolved_calls` records every call it could not map to a
-    project function, so downstream rules (and the ``--graph`` export)
-    never silently pretend coverage they do not have.
+    project function, so downstream rules never silently pretend
+    coverage they do not have.
     """
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
@@ -747,11 +704,7 @@ class ProjectContext:
     # -------------------------------------------------------------- #
     @classmethod
     def build(cls, paths: Sequence[str], root: str = "") -> "ProjectContext":
-        """Parse every python file under ``paths`` once and summarize.
-
-        The cache-less programmatic entry point; ``run_check`` builds the
-        context from a mix of cached and freshly parsed summaries instead.
-        """
+        """Parse every python file under ``paths`` once and summarize."""
         from repro.analysis.framework import iter_python_files
 
         summaries = []
@@ -837,15 +790,6 @@ class ProjectContext:
             if module not in index:
                 strongconnect(module)
         return sorted(cycles)
-
-    def importers_of(self, module: str) -> List[str]:
-        """Modules that import ``module`` (direct reverse edges)."""
-        reverse: List[str] = []
-        edges = self.import_edges()
-        for source, targets in edges.items():
-            if module in targets:
-                reverse.append(source)
-        return sorted(reverse)
 
     # -------------------------------------------------------------- #
     # call resolution
@@ -1201,85 +1145,6 @@ class ProjectContext:
     def summary_of(self, qualname: str) -> ModuleSummary:
         """The module summary owning one function qualname."""
         return self.modules[_module_of(qualname, self.functions[qualname])]
-
-    # -------------------------------------------------------------- #
-    # reachability
-    # -------------------------------------------------------------- #
-    def reachable_from(self, entry: str) -> Set[str]:
-        """Transitive call-graph closure from one function qualname."""
-        seen: Set[str] = set()
-        queue = [entry]
-        while queue:
-            current = queue.pop()
-            if current in seen or current not in self.functions:
-                continue
-            seen.add(current)
-            for _site, target in self.calls_of(current):
-                if target is not None and target not in seen:
-                    queue.append(target)
-        return seen
-
-
-# ---------------------------------------------------------------------- #
-# JSON round-tripping (the incremental cache persists summaries per file)
-# ---------------------------------------------------------------------- #
-def summary_to_dict(summary: ModuleSummary) -> Dict[str, object]:
-    """Plain-JSON encoding of a module summary (sets/tuples normalized)."""
-    raw = dataclasses.asdict(summary)
-    raw["used_names"] = sorted(summary.used_names)
-    raw["anchors"] = {str(line): anchor for line, anchor in sorted(summary.anchors.items())}
-    return raw
-
-
-def summary_from_dict(raw: Dict[str, object]) -> ModuleSummary:
-    """Inverse of :func:`summary_to_dict`."""
-    functions = {}
-    for qual, fn in raw["functions"].items():
-        functions[qual] = FunctionSummary(
-            name=fn["name"],
-            qualname=fn["qualname"],
-            cls=fn["cls"],
-            line=fn["line"],
-            calls=[
-                CallSite(name=c["name"], line=c["line"], guards=tuple(c["guards"]))
-                for c in fn["calls"]
-            ],
-            raises=[
-                RaiseSite(name=r["name"], line=r["line"], guards=tuple(r["guards"]))
-                for r in fn["raises"]
-            ],
-            wall_clock=[(line, name) for line, name in fn["wall_clock"]],
-            unseeded_rng=[(line, name) for line, name in fn["unseeded_rng"]],
-            bumps=list(fn["bumps"]),
-            notifies=fn["notifies"],
-            params=dict(fn["params"]),
-            local_calls=dict(fn["local_calls"]),
-            returns=fn["returns"],
-            writes_schema_doc=fn["writes_schema_doc"],
-            unsorted_set_iter=list(fn["unsorted_set_iter"]),
-        )
-    classes = {
-        name: ClassSummary(
-            name=cls["name"],
-            bases=list(cls["bases"]),
-            attr_types=dict(cls["attr_types"]),
-            epoch_attrs=list(cls["epoch_attrs"]),
-            listener_attrs=list(cls["listener_attrs"]),
-            methods=list(cls["methods"]),
-        )
-        for name, cls in raw["classes"].items()
-    }
-    return ModuleSummary(
-        module=raw["module"],
-        path=raw["path"],
-        bindings=[ImportBinding(**binding) for binding in raw["bindings"]],
-        functions=functions,
-        classes=classes,
-        var_calls=dict(raw["var_calls"]),
-        dunder_all=raw["dunder_all"],
-        used_names=set(raw["used_names"]),
-        anchors={int(line): anchor for line, anchor in raw["anchors"].items()},
-    )
 
 
 def _module_prefixes(module: str) -> List[str]:

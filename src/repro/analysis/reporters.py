@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.framework import CheckReport, Finding, Rule, all_rules
+from repro.analysis.framework import CheckReport, Rule, all_rules
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -22,7 +22,7 @@ __all__ = [
     "validate_check_document",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FINDING_KEYS = ("rule", "severity", "path", "line", "col", "message")
 _SUMMARY_KEYS = (
@@ -30,7 +30,6 @@ _SUMMARY_KEYS = (
     "errors",
     "warnings",
     "suppressed_pragma",
-    "suppressed_baseline",
     "files_scanned",
     "exit_code",
 )
@@ -48,26 +47,13 @@ def render_text(report: CheckReport, strict: bool = False) -> str:
             f"{finding.path}:{finding.line}:{finding.col}: "
             f"{finding.rule} [{finding.severity.value}] {finding.message}"
         )
-    for entry in report.stale_baseline:
-        lines.append(
-            f"warning: stale baseline entry matches nothing: {entry.path} "
-            f"{entry.rule} {entry.line_text!r} — fixed or edited; remove it "
-            "with `repro check --prune-baseline`"
-        )
-    suppressed = len(report.suppressed_pragma) + len(report.suppressed_baseline)
     verdict = "FAIL" if report.exit_code(strict=strict) else "OK"
     summary = (
         f"{verdict}: {len(report.findings)} finding(s) "
         f"({len(report.errors)} error, {len(report.warnings)} warning) "
-        f"across {report.files_scanned} file(s); {suppressed} suppressed "
-        f"({len(report.suppressed_pragma)} pragma, "
-        f"{len(report.suppressed_baseline)} baseline)"
+        f"across {report.files_scanned} file(s); "
+        f"{len(report.suppressed_pragma)} suppressed by pragma"
     )
-    if report.cache_enabled:
-        summary += (
-            f"; cache: {report.files_reanalyzed} reanalyzed, "
-            f"{report.files_cached} reused"
-        )
     lines.append(summary)
     return "\n".join(lines)
 
@@ -90,12 +76,6 @@ def render_json(
             "strict": strict,
             "paths": list(paths),
             "files_scanned": report.files_scanned,
-            # appended within schema_version 1 (append-only policy)
-            "cache": {
-                "enabled": report.cache_enabled,
-                "files_reanalyzed": report.files_reanalyzed,
-                "files_cached": report.files_cached,
-            },
         },
         "rules": [
             {
@@ -108,16 +88,12 @@ def render_json(
         "findings": [finding.as_dict() for finding in report.findings],
         "suppressed": {
             "pragma": [f.as_dict() for f in report.suppressed_pragma],
-            "baseline": [f.as_dict() for f in report.suppressed_baseline],
         },
-        # appended within schema_version 1 (append-only policy)
-        "stale_baseline": [entry.as_dict() for entry in report.stale_baseline],
         "summary": {
             "findings": len(report.findings),
             "errors": len(report.errors),
             "warnings": len(report.warnings),
             "suppressed_pragma": len(report.suppressed_pragma),
-            "suppressed_baseline": len(report.suppressed_baseline),
             "files_scanned": report.files_scanned,
             "exit_code": report.exit_code(strict=strict),
         },
@@ -145,14 +121,6 @@ def validate_check_document(doc: object) -> List[str]:
         for key in ("tool", "strict", "paths", "files_scanned"):
             if key not in meta:
                 problems.append(f"meta.{key} missing")
-        cache = meta.get("cache")  # appended within v1; validated when present
-        if cache is not None:
-            if not isinstance(cache, dict):
-                problems.append("meta.cache must be an object")
-            else:
-                for key in ("enabled", "files_reanalyzed", "files_cached"):
-                    if key not in cache:
-                        problems.append(f"meta.cache.{key} missing")
     rules = doc.get("rules")
     if not isinstance(rules, list) or not rules:
         problems.append("'rules' must be a non-empty list")
@@ -167,9 +135,6 @@ def validate_check_document(doc: object) -> List[str]:
                     f"rules[{index}].severity is {rule.get('severity')!r}, "
                     f"expected one of {list(_VALID_SEVERITIES)}"
                 )
-    stale = doc.get("stale_baseline")  # appended within v1; validated when present
-    if stale is not None and not isinstance(stale, list):
-        problems.append("'stale_baseline' must be a list")
     for section in ("findings",):
         body = doc.get(section)
         if not isinstance(body, list):
@@ -180,12 +145,11 @@ def validate_check_document(doc: object) -> List[str]:
     if not isinstance(suppressed, dict):
         problems.append("missing or non-object section 'suppressed'")
     else:
-        for key in ("pragma", "baseline"):
-            body = suppressed.get(key)
-            if not isinstance(body, list):
-                problems.append(f"suppressed.{key} must be a list")
-            else:
-                problems.extend(_check_findings(body, f"suppressed.{key}"))
+        body = suppressed.get("pragma")
+        if not isinstance(body, list):
+            problems.append("suppressed.pragma must be a list")
+        else:
+            problems.extend(_check_findings(body, "suppressed.pragma"))
     summary = doc.get("summary")
     if not isinstance(summary, dict):
         problems.append("missing or non-object section 'summary'")
@@ -215,22 +179,3 @@ def _check_findings(body: List[object], section: str) -> List[str]:
                 f"expected one of {list(_VALID_SEVERITIES)}"
             )
     return problems
-
-
-def findings_from_document(doc: Dict[str, object]) -> List[Finding]:
-    """Rehydrate `findings` rows from a check document (for diff tooling)."""
-    from repro.analysis.framework import Severity
-
-    rows = doc.get("findings", [])
-    return [
-        Finding(
-            path=str(row["path"]),
-            line=int(row["line"]),
-            col=int(row["col"]),
-            rule=str(row["rule"]),
-            message=str(row["message"]),
-            severity=Severity(str(row["severity"])),
-        )
-        for row in rows
-        if isinstance(row, dict)
-    ]

@@ -22,7 +22,7 @@ only enforced by review:
 
 Rules are deliberately *narrow*: each matches the concrete patterns this
 codebase uses, not every theoretical variant — a static gate earns its
-keep by being quiet on correct code.  Suppression (pragma or baseline)
+keep by being quiet on correct code.  Suppression (an inline pragma)
 always needs a written justification; see :mod:`repro.analysis.pragmas`.
 """
 
@@ -35,8 +35,10 @@ from repro.analysis.framework import FileContext, Finding, Rule, Severity, regis
 
 __all__ = [
     "EPOCH_MUTATOR_METHODS",
+    "RANDOM_MODULE_FUNCTIONS",
     "SCORING_MODULES",
     "SHADOWED_BUILTINS",
+    "WALL_CLOCK_CALLS",
 ]
 
 #: Scoring/linking scope of the wall-clock ban: everything whose output
@@ -97,8 +99,9 @@ EPOCH_MUTATOR_METHODS = frozenset(
     }
 )
 
-#: Stateful module-level functions of the ``random`` module (DET-002).
-_RANDOM_MODULE_FUNCTIONS = frozenset(
+#: Stateful module-level functions of the ``random`` module (DET-002, and
+#: FLOW-001's unseeded-RNG taint sources).
+RANDOM_MODULE_FUNCTIONS = frozenset(
     {
         "betavariate", "choice", "choices", "expovariate", "gauss",
         "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
@@ -108,8 +111,9 @@ _RANDOM_MODULE_FUNCTIONS = frozenset(
     }
 )
 
-#: Wall-clock call spellings banned in SCORING_MODULES (DET-003).
-_WALL_CLOCK_CALLS = frozenset(
+#: Wall-clock call spellings banned in SCORING_MODULES (DET-003, and
+#: FLOW-001's wall-clock taint sources).
+WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -194,7 +198,7 @@ class ModuleLevelRandomRule(Rule):
                 if (
                     dotted is not None
                     and dotted.startswith("random.")
-                    and dotted[len("random."):] in _RANDOM_MODULE_FUNCTIONS
+                    and dotted[len("random."):] in RANDOM_MODULE_FUNCTIONS
                 ):
                     yield self.finding(
                         ctx,
@@ -206,7 +210,7 @@ class ModuleLevelRandomRule(Rule):
                 stateful = sorted(
                     alias.name
                     for alias in node.names
-                    if alias.name in _RANDOM_MODULE_FUNCTIONS
+                    if alias.name in RANDOM_MODULE_FUNCTIONS
                 )
                 if stateful:
                     yield self.finding(
@@ -237,7 +241,7 @@ class WallClockRule(Rule):
             dotted = _dotted(node.func)
             if dotted is None:
                 continue
-            banned = dotted in _WALL_CLOCK_CALLS or (
+            banned = dotted in WALL_CLOCK_CALLS or (
                 # `from datetime import datetime; datetime.now()` resolves
                 # through the local binding
                 "." in dotted

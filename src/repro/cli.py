@@ -9,7 +9,7 @@ Subcommands::
     repro search    --world world.json.gz --query "jordan dunk" --user 7
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
     repro bench     [--smoke --tiers 1000 50000 --out BENCH_linking.json]
-    repro check     [src ...] [--strict --format json --baseline base.json]
+    repro check     [src ...] [--strict --format json --out CHECK_report.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
     repro serve     --world world.json.gz [--port 8355 --tenants alpha,beta]
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="run the project's AST invariant linter (DET/ERR/PAR/NUM/CACHE/API)",
+        help="run the project's AST invariant linter (DET/ERR/NUM/CACHE/API/FLOW)",
     )
     check.add_argument(
         "paths", nargs="*", default=["src"],
@@ -243,36 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format; json follows docs/static-analysis.md",
     )
     check.add_argument(
-        "--baseline", default=None,
-        help="baseline file of grandfathered findings (JSON)",
-    )
-    check.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to --baseline instead of failing "
-        "(each entry still needs a hand-written justification)",
-    )
-    check.add_argument(
         "--out", default=None,
         help="also write the report document to this path",
-    )
-    check.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite --baseline without entries whose content key no "
-        "longer matches any current finding (stale entries warn otherwise)",
-    )
-    check.add_argument(
-        "--graph", default=None, metavar="OUT",
-        help="export the import/call graph as a schema-versioned JSON "
-        "document to this path (docs/static-analysis.md)",
-    )
-    check.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="incremental-cache file (default: .repro-check-cache.json; "
-        "content-hash keyed, invalidated transitively via imports)",
-    )
-    check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache and re-analyze every file",
     )
 
     serve = commands.add_parser(
@@ -859,75 +831,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     The repo-relative paths in reports are anchored at the current
     working directory, so run this from the repo root (as CI does).
     """
-    import json as _json
-    import os as _os
-
-    from repro.analysis import DEFAULT_CACHE_PATH, Baseline, run_check
+    from repro.analysis import run_check
     from repro.analysis.reporters import dump_json, render_json, render_text
 
-    baseline = None
-    if args.baseline and _os.path.exists(args.baseline) and not args.write_baseline:
-        baseline = Baseline.load(args.baseline)
-    cache_path = None if args.no_cache else (args.cache or DEFAULT_CACHE_PATH)
-    report = run_check(args.paths, baseline=baseline, cache_path=cache_path)
-
-    if args.write_baseline:
-        if not args.baseline:
-            _log.error("--write-baseline requires --baseline PATH")
-            return 2
-        sources = {}
-        for finding in report.findings:
-            if finding.path not in sources:
-                with open(finding.path, "r", encoding="utf-8") as handle:
-                    sources[finding.path] = handle.read().splitlines()
-        Baseline.from_findings(
-            report.findings, sources,
-            justification="TODO: justify or fix (written by --write-baseline)",
-        ).save(args.baseline)
-        print(
-            f"baseline with {len(report.findings)} entr(ies) written to "
-            f"{args.baseline}; replace every TODO justification before "
-            "committing"
-        )
-        return 0
-
-    if args.prune_baseline:
-        if not args.baseline or baseline is None:
-            _log.error("--prune-baseline requires an existing --baseline PATH")
-            return 2
-        # run_check already computed exactly which entries matched nothing
-        # over the scanned set; drop those and keep the rest untouched
-        stale_keys = {entry.key() for entry in report.stale_baseline}
-        kept = [e for e in baseline.entries if e.key() not in stale_keys]
-        Baseline(kept).save(args.baseline)
-        print(
-            f"baseline pruned: {len(stale_keys)} stale of {len(baseline)} "
-            f"entr(ies) dropped from {args.baseline}"
-        )
-
-    if args.graph:
-        from repro.analysis import ProjectContext, write_graph_document
-
-        project = report.project or ProjectContext.build(args.paths)
-        write_graph_document(project, args.graph)
-        print(f"import/call graph written to {args.graph}")
-
+    try:
+        report = run_check(args.paths)
+    except FileNotFoundError as exc:
+        # a gate that scanned nothing must not read as a pass
+        _log.error("check: %s", exc)
+        return 2
+    document = dump_json(
+        render_json(report, strict=args.strict, paths=args.paths)
+    )
     if args.format == "json":
-        document = render_json(report, strict=args.strict, paths=args.paths)
-        rendered = dump_json(document)
+        sys.stdout.write(document)
     else:
-        rendered = render_text(report, strict=args.strict) + "\n"
-    sys.stdout.write(rendered)
+        sys.stdout.write(render_text(report, strict=args.strict) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            if args.format == "json":
-                handle.write(rendered)
-            else:
-                _json.dump(
-                    render_json(report, strict=args.strict, paths=args.paths),
-                    handle, indent=2,
-                )
-                handle.write("\n")
+            handle.write(document)
     return report.exit_code(strict=args.strict)
 
 

@@ -17,8 +17,6 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     CheckReport,
     FileContext,
     Severity,
@@ -30,7 +28,7 @@ from repro.analysis import (
     validate_check_document,
 )
 from repro.analysis.framework import iter_python_files
-from repro.analysis.reporters import SCHEMA_VERSION, findings_from_document
+from repro.analysis.reporters import SCHEMA_VERSION
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -544,84 +542,6 @@ class TestPragmas:
 
 
 # ---------------------------------------------------------------------- #
-# baseline
-# ---------------------------------------------------------------------- #
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        entries = [
-            BaselineEntry(
-                path="src/repro/core/fake.py",
-                rule="NUM-001",
-                line_text="return a.score == b.score",
-                justification="pre-dates NUM-001",
-            )
-        ]
-        path = tmp_path / "baseline.json"
-        Baseline(entries).save(str(path))
-        loaded = Baseline.load(str(path))
-        assert loaded.entries == entries
-
-    def test_load_rejects_missing_justification(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "entries": [
-                        {
-                            "path": "a.py",
-                            "rule": "NUM-001",
-                            "line_text": "x == y",
-                            "justification": "  ",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="justification"):
-            Baseline.load(str(path))
-
-    def test_load_rejects_wrong_schema_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema_version": 99, "entries": []}))
-        with pytest.raises(ValueError, match="schema_version"):
-            Baseline.load(str(path))
-
-    def test_baseline_suppresses_matching_line(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import random\nrng = random.Random()\n")
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    path="mod.py",
-                    rule="DET-001",
-                    line_text="rng = random.Random()",
-                    justification="grandfathered fixture",
-                )
-            ]
-        )
-        report = run_check([str(target)], root=str(tmp_path), baseline=baseline)
-        assert report.findings == []
-        assert [f.rule for f in report.suppressed_baseline] == ["DET-001"]
-
-    def test_edited_line_revokes_baseline(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import random\nrng = random.Random()  # edited\n")
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    path="mod.py",
-                    rule="DET-001",
-                    line_text="rng = random.Random()",
-                    justification="grandfathered fixture",
-                )
-            ]
-        )
-        report = run_check([str(target)], root=str(tmp_path), baseline=baseline)
-        assert [f.rule for f in report.findings] == ["DET-001"]
-
-
-# ---------------------------------------------------------------------- #
 # framework / driver
 # ---------------------------------------------------------------------- #
 class TestFramework:
@@ -689,13 +609,6 @@ class TestReporters:
         assert document["summary"]["exit_code"] == 1
         assert document["meta"]["strict"] is True
 
-    def test_json_round_trips_findings(self, report):
-        document = render_json(report)
-        rehydrated = findings_from_document(
-            json.loads(json.dumps(document))
-        )
-        assert rehydrated == report.findings
-
     def test_validator_rejects_broken_documents(self):
         assert validate_check_document([]) == ["document is not a JSON object"]
         problems = validate_check_document({"meta": {"schema_version": 0}})
@@ -725,43 +638,72 @@ class TestCheckCommand:
         assert validate_check_document(document) == []
         assert [f["rule"] for f in document["findings"]] == ["DET-001"]
 
-    def test_check_respects_baseline_flag(self, tmp_path, capsys, monkeypatch):
+    def test_document_is_schema_2_without_the_removed_keys(self, tmp_path):
+        (tmp_path / "mod.py").write_text("VALUE = 1\n")
+        document = render_json(run_check([str(tmp_path)], root=str(tmp_path)))
+        assert document["meta"]["schema_version"] == SCHEMA_VERSION == 2
+        assert "cache" not in document["meta"]
+        assert "stale_baseline" not in document
+        assert set(document["suppressed"]) == {"pragma"}
+        assert "suppressed_baseline" not in document["summary"]
+
+    def test_v1_document_is_rejected(self, tmp_path):
+        (tmp_path / "mod.py").write_text("VALUE = 1\n")
+        document = render_json(run_check([str(tmp_path)], root=str(tmp_path)))
+        assert validate_check_document(document) == []
+        document["meta"]["schema_version"] = 1
+        problems = validate_check_document(document)
+        assert any("schema_version" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--cache", "c.json"],
+            ["--no-cache"],
+            ["--baseline", "b.json"],
+            ["--write-baseline"],
+            ["--prune-baseline"],
+            ["--graph", "g.json"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_flags_are_usage_errors(self, flag, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        (tmp_path / "mod.py").write_text("VALUE = 1\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "mod.py", *flag])
+        assert excinfo.value.code == 2
+        assert os.listdir(tmp_path) == ["mod.py"]
+
+    def test_missing_path_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "no_such_dir", "--strict"]) == 2
+        assert "OK" not in capsys.readouterr().out
+
+    def test_zero_file_scan_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        (tmp_path / "notes.txt").write_text("not python\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", ".", "--strict"]) == 2
+        assert "OK" not in capsys.readouterr().out
+
+    def test_out_is_the_json_document_under_either_format(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.cli import main
 
         (tmp_path / "mod.py").write_text("import random\nx = random.Random()\n")
-        baseline = tmp_path / "baseline.json"
-        Baseline(
-            [
-                BaselineEntry(
-                    path="mod.py",
-                    rule="DET-001",
-                    line_text="x = random.Random()",
-                    justification="fixture",
-                )
-            ]
-        ).save(str(baseline))
         monkeypatch.chdir(tmp_path)
-        code = main(
-            ["check", "mod.py", "--strict", "--baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "1 baseline" in capsys.readouterr().out
-
-    def test_write_baseline_then_pass(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        (tmp_path / "mod.py").write_text("import random\nx = random.Random()\n")
-        baseline = tmp_path / "baseline.json"
-        monkeypatch.chdir(tmp_path)
-        code = main(
-            ["check", "mod.py", "--baseline", str(baseline), "--write-baseline"]
-        )
-        assert code == 0
-        capsys.readouterr()
-        # the TODO justification is a placeholder a human must replace;
-        # the written file itself round-trips and suppresses the finding
-        code = main(["check", "mod.py", "--strict", "--baseline", str(baseline)])
-        assert code == 0
+        main(["check", "mod.py", "--format", "json", "--out", "a.json"])
+        as_json = capsys.readouterr().out
+        main(["check", "mod.py", "--format", "text", "--out", "b.json"])
+        assert (tmp_path / "a.json").read_text() == as_json
+        assert (tmp_path / "b.json").read_text() == as_json
 
 
 # ---------------------------------------------------------------------- #
@@ -859,7 +801,6 @@ class TestReporterEdgeCases:
         report = CheckReport(
             findings=[],
             suppressed_pragma=[],
-            suppressed_baseline=[],
             files_scanned=0,
         )
         document = render_json(report)
@@ -900,13 +841,12 @@ class TestReporterEdgeCases:
                     "message": "m",
                 }
             ],
-            "suppressed": {"pragma": [], "baseline": []},
+            "suppressed": {"pragma": []},
             "summary": {
                 "findings": 1,
                 "errors": 1,
                 "warnings": 0,
                 "suppressed_pragma": 0,
-                "suppressed_baseline": 0,
                 "files_scanned": 1,
                 "exit_code": 1,
             },
@@ -925,13 +865,12 @@ class TestReporterEdgeCases:
             },
             "rules": [{"id": "X-001", "severity": "fatal", "summary": "s"}],
             "findings": [],
-            "suppressed": {"pragma": [], "baseline": []},
+            "suppressed": {"pragma": []},
             "summary": {
                 "findings": 0,
                 "errors": 0,
                 "warnings": 0,
                 "suppressed_pragma": 0,
-                "suppressed_baseline": 0,
                 "files_scanned": 0,
                 "exit_code": 0,
             },
@@ -939,81 +878,3 @@ class TestReporterEdgeCases:
         problems = validate_check_document(document)
         assert any("rules[0].severity" in p for p in problems)
 
-
-# ---------------------------------------------------------------------- #
-# stale baseline entries and --prune-baseline
-# ---------------------------------------------------------------------- #
-class TestStaleBaseline:
-    def _baseline(self, tmp_path, line_text="x = random.Random()"):
-        baseline = tmp_path / "baseline.json"
-        Baseline(
-            [
-                BaselineEntry(
-                    path="mod.py",
-                    rule="DET-001",
-                    line_text=line_text,
-                    justification="fixture",
-                )
-            ]
-        ).save(str(baseline))
-        return baseline
-
-    def test_stale_entry_is_reported(self, tmp_path, monkeypatch):
-        # the violating line was fixed; the exemption now matches nothing
-        (tmp_path / "mod.py").write_text("VALUE = 1\n")
-        baseline = self._baseline(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        report = run_check(["mod.py"], baseline=Baseline.load(str(baseline)))
-        assert [entry.rule for entry in report.stale_baseline] == ["DET-001"]
-        assert "stale baseline entry" in render_text(report)
-
-    def test_matching_entry_is_not_stale(self, tmp_path, monkeypatch):
-        (tmp_path / "mod.py").write_text(
-            "import random\nx = random.Random()\n"
-        )
-        baseline = self._baseline(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        report = run_check(["mod.py"], baseline=Baseline.load(str(baseline)))
-        assert report.stale_baseline == []
-        assert len(report.suppressed_baseline) == 1
-
-    def test_prune_flag_rewrites_the_baseline_file(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.cli import main
-
-        (tmp_path / "mod.py").write_text("VALUE = 1\n")
-        baseline = self._baseline(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code = main(
-            [
-                "check",
-                "mod.py",
-                "--baseline",
-                str(baseline),
-                "--prune-baseline",
-            ]
-        )
-        assert code == 0
-        assert "pruned" in capsys.readouterr().out
-        assert len(Baseline.load(str(baseline))) == 0
-
-    def test_prune_keeps_live_entries(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        (tmp_path / "mod.py").write_text(
-            "import random\nx = random.Random()\n"
-        )
-        baseline = self._baseline(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code = main(
-            [
-                "check",
-                "mod.py",
-                "--baseline",
-                str(baseline),
-                "--prune-baseline",
-            ]
-        )
-        assert code == 0
-        assert len(Baseline.load(str(baseline))) == 1

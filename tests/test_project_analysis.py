@@ -1,19 +1,12 @@
-"""Whole-program layer: ProjectContext graphs, effects, FLOW rules, export."""
+"""Whole-program layer: ProjectContext graphs, effects, FLOW rules."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
 
 from repro.analysis import run_check
-from repro.analysis.graph_export import (
-    GRAPH_SCHEMA_VERSION,
-    render_graph_document,
-    validate_graph_document,
-    write_graph_document,
-)
 from repro.analysis.project import ProjectContext
 
 
@@ -42,7 +35,7 @@ def flow_findings(report, rule_id):
 # import graph
 # ---------------------------------------------------------------------- #
 class TestImportGraph:
-    def test_edges_and_importers(self, tmp_path):
+    def test_edges(self, tmp_path):
         project = build_project(
             tmp_path,
             {
@@ -52,7 +45,6 @@ class TestImportGraph:
             },
         )
         assert "pkg.b" in project.import_edges()["pkg.a"]
-        assert "pkg.a" in project.importers_of("pkg.b")
 
     def test_cycle_detection(self, tmp_path):
         project = build_project(
@@ -586,55 +578,3 @@ class TestFlow005:
         )
         assert flow_findings(report, "FLOW-005") == []
 
-
-# ---------------------------------------------------------------------- #
-# graph export
-# ---------------------------------------------------------------------- #
-class TestGraphExport:
-    def _project(self, tmp_path):
-        return build_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/a.py": (
-                    "from pkg.b import helper\n"
-                    "def caller():\n"
-                    "    return helper()\n"
-                ),
-                "pkg/b.py": (
-                    "def helper():\n"
-                    "    raise ValueError('x')\n"
-                ),
-            },
-        )
-
-    def test_document_validates_and_is_deterministic(self, tmp_path):
-        project = self._project(tmp_path)
-        doc = render_graph_document(project)
-        assert validate_graph_document(doc) == []
-        assert doc["meta"]["schema_version"] == GRAPH_SCHEMA_VERSION
-        assert doc == render_graph_document(project)
-
-    def test_document_content(self, tmp_path):
-        doc = render_graph_document(self._project(tmp_path))
-        edges = {(e["from"], e["to"]) for e in doc["import_graph"]["edges"]}
-        assert ("pkg.a", "pkg.b") in edges
-        by_name = {f["qualname"]: f for f in doc["call_graph"]["functions"]}
-        targets = {c["target"] for c in by_name["pkg.a.caller"]["calls"]}
-        assert "pkg.b.helper" in targets
-        effects = {e["qualname"]: e for e in doc["effects"]}
-        assert any("ValueError" in r for r in effects["pkg.a.caller"]["may_raise"])
-
-    def test_write_round_trips_through_validator(self, tmp_path):
-        project = self._project(tmp_path)
-        out = tmp_path / "graph.json"
-        write_graph_document(project, str(out))
-        loaded = json.loads(out.read_text())
-        assert validate_graph_document(loaded) == []
-
-    def test_validator_rejects_tampered_documents(self, tmp_path):
-        doc = render_graph_document(self._project(tmp_path))
-        doc["meta"]["schema_version"] = 99
-        assert validate_graph_document(doc)
-        assert validate_graph_document({"meta": {}})
-        assert validate_graph_document([])
