@@ -43,10 +43,12 @@ __all__ = [
 
 #: Scoring/linking scope of the wall-clock ban: everything whose output
 #: feeds a score, a rank, or an evaluation table.  Serving-side modules
-#: (stream, resilience, cli, bench, perf, log) may read clocks — that is
+#: (stream, resilience, cli, bench, log) may read clocks — that is
 #: their job.  ``repro.obs`` is in scope because golden traces must be
 #: byte-identical run over run: tracer time comes from injected clocks
-#: only (the deterministic TickClock by default), never the wall.
+#: only (the deterministic TickClock by default), never the wall; its
+#: stage timers read ``time.perf_counter`` — a duration, not a date, and
+#: only while the timing switch is on.
 SCORING_MODULES = (
     "repro.core",
     "repro.graph",

@@ -8,7 +8,7 @@ of the system, and writes a **schema-stable** ``BENCH_linking.json``:
   followee-mask propagation vs. the per-target DAG-walk baseline it
   replaced (the Fig. 5 inner loop), with an output-equality check;
 * ``single_mention`` — online ``link()`` latency percentiles plus the
-  per-stage breakdown from :mod:`repro.perf`;
+  per-stage breakdown from the ``METRICS`` stage timers;
 * ``single_mention_cached`` — the same workload replayed warm through a
   ``score_caching`` linker sharing the uncached linker's indexes, with an
   inline bit-identity check and the score-cache hit rates;
@@ -58,7 +58,7 @@ from repro.graph.reachability import weighted_reachability_from
 from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.kb.builder import KBProfile
 from repro.log import get_logger
-from repro.perf import PERF, percentile
+from repro.obs.metrics import METRICS, percentile
 from repro.stream.generator import StreamProfile, SyntheticWorld
 from repro.stream.profiles import quick_profiles
 from repro.testing.oracles import (
@@ -339,7 +339,7 @@ def _single_mention_bench(linker, requests: Sequence[LinkRequest]) -> Dict:
         linker.link(request.surface, request.user, request.now)
         latencies.append(time.perf_counter() - start)
     stages = {
-        name: {k: round(v, 9) for k, v in PERF.timer_stats(name).items()}
+        name: METRICS.timer_stats(name)
         for name in (
             "link.candidates",
             "link.interest",
@@ -383,12 +383,7 @@ def _cached_single_mention_bench(context, requests: Sequence[LinkRequest]) -> Di
     )
     for request in requests:  # warm pass
         cached.link(request.surface, request.user, request.now)
-    counter_names = [
-        prefix + suffix
-        for prefix in sorted(hit_rate_names())
-        for suffix in (".hit", ".miss")
-    ]
-    before = {name: PERF.counter(name) for name in counter_names}
+    before = METRICS.snapshot()["counters"]
     cached_latencies: List[float] = []
     uncached_latencies: List[float] = []
     identical = True
@@ -401,14 +396,11 @@ def _cached_single_mention_bench(context, requests: Sequence[LinkRequest]) -> Di
         uncached_latencies.append(time.perf_counter() - start)
         if warm.ranked != cold.ranked or warm.degradation != cold.degradation:
             identical = False
-    hit_rates: Dict[str, float] = {}
-    for prefix in sorted(hit_rate_names()):
-        hits = PERF.counter(prefix + ".hit") - before[prefix + ".hit"]
-        misses = PERF.counter(prefix + ".miss") - before[prefix + ".miss"]
-        total = hits + misses
-        hit_rates[prefix.rsplit(".", 1)[-1]] = (
-            round(hits / total, 6) if total else 0.0
-        )
+    rates = METRICS.hit_rates(since=before)
+    hit_rates = {
+        prefix.rsplit(".", 1)[-1]: rates.get(prefix, 0.0)
+        for prefix in sorted(hit_rate_names())
+    }
     cached_mean = (
         sum(cached_latencies) / len(cached_latencies) if cached_latencies else 0.0
     )
@@ -605,8 +597,8 @@ def run_bench(
         tiers = (1_000,) if smoke else (1_000, 50_000, 500_000)
     if not tiers or any(t < 1 for t in tiers):
         raise ValueError("tiers must be a non-empty list of positive user counts")
-    PERF.reset()
-    PERF.enable()
+    METRICS.reset()
+    METRICS.timing = True
     try:
         world = _bench_world(seed, smoke)
         context = build_experiment(world=world, complement_method="truth")
@@ -648,6 +640,7 @@ def run_bench(
         batch = _batch_bench(linker, requests)
         scale = _scale_bench(tiers, seed, config)
 
+        snapshot = METRICS.snapshot()
         document = {
             "meta": {
                 "schema_version": SCHEMA_VERSION,
@@ -676,10 +669,14 @@ def run_bench(
             "single_mention_cached": single_cached,
             "batch": batch,
             "scale": scale,
-            "perf": PERF.snapshot(),
+            "perf": {
+                "counters": snapshot["counters"],
+                "cache_hit_rates": METRICS.hit_rates(),
+                "timers": snapshot["timers"],
+            },
         }
     finally:
-        PERF.disable()
+        METRICS.timing = False
     problems = validate_bench_document(document)
     if problems:  # pragma: no cover - guards future schema drift
         raise AssertionError(f"bench emitted an invalid document: {problems}")

@@ -28,7 +28,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
-from repro.perf import PERF
+from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kb.complemented import ComplementedKnowledgebase
@@ -156,7 +156,7 @@ class BurstTracker:
 
     def _rebuild(self, now: float) -> None:
         self.rebuilds += 1
-        PERF.incr("score_cache.recency.rebuilds")
+        METRICS.incr("score_cache.recency.rebuilds")
         self._counts.clear()
         self._admit = []
         self._expire = []

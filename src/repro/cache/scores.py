@@ -30,11 +30,11 @@ the cached path stays bit-identical to the uncached oracle (the property
 suite in ``tests/test_cache_properties.py`` replays randomized
 link/mutate/advance/feedback interleavings against both).
 
-Hit/miss/eviction counters go to :data:`repro.perf.PERF` (prefix
-``score_cache.``), *not* to ``repro.obs`` METRICS, which records
-decisions only: a hit or a miss depends on what ran before, not on the
-request.  ``PERF.snapshot()`` derives the hit rates that ``repro bench``
-publishes.
+Hit/miss/eviction counters go to :data:`repro.obs.metrics.METRICS`
+(prefix ``score_cache.``).  A hit or a miss depends on what ran before,
+not on the request alone, but a seeded run from a fresh linker repeats
+them exactly.  ``METRICS.hit_rates()`` derives the rates that
+``repro bench`` publishes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.perf import PERF
+from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import LinkerConfig
@@ -97,9 +97,9 @@ class EpochKeyedCache:
         entry = self._entries.get(key)
         if entry is not None and entry[0] == epochs:
             self._entries.move_to_end(key)
-            PERF.incr(self._name + ".hit")
+            METRICS.incr(self._name + ".hit")
             return entry[1]
-        PERF.incr(self._name + ".miss")
+        METRICS.incr(self._name + ".miss")
         return None
 
     def put(self, key: K, epochs: Tuple[int, ...], value: V) -> None:
@@ -107,7 +107,7 @@ class EpochKeyedCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
-            PERF.incr(self._name + ".evictions")
+            METRICS.incr(self._name + ".evictions")
 
     def lookup(
         self, key: K, epochs: Tuple[int, ...], compute: Callable[[], V]
@@ -212,16 +212,16 @@ class IncrementalRecency:
             key = (index, vector)
             component = self._memo.get(key)
             if component is None:
-                PERF.incr("score_cache.recency.miss")
+                METRICS.incr("score_cache.recency.miss")
                 component = network.propagate_component(
                     index, dict(zip(members, vector))
                 )
                 self._memo[key] = component
                 while len(self._memo) > self._capacity:
                     self._memo.popitem(last=False)
-                    PERF.incr("score_cache.recency.evictions")
+                    METRICS.incr("score_cache.recency.evictions")
             else:
-                PERF.incr("score_cache.recency.hit")
+                METRICS.incr("score_cache.recency.hit")
                 self._memo.move_to_end(key)
             values[entity_id] = component.get(entity_id, 0.0)
         total = sum(values.values())
@@ -282,7 +282,7 @@ class ScoreCaches:
 
 
 def hit_rate_names() -> Set[str]:
-    """The ``PERF`` counter prefixes this layer reports hit rates under."""
+    """The ``METRICS`` counter prefixes this layer reports hit rates under."""
     return {
         "score_cache.candidates",
         "score_cache.popularity",

@@ -376,24 +376,25 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
 # metrics export (shared by evaluate / stream / bench / trace)
 # ---------------------------------------------------------------------- #
 def _metrics_begin(path: Optional[str]) -> None:
-    """Reset the metrics and perf registries for a ``--metrics-out`` run.
+    """Reset the metrics registry and time stages for a ``--metrics-out``
+    run.
 
     A written document should describe exactly one command invocation;
-    without the flag the registries keep their (cheap, always-on) state
-    and nothing changes.
+    without the flag the registry keeps its (cheap, always-on) state,
+    records no durations, and nothing changes.
     """
     if not path:
         return
     from repro.obs.metrics import METRICS
-    from repro.perf import PERF
 
     METRICS.reset()
-    PERF.reset()
-    PERF.enable()
+    METRICS.timing = True
 
 
-def _metrics_write(path: Optional[str], tool: str) -> None:
-    """Render and write the unified metrics document (schema-checked)."""
+def _metrics_write(path: Optional[str], tool: str, registry=None) -> None:
+    """Render and write the metrics document of ``registry`` (default:
+    the global one), schema-checked; ends the timing ``_metrics_begin``
+    started."""
     if not path:
         return
     import json as _json
@@ -403,9 +404,11 @@ def _metrics_write(path: Optional[str], tool: str) -> None:
         render_metrics_document,
         validate_metrics_document,
     )
-    from repro.perf import PERF
 
-    document = render_metrics_document(METRICS, perf=PERF, tool=tool)
+    METRICS.timing = False
+    document = render_metrics_document(
+        METRICS if registry is None else registry, tool=tool
+    )
     problems = validate_metrics_document(document)
     if problems:  # pragma: no cover - the renderer emits its own schema
         raise ValueError(f"invalid metrics document: {problems}")
@@ -748,7 +751,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     moved and exits 1.  ``--write-golden`` regenerates the fixtures (the
     diff is then reviewed like any other behavior change).
     """
-    import json as _json
     import os as _os
 
     from repro.obs.export import (
@@ -756,10 +758,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         dump_trace_jsonl,
         load_trace_jsonl,
     )
-    from repro.obs.metrics import (
-        MetricsRegistry,
-        render_metrics_document,
-    )
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
 
     if args.write_golden and args.check_golden:
@@ -816,12 +815,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows, title="observability scenarios"))
-    if args.metrics_out:
-        document = render_metrics_document(merged, tool="repro trace")
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            _json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics written to {args.metrics_out}")
+    _metrics_write(args.metrics_out, "repro trace", merged)
     return 1 if drifted else 0
 
 

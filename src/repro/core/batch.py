@@ -28,13 +28,8 @@ from repro.core.linker import (
     record_link_outcome,
 )
 from repro.core.scoring import combine_scores
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    IndexUnavailableError,
-)
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACE
+from repro.obs.stage import stage
 from repro.stream.tweet import Tweet
 
 
@@ -90,13 +85,13 @@ class MicroBatchLinker:
             # interest cache is deliberately absent from the metrics
             # registry.
             METRICS.incr("link.requests")
-            with TRACE.span(
+            with stage(
                 "link.request", surface=request.surface, user=request.user
             ) as root:
                 candidates = candidate_cache.get(request.surface)
                 if candidates is None:
                     METRICS.incr("batch.candidate_cache.miss")
-                    with TRACE.span("link.candidates"):
+                    with stage("link.candidates"):
                         candidates = linker._candidate_set(request.surface)
                     candidate_cache[request.surface] = candidates
                 else:
@@ -121,7 +116,7 @@ class MicroBatchLinker:
                 popularity = popularity_cache.get(request.surface)
                 if popularity is None:
                     METRICS.incr("batch.popularity_cache.miss")
-                    with TRACE.span("link.popularity"):
+                    with stage("link.popularity"):
                         popularity = linker._popularity_scores(candidates)
                     popularity_cache[request.surface] = popularity
                 else:
@@ -132,7 +127,7 @@ class MicroBatchLinker:
                 recency = recency_cache.get(recency_key)
                 if recency is None:
                     METRICS.incr("batch.recency_cache.miss")
-                    with TRACE.span("link.recency"):
+                    with stage("link.recency"):
                         recency = linker._recency_scores(candidates, bucketed)
                     recency_cache[recency_key] = recency
                 else:
@@ -149,26 +144,15 @@ class MicroBatchLinker:
                 interest_key = (request.user, candidates)
                 interest = interest_cache.get(interest_key)
                 if interest is None:
-                    try:
-                        with TRACE.span("link.interest"):
-                            interest = linker._interest_scores(
-                                request.user, candidates, linker._guarded_provider()
-                            )
-                    except DeadlineExceededError:
-                        interest = {}
-                        degradation = "deadline_exceeded"
-                    except CircuitOpenError:
-                        interest = {}
-                        degradation = "circuit_open"
-                    except IndexUnavailableError:
-                        interest = {}
-                        degradation = "index_unavailable"
+                    interest, degradation = linker._interest_or_degradation(
+                        request.user, candidates
+                    )
                     if degradation is None:
                         interest_cache[interest_key] = interest
                 if degradation is not None:
                     record_degradation(root, degradation)
 
-                with TRACE.span("link.combine"):
+                with stage("link.combine"):
                     ranked = combine_scores(
                         candidates, interest, recency, popularity, config
                     )

@@ -37,8 +37,7 @@ from repro.errors import (
 )
 from repro.log import get_logger
 from repro.obs.metrics import METRICS, SCORE_BOUNDARIES
-from repro.obs.trace import TRACE
-from repro.perf import PERF
+from repro.obs.stage import stage
 from repro.resilience.breaker import CircuitBreaker
 from repro.core.popularity import popularity_scores
 from repro.core.recency import (
@@ -298,8 +297,8 @@ class SocialTemporalLinker:
         the degradation reason instead of an exception.
         """
         METRICS.incr("link.requests")
-        with TRACE.span("link.request", surface=surface, user=user) as root:
-            with TRACE.span("link.candidates"), PERF.time_block("link.candidates"):
+        with stage("link.request", surface=surface, user=user) as root:
+            with stage("link.candidates"):
                 candidates = self._candidate_set(surface)
             METRICS.observe("link.candidates_per_request", float(len(candidates)))
             if root.recording:
@@ -311,31 +310,17 @@ class SocialTemporalLinker:
                 )
                 record_link_outcome(root, result, self._config)
                 return result
-            degradation: Optional[str] = None
-            try:
-                with TRACE.span("link.interest"), PERF.time_block("link.interest"):
-                    interest = self._interest_scores(
-                        user, candidates, self._guarded_provider()
-                    )
-            except DeadlineExceededError:
-                interest = {}
-                degradation = "deadline_exceeded"
-            except CircuitOpenError:
-                interest = {}
-                degradation = "circuit_open"
-            except IndexUnavailableError:
-                interest = {}
-                degradation = "index_unavailable"
+            interest, degradation = self._interest_or_degradation(user, candidates)
             if degradation is not None:
                 _log.warning(
                     "degraded link for %r (user %d): %s", surface, user, degradation
                 )
                 record_degradation(root, degradation)
-            with TRACE.span("link.recency"), PERF.time_block("link.recency"):
+            with stage("link.recency"):
                 recency = self._recency_scores(candidates, now)
-            with TRACE.span("link.popularity"), PERF.time_block("link.popularity"):
+            with stage("link.popularity"):
                 popularity = self._popularity_scores(candidates)
-            with TRACE.span("link.combine"), PERF.time_block("link.combine"):
+            with stage("link.combine"):
                 ranked = combine_scores(
                     candidates, interest, recency, popularity, self._config
                 )
@@ -348,6 +333,23 @@ class SocialTemporalLinker:
             )
             record_link_outcome(root, result, self._config)
             return result
+
+    def _interest_or_degradation(
+        self, user: int, candidates: Tuple[int, ...]
+    ) -> Tuple[Dict[int, float], Optional[str]]:
+        """The ``link.interest`` stage under the deadline budget and
+        breaker: ``(scores, None)``, or ``({}, reason)`` when the index
+        failed, timed out, or the circuit is open."""
+        try:
+            with stage("link.interest"):
+                provider = self._guarded_provider()
+                return self._interest_scores(user, candidates, provider), None
+        except DeadlineExceededError:
+            return {}, "deadline_exceeded"
+        except CircuitOpenError:
+            return {}, "circuit_open"
+        except IndexUnavailableError:
+            return {}, "index_unavailable"
 
     def link_tweet(self, tweet: Tweet) -> List[MentionResult]:
         """Link every mention of a tweet independently."""
@@ -473,9 +475,9 @@ class SocialTemporalLinker:
         cached = self._influential_cache.get(key)
         if cached is not None and cached[0] == version:
             self._influential_cache.move_to_end(key)
-            PERF.incr("influential_cache.hit")
+            METRICS.incr("influential_cache.hit")
             return cached[1]
-        PERF.incr("influential_cache.miss")
+        METRICS.incr("influential_cache.miss")
         influential = top_influential_users(
             self._ckb,
             entity_id,
@@ -487,7 +489,7 @@ class SocialTemporalLinker:
         self._influential_cache.move_to_end(key)
         while len(self._influential_cache) > self._config.influential_cache_size:
             self._influential_cache.popitem(last=False)
-            PERF.incr("influential_cache.evictions")
+            METRICS.incr("influential_cache.evictions")
         return influential
 
     def _recency_scores(

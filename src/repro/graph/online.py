@@ -13,8 +13,8 @@ from typing import Dict
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import weighted_reachability_from
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE
-from repro.perf import PERF
 
 
 class OnlineReachability:
@@ -33,7 +33,7 @@ class OnlineReachability:
     def reachability(self, source: int, target: int) -> float:
         row = self._cache.get(source)
         if row is None:
-            PERF.incr("online_bfs.miss")
+            METRICS.incr("online_bfs.miss")
             with TRACE.span("reachability.bfs", source=source) as span:
                 row = weighted_reachability_from(self._graph, source, self._max_hops)
                 if span.recording:
@@ -42,7 +42,7 @@ class OnlineReachability:
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         else:
-            PERF.incr("online_bfs.hit")
+            METRICS.incr("online_bfs.hit")
             self._cache.move_to_end(source)
         return row.get(target, 0.0)
 

@@ -26,7 +26,7 @@ from typing import Dict
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
-from repro.perf import PERF
+from repro.obs.metrics import METRICS
 
 
 def weighted_reachability(
@@ -69,7 +69,7 @@ def weighted_reachability_from(
     num_followees = len(first_hops)
     if num_followees == 0:
         return result
-    PERF.incr("graph.one_pass_bfs")
+    METRICS.incr("graph.one_pass_bfs")
     dist: Dict[int, int] = {source: 0}
     masks: Dict[int, int] = {}
     frontier: deque = deque()

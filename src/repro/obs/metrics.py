@@ -1,51 +1,57 @@
-"""Longitudinal metrics: counters, gauges, fixed-bucket histograms.
+"""The one instrumentation registry: counters, gauges, fixed-bucket
+histograms and stage timers.
 
-Where :mod:`repro.perf` answers "where did the wall-clock go" with
-per-stage timers, this registry answers "what did the system *do*":
-requests linked, candidates per mention, degradations by reason, dead
-letters by cause, breaker transitions, best-score distributions.  The
+The registry answers "what did the system *do*" — requests linked,
+candidates per mention, cache hits and misses, degradations by reason,
+dead letters by cause, breaker transitions, best-score distributions —
+and, while its timing switch is on, "where did the wall-clock go".  The
 design constraints, in order:
 
-1. **Determinism** — every metric recorded by the library encodes a
-   *decision*, never a duration, so identical seeded runs produce
-   identical snapshots (wall-clock timing stays in :mod:`repro.perf`
-   and is absorbed only at export time).
+1. **Determinism** — counters, gauges and histograms encode a
+   *decision*, never a duration, and durations are recorded only while
+   :attr:`MetricsRegistry.timing` is set (``repro bench`` and
+   ``--metrics-out`` runs), so identical seeded runs produce identical
+   snapshots.
 2. **Mergeability** — :meth:`MetricsRegistry.merge` folds another
    registry's snapshot in by summing counters and histogram buckets
    (gauges take the max, the only order-free combiner for level
    readings); ``repro trace`` combines its per-scenario registries
-   this way.
+   this way.  Timer percentiles do not combine, so timers stay local.
 3. **Fixed buckets** — histogram boundaries are declared at first
    ``observe`` and never inferred from data, so two registries'
    histograms are always bucket-compatible and snapshots diff cleanly
    across runs.
 
-The process-global :data:`METRICS` mirrors :data:`repro.perf.PERF`:
-always-on dictionary updates, cheap enough for the linking hot path, not
-thread-safe because the linker is single-threaded per process.
+The process-global :data:`METRICS` takes always-on dictionary updates,
+cheap enough for the linking hot path.  It holds no lock: ``repro serve``
+runs ``link()`` on ``ThreadingHTTPServer`` handler threads, so under
+threads an increment may be lost (a read-modify-write on a dict slot),
+but nothing raises and no structure is left inconsistent — a histogram's
+count is derived from its buckets and a snapshot copies each container
+in one step.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.perf import PerfRegistry
+import math
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "COUNT_BOUNDARIES",
     "Histogram",
-    "LATENCY_BOUNDARIES_S",
     "METRICS",
     "MetricsRegistry",
     "SCORE_BOUNDARIES",
+    "percentile",
     "render_metrics_document",
     "validate_metrics_document",
 ]
 
 #: Schema version of the ``--metrics-out`` document (append-only policy,
 #: see docs/observability.md).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Candidate-set sizes and similar small cardinalities.
 COUNT_BOUNDARIES: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 50.0)
@@ -55,23 +61,42 @@ SCORE_BOUNDARIES: Tuple[float, ...] = (
     0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
 )
 
-#: Seconds; used when absorbing :mod:`repro.perf` timer samples.
-LATENCY_BOUNDARIES_S: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
+#: Timer samples kept per stage (a bounded window so a long stream cannot
+#: grow memory without limit; percentiles describe the recent window).
+DEFAULT_MAX_SAMPLES = 65_536
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` in [0, 100] of ``samples`` (unsorted ok).
+
+    Returns 0.0 for an empty sample set — absent data reads as "no cost"
+    in reports rather than raising mid-benchmark.
+    """
+    if not samples:
+        return 0.0
+    if not 0.0 <= q <= 100.0:
+        # q is always a literal (50/95/99) at every call site; an
+        # out-of-range q is a code bug, not a request error.
+        raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+            f"percentile must be in [0, 100], got {q}"
+        )
+    ordered = sorted(samples)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 class Histogram:
     """Fixed-boundary histogram: ``boundaries[i]`` is the inclusive upper
     bound of bucket ``i``; one implicit overflow bucket catches the rest.
 
-    Deliberately integer-only state (bucket tallies and the observation
-    count) — a floating-point running sum would make merged totals
-    depend on merge order (float addition is not associative).
+    Deliberately integer-only state — a floating-point running sum would
+    make merged totals depend on merge order (float addition is not
+    associative).  The bucket tallies are the only state: ``count`` is
+    their sum, so the two can never disagree, even when another thread
+    observes between two reads.
     """
 
-    __slots__ = ("boundaries", "bucket_counts", "count")
+    __slots__ = ("boundaries", "bucket_counts")
 
     def __init__(self, boundaries: Sequence[float]) -> None:
         bounds = tuple(float(b) for b in boundaries)
@@ -87,11 +112,13 @@ class Histogram:
             )
         self.boundaries = bounds
         self.bucket_counts: List[int] = [0] * (len(bounds) + 1)
-        self.count = 0
+
+    @property
+    def count(self) -> int:
+        return sum(self.bucket_counts)
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect.bisect_left(self.boundaries, value)] += 1
-        self.count += 1
 
     def merge(self, other: "Histogram") -> None:
         if other.boundaries != self.boundaries:
@@ -101,13 +128,13 @@ class Histogram:
             )
         for index, bucket in enumerate(other.bucket_counts):
             self.bucket_counts[index] += bucket
-        self.count += other.count
 
     def as_dict(self) -> Dict[str, object]:
+        buckets = list(self.bucket_counts)  # one copy: count matches it
         return {
             "boundaries": list(self.boundaries),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
+            "bucket_counts": buckets,
+            "count": sum(buckets),
         }
 
     @classmethod
@@ -120,17 +147,28 @@ class Histogram:
                 f"{len(histogram.boundaries)} boundaries"
             )
         histogram.bucket_counts = [int(b) for b in buckets]
-        histogram.count = int(payload["count"])  # type: ignore[arg-type]
+        if int(payload["count"]) != histogram.count:  # type: ignore[arg-type]
+            raise ValueError(
+                f"count {payload['count']!r} does not match the bucket sum "
+                f"{histogram.count}"
+            )
         return histogram
 
 
 class MetricsRegistry:
-    """Process-local counters, gauges and histograms."""
+    """Process-local counters, gauges, histograms and stage timers."""
 
-    def __init__(self) -> None:
+    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
+        if max_samples < 1:
+            raise ValueError("max_samples must be positive")
+        self._max_samples = max_samples
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._timers: Dict[str, Deque[float]] = {}
+        #: The timing switch: durations are recorded only while true
+        #: (counters, gauges and histograms are always on).
+        self.timing = False
 
     # ------------------------------------------------------------------ #
     # recording
@@ -167,10 +205,22 @@ class MetricsRegistry:
             )
         histogram.observe(value)
 
+    def observe_duration(self, name: str, seconds: float) -> None:
+        """Record one duration sample for stage ``name``; dropped while
+        the timing switch is off, whoever calls."""
+        if not self.timing:
+            return
+        samples = self._timers.get(name)
+        if samples is None:
+            samples = self._timers[name] = deque(maxlen=self._max_samples)
+        samples.append(seconds)
+
     def reset(self) -> None:
+        """Drop every reading (the timing switch is kept)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._timers.clear()
 
     # ------------------------------------------------------------------ #
     # reading
@@ -184,8 +234,50 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Optional[Histogram]:
         return self._histograms.get(name)
 
+    def samples(self, name: str) -> List[float]:
+        return list(self._timers.get(name, ()))
+
+    def timer_stats(self, name: str) -> Dict[str, float]:
+        """count / total / mean / p50 / p95 / p99 (seconds, rounded to the
+        nanosecond) for one stage."""
+        values = self.samples(name)
+        total = sum(values)
+        stats = {
+            "count": float(len(values)),
+            "total_s": total,
+            "mean_s": total / len(values) if values else 0.0,
+            "p50_s": percentile(values, 50.0),
+            "p95_s": percentile(values, 95.0),
+            "p99_s": percentile(values, 99.0),
+        }
+        return {key: round(value, 9) for key, value in stats.items()}
+
+    def hit_rates(self, since: Optional[Dict[str, int]] = None) -> Dict[str, float]:
+        """Hit rate of every ``<name>.hit`` / ``<name>.miss`` counter
+        pair, key-sorted (0.0 when the cache was never consulted).
+        ``since`` — an earlier ``snapshot()["counters"]`` — restricts the
+        rates to what was counted after it."""
+        base = since or {}
+        names = {
+            name.rsplit(".", 1)[0]
+            for name in self._counters
+            if name.endswith((".hit", ".miss"))
+        }
+        rates = {}
+        for name in sorted(names):
+            hits, misses = (
+                self.counter(name + kind) - base.get(name + kind, 0)
+                for kind in (".hit", ".miss")
+            )
+            rates[name] = round(hits / (hits + misses), 6) if hits + misses else 0.0
+        return rates
+
     def snapshot(self) -> Dict[str, object]:
-        """Everything, JSON-ready and key-sorted (mergeable + diffable)."""
+        """Everything, JSON-ready and key-sorted (mergeable + diffable).
+
+        ``timers`` is empty unless durations were recorded, so a seeded
+        run with timing off snapshots identically every time.
+        """
         return {
             "counters": dict(sorted(self._counters.items())),
             "gauges": {
@@ -196,6 +288,9 @@ class MetricsRegistry:
                 name: self._histograms[name].as_dict()
                 for name in sorted(self._histograms)
             },
+            "timers": {
+                name: self.timer_stats(name) for name in sorted(self._timers)
+            },
         }
 
     # ------------------------------------------------------------------ #
@@ -205,7 +300,8 @@ class MetricsRegistry:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Counters and histogram buckets sum; gauges keep the maximum —
-        the only combiner that is independent of merge order.
+        the only combiner that is independent of merge order.  Timer
+        stats are percentiles of a raw window and are not merged.
         """
         for name, value in snapshot.get("counters", {}).items():  # type: ignore[union-attr]
             self.incr(name, int(value))
@@ -221,22 +317,6 @@ class MetricsRegistry:
             else:
                 existing.merge(incoming)
 
-    def absorb_perf(self, perf: PerfRegistry, prefix: str = "perf.") -> None:
-        """Absorb a :class:`~repro.perf.PerfRegistry` into this registry.
-
-        Counters copy one-to-one under ``prefix``; timer samples land in
-        fixed-bucket latency histograms.  This is the migration bridge:
-        the ad-hoc perf counters stay recorded where they are, and the
-        metrics document presents one unified view (parity between the
-        two is asserted by the test suite).
-        """
-        perf_snapshot = perf.snapshot()
-        for name, value in perf_snapshot["counters"].items():  # type: ignore[index]
-            self.incr(prefix + name, int(value))
-        for name in perf_snapshot["timers"]:  # type: ignore[attr-defined]
-            for sample in perf.samples(name):
-                self.observe(prefix + name, sample, boundaries=LATENCY_BOUNDARIES_S)
-
 
 #: The process-global registry every instrumented module records into.
 METRICS = MetricsRegistry()
@@ -247,22 +327,17 @@ METRICS = MetricsRegistry()
 # ---------------------------------------------------------------------- #
 def render_metrics_document(
     registry: MetricsRegistry,
-    perf: Optional[PerfRegistry] = None,
     tool: str = "repro metrics",
 ) -> Dict[str, object]:
-    """The schema-stable ``--metrics-out`` document.
-
-    ``perf`` (usually :data:`repro.perf.PERF`) contributes the wall-clock
-    side: its snapshot rides along verbatim under ``perf`` so one file
-    holds both the deterministic decision metrics and the timing.
-    """
+    """The schema-stable ``--metrics-out`` document: one file holds the
+    deterministic decision metrics and, under ``metrics.timers``, any
+    wall-clock stage timing recorded while the timing switch was on."""
     return {
         "meta": {
             "schema_version": SCHEMA_VERSION,
             "tool": tool,
         },
         "metrics": registry.snapshot(),
-        "perf": perf.snapshot() if perf is not None else None,
     }
 
 
@@ -286,30 +361,14 @@ def validate_metrics_document(doc: object) -> List[str]:
     if not isinstance(metrics, dict):
         problems.append("missing or non-object section 'metrics'")
     else:
-        for section in ("counters", "gauges", "histograms"):
+        for section in ("counters", "gauges", "histograms", "timers"):
             if not isinstance(metrics.get(section), dict):
                 problems.append(f"metrics.{section} missing or not an object")
         histograms = metrics.get("histograms")
         if isinstance(histograms, dict):
             for name, payload in histograms.items():
-                if not isinstance(payload, dict) or not (
-                    {"boundaries", "bucket_counts", "count"} <= set(payload)
-                ):
-                    problems.append(
-                        f"metrics.histograms[{name!r}] missing "
-                        "boundaries/bucket_counts/count"
-                    )
-                    continue
-                buckets = payload["bucket_counts"]
-                if (
-                    isinstance(buckets, list)
-                    and isinstance(payload["count"], int)
-                    and sum(int(b) for b in buckets) != payload["count"]
-                ):
-                    problems.append(
-                        f"metrics.histograms[{name!r}] bucket counts do not "
-                        "sum to count"
-                    )
-    if "perf" not in doc:
-        problems.append("section 'perf' missing (null is allowed)")
+                try:
+                    Histogram.from_dict(payload)
+                except (KeyError, TypeError, ValueError) as exc:
+                    problems.append(f"metrics.histograms[{name!r}]: {exc!r}")
     return problems

@@ -17,11 +17,14 @@ exports (the ``repro trace`` contract).  Production callers wanting real
 durations inject ``time.perf_counter`` — the trace *structure* stays
 identical either way, only the timestamps change.
 
-Overhead discipline mirrors :mod:`repro.perf`: the process-global
-:data:`TRACE` is disabled by default, and a disabled :meth:`Tracer.span`
-returns a shared no-op span whose methods do nothing — the linking hot
-path pays one attribute check per span site.  The tracer is per-process
-and single-threaded by design.
+Overhead discipline: the process-global :data:`TRACE` is disabled by
+default, and a disabled :meth:`Tracer.span` returns a shared no-op span
+whose methods do nothing — the linking hot path pays one attribute check
+per span site.  The tracer keeps one span stack and holds no lock, so it
+must only be enabled where one thread links at a time (``repro trace``,
+tests).  ``repro serve`` runs ``link()`` on ``ThreadingHTTPServer``
+handler threads and never enables it; while disabled, no tracer state is
+written, so concurrent handlers are safe.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Single-threaded span-tree collector with an injected clock.
+    """Span-tree collector with an injected clock (one thread at a time).
 
     Stack discipline guarantees well-formed trees: :meth:`span` parents
     the new span under the innermost open span (or starts a new trace),
@@ -212,7 +215,7 @@ class Tracer:
     def reset(self) -> None:
         """Drop all spans and restart ids (and an owned TickClock) at 0.
 
-        The switch state is kept, mirroring :meth:`PerfRegistry.reset`.
+        The switch state is kept, as in :meth:`MetricsRegistry.reset`.
         An *injected* clock is the caller's to reset — the tracer only
         re-zeroes the deterministic default it constructed itself.
         """

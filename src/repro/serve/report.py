@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.perf import percentile
+from repro.obs.metrics import percentile
 
 __all__ = [
     "LOAD_SCHEMA_VERSION",
@@ -157,8 +157,6 @@ def build_load_document(
 
 
 def _quantile(sorted_ms: List[float], q: float) -> float:
-    if not sorted_ms:
-        return 0.0
     return round(percentile(sorted_ms, q), 3)
 
 

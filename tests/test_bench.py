@@ -11,6 +11,7 @@ from repro.bench import (
     run_bench,
     validate_bench_document,
 )
+from repro.obs.metrics import METRICS
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +51,23 @@ class TestSmokeRun:
     def test_perf_section_populated(self, smoke_document):
         """The instrumented hot paths actually reported into the snapshot."""
         document, _ = smoke_document
-        counters = document["perf"]["counters"]
-        assert counters.get("graph.one_pass_bfs", 0) > 0
+        perf = document["perf"]
+        assert perf["counters"].get("graph.one_pass_bfs", 0) > 0
+        assert "score_cache.recency" in perf["cache_hit_rates"]
+        stages = document["single_mention"]["stages"]
+        assert set(stages) == {
+            "link.candidates", "link.interest", "link.recency",
+            "link.popularity", "link.combine",
+        }
+        for name, stats in stages.items():
+            assert set(stats) == {
+                "count", "total_s", "mean_s", "p50_s", "p95_s", "p99_s",
+            }
+            assert stats["count"] == document["single_mention"]["mentions"]
+            assert name in perf["timers"]
+
+    def test_timing_is_switched_off_afterwards(self, smoke_document):
+        assert not METRICS.timing
 
     def test_cached_section_outputs_identical(self, smoke_document):
         """The warm-cache run replays the same mentions through cached and

@@ -21,14 +21,14 @@ from repro.core.recency import (
     sliding_window_recency,
 )
 from repro.graph.digraph import DiGraph
-from repro.perf import PERF
+from repro.obs.metrics import METRICS
 
 
 @pytest.fixture(autouse=True)
-def clean_perf():
-    PERF.reset()
+def clean_metrics():
+    METRICS.reset()
     yield
-    PERF.reset()
+    METRICS.reset()
 
 
 # ---------------------------------------------------------------------- #
@@ -69,8 +69,8 @@ class TestEpochKeyedCache:
         cache.put("jordan", (1, 4), (0, 1, 2))
         assert cache.get("jordan", (1, 4)) == (0, 1, 2)
         assert cache.get("jordan", (2, 4)) is None  # epoch moved -> miss
-        assert PERF.counter("score_cache.test.hit") == 1
-        assert PERF.counter("score_cache.test.miss") == 1
+        assert METRICS.counter("score_cache.test.hit") == 1
+        assert METRICS.counter("score_cache.test.miss") == 1
 
     def test_stale_entry_overwritten_by_next_put(self):
         cache = EpochKeyedCache("score_cache.test", 8)
@@ -89,7 +89,7 @@ class TestEpochKeyedCache:
         assert cache.get("b", (0,)) is None
         assert cache.get("a", (0,)) == 1
         assert cache.get("c", (0,)) == 3
-        assert PERF.counter("score_cache.test.evictions") == 1
+        assert METRICS.counter("score_cache.test.evictions") == 1
 
     def test_lookup_computes_exactly_once_per_epoch(self):
         cache = EpochKeyedCache("score_cache.test", 8)
@@ -226,10 +226,10 @@ class TestIncrementalRecency:
             tiny_ckb, network, window=3 * DAY, burst_threshold=2
         )
         cached.scores([0, 1, 2], 8 * DAY)
-        misses = PERF.counter("score_cache.recency.miss")
+        misses = METRICS.counter("score_cache.recency.miss")
         cached.scores([0, 1, 2], 8 * DAY)
-        assert PERF.counter("score_cache.recency.miss") == misses
-        assert PERF.counter("score_cache.recency.hit") > 0
+        assert METRICS.counter("score_cache.recency.miss") == misses
+        assert METRICS.counter("score_cache.recency.hit") > 0
 
     def test_vector_key_survives_rebuild(self, tiny_ckb):
         """A replay that regresses time rebuilds the tracker but the
@@ -240,9 +240,9 @@ class TestIncrementalRecency:
         )
         cached.scores([0, 1, 2], 8 * DAY)
         cached.scores([0, 1, 2], 2 * DAY)  # regression -> rebuild
-        misses = PERF.counter("score_cache.recency.miss")
+        misses = METRICS.counter("score_cache.recency.miss")
         result = cached.scores([0, 1, 2], 8 * DAY)  # same vector as pass 1
-        assert PERF.counter("score_cache.recency.miss") == misses
+        assert METRICS.counter("score_cache.recency.miss") == misses
         assert result == propagated_recency(
             tiny_ckb, network, [0, 1, 2], 8 * DAY, 3 * DAY, 2
         )
@@ -256,7 +256,7 @@ class TestIncrementalRecency:
         cached.scores([0, 1], 1 * DAY)
         cached.scores([0, 1], 3 * DAY)
         cached.scores([0, 1], 5 * DAY)
-        assert PERF.counter("score_cache.recency.evictions") > 0
+        assert METRICS.counter("score_cache.recency.evictions") > 0
 
     def test_pre_advance_ignores_regressions(self, tiny_ckb):
         cached = IncrementalRecency(

@@ -6,7 +6,7 @@ through the *same* operation sequence, asserting the cached linker's
 output equals the uncached oracle's exactly (``==`` on the full ranked
 tuple, scores included: the contract is bit-identity, not tolerance).
 
-The second half pins invalidation *exactness* through PERF counter
+The second half pins invalidation *exactness* through METRICS counter
 deltas: an epoch bump must invalidate precisely the caches that depend
 on the mutated structure, and no others — conservative invalidation is
 allowed by the design, but the concrete mutators here have exact
@@ -23,14 +23,14 @@ import pytest
 from repro.config import DAY, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.graph.digraph import DiGraph
-from repro.perf import PERF
+from repro.obs.metrics import METRICS
 
 
 @pytest.fixture(autouse=True)
-def clean_perf():
-    PERF.reset()
+def clean_metrics():
+    METRICS.reset()
     yield
-    PERF.reset()
+    METRICS.reset()
 
 
 def _config(**overrides) -> LinkerConfig:
@@ -134,7 +134,7 @@ class TestInvalidationExactness:
 
     def _delta(self, cached, now=8 * DAY):
         before = {
-            name: PERF.counter(name)
+            name: METRICS.counter(name)
             for name in (
                 "score_cache.candidates.hit",
                 "score_cache.candidates.miss",
@@ -146,7 +146,7 @@ class TestInvalidationExactness:
         }
         cached.link("jordan", 10, now)
         return {
-            name: PERF.counter(name) - count for name, count in before.items()
+            name: METRICS.counter(name) - count for name, count in before.items()
         }
 
     def test_warm_path_all_hits(self, tiny_ckb):

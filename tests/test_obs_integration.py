@@ -252,5 +252,9 @@ class TestTraceCli:
         with open(out, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         assert validate_metrics_document(document) == []
+        assert document["meta"]["schema_version"] == 2
+        assert "perf" not in document
         # three scenarios, four link requests in total
         assert document["metrics"]["counters"]["link.requests"] == 4
+        # the cache counters ride in the same merged registry
+        assert document["metrics"]["counters"]["influential_cache.miss"] > 0

@@ -1,17 +1,19 @@
-"""Metrics registry: histograms, shard merging, perf absorption."""
+"""Metrics registry: histograms, shard merging, stage timers, documents."""
 
 import pytest
 
 from repro.obs.metrics import (
     COUNT_BOUNDARIES,
-    LATENCY_BOUNDARIES_S,
+    METRICS,
     SCORE_BOUNDARIES,
     Histogram,
     MetricsRegistry,
+    percentile,
     render_metrics_document,
     validate_metrics_document,
 )
-from repro.perf import PerfRegistry
+from repro.obs.scenarios import run_scenario
+from repro.obs.stage import stage
 
 
 class TestHistogram:
@@ -61,6 +63,45 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram.from_dict(payload)
 
+    def test_from_dict_rejects_count_disagreeing_with_buckets(self):
+        histogram = Histogram((1.0,))
+        histogram.observe(0.5)
+        payload = histogram.as_dict()
+        payload["count"] = 5
+        with pytest.raises(ValueError, match="bucket sum"):
+            Histogram.from_dict(payload)
+
+
+class TestPercentile:
+    def test_empty_is_zero_at_every_quantile(self):
+        for q in (0.0, 50.0, 100.0):
+            assert percentile([], q) == 0.0
+
+    def test_single_sample(self):
+        assert percentile([7.0], 0.0) == 7.0
+        assert percentile([7.0], 100.0) == 7.0
+
+    def test_nearest_rank_on_unsorted_input(self):
+        samples = [float(v) for v in range(10, 0, -1)]  # 10..1
+        assert percentile(samples, 50.0) == 5.0
+        assert percentile(samples, 95.0) == 10.0
+        assert percentile(samples, 10.0) == 1.0
+        assert percentile([2.0, 1.0], 0.0) == 1.0
+        assert percentile([2.0, 1.0], 50.0) == 1.0
+        assert percentile([2.0, 1.0], 51.0) == 2.0
+        assert percentile([2.0, 1.0], 100.0) == 2.0
+
+    def test_all_equal_samples(self):
+        samples = [4.2] * 9
+        for q in (0.0, 1.0, 50.0, 99.0, 100.0):
+            assert percentile(samples, q) == 4.2
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 101.0)
+        with pytest.raises(ValueError):
+            percentile([1.0], -1.0)
+
 
 class TestRegistry:
     def test_counters(self):
@@ -93,7 +134,144 @@ class TestRegistry:
             "counters": {},
             "gauges": {},
             "histograms": {},
+            "timers": {},
         }
+
+    def test_hit_rates_derive_from_hit_miss_pairs(self):
+        registry = MetricsRegistry()
+        registry.incr("cache.hit", 3)
+        registry.incr("cache.miss", 1)
+        registry.incr("cold.miss", 0)
+        registry.incr("bfs")
+        assert registry.hit_rates() == {"cache": 0.75, "cold": 0.0}
+        earlier = registry.snapshot()["counters"]
+        registry.incr("cache.miss", 2)
+        assert registry.hit_rates(since=earlier) == {"cache": 0.0, "cold": 0.0}
+
+
+class TestTimers:
+    def test_timing_off_records_nothing_counters_still_count(self):
+        registry = MetricsRegistry()
+        assert not registry.timing
+        registry.observe_duration("stage", 0.25)
+        registry.incr("always")
+        assert registry.samples("stage") == []
+        assert registry.snapshot()["timers"] == {}
+        assert registry.counter("always") == 1
+
+    def test_bounded_window(self):
+        registry = MetricsRegistry(max_samples=3)
+        registry.timing = True
+        for v in range(5):
+            registry.observe_duration("stage", float(v))
+        assert registry.samples("stage") == [2.0, 3.0, 4.0]
+        with pytest.raises(ValueError):
+            MetricsRegistry(max_samples=0)
+
+    def test_timer_stats(self):
+        registry = MetricsRegistry()
+        registry.timing = True
+        for v in (1.0, 2.0, 3.0, 4.0):
+            registry.observe_duration("stage", v)
+        stats = registry.timer_stats("stage")
+        assert stats["count"] == 4.0
+        assert stats["total_s"] == pytest.approx(10.0)
+        assert stats["mean_s"] == pytest.approx(2.5)
+        assert stats["p50_s"] == 2.0
+        assert stats["p99_s"] == 4.0
+        assert registry.snapshot()["timers"]["stage"]["count"] == 4.0
+        empty = registry.timer_stats("never_timed")
+        assert empty["count"] == 0.0 and empty["mean_s"] == 0.0
+        registry.observe_duration("once", 0.5)
+        once = registry.timer_stats("once")
+        assert once["count"] == 1.0
+        assert once["mean_s"] == once["p50_s"] == once["p99_s"] == 0.5
+        for _ in range(5):
+            registry.observe_duration("constant", 0.25)
+        constant = registry.timer_stats("constant")
+        assert constant["p50_s"] == constant["p99_s"] == 0.25
+        assert constant["total_s"] == pytest.approx(1.25)
+
+    def test_reset_drops_samples_and_keeps_the_switch(self):
+        registry = MetricsRegistry()
+        registry.timing = True
+        registry.observe_duration("stage", 1.0)
+        registry.reset()
+        assert registry.samples("stage") == []
+        assert registry.timing
+
+
+@pytest.fixture
+def clean_global_metrics():
+    METRICS.reset()
+    yield
+    METRICS.timing = False
+    METRICS.reset()
+
+
+STAGES = (
+    "link.candidates",
+    "link.interest",
+    "link.recency",
+    "link.popularity",
+    "link.combine",
+)
+
+
+class TestStage:
+    def test_off_is_the_shared_noop(self, clean_global_metrics):
+        with stage("quiet") as span:
+            assert not span.recording
+        assert stage("quiet") is stage("other", user=3)
+        assert METRICS.snapshot()["timers"] == {}
+
+    def test_times_the_block_while_timing_is_on(self, clean_global_metrics):
+        METRICS.timing = True
+        with stage("timed") as span:
+            assert not span.recording  # timing on, tracing still off
+        assert len(METRICS.samples("timed")) == 1
+        assert METRICS.samples("timed")[0] >= 0.0
+
+    def test_linker_stages_timed(self, small_context, clean_global_metrics):
+        """The link() hot path records its stage breakdown when enabled."""
+        linker = small_context.social_temporal()._linker
+        tweet = small_context.test_dataset.tweets[0]
+        mention = tweet.mentions[0]
+        linker.link(mention.surface, tweet.user, tweet.timestamp)
+        assert METRICS.snapshot()["timers"] == {}
+        METRICS.timing = True
+        linker.link(mention.surface, tweet.user, tweet.timestamp)
+        assert all(len(METRICS.samples(name)) == 1 for name in STAGES)
+
+    def test_batch_path_times_the_same_stages(
+        self, small_context, clean_global_metrics
+    ):
+        from repro.core.batch import LinkRequest, MicroBatchLinker
+
+        linker = small_context.social_temporal()._linker
+        tweet = small_context.test_dataset.tweets[0]
+        request = LinkRequest(
+            tweet.mentions[0].surface, tweet.user, tweet.timestamp
+        )
+        METRICS.timing = True
+        MicroBatchLinker(linker).link_batch([request])
+        assert all(len(METRICS.samples(name)) == 1 for name in STAGES)
+
+
+class TestSeededSnapshots:
+    @pytest.mark.parametrize("name", ["normal", "abstention", "degraded"])
+    def test_trace_scenario_snapshot_repeats(self, name):
+        """Cache counters moved into METRICS are decisions too: a seeded
+        scenario run twice snapshots identically."""
+        _, first, _ = run_scenario(name)
+        _, second, _ = run_scenario(name)
+        assert first == second
+        assert first["timers"] == {}
+        if name != "degraded":  # the degraded index fails before any lookup
+            assert any(
+                counter.startswith(("influential_cache.", "online_bfs."))
+                for counter in first["counters"]
+            )
 
 
 class TestMerge:
@@ -135,44 +313,18 @@ class TestMerge:
         assert forward.snapshot() == backward.snapshot()
 
 
-class TestAbsorbPerf:
-    def test_counters_copy_with_parity(self):
-        perf = PerfRegistry()
-        perf.incr("online_bfs.hit", 3)
-        perf.incr("online_bfs.miss", 1)
-        registry = MetricsRegistry()
-        registry.absorb_perf(perf)
-        snapshot = perf.snapshot()
-        for name, value in snapshot["counters"].items():
-            assert registry.counter("perf." + name) == value
-
-    def test_timer_samples_become_latency_histograms(self):
-        perf = PerfRegistry()
-        for sample in (0.001, 0.2, 3.0):
-            perf.observe("link.interest", sample)
-        registry = MetricsRegistry()
-        registry.absorb_perf(perf)
-        histogram = registry.histogram("perf.link.interest")
-        assert histogram.boundaries == LATENCY_BOUNDARIES_S
-        assert histogram.count == 3
-        assert sum(histogram.bucket_counts) == 3
-
-
 class TestDocument:
     def test_render_and_validate(self):
         registry = MetricsRegistry()
         registry.incr("link.requests")
         registry.observe("sizes", 2.0)
-        perf = PerfRegistry()
-        perf.incr("bfs")
-        document = render_metrics_document(registry, perf=perf)
+        registry.timing = True
+        registry.observe_duration("link.interest", 0.002)
+        document = render_metrics_document(registry)
         assert validate_metrics_document(document) == []
-        assert document["perf"]["counters"] == {"bfs": 1}
-
-    def test_render_without_perf(self):
-        document = render_metrics_document(MetricsRegistry())
-        assert document["perf"] is None
-        assert validate_metrics_document(document) == []
+        assert document["meta"]["schema_version"] == 2
+        assert "perf" not in document
+        assert document["metrics"]["timers"]["link.interest"]["count"] == 1.0
 
     def test_validator_flags_problems(self):
         assert validate_metrics_document([]) != []
