@@ -188,7 +188,7 @@ class MutatorListenerParityRule(ProjectRule):
     severity = Severity.ERROR
     summary = (
         "epoch-bumping mutators on listener-bearing classes must notify "
-        "their listeners (sliding-window counts depend on the feed)"
+        "their listeners"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -230,8 +230,8 @@ class MutatorListenerParityRule(ProjectRule):
                                 f"{cls.name}.{method}() bumps epoch "
                                 f"{sorted(bumped)[0]!r} without notifying "
                                 f"{cls.listener_attrs[0]}; subscribers "
-                                "(BurstTracker's window counts) silently "
-                                "miss this mutation — notify the listeners "
+                                "silently miss this mutation — notify the "
+                                "listeners "
                                 "(or delegate to a mutator that does)"
                             ),
                             severity=self.severity,

@@ -1,41 +1,25 @@
-"""Incremental computation for the scoring hot path (DESIGN.md §10).
+"""Epoch-keyed memoization for the scoring hot path (DESIGN.md §10).
 
-Two complementary mechanisms keep warm-stream linking fast without ever
-changing a score:
-
-* **epochs** — monotone version counters owned by the mutable structures
-  (:class:`~repro.kb.knowledgebase.Knowledgebase`,
-  :class:`~repro.kb.complemented.ComplementedKnowledgebase`,
-  :class:`~repro.graph.digraph.DiGraph`); every mutator bumps its owner,
-  so memoized candidate/popularity/interest results invalidate
-  structurally;
-* **delta maintenance** — :class:`~repro.cache.burst.BurstTracker` keeps
-  Eq. 9 sliding-window counts as arrival/expiry deltas, and the Eq. 11
-  propagation memoizes per-cluster fixed points on each cluster's
-  burst-gated input vector, recomputing only clusters whose raw burst
-  input actually changed.
+**Epochs** are monotone version counters owned by the mutable structures
+(:class:`~repro.kb.knowledgebase.Knowledgebase`,
+:class:`~repro.kb.complemented.ComplementedKnowledgebase`,
+:class:`~repro.graph.digraph.DiGraph`); every mutator bumps its owner,
+so memoized candidate/popularity/interest results invalidate
+structurally.  Recency is not cached — it is one row-dot per candidate
+over a precomputed operator (:mod:`repro.core.recency`).
 
 Disabled by default (``LinkerConfig.score_caching``); when enabled the
-output is bit-identical to the uncached path — the uncached code stays
-in place as the parity oracle.
+output is bit-identical to the uncached path.
 """
 
 from __future__ import annotations
 
-from repro.cache.burst import BurstTracker
 from repro.cache.epochs import Epoch
-from repro.cache.scores import (
-    EpochKeyedCache,
-    IncrementalRecency,
-    ScoreCaches,
-    hit_rate_names,
-)
+from repro.cache.scores import EpochKeyedCache, ScoreCaches, hit_rate_names
 
 __all__ = [
-    "BurstTracker",
     "Epoch",
     "EpochKeyedCache",
-    "IncrementalRecency",
     "ScoreCaches",
     "hit_rate_names",
 ]

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--cached", action="store_true",
-        help="enable the incremental score caches (repro.cache); output is "
+        help="enable the epoch-keyed score memos (repro.cache); output is "
         "bit-identical to the uncached path",
     )
 
@@ -612,9 +612,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         validator=TweetValidator(known_users=range(world.num_users)),
         lateness=args.lateness,
         seen_ids=seen_ids,
-        # the release low-water mark drives sliding-window maintenance off
-        # the per-mention path when the score caches are on
-        advance_hook=linker.caches.pre_advance if linker.caches else None,
     )
 
     tweets = context.test_dataset.tweets

@@ -84,7 +84,7 @@ class LinkerConfig:
     #: A long stream of distinct (entity, candidate-set) keys would
     #: otherwise grow the cache without limit.
     influential_cache_size: int = 4096
-    #: Enable the incremental score caches of :mod:`repro.cache`
+    #: Enable the epoch-keyed score memos of :mod:`repro.cache`
     #: (DESIGN.md §10).  Off by default so baseline runs and golden traces
     #: are untouched; when on, the linker's output is bit-identical to the
     #: uncached path.

@@ -241,16 +241,11 @@ class SocialTemporalLinker:
         # distinct keys cannot grow it without limit.
         self._influential_cache: "OrderedDict[Tuple[int, Tuple[int, ...]], Tuple[int, List[int]]]" = OrderedDict()
         self._entity_versions: Dict[int, int] = {}
-        # Incremental score caches (DESIGN.md §10): off by default, and
-        # bit-identical to the uncached path when on.
-        self._caches: Optional[ScoreCaches] = None
-        if config.score_caching:
-            self._caches = ScoreCaches(
-                ckb,
-                graph,
-                network=self._propagation if config.recency_propagation else None,
-                config=config,
-            )
+        # Epoch-keyed candidate / popularity / interest memos (DESIGN.md
+        # §10): off by default, and bit-identical to the uncached path.
+        self._caches: Optional[ScoreCaches] = (
+            ScoreCaches(ckb, graph) if config.score_caching else None
+        )
 
     # ------------------------------------------------------------------ #
     # properties
@@ -474,7 +469,7 @@ class SocialTemporalLinker:
         key = (entity_id, key_suffix)
         cached = self._influential_cache.get(key)
         if cached is not None and cached[0] == version:
-            self._influential_cache.move_to_end(key)
+            self._mark_recently_used(key)
             METRICS.incr("influential_cache.hit")
             return cached[1]
         METRICS.incr("influential_cache.miss")
@@ -486,17 +481,28 @@ class SocialTemporalLinker:
             method=self._config.influence_method,
         )
         self._influential_cache[key] = (version, influential)
-        self._influential_cache.move_to_end(key)
+        self._mark_recently_used(key)
         while len(self._influential_cache) > self._config.influential_cache_size:
             self._influential_cache.popitem(last=False)
             METRICS.incr("influential_cache.evictions")
         return influential
 
+    def _mark_recently_used(self, key: Tuple[int, Tuple[int, ...]]) -> None:
+        """LRU touch that survives a concurrent eviction.
+
+        The serve handler threads share this cache without a lock; another
+        thread's ``popitem`` can land between this thread's read (or
+        insert) and its touch.  The ranking already in hand is still
+        current, so the lost entry is only a future miss.
+        """
+        try:
+            self._influential_cache.move_to_end(key)
+        except KeyError:
+            pass
+
     def _recency_scores(
         self, candidates: Sequence[int], now: float
     ) -> Dict[int, float]:
-        if self._caches is not None:
-            return self._caches.recency.scores(candidates, now)
         if self._propagation is not None and self._config.recency_propagation:
             return propagated_recency(
                 self._ckb,

@@ -14,14 +14,21 @@ the knowledgebase:
 3. edges below ``θ2`` are cut, and the surviving connected components form
    the clusters inside which a PageRank-style iteration (Eq. 11) runs.
 
-At query time only the components containing candidate entities are
-propagated — the constraint that makes the model fast enough for the
-0.5 ms/tweet budget of Sec. 5.2.2.
+Eq. 11 is linear in the initial vector, so its ``k`` steps are folded at
+construction into one dense operator per cluster (``S^k = M·S⁰``, see
+:meth:`RecencyPropagationNetwork._build_operators`).  At query time only
+the clusters containing candidate entities are touched, and each
+candidate costs one row of ``M`` dotted with its cluster's bursting
+members — the constraint that makes the model fast enough for the
+0.5 ms/tweet budget of Sec. 5.2.2.  The iteration itself survives as the
+test oracle (:func:`repro.testing.oracles.propagate_by_iteration`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
@@ -57,7 +64,6 @@ class RecencyPropagationNetwork:
         relatedness_threshold: float,
         propagation_lambda: float,
         max_iterations: int = 6,
-        tolerance: float = 1e-5,
     ) -> None:
         if not 0.0 <= relatedness_threshold <= 1.0:
             raise ValueError("relatedness_threshold must be in [0, 1]")
@@ -67,11 +73,14 @@ class RecencyPropagationNetwork:
         self._threshold = relatedness_threshold
         self._lambda = propagation_lambda
         self._max_iterations = max_iterations
-        self._tolerance = tolerance
         # adjacency: entity -> [(neighbor, normalized weight P(e_i, e_j))]
         self._edges: Dict[int, List[Tuple[int, float]]] = {}
-        self._component_of: Dict[int, int] = {}
         self._components: List[List[int]] = []
+        # one dense Eq. 11 operator per cluster, rows and columns in
+        # component_members order
+        self._operators: List[np.ndarray] = []
+        # entity -> (cluster index, the entity's row of that operator)
+        self._rows: Dict[int, Tuple[int, np.ndarray]] = {}
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -89,6 +98,7 @@ class RecencyPropagationNetwork:
             self._edges.setdefault(a, []).append((b, weight / weight_sums[a]))
             self._edges.setdefault(b, []).append((a, weight / weight_sums[b]))
         self._find_components()
+        self._build_operators()
 
     def _co_candidate_pairs(self) -> Set[Tuple[int, int]]:
         """Entity pairs sharing a surface form — never connected (heuristic 1)."""
@@ -140,10 +150,32 @@ class RecencyPropagationNetwork:
                     if neighbor not in seen:
                         seen.add(neighbor)
                         stack.append(neighbor)
-            index = len(self._components)
             self._components.append(sorted(component))
-            for node in component:
-                self._component_of[node] = index
+
+    def _build_operators(self) -> None:
+        """Fold the ``k = max_iterations`` steps of Eq. 11 into one matrix.
+
+        ``S^i = λ·S⁰ + Q·S^{i-1}`` with ``Q = (1-λ)·P`` is linear in
+        ``S⁰``, so ``S^k = M·S⁰`` where ``M_0 = I`` and
+        ``M_i = λ·I + Q·M_{i-1}``, i.e. ``M = λ·Σ_{i<k} Qⁱ + Qᵏ``.  ``M``
+        depends only on the KB's link structure, ``θ2``, ``λ`` and ``k``
+        — never on the burst counts — and costs ``Σ n_c²`` floats.
+        """
+        damping = 1.0 - self._lambda
+        for index, members in enumerate(self._components):
+            position = {entity_id: row for row, entity_id in enumerate(members)}
+            size = len(members)
+            step = np.zeros((size, size))
+            for entity_id, row in position.items():
+                for neighbor, weight in self._edges[entity_id]:
+                    step[row, position[neighbor]] = damping * weight
+            restart = self._lambda * np.eye(size)
+            operator = np.eye(size)
+            for _ in range(self._max_iterations):
+                operator = restart + step @ operator
+            self._operators.append(operator)
+            for entity_id, row in position.items():
+                self._rows[entity_id] = (index, operator[row])
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -156,98 +188,74 @@ class RecencyPropagationNetwork:
     def num_components(self) -> int:
         return len(self._components)
 
+    @property
+    def propagation_lambda(self) -> float:
+        """:math:`\\lambda` of Eq. 11 — the restart weight on ``S⁰``."""
+        return self._lambda
+
+    @property
+    def max_iterations(self) -> int:
+        """``k`` — the number of Eq. 11 steps folded into the operators."""
+        return self._max_iterations
+
     def neighbors(self, entity_id: int) -> List[Tuple[int, float]]:
         """Propagation neighbors with normalized transition weights."""
         return list(self._edges.get(entity_id, ()))
 
     def component(self, entity_id: int) -> List[int]:
         """The cluster containing ``entity_id`` (singleton if isolated)."""
-        index = self._component_of.get(entity_id)
-        if index is None:
+        located = self._rows.get(entity_id)
+        if located is None:
             return [entity_id]
-        return list(self._components[index])
+        return list(self._components[located[0]])
 
     def component_index(self, entity_id: int) -> Optional[int]:
-        """Stable index of the entity's cluster; ``None`` when isolated.
-
-        The incremental recency cache keys its per-cluster fixed points
-        on this index.
-        """
-        return self._component_of.get(entity_id)
+        """Stable index of the entity's cluster; ``None`` when isolated."""
+        located = self._rows.get(entity_id)
+        return None if located is None else located[0]
 
     def component_members(self, index: int) -> List[int]:
         """Members of cluster ``index``, sorted (construction order)."""
         return self._components[index]
 
+    def operator(self, index: int) -> np.ndarray:
+        """The Eq. 11 operator ``M`` of cluster ``index``: entry ``[i, j]``
+        is what a unit of raw recency on member ``j`` contributes to
+        member ``i`` after ``max_iterations`` steps (members in
+        :meth:`component_members` order).  Callers must not write to it."""
+        return self._operators[index]
+
+    def operator_row(self, entity_id: int) -> Optional[Tuple[int, np.ndarray]]:
+        """``(cluster index, the entity's row of that cluster's operator)``;
+        ``None`` when the entity is isolated (propagation is then the
+        identity on it)."""
+        return self._rows.get(entity_id)
+
     # ------------------------------------------------------------------ #
     # propagation
     # ------------------------------------------------------------------ #
     def propagate(self, initial: Dict[int, float]) -> Dict[int, float]:
-        """Eq. 11 — iterate ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}`` to convergence.
+        """Eq. 11 — ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}``, ``max_iterations`` times.
 
         ``initial`` maps entity → raw recency; entities missing from the map
-        have initial recency 0.  Only components touching a nonzero initial
-        entry (or an entity listed in ``initial``) are iterated.
+        have initial recency 0.  Only clusters holding an entity listed in
+        ``initial`` are computed, each as ``M·S⁰`` over the whole cluster.
 
-        The fixed-point map is linear in the initial vector and the linker
-        renormalizes the result over the candidate set, so the default
-        ``max_iterations = 6`` (residual < 2% of mass at λ = 0.5) yields
-        rankings indistinguishable from full convergence at a fraction of
-        the cost — the 0.5 ms/tweet budget of Sec. 5.2.2 is spent here.
+        The step count is fixed: the linker renormalizes the result over
+        the candidate set, so the default ``max_iterations = 6`` (residual
+        < 2% of mass at λ = 0.5) yields rankings indistinguishable from
+        full convergence.
         """
-        touched: Set[int] = set()
-        for entity_id in initial:
-            index = self._component_of.get(entity_id)
-            if index is not None:
-                touched.add(index)
+        touched = {self.component_index(entity_id) for entity_id in initial}
         result = dict(initial)
-        for index in touched:
-            component = self._components[index]
-            scores = {e: initial.get(e, 0.0) for e in component}
-            if not any(scores.values()):
+        for index in touched - {None}:
+            members = self._components[index]
+            vector = [initial.get(entity_id, 0.0) for entity_id in members]
+            if not any(vector):
                 continue  # nothing to diffuse — the common no-burst case
-            result.update(self._iterate_component(component, scores))
+            propagated = self._operators[index] @ vector
+            result.update(zip(members, propagated.tolist()))
         return result
-
-    def propagate_component(
-        self, index: int, initial: Dict[int, float]
-    ) -> Dict[int, float]:
-        """Eq. 11 fixed point for a single cluster.
-
-        ``initial`` maps entity → raw recency for members of cluster
-        ``index`` (missing members default to 0).  Same arithmetic as the
-        matching cluster pass inside :meth:`propagate` — the incremental
-        recency cache calls this per dirty cluster and must stay
-        bit-identical to the full recompute.
-        """
-        component = self._components[index]
-        scores = {e: initial.get(e, 0.0) for e in component}
-        if not any(scores.values()):
-            return scores
-        return self._iterate_component(component, scores)
-
-    def _iterate_component(
-        self, component: Sequence[int], scores: Dict[int, float]
-    ) -> Dict[int, float]:
-        """Run the damped iteration on one cluster until convergence."""
-        base = dict(scores)
-        for _ in range(self._max_iterations):
-            delta = 0.0
-            fresh: Dict[int, float] = {}
-            for entity_id in component:
-                incoming = sum(
-                    weight * scores[neighbor]
-                    for neighbor, weight in self._edges.get(entity_id, ())
-                )
-                value = (
-                    self._lambda * base[entity_id] + (1.0 - self._lambda) * incoming
-                )
-                fresh[entity_id] = value
-                delta += abs(value - scores[entity_id])
-            scores = fresh
-            if delta < self._tolerance:
-                break
-        return scores
 
 
 def propagated_recency(
@@ -260,20 +268,30 @@ def propagated_recency(
 ) -> Dict[int, float]:
     """Candidate recency with cluster reinforcement, normalized per Eq. 9.
 
-    Raw (burst-gated) recency is gathered for every entity in the clusters
-    of the candidates, propagated per Eq. 11, and the candidates' final
+    Raw (burst-gated) recency is gathered once per call for every member
+    of the candidates' clusters; each candidate's propagated value is its
+    operator row dotted with the bursting members (Eq. 11), and the
     values are re-normalized over the candidate set so the feature remains
     comparable with the non-propagated variant.
     """
-    cluster_entities: Set[int] = set()
+    # cluster index -> [(column, gated count)] of its bursting members
+    bursts: Dict[int, List[Tuple[int, float]]] = {}
+    values: Dict[int, float] = {}
     for entity_id in candidates:
-        cluster_entities.update(network.component(entity_id))
-    initial: Dict[int, float] = {}
-    for entity_id in cluster_entities:
-        count = ckb.recent_count(entity_id, now, window)
-        initial[entity_id] = float(count) if count >= burst_threshold else 0.0
-    propagated = network.propagate(initial)
-    values = {entity_id: propagated.get(entity_id, 0.0) for entity_id in candidates}
+        located = network.operator_row(entity_id)
+        if located is None:
+            count = ckb.recent_count(entity_id, now, window)
+            values[entity_id] = float(count) if count >= burst_threshold else 0.0
+            continue
+        index, row = located
+        burst = bursts.get(index)
+        if burst is None:
+            burst = bursts[index] = []
+            for column, member in enumerate(network.component_members(index)):
+                count = ckb.recent_count(member, now, window)
+                if count >= burst_threshold:
+                    burst.append((column, float(count)))
+        values[entity_id] = float(sum(row[column] * raw for column, raw in burst))
     total = sum(values.values())
     if total == 0.0:
         return {entity_id: 0.0 for entity_id in candidates}

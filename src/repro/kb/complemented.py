@@ -47,9 +47,6 @@ class ComplementedKnowledgebase:
         #: mutator (CACHE-001), so memoized popularity/interest shares
         #: invalidate structurally when links arrive or are pruned.
         self.link_epoch = Epoch()
-        # objects with on_link(entity_id, timestamp) / on_prune(cutoff),
-        # e.g. repro.cache.BurstTracker — notified on every mutation
-        self._link_listeners: List[object] = []
 
     @property
     def kb(self) -> Knowledgebase:
@@ -85,8 +82,6 @@ class ComplementedKnowledgebase:
         self._user_counts.setdefault(entity_id, Counter())[user] += 1
         self._total_links += 1
         self.link_epoch.bump()
-        for listener in self._link_listeners:
-            listener.on_link(entity_id, timestamp)  # type: ignore[attr-defined]
 
     def bulk_link(
         self, links: Iterable[Tuple[int, int, float]]
@@ -124,23 +119,7 @@ class ComplementedKnowledgebase:
                 del self._user_counts[entity_id]
         self._total_links -= removed
         self.link_epoch.bump()
-        for listener in self._link_listeners:
-            listener.on_prune(cutoff)  # type: ignore[attr-defined]
         return removed
-
-    def add_link_listener(self, listener: object) -> None:
-        """Subscribe to link mutations.
-
-        ``listener`` must expose ``on_link(entity_id, timestamp)`` and
-        ``on_prune(cutoff)``; :class:`repro.cache.BurstTracker` uses this
-        to maintain sliding-window counts as deltas instead of rescans.
-        """
-        self._link_listeners.append(listener)
-
-    def remove_link_listener(self, listener: object) -> None:
-        """Unsubscribe; unknown listeners are ignored."""
-        if listener in self._link_listeners:
-            self._link_listeners.remove(listener)
 
     # ------------------------------------------------------------------ #
     # paper notation accessors
@@ -181,14 +160,6 @@ class ComplementedKnowledgebase:
         low = bisect.bisect_left(timestamps, now - window)
         high = bisect.bisect_right(timestamps, now)
         return high - low
-
-    def timestamps_of(self, entity_id: int) -> Sequence[float]:
-        """The entity's link timestamps, sorted ascending.
-
-        The rebuild feed for :class:`repro.cache.BurstTracker` — callers
-        must not mutate the returned list.
-        """
-        return self._timestamps.get(entity_id, [])
 
     def linked_entities(self) -> List[int]:
         """Entity ids with at least one linked tweet."""

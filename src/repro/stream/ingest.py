@@ -217,12 +217,9 @@ class ResilientIngestor:
         waits are recorded in :attr:`total_backoff`).
     advance_hook:
         Optional callback invoked with the *earliest* timestamp of every
-        non-empty release batch — a stream low-water mark.  The cached
-        linker wires this to
-        :meth:`repro.cache.ScoreCaches.pre_advance` so sliding-window
-        maintenance is amortized off the per-mention path; by release
-        ordering the earliest released timestamp never exceeds any query
-        time in the batch, so the forward-only tracker advance is safe.
+        non-empty release batch — a stream low-water mark: by release
+        ordering it never exceeds any query time in the batch.  Nothing
+        in ``src/`` passes one; ``perfbench/inprocess.py`` does.
     """
 
     def __init__(

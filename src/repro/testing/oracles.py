@@ -1,11 +1,12 @@
-"""Reference implementations the shipped reachability providers are tested against.
+"""Reference implementations the shipped algorithms are tested against.
 
 Nothing here serves a mention: ``repro.graph`` ships the dense transitive
 closure, the compact 2-hop cover, cached online BFS and the dynamic
 closure, and :func:`repro.graph.build_reachability_index` picks between
-the first two.  These are the slower, more literal versions of the same
-algorithms, kept as oracles for the property battery, ``repro bench``'s
-identity gates and the paper's index tables (``benchmarks/``):
+the first two; ``repro.core.recency`` ships Eq. 11 as one precomputed
+operator per cluster.  These are the slower, more literal versions of the
+same algorithms, kept as oracles for the property battery, ``repro
+bench``'s identity gates and the paper's index tables (``benchmarks/``):
 
 * :class:`TwoHopCover` / :func:`build_two_hop_cover` — Algorithm 2 as
   dict-of-dicts with one Python ``set`` per out-entry; the compact cover
@@ -15,25 +16,33 @@ identity gates and the paper's index tables (``benchmarks/``):
   one BFS per node pair.
 * :func:`weighted_reachability_from_per_target` — the pre-one-pass
   single-source Eq. 4, one backward DAG walk per target.
+* :func:`propagate_by_iteration` / :func:`propagated_recency_by_iteration`
+  — Eq. 9–11 as the paper writes them: gather every cluster member's
+  gated count, then sweep ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}`` in Python.
+  ``propagated_recency`` must agree to 1e-12 on every normalized share.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
+from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.compact_labels import INF, _landmark_order
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
+from repro.kb.complemented import ComplementedKnowledgebase
 
 __all__ = [
     "TwoHopCover",
     "build_transitive_closure_naive",
     "build_two_hop_cover",
+    "propagate_by_iteration",
+    "propagated_recency_by_iteration",
     "weighted_reachability_from_per_target",
 ]
 
@@ -341,3 +350,70 @@ def weighted_reachability_from_per_target(
         followees = followees_on_shortest_paths(graph, source, dist, preds, target)
         result[target] = (1.0 / d_uv) * (len(followees) / num_followees)
     return result
+
+
+def propagate_by_iteration(
+    network: RecencyPropagationNetwork,
+    initial: Dict[int, float],
+    tolerance: Optional[float] = None,
+) -> Dict[int, float]:
+    """Eq. 11 by sweeping: the loop ``RecencyPropagationNetwork`` ran per
+    mention before it folded the steps into one operator per cluster.
+
+    Same contract as :meth:`RecencyPropagationNetwork.propagate`.  Runs
+    ``network.max_iterations`` sweeps; ``tolerance`` restores the old
+    early exit (stop once a sweep moves the cluster by less than that in
+    L1), which the shipped fixed-``k`` operator does not have.
+    """
+    touched = {
+        network.component_index(entity_id) for entity_id in initial
+    } - {None}
+    result = dict(initial)
+    restart = network.propagation_lambda
+    for index in touched:
+        component = network.component_members(index)
+        base = {e: initial.get(e, 0.0) for e in component}
+        if not any(base.values()):
+            continue
+        scores = base
+        for _ in range(network.max_iterations):
+            delta = 0.0
+            fresh: Dict[int, float] = {}
+            for entity_id in component:
+                incoming = sum(
+                    weight * scores[neighbor]
+                    for neighbor, weight in network.neighbors(entity_id)
+                )
+                value = restart * base[entity_id] + (1.0 - restart) * incoming
+                fresh[entity_id] = value
+                delta += abs(value - scores[entity_id])
+            scores = fresh
+            if tolerance is not None and delta < tolerance:
+                break
+        result.update(scores)
+    return result
+
+
+def propagated_recency_by_iteration(
+    ckb: ComplementedKnowledgebase,
+    network: RecencyPropagationNetwork,
+    candidates: Sequence[int],
+    now: float,
+    window: float,
+    burst_threshold: int,
+    tolerance: Optional[float] = None,
+) -> Dict[int, float]:
+    """Eq. 9–11 end to end, the literal way: gate every member of every
+    candidate's cluster, iterate, read the candidates off, normalize.
+    The oracle for :func:`repro.core.recency.propagated_recency`."""
+    initial: Dict[int, float] = {}
+    for candidate in candidates:
+        for entity_id in network.component(candidate):
+            count = ckb.recent_count(entity_id, now, window)
+            initial[entity_id] = float(count) if count >= burst_threshold else 0.0
+    propagated = propagate_by_iteration(network, initial, tolerance)
+    values = {entity_id: propagated[entity_id] for entity_id in candidates}
+    total = sum(values.values())
+    if total == 0.0:
+        return {entity_id: 0.0 for entity_id in candidates}
+    return {entity_id: value / total for entity_id, value in values.items()}

@@ -53,7 +53,7 @@ class TestSmokeRun:
         document, _ = smoke_document
         perf = document["perf"]
         assert perf["counters"].get("graph.one_pass_bfs", 0) > 0
-        assert "score_cache.recency" in perf["cache_hit_rates"]
+        assert "score_cache.interest" in perf["cache_hit_rates"]
         stages = document["single_mention"]["stages"]
         assert set(stages) == {
             "link.candidates", "link.interest", "link.recency",
@@ -77,9 +77,7 @@ class TestSmokeRun:
         assert cached["outputs_identical"] is True
         assert cached["mentions"] > 0
         assert cached["speedup_vs_uncached"] > 0
-        assert set(cached["hit_rates"]) == {
-            "candidates", "popularity", "interest", "recency",
-        }
+        assert set(cached["hit_rates"]) == {"candidates", "popularity", "interest"}
         for rate in cached["hit_rates"].values():
             assert 0.0 <= rate <= 1.0
 

@@ -1,10 +1,13 @@
-"""Property suite for the PR-5 score caches: the bit-identity contract.
+"""Property suite for the epoch-keyed score memos: the bit-identity contract.
 
 Two linkers share one world — same complemented KB, same follow graph,
 same config except ``score_caching`` — and every test drives both
 through the *same* operation sequence, asserting the cached linker's
-output equals the uncached oracle's exactly (``==`` on the full ranked
+output equals the uncached one's exactly (``==`` on the full ranked
 tuple, scores included: the contract is bit-identity, not tolerance).
+Recency is not memoized — both linkers call the one
+``propagated_recency`` — so what is held here is that a candidate,
+popularity or interest memo never serves a stale share.
 
 The second half pins invalidation *exactness* through METRICS counter
 deltas: an epoch bump must invalidate precisely the caches that depend
@@ -190,8 +193,8 @@ class TestInvalidationExactness:
         assert delta["score_cache.interest.miss"] == 1
 
     def test_window_slide_leaves_epoch_caches_alone(self, tiny_ckb):
-        """Time moving forward is not a structural mutation: only the
-        recency layer reacts (through the tracker), the memo tables hit."""
+        """Time moving forward is not a structural mutation: recency is
+        recomputed (it is never memoized), the memo tables hit."""
         _, cached, _ = _pair(tiny_ckb)
         self._warm(cached)
         delta = self._delta(cached, now=9 * DAY)

@@ -1,11 +1,14 @@
 """SocialTemporalLinker end-to-end behaviour on the Fig.-1 miniature."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.config import DAY, LinkerConfig
 from repro.core.linker import LinkResult, ScoredCandidate, SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
+from repro.obs.metrics import METRICS
 from repro.stream.tweet import MentionSpan, Tweet
 
 
@@ -219,6 +222,30 @@ class TestInfluentialCacheBound:
             assert a.candidates == b.candidates
             for ca, cb in zip(a.ranked, b.ranked):
                 assert ca.score == pytest.approx(cb.score)
+
+    def test_hit_survives_eviction_by_another_thread(self, tiny_ckb, social_graph):
+        """Serve's handler threads share the cache without a lock: another
+        thread's ``popitem`` can land between a hit's ``get`` and its LRU
+        touch.  Injected here deterministically — the hit must still
+        return the ranking it read, not raise ``KeyError`` (a 500)."""
+
+        class EvictedAfterRead(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not None:
+                    self.popitem(last=False)  # the other thread's eviction
+                return value
+
+        linker = self._linker(tiny_ckb, social_graph, size=1)
+        ranking = linker._influential_users(4, (4,), (4,))
+        assert set(linker._influential_cache) == {(4, (4,))}
+        linker._influential_cache = EvictedAfterRead(linker._influential_cache)
+        hits = METRICS.counter("influential_cache.hit")
+        assert linker._influential_users(4, (4,), (4,)) == ranking
+        assert METRICS.counter("influential_cache.hit") == hits + 1
+        assert len(linker._influential_cache) == 0
+        # and the whole mention still links, re-filling the cache
+        assert linker.link("nba", user=0, now=8 * DAY).best.entity_id == 4
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ class TestPropagation:
     def test_convergence_fixed_point(self, tiny_kb):
         network = RecencyPropagationNetwork(
             tiny_kb, relatedness_threshold=0.1, propagation_lambda=0.5,
-            max_iterations=200, tolerance=1e-12,
+            max_iterations=200,
         )
         initial = {4: 10.0, 3: 2.0}
         result = network.propagate(initial)
