@@ -8,8 +8,7 @@ interface hygiene
 (**API**), and — via the whole-program layer
 (:mod:`repro.analysis.project`) — the *cross-module* generalizations of
 all of the above (**FLOW**): interprocedural determinism taint, the
-serve exception contract, mutator/listener parity, import hygiene and
-schema-export stability.  See DESIGN.md §8 for the rule table and
+serve exception contract, import hygiene and schema-export stability.  See DESIGN.md §8 for the rule table and
 ``docs/static-analysis.md`` for the JSON report schema.
 
 Programmatic use::

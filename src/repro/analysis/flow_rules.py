@@ -2,10 +2,9 @@
 
 Per-file rules (:mod:`repro.analysis.rules`) catch a wall-clock read *in*
 a scoring module; these rules catch the scoring function that reaches one
-*three calls away*, the serve handler that lets a ``ValueError`` cross
-the typed-error boundary, the mutator that bumps an epoch but skips the
-listener notify the burst tracker depends on.  Each is the
-interprocedural generalization of an existing invariant:
+*three calls away* and the serve handler that lets a ``ValueError`` cross
+the typed-error boundary.  FLOW-001 and FLOW-002 are the interprocedural
+generalization of an existing invariant:
 
 ========  ====================================================  =========
 rule      invariant                                             per-file
@@ -14,8 +13,6 @@ FLOW-001  scoring paths never transitively reach wall clock /   DET-00x
           unseeded RNG through out-of-scope helpers
 FLOW-002  only ``ReproError`` subtypes escape the serve          ERR-00x
           boundary (proven from may-raise summaries)
-FLOW-003  epoch-bumping mutators on listener-bearing classes     CACHE-001
-          notify their listeners (link-listener parity)
 FLOW-004  no top-level import cycles; no dead module-level       —
           imports
 FLOW-005  schema-versioned exporters never iterate raw sets      —
@@ -180,62 +177,6 @@ class ServeExceptionContractRule(ProjectRule):
                 ):
                     stack.append((target, chain + (target,)))
         return sorted(results)
-
-
-@register
-class MutatorListenerParityRule(ProjectRule):
-    id = "FLOW-003"
-    severity = Severity.ERROR
-    summary = (
-        "epoch-bumping mutators on listener-bearing classes must notify "
-        "their listeners"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for summary in project.modules.values():
-            for cls in summary.classes.values():
-                if not cls.epoch_attrs or not cls.listener_attrs:
-                    continue
-                quals = {
-                    method: f"{summary.module}.{cls.name}.{method}"
-                    for method in cls.methods
-                }
-                notifying = {
-                    method
-                    for method, qual in quals.items()
-                    if project.functions[qual].notifies
-                }
-                # a mutator may delegate the notify to a sibling method
-                changed = True
-                while changed:
-                    changed = False
-                    for method, qual in quals.items():
-                        if method in notifying:
-                            continue
-                        for _site, target in project.calls_of(qual):
-                            if target in {quals[m] for m in notifying}:
-                                notifying.add(method)
-                                changed = True
-                                break
-                for method in cls.methods:
-                    function = project.functions[quals[method]]
-                    bumped = set(function.bumps) & set(cls.epoch_attrs)
-                    if bumped and method not in notifying:
-                        yield Finding(
-                            path=summary.path,
-                            line=function.line,
-                            col=0,
-                            rule=self.id,
-                            message=(
-                                f"{cls.name}.{method}() bumps epoch "
-                                f"{sorted(bumped)[0]!r} without notifying "
-                                f"{cls.listener_attrs[0]}; subscribers "
-                                "silently miss this mutation — notify the "
-                                "listeners "
-                                "(or delegate to a mutator that does)"
-                            ),
-                            severity=self.severity,
-                        )
 
 
 @register

@@ -3,9 +3,8 @@
 The per-file rules of :mod:`repro.analysis.rules` see one AST at a time;
 the invariants that actually break in practice are *cross-module*: a
 scoring function three calls away reads the wall clock, a serve handler
-lets a non-``ReproError`` escape the typed-error boundary, a KB
-mutator forgets the listener notification the burst tracker depends
-on.  This module derives, from one parse of the whole tree:
+lets a non-``ReproError`` escape the typed-error boundary.  This module
+derives, from one parse of the whole tree:
 
 * an **import graph** — project-internal module dependencies, split into
   top-level (cycle-relevant) and deferred/``TYPE_CHECKING`` edges;
@@ -17,8 +16,8 @@ on.  This module derives, from one parse of the whole tree:
   nothing to downstream analyses;
 * per-function **effect summaries** — wall-clock reads, unseeded RNG
   use, may-raise sets (propagated through the call graph with handler
-  subtraction against the project's own exception hierarchy), epoch
-  bumps, listener notifications, and schema-document exports.
+  subtraction against the project's own exception hierarchy) and
+  schema-document exports.
 """
 
 from __future__ import annotations
@@ -122,11 +121,6 @@ class FunctionSummary:
     wall_clock: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
     #: (line, spelling) of unseeded/module-global RNG use, same sealing rule.
     unseeded_rng: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
-    #: Epoch attributes bumped via ``self.<attr>.bump()``.
-    bumps: List[str] = dataclasses.field(default_factory=list)
-    #: True when the body notifies listeners: calls ``self._notify*`` or
-    #: iterates an attribute whose name contains "listener".
-    notifies: bool = False
     #: Parameter name -> annotation (dotted source text) where present.
     params: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Local name -> dotted RHS call (``x = Foo(...)`` / ``t = self.r.get(...)``),
@@ -142,7 +136,7 @@ class FunctionSummary:
 
 @dataclasses.dataclass
 class ClassSummary:
-    """Structure of one class: bases, attribute types, special attrs."""
+    """Structure of one class: bases, attribute types, methods."""
 
     name: str
     bases: List[str] = dataclasses.field(default_factory=list)
@@ -150,10 +144,6 @@ class ClassSummary:
     #: assigned to ``self.<attr>``, ``self.<attr> = ClassName(...)`` and
     #: class-level annotations.
     attr_types: Dict[str, str] = dataclasses.field(default_factory=dict)
-    #: Attributes assigned ``Epoch()`` in ``__init__``.
-    epoch_attrs: List[str] = dataclasses.field(default_factory=list)
-    #: List-valued attributes whose name contains "listener".
-    listener_attrs: List[str] = dataclasses.field(default_factory=list)
     methods: List[str] = dataclasses.field(default_factory=list)
 
 
@@ -378,7 +368,9 @@ class _Summarizer(ast.NodeVisitor):
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"
             ):
-                self._current_class_attr(target.attr, annotation, node.value)
+                self._class_stack[-1].attr_types.setdefault(
+                    target.attr, annotation
+                )
         if node.value is not None:
             self._record_assign([target], node.value)
         self.generic_visit(node)
@@ -403,7 +395,7 @@ class _Summarizer(ast.NodeVisitor):
             elif not self._class_stack:
                 for name in names:
                     self.summary.var_calls.setdefault(name, call_name)
-        # self.<attr> = ... inside __init__: attribute typing + special attrs
+        # self.<attr> = ... inside __init__: attribute typing
         if (
             self._function_stack
             and self._function_stack[-1].name == "__init__"
@@ -423,9 +415,6 @@ class _Summarizer(ast.NodeVisitor):
         if isinstance(value, ast.Call):
             call_name = _dotted(value.func)
             if call_name:
-                if call_name.split(".")[-1] == "Epoch":
-                    if attr not in cls.epoch_attrs:
-                        cls.epoch_attrs.append(attr)
                 cls.attr_types.setdefault(attr, call_name)
         elif isinstance(value, ast.Name) and value.id in function.params:
             cls.attr_types.setdefault(attr, function.params[value.id])
@@ -440,18 +429,6 @@ class _Summarizer(ast.NodeVisitor):
                 if isinstance(operand, ast.Name) and operand.id in function.params:
                     cls.attr_types.setdefault(attr, function.params[operand.id])
                     break
-        if isinstance(value, (ast.List, ast.ListComp)) and "listener" in attr:
-            if attr not in cls.listener_attrs:
-                cls.listener_attrs.append(attr)
-
-    def _current_class_attr(
-        self, attr: str, annotation: str, value: Optional[ast.AST]
-    ) -> None:
-        cls = self._class_stack[-1]
-        cls.attr_types.setdefault(attr, annotation)
-        if isinstance(value, (ast.List, ast.ListComp)) and "listener" in attr:
-            if attr not in cls.listener_attrs:
-                cls.listener_attrs.append(attr)
 
     # -------------------------------------------------------------- #
     # classes and functions
@@ -592,13 +569,6 @@ class _Summarizer(ast.NodeVisitor):
             and not self._sealed(node.lineno, "DET-001", "FLOW-001")
         ):
             function.unseeded_rng.append((node.lineno, name))
-        parts = name.split(".")
-        if parts[0] == "self" and parts[-1] == "bump" and len(parts) >= 3:
-            attr = parts[1]
-            if attr not in function.bumps:
-                function.bumps.append(attr)
-        if parts[0] == "self" and len(parts) == 2 and parts[1].startswith("_notify"):
-            function.notifies = True
 
     def _record_module_effects(self, node: ast.Call, name: str) -> None:
         # module-level effects matter only for taint sources in helpers
@@ -606,21 +576,12 @@ class _Summarizer(ast.NodeVisitor):
         return
 
     def visit_For(self, node: ast.For) -> None:
-        self._check_listener_iteration(node.iter)
         self._check_set_iteration(node.iter)
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        self._check_listener_iteration(node.iter)
         self._check_set_iteration(node.iter)
         self.generic_visit(node)
-
-    def _check_listener_iteration(self, iter_node: ast.AST) -> None:
-        if not self._function_stack:
-            return
-        dotted = _dotted(iter_node)
-        if dotted and dotted.startswith("self.") and "listener" in dotted:
-            self._function_stack[-1].notifies = True
 
     def _check_set_iteration(self, iter_node: ast.AST) -> None:
         if not self._function_stack:

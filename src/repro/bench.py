@@ -1,34 +1,26 @@
-"""``repro bench`` — the reproducible linking-performance baseline.
+"""``repro bench`` — the scale tool.
 
-One command builds a seeded synthetic world, times every expensive stage
-of the system, and writes a **schema-stable** ``BENCH_linking.json``:
+Latency is measured by ``perfbench/`` (BENCHMARK.json: end-to-end and
+per-layer numbers, judged against a same-box parent run with every
+decision checked).  This command keeps the two measurements perfbench
+does not take and writes them as a **schema-stable**
+``BENCH_linking.json``:
 
-* ``build``    — reachability-index and propagation-network construction;
-* ``reachability`` — the single-source micro-benchmark: the one-pass
-  followee-mask propagation vs. the per-target DAG-walk baseline it
-  replaced (the Fig. 5 inner loop), with an output-equality check;
-* ``single_mention`` — online ``link()`` latency percentiles plus the
-  per-stage breakdown from the ``METRICS`` stage timers;
-* ``single_mention_cached`` — the same workload replayed warm through a
-  ``score_caching`` linker sharing the uncached linker's indexes, with an
-  inline bit-identity check and the score-cache hit rates;
-* ``batch``    — in-process micro-batch replay throughput
-  (:class:`~repro.core.batch.MicroBatchLinker`);
-* ``scale``    — streaming-world tiers (1k / 50k / 500k users by
-  default): per tier, the backend ``LinkerConfig`` dispatch selects,
-  its build time, **index bytes** (precise ``label_bytes``, not
-  ``getsizeof`` underestimates), reachability-query percentiles, and —
-  at small tiers — a compact-vs-dict bit-identity gate
-  (docs/scaling.md);
-* ``perf``     — the counter/timer snapshot (cache hit rates, BFS counts).
+* ``scale`` — streaming-world tiers (1k / 50k / 500k users by default):
+  per tier, the backend ``LinkerConfig`` dispatch selects, its build
+  time, **index bytes** (precise ``label_bytes``, not ``getsizeof``
+  underestimates), reachability-query percentiles, and — at small
+  tiers — a compact-vs-dict bit-identity gate (docs/scaling.md);
+* ``reachability`` — on the smallest measured tier's graph, the
+  one-pass followee-mask propagation vs. the per-target DAG-walk oracle
+  it replaced (the Fig. 5 inner loop), with an output-equality check.
 
-The workload is fully determined by ``seed``/``smoke``, so successive PRs
-can diff numbers against this baseline on equal hardware.  Wall-clock
-values are measurements, not constants: the schema validator checks shape
-and types, never magnitudes.  Magnitude *comparisons* live in
-:func:`compare_bench_documents`, the CI perf-regression gate: latency
-regressions beyond the tolerance are errors, build-time and throughput
-regressions are warnings (shared runners are too noisy to gate on them).
+The workload is fully determined by ``seed``/``tiers``.  Wall-clock
+values are measurements, not constants: the schema validator checks
+shape and types, never magnitudes.  The two facts that *are* gated — a
+compact cover that diverged from the dict-backed oracle, an index over
+its memory budget — are :func:`scale_gate_errors`; ``repro bench`` exits
+1 on either.
 """
 
 from __future__ import annotations
@@ -41,13 +33,9 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache import hit_rate_names
-from repro.config import LinkerConfig
-from repro.core.batch import LinkRequest, MicroBatchLinker
-from repro.core.linker import SocialTemporalLinker
-from repro.core.recency import RecencyPropagationNetwork
-from repro.eval.context import build_experiment
+from repro.config import DEFAULT_CONFIG
 from repro.graph.compact_labels import build_compact_two_hop_cover
+from repro.graph.digraph import DiGraph
 from repro.graph.dispatch import build_reachability_index
 from repro.graph.generators import (
     StreamingWorldProfile,
@@ -55,12 +43,8 @@ from repro.graph.generators import (
     streaming_world_graph,
 )
 from repro.graph.reachability import weighted_reachability_from
-from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.kb.builder import KBProfile
 from repro.log import get_logger
-from repro.obs.metrics import METRICS, percentile
-from repro.stream.generator import StreamProfile, SyntheticWorld
-from repro.stream.profiles import quick_profiles
+from repro.obs.metrics import percentile
 from repro.testing.oracles import (
     build_two_hop_cover,
     weighted_reachability_from_per_target,
@@ -68,27 +52,13 @@ from repro.testing.oracles import (
 
 _log = get_logger(__name__)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
-#: section -> required keys; the CI smoke job and the tests validate every
-#: emitted document against this shape.
+#: section -> required keys; ``run_bench`` refuses to write a document
+#: that fails this shape, and the tests validate the committed one.
 _REQUIRED_SECTIONS: Dict[str, Tuple[str, ...]] = {
-    "meta": (
-        "schema_version",
-        "tool",
-        "seed",
-        "smoke",
-        "tiers_measured",
-    ),
+    "meta": ("schema_version", "tool", "seed", "tiers_measured"),
     "environment": ("python", "platform", "cpu_count"),
-    "world": ("users", "tweets", "entities", "graph_edges", "test_mentions"),
-    "build": (
-        "transitive_closure_s",
-        "two_hop_s",
-        "propagation_network_s",
-        "closure_nonzero_entries",
-        "two_hop_label_entries",
-    ),
     "reachability": (
         "sources",
         "per_target_s",
@@ -96,21 +66,7 @@ _REQUIRED_SECTIONS: Dict[str, Tuple[str, ...]] = {
         "speedup",
         "outputs_identical",
     ),
-    "single_mention": ("mentions", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "stages"),
-    "single_mention_cached": (
-        "mentions",
-        "mean_ms",
-        "p50_ms",
-        "p95_ms",
-        "p99_ms",
-        "uncached_mean_ms",
-        "speedup_vs_uncached",
-        "outputs_identical",
-        "hit_rates",
-    ),
-    "batch": ("requests", "seconds", "throughput_rps"),
     "scale": ("tiers",),
-    "perf": ("counters", "cache_hit_rates", "timers"),
 }
 
 _SCALE_TIER_KEYS = (
@@ -161,155 +117,67 @@ def validate_bench_document(doc: object) -> List[str]:
             problems.append("scale.tiers must be a non-empty list")
         else:
             for index, row in enumerate(tiers):
-                if not isinstance(row, dict):
-                    problems.append(f"scale.tiers[{index}] is not an object")
-                    continue
-                for key in _SCALE_TIER_KEYS:
-                    if key not in row:
-                        problems.append(f"scale.tiers[{index}].{key} missing")
+                problems.extend(_tier_row_problems(f"scale.tiers[{index}]", row))
     return problems
 
 
-#: Latency metrics gated as hard errors by :func:`compare_bench_documents`.
-_GATED_LATENCIES: Tuple[Tuple[str, str], ...] = (
-    ("single_mention", "p50_ms"),
-    ("single_mention_cached", "p50_ms"),
-)
-
-#: Absolute slack added to the relative latency gate.  The cached p50
-#: sits near 0.05 ms, where scheduler jitter alone moves a smoke sample
-#: by tens of percent; a regression must clear *both* the relative
-#: tolerance and this floor before it fails the gate.
-_LATENCY_SLACK_MS = 0.05
-
-#: Build-time keys compared warn-only (shared runners are too noisy).
-_BUILD_TIME_KEYS: Tuple[str, ...] = (
-    "transitive_closure_s",
-    "two_hop_s",
-    "propagation_network_s",
-)
-
-#: Minimum warm-cache speedup below which the comparison warns.
-_MIN_CACHED_SPEEDUP = 2.0
+def _tier_row_problems(where: str, row: object) -> List[str]:
+    if not isinstance(row, dict):
+        return [f"{where} is not an object"]
+    problems = [f"{where}.{key} missing" for key in _SCALE_TIER_KEYS if key not in row]
+    if problems:
+        return problems
+    # the fields the exit-1 gate and its readers branch on must carry the
+    # type the branch assumes (a JSON ``true`` is a Python int subclass)
+    index_bytes = row["index_bytes"]
+    if not isinstance(index_bytes, int) or isinstance(index_bytes, bool):
+        problems.append(f"{where}.index_bytes must be an integer")
+    identical = row["outputs_identical"]
+    if identical is not None and not isinstance(identical, bool):
+        problems.append(f"{where}.outputs_identical must be true, false or null")
+    if not isinstance(row["within_budget"], bool):
+        problems.append(f"{where}.within_budget must be a boolean")
+    return problems
 
 
-def compare_bench_documents(
-    current: Dict, baseline: Dict, tolerance: float = 0.25
-) -> Tuple[List[str], List[str]]:
-    """Compare a fresh bench run against a committed baseline.
-
-    Returns ``(errors, warnings)``.  Errors fail the CI perf-regression
-    job: an invalid document, a workload mismatch (different seed/smoke —
-    the numbers would not be comparable), a single-mention p50 regression
-    beyond ``tolerance`` (relative), a cached run whose outputs were
-    not bit-identical to the uncached oracle, a scale tier whose
-    compact cover diverged from the dict-backed cover, or a tier whose
-    index blew its memory budget.  Build-time regressions, lost batch
-    throughput, a warm-cache speedup below ``2.0``, and per-tier
-    index-bytes growth are warnings only: they track real machines, not
-    the code alone.
-    """
-    if not 0.0 < tolerance:
-        raise ValueError("tolerance must be positive")
+def scale_gate_errors(document: Dict) -> List[str]:
+    """One message per tier of a valid document that failed a scale gate:
+    its compact cover diverged from the dict-backed oracle, or its index
+    outgrew the memory budget.  ``repro bench`` exits 1 when any is
+    returned; ``outputs_identical`` is ``None`` (not gated) above the
+    identity cap."""
     errors: List[str] = []
-    warnings: List[str] = []
-    for name, doc in (("current", current), ("baseline", baseline)):
-        problems = validate_bench_document(doc)
-        if problems:
-            errors.append(f"{name} document is invalid: {problems}")
-    if errors:
-        return errors, warnings
-    for key in ("seed", "smoke"):
-        if current["meta"][key] != baseline["meta"][key]:
-            errors.append(
-                f"workload mismatch: meta.{key} is {current['meta'][key]!r} "
-                f"vs baseline {baseline['meta'][key]!r}"
-            )
-    if errors:
-        return errors, warnings
-    for section, metric in _GATED_LATENCIES:
-        now = float(current[section][metric])
-        then = float(baseline[section][metric])
-        gate = then * (1.0 + tolerance) + _LATENCY_SLACK_MS
-        if then > 0 and now > gate:
-            errors.append(
-                f"{section}.{metric} regressed {now / then:.2f}x "
-                f"({then} -> {now} ms, tolerance {tolerance:.0%} "
-                f"+ {_LATENCY_SLACK_MS} ms slack)"
-            )
-    if not current["single_mention_cached"]["outputs_identical"]:
-        errors.append(
-            "single_mention_cached.outputs_identical is false: the cached "
-            "path diverged from the uncached oracle"
-        )
-    for key in _BUILD_TIME_KEYS:
-        now = float(current["build"][key])
-        then = float(baseline["build"][key])
-        if then > 0 and now > then * (1.0 + tolerance):
-            warnings.append(
-                f"build.{key} regressed {now / then:.2f}x ({then}s -> {now}s)"
-            )
-    speedup = float(current["single_mention_cached"]["speedup_vs_uncached"])
-    if speedup < _MIN_CACHED_SPEEDUP:
-        warnings.append(
-            f"warm-cache speedup {speedup}x is below the "
-            f"{_MIN_CACHED_SPEEDUP}x target"
-        )
-    now_rps = float(current["batch"]["throughput_rps"])
-    then_rps = float(baseline["batch"]["throughput_rps"])
-    if then_rps > 0 and now_rps < then_rps * (1.0 - tolerance):
-        warnings.append(f"batch throughput dropped {then_rps} -> {now_rps} rps")
-    baseline_tiers = {
-        row["users"]: row for row in baseline["scale"]["tiers"]
-    }
-    for row in current["scale"]["tiers"]:
-        users = row["users"]
+    for row in document["scale"]["tiers"]:
+        reasons = []
         if row["outputs_identical"] is False:
-            errors.append(
-                f"scale tier {users}: compact cover diverged from the "
-                "dict-backed cover (outputs_identical is false)"
+            reasons.append(
+                "compact cover diverged from the dict-backed cover "
+                "(outputs_identical is false)"
             )
         if row["within_budget"] is False:
-            errors.append(
-                f"scale tier {users}: index_bytes {row['index_bytes']} "
-                f"exceeded the {row['memory_budget_bytes']}-byte budget"
+            reasons.append(
+                f"index_bytes {row['index_bytes']} exceeded the "
+                f"{row['memory_budget_bytes']}-byte budget"
             )
-        before = baseline_tiers.get(users)
-        if before is None:
-            continue
-        now_bytes = float(row["index_bytes"])
-        then_bytes = float(before["index_bytes"])
-        if then_bytes > 0 and now_bytes > then_bytes * (1.0 + tolerance):
-            warnings.append(
-                f"scale tier {users}: index_bytes grew "
-                f"{now_bytes / then_bytes:.2f}x ({then_bytes} -> {now_bytes})"
-            )
-    return errors, warnings
+        if reasons:
+            errors.append(f"scale tier {row['users']}: " + "; ".join(reasons))
+    return errors
 
 
 # ---------------------------------------------------------------------- #
-# workload assembly
+# one-pass vs per-target reachability
 # ---------------------------------------------------------------------- #
-def _bench_world(seed: int, smoke: bool) -> SyntheticWorld:
-    if smoke:
-        kb_profile, stream_profile = quick_profiles(seed)
-        return SyntheticWorld.generate(
-            kb_profile=kb_profile, stream_profile=stream_profile
-        )
-    return SyntheticWorld.generate(
-        kb_profile=KBProfile(seed=seed),
-        stream_profile=StreamProfile(seed=seed),
-    )
+
+#: Sources timed by the reachability row.
+_REACHABILITY_SOURCES = 80
 
 
-def _reachability_bench(world: SyntheticWorld, max_hops: int, smoke: bool) -> Dict:
-    graph = world.graph
-    count = 20 if smoke else 80
+def _reachability_bench(graph: DiGraph, max_hops: int) -> Dict:
     # the busiest sources are the expensive (and the realistic) ones: the
     # linker queries reachability *from* active users
     sources = sorted(
         graph.nodes(), key=graph.out_degree, reverse=True
-    )[:count]
+    )[:_REACHABILITY_SOURCES]
     start = time.perf_counter()
     baseline = [
         weighted_reachability_from_per_target(graph, s, max_hops) for s in sources
@@ -329,113 +197,6 @@ def _reachability_bench(world: SyntheticWorld, max_hops: int, smoke: bool) -> Di
         "one_pass_s": round(one_pass_s, 6),
         "speedup": round(per_target_s / one_pass_s, 3) if one_pass_s > 0 else 0.0,
         "outputs_identical": identical,
-    }
-
-
-def _single_mention_bench(linker, requests: Sequence[LinkRequest]) -> Dict:
-    latencies: List[float] = []
-    for request in requests:
-        start = time.perf_counter()
-        linker.link(request.surface, request.user, request.now)
-        latencies.append(time.perf_counter() - start)
-    stages = {
-        name: METRICS.timer_stats(name)
-        for name in (
-            "link.candidates",
-            "link.interest",
-            "link.recency",
-            "link.popularity",
-            "link.combine",
-        )
-    }
-    return {
-        "mentions": len(latencies),
-        "mean_ms": round(sum(latencies) / len(latencies) * 1e3, 6) if latencies else 0.0,
-        "p50_ms": round(percentile(latencies, 50.0) * 1e3, 6),
-        "p95_ms": round(percentile(latencies, 95.0) * 1e3, 6),
-        "p99_ms": round(percentile(latencies, 99.0) * 1e3, 6),
-        "stages": stages,
-    }
-
-
-def _cached_single_mention_bench(context, requests: Sequence[LinkRequest]) -> Dict:
-    """Warm-cache replay vs. the uncached oracle on identical state.
-
-    Both linkers share every heavy structure (ckb, graph, closure,
-    propagation network), differing only in ``score_caching``.  The first
-    pass warms the caches — the steady state a long-running stream linker
-    operates in — and the measured pass times both variants request by
-    request while checking their outputs are bit-identical.
-    """
-    uncached = SocialTemporalLinker(
-        context.ckb,
-        context.world.graph,
-        config=context.config,
-        reachability=context.reachability_index,
-        propagation_network=context.propagation_network,
-    )
-    cached = SocialTemporalLinker(
-        context.ckb,
-        context.world.graph,
-        config=dataclasses.replace(context.config, score_caching=True),
-        reachability=context.reachability_index,
-        propagation_network=context.propagation_network,
-    )
-    for request in requests:  # warm pass
-        cached.link(request.surface, request.user, request.now)
-    before = METRICS.snapshot()["counters"]
-    cached_latencies: List[float] = []
-    uncached_latencies: List[float] = []
-    identical = True
-    for request in requests:
-        start = time.perf_counter()
-        warm = cached.link(request.surface, request.user, request.now)
-        cached_latencies.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        cold = uncached.link(request.surface, request.user, request.now)
-        uncached_latencies.append(time.perf_counter() - start)
-        if warm.ranked != cold.ranked or warm.degradation != cold.degradation:
-            identical = False
-    rates = METRICS.hit_rates(since=before)
-    hit_rates = {
-        prefix.rsplit(".", 1)[-1]: rates.get(prefix, 0.0)
-        for prefix in sorted(hit_rate_names())
-    }
-    cached_mean = (
-        sum(cached_latencies) / len(cached_latencies) if cached_latencies else 0.0
-    )
-    uncached_mean = (
-        sum(uncached_latencies) / len(uncached_latencies)
-        if uncached_latencies
-        else 0.0
-    )
-    return {
-        "mentions": len(cached_latencies),
-        "mean_ms": round(cached_mean * 1e3, 6),
-        "p50_ms": round(percentile(cached_latencies, 50.0) * 1e3, 6),
-        "p95_ms": round(percentile(cached_latencies, 95.0) * 1e3, 6),
-        "p99_ms": round(percentile(cached_latencies, 99.0) * 1e3, 6),
-        "uncached_mean_ms": round(uncached_mean * 1e3, 6),
-        "speedup_vs_uncached": round(uncached_mean / cached_mean, 3)
-        if cached_mean > 0
-        else 0.0,
-        "outputs_identical": identical,
-        "hit_rates": hit_rates,
-    }
-
-
-def _batch_bench(linker, requests: Sequence[LinkRequest]) -> Dict:
-    batcher = MicroBatchLinker(linker)
-    # warm-up pass, so the measured pass shows steady-state throughput
-    # (the streaming regime the batch path exists for)
-    batcher.link_batch(requests[: max(1, len(requests) // 10)])
-    start = time.perf_counter()
-    batcher.link_batch(requests)
-    seconds = time.perf_counter() - start
-    return {
-        "requests": len(requests),
-        "seconds": round(seconds, 6),
-        "throughput_rps": round(len(requests) / seconds, 3) if seconds > 0 else 0.0,
     }
 
 
@@ -460,6 +221,11 @@ _SCALE_BUDGET_BYTES = 2**30
 #: Reachability queries sampled per tier for the latency percentiles.
 _SCALE_QUERY_COUNT = 2_000
 
+#: The configuration every tier dispatches under.
+_TIER_CONFIG = dataclasses.replace(
+    DEFAULT_CONFIG, index_memory_budget_bytes=_SCALE_BUDGET_BYTES
+)
+
 
 def scale_tier_profile(users: int, seed: int) -> StreamingWorldProfile:
     """The hub/faction streaming world a tier benchmarks.
@@ -475,29 +241,26 @@ def scale_tier_profile(users: int, seed: int) -> StreamingWorldProfile:
     )
 
 
-def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
+def _scale_tier_bench(users: int, seed: int) -> Dict:
     """Benchmark one streaming-world tier end to end.
 
     Streams the world in (never materializing the full edge list),
-    builds whatever backend ``config`` dispatch selects for the size,
-    and reports build seconds, **precise** index bytes, and query
+    builds whatever backend ``LinkerConfig`` dispatch selects for the
+    size, and reports build seconds, **precise** index bytes, and query
     percentiles.  At small tiers the compact and dict-backed covers are
-    both built and bit-compared — the identity gate the CI ``bench-scale``
-    job enforces.
+    both built and bit-compared — the identity gate
+    :func:`scale_gate_errors` enforces.
     """
     profile = scale_tier_profile(users, seed)
-    tier_config = dataclasses.replace(
-        config, index_memory_budget_bytes=_SCALE_BUDGET_BYTES
-    )
     start = time.perf_counter()
     graph = streaming_world_graph(profile)
     tweets = sum(1 for _ in stream_tweet_events(profile))
     stream_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    index = build_reachability_index(graph, tier_config)
+    index = build_reachability_index(graph, _TIER_CONFIG)
     index_build_s = time.perf_counter() - start
-    backend = tier_config.select_index_backend(graph.num_nodes)
+    backend = _TIER_CONFIG.select_index_backend(graph.num_nodes)
     index_bytes = index.size_bytes()
     entries = (
         index.num_label_entries()
@@ -509,7 +272,7 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
     pairs = [
         (rng.randrange(users), rng.randrange(users))
         for _ in range(_SCALE_QUERY_COUNT)
-    ] if users else []
+    ]
     latencies: List[float] = []
     for source, target in pairs:
         begin = time.perf_counter()
@@ -524,11 +287,11 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         start = time.perf_counter()
         compact = build_compact_two_hop_cover(
             graph,
-            max_hops=tier_config.max_hops,
+            max_hops=_TIER_CONFIG.max_hops,
             memory_budget_bytes=_SCALE_BUDGET_BYTES,
         )
         compact_build_s = round(time.perf_counter() - start, 6)
-        dict_cover = build_two_hop_cover(graph, max_hops=tier_config.max_hops)
+        dict_cover = build_two_hop_cover(graph, max_hops=_TIER_CONFIG.max_hops)
         compact_bytes = compact.label_bytes()
         dict_cover_bytes = dict_cover.label_bytes()
         identical = all(
@@ -544,10 +307,6 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         compact_build_s = round(index_build_s, 6)
         compact_bytes = index_bytes
 
-    budget = tier_config.index_memory_budget_bytes
-    within_budget = True
-    if budget is not None and backend == "compact":
-        within_budget = index_bytes <= budget
     return {
         "users": users,
         "factions": profile.num_factions,
@@ -557,7 +316,7 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         "stream_s": round(stream_s, 6),
         "index_build_s": round(index_build_s, 6),
         "index_bytes": index_bytes,
-        "entries_per_node": round(entries / users, 3) if users else 0.0,
+        "entries_per_node": round(entries / users, 3),
         "queries": len(latencies),
         "query_p50_us": round(percentile(latencies, 50.0) * 1e6, 3),
         "query_p99_us": round(percentile(latencies, 99.0) * 1e6, 3),
@@ -565,17 +324,9 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         "compact_bytes": compact_bytes,
         "dict_cover_bytes": dict_cover_bytes,
         "outputs_identical": identical,
-        "memory_budget_bytes": budget,
-        "within_budget": within_budget,
+        "memory_budget_bytes": _SCALE_BUDGET_BYTES,
+        "within_budget": backend != "compact" or index_bytes <= _SCALE_BUDGET_BYTES,
     }
-
-
-def _scale_bench(tiers: Sequence[int], seed: int, config: LinkerConfig) -> Dict:
-    rows = []
-    for users in tiers:
-        _log.info("scale tier: %d users", users)
-        rows.append(_scale_tier_bench(users, seed, config))
-    return {"tiers": rows}
 
 
 # ---------------------------------------------------------------------- #
@@ -583,100 +334,45 @@ def _scale_bench(tiers: Sequence[int], seed: int, config: LinkerConfig) -> Dict:
 # ---------------------------------------------------------------------- #
 def run_bench(
     seed: int = 11,
-    smoke: bool = False,
-    out: Optional[str] = "BENCH_linking.json",
     tiers: Optional[Sequence[int]] = None,
+    out: Optional[str] = "BENCH_linking.json",
 ) -> Dict:
-    """Run the full benchmark; returns (and optionally writes) the document.
+    """Measure ``tiers`` (streaming-world user counts; ``None`` means
+    1k / 50k / 500k) and the reachability row; returns (and optionally
+    writes) the document.
 
-    ``tiers`` selects the streaming-world scale tiers (user counts);
-    ``None`` means ``(1000,)`` for smoke runs and ``(1000, 50000,
-    500000)`` for full runs.
+    Neither resets ``METRICS`` nor switches its timing: a run inside a
+    larger process leaves that process's instrumentation alone.
     """
     if tiers is None:
-        tiers = (1_000,) if smoke else (1_000, 50_000, 500_000)
+        tiers = (1_000, 50_000, 500_000)
     if not tiers or any(t < 1 for t in tiers):
         raise ValueError("tiers must be a non-empty list of positive user counts")
-    METRICS.reset()
-    METRICS.timing = True
-    try:
-        world = _bench_world(seed, smoke)
-        context = build_experiment(world=world, complement_method="truth")
-        config: LinkerConfig = context.config
-        graph = world.graph
-
-        build: Dict[str, object] = {}
-        start = time.perf_counter()
-        closure = build_transitive_closure_incremental(
-            graph, max_hops=config.max_hops
-        )
-        build["transitive_closure_s"] = round(time.perf_counter() - start, 6)
-        start = time.perf_counter()
-        cover = build_two_hop_cover(graph, max_hops=config.max_hops)
-        build["two_hop_s"] = round(time.perf_counter() - start, 6)
-        start = time.perf_counter()
-        RecencyPropagationNetwork(
-            world.kb,
-            relatedness_threshold=config.relatedness_threshold,
-            propagation_lambda=config.propagation_lambda,
-        )
-        build["propagation_network_s"] = round(time.perf_counter() - start, 6)
-        build["closure_nonzero_entries"] = closure.nonzero_entries()
-        build["two_hop_label_entries"] = cover.num_label_entries()
-
-        reachability = _reachability_bench(world, config.max_hops, smoke)
-
-        linker = context.social_temporal()._linker
-        requests = [
-            LinkRequest(surface=m.surface, user=t.user, now=t.timestamp)
-            for t in context.test_dataset.tweets
-            for m in t.mentions
-        ]
-        if smoke:
-            requests = requests[:200]
-        single_requests = requests[: 100 if smoke else 400]
-        single = _single_mention_bench(linker, single_requests)
-        single_cached = _cached_single_mention_bench(context, single_requests)
-        batch = _batch_bench(linker, requests)
-        scale = _scale_bench(tiers, seed, config)
-
-        snapshot = METRICS.snapshot()
-        document = {
-            "meta": {
-                "schema_version": SCHEMA_VERSION,
-                "tool": "repro bench",
-                "seed": seed,
-                "smoke": smoke,
-                "tiers_measured": list(tiers),
-            },
-            "environment": {
-                "python": platform.python_version(),
-                "platform": platform.system().lower(),
-                "cpu_count": len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity")
-                else os.cpu_count(),
-            },
-            "world": {
-                "users": world.num_users,
-                "tweets": len(world.tweets),
-                "entities": world.kb.num_entities,
-                "graph_edges": graph.num_edges,
-                "test_mentions": len(requests),
-            },
-            "build": build,
-            "reachability": reachability,
-            "single_mention": single,
-            "single_mention_cached": single_cached,
-            "batch": batch,
-            "scale": scale,
-            "perf": {
-                "counters": snapshot["counters"],
-                "cache_hit_rates": METRICS.hit_rates(),
-                "timers": snapshot["timers"],
-            },
-        }
-    finally:
-        METRICS.timing = False
+    rows = []
+    for users in tiers:
+        _log.info("scale tier: %d users", users)
+        rows.append(_scale_tier_bench(users, seed))
+    reachability = _reachability_bench(
+        streaming_world_graph(scale_tier_profile(min(tiers), seed)),
+        _TIER_CONFIG.max_hops,
+    )
+    document = {
+        "meta": {
+            "schema_version": SCHEMA_VERSION,
+            "tool": "repro bench",
+            "seed": seed,
+            "tiers_measured": list(tiers),
+        },
+        "environment": {
+            "python": platform.python_version(),
+            "platform": platform.system().lower(),
+            "cpu_count": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+        },
+        "reachability": reachability,
+        "scale": {"tiers": rows},
+    }
     problems = validate_bench_document(document)
     if problems:  # pragma: no cover - guards future schema drift
         raise AssertionError(f"bench emitted an invalid document: {problems}")

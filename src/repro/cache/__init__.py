@@ -15,11 +15,10 @@ output is bit-identical to the uncached path.
 from __future__ import annotations
 
 from repro.cache.epochs import Epoch
-from repro.cache.scores import EpochKeyedCache, ScoreCaches, hit_rate_names
+from repro.cache.scores import EpochKeyedCache, ScoreCaches
 
 __all__ = [
     "Epoch",
     "EpochKeyedCache",
     "ScoreCaches",
-    "hit_rate_names",
 ]

@@ -29,14 +29,13 @@ link/mutate/advance/feedback interleavings against both).
 Hit/miss/eviction counters go to :data:`repro.obs.metrics.METRICS`
 (prefix ``score_cache.``).  A hit or a miss depends on what ran before,
 not on the request alone, but a seeded run from a fresh linker repeats
-them exactly.  ``METRICS.hit_rates()`` derives the rates that
-``repro bench`` publishes.
+them exactly.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Optional, Set, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, TypeVar
 
 from repro.obs.metrics import METRICS
 
@@ -146,12 +145,3 @@ class ScoreCaches:
         self.candidates.clear()
         self.popularity.clear()
         self.interest.clear()
-
-
-def hit_rate_names() -> Set[str]:
-    """The ``METRICS`` counter prefixes this layer reports hit rates under."""
-    return {
-        "score_cache.candidates",
-        "score_cache.popularity",
-        "score_cache.interest",
-    }

@@ -8,7 +8,7 @@ Subcommands::
     repro link      --world world.json.gz --surface jordan --user 7 --day 90
     repro search    --world world.json.gz --query "jordan dunk" --user 7
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro bench     [--smoke --tiers 1000 50000 --out BENCH_linking.json]
+    repro bench     [--tiers 1000 50000 --out BENCH_linking.json]
     repro check     [src ...] [--strict --format json --out CHECK_report.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
@@ -19,8 +19,9 @@ Subcommands::
 ``generate`` builds and persists a synthetic world; the other commands
 load one and run the corresponding piece of the pipeline.  ``stream``
 replays the test stream through the resilient online path (validation,
-reordering, degradation, checkpointing); ``bench`` measures the build /
-single-mention / batch-throughput baseline; ``check`` runs the project's
+reordering, degradation, checkpointing); ``bench`` measures the
+streaming-world scale tiers and exits 1 when one fails its identity or
+memory gate (latency is ``perfbench/``'s); ``check`` runs the project's
 AST invariant linter (DESIGN.md §8); ``trace`` runs the deterministic
 observability scenarios and maintains the golden-trace fixtures
 (docs/observability.md).  Primary output is plain aligned tables on
@@ -163,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = commands.add_parser(
-        "bench", help="measure the linking performance baseline"
+        "bench",
+        help="measure the streaming-world scale tiers (latency is perfbench's)",
     )
     bench.add_argument(
         "--out", default="BENCH_linking.json",
@@ -171,26 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=11)
     bench.add_argument(
-        "--smoke", action="store_true",
-        help="small world and short request list (the CI smoke job)",
-    )
-    bench.add_argument(
         "--tiers", type=int, nargs="+", default=None, metavar="USERS",
-        help="streaming-world scale tiers to measure, e.g. --tiers 1000 "
-        "50000 (default: 1000 for --smoke, else 1000 50000 500000)",
-    )
-    bench.add_argument(
-        "--metrics-out", default=None,
-        help="write the run's metrics document (repro.obs) to this path",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="compare this run against a committed baseline document; "
-        "latency regressions beyond --tolerance exit 1 (the CI perf gate)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="relative regression tolerance for --compare (default 0.25)",
+        help="user counts to measure, e.g. --tiers 1000 (a few seconds; "
+        "the default 1000 50000 500000 takes ~17 min and > 1 GB)",
     )
 
     trace = commands.add_parser(
@@ -373,7 +358,7 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# metrics export (shared by evaluate / stream / bench / trace)
+# metrics export (shared by evaluate / stream / trace)
 # ---------------------------------------------------------------------- #
 def _metrics_begin(path: Optional[str]) -> None:
     """Reset the metrics registry and time stages for a ``--metrics-out``
@@ -672,22 +657,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
+    from repro.bench import run_bench, scale_gate_errors
 
-    from repro.bench import compare_bench_documents, run_bench
-
-    _metrics_begin(args.metrics_out)
-    document = run_bench(
-        seed=args.seed,
-        smoke=args.smoke,
-        out=args.out,
-        tiers=args.tiers,
-    )
-    batch = document["batch"]
-    print(
-        f"batch linking: {batch['throughput_rps']} req/s "
-        f"({batch['requests']} requests in {batch['seconds']} s)"
-    )
+    document = run_bench(seed=args.seed, tiers=args.tiers, out=args.out)
     tier_rows = [
         {
             "users": row["users"],
@@ -710,34 +682,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"one-pass reachability: {reach['speedup']}x vs per-target "
         f"({reach['sources']} sources, outputs {check})"
     )
-    single = document["single_mention"]
-    print(
-        f"single mention: p50 {single['p50_ms']:.3f} ms, "
-        f"p99 {single['p99_ms']:.3f} ms over {single['mentions']} mentions"
-    )
-    cached = document["single_mention_cached"]
-    check = "identical" if cached["outputs_identical"] else "MISMATCH"
-    print(
-        f"warm score caches: {cached['speedup_vs_uncached']}x vs uncached "
-        f"(p50 {cached['p50_ms']:.3f} ms, outputs {check})"
-    )
     print(f"benchmark written to {args.out}")
-    _metrics_write(args.metrics_out, tool="repro bench")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        errors, warnings = compare_bench_documents(
-            document, baseline, tolerance=args.tolerance
-        )
-        for warning in warnings:
-            print(f"WARN: {warning}")
-        for error in errors:
-            print(f"ERROR: {error}")
-        if errors:
-            print(f"perf regression gate FAILED against {args.compare}")
-            return 1
-        print(f"perf regression gate passed against {args.compare}")
-    return 0
+    errors = scale_gate_errors(document)
+    for error in errors:
+        print(f"ERROR: {error}")
+    return 1 if errors else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

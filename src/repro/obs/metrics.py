@@ -9,9 +9,8 @@ design constraints, in order:
 
 1. **Determinism** — counters, gauges and histograms encode a
    *decision*, never a duration, and durations are recorded only while
-   :attr:`MetricsRegistry.timing` is set (``repro bench`` and
-   ``--metrics-out`` runs), so identical seeded runs produce identical
-   snapshots.
+   :attr:`MetricsRegistry.timing` is set (``--metrics-out`` runs), so
+   identical seeded runs produce identical snapshots.
 2. **Mergeability** — :meth:`MetricsRegistry.merge` folds another
    registry's snapshot in by summing counters and histogram buckets
    (gauges take the max, the only order-free combiner for level
@@ -251,26 +250,6 @@ class MetricsRegistry:
             "p99_s": percentile(values, 99.0),
         }
         return {key: round(value, 9) for key, value in stats.items()}
-
-    def hit_rates(self, since: Optional[Dict[str, int]] = None) -> Dict[str, float]:
-        """Hit rate of every ``<name>.hit`` / ``<name>.miss`` counter
-        pair, key-sorted (0.0 when the cache was never consulted).
-        ``since`` — an earlier ``snapshot()["counters"]`` — restricts the
-        rates to what was counted after it."""
-        base = since or {}
-        names = {
-            name.rsplit(".", 1)[0]
-            for name in self._counters
-            if name.endswith((".hit", ".miss"))
-        }
-        rates = {}
-        for name in sorted(names):
-            hits, misses = (
-                self.counter(name + kind) - base.get(name + kind, 0)
-                for kind in (".hit", ".miss")
-            )
-            rates[name] = round(hits / (hits + misses), 6) if hits + misses else 0.0
-        return rates
 
     def snapshot(self) -> Dict[str, object]:
         """Everything, JSON-ready and key-sorted (mergeable + diffable).

@@ -50,12 +50,28 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServeApp = None  # type: ignore[assignment]
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET", body=None)
+        if self._read_body() is not None:
+            self._dispatch("GET", body=None)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE", body=None)
+        if self._read_body() is not None:
+            self._dispatch("DELETE", body=None)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        body = self._read_body()
+        if body is not None:
+            self._dispatch("POST", body=body)
+
+    def _read_body(self) -> Optional[bytes]:
+        """Consume the declared request body — for every verb, so the
+        next request on a keep-alive connection starts where this one
+        ended.  ``None`` means the framing was refused and the typed 400
+        is already written."""
+        if self.headers.get("Transfer-Encoding") is not None:
+            # only Content-Length framing is read here; a chunked body
+            # would be parsed as the next requests
+            self._reject_body("Transfer-Encoding is not supported")
+            return None
         raw = self.headers.get("Content-Length") or "0"
         try:
             length = int(raw)
@@ -63,12 +79,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             self._reject_body(f"invalid Content-Length {raw!r}")
-            return
+            return None
         if length > MAX_BODY_BYTES:
             self._reject_body(f"body exceeds {MAX_BODY_BYTES} bytes")
-            return
-        body = self.rfile.read(length) if length else b""
-        self._dispatch("POST", body=body)
+            return None
+        return self.rfile.read(length) if length else b""
 
     def _reject_body(self, message: str) -> None:
         """Typed 400 for a body this transport will not read.

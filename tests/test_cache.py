@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.cache import Epoch, EpochKeyedCache, ScoreCaches, hit_rate_names
+from repro.cache import Epoch, EpochKeyedCache, ScoreCaches
 from repro.config import DAY
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import METRICS
@@ -146,10 +146,3 @@ class TestScoreCaches:
         bundle.candidates.put("jordan", bundle.candidate_epochs(), (0, 1, 2))
         bundle.clear()
         assert bundle.candidates.get("jordan", bundle.candidate_epochs()) is None
-
-    def test_hit_rate_names_cover_the_three_tables(self):
-        assert hit_rate_names() == {
-            "score_cache.candidates",
-            "score_cache.popularity",
-            "score_cache.interest",
-        }

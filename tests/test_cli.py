@@ -149,7 +149,7 @@ class TestBench:
         out = tmp_path / "BENCH_linking.json"
         code = main(
             [
-                "bench", "--smoke", "--seed", "5", "--out", str(out),
+                "bench", "--tiers", "1000", "--seed", "5", "--out", str(out),
             ]
         )
         assert code == 0

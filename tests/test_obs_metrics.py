@@ -137,17 +137,6 @@ class TestRegistry:
             "timers": {},
         }
 
-    def test_hit_rates_derive_from_hit_miss_pairs(self):
-        registry = MetricsRegistry()
-        registry.incr("cache.hit", 3)
-        registry.incr("cache.miss", 1)
-        registry.incr("cold.miss", 0)
-        registry.incr("bfs")
-        assert registry.hit_rates() == {"cache": 0.75, "cold": 0.0}
-        earlier = registry.snapshot()["counters"]
-        registry.incr("cache.miss", 2)
-        assert registry.hit_rates(since=earlier) == {"cache": 0.0, "cold": 0.0}
-
 
 class TestTimers:
     def test_timing_off_records_nothing_counters_still_count(self):

@@ -430,70 +430,6 @@ class TestFlow002:
         assert flow_findings(report, "FLOW-002") == []
 
 
-class TestFlow003:
-    _EPOCH_PRELUDE = (
-        "from repro.cache.epochs import Epoch\n"
-        "class Store:\n"
-        "    def __init__(self):\n"
-        "        self.epoch = Epoch()\n"
-        "        self._listeners = []\n"
-    )
-
-    def test_mutator_without_notify_is_flagged(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "repro/cache/__init__.py": "",
-                "repro/cache/epochs.py": "class Epoch:\n    def bump(self):\n        pass\n",
-                "repro/core/store.py": self._EPOCH_PRELUDE + (
-                    "    def add(self, item):\n"
-                    "        self.epoch.bump()\n"
-                ),
-            },
-        )
-        findings = flow_findings(report, "FLOW-003")
-        assert len(findings) == 1
-        assert "add" in findings[0].message
-
-    def test_mutator_with_notify_is_clean(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "repro/cache/__init__.py": "",
-                "repro/cache/epochs.py": "class Epoch:\n    def bump(self):\n        pass\n",
-                "repro/core/store.py": self._EPOCH_PRELUDE + (
-                    "    def add(self, item):\n"
-                    "        self.epoch.bump()\n"
-                    "        self._notify()\n"
-                    "    def _notify(self):\n"
-                    "        for listener in self._listeners:\n"
-                    "            listener()\n"
-                ),
-            },
-        )
-        assert flow_findings(report, "FLOW-003") == []
-
-    def test_notify_via_delegation_is_clean(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "repro/cache/__init__.py": "",
-                "repro/cache/epochs.py": "class Epoch:\n    def bump(self):\n        pass\n",
-                "repro/core/store.py": self._EPOCH_PRELUDE + (
-                    "    def add(self, item):\n"
-                    "        self._bump_and_tell()\n"
-                    "    def _bump_and_tell(self):\n"
-                    "        self.epoch.bump()\n"
-                    "        self._notify()\n"
-                    "    def _notify(self):\n"
-                    "        for listener in self._listeners:\n"
-                    "            listener()\n"
-                ),
-            },
-        )
-        assert flow_findings(report, "FLOW-003") == []
-
-
 class TestFlow004:
     def test_dead_import_is_flagged(self, tmp_path):
         report = check_tree(

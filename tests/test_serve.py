@@ -489,12 +489,15 @@ class TestHTTPSmoke:
 
     @staticmethod
     def raw_exchange(server, payload):
-        """Send ``payload`` on one plain socket, read until the peer closes."""
+        """Send ``payload`` on one plain socket, half-close (so a
+        keep-alive server sees EOF after the last framed request), read
+        until the peer closes."""
         import socket
 
         with socket.create_connection(server.address, timeout=10) as sock:
             try:
                 sock.sendall(payload)
+                sock.shutdown(socket.SHUT_WR)
             except OSError:
                 pass  # the server may close before the whole body is out
             chunks = []
@@ -535,3 +538,60 @@ class TestHTTPSmoke:
         document = json.loads(payload.decode())
         assert validate_error_body(document) == []
         assert document["error"]["type"] == "bad_request"
+
+    # -- a declared body belongs to its request whatever the verb, and a
+    # framing this transport does not read is refused, not guessed ------ #
+    @pytest.mark.parametrize(
+        "request_line, status",
+        [
+            ("GET /healthz", b"200"),
+            ("DELETE /admin/v1/tenants/alpha", b"404"),  # admin API is off
+        ],
+        ids=["GET", "DELETE"],
+    )
+    def test_declared_body_is_consumed_for_every_verb(
+        self, http_server, request_line, status
+    ):
+        from repro.serve.handlers import validate_error_body
+
+        server, _, _ = http_server
+        head = (
+            f"{request_line} HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(self.SMUGGLED)}\r\n\r\n"
+        ).encode()
+        # the body is a whole request: answered twice if left on the socket
+        received = self.raw_exchange(server, head + self.SMUGGLED)
+        assert received.count(b"HTTP/1.1 ") == 1, received[:400]
+        headers, _, payload = received.partition(b"\r\n\r\n")
+        assert headers.startswith(b"HTTP/1.1 " + status + b" ")
+        document = json.loads(payload.decode())
+        if status != b"200":
+            assert validate_error_body(document) == []
+
+    def test_transfer_encoding_is_one_typed_400_then_close(self, http_server):
+        from repro.serve.handlers import validate_error_body
+
+        server, _, _ = http_server
+        body = b'{"tenant": "alpha", "surface": "x", "user": 0, "now": 1.0}'
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        head = (
+            b"POST /v1/link HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+        )
+        received = self.raw_exchange(server, head + chunked)
+        # on the parent: a typed 400, then http.server's HTML "Bad request
+        # syntax" page for the chunk-size line
+        assert received.count(b"HTTP/1.1 ") == 1, received[:600]
+        assert b"<html" not in received.lower()
+        headers, _, payload = received.partition(b"\r\n\r\n")
+        assert headers.startswith(b"HTTP/1.1 400 ")
+        document = json.loads(payload.decode())
+        assert validate_error_body(document) == []
+        assert document["error"]["type"] == "bad_request"
+
+    def test_zero_length_get_keeps_the_connection_alive(self, http_server):
+        """perfbench/loadgen sends ``Content-Length: 0`` on every /healthz."""
+        server, _, _ = http_server
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        received = self.raw_exchange(server, request + request)
+        assert received.count(b"HTTP/1.1 200 ") == 2, received[:600]
