@@ -3,13 +3,11 @@
 ``repro check`` enforces, before every PR, the conventions the serving
 layer relies on but cannot assert at runtime: seeded randomness and
 argument-passed timestamps (**DET**), the typed error taxonomy
-(**ERR**), tolerance-aware float comparisons in ranking code (**NUM**),
-interface hygiene
-(**API**), and — via the whole-program layer
-(:mod:`repro.analysis.project`) — the *cross-module* generalizations of
-all of the above (**FLOW**): interprocedural determinism taint, the
-serve exception contract, import hygiene and schema-export stability.  See DESIGN.md §8 for the rule table and
-``docs/static-analysis.md`` for the JSON report schema.
+(**ERR**), epoch bumps in cache-visible mutators (**CACHE**), and — via
+the whole-program layer (:mod:`repro.analysis.project`) — the serve
+exception contract and import hygiene (**FLOW**).  See DESIGN.md §8 for
+the rule table and ``docs/static-analysis.md`` for the JSON report
+schema.
 
 Programmatic use::
 

@@ -1,36 +1,28 @@
 """The FLOW rule family: whole-program checks over a ProjectContext.
 
-Per-file rules (:mod:`repro.analysis.rules`) catch a wall-clock read *in*
-a scoring module; these rules catch the scoring function that reaches one
-*three calls away* and the serve handler that lets a ``ValueError`` cross
-the typed-error boundary.  FLOW-001 and FLOW-002 are the interprocedural
-generalization of an existing invariant:
+Per-file rules (:mod:`repro.analysis.rules`) see one AST; these see the
+import graph and the call graph of the whole tree:
 
 ========  ====================================================  =========
 rule      invariant                                             per-file
 ========  ====================================================  =========
-FLOW-001  scoring paths never transitively reach wall clock /   DET-00x
-          unseeded RNG through out-of-scope helpers
 FLOW-002  only ``ReproError`` subtypes escape the serve          ERR-00x
           boundary (proven from may-raise summaries)
 FLOW-004  no top-level import cycles; no dead module-level       —
           imports
-FLOW-005  schema-versioned exporters never iterate raw sets      —
-          (key order must be deterministic run over run)
 ========  ====================================================  =========
 
 All resolution is best-effort (see :mod:`repro.analysis.project`):
-unresolved calls contribute nothing, so a FLOW finding is always backed
-by an explicit chain the message spells out.
+unresolved calls contribute nothing, so a FLOW-002 finding is always
+backed by an explicit chain the message spells out.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.analysis.framework import Finding, ProjectRule, Severity, register
 from repro.analysis.project import ProjectContext
-from repro.analysis.rules import SCORING_MODULES
 
 __all__ = [
     "SERVE_BOUNDARY_MODULE",
@@ -44,58 +36,9 @@ SERVE_BOUNDARY_MODULE = "repro.serve.handlers"
 SERVE_ROOT_EXCEPTION = "repro.errors.ReproError"
 
 
-def _in_scope(module: str, prefixes: Sequence[str]) -> bool:
-    return any(
-        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
-    )
-
-
 def _qual_display(qualname: str) -> str:
     """Drop the package prefix for readable chain messages."""
     return qualname[len("repro."):] if qualname.startswith("repro.") else qualname
-
-
-@register
-class InterproceduralDeterminismRule(ProjectRule):
-    id = "FLOW-001"
-    severity = Severity.ERROR
-    summary = (
-        "scoring/linking/cache functions must not transitively reach "
-        "wall-clock or unseeded-RNG reads (interprocedural DET)"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        tainted = project.wall_clock_taint()
-        for qualname in sorted(tainted):
-            function = project.functions[qualname]
-            module = project.summary_of(qualname)
-            if not _in_scope(module.module, SCORING_MODULES):
-                continue
-            witness, line, source = tainted[qualname]
-            if witness not in project.functions:
-                # direct read — the per-file DET rules own that report
-                continue
-            witness_module = project.summary_of(witness)
-            if _in_scope(witness_module.module, SCORING_MODULES):
-                # the callee is in scope itself: the report belongs on the
-                # deepest in-scope frame, where the taint enters the scope
-                continue
-            chain = " -> ".join(
-                _qual_display(frame) for frame in project.taint_chain(qualname, tainted)
-            )
-            yield Finding(
-                path=module.path,
-                line=line,
-                col=0,
-                rule=self.id,
-                message=(
-                    f"{_qual_display(qualname)}() reaches {source} through "
-                    f"out-of-scope helper {_qual_display(witness)}() "
-                    f"({chain}); thread the timestamp / a seeded RNG in as "
-                    "an argument instead"
-                ),
-                severity=self.severity,
-            )
 
 
 @register
@@ -221,61 +164,3 @@ class ImportHygieneRule(ProjectRule):
                     ),
                     severity=self.severity,
                 )
-
-
-@register
-class SchemaExportStabilityRule(ProjectRule):
-    id = "FLOW-005"
-    severity = Severity.ERROR
-    summary = (
-        "schema-versioned document exporters must not iterate raw sets "
-        "(key order must be deterministic run over run)"
-    )
-
-    #: How many call-graph hops below an exporter still count as "building
-    #: the document" — deep enough for render/collect helper splits, small
-    #: enough not to blanket the whole program.
-    _DEPTH = 2
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        exporters = sorted(
-            qual
-            for qual, function in project.functions.items()
-            if function.writes_schema_doc
-        )
-        flagged: Set[Tuple[str, int]] = set()
-        for root in exporters:
-            frontier = {root}
-            closure = {root}
-            for _hop in range(self._DEPTH):
-                frontier = {
-                    target
-                    for qual in frontier
-                    for _site, target in project.calls_of(qual)
-                    if target is not None and target not in closure
-                }
-                closure |= frontier
-            for qualname in sorted(closure):
-                function = project.functions.get(qualname)
-                if function is None:
-                    continue
-                for line in function.unsorted_set_iter:
-                    key = (qualname, line)
-                    if key in flagged:
-                        continue
-                    flagged.add(key)
-                    summary = project.summary_of(qualname)
-                    yield Finding(
-                        path=summary.path,
-                        line=line,
-                        col=0,
-                        rule=self.id,
-                        message=(
-                            f"{_qual_display(qualname)}() iterates a set "
-                            "while feeding the schema-versioned document "
-                            f"exported by {_qual_display(root)}(); set order "
-                            "varies across runs/interpreters — wrap the "
-                            "iteration in sorted(...)"
-                        ),
-                        severity=self.severity,
-                    )

@@ -21,7 +21,9 @@ Suppression has exactly one mechanism, the inline pragma
 (:mod:`repro.analysis.pragmas`), and it carries a *justification* so an
 exempted finding never loses its paper trail.  A pragma without a
 justification is itself a finding (``ANA-001``) — the suppression still
-applies, but the gate stays red until the "why" is written down.
+applies, but the gate stays red until the "why" is written down — and
+so is a pragma that suppresses nothing: a stale exemption reads as
+coverage the gate does not have.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -142,7 +145,7 @@ class Rule:
     """Base class of every check; subclasses self-register via
     :func:`register` and yield findings from :meth:`check`.
 
-    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/NUM/CACHE/API/ANA families);
+    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/CACHE/FLOW/ANA families);
     ``summary`` is the one-liner shown in reports and the DESIGN.md rule
     table.
     """
@@ -208,8 +211,9 @@ def all_rules() -> List[Rule]:
 # ---------------------------------------------------------------------- #
 # pragma application
 # ---------------------------------------------------------------------- #
-#: Rule id of the "pragma without justification" meta-finding.
-PRAGMA_JUSTIFICATION_RULE = "ANA-001"
+#: Rule id of the pragma-discipline meta-findings (no justification, or
+#: nothing suppressed).
+PRAGMA_RULE = "ANA-001"
 
 
 def _apply_pragmas(
@@ -217,42 +221,50 @@ def _apply_pragmas(
     pragmas: Dict[int, Pragma],
     path: str,
     anchors: Optional[Dict[int, int]] = None,
+    selected: Optional[FrozenSet[str]] = None,
 ) -> Tuple[List[Finding], List[Finding]]:
     """Split ``findings`` into (kept, suppressed) per the file's pragmas,
     and append an ``ANA-001`` finding for every pragma lacking a
-    justification.
+    justification and for every pragma that suppressed nothing.
 
     ``anchors`` maps continuation lines of multi-line statements to the
     statement's first line, so a ``noqa`` on the opening line of a
     wrapped call also covers findings reported on its continuation lines.
+    ``selected`` is the set of rule ids that ran when the run was given a
+    subset: a pragma naming a rule that did not run cannot be judged
+    stale.  ``None`` means every rule ran.
     """
     kept: List[Finding] = []
     suppressed: List[Finding] = []
     anchors = anchors or {}
+    used = set()
     for finding in findings:
         pragma = pragmas.get(finding.line)
         if pragma is None and finding.line in anchors:
             pragma = pragmas.get(anchors[finding.line])
         if pragma is not None and pragma.covers(finding.rule):
             suppressed.append(finding)
+            used.add(pragma.line)
         else:
             kept.append(finding)
     for line in sorted(pragmas):
         pragma = pragmas[line]
+        problems = []
         if not pragma.justification:
-            kept.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    col=0,
-                    rule=PRAGMA_JUSTIFICATION_RULE,
-                    message=(
-                        "noqa pragma has no justification; write "
-                        "`# repro: noqa[RULE] -- why this boundary is sound`"
-                    ),
-                    severity=Severity.ERROR,
-                )
+            problems.append(
+                "noqa pragma has no justification; write "
+                "`# repro: noqa[RULE] -- why this boundary is sound`"
             )
+        if line not in used and (selected is None or pragma.rules <= selected):
+            problems.append(
+                f"noqa[{','.join(sorted(pragma.rules))}] suppresses no finding "
+                "on this statement; delete the stale pragma (keep the reason "
+                "as a plain comment if it still informs)"
+            )
+        kept.extend(
+            Finding(path, line, 0, PRAGMA_RULE, message, Severity.ERROR)
+            for message in problems
+        )
     return kept, suppressed
 
 
@@ -345,7 +357,8 @@ def run_check(
     The run is one pass: read and parse each file, run the per-file rules
     over its AST, build the :class:`ProjectContext` from every file's
     module summary and run the whole-program (FLOW) rules over it, then
-    apply the pragmas.
+    apply the pragmas.  With a ``rules`` subset, a pragma is judged stale
+    only if every rule id it names was selected.
     """
     from repro.analysis.project import ProjectContext, summarize
 
@@ -376,7 +389,8 @@ def run_check(
                     severity=Severity.ERROR,
                 )
             )
-            records[relative] = _FileRecord(tuple(source.splitlines()), [], {})
+            # no rule ran on this file, so its pragmas cannot be judged
+            records[relative] = _FileRecord((), [], {})
             continue
         report.files_scanned += 1
         raw: List[Finding] = []
@@ -398,9 +412,14 @@ def run_check(
                     record.raw.append(finding)
 
     # ---- suppression --------------------------------------------------- #
+    selected_ids = None if rules is None else frozenset(r.id for r in selected)
     for path, record in records.items():
         kept, by_pragma = _apply_pragmas(
-            record.raw, parse_pragmas(record.lines), path, record.anchors
+            record.raw,
+            parse_pragmas(record.lines),
+            path,
+            record.anchors,
+            selected_ids,
         )
         report.suppressed_pragma.extend(by_pragma)
         report.findings.extend(kept)

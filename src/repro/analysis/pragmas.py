@@ -8,20 +8,23 @@ A finding is suppressed on the line that carries::
 
 The ``-- justification`` tail is part of the contract: the analyzer
 treats a pragma without one as an ``ANA-001`` finding, so every
-suppression in the tree explains itself.  The pragma applies only to
-findings reported **on its own line** — there is no file-level or
-block-level form, which keeps suppressions exactly as narrow as the
-violation they cover.
+suppression in the tree explains itself — and a pragma that suppresses
+nothing as another, so none outlives the finding it was written for.
+The pragma applies only to findings reported **on its own line** (or on
+a continuation line of the statement that line opens) — there is no
+file-level or block-level form, which keeps suppressions exactly as
+narrow as the violation they cover.
 
-The parser is line-based (not tokenizer-based) on purpose: pragmas must
-be visible in a plain diff, and a pragma inside a string literal is the
-author's problem, not a case worth a real tokenizer.
+Only real ``#`` comments count: the examples above sit in a string
+literal, suppress nothing, and must not be reported stale for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import re
+import tokenize
 from typing import Dict, FrozenSet, Sequence
 
 __all__ = ["Pragma", "parse_pragmas"]
@@ -46,12 +49,15 @@ class Pragma:
 
 
 def parse_pragmas(lines: Sequence[str]) -> Dict[int, Pragma]:
-    """Map 1-based line number -> :class:`Pragma` for every pragma line."""
+    """Map 1-based line number -> :class:`Pragma` for every pragma comment."""
     pragmas: Dict[int, Pragma] = {}
-    for number, text in enumerate(lines, start=1):
-        if "repro:" not in text:  # cheap pre-filter before the regex
+    source = "\n".join(lines) + "\n"
+    if "repro:" not in source:  # cheap pre-filter before tokenizing
+        return pragmas
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
             continue
-        match = _PRAGMA_RE.search(text)
+        match = _PRAGMA_RE.search(token.string)
         if match is None:
             continue
         rules = frozenset(
@@ -59,6 +65,7 @@ def parse_pragmas(lines: Sequence[str]) -> Dict[int, Pragma]:
         )
         if not rules:
             continue
+        number = token.start[0]
         pragmas[number] = Pragma(
             line=number,
             rules=rules,

@@ -1,10 +1,10 @@
 """Whole-program context for the ``repro check`` FLOW rules.
 
 The per-file rules of :mod:`repro.analysis.rules` see one AST at a time;
-the invariants that actually break in practice are *cross-module*: a
-scoring function three calls away reads the wall clock, a serve handler
-lets a non-``ReproError`` escape the typed-error boundary.  This module
-derives, from one parse of the whole tree:
+the invariant that actually breaks in practice is *cross-module*: a
+serve handler lets a non-``ReproError`` raised three calls away escape
+the typed-error boundary.  This module derives, from one parse of the
+whole tree:
 
 * an **import graph** — project-internal module dependencies, split into
   top-level (cycle-relevant) and deferred/``TYPE_CHECKING`` edges;
@@ -14,10 +14,9 @@ derives, from one parse of the whole tree:
   ``__init__`` assignment types).  No dynamic-dispatch heroics: anything
   the resolver cannot prove is recorded as *unresolved* and contributes
   nothing to downstream analyses;
-* per-function **effect summaries** — wall-clock reads, unseeded RNG
-  use, may-raise sets (propagated through the call graph with handler
-  subtraction against the project's own exception hierarchy) and
-  schema-document exports.
+* per-function **may-raise sets**, propagated through the call graph
+  with handler subtraction against the project's own exception
+  hierarchy — the one fixpoint, read by FLOW-002.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ import dataclasses
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.framework import FileContext
-from repro.analysis.pragmas import parse_pragmas
-from repro.analysis.rules import (
-    RANDOM_MODULE_FUNCTIONS,
-    WALL_CLOCK_CALLS,
-    _dotted,
-)
+from repro.analysis.rules import _dotted
 
 __all__ = [
     "CallSite",
@@ -108,7 +102,7 @@ class RaiseSite:
 
 @dataclasses.dataclass
 class FunctionSummary:
-    """Effects and call sites of one function or method."""
+    """Call sites and raise sites of one function or method."""
 
     name: str
     qualname: str  # "module.Class.method" or "module.func"
@@ -116,11 +110,6 @@ class FunctionSummary:
     line: int
     calls: List[CallSite] = dataclasses.field(default_factory=list)
     raises: List[RaiseSite] = dataclasses.field(default_factory=list)
-    #: (line, spelling) of wall-clock reads NOT sealed by a DET-003/FLOW-001
-    #: pragma on their line (a justified pragma vouches for the boundary).
-    wall_clock: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
-    #: (line, spelling) of unseeded/module-global RNG use, same sealing rule.
-    unseeded_rng: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
     #: Parameter name -> annotation (dotted source text) where present.
     params: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Local name -> dotted RHS call (``x = Foo(...)`` / ``t = self.r.get(...)``),
@@ -128,10 +117,6 @@ class FunctionSummary:
     local_calls: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Return annotation (dotted source text) where present.
     returns: Optional[str] = None
-    #: True when the body builds a dict with a "schema_version" key.
-    writes_schema_doc: bool = False
-    #: Lines iterating a set-typed expression without ``sorted()``.
-    unsorted_set_iter: List[int] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
@@ -250,7 +235,6 @@ class _Summarizer(ast.NodeVisitor):
         self.ctx = ctx
         self.summary = ModuleSummary(module=ctx.module, path=ctx.path)
         self.summary.anchors = statement_anchors(ctx.tree)
-        self._pragmas = parse_pragmas(ctx.lines)
         self._class_stack: List[ClassSummary] = []
         self._function_stack: List[FunctionSummary] = []
         self._guard_stack: List[Tuple[str, ...]] = []
@@ -259,17 +243,6 @@ class _Summarizer(ast.NodeVisitor):
     # -------------------------------------------------------------- #
     # helpers
     # -------------------------------------------------------------- #
-    def _sealed(self, line: int, *rules: str) -> bool:
-        """True when a pragma on ``line`` (or its statement anchor) covers
-        any of ``rules`` — a justified suppression also seals the taint
-        source, so FLOW rules trust the human judgement behind it."""
-        candidates = [line, self.summary.anchors.get(line, line)]
-        for candidate in candidates:
-            pragma = self._pragmas.get(candidate)
-            if pragma is not None and any(pragma.covers(rule) for rule in rules):
-                return True
-        return False
-
     def _guards(self) -> Tuple[str, ...]:
         merged: List[str] = []
         for layer in self._guard_stack:
@@ -487,7 +460,7 @@ class _Summarizer(ast.NodeVisitor):
         self._function_stack.pop()
 
     # -------------------------------------------------------------- #
-    # effects
+    # guards, raise sites and call sites
     # -------------------------------------------------------------- #
     def visit_Try(self, node: ast.Try) -> None:
         guard_names: List[str] = []
@@ -540,80 +513,9 @@ class _Summarizer(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         name = _dotted(node.func)
         if name and self._function_stack:
-            function = self._function_stack[-1]
-            function.calls.append(
+            self._function_stack[-1].calls.append(
                 CallSite(name=name, line=node.lineno, guards=self._guards())
             )
-            self._record_effects(function, node, name)
-        elif name and not self._function_stack:
-            self._record_module_effects(node, name)
-        self.generic_visit(node)
-
-    def _record_effects(
-        self, function: FunctionSummary, node: ast.Call, name: str
-    ) -> None:
-        if name in WALL_CLOCK_CALLS and not self._sealed(
-            node.lineno, "DET-003", "FLOW-001"
-        ):
-            function.wall_clock.append((node.lineno, name))
-        if (
-            name.startswith("random.")
-            and name[len("random."):] in RANDOM_MODULE_FUNCTIONS
-            and not self._sealed(node.lineno, "DET-002", "FLOW-001")
-        ):
-            function.unseeded_rng.append((node.lineno, name))
-        if (
-            name == "random.Random"
-            and not node.args
-            and not node.keywords
-            and not self._sealed(node.lineno, "DET-001", "FLOW-001")
-        ):
-            function.unseeded_rng.append((node.lineno, name))
-
-    def _record_module_effects(self, node: ast.Call, name: str) -> None:
-        # module-level effects matter only for taint sources in helpers
-        # invoked at import time; keep the model simple and ignore them.
-        return
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_set_iteration(node.iter)
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        self._check_set_iteration(node.iter)
-        self.generic_visit(node)
-
-    def _check_set_iteration(self, iter_node: ast.AST) -> None:
-        if not self._function_stack:
-            return
-        is_set = isinstance(iter_node, (ast.Set, ast.SetComp))
-        if not is_set and isinstance(iter_node, ast.Call):
-            callee = _dotted(iter_node.func)
-            is_set = callee in ("set", "frozenset")
-        if not is_set and isinstance(iter_node, ast.Name):
-            # a local previously bound by `seen = set(...)`
-            bound_to = self._function_stack[-1].local_calls.get(iter_node.id)
-            is_set = bound_to in ("set", "frozenset")
-        if is_set:
-            self._function_stack[-1].unsorted_set_iter.append(iter_node.lineno)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        if self._function_stack and any(
-            isinstance(key, ast.Constant) and key.value == "schema_version"
-            for key in node.keys
-        ):
-            self._function_stack[-1].writes_schema_doc = True
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        # d["schema_version"] = ... also marks a schema exporter
-        if (
-            self._function_stack
-            and isinstance(node.ctx, ast.Store)
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value == "schema_version"
-        ):
-            self._function_stack[-1].writes_schema_doc = True
         self.generic_visit(node)
 
 
@@ -1057,51 +959,6 @@ class ProjectContext:
                     changed = True
         self._may_raise = {qual: frozenset(value) for qual, value in sets.items()}
         return self._may_raise
-
-    # -------------------------------------------------------------- #
-    # determinism taint
-    # -------------------------------------------------------------- #
-    def wall_clock_taint(self) -> Dict[str, Tuple[str, int, str]]:
-        """``qualname -> (witness, line, source spelling)`` for every
-        function that directly or transitively reaches an unsanctioned
-        wall-clock read or unseeded RNG.  ``witness`` is the direct callee
-        (or the spelling itself for direct reads) used to reconstruct a
-        chain for the report."""
-        tainted: Dict[str, Tuple[str, int, str]] = {}
-        for qual, function in self.functions.items():
-            if function.wall_clock:
-                line, spelling = function.wall_clock[0]
-                tainted[qual] = (spelling, line, spelling)
-            elif function.unseeded_rng:
-                line, spelling = function.unseeded_rng[0]
-                tainted[qual] = (spelling, line, spelling)
-        changed = True
-        while changed:
-            changed = False
-            for qual in self.functions:
-                if qual in tainted:
-                    continue
-                for site, target in self.calls_of(qual):
-                    if target in tainted:
-                        tainted[qual] = (target, site.line, tainted[target][2])
-                        changed = True
-                        break
-        return tainted
-
-    def taint_chain(self, qualname: str, tainted: Dict[str, Tuple[str, int, str]]) -> List[str]:
-        """Human-readable call chain from ``qualname`` to its source."""
-        chain = [qualname]
-        seen = {qualname}
-        current = qualname
-        while current in tainted:
-            witness = tainted[current][0]
-            if witness in seen or witness not in self.functions:
-                chain.append(witness)
-                break
-            chain.append(witness)
-            seen.add(witness)
-            current = witness
-        return chain
 
     def summary_of(self, qualname: str) -> ModuleSummary:
         """The module summary owning one function qualname."""

@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="run the project's AST invariant linter (DET/ERR/NUM/CACHE/API/FLOW)",
+        help="run the project's AST invariant linter (DET/ERR/CACHE/FLOW)",
     )
     check.add_argument(
         "paths", nargs="*", default=["src"],
@@ -928,12 +928,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
     from repro.serve.client import run_http
     from repro.serve.load import (
         LoadProfile,
-        VirtualClock,
         generate_requests,
         queries_from_dataset,
         run_inprocess,
     )
     from repro.serve.report import validate_load_document
+    from repro.testing.faults import FakeClock
 
     chaos = _chaos_from_args(args)
     chaos_meta = {
@@ -964,7 +964,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             pool_size=args.pool,
         )
     else:
-        clock = VirtualClock()
+        clock = FakeClock()
         app, context = _build_serve_app(
             args, clock=clock, sleep=None, defer_release=True
         )

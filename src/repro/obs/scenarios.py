@@ -38,6 +38,7 @@ from repro.obs.export import render_trace_document, validate_trace_document
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE
 from repro.resilience.breaker import CircuitBreaker
+from repro.testing.faults import FakeClock
 
 __all__ = ["SCENARIOS", "golden_path", "run_scenario"]
 
@@ -51,18 +52,6 @@ _ISOLATED = 5  # follows nobody; nobody follows them
 _HUB_BBALL = 10
 _HUB_ML = 11
 _HUB_SNEAKER = 12
-
-
-class _ManualClock:
-    """Fixed-time monotonic clock for the breaker (never advances)."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class _FailingReachability:
@@ -162,7 +151,7 @@ def _build_linker(name: str) -> SocialTemporalLinker:
             breaker=CircuitBreaker(
                 failure_threshold=1,
                 recovery_timeout=60.0,
-                clock=_ManualClock(),
+                clock=FakeClock(),
             ),
         )
     return SocialTemporalLinker(ckb, graph, config=config)

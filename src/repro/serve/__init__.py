@@ -19,7 +19,6 @@ from repro.serve.handlers import ServeApp, error_body, validate_error_body
 from repro.serve.load import (
     LoadProfile,
     OutcomeAccounting,
-    VirtualClock,
     generate_requests,
     queries_from_dataset,
     run_inprocess,
@@ -55,7 +54,6 @@ __all__ = [
     "TenantRegistry",
     "TenantSpec",
     "TokenBucket",
-    "VirtualClock",
     "build_load_document",
     "build_tenant_registry",
     "error_body",

@@ -165,17 +165,6 @@ class ClassedAdmissionController:
                 label=DEFAULT_CLASS
             )
 
-    @classmethod
-    def single(cls, controller: AdmissionController) -> "ClassedAdmissionController":
-        """Wrap an existing controller as the sole ``default`` class.
-
-        Back-compat shim for callers (tests, the load harness) that
-        still construct a bare :class:`AdmissionController`.
-        """
-        wrapped = cls.__new__(cls)
-        wrapped._controllers = {DEFAULT_CLASS: controller}
-        return wrapped
-
     def controller(self, admission_class: str) -> AdmissionController:
         controller = self._controllers.get(admission_class)
         if controller is None:
@@ -202,7 +191,10 @@ class ClassedAdmissionController:
 
     def release(self, admission_class: str = DEFAULT_CLASS) -> None:
         """Return a position taken by a prior successful :meth:`admit`."""
-        self.controller(admission_class).release()
+        # bound to a local (as in admit) so `repro check` can type the call
+        # and FLOW-002 sees AdmissionController.release's ValueError
+        controller = self.controller(admission_class)
+        controller.release()
 
     @property
     def pending(self) -> int:

@@ -28,7 +28,7 @@ import dataclasses
 import hmac
 import json
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import LinkerConfig
 from repro.core.linker import LinkResult
@@ -41,7 +41,7 @@ from repro.errors import (
     UnauthorizedError,
 )
 from repro.obs.metrics import METRICS, render_metrics_document
-from repro.serve.admission import AdmissionController, ClassedAdmissionController
+from repro.serve.admission import ClassedAdmissionController
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
 
 __all__ = [
@@ -147,10 +147,8 @@ class ServeApp:
     how the harness models requests that occupy the server for their full
     service time.
 
-    ``admission`` may be a :class:`ClassedAdmissionController` (tenants
-    admit under their spec's class) or a bare
-    :class:`AdmissionController`, which is wrapped as the single
-    ``default`` class for compatibility.  The admin API is disabled —
+    Tenants admit under their spec's class of ``admission`` (one
+    ``default`` class when none is given).  The admin API is disabled —
     admin paths 404 — unless ``admin_token`` is set; requests must then
     carry ``Authorization: Bearer <token>``.
     """
@@ -158,19 +156,13 @@ class ServeApp:
     def __init__(
         self,
         registry: TenantRegistry,
-        admission: Optional[
-            Union[AdmissionController, ClassedAdmissionController]
-        ] = None,
+        admission: Optional[ClassedAdmissionController] = None,
         clock: Callable[[], float] = time.monotonic,
         defer_release: bool = False,
         admin_token: Optional[str] = None,
     ) -> None:
         self.registry = registry
-        if admission is None:
-            admission = ClassedAdmissionController()
-        elif isinstance(admission, AdmissionController):
-            admission = ClassedAdmissionController.single(admission)
-        self.admission = admission
+        self.admission = admission or ClassedAdmissionController()
         self._clock = clock
         self._defer_release = defer_release
         self._admin_token = admin_token
@@ -182,7 +174,7 @@ class ServeApp:
             # At construction time this is a wiring error (ValueError, the
             # CLI reports it and exits); the admin add path catches it and
             # re-raises as a typed 400.
-            raise ValueError(  # repro: noqa[FLOW-002] -- admin add re-types this as BadRequestError; at boot it is a config error
+            raise ValueError(
                 f"tenant {spec.name!r} names unknown admission class "
                 f"{spec.admission_class!r} "
                 f"(configured: {', '.join(self.admission.names())})"

@@ -7,13 +7,13 @@ traffic generator (:func:`generate_requests`), one outcome accounting
 
 * **in-process** (this module): drives
   :class:`~repro.serve.handlers.ServeApp` directly under a
-  :class:`VirtualClock`.  Time only moves when the harness moves it —
-  arrivals advance it along the precomputed schedule, injected slow-KB
-  faults advance it mid-request — so two runs with the same seed produce
-  *byte-identical* reports, which is what the CI gate diffs.  Service is
-  modeled as a single queue: each 200 response occupies the server for
-  (chaos-visible work + a fixed service tick), and the admission slot is
-  held until that simulated completion.
+  :class:`~repro.testing.faults.FakeClock`.  Time only moves when the
+  harness moves it — arrivals advance it along the precomputed schedule,
+  injected slow-KB faults advance it mid-request — so two runs with the
+  same seed produce *byte-identical* reports, which is what the CI gate
+  diffs.  Service is modeled as a single queue: each 200 response
+  occupies the server for (chaos-visible work + a fixed service tick),
+  and the admission slot is held until that simulated completion.
 * **live HTTP** (:mod:`repro.serve.client`, ``--url``): the same trace
   goes over real sockets through a concurrent open-loop client —
   arrivals are paced against the wall clock and never gated on
@@ -35,46 +35,25 @@ import heapq
 import json
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.log import get_logger
 from repro.serve.handlers import ServeApp, validate_error_body
 from repro.serve.report import build_load_document, zero_outcomes
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.testing stays opt-in
+    from repro.testing.faults import FakeClock
+
 __all__ = [
     "LoadProfile",
     "OutcomeAccounting",
     "PlannedRequest",
-    "VirtualClock",
     "classify_outcome",
     "generate_requests",
     "run_inprocess",
 ]
 
 _log = get_logger(__name__)
-
-
-class VirtualClock:
-    """Manually-driven monotonic clock (callable like ``time.monotonic``).
-
-    Mirrors :class:`repro.testing.faults.FakeClock`, plus ``advance_to``:
-    chaos injection may have pushed the clock past the next arrival's
-    scheduled instant, and a monotonic clock must never move backwards.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("clocks only move forward")
-        self.now += seconds
-
-    def advance_to(self, instant: float) -> None:
-        self.now = max(self.now, instant)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +260,7 @@ class OutcomeAccounting:
 
 def run_inprocess(
     app: ServeApp,
-    clock: VirtualClock,
+    clock: FakeClock,
     planned: List[PlannedRequest],
     seed: int,
     profile: LoadProfile,

@@ -43,6 +43,12 @@ class FakeClock:
             raise ValueError("clocks only move forward")
         self.now += seconds
 
+    def advance_to(self, instant: float) -> None:
+        """Move to ``instant`` unless already past it: injected faults may
+        have pushed the clock beyond the next scheduled arrival, and a
+        monotonic clock must never move backwards."""
+        self.now = max(self.now, instant)
+
 
 class FaultSchedule:
     """Deterministic per-call fault decisions.

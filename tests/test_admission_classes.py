@@ -16,7 +16,6 @@ from repro.errors import OverloadedError
 from repro.serve.admission import (
     DEFAULT_CLASS,
     AdmissionClass,
-    AdmissionController,
     ClassedAdmissionController,
 )
 from repro.serve.handlers import ServeApp
@@ -106,12 +105,13 @@ class TestClassedAdmissionController:
         assert snap["classes"]["gold"]["shed"] == 0
         assert json.loads(json.dumps(snap, sort_keys=True)) == snap
 
-    def test_single_wraps_existing_controller(self):
-        controller = AdmissionController(capacity=1, queue_limit=0)
-        admission = ClassedAdmissionController.single(controller)
+    def test_explicit_default_class_is_the_unnamed_class(self):
+        admission = ClassedAdmissionController(
+            [AdmissionClass(DEFAULT_CLASS, capacity=1, queue_limit=0)]
+        )
         assert admission.names() == [DEFAULT_CLASS]
         admission.admit()
-        assert controller.pending == 1
+        assert admission.controller(DEFAULT_CLASS).pending == 1
         with pytest.raises(OverloadedError):
             admission.admit()
 

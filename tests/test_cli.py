@@ -140,6 +140,34 @@ class TestValidate:
         assert "activity_gini" in out
 
 
+class TestStream:
+    def test_resume_after_crash_matches_uninterrupted_run(
+        self, world_file, tmp_path, capsys
+    ):
+        """The crash drill at the CLI: stop half way, ``--resume``, and the
+        checkpoint equals the uninterrupted run's."""
+        from repro.kb.checkpoint import load_checkpoint
+
+        full, part = str(tmp_path / "full.json.gz"), str(tmp_path / "part.json.gz")
+        limit = 200
+
+        def stream(*extra):
+            assert main(["stream", "--world", world_file, *extra]) == 0
+            header, _rule, row = capsys.readouterr().out.splitlines()[-3:]
+            return dict(zip(header.split(), map(int, row.split())))
+
+        uninterrupted = stream("--limit", str(limit), "--checkpoint", full)
+        assert uninterrupted["dead_lettered"] == 0
+        stream("--limit", str(limit // 2), "--checkpoint", part)
+        resumed = stream("--limit", str(limit), "--checkpoint", part, "--resume")
+        # every already-applied tweet is re-delivered and dropped, none re-linked
+        assert resumed["received"] == limit
+        assert resumed["dead_lettered"] == limit // 2
+        assert resumed["kb_links"] == uninterrupted["kb_links"]
+        # links, watermark, applied_ids and version
+        assert load_checkpoint(part) == load_checkpoint(full)
+
+
 class TestBench:
     def test_smoke_bench_writes_valid_document(self, tmp_path, capsys):
         import json

@@ -12,12 +12,11 @@ import json
 
 import pytest
 
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionClass, ClassedAdmissionController
 from repro.serve.handlers import ServeApp
 from repro.serve.load import (
     MALFORMED_MODES,
     LoadProfile,
-    VirtualClock,
     generate_requests,
     queries_from_dataset,
     run_inprocess,
@@ -30,6 +29,7 @@ from repro.serve.report import (
     zero_outcomes,
 )
 from repro.serve.tenants import ChaosConfig, TenantSpec, build_tenant_registry
+from repro.testing.faults import FakeClock
 
 CHAOS = ChaosConfig(error_rate=0.05, slow_rate=0.1, slow_ms=40.0, seed=3)
 CHAOS_META = {
@@ -51,7 +51,9 @@ def build_app(world, clock, chaos=None):
     )
     app = ServeApp(
         registry,
-        admission=AdmissionController(capacity=4, queue_limit=8),
+        admission=ClassedAdmissionController(
+            [AdmissionClass("default", capacity=4, queue_limit=8)]
+        ),
         clock=clock,
         defer_release=True,
     )
@@ -59,7 +61,7 @@ def build_app(world, clock, chaos=None):
 
 
 def run_once(world, requests=600, chaos=None, seed=17):
-    clock = VirtualClock()
+    clock = FakeClock()
     app, context = build_app(world, clock, chaos=chaos)
     profile = LoadProfile(base_rate=100.0)
     planned = generate_requests(
@@ -120,9 +122,9 @@ class TestTrafficGeneration:
             generate_requests(7, 10, LoadProfile(), ["t"], [])
 
 
-class TestVirtualClock:
+class TestFakeClock:
     def test_advance_to_never_goes_backwards(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         clock.advance(5.0)
         clock.advance_to(3.0)
         assert clock() == 5.0
@@ -131,7 +133,7 @@ class TestVirtualClock:
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
-            VirtualClock().advance(-1.0)
+            FakeClock().advance(-1.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -205,7 +207,7 @@ class TestReplayDeterminism:
         )
 
     def test_admission_slots_fully_released_after_run(self, small_world):
-        clock = VirtualClock()
+        clock = FakeClock()
         app, context = build_app(small_world, clock, chaos=CHAOS)
         planned = generate_requests(
             17, 300, LoadProfile(base_rate=100.0), ["alpha", "beta"],

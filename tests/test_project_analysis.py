@@ -1,4 +1,4 @@
-"""Whole-program layer: ProjectContext graphs, effects, FLOW rules."""
+"""Whole-program layer: ProjectContext graphs, may-raise sets, FLOW rules."""
 
 from __future__ import annotations
 
@@ -265,90 +265,9 @@ class TestMayRaise:
         assert not any("KeyError" in r for r in raised.get("pkg.a.caller", ()))
 
 
-class TestWallClockTaint:
-    def test_taint_flows_through_helpers(self, tmp_path):
-        project = build_project(
-            tmp_path,
-            {
-                "pkg/a.py": (
-                    "from pkg.b import stamp\n"
-                    "def score():\n"
-                    "    return stamp()\n"
-                ),
-                "pkg/b.py": (
-                    "import time\n"
-                    "def stamp():\n"
-                    "    return time.time()\n"
-                ),
-            },
-        )
-        tainted = project.wall_clock_taint()
-        assert "pkg.a.score" in tainted
-        chain = project.taint_chain("pkg.a.score", tainted)
-        assert chain[0] == "pkg.a.score"
-        assert "pkg.b.stamp" in chain
-        assert chain[-1] == "time.time"  # the raw wall-clock source
-
-    def test_pragma_on_source_line_seals_taint(self, tmp_path):
-        project = build_project(
-            tmp_path,
-            {
-                "pkg/b.py": (
-                    "import time\n"
-                    "def stamp():\n"
-                    "    return time.time()  # repro: noqa[DET-003] -- boundary\n"
-                ),
-                "pkg/a.py": (
-                    "from pkg.b import stamp\n"
-                    "def score():\n"
-                    "    return stamp()\n"
-                ),
-            },
-        )
-        assert "pkg.a.score" not in project.wall_clock_taint()
-
-
 # ---------------------------------------------------------------------- #
 # FLOW rules end-to-end (run_check over synthetic trees)
 # ---------------------------------------------------------------------- #
-class TestFlow001:
-    def test_flags_taint_entering_scoring_scope(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "repro/util/clockish.py": (
-                    "import time\n"
-                    "def now_stamp():\n"
-                    "    return time.time()\n"
-                ),
-                "repro/core/scorer.py": (
-                    "from repro.util.clockish import now_stamp\n"
-                    "def score():\n"
-                    "    return now_stamp()\n"
-                ),
-            },
-        )
-        findings = flow_findings(report, "FLOW-001")
-        assert len(findings) == 1
-        assert findings[0].path.endswith("repro/core/scorer.py")
-
-    def test_direct_read_in_scope_is_det_not_flow(self, tmp_path):
-        # a wall-clock read *inside* scoring scope is DET-003's finding;
-        # FLOW-001 only reports taint imported from helpers outside scope
-        report = check_tree(
-            tmp_path,
-            {
-                "repro/core/scorer.py": (
-                    "import time\n"
-                    "def score():\n"
-                    "    return time.time()\n"
-                ),
-            },
-        )
-        assert flow_findings(report, "FLOW-001") == []
-        assert [f.rule for f in report.findings] == ["DET-003"]
-
-
 class TestFlow002:
     def test_untyped_raise_escaping_boundary_is_flagged(self, tmp_path):
         report = check_tree(
@@ -430,6 +349,43 @@ class TestFlow002:
         assert flow_findings(report, "FLOW-002") == []
 
 
+    def test_optional_constructor_argument_is_followed(self, tmp_path):
+        # the ServeApp shape: the boundary reaches the raise through an
+        # Optional[...]-annotated constructor argument, then through a
+        # local bound from a method with a return annotation
+        report = check_tree(
+            tmp_path,
+            {
+                "repro/serve/__init__.py": "",
+                "repro/serve/admission.py": (
+                    "class Controller:\n"
+                    "    def release(self):\n"
+                    "        raise ValueError('release without admit')\n"
+                    "class Classed:\n"
+                    "    def controller(self, name) -> Controller:\n"
+                    "        return Controller()\n"
+                    "    def release(self, name):\n"
+                    "        controller = self.controller(name)\n"
+                    "        controller.release()\n"
+                ),
+                "repro/serve/handlers.py": (
+                    "from typing import Optional\n"
+                    "from repro.serve.admission import Classed\n"
+                    "class App:\n"
+                    "    def __init__(self, admission: Optional[Classed] = None):\n"
+                    "        self.admission = admission or Classed()\n"
+                    "    def handle(self, request):\n"
+                    "        self.admission.release('default')\n"
+                ),
+            },
+        )
+        findings = flow_findings(report, "FLOW-002")
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/serve/admission.py", 3)
+        ]
+        assert "App.handle" in findings[0].message
+
+
 class TestFlow004:
     def test_dead_import_is_flagged(self, tmp_path):
         report = check_tree(
@@ -482,35 +438,4 @@ class TestFlow004:
         )
         findings = flow_findings(report, "FLOW-004")
         assert any("cycle" in f.message for f in findings)
-
-
-class TestFlow005:
-    def test_set_iteration_feeding_schema_doc_is_flagged(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "pkg/export.py": (
-                    "def render(items):\n"
-                    "    seen = set(items)\n"
-                    "    rows = [x for x in seen]\n"
-                    "    return {'schema_version': 1, 'rows': rows}\n"
-                ),
-            },
-        )
-        findings = flow_findings(report, "FLOW-005")
-        assert len(findings) == 1
-
-    def test_sorted_set_is_clean(self, tmp_path):
-        report = check_tree(
-            tmp_path,
-            {
-                "pkg/export.py": (
-                    "def render(items):\n"
-                    "    seen = set(items)\n"
-                    "    rows = [x for x in sorted(seen)]\n"
-                    "    return {'schema_version': 1, 'rows': rows}\n"
-                ),
-            },
-        )
-        assert flow_findings(report, "FLOW-005") == []
 

@@ -24,7 +24,11 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.obs.metrics import validate_metrics_document
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import (
+    AdmissionClass,
+    AdmissionController,
+    ClassedAdmissionController,
+)
 from repro.serve.handlers import ServeApp, error_body
 from repro.serve.tenants import TenantSpec, TokenBucket, build_tenant_registry
 from repro.testing.faults import FakeClock
@@ -160,7 +164,9 @@ def served(small_world):
     )
     app = ServeApp(
         registry,
-        admission=AdmissionController(capacity=2, queue_limit=1),
+        admission=ClassedAdmissionController(
+            [AdmissionClass("default", capacity=2, queue_limit=1)]
+        ),
         clock=clock,
     )
     mention = next(
@@ -350,7 +356,9 @@ class TestConcurrentHandle:
         # capacity above the thread count: nothing may be shed
         app = ServeApp(
             registry,
-            admission=AdmissionController(capacity=2 * self.THREADS, queue_limit=0),
+            admission=ClassedAdmissionController(
+                [AdmissionClass("default", capacity=2 * self.THREADS, queue_limit=0)]
+            ),
             clock=clock,
         )
         mentions = [
