@@ -3,8 +3,8 @@
 
 ``build_reachability_index`` is how the library obtains an index: the
 extended transitive closure (Algorithm 1) up to ``closure_max_nodes``
-users, the compact extended 2-hop cover (Algorithm 2) above.  This script
-forces each backend over the same followee-follower network and reports
+users, the compact 2-hop cover (distance labels + Theorem 1) above.  This
+script forces each backend over the same follow network and reports
 the Table-5 trade-off: the closure answers queries fastest, the 2-hop
 cover is what still fits when |V|² does not; both agree with exact
 per-pair BFS.

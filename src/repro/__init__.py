@@ -29,7 +29,6 @@ from repro.core import (
     CandidateGenerator,
     InteractiveLinkingSession,
     LinkResult,
-    OnlineReachability,
     RecencyPropagationNetwork,
     ScoredCandidate,
     SocialTemporalLinker,
@@ -42,6 +41,7 @@ from repro.graph import (
     CompactTwoHopCover,
     DiGraph,
     DynamicTransitiveClosure,
+    OnlineReachability,
     TransitiveClosure,
     build_reachability_index,
     build_transitive_closure_incremental,

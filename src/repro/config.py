@@ -89,21 +89,15 @@ class LinkerConfig:
     #: are untouched; when on, the linker's output is bit-identical to the
     #: uncached path.
     score_caching: bool = False
-    #: Reachability index backend: ``"auto"`` picks by graph size (the
-    #: The-Pulse-style dispatch of ROADMAP item 1), or force one of
-    #: ``"closure"`` (extended transitive closure, Algorithm 1) and
-    #: ``"compact"`` (array-backed 2-hop cover, Algorithm 2,
+    #: Reachability index backend: ``"auto"`` picks by graph size, or
+    #: force one of ``"closure"`` (extended transitive closure,
+    #: Algorithm 1) and ``"compact"`` (array-backed 2-hop cover,
     #: docs/scaling.md).
     index_backend: str = "auto"
     #: ``"auto"`` node threshold: at or below it the closure's O(1) lookups
     #: win; above it the |V|² matrix stops fitting and the compact 2-hop
     #: cover takes over.
     closure_max_nodes: int = 2000
-    #: Optional hard cap on a compact index's ``label_bytes()``.  The
-    #: distance backbone is never pruned; followee pools are dropped for
-    #: the least-central landmarks first, with exact lazy recovery at
-    #: query time (docs/scaling.md).  ``None`` stores every followee set.
-    index_memory_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         weights = (self.alpha, self.beta, self.gamma)
@@ -137,14 +131,9 @@ class LinkerConfig:
             raise ValueError(f"unknown index backend {self.index_backend!r}")
         if self.closure_max_nodes < 0:
             raise ValueError("closure_max_nodes must be non-negative")
-        if (
-            self.index_memory_budget_bytes is not None
-            and self.index_memory_budget_bytes < 1
-        ):
-            raise ValueError("index_memory_budget_bytes must be positive when set")
 
     def select_index_backend(self, num_nodes: int) -> str:
-        """Scale-aware reachability-index choice (ROADMAP item 1).
+        """Scale-aware reachability-index choice.
 
         ``"auto"`` resolves by graph size: the transitive closure at or
         below ``closure_max_nodes`` (O(1) lookups, |V|²-bounded build),

@@ -11,7 +11,7 @@ from repro.core.explain import LinkExplanation, explain_link
 from repro.core.feedback import FeedbackOutcome, InteractiveLinkingSession
 from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.core.influence import entropy_influence, tfidf_influence, top_influential_users
-from repro.core.interest import OnlineReachability, ReachabilityProvider, user_interest
+from repro.core.interest import ReachabilityProvider, user_interest
 from repro.core.linker import LinkResult, MentionResult, SocialTemporalLinker
 from repro.core.popularity import popularity_scores
 from repro.core.recency import RecencyPropagationNetwork, sliding_window_recency
@@ -29,7 +29,6 @@ __all__ = [
     "TextLinkingPipeline",
     "explain_link",
     "MentionResult",
-    "OnlineReachability",
     "ReachabilityProvider",
     "RecencyPropagationNetwork",
     "ScoredCandidate",

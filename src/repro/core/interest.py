@@ -9,7 +9,7 @@ community's most influential members:
     S_{in}(u, e) = \\frac{\\sum_{v \\in U^*_e} R(u, v)}{|U^*_e|}
 
 Reachability values come from a pluggable provider so the same code runs on
-the extended transitive closure, the extended 2-hop cover, or plain online
+the extended transitive closure, the compact 2-hop cover, or plain online
 BFS (the ablation of DESIGN.md §4).
 """
 
@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Protocol, Sequence
 
-# Re-exported for backward compatibility: the cached-BFS provider lives in
-# the graph layer (it has no knowledge of entities or interest).
-from repro.graph.online import OnlineReachability
-
 __all__ = [
-    "OnlineReachability",
     "ReachabilityProvider",
     "normalized_interest",
     "user_interest",
@@ -33,8 +28,9 @@ class ReachabilityProvider(Protocol):
     """Anything that answers weighted reachability queries.
 
     Satisfied by :class:`repro.graph.TransitiveClosure`,
-    :class:`repro.graph.CompactTwoHopCover`, :class:`OnlineReachability`
-    and :class:`repro.graph.DynamicTransitiveClosure`.
+    :class:`repro.graph.CompactTwoHopCover`,
+    :class:`repro.graph.OnlineReachability` and
+    :class:`repro.graph.DynamicTransitiveClosure`.
     """
 
     def reachability(self, source: int, target: int) -> float:

@@ -25,11 +25,7 @@ from repro.cache.scores import ScoreCaches
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.candidates import CandidateGenerator
 from repro.core.influence import top_influential_users
-from repro.core.interest import (
-    OnlineReachability,
-    ReachabilityProvider,
-    normalized_interest,
-)
+from repro.core.interest import ReachabilityProvider, normalized_interest
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -47,6 +43,7 @@ from repro.core.recency import (
 )
 from repro.core.scoring import ScoredCandidate, combine_scores
 from repro.graph.digraph import DiGraph
+from repro.graph.online import OnlineReachability
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.tweet import Tweet
 

@@ -10,9 +10,8 @@ Sec. 4.1 of the paper lives here:
   of Eq. 4, used as ground truth for the indexes.
 * :mod:`repro.graph.transitive_closure` — extended transitive closure,
   built incrementally (Algorithm 1).
-* :mod:`repro.graph.compact_labels` — the extended 2-hop cover
-  (Algorithm 2) in flat ``array``/``bytes`` buffers with an optional
-  memory budget (the index past the closure's |V|² wall — docs/scaling.md).
+* :mod:`repro.graph.compact_labels` — hop-bounded 2-hop labels in flat
+  buffers + Theorem 1 (the index past the |V|² wall — docs/scaling.md).
 * :mod:`repro.graph.online` — cached per-source BFS, the no-index provider.
 * :mod:`repro.graph.dynamic` — the closure maintained under follow/unfollow.
 * :mod:`repro.graph.dispatch` — :func:`build_reachability_index`, the one
@@ -20,8 +19,8 @@ Sec. 4.1 of the paper lives here:
 * :mod:`repro.graph.generators` — synthetic followee-follower networks,
   including the streaming 100k–1M-user hub/faction worlds.
 
-The slower, literal versions of Algorithms 1–2 the shipped providers are
-tested against live in :mod:`repro.testing.oracles`.
+The slower, literal Algorithms 1–2 (followee sets in the labels) the
+shipped providers are tested against live in :mod:`repro.testing.oracles`.
 """
 
 from repro.graph.compact_labels import (

@@ -1,4 +1,4 @@
-"""Scale-aware reachability-index selection (ROADMAP item 1).
+"""Scale-aware reachability-index selection.
 
 One entry point, :func:`build_reachability_index`, turns a follow graph
 plus a :class:`~repro.config.LinkerConfig` into the reachability provider
@@ -6,9 +6,9 @@ the linker should score Eq. 4 against at that scale:
 
 * at or below ``closure_max_nodes`` — the extended transitive closure
   (Algorithm 1): O(1) lookups, but a |V|²-bounded build;
-* above it — the compact 2-hop cover (Algorithm 2 in flat buffers,
-  :mod:`repro.graph.compact_labels`) in exact-followees mode, so both
-  backends evaluate Eq. 4 on the exact ``F_st`` and link decisions match.
+* above it — the compact 2-hop cover (hop-bounded PLL + Theorem 1,
+  :mod:`repro.graph.compact_labels`); both backends evaluate Eq. 4 on
+  the exact ``F_st``, so link decisions match.
 
 The chosen backend is recorded in an ``index.selected`` trace event, so a
 production trace always shows *which* index served a linker and why.
@@ -41,15 +41,9 @@ def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONF
         nodes=graph.num_nodes,
         edges=graph.num_edges,
         closure_max_nodes=config.closure_max_nodes,
-        memory_budget_bytes=config.index_memory_budget_bytes,
     )
     if backend == "closure":
         return build_transitive_closure_incremental(
             graph, max_hops=config.max_hops
         )
-    return build_compact_two_hop_cover(
-        graph,
-        max_hops=config.max_hops,
-        memory_budget_bytes=config.index_memory_budget_bytes,
-        exact_reachability=True,
-    )
+    return build_compact_two_hop_cover(graph, max_hops=config.max_hops)

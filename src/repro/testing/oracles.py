@@ -8,10 +8,12 @@ operator per cluster.  These are the slower, more literal versions of the
 same algorithms, kept as oracles for the property battery, ``repro
 bench``'s identity gates and the paper's index tables (``benchmarks/``):
 
-* :class:`TwoHopCover` / :func:`build_two_hop_cover` — Algorithm 2 as
-  dict-of-dicts with one Python ``set`` per out-entry; the compact cover
-  (:mod:`repro.graph.compact_labels`, where the algorithm is described)
-  must answer every query bit-identically.
+* :class:`TwoHopCover` / :func:`build_two_hop_cover` — Algorithm 2 and
+  Theorem 2 (docs/algorithms.md) as dict-of-dicts with one Python ``set``
+  of followees per out-entry; the shipped cover
+  (:mod:`repro.graph.compact_labels`, the same labeling without the sets)
+  must equal its ``distance``, ``exact_followee_set`` and
+  ``reachability(exact_followees=True)``.
 * :func:`build_transitive_closure_naive` — the paper's Fig. 5(b) strawman,
   one BFS per node pair.
 * :func:`weighted_reachability_from_per_target` — the pre-one-pass
@@ -24,13 +26,14 @@ bench``'s identity gates and the paper's index tables (``benchmarks/``):
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.core.recency import RecencyPropagationNetwork
-from repro.graph.compact_labels import INF, _landmark_order
+from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
@@ -211,6 +214,22 @@ class TwoHopCover:
         """Alias of :meth:`label_bytes` (kept for API parity; the old
         per-entry byte constants underestimated real CPython objects)."""
         return self.label_bytes()
+
+
+def _landmark_order(graph: DiGraph, order: str, seed: int) -> List[int]:
+    if order == "degree":
+        return sorted(graph.nodes(), key=graph.degree, reverse=True)
+    if order == "coverage":
+        return sorted(
+            graph.nodes(),
+            key=lambda v: (graph.in_degree(v) + 1) * (graph.out_degree(v) + 1),
+            reverse=True,
+        )
+    if order == "random":
+        nodes = list(graph.nodes())
+        random.Random(seed).shuffle(nodes)
+        return nodes
+    raise ValueError(f"unknown landmark order {order!r}")
 
 
 def build_two_hop_cover(

@@ -2,13 +2,14 @@
 
 The compact cover (:mod:`repro.graph.compact_labels`) is the production
 reachability index past the closure's |V|² wall, so its contract is
-**bit-identity**: on any graph, every ``distance`` / ``query`` /
+**bit-identity**: on any graph, every ``distance`` /
 ``exact_followee_set`` / ``reachability`` answer must equal the
-dict-of-dicts :class:`~repro.testing.oracles.TwoHopCover` — same values,
-same types — and ``reachability(exact_followees=True)`` must equal the
-BFS ground truth :func:`~repro.graph.reachability.weighted_reachability`.
-The randomized suite here sweeps density, hop horizon, and seeds; the
-deterministic classes pin edge cases and the ``label_bytes`` accounting.
+dict-of-dicts :class:`~repro.testing.oracles.TwoHopCover` in exact-followee
+mode — same values, same types — and the BFS ground truth
+:func:`~repro.graph.reachability.weighted_reachability`, from no more
+label entries than the oracle stores.  The randomized suite here sweeps
+density, hop horizon, and seeds; the deterministic classes pin edge cases
+and the ``label_bytes`` accounting.
 """
 
 import math
@@ -31,23 +32,21 @@ from conftest import random_graph
 
 
 def assert_bit_identical(compact, oracle, graph):
-    """Every query answer matches the dict cover in value AND type."""
+    """Every query answer matches the dict cover in value AND type, from
+    no more entries than it stores."""
+    assert compact.num_label_entries() <= oracle.num_label_entries()
     for s in graph.nodes():
         for t in graph.nodes():
             want = oracle.distance(s, t)
             got = compact.distance(s, t)
             assert got == want, (s, t)
             assert type(got) is type(want), (s, t)
-            want_d, want_f = oracle.query(s, t)
-            got_d, got_f = compact.query(s, t)
-            assert got_d == want_d and got_f == want_f, (s, t)
             assert compact.exact_followee_set(s, t) == oracle.exact_followee_set(
                 s, t
             ), (s, t)
-            for exact in (False, True):
-                want_r = oracle.reachability(s, t, exact_followees=exact)
-                got_r = compact.reachability(s, t, exact_followees=exact)
-                assert got_r == want_r, (s, t, exact)
+            assert compact.reachability(s, t) == oracle.reachability(
+                s, t, exact_followees=True
+            ), (s, t)
 
 
 class TestRandomizedIdentity:
@@ -66,8 +65,34 @@ class TestRandomizedIdentity:
         oracle = build_two_hop_cover(graph, max_hops=max_hops)
         compact = build_compact_two_hop_cover(graph, max_hops=max_hops)
         assert compact.max_hops == max_hops
-        assert compact.num_label_entries() == oracle.num_label_entries()
         assert_bit_identical(compact, oracle, graph)
+        for s in graph.nodes():
+            for t in graph.nodes():
+                assert compact.reachability(s, t) == weighted_reachability(
+                    graph, s, t, max_hops
+                ), (s, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nodes=st.integers(min_value=2, max_value=24),
+        density=st.floats(min_value=0.05, max_value=0.6),
+        max_hops=st.sampled_from([1, 2, 3, 4, 6]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_reversed_graph_gets_the_mirrored_index(
+        self, nodes, density, max_hops, seed
+    ):
+        """Both searches follow one rule, so flipping every edge swaps the
+        in- and out-labels and nothing else."""
+        edges = int(density * nodes * (nodes - 1))
+        graph = random_graph(nodes, edges, seed)
+        forward = build_compact_two_hop_cover(graph, max_hops=max_hops)
+        mirrored = build_compact_two_hop_cover(graph.reverse(), max_hops=max_hops)
+        assert mirrored.num_label_entries() == forward.num_label_entries()
+        assert mirrored.label_bytes() == forward.label_bytes()
+        for s in graph.nodes():
+            for t in graph.nodes():
+                assert forward.distance(s, t) == mirrored.distance(t, s), (s, t)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -76,14 +101,14 @@ class TestRandomizedIdentity:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_exact_mode_matches_bfs_ground_truth(self, nodes, density, seed):
-        """``exact_followees=True`` equals Eq. 4 computed from scratch."""
+        """``reachability`` equals Eq. 4 computed from scratch."""
         edges = int(density * nodes * (nodes - 1))
         graph = random_graph(nodes, edges, seed)
         compact = build_compact_two_hop_cover(graph, max_hops=4)
         for s in graph.nodes():
             truth = weighted_reachability_from(graph, s, 4)
             for t in graph.nodes():
-                got = compact.reachability(s, t, exact_followees=True)
+                got = compact.reachability(s, t)
                 want = truth.get(t, 0.0) if s != t else 0.0
                 assert got == pytest.approx(want, abs=1e-12), (s, t)
                 single = weighted_reachability(graph, s, t, 4)
@@ -117,7 +142,6 @@ class TestEdgeCases:
         assert compact.distance(0, 2) == oracle.distance(0, 2) == INF
         assert compact.distance(0, 2) is INF or math.isinf(compact.distance(0, 2))
         assert compact.reachability(0, 2) == 0.0
-        assert compact.query(0, 2) == (INF, set())
 
     def test_beyond_horizon_is_unreachable(self, chain_graph):
         compact = build_compact_two_hop_cover(chain_graph, max_hops=2)
@@ -131,82 +155,9 @@ class TestEdgeCases:
             build_compact_two_hop_cover(diamond_graph, max_hops=256)
 
     def test_distance_one_followee_is_target(self, diamond_graph):
-        # d==1 entries synthesize {target} at query time (no pool span)
         compact = build_compact_two_hop_cover(diamond_graph)
-        assert compact.query(0, 1) == (1, {1})
+        assert compact.distance(0, 1) == 1
         assert compact.exact_followee_set(0, 1) == {1}
-
-
-class TestMemoryBudget:
-    def _world(self, seed=3):
-        return random_graph(40, 300, seed)
-
-    def test_budget_respected_and_distances_unchanged(self):
-        graph = self._world()
-        free = build_compact_two_hop_cover(graph, max_hops=4)
-        budget = free.stats()["backbone_bytes"] + (
-            free.label_bytes() - free.stats()["backbone_bytes"]
-        ) // 3
-        pruned = build_compact_two_hop_cover(
-            graph, max_hops=4, memory_budget_bytes=budget
-        )
-        assert pruned.label_bytes() <= budget
-        assert pruned.pruned_followee_entries > 0
-        for s in graph.nodes():
-            for t in graph.nodes():
-                assert pruned.distance(s, t) == free.distance(s, t)
-
-    def test_pruned_followees_bounded_by_exact(self):
-        """stored span ⊆ lazily recovered ⊆ exact F_st (Theorem 1)."""
-        graph = self._world()
-        free = build_compact_two_hop_cover(graph, max_hops=4)
-        backbone = free.stats()["backbone_bytes"]
-        pruned = build_compact_two_hop_cover(
-            graph, max_hops=4, memory_budget_bytes=backbone
-        )
-        for s in graph.nodes():
-            for t in graph.nodes():
-                exact = free.exact_followee_set(s, t)
-                _, recovered = pruned.query(s, t)
-                _, stored = free.query(s, t)
-                assert recovered <= exact or not exact, (s, t)
-                # the pruned cover recovers at least what the free cover
-                # had stored for the same minimal pivots
-                assert stored <= exact or not exact, (s, t)
-
-    def test_exact_reachability_unaffected_by_pruning(self):
-        graph = self._world()
-        free = build_compact_two_hop_cover(graph, max_hops=4)
-        backbone = free.stats()["backbone_bytes"]
-        pruned = build_compact_two_hop_cover(
-            graph, max_hops=4, memory_budget_bytes=backbone
-        )
-        for s in graph.nodes():
-            for t in graph.nodes():
-                assert pruned.reachability(
-                    s, t, exact_followees=True
-                ) == free.reachability(s, t, exact_followees=True)
-
-    def test_budget_below_backbone_raises(self):
-        graph = self._world()
-        free = build_compact_two_hop_cover(graph, max_hops=4)
-        floor = free.stats()["backbone_bytes"]
-        with pytest.raises(ValueError, match="distance backbone"):
-            build_compact_two_hop_cover(
-                graph, max_hops=4, memory_budget_bytes=floor - 1
-            )
-
-    def test_hub_landmarks_keep_their_pools(self):
-        """Pruning drops the least-central landmarks' pools first."""
-        graph = self._world()
-        free = build_compact_two_hop_cover(graph, max_hops=4)
-        backbone = free.stats()["backbone_bytes"]
-        mid = backbone + (free.label_bytes() - backbone) // 2
-        pruned = build_compact_two_hop_cover(
-            graph, max_hops=4, memory_budget_bytes=mid
-        )
-        cutoff = pruned.stats()["followee_rank_cutoff"]
-        assert 0 < cutoff <= graph.num_nodes
 
 
 class TestSerialization:
@@ -217,7 +168,7 @@ class TestSerialization:
         for s in graph.nodes():
             for t in graph.nodes():
                 assert clone.distance(s, t) == compact.distance(s, t)
-                assert clone.query(s, t) == compact.query(s, t)
+                assert clone.reachability(s, t) == compact.reachability(s, t)
         assert clone.label_bytes() == compact.label_bytes()
 
 
@@ -225,32 +176,28 @@ class TestLabelBytes:
     """Index-bytes reporting pinned against hand-computed layouts."""
 
     def test_compact_bytes_match_hand_computed_fixture(self, diamond_graph):
-        """The documented layout formula, fed only by oracle label shape."""
-        cover = build_two_hop_cover(diamond_graph, max_hops=4)
+        """The documented layout formula on labels worked out by hand.
+
+        Degree order is 0, 1, 2, 4, 3.  Landmark 0 follows 1, 2, 3 and
+        reaches 4 in two hops: four in-entries.  Landmarks 1 and 2 each
+        put an in-entry on 4 (two more); their backward searches meet 0 at
+        the distance landmark 0's in-entries already give.  Landmark 4's
+        backward search meets 1 and 2 at the distance their own in-entries
+        on 4 give, and landmark 3's meets 0 likewise: no out-entry at all.
+        """
         compact = build_compact_two_hop_cover(diamond_graph, max_hops=4)
-        n = diamond_graph.num_nodes
-        total_in = sum(len(cover.in_label(v)) for v in diamond_graph.nodes())
-        total_out = sum(len(cover.out_label(v)) for v in diamond_graph.nodes())
-        # only distance>1 entries store a pool span; d==1 followees are
-        # synthesized as {landmark} at query time
-        pool = sum(
-            len(entry[1])
-            for v in diamond_graph.nodes()
-            for entry in cover.out_label(v).values()
-            if entry[0] > 1
-        )
+        n, total_in, total_out = 5, 6, 0
+        assert compact.num_label_entries() == total_in + total_out
         expected = (
             4 * n                  # landmark order (every node is one)
             + 4 * n                # node -> rank
             + 8 * (n + 1) * 2      # in/out offset arrays
             + 5 * total_in         # in pivots (4 B) + distances (1 B)
             + 5 * total_out        # out pivots + distances
-            + 8 * (total_out + 1)  # followee span offsets
-            + 4 * pool             # flat followee pool
         )
+        assert expected == 166
         assert compact.label_bytes() == expected
         assert compact.size_bytes() == expected
-        assert compact.backbone_bytes() == expected - 4 * pool
 
     def test_dict_cover_bytes_count_every_container(self, diamond_graph):
         """No more bare ``getsizeof(dict)``: entries, tuples, followee

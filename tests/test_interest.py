@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.interest import OnlineReachability, normalized_interest, user_interest
+from repro.core.interest import normalized_interest, user_interest
+from repro.graph.online import OnlineReachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.testing.oracles import build_two_hop_cover
 
