@@ -151,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject reachability faults at this probability (demo/testing)",
     )
     stream.add_argument(
-        "--fault-seed", type=int, default=0, help="seed of the fault schedule"
-    )
-    stream.add_argument(
         "--metrics-out", default=None,
         help="write the run's metrics document (repro.obs) to this path",
     )
@@ -273,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of requests deliberately malformed/mis-addressed",
     )
     load.add_argument(
-        "--service-tick-ms", type=float, default=8.0,
-        help="simulated per-request service cost (in-process mode)",
-    )
-    load.add_argument(
         "--out", default="LOAD_report.json",
         help="report document path (schema-stable JSON)",
     )
@@ -284,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool", type=int, default=8,
         help="with --url: worker connections of the concurrent open-loop "
         "client (arrivals are never gated on responses)",
-    )
-    load.add_argument(
-        "--arrivals", choices=("poisson", "uniform"), default="poisson",
-        help="arrival-gap model: seeded exponential gaps (default) or "
-        "deterministic 1/rate spacing",
     )
     _add_tenant_arguments(load)
     _add_chaos_arguments(load)
@@ -314,18 +302,10 @@ def _add_tenant_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-mention latency budget (degrades, never errors)",
     )
     parser.add_argument(
-        "--capacity", type=int, default=4,
-        help="concurrent requests the admission controller allows",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=8,
-        help="bounded queue positions beyond --capacity before shedding",
-    )
-    parser.add_argument(
-        "--admission-classes", default=None,
+        "--admission-classes", default="default=4:8",
         help="named admission classes `name=capacity:queue[,...]` "
-        "(e.g. 'gold=8:16,bronze=2:2'); default: one 'default' class "
-        "from --capacity/--queue-limit",
+        "(e.g. 'gold=8:16,bronze=2:2'): concurrent requests allowed, then "
+        "bounded queue positions before shedding",
     )
     parser.add_argument(
         "--threshold", type=int, default=10,
@@ -336,24 +316,8 @@ def _add_tenant_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chaos", action="store_true",
-        help="shorthand for --chaos-error-rate 0.05 --chaos-slow-rate 0.1 "
-        "--chaos-slow-ms 40 (unless overridden)",
-    )
-    parser.add_argument(
-        "--chaos-error-rate", type=float, default=0.0,
-        help="probability a reachability call fails (trips breakers)",
-    )
-    parser.add_argument(
-        "--chaos-slow-rate", type=float, default=0.0,
-        help="probability a reachability call is slow (exhausts deadlines)",
-    )
-    parser.add_argument(
-        "--chaos-slow-ms", type=float, default=0.0,
-        help="latency of a slow reachability call",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the per-tenant fault schedules",
+        help="seeded faults on every tenant's reachability provider: 5%% of "
+        "calls fail (trips breakers), 10%% take 40 ms (exhausts deadlines)",
     )
 
 
@@ -582,8 +546,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider
 
         provider = FlakyReachabilityProvider(
-            provider,
-            FaultSchedule(seed=args.fault_seed, error_rate=args.fault_rate),
+            provider, FaultSchedule(error_rate=args.fault_rate)
         )
     linker = SocialTemporalLinker(
         ckb,
@@ -799,19 +762,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _chaos_from_args(args: argparse.Namespace):
     from repro.serve.tenants import ChaosConfig
 
-    error_rate = args.chaos_error_rate
-    slow_rate = args.chaos_slow_rate
-    slow_ms = args.chaos_slow_ms
-    if args.chaos:
-        error_rate = error_rate or 0.05
-        slow_rate = slow_rate or 0.1
-        slow_ms = slow_ms or 40.0
-    return ChaosConfig(
-        error_rate=error_rate,
-        slow_rate=slow_rate,
-        slow_ms=slow_ms,
-        seed=args.chaos_seed,
-    )
+    if not args.chaos:
+        return ChaosConfig()
+    return ChaosConfig(error_rate=0.05, slow_rate=0.1, slow_ms=40.0)
 
 
 def _tenant_specs(args: argparse.Namespace):
@@ -839,27 +792,12 @@ def _admission_from_args(args: argparse.Namespace):
     """Build the classed admission controller the flags describe.
 
     ``--admission-classes 'gold=8:16,bronze=2:2'`` declares named classes
-    (capacity:queue each); without it a single ``default`` class is sized
-    from ``--capacity``/``--queue-limit`` — byte-identical behaviour to
-    the pre-classes global controller.
+    (capacity:queue each); the default is the single class ``default=4:8``.
     """
-    from repro.serve.admission import (
-        DEFAULT_CLASS,
-        AdmissionClass,
-        ClassedAdmissionController,
-    )
+    from repro.serve.admission import AdmissionClass, ClassedAdmissionController
 
-    spec = getattr(args, "admission_classes", None)
-    if not spec:
-        return ClassedAdmissionController([
-            AdmissionClass(
-                name=DEFAULT_CLASS,
-                capacity=args.capacity,
-                queue_limit=args.queue_limit,
-            )
-        ])
     classes = []
-    for entry in (piece.strip() for piece in spec.split(",")):
+    for entry in (piece.strip() for piece in args.admission_classes.split(",")):
         if not entry:
             continue
         name, eq, sizing = entry.partition("=")
@@ -956,8 +894,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
                              complement_method="truth").test_dataset
         )
         planned = generate_requests(
-            args.seed, args.requests, profile, [s.name for s in specs], queries,
-            arrivals=args.arrivals,
+            args.seed, args.requests, profile, [s.name for s in specs], queries
         )
         document = run_http(
             args.url, planned, args.seed, profile, chaos_meta,
@@ -970,12 +907,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
         queries = queries_from_dataset(context.test_dataset)
         planned = generate_requests(
-            args.seed, args.requests, profile, [s.name for s in specs], queries,
-            arrivals=args.arrivals,
+            args.seed, args.requests, profile, [s.name for s in specs], queries
         )
         document = run_inprocess(
-            app, clock, planned, args.seed, profile, chaos_meta,
-            service_tick_ms=args.service_tick_ms,
+            app, clock, planned, args.seed, profile, chaos_meta
         )
     problems = validate_load_document(document)
     with open(args.out, "w", encoding="utf-8") as handle:

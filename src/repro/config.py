@@ -139,8 +139,9 @@ class LinkerConfig:
         below ``closure_max_nodes`` (O(1) lookups, |V|²-bounded build),
         the compact 2-hop cover above it.  A forced ``index_backend``
         short-circuits.  The choice moves where the work happens, not
-        what the linker decides — the scale-dispatch regression tests pin
-        decision parity.
+        what the linker decides: every provider rounds Eq. 4 in
+        :func:`repro.graph.reachability.reachability_weight`
+        (``TestEq4Tie`` in ``tests/test_scale_dispatch.py``).
         """
         if self.index_backend != "auto":
             return self.index_backend

@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Iterator, List, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
+from repro.graph.reachability import check_byte_hops, reachability_weight
 
 __all__ = ["CompactTwoHopCover", "build_compact_two_hop_cover"]
 
@@ -168,7 +169,7 @@ class CompactTwoHopCover:
         if d_st == 1:
             return 1.0
         count = sum(1 for _ in self._shortest_path_followees(source, target, d_st))
-        return (1.0 / d_st) * (count / self._graph.out_degree(source))
+        return reachability_weight(d_st, count, self._graph.out_degree(source))
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -258,11 +259,7 @@ def build_compact_two_hop_cover(
     """Label ``graph`` one landmark at a time, in descending total degree
     (Algorithm 2 line 1), straight into typed per-node buffers: peak
     memory is O(final index)."""
-    if max_hops > 255:
-        raise ValueError(
-            "compact labels store distances as single bytes; "
-            f"max_hops={max_hops} exceeds 255"
-        )
+    check_byte_hops(max_hops)
     n = graph.num_nodes
     landmarks = array("i", sorted(graph.nodes(), key=graph.degree, reverse=True))
     rank_of = array("i", bytes(4 * n))

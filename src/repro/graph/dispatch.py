@@ -7,8 +7,10 @@ the linker should score Eq. 4 against at that scale:
 * at or below ``closure_max_nodes`` — the extended transitive closure
   (Algorithm 1): O(1) lookups, but a |V|²-bounded build;
 * above it — the compact 2-hop cover (hop-bounded PLL + Theorem 1,
-  :mod:`repro.graph.compact_labels`); both backends evaluate Eq. 4 on
-  the exact ``F_st``, so link decisions match.
+  :mod:`repro.graph.compact_labels`); both backends find the exact
+  ``(d_st, |F_st|)`` and round Eq. 4 in the one
+  :func:`~repro.graph.reachability.reachability_weight`, so link
+  decisions are equal, ties included.
 
 The chosen backend is recorded in an ``index.selected`` trace event, so a
 production trace always shows *which* index served a linker and why.
@@ -31,7 +33,8 @@ def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONF
     Every returned object satisfies the
     :class:`repro.core.interest.ReachabilityProvider` protocol; the
     backends differ in build cost and memory, not in link decisions
-    (pinned by the scale-dispatch regression tests).
+    (``tests/test_scale_dispatch.py``; ``TestEq4Tie`` is a tie that only
+    equal rounding keeps).
     """
     backend = config.select_index_backend(graph.num_nodes)
     TRACE.event(

@@ -32,7 +32,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
+from repro.graph.reachability import (
+    reachability_weight,
+    shortest_path_followee_counts,
+)
 from repro.graph.transitive_closure import TransitiveClosure
 
 
@@ -181,19 +184,14 @@ class DynamicTransitiveClosure:
 
     def _compute_row(self, source: int) -> Tuple[Dict[int, int], Dict[int, float]]:
         """One BFS: distances and Eq.-4 reachability from ``source``."""
+        dist: Dict[int, int] = {}
         reach: Dict[int, float] = {}
-        dist, preds = shortest_path_dag(self._graph, source, self._max_hops)
-        num_followees = self._graph.out_degree(source)
-        if num_followees == 0:
-            return dist, reach
-        for target, d in dist.items():
-            if d == 1:
-                reach[target] = 1.0
-            else:
-                followees = followees_on_shortest_paths(
-                    self._graph, source, dist, preds, target
-                )
-                reach[target] = (1.0 / d) * (len(followees) / num_followees)
+        followees = self._graph.out_degree(source)
+        for target, distance, on_path in shortest_path_followee_counts(
+            self._graph, source, self._max_hops
+        ):
+            dist[target] = distance
+            reach[target] = reachability_weight(distance, on_path, followees)
         return dist, reach
 
     def _affected_candidates(self, u: int) -> Set[int]:

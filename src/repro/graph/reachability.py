@@ -4,29 +4,56 @@
 ``d_uv >= 2``; ``R(u, v) = 1`` for a direct follow edge (Algorithm 1 line 3);
 ``R(u, v) = 0`` when ``v`` is not reachable from ``u`` within ``H`` hops.
 
-The index structures (:mod:`repro.graph.transitive_closure`,
-:mod:`repro.graph.compact_labels`) must agree with this definition; the test
-suite checks them against it on random graphs.
+Algorithm 1 and Theorem 1 produce two integers per pair, ``d_uv`` and
+``|F_uv|``.  Every provider (:mod:`repro.graph.transitive_closure`,
+:mod:`repro.graph.compact_labels`, :mod:`repro.graph.online`,
+:mod:`repro.graph.dynamic`) and every oracle finds those two its own way
+and hands them to :func:`reachability_weight`, the one place Eq. 4 is
+rounded — so which index answers cannot change which entity wins, and the
+test suite holds the providers to this definition with ``==``.
 
-The single-source variant :func:`weighted_reachability_from` is the inner
-loop of :class:`repro.graph.online.OnlineReachability`, the index fallback
-and the Fig. 5 benchmarks, so it is written as a *one-pass* propagation:
-instead of re-walking the shortest-path DAG backwards once per target
-(``O(|V| * |E|)`` worst case), followee sets are pushed *forward* through
-the DAG as bitmasks — each first-hop followee owns one bit, and a node's
-mask is the OR of its shortest-path predecessors' masks.  One BFS, one
-integer OR per DAG edge, and ``|F_uv|`` falls out as a popcount.
+:func:`shortest_path_followee_counts` is the one single-source walk, a
+*one-pass* propagation: instead of re-walking the shortest-path DAG
+backwards once per target (``O(|V| * |E|)`` worst case), followee sets are
+pushed *forward* through the DAG as bitmasks — each first-hop followee owns
+one bit, and a node's mask is the OR of its shortest-path predecessors'
+masks.  One BFS, one integer OR per DAG edge, and ``|F_uv|`` falls out as a
+popcount.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
 from repro.obs.metrics import METRICS
+
+#: Largest hop horizon an index that stores distances as single bytes takes.
+MAX_BYTE_HOPS = 255
+
+
+def check_byte_hops(max_hops: int) -> None:
+    """Reject a horizon whose distances would wrap in a one-byte index."""
+    if max_hops > MAX_BYTE_HOPS:
+        raise ValueError(
+            "this index stores distances as single bytes; "
+            f"max_hops={max_hops} exceeds {MAX_BYTE_HOPS}"
+        )
+
+
+def reachability_weight(distance: int, on_path: int, followees: int) -> float:
+    """Eq. 4 from ``d_uv``, ``|F_uv|`` and ``|F_u|``.
+
+    One correctly-rounded division of two exact integers, so equal
+    rationals give equal floats whichever triple they come from
+    (``2/(2*5) == 3/(3*5)``) — an Eq. 1 tie stays a tie on every provider.
+    """
+    if distance == 1:
+        return 1.0
+    return on_path / (distance * followees)
 
 
 def weighted_reachability(
@@ -35,8 +62,9 @@ def weighted_reachability(
     """Exact :math:`R(u, v)` by BFS over the shortest-path DAG.
 
     This is the naive per-pair computation the paper's Fig. 5(b) baseline
-    performs |V|² times; the library uses it as ground truth and falls back
-    to it when no index has been built.
+    performs |V|² times; the library uses it as ground truth only (a linker
+    given no index answers from
+    :class:`repro.graph.online.OnlineReachability`).
     """
     if source == target:
         return 0.0
@@ -47,16 +75,13 @@ def weighted_reachability(
     if d_uv is None:
         return 0.0
     followees = followees_on_shortest_paths(graph, source, dist, preds, target)
-    num_followees = graph.out_degree(source)
-    if num_followees == 0:
-        return 0.0
-    return (1.0 / d_uv) * (len(followees) / num_followees)
+    return reachability_weight(d_uv, len(followees), graph.out_degree(source))
 
 
-def weighted_reachability_from(
-    graph: DiGraph, source: int, max_hops: int = DEFAULT_MAX_HOPS
-) -> Dict[int, float]:
-    """All nonzero :math:`R(source, v)` in one propagation over the DAG.
+def shortest_path_followee_counts(
+    graph: DiGraph, source: int, max_hops: int
+) -> Iterator[Tuple[int, int, int]]:
+    """``(v, d_uv, |F_uv|)`` for every ``v`` within ``max_hops`` of ``source``.
 
     Followee masks: first-hop node ``i`` starts with bit ``i`` set; every
     deeper node's mask is the OR of the masks of its shortest-path
@@ -64,20 +89,14 @@ def weighted_reachability_from(
     any depth-``d`` node is expanded (layered BFS), so each edge is looked
     at exactly once and :math:`|F_{uv}|` is the popcount of the final mask.
     """
-    result: Dict[int, float] = {}
-    first_hops = graph.out_neighbors(source)
-    num_followees = len(first_hops)
-    if num_followees == 0:
-        return result
-    METRICS.incr("graph.one_pass_bfs")
     dist: Dict[int, int] = {source: 0}
     masks: Dict[int, int] = {}
     frontier: deque = deque()
-    for bit, v in enumerate(first_hops):
+    for bit, v in enumerate(graph.out_neighbors(source)):
         dist[v] = 1
         masks[v] = 1 << bit
         frontier.append(v)
-        result[v] = 1.0
+        yield v, 1, 1
     depth = 1
     while frontier and depth < max_hops:
         depth += 1
@@ -94,7 +113,20 @@ def weighted_reachability_from(
                     masks[v] |= mask_u
         # the layer just discovered is settled: every shortest-path
         # predecessor (depth - 1) has been expanded above
-        inv = 1.0 / (depth * num_followees)
         for v in frontier:
-            result[v] = masks[v].bit_count() * inv
-    return result
+            yield v, depth, masks[v].bit_count()
+
+
+def weighted_reachability_from(
+    graph: DiGraph, source: int, max_hops: int = DEFAULT_MAX_HOPS
+) -> Dict[int, float]:
+    """All nonzero :math:`R(source, v)` from one walk."""
+    followees = graph.out_degree(source)
+    if followees:
+        METRICS.incr("graph.one_pass_bfs")
+    return {
+        v: reachability_weight(distance, on_path, followees)
+        for v, distance, on_path in shortest_path_followee_counts(
+            graph, source, max_hops
+        )
+    }

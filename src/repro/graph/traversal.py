@@ -2,13 +2,13 @@
 
 These are deliberately small, allocation-light helpers: the naive transitive
 closure baseline (Fig. 5(b)) and the exact reachability ground truth both sit
-on top of them, and the benchmarks time them directly.
+on top of them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.graph.digraph import DiGraph
 
@@ -91,9 +91,3 @@ def followees_on_shortest_paths(
                 visited.add(pred)
                 stack.append(pred)
     return first_hops
-
-
-def bfs_reachable(graph: DiGraph, source: int, max_hops: Optional[int] = None) -> Set[int]:
-    """Plain reachability set from ``source`` (optionally hop-bounded)."""
-    horizon = max_hops if max_hops is not None else graph.num_nodes
-    return set(bfs_distances(graph, source, horizon))

@@ -21,11 +21,9 @@ traffic generator (:func:`generate_requests`), one outcome accounting
 
 Traffic profiles are seeded non-homogeneous Poisson arrivals: *diurnal*
 modulates the base rate sinusoidally, *spike* overlays square bursts,
-*bursty* (default) composes both; ``arrivals="uniform"`` swaps the
-exponential gaps for deterministic ``1/rate`` spacing (same rate shape,
-no sampling noise).  A seeded slice of requests is malformed on purpose
-(bad JSON, missing fields, out-of-universe users, unknown tenants) to
-prove the error path stays typed under load.
+*bursty* (default) composes both.  A seeded slice of requests is malformed
+on purpose (bad JSON, missing fields, out-of-universe users, unknown
+tenants) to prove the error path stays typed under load.
 """
 
 from __future__ import annotations
@@ -88,8 +86,9 @@ class LoadProfile:
 
 PROFILE_NAMES = ("diurnal", "spike", "bursty")
 
-#: Arrival-gap models :func:`generate_requests` supports.
-ARRIVAL_MODES = ("poisson", "uniform")
+#: Simulated per-request service cost of the in-process replay, seconds
+#: (what ``tests/golden/LOAD_inprocess_golden.json`` was recorded at).
+SERVICE_TICK_S = 0.008
 
 #: Request-level corruption modes the malformed slice cycles through.
 MALFORMED_MODES = (
@@ -150,38 +149,26 @@ def generate_requests(
     profile: LoadProfile,
     tenants: List[str],
     queries: List[Tuple[str, int, float]],
-    arrivals: str = "poisson",
 ) -> List[PlannedRequest]:
     """The seeded request trace: arrival instants plus request payloads.
 
     ``queries`` are ``(surface, user, now)`` triples sampled from the
     world's own test split, so every well-formed request is answerable.
     The trace depends only on the arguments — same inputs, same bytes.
-    ``arrivals="poisson"`` draws exponential gaps (the default, and the
-    byte-identical pre-v2 behaviour); ``"uniform"`` spaces arrivals
-    deterministically at ``1/rate`` so socket runs can separate queueing
-    effects from sampling noise.
     """
     if not queries:
         raise ValueError("cannot generate load without any queries")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if arrivals not in ARRIVAL_MODES:
-        raise ValueError(
-            f"unknown arrivals mode {arrivals!r} (expected one of {ARRIVAL_MODES})"
-        )
     rng = random.Random(seed)
     planned: List[PlannedRequest] = []
     t = 0.0
     for index in range(count):
-        if arrivals == "poisson":
-            # Non-homogeneous Poisson by rate-inversion on the current
-            # rate: adequate for a piecewise-slowly-varying profile and
-            # exactly reproducible, which is what the gate cares about.
-            u = rng.random()
-            t += -math.log(1.0 - u) / profile.rate_at(t)
-        else:
-            t += 1.0 / profile.rate_at(t)
+        # Non-homogeneous Poisson by rate-inversion on the current
+        # rate: adequate for a piecewise-slowly-varying profile and
+        # exactly reproducible, which is what the gate cares about.
+        u = rng.random()
+        t += -math.log(1.0 - u) / profile.rate_at(t)
         surface, user, now = queries[rng.randrange(len(queries))]
         tenant = tenants[rng.randrange(len(tenants))]
         if rng.random() < profile.malformed_rate:
@@ -265,7 +252,6 @@ def run_inprocess(
     seed: int,
     profile: LoadProfile,
     chaos_meta: Dict[str, object],
-    service_tick_ms: float = 8.0,
 ) -> Dict[str, object]:
     """Deterministic single-queue replay against a deferring ``ServeApp``.
 
@@ -279,7 +265,6 @@ def run_inprocess(
     accounting = OutcomeAccounting()
     completions: List[Tuple[float, str]] = []
     server_free_at = 0.0
-    service_tick = service_tick_ms / 1000.0
     run_started = clock()
     for request in planned:
         clock.advance_to(request.at)
@@ -294,7 +279,7 @@ def run_inprocess(
             _log.exception("unhandled error replaying %s", request.path)
             accounting.record(request, "internal", None)
             continue
-        work = (clock() - started) + service_tick
+        work = (clock() - started) + SERVICE_TICK_S
         outcome = classify_outcome(status, document)
         if status == 200:
             admission_class = app.registry.get(

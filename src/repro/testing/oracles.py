@@ -35,7 +35,7 @@ from repro.config import DEFAULT_MAX_HOPS
 from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
-from repro.graph.reachability import weighted_reachability
+from repro.graph.reachability import reachability_weight, weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
 from repro.kb.complemented import ComplementedKnowledgebase
@@ -162,7 +162,7 @@ class TwoHopCover:
             return 0.0
         if exact_followees or not followees:
             followees = self.exact_followee_set(source, target)
-        return (1.0 / d_st) * (len(followees) / num_followees)
+        return reachability_weight(d_st, len(followees), num_followees)
 
     # ------------------------------------------------------------------ #
     # label access (read-only; used by tests)
@@ -367,7 +367,7 @@ def weighted_reachability_from_per_target(
             result[target] = 1.0
             continue
         followees = followees_on_shortest_paths(graph, source, dist, preds, target)
-        result[target] = (1.0 / d_uv) * (len(followees) / num_followees)
+        result[target] = reachability_weight(d_uv, len(followees), num_followees)
     return result
 
 

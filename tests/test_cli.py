@@ -44,6 +44,28 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--world", "w", "--chaos-error-rate", "0.05"],
+            ["serve", "--world", "w", "--chaos-slow-rate", "0.1"],
+            ["load", "--world", "w", "--chaos-slow-ms", "40"],
+            ["load", "--world", "w", "--chaos-seed", "0"],
+            ["serve", "--world", "w", "--capacity", "4"],
+            ["load", "--world", "w", "--queue-limit", "8"],
+            ["load", "--world", "w", "--arrivals", "uniform"],
+            ["load", "--world", "w", "--service-tick-ms", "8"],
+            ["stream", "--world", "w", "--fault-seed", "0"],
+        ],
+    )
+    def test_single_valued_flags_are_gone(self, argv):
+        """Each had one value in use; it is the constant behind ``--chaos``,
+        ``--admission-classes``' default, or the load replay now."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert build_parser().parse_args(argv[:3]).command == argv[0]
+
 
 class TestGenerate:
     def test_generates_and_reports(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from repro.graph.reachability import (
     weighted_reachability,
     weighted_reachability_from,
 )
+from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.testing.oracles import build_two_hop_cover
 
 from conftest import random_graph
@@ -110,9 +111,8 @@ class TestRandomizedIdentity:
             for t in graph.nodes():
                 got = compact.reachability(s, t)
                 want = truth.get(t, 0.0) if s != t else 0.0
-                assert got == pytest.approx(want, abs=1e-12), (s, t)
-                single = weighted_reachability(graph, s, t, 4)
-                assert got == pytest.approx(single, abs=1e-12), (s, t)
+                assert got == want, (s, t)
+                assert got == weighted_reachability(graph, s, t, 4), (s, t)
 
 
 class TestEdgeCases:
@@ -153,6 +153,19 @@ class TestEdgeCases:
         """Distances live in single bytes; the ctor enforces the ceiling."""
         with pytest.raises(ValueError):
             build_compact_two_hop_cover(diamond_graph, max_hops=256)
+
+    def test_closure_shares_the_one_byte_ceiling(self):
+        """A 300-node chain at ``max_hops=300`` would wrap a ``uint8``
+        distance: both one-byte indexes refuse it with the same message."""
+        chain = DiGraph.from_edges(300, [(i, i + 1) for i in range(299)])
+        with pytest.raises(ValueError, match="max_hops=300 exceeds 255") as closure:
+            build_transitive_closure_incremental(chain, max_hops=300)
+        with pytest.raises(ValueError) as compact:
+            build_compact_two_hop_cover(chain, max_hops=300)
+        assert str(closure.value) == str(compact.value)
+        assert build_transitive_closure_incremental(
+            chain, max_hops=255
+        ).reachability(0, 255) == 1 / 255
 
     def test_distance_one_followee_is_target(self, diamond_graph):
         compact = build_compact_two_hop_cover(diamond_graph)

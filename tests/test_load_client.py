@@ -5,9 +5,8 @@ linker is wrapped to be deliberately slow, then fires a burst through
 :func:`repro.serve.client.run_http` with a worker pool: because arrivals
 are not gated on responses, a tiny admission class genuinely overflows
 and sheds — the property the ``serve-load`` CI job gates on.  The rest
-pins the shared report plumbing both load modes ride: arrival modes,
-per-tenant percentiles, the invalid-body counter and the single
-validator.
+pins the shared report plumbing both load modes ride: per-tenant
+percentiles, the invalid-body counter and the single validator.
 """
 
 import json
@@ -18,12 +17,7 @@ import pytest
 from repro.serve.admission import AdmissionClass, ClassedAdmissionController
 from repro.serve.client import run_http
 from repro.serve.handlers import ServeApp, validate_error_body
-from repro.serve.load import (
-    LoadProfile,
-    OutcomeAccounting,
-    PlannedRequest,
-    generate_requests,
-)
+from repro.serve.load import LoadProfile, OutcomeAccounting, PlannedRequest
 from repro.serve.report import (
     LOAD_SCHEMA_VERSION,
     build_load_document,
@@ -33,42 +27,7 @@ from repro.serve.server import ReproHTTPServer
 from repro.serve.tenants import TenantSpec, build_tenant_registry
 from repro.testing.faults import FakeClock
 
-QUERIES = [("entity", 0, 1.0), ("thing", 1, 2.0)]
 PROFILE = LoadProfile(base_rate=100.0, malformed_rate=0.1)
-
-
-class TestArrivalModes:
-    def test_poisson_is_the_default_and_stable(self):
-        kwargs = dict(seed=5, count=40, profile=PROFILE,
-                      tenants=["alpha"], queries=QUERIES)
-        assert generate_requests(**kwargs) == generate_requests(
-            arrivals="poisson", **kwargs
-        )
-
-    def test_uniform_spacing_is_deterministic(self):
-        first = generate_requests(5, 40, PROFILE, ["alpha"], QUERIES,
-                                  arrivals="uniform")
-        second = generate_requests(5, 40, PROFILE, ["alpha"], QUERIES,
-                                   arrivals="uniform")
-        assert first == second
-        # gaps are exactly 1/rate(t): no sampling noise
-        assert first[0].at == pytest.approx(1.0 / PROFILE.rate_at(0.0))
-
-    def test_uniform_skips_the_gap_draw(self):
-        # poisson spends one rng draw per gap; uniform spends none, so
-        # the two modes produce different (but individually seeded)
-        # traces of the same length and shape
-        poisson = generate_requests(5, 40, PROFILE, ["alpha"], QUERIES)
-        uniform = generate_requests(5, 40, PROFILE, ["alpha"], QUERIES,
-                                    arrivals="uniform")
-        assert len(poisson) == len(uniform) == 40
-        assert [p.at for p in poisson] != [u.at for u in uniform]
-        assert all(u.at > 0 for u in uniform)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="arrivals"):
-            generate_requests(5, 4, PROFILE, ["alpha"], QUERIES,
-                              arrivals="fibonacci")
 
 
 class TestReportSchemaV2:

@@ -282,13 +282,10 @@ class TestOnePassReachability:
         per_target = weighted_reachability_from_per_target(
             graph, source, max_hops=max_hops
         )
-        assert set(one_pass) == set(per_target)
+        assert one_pass == per_target
         for target, score in one_pass.items():
-            assert score == pytest.approx(per_target[target], rel=1e-12, abs=0.0)
-            assert score == pytest.approx(
-                weighted_reachability(graph, source, target, max_hops=max_hops),
-                rel=1e-12,
-                abs=0.0,
+            assert score == weighted_reachability(
+                graph, source, target, max_hops=max_hops
             )
 
     @given(edges=edges_strategy, source=st.integers(min_value=0, max_value=11))

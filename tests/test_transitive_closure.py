@@ -47,7 +47,7 @@ def assert_closure_matches_exact(graph, closure, max_hops):
             if u == v:
                 continue
             expected = weighted_reachability(graph, u, v, max_hops)
-            assert closure.reachability(u, v) == pytest.approx(expected), (u, v)
+            assert closure.reachability(u, v) == expected, (u, v)
 
 
 class TestIncrementalMatchesExact:
@@ -88,9 +88,7 @@ class TestNaiveBuilder:
         incremental = build_transitive_closure_incremental(graph)
         for u in graph.nodes():
             for v in graph.nodes():
-                assert naive.reachability(u, v) == pytest.approx(
-                    incremental.reachability(u, v)
-                )
+                assert naive.reachability(u, v) == incremental.reachability(u, v)
 
     def test_pair_restriction(self, diamond_graph):
         closure = build_transitive_closure_naive(diamond_graph, pairs=[(0, 4)])
@@ -113,6 +111,13 @@ class TestClosureContainer:
         for backend in ("dense", "sparse"):
             closure = closure_with_storage(diamond_graph, backend)
             assert closure.size_bytes() > 0
+
+    def test_dense_size_is_three_bytes_a_pair_plus_degrees(self, diamond_graph):
+        """A ``uint8`` distance and a ``uint16`` count per pair, one list
+        slot per out-degree."""
+        nodes = diamond_graph.num_nodes
+        closure = build_transitive_closure_incremental(diamond_graph)
+        assert closure.size_bytes() == 3 * nodes * nodes + 8 * nodes
 
     def test_constructor_requires_exactly_one_storage(self):
         from repro.graph.transitive_closure import TransitiveClosure

@@ -3,7 +3,6 @@
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import (
     bfs_distances,
-    bfs_reachable,
     followees_on_shortest_paths,
     shortest_path_dag,
 )
@@ -69,11 +68,3 @@ class TestFolloweesOnShortestPaths:
         assert dist[3] == 2
         followees = followees_on_shortest_paths(graph, 0, dist, preds, 3)
         assert followees == {4}
-
-
-class TestBfsReachable:
-    def test_unbounded_default(self, chain_graph):
-        assert bfs_reachable(chain_graph, 0) == {1, 2, 3, 4}
-
-    def test_bounded(self, chain_graph):
-        assert bfs_reachable(chain_graph, 0, max_hops=1) == {1}
