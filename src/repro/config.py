@@ -80,9 +80,8 @@ class LinkerConfig:
     #: exceeds the budget degrades to ``β·S_r + γ·S_p`` scoring (the
     #: Appendix-D no-interest bound) instead of blocking the stream.
     deadline_ms: Optional[float] = None
-    #: Upper bound on the linker's influential-user cache, LRU-evicted.
-    #: A long stream of distinct (entity, candidate-set) keys would
-    #: otherwise grow the cache without limit.
+    #: Upper bound, in candidate sets, on the linker's LRU of
+    #: influential-user rankings (one entry holds a whole set's ``U*_e``).
     influential_cache_size: int = 4096
     #: Enable the epoch-keyed score memos of :mod:`repro.cache`
     #: (DESIGN.md §10).  Off by default so baseline runs and golden traces

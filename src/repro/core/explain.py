@@ -9,9 +9,8 @@ one :class:`~repro.core.linker.LinkResult` and renders it as text.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.influence import top_influential_users
 from repro.core.linker import LinkResult, SocialTemporalLinker
 
 
@@ -87,28 +86,24 @@ def explain_link(
 ) -> LinkExplanation:
     """Reconstruct the evidence behind a :class:`LinkResult`.
 
-    Uses the linker's own configuration (influence method, k, window) so
-    the explanation matches the decision; the reachability provider is
+    Reads the :math:`U^*_e` rankings ``link()`` itself reads (same
+    candidate set, same cache) and the linker's own configuration, so the
+    explanation matches the decision; the reachability provider is
     queried per influential user to show the concrete social paths.
     """
     ckb = linker.ckb
     config = linker.config
-    candidates: Sequence[int] = result.candidates
+    provider = linker.reachability_provider
+    influential = linker.influential_users(
+        linker.candidate_generator.candidates(result.surface)
+    )
     explanations: List[CandidateExplanation] = []
     for scored in result.ranked[:top_candidates]:
-        influential = top_influential_users(
-            ckb,
-            scored.entity_id,
-            candidates,
-            k=config.influential_users,
-            method=config.influence_method,
-        )
         evidence = [
             InterestEvidence(
-                user=v,
-                reachability=linker._reachability.reachability(result.user, v),
+                user=v, reachability=provider.reachability(result.user, v)
             )
-            for v in influential
+            for v in influential[scored.entity_id]
         ]
         explanations.append(
             CandidateExplanation(

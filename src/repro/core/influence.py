@@ -18,7 +18,7 @@ Two estimators:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 from repro.kb.complemented import ComplementedKnowledgebase
 
@@ -34,39 +34,16 @@ from repro.kb.complemented import ComplementedKnowledgebase
 _ENTROPY_SMOOTHING = 2.0
 
 
-def tfidf_influence(
-    ckb: ComplementedKnowledgebase,
-    user: int,
-    entity_id: int,
-    candidates: Sequence[int],
-) -> float:
-    """Eq. 6: tweet share in :math:`D_e` times candidate-set idf."""
-    community_size = ckb.count(entity_id)
-    if community_size == 0:
-        return 0.0
-    share = ckb.user_count(entity_id, user) / community_size
-    if share == 0.0:
-        return 0.0
-    mentioned = sum(1 for c in candidates if ckb.user_count(c, user) > 0)
+def _tfidf(share: float, counts: Sequence[int], num_candidates: int) -> float:
+    """Eq. 6 on a user's share of :math:`D_e` and her per-candidate counts."""
+    mentioned = sum(1 for count in counts if count > 0)
     if mentioned == 0:
         return 0.0
-    return share * math.log(len(candidates) / mentioned)
+    return share * math.log(num_candidates / mentioned)
 
 
-def entropy_influence(
-    ckb: ComplementedKnowledgebase,
-    user: int,
-    entity_id: int,
-    candidates: Sequence[int],
-) -> float:
-    """Eq. 7: tweet share times inverse entropy over the candidate set."""
-    community_size = ckb.count(entity_id)
-    if community_size == 0:
-        return 0.0
-    share = ckb.user_count(entity_id, user) / community_size
-    if share == 0.0:
-        return 0.0
-    counts = [ckb.user_count(c, user) for c in candidates]
+def _entropy(share: float, counts: Sequence[int], num_candidates: int) -> float:
+    """Eq. 7 on a user's share of :math:`D_e` and her per-candidate counts."""
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -78,7 +55,41 @@ def entropy_influence(
     return share / (entropy + _ENTROPY_SMOOTHING)
 
 
-_METHODS = {"tfidf": tfidf_influence, "entropy": entropy_influence}
+_FORMULAS = {"tfidf": _tfidf, "entropy": _entropy}
+
+
+def _user_influence(
+    formula: Callable[[float, Sequence[int], int], float],
+    ckb: ComplementedKnowledgebase,
+    user: int,
+    entity_id: int,
+    candidates: Sequence[int],
+) -> float:
+    count = ckb.user_count(entity_id, user)
+    if count == 0:
+        return 0.0
+    counts = [ckb.user_count(c, user) for c in candidates]
+    return formula(count / ckb.count(entity_id), counts, len(candidates))
+
+
+def tfidf_influence(
+    ckb: ComplementedKnowledgebase,
+    user: int,
+    entity_id: int,
+    candidates: Sequence[int],
+) -> float:
+    """Eq. 6: tweet share in :math:`D_e` times candidate-set idf."""
+    return _user_influence(_tfidf, ckb, user, entity_id, candidates)
+
+
+def entropy_influence(
+    ckb: ComplementedKnowledgebase,
+    user: int,
+    entity_id: int,
+    candidates: Sequence[int],
+) -> float:
+    """Eq. 7: tweet share times inverse entropy over the candidate set."""
+    return _user_influence(_entropy, ckb, user, entity_id, candidates)
 
 
 def top_influential_users(
@@ -93,33 +104,41 @@ def top_influential_users(
     Ranking ties break by ascending user id so results are deterministic.
     Only users with positive influence qualify; the list may be shorter
     than ``k`` (or empty for entities nobody tweets about).
+
+    A zero count adds nothing to either formula, so only users who also
+    tweet about another candidate have their other counts looked up; the
+    rest are scored on ``(count,)`` — same arithmetic, same order.
     """
     try:
-        influence = _METHODS[method]
+        formula = _FORMULAS[method]
     except KeyError:
         # ``method`` is validated at config load (LinkerConfig.__post_init__),
         # so reaching here from the serve path means a code bug, not bad input.
         raise ValueError(  # repro: noqa[FLOW-002] -- validated at config load
-            f"unknown influence method {method!r}; expected one of {sorted(_METHODS)}"
+            f"unknown influence method {method!r}; expected one of {sorted(_FORMULAS)}"
         ) from None
+    community_size = ckb.count(entity_id)
+    if community_size == 0:
+        return []
+    own = ckb.user_counts(entity_id)
+    if entity_id in candidates:
+        shared = set()
+        for other in candidates:
+            if other != entity_id:
+                shared |= own.keys() & ckb.user_counts(other).keys()
+    else:
+        # The shortcut reads the entity's own count as the whole vector;
+        # outside its own candidate set every user needs the real one.
+        shared = own.keys()
+    num_candidates = len(candidates)
     scored: List[tuple] = []
-    for user in ckb.community(entity_id):
-        score = influence(ckb, user, entity_id, candidates)
+    for user, count in own.items():
+        if user in shared:
+            counts: Sequence[int] = [ckb.user_count(c, user) for c in candidates]
+        else:
+            counts = (count,)
+        score = formula(count / community_size, counts, num_candidates)
         if score > 0.0:
             scored.append((-score, user))
     scored.sort()
     return [user for _, user in scored[:k]]
-
-
-def influence_scores(
-    ckb: ComplementedKnowledgebase,
-    entity_id: int,
-    candidates: Sequence[int],
-    method: str = "entropy",
-) -> Dict[int, float]:
-    """Influence of every community member (diagnostics / examples)."""
-    influence = _METHODS[method]
-    return {
-        user: influence(ckb, user, entity_id, candidates)
-        for user in ckb.community(entity_id)
-    }

@@ -233,11 +233,9 @@ class SocialTemporalLinker:
                 propagation_lambda=config.propagation_lambda,
             )
         self._propagation = propagation_network
-        # (entity, candidate set) -> (entity version, influential users);
-        # LRU-bounded at config.influential_cache_size so a long stream of
-        # distinct keys cannot grow it without limit.
-        self._influential_cache: "OrderedDict[Tuple[int, Tuple[int, ...]], Tuple[int, List[int]]]" = OrderedDict()
-        self._entity_versions: Dict[int, int] = {}
+        # candidate set -> (ckb.version of each member, {e: U*_e}), LRU-bounded
+        # at config.influential_cache_size (see influential_users).
+        self._influential_cache: "OrderedDict[Tuple[int, ...], Tuple[Tuple[int, ...], Dict[int, List[int]]]]" = OrderedDict()
         # Epoch-keyed candidate / popularity / interest memos (DESIGN.md
         # §10): off by default, and bit-identical to the uncached path.
         self._caches: Optional[ScoreCaches] = (
@@ -359,36 +357,13 @@ class SocialTemporalLinker:
     def confirm_link(
         self, entity_id: int, user: int, timestamp: float, tweet_id: int = -1
     ) -> None:
-        """Record a user-confirmed link and refresh dependent knowledge.
+        """Record a user-confirmed link: append the tweet to :math:`D_e`.
 
-        Appends the tweet to :math:`D_e` (hence :math:`U_e`, counts and the
-        recency window) and invalidates cached influential-user rankings
-        that involve the entity.
+        Everything derived from :math:`D_e` (``U_e``, counts, the recency
+        window, cached :math:`U^*_e` rankings) follows from the write
+        itself — the same as a direct ``ckb.link_tweet``.
         """
         self._ckb.link_tweet(entity_id, user, timestamp, tweet_id)
-        self._entity_versions[entity_id] = self._entity_versions.get(entity_id, 0) + 1
-
-    def invalidate_influence_cache(self) -> None:
-        """Drop every cached influential-user ranking.
-
-        Call after mutating the complemented KB outside the linker (e.g.
-        :meth:`~repro.kb.complemented.ComplementedKnowledgebase.prune_before`)
-        — per-entity versioning only tracks :meth:`confirm_link`.
-        """
-        self._influential_cache.clear()
-        self._entity_versions.clear()
-
-    def invalidate_reachability_cache(self) -> None:
-        """Drop cached reachability rows (after mutating the follow graph).
-
-        The interest memo is epoch-keyed, but cached-BFS providers like
-        :class:`~repro.graph.online.OnlineReachability` memoize per-source
-        rows with no epoch awareness — whoever mutates the graph owns
-        telling the provider.  No-op for providers without a cache.
-        """
-        invalidate = getattr(self._reachability, "invalidate", None)
-        if invalidate is not None:
-            invalidate()
 
     # ------------------------------------------------------------------ #
     # feature computation
@@ -449,42 +424,44 @@ class SocialTemporalLinker:
     def _compute_interest(
         self, user: int, candidates: Sequence[int], provider: ReachabilityProvider
     ) -> Dict[int, float]:
-        key_suffix = tuple(sorted(candidates))
-        influential_by_entity = {
-            entity_id: self._influential_users(entity_id, key_suffix, candidates)
-            for entity_id in candidates
-        }
-        return normalized_interest(provider, user, influential_by_entity)
+        return normalized_interest(
+            provider, user, self.influential_users(tuple(candidates))
+        )
 
-    def _influential_users(
-        self,
-        entity_id: int,
-        key_suffix: Tuple[int, ...],
-        candidates: Sequence[int],
-    ) -> List[int]:
-        version = self._entity_versions.get(entity_id, 0)
-        key = (entity_id, key_suffix)
-        cached = self._influential_cache.get(key)
-        if cached is not None and cached[0] == version:
-            self._mark_recently_used(key)
+    def influential_users(self, candidates: Tuple[int, ...]) -> Dict[int, List[int]]:
+        """:math:`U^*_e` for every ``e`` of a candidate set, as ``link()`` reads it.
+
+        One entry per set, stamped with ``ckb.version`` of every member:
+        Eq. 6 / 7 weigh a user over the whole set, so a write to any
+        :math:`D_c` can reorder every sibling's ranking.  The stamp is taken
+        before any count is read: a write racing a rebuild leaves an entry
+        stamped older than its data (the next reader rebuilds), never newer.
+        """
+        stamp = tuple(self._ckb.version(c) for c in candidates)
+        cached = self._influential_cache.get(candidates)
+        if cached is not None and cached[0] == stamp:
+            self._mark_recently_used(candidates)
             METRICS.incr("influential_cache.hit")
             return cached[1]
         METRICS.incr("influential_cache.miss")
-        influential = top_influential_users(
-            self._ckb,
-            entity_id,
-            candidates,
-            k=self._config.influential_users,
-            method=self._config.influence_method,
-        )
-        self._influential_cache[key] = (version, influential)
-        self._mark_recently_used(key)
+        influential = {
+            entity_id: top_influential_users(
+                self._ckb,
+                entity_id,
+                candidates,
+                k=self._config.influential_users,
+                method=self._config.influence_method,
+            )
+            for entity_id in candidates
+        }
+        self._influential_cache[candidates] = (stamp, influential)
+        self._mark_recently_used(candidates)
         while len(self._influential_cache) > self._config.influential_cache_size:
             self._influential_cache.popitem(last=False)
             METRICS.incr("influential_cache.evictions")
         return influential
 
-    def _mark_recently_used(self, key: Tuple[int, Tuple[int, ...]]) -> None:
+    def _mark_recently_used(self, key: Tuple[int, ...]) -> None:
         """LRU touch that survives a concurrent eviction.
 
         The serve handler threads share this cache without a lock; another

@@ -18,7 +18,8 @@ from repro.obs.trace import TRACE
 
 
 class OnlineReachability:
-    """Cached per-source BFS provider (no index maintenance at all)."""
+    """Cached per-source BFS provider; no index maintenance — rows carry
+    the ``graph.epoch`` they were walked under and are dropped when it moves."""
 
     def __init__(
         self, graph: DiGraph, max_hops: int = DEFAULT_MAX_HOPS, cache_size: int = 256
@@ -29,8 +30,13 @@ class OnlineReachability:
         self._max_hops = max_hops
         self._cache_size = cache_size
         self._cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
+        self._epoch = graph.epoch.value
 
     def reachability(self, source: int, target: int) -> float:
+        epoch = self._graph.epoch.value
+        if epoch != self._epoch:
+            self._cache.clear()
+            self._epoch = epoch
         row = self._cache.get(source)
         if row is None:
             METRICS.incr("online_bfs.miss")
@@ -45,7 +51,3 @@ class OnlineReachability:
             METRICS.incr("online_bfs.hit")
             self._cache.move_to_end(source)
         return row.get(target, 0.0)
-
-    def invalidate(self) -> None:
-        """Drop cached rows (after the follow graph changes)."""
-        self._cache.clear()

@@ -43,6 +43,7 @@ class ComplementedKnowledgebase:
         self._timestamps: Dict[int, List[float]] = {}
         self._user_counts: Dict[int, Counter] = {}
         self._total_links = 0
+        self._versions: Dict[int, int] = {}
         #: Versions the link store for ``repro.cache``: bumped by every
         #: mutator (CACHE-001), so memoized popularity/interest shares
         #: invalidate structurally when links arrive or are pruned.
@@ -81,6 +82,7 @@ class ComplementedKnowledgebase:
         bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
         self._user_counts.setdefault(entity_id, Counter())[user] += 1
         self._total_links += 1
+        self._versions[entity_id] = self._versions.get(entity_id, 0) + 1
         self.link_epoch.bump()
 
     def bulk_link(
@@ -117,6 +119,7 @@ class ComplementedKnowledgebase:
                 del self._tweets[entity_id]
                 del self._timestamps[entity_id]
                 del self._user_counts[entity_id]
+            self._versions[entity_id] += 1
         self._total_links -= removed
         self.link_epoch.bump()
         return removed
@@ -136,8 +139,11 @@ class ComplementedKnowledgebase:
         """:math:`U_e` — users tweeting about the entity (Definition 6)."""
         return set(self._user_counts.get(entity_id, ()))
 
-    def community_size(self, entity_id: int) -> int:
-        return len(self._user_counts.get(entity_id, ()))
+    def version(self, entity_id: int) -> int:
+        """Writes to :math:`D_e` so far (links, prunes), never reset: what
+        state derived from :math:`D_e` is stamped with.  Bumped *after* the
+        data changed, so a racing reader can only stamp itself too old."""
+        return self._versions.get(entity_id, 0)
 
     def user_count(self, entity_id: int, user: int) -> int:
         """:math:`|D_e^u|` — tweets about ``entity`` authored by ``user``."""

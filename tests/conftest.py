@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.config import DAY
+from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
 from repro.kb.builder import KBProfile
@@ -43,8 +44,7 @@ def random_graph(num_nodes: int, num_edges: int, seed: int) -> DiGraph:
     return graph
 
 
-@pytest.fixture
-def tiny_kb() -> Knowledgebase:
+def build_tiny_kb() -> Knowledgebase:
     """The paper's Fig. 1 in miniature: the ambiguous mention "jordan".
 
     Entities: 0 = Michael Jordan (basketball), 1 = Michael Jordan (ML),
@@ -76,14 +76,13 @@ def tiny_kb() -> Knowledgebase:
     return kb
 
 
-@pytest.fixture
-def tiny_ckb(tiny_kb) -> ComplementedKnowledgebase:
+def build_tiny_ckb(kb: Knowledgebase) -> ComplementedKnowledgebase:
     """Complemented version of the Fig.-1 KB.
 
     Users: 10 = @NBAOfficial (tweets only basketball), 11 = ML expert who
     mostly tweets ML but once basketball, 12 = sneakerhead.
     """
-    ckb = ComplementedKnowledgebase(tiny_kb)
+    ckb = ComplementedKnowledgebase(kb)
     for ts in range(9):
         ckb.link_tweet(0, user=10, timestamp=float(ts) * DAY)
     ckb.link_tweet(0, user=11, timestamp=2.0 * DAY)
@@ -93,6 +92,43 @@ def tiny_ckb(tiny_kb) -> ComplementedKnowledgebase:
         ckb.link_tweet(2, user=12, timestamp=float(ts) * DAY)
     ckb.link_tweet(4, user=10, timestamp=5.0 * DAY)
     return ckb
+
+
+@pytest.fixture
+def tiny_kb() -> Knowledgebase:
+    return build_tiny_kb()
+
+
+@pytest.fixture
+def tiny_ckb(tiny_kb) -> ComplementedKnowledgebase:
+    return build_tiny_ckb(tiny_kb)
+
+
+def jordan_world(links):
+    """Two entities behind the surface "jordan", ``links`` as their
+    ``(entity, user, timestamp)`` history, and an asker (user 0) who
+    follows user 1 only — the world of the warm-vs-fresh recipes
+    (``test_linker.py::TestWarmEqualsFresh``)."""
+    kb = Knowledgebase()
+    kb.add_entity("jordan (a)", description=["a"])
+    kb.add_entity("jordan (b)", description=["b"])
+    for entity_id in (0, 1):
+        kb.add_surface_form("jordan", entity_id)
+    ckb = ComplementedKnowledgebase(kb)
+    ckb.bulk_link(links)
+    return ckb, DiGraph.from_edges(5, [(0, 1)])
+
+
+#: Users 1 and 2 with three tweets each on e1, user 3 with one on e0.
+JORDAN_LINKS = [(1, user, ts * DAY) for ts in range(3) for user in (1, 2)] + [
+    (0, 3, 0.0)
+]
+
+
+def fresh_linker(linker):
+    """A linker built now over ``linker``'s world: nothing cached, so
+    nothing it could have failed to notice."""
+    return SocialTemporalLinker(linker.ckb, linker.graph, config=linker.config)
 
 
 def small_profiles(seed: int = 5):

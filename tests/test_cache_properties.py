@@ -4,7 +4,9 @@ Two linkers share one world — same complemented KB, same follow graph,
 same config except ``score_caching`` — and every test drives both
 through the *same* operation sequence, asserting the cached linker's
 output equals the uncached one's exactly (``==`` on the full ranked
-tuple, scores included: the contract is bit-identity, not tolerance).
+tuple, scores included: the contract is bit-identity, not tolerance) —
+and that both equal a third linker built fresh for that one call, so the
+pair cannot be stale together.
 Recency is not memoized — both linkers call the one
 ``propagated_recency`` — so what is held here is that a candidate,
 popularity or interest memo never serves a stale share.
@@ -22,11 +24,15 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DAY, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import METRICS
+
+from conftest import build_tiny_ckb, build_tiny_kb, fresh_linker
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +70,8 @@ _SURFACES = ("jordan", "nba", "chicago bulls", "icml", "air jordan", "zzzz")
 def _assert_identical(uncached, cached, surface, user, now):
     cold = uncached.link(surface, user, now)
     warm = cached.link(surface, user, now)
-    assert warm.ranked == cold.ranked, (surface, user, now)
+    fresh = fresh_linker(uncached).link(surface, user, now)
+    assert warm.ranked == cold.ranked == fresh.ranked, (surface, user, now)
     assert warm.degradation == cold.degradation, (surface, user, now)
 
 
@@ -96,8 +103,6 @@ class TestBitIdentity:
                 tiny_ckb.link_tweet(
                     rng.randrange(7), user=rng.choice((10, 11, 12)), timestamp=now
                 )
-                uncached.invalidate_influence_cache()
-                cached.invalidate_influence_cache()
             elif op < 0.86:
                 alias += 1
                 tiny_ckb.kb.add_surface_form(f"alias{alias}", rng.randrange(7))
@@ -107,8 +112,6 @@ class TestBitIdentity:
                 now = max(0.0, now - 2 * DAY)  # replay restarts
             else:
                 tiny_ckb.prune_before(now - 10 * DAY)
-                uncached.invalidate_influence_cache()
-                cached.invalidate_influence_cache()
         # one final sweep over every surface at the final clock
         for surface in _SURFACES:
             _assert_identical(uncached, cached, surface, 11, now)
@@ -122,10 +125,55 @@ class TestBitIdentity:
             _assert_identical(uncached, cached, "jordan", 10, now)
             if step % 3 == 0:
                 # mutate through the *cached* linker's feedback API; the
-                # oracle shares the ckb, so only LRU state needs syncing
+                # oracle shares the ckb and reads the write off its versions
                 cached.confirm_link(step % 7, user=11, timestamp=now)
-                uncached.invalidate_influence_cache()
-                cached.invalidate_influence_cache()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("link"),
+                    st.sampled_from(_SURFACES),
+                    st.sampled_from((10, 11, 12)),
+                ),
+                st.tuples(
+                    st.sampled_from(("confirm", "ckb_write", "other_linker")),
+                    st.integers(0, 6),
+                    st.sampled_from((10, 11, 12)),
+                ),
+                st.tuples(st.just("prune"), st.integers(0, 9), st.just(0)),
+                st.tuples(st.just("edge"), st.integers(0, 12), st.integers(0, 12)),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from(("entropy", "tfidf")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_warm_linker_equals_a_fresh_one(self, ops, method):
+        """Whoever writes — this linker, the CKB's owner, a second linker,
+        a prune, a new follow edge — the warm linker's next answer is the
+        one a linker constructed for that call gives.  Nobody invalidates
+        anything: ``U*_e`` reads ``ckb.version``, BFS rows ``graph.epoch``."""
+        ckb = build_tiny_ckb(build_tiny_kb())
+        graph = DiGraph.from_edges(13, [(10, 11), (11, 12), (12, 10), (10, 12)])
+        config = _config(influence_method=method)
+        warm = SocialTemporalLinker(ckb, graph, config=config)
+        other = SocialTemporalLinker(ckb, graph, config=config)
+        now = 9 * DAY
+        for op, a, b in ops + [("link", surface, 11) for surface in _SURFACES]:
+            if op == "link":
+                fresh = fresh_linker(warm).link(a, b, now)
+                assert warm.link(a, b, now).ranked == fresh.ranked
+            elif op == "confirm":
+                warm.confirm_link(a, user=b, timestamp=now)
+            elif op == "ckb_write":
+                ckb.link_tweet(a, user=b, timestamp=now)
+            elif op == "other_linker":
+                other.confirm_link(a, user=b, timestamp=now)
+            elif op == "prune":
+                ckb.prune_before(a * DAY)
+            elif a != b:
+                graph.add_edge(a, b)
 
 
 class TestInvalidationExactness:

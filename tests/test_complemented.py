@@ -4,7 +4,9 @@ import pytest
 
 from repro.config import DAY
 from repro.kb.complemented import ComplementedKnowledgebase
+from repro.errors import IndexUnavailableError
 from repro.kb.knowledgebase import Knowledgebase
+from repro.testing.faults import FaultSchedule, FlakyKnowledgebase
 
 
 @pytest.fixture
@@ -22,7 +24,6 @@ class TestLinking:
         ckb.link_tweet(0, user=1, timestamp=2.0)
         assert ckb.count(0) == 3
         assert ckb.community(0) == {1, 2}
-        assert ckb.community_size(0) == 2
         assert ckb.user_count(0, 1) == 2
         assert ckb.user_count(0, 99) == 0
 
@@ -101,3 +102,42 @@ class TestPruning:
         ckb.link_tweet(0, user=1, timestamp=10 * DAY)
         assert ckb.prune_before(0.0) == 0
         assert ckb.count(0) == 1
+
+
+class TestVersion:
+    """``version(e)`` counts writes to ``D_e``; it is what cached state
+    derived from ``D_e`` is stamped with."""
+
+    def test_strictly_increasing_under_every_write(self, ckb):
+        seen = [ckb.version(0)]
+        ckb.link_tweet(0, user=1, timestamp=0.0)
+        seen.append(ckb.version(0))
+        ckb.bulk_link([(0, 2, 10 * DAY), (0, 2, 11 * DAY)])
+        seen.append(ckb.version(0))
+        assert ckb.prune_before(5 * DAY) == 1
+        seen.append(ckb.version(0))
+        assert seen == [0, 1, 3, 4]
+
+    def test_prune_leaves_untouched_entities_alone(self, ckb):
+        ckb.link_tweet(0, user=1, timestamp=0.0)
+        ckb.link_tweet(1, user=2, timestamp=10 * DAY)
+        before = ckb.version(1)
+        ckb.prune_before(5 * DAY)
+        assert ckb.version(1) == before
+        assert ckb.prune_before(5 * DAY) == 0  # nothing left to drop
+        assert ckb.version(0) == 2
+
+    def test_prune_then_relink_restores_count_not_version(self, ckb):
+        ckb.link_tweet(0, user=1, timestamp=0.0)
+        count, version = ckb.count(0), ckb.version(0)
+        ckb.prune_before(DAY)  # D_0 emptied and dropped; its version is not
+        ckb.link_tweet(0, user=2, timestamp=2 * DAY)
+        assert ckb.count(0) == count
+        assert ckb.version(0) > version
+
+    def test_flaky_proxy_forwards_and_failed_write_does_not_bump(self, ckb):
+        flaky = FlakyKnowledgebase(ckb, FaultSchedule(fail_calls=[1]))
+        flaky.link_tweet(0, user=1, timestamp=0.0)
+        with pytest.raises(IndexUnavailableError):
+            flaky.link_tweet(0, user=1, timestamp=1.0)
+        assert flaky.version(0) == ckb.version(0) == 1

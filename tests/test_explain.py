@@ -7,6 +7,8 @@ from repro.core.explain import explain_link
 from repro.core.linker import SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 
+from conftest import JORDAN_LINKS, jordan_world
+
 
 @pytest.fixture
 def linker(tiny_ckb):
@@ -63,6 +65,30 @@ class TestExplainLink:
             e.describe() for c in explanation.candidates for e in c.interest_evidence
         )
         assert "no path" in descriptions
+
+    @pytest.mark.parametrize("confirms", [1, 2])
+    def test_evidence_backs_the_interest_share(self, confirms):
+        """The explanation reads the rankings ``link()`` scored with: each
+        ``interest_share`` is the normalised mean of the reachabilities
+        listed beside it (PR 22 printed 1.0 next to "no path to user 2")."""
+        ckb, graph = jordan_world(JORDAN_LINKS)
+        linker = SocialTemporalLinker(
+            ckb, graph, config=LinkerConfig(influential_users=1)
+        )
+        linker.link("jordan", user=0, now=10 * DAY)
+        for _ in range(confirms):
+            linker.confirm_link(0, user=1, timestamp=10 * DAY)
+        explanation = explain_link(linker, linker.link("jordan", 0, 10 * DAY))
+        means = {
+            c.entity_id: sum(e.reachability for e in c.interest_evidence)
+            / len(c.interest_evidence)
+            for c in explanation.candidates
+        }
+        total = sum(means.values())
+        assert len(means) == 2
+        for candidate in explanation.candidates:
+            expected = means[candidate.entity_id] / total if total else 0.0
+            assert candidate.interest_share == expected
 
 
 class TestConnectivityMetric:

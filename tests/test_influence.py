@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.influence import (
     entropy_influence,
-    influence_scores,
     tfidf_influence,
     top_influential_users,
 )
@@ -101,8 +100,8 @@ class TestTopInfluentialUsers:
         top = top_influential_users(tiny_ckb, 5, (5, 0), k=2, method="tfidf")
         assert top == [1, 3]  # equal influence -> ascending user id
 
-
-class TestInfluenceScores:
-    def test_scores_cover_community(self, tiny_ckb):
-        scores = influence_scores(tiny_ckb, 0, CANDIDATES)
-        assert set(scores) == {10, 11}
+    @pytest.mark.parametrize("method", ["tfidf", "entropy"])
+    def test_entity_outside_its_candidate_set(self, tiny_ckb, method):
+        # e0 scored against {e1, e2}: user 10 (only e0) has no tweet on any
+        # candidate and scores 0; user 11 (1 on e0, 4 on e1) still ranks
+        assert top_influential_users(tiny_ckb, 0, (1, 2), k=3, method=method) == [11]

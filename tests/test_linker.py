@@ -11,6 +11,8 @@ from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.obs.metrics import METRICS
 from repro.stream.tweet import MentionSpan, Tweet
 
+from conftest import JORDAN_LINKS, fresh_linker, jordan_world
+
 
 @pytest.fixture
 def social_graph():
@@ -169,9 +171,7 @@ class TestFeedback:
         # a new prolific, discriminative user floods e2's community
         for i in range(30):
             linker.confirm_link(2, user=40, timestamp=float(i))
-        key_suffix = (0, 1, 2)
-        fresh = linker._influential_users(2, key_suffix, key_suffix)
-        assert 40 in fresh
+        assert 40 in linker.influential_users((0, 1, 2))[2]
 
     def test_provider_injection(self, tiny_ckb, social_graph):
         closure = build_transitive_closure_incremental(social_graph)
@@ -194,24 +194,20 @@ class TestInfluentialCacheBound:
         return SocialTemporalLinker(tiny_ckb, social_graph, config=config)
 
     def test_cache_never_exceeds_bound(self, tiny_ckb, social_graph):
-        linker = self._linker(tiny_ckb, social_graph, size=2)
+        linker = self._linker(tiny_ckb, social_graph, size=1)
         for day in (8, 9, 10):
-            linker.link("jordan", user=0, now=day * DAY)  # 3 keys per call
+            linker.link("jordan", user=0, now=day * DAY)  # one key per set
             linker.link("nba", user=0, now=day * DAY)
-        assert len(linker._influential_cache) <= 2
+        assert len(linker._influential_cache) <= 1
 
     def test_eviction_is_least_recently_used(self, tiny_ckb, social_graph):
-        linker = self._linker(tiny_ckb, social_graph, size=3)
-        linker.link("jordan", user=0, now=8 * DAY)  # keys for e0, e1, e2
-        assert set(linker._influential_cache) == {
-            (0, (0, 1, 2)), (1, (0, 1, 2)), (2, (0, 1, 2))
-        }
-        linker._influential_users(0, (0, 1, 2), (0, 1, 2))  # touch e0
-        linker.link("nba", user=0, now=8 * DAY)  # inserts e4, evicts LRU
-        assert (1, (0, 1, 2)) not in linker._influential_cache
-        assert (0, (0, 1, 2)) in linker._influential_cache
-        assert (4, (4,)) in linker._influential_cache
-        assert len(linker._influential_cache) == 3
+        linker = self._linker(tiny_ckb, social_graph, size=2)
+        linker.link("jordan", user=0, now=8 * DAY)
+        linker.link("nba", user=0, now=8 * DAY)
+        assert list(linker._influential_cache) == [(0, 1, 2), (4,)]
+        linker.influential_users((0, 1, 2))  # touch the older set
+        linker.link("chicago bulls", user=0, now=8 * DAY)  # evicts the LRU
+        assert list(linker._influential_cache) == [(0, 1, 2), (3,)]
 
     def test_bounded_results_match_unbounded(self, tiny_ckb, social_graph):
         bounded = self._linker(tiny_ckb, social_graph, size=1)
@@ -237,11 +233,11 @@ class TestInfluentialCacheBound:
                 return value
 
         linker = self._linker(tiny_ckb, social_graph, size=1)
-        ranking = linker._influential_users(4, (4,), (4,))
-        assert set(linker._influential_cache) == {(4, (4,))}
+        ranking = linker.influential_users((4,))
+        assert set(linker._influential_cache) == {(4,)}
         linker._influential_cache = EvictedAfterRead(linker._influential_cache)
         hits = METRICS.counter("influential_cache.hit")
-        assert linker._influential_users(4, (4,), (4,)) == ranking
+        assert linker.influential_users((4,)) is ranking
         assert METRICS.counter("influential_cache.hit") == hits + 1
         assert len(linker._influential_cache) == 0
         # and the whole mention still links, re-filling the cache
@@ -250,3 +246,79 @@ class TestInfluentialCacheBound:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             LinkerConfig(influential_cache_size=0)
+
+
+#: Recipe C's own world: pruning at day 1 removes user 1 from e1 entirely.
+PRUNE_LINKS = [(1, 1, 0.0)] * 3 + [(1, 2, 5 * DAY)] * 2 + [(0, 3, 5 * DAY)]
+
+
+def _confirms(times):
+    def mutate(warm, ckb):
+        for _ in range(times):
+            warm.confirm_link(0, user=1, timestamp=10 * DAY)
+
+    return mutate
+
+
+#: name -> (history, the write made after the warm linker's first link()).
+WRITES = {
+    "confirm_once": (JORDAN_LINKS, _confirms(1)),
+    "confirm_twice": (JORDAN_LINKS, _confirms(2)),
+    "direct_ckb_write": (
+        JORDAN_LINKS,
+        lambda warm, ckb: ckb.bulk_link([(0, 1, 10 * DAY)] * 5),
+    ),
+    "prune": (PRUNE_LINKS, lambda warm, ckb: ckb.prune_before(1 * DAY)),
+}
+
+
+class TestWarmEqualsFresh:
+    """``U*_e`` is stamped with ``ckb.version`` of the whole candidate set,
+    so a linker that has linked before scores like one built just now —
+    whoever wrote to ``D_e``, and with no ``invalidate_*`` call to forget.
+    Every case links versus abstains differently at PR 22."""
+
+    @pytest.mark.parametrize("method", ["entropy", "tfidf"])
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_after_a_write_to_a_sibling(self, write, method):
+        links, mutate = WRITES[write]
+        ckb, graph = jordan_world(links)
+        config = LinkerConfig(influential_users=1, influence_method=method)
+        warm = SocialTemporalLinker(ckb, graph, config=config)
+        warm.link("jordan", user=0, now=10 * DAY)
+        mutate(warm, ckb)
+        assert (
+            warm.link("jordan", 0, 10 * DAY).ranked
+            == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
+        )
+
+    @pytest.mark.parametrize("nth_read", range(4))
+    def test_write_landing_inside_a_rebuild(self, nth_read):
+        """The handler threads share the cache without a lock.  A write
+        that lands between the stamp and the store (here: at the n-th
+        ``user_counts`` read of the rebuild, before or after ``U*_0`` was
+        derived) may only leave an entry stamped too old."""
+
+        class WritesAtNthRead:
+            def __init__(self, inner):
+                self._inner = inner
+                self._reads = 0
+
+            def user_counts(self, entity_id):
+                if self._reads == nth_read:
+                    self._inner.bulk_link([(0, 1, 10 * DAY)] * 5)
+                self._reads += 1
+                return self._inner.user_counts(entity_id)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        ckb, graph = jordan_world(JORDAN_LINKS)
+        config = LinkerConfig(influential_users=1)
+        warm = SocialTemporalLinker(WritesAtNthRead(ckb), graph, config=config)
+        warm.link("jordan", user=0, now=10 * DAY)
+        assert ckb.count(0) == 6  # the write did land mid-rebuild
+        assert (
+            warm.link("jordan", 0, 10 * DAY).ranked
+            == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
+        )

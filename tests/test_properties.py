@@ -150,6 +150,34 @@ class TestInfluenceProperties:
         scores = [entropy_influence(ckb, u, 0, candidates) for u in top]
         assert scores == sorted(scores, reverse=True)
 
+    @given(
+        links_strategy,
+        st.permutations(range(5)).flatmap(
+            lambda order: st.integers(1, 5).map(lambda n: tuple(order[:n]))
+        ),
+        st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=150)
+    def test_ranking_is_the_per_user_definition_sorted(self, links, candidates, k):
+        """The ranking scores most users on ``(count,)`` alone; it must
+        still be the public per-user function sorted by (-influence,
+        user), to the bit, for users in one community or several."""
+        ckb = build_ckb(links)
+        for method, influence in (
+            ("tfidf", tfidf_influence),
+            ("entropy", entropy_influence),
+        ):
+            for entity in candidates:
+                scored = sorted(
+                    (-influence(ckb, user, entity, candidates), user)
+                    for user in ckb.community(entity)
+                )
+                expected = [user for score, user in scored if score < 0.0][:k]
+                assert (
+                    top_influential_users(ckb, entity, candidates, k, method)
+                    == expected
+                )
+
 
 # ---------------------------------------------------------------------- #
 # score combination (Eq. 1)

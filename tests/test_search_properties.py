@@ -76,7 +76,6 @@ class TestPruneIntegration:
         assert before.best is not None
         removed = tiny_ckb.prune_before(100 * DAY)  # drop everything
         assert removed > 0
-        linker.invalidate_influence_cache()  # external mutation -> flush
         pruned = linker.link("jordan", user=0, now=101 * DAY)
         # influence rankings must reflect the pruned (empty) communities
         assert all(c.interest == 0.0 for c in pruned.ranked)
