@@ -47,6 +47,8 @@ from repro.search import PersonalizedSearchEngine, TweetStore
 from repro.stream.generator import StreamProfile, SyntheticWorld
 
 METHODS = ("ours", "onthefly", "collective")
+#: Rows ``repro link`` prints.
+_LINK_TOP_K = 3
 
 _log = get_logger(__name__)
 
@@ -81,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--method", choices=METHODS + ("all",), default="all"
     )
-    evaluate.add_argument("--threshold", type=int, default=10)
     evaluate.add_argument(
         "--complement", choices=("collective", "truth"), default="collective"
     )
@@ -95,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--surface", required=True)
     link.add_argument("--user", type=int, required=True)
     link.add_argument("--day", type=float, required=True, help="query time (days)")
-    link.add_argument("--top-k", type=int, default=3)
 
     search = commands.add_parser("search", help="personalized tweet search")
     search.add_argument("--world", required=True)
@@ -259,15 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--requests", type=int, default=2000)
     load.add_argument("--seed", type=int, default=11)
     load.add_argument(
-        "--profile", choices=("diurnal", "spike", "bursty"), default="bursty"
-    )
-    load.add_argument(
         "--base-rate", type=float, default=200.0,
         help="mean arrival rate (req/s) before diurnal/spike modulation",
-    )
-    load.add_argument(
-        "--malformed-rate", type=float, default=0.05,
-        help="fraction of requests deliberately malformed/mis-addressed",
     )
     load.add_argument(
         "--out", default="LOAD_report.json",
@@ -306,10 +299,6 @@ def _add_tenant_arguments(parser: argparse.ArgumentParser) -> None:
         help="named admission classes `name=capacity:queue[,...]` "
         "(e.g. 'gold=8:16,bronze=2:2'): concurrent requests allowed, then "
         "bounded queue positions before shedding",
-    )
-    parser.add_argument(
-        "--threshold", type=int, default=10,
-        help="activity threshold of the complementation dataset",
     )
 
 
@@ -405,9 +394,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     _metrics_begin(args.metrics_out)
     context = build_experiment(
-        world=load_world(args.world),
-        threshold=args.threshold,
-        complement_method=args.complement,
+        world=load_world(args.world), complement_method=args.complement
     )
     selected = METHODS if args.method == "all" else (args.method,)
     adapters = {
@@ -429,7 +416,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 "ms/tweet": round(run.seconds_per_tweet * 1e3, 4),
             }
         )
-    print(format_table(rows, title=f"test-set accuracy (D{args.threshold}, "
+    print(format_table(rows, title=f"test-set accuracy (D{context.threshold}, "
                                    f"{args.complement} complementation)"))
     _metrics_write(args.metrics_out, tool="repro evaluate")
     return 0
@@ -451,7 +438,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
             "recency": round(c.recency, 4),
             "popularity": round(c.popularity, 4),
         }
-        for c in result.ranked[: args.top_k]
+        for c in result.ranked[:_LINK_TOP_K]
     ]
     print(format_table(rows, title=f"{args.surface!r} by user {args.user} "
                                    f"at day {args.day:g}"))
@@ -829,7 +816,6 @@ def _build_serve_app(args: argparse.Namespace, clock, sleep, defer_release: bool
         clock=clock,
         chaos=_chaos_from_args(args),
         sleep=sleep,
-        threshold=args.threshold,
     )
     app = ServeApp(
         registry,
@@ -881,17 +867,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
         "slow_ms": chaos.slow_ms,
         "seed": chaos.seed,
     }
-    profile = LoadProfile(
-        name=args.profile,
-        base_rate=args.base_rate,
-        malformed_rate=args.malformed_rate,
-    )
+    profile = LoadProfile(base_rate=args.base_rate)
     specs = _tenant_specs(args)
     if args.url:
         world = load_world(args.world)
         queries = queries_from_dataset(
-            build_experiment(world=world, threshold=args.threshold,
-                             complement_method="truth").test_dataset
+            build_experiment(world=world, complement_method="truth").test_dataset
         )
         planned = generate_requests(
             args.seed, args.requests, profile, [s.name for s in specs], queries

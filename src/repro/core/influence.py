@@ -17,8 +17,10 @@ Two estimators:
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Callable, List, Sequence
+import operator
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.kb.complemented import ComplementedKnowledgebase
 
@@ -34,32 +36,38 @@ from repro.kb.complemented import ComplementedKnowledgebase
 _ENTROPY_SMOOTHING = 2.0
 
 
-def _tfidf(share: float, counts: Sequence[int], num_candidates: int) -> float:
-    """Eq. 6 on a user's share of :math:`D_e` and her per-candidate counts."""
-    mentioned = sum(1 for count in counts if count > 0)
-    if mentioned == 0:
-        return 0.0
-    return share * math.log(num_candidates / mentioned)
+def _idf_term(counts: Sequence[int], num_candidates: int) -> float:
+    """Eq. 6's ``log(|E_m| / |E_m^u|)`` from a user's non-zero per-candidate
+    counts; 0 (no influence) for a user outside every candidate community."""
+    return math.log(num_candidates / len(counts)) if counts else 0.0
 
 
-def _entropy(share: float, counts: Sequence[int], num_candidates: int) -> float:
-    """Eq. 7 on a user's share of :math:`D_e` and her per-candidate counts."""
+def _entropy_term(counts: Sequence[int], num_candidates: int) -> float:
+    """Eq. 7's divisor, the smoothed entropy of a user's non-zero
+    per-candidate counts; infinite (no influence) when there are none."""
+    if not counts:
+        return math.inf
     total = sum(counts)
-    if total == 0:
-        return 0.0
     entropy = 0.0
     for count in counts:
-        if count:
-            probability = count / total
-            entropy -= probability * math.log(probability)
-    return share / (entropy + _ENTROPY_SMOOTHING)
+        probability = count / total
+        entropy -= probability * math.log(probability)
+    return entropy + _ENTROPY_SMOOTHING
 
 
-_FORMULAS = {"tfidf": _tfidf, "entropy": _entropy}
+#: method -> (term, op): influence is ``op(share of D_e, term)``.  The term
+#: belongs to the user and the candidate set, not to ``e``, and on a lone
+#: count ``(n,)`` it is the same for every ``n`` — so among the users of one
+#: community only, influence must be strictly increasing in the count
+#: (``tests/test_influence.py`` pins it for every row): the ranking relies on it.
+_FORMULAS: Dict[str, Tuple[Callable[..., float], Callable[..., float]]] = {
+    "tfidf": (_idf_term, operator.mul),
+    "entropy": (_entropy_term, operator.truediv),
+}
 
 
 def _user_influence(
-    formula: Callable[[float, Sequence[int], int], float],
+    method: str,
     ckb: ComplementedKnowledgebase,
     user: int,
     entity_id: int,
@@ -68,28 +76,73 @@ def _user_influence(
     count = ckb.user_count(entity_id, user)
     if count == 0:
         return 0.0
-    counts = [ckb.user_count(c, user) for c in candidates]
-    return formula(count / ckb.count(entity_id), counts, len(candidates))
+    term, op = _FORMULAS[method]
+    counts = [n for n in (ckb.user_count(c, user) for c in candidates) if n]
+    return op(count / ckb.count(entity_id), term(counts, len(candidates)))
 
 
 def tfidf_influence(
-    ckb: ComplementedKnowledgebase,
-    user: int,
-    entity_id: int,
-    candidates: Sequence[int],
+    ckb: ComplementedKnowledgebase, user: int, entity_id: int, candidates: Sequence[int]
 ) -> float:
     """Eq. 6: tweet share in :math:`D_e` times candidate-set idf."""
-    return _user_influence(_tfidf, ckb, user, entity_id, candidates)
+    return _user_influence("tfidf", ckb, user, entity_id, candidates)
 
 
 def entropy_influence(
-    ckb: ComplementedKnowledgebase,
-    user: int,
-    entity_id: int,
-    candidates: Sequence[int],
+    ckb: ComplementedKnowledgebase, user: int, entity_id: int, candidates: Sequence[int]
 ) -> float:
     """Eq. 7: tweet share times inverse entropy over the candidate set."""
-    return _user_influence(_entropy, ckb, user, entity_id, candidates)
+    return _user_influence("entropy", ckb, user, entity_id, candidates)
+
+
+def influential_user_sets(
+    ckb: ComplementedKnowledgebase,
+    entities: Sequence[int],
+    candidates: Sequence[int],
+    k: int,
+    method: str = "entropy",
+) -> Dict[int, List[int]]:
+    """:func:`top_influential_users` of each of ``entities`` (the linker:
+    all of them) against one candidate set, in one walk: every community is
+    read once, the term of a user who sits in several is derived once, and
+    of the others — who rank among themselves by ``(-count, user)`` — only
+    the ``k`` best can make the cut, so only those are scored."""
+    try:
+        term, op = _FORMULAS[method]
+    except KeyError:
+        # ``method`` is validated at config load (LinkerConfig.__post_init__),
+        # so reaching here from the serve path means a code bug, not bad input.
+        raise ValueError(  # repro: noqa[FLOW-002] -- validated at config load
+            f"unknown influence method {method!r}; expected one of {sorted(_FORMULAS)}"
+        ) from None
+    communities = {c: ckb.user_counts(c) for c in candidates}
+    ranked = {
+        e: communities[e] if e in communities else ckb.user_counts(e) for e in entities
+    }
+    shared: set = set()
+    for e, own in ranked.items():
+        for c, other in communities.items():
+            if c > e or c not in ranked:  # each unordered pair once
+                shared |= own.keys() & other.keys()
+    size = len(communities)
+    terms = {
+        u: term([c[u] for c in communities.values() if u in c], size) for u in shared
+    }
+    rankings = {}
+    for e, own in ranked.items():
+        # A user of this community alone: her vector is ``(count,)``, or
+        # empty when ``e`` is scored outside its own candidate set.
+        lone_term = term((1,) if e in communities else (), size)
+        total = ckb.count(e)
+        mine = own.keys() & shared
+        scored = [(-op(own[u] / total, terms[u]), u) for u in mine]
+        lone = [n for u, n in own.items() if u not in mine] if mine else own.values()
+        floor = min(heapq.nlargest(k, lone), default=0)
+        best = sorted([(-n, u) for u, n in own.items() if n >= floor and u not in mine])
+        scored += [(-op(-n / total, lone_term), u) for n, u in best[:k]]
+        scored.sort()
+        rankings[e] = [u for negated, u in scored[:k] if negated < 0.0]
+    return rankings
 
 
 def top_influential_users(
@@ -104,41 +157,5 @@ def top_influential_users(
     Ranking ties break by ascending user id so results are deterministic.
     Only users with positive influence qualify; the list may be shorter
     than ``k`` (or empty for entities nobody tweets about).
-
-    A zero count adds nothing to either formula, so only users who also
-    tweet about another candidate have their other counts looked up; the
-    rest are scored on ``(count,)`` — same arithmetic, same order.
     """
-    try:
-        formula = _FORMULAS[method]
-    except KeyError:
-        # ``method`` is validated at config load (LinkerConfig.__post_init__),
-        # so reaching here from the serve path means a code bug, not bad input.
-        raise ValueError(  # repro: noqa[FLOW-002] -- validated at config load
-            f"unknown influence method {method!r}; expected one of {sorted(_FORMULAS)}"
-        ) from None
-    community_size = ckb.count(entity_id)
-    if community_size == 0:
-        return []
-    own = ckb.user_counts(entity_id)
-    if entity_id in candidates:
-        shared = set()
-        for other in candidates:
-            if other != entity_id:
-                shared |= own.keys() & ckb.user_counts(other).keys()
-    else:
-        # The shortcut reads the entity's own count as the whole vector;
-        # outside its own candidate set every user needs the real one.
-        shared = own.keys()
-    num_candidates = len(candidates)
-    scored: List[tuple] = []
-    for user, count in own.items():
-        if user in shared:
-            counts: Sequence[int] = [ckb.user_count(c, user) for c in candidates]
-        else:
-            counts = (count,)
-        score = formula(count / community_size, counts, num_candidates)
-        if score > 0.0:
-            scored.append((-score, user))
-    scored.sort()
-    return [user for _, user in scored[:k]]
+    return influential_user_sets(ckb, (entity_id,), candidates, k, method)[entity_id]

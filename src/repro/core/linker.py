@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache.scores import ScoreCaches
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.candidates import CandidateGenerator
-from repro.core.influence import top_influential_users
+from repro.core.influence import influential_user_sets
 from repro.core.interest import ReachabilityProvider, normalized_interest
 from repro.errors import (
     CircuitOpenError,
@@ -444,16 +444,14 @@ class SocialTemporalLinker:
             METRICS.incr("influential_cache.hit")
             return cached[1]
         METRICS.incr("influential_cache.miss")
-        influential = {
-            entity_id: top_influential_users(
+        with stage("link.influence", candidates=len(candidates)):
+            influential = influential_user_sets(
                 self._ckb,
-                entity_id,
+                candidates,
                 candidates,
                 k=self._config.influential_users,
                 method=self._config.influence_method,
             )
-            for entity_id in candidates
-        }
         self._influential_cache[candidates] = (stamp, influential)
         self._mark_recently_used(candidates)
         while len(self._influential_cache) > self._config.influential_cache_size:

@@ -112,12 +112,15 @@ def jordan_world(links):
     kb = Knowledgebase()
     kb.add_entity("jordan (a)", description=["a"])
     kb.add_entity("jordan (b)", description=["b"])
-    for entity_id in (0, 1):
+    for entity_id in JORDAN_CANDIDATES:
         kb.add_surface_form("jordan", entity_id)
     ckb = ComplementedKnowledgebase(kb)
     ckb.bulk_link(links)
     return ckb, DiGraph.from_edges(5, [(0, 1)])
 
+
+#: The candidate set of "jordan" in :func:`jordan_world`.
+JORDAN_CANDIDATES = (0, 1)
 
 #: Users 1 and 2 with three tweets each on e1, user 3 with one on e0.
 JORDAN_LINKS = [(1, user, ts * DAY) for ts in range(3) for user in (1, 2)] + [

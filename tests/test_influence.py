@@ -10,10 +10,14 @@ import math
 import pytest
 
 from repro.core.influence import (
+    _FORMULAS,
     entropy_influence,
+    influential_user_sets,
     tfidf_influence,
     top_influential_users,
 )
+from repro.kb.complemented import ComplementedKnowledgebase
+from repro.kb.knowledgebase import Knowledgebase
 
 CANDIDATES = (0, 1, 2)
 
@@ -105,3 +109,94 @@ class TestTopInfluentialUsers:
         # e0 scored against {e1, e2}: user 10 (only e0) has no tweet on any
         # candidate and scores 0; user 11 (1 on e0, 4 on e1) still ranks
         assert top_influential_users(tiny_ckb, 0, (1, 2), k=3, method=method) == [11]
+
+
+def ckb_of(communities):
+    """A CKB from ``{entity: {user: |D_e^u|}}``, users linked in the order given."""
+    kb = Knowledgebase()
+    for entity in range(max(communities) + 1):
+        kb.add_entity(f"entity {entity}")
+    ckb = ComplementedKnowledgebase(kb)
+    for entity, counts in communities.items():
+        for user, count in counts.items():
+            ckb.bulk_link([(entity, user, 0.0)] * count)
+    return ckb
+
+
+def rankings(ckb, candidates, k, method):
+    """Both entry points, checked against each other and against the
+    per-user definition sorted by ``(-influence, user)``."""
+    influence = {"tfidf": tfidf_influence, "entropy": entropy_influence}[method]
+    sets = influential_user_sets(ckb, candidates, candidates, k, method)
+    for entity in candidates:
+        scored = sorted(
+            (-influence(ckb, user, entity, candidates), user)
+            for user in ckb.community(entity)
+        )
+        assert sets[entity] == [user for score, user in scored if score < 0.0][:k]
+        assert sets[entity] == top_influential_users(ckb, entity, candidates, k, method)
+    return sets
+
+
+class TestFinalistSelection:
+    """Only the k best single-community users are scored; the cut must fall
+    where the exhaustive ranking would put it."""
+
+    #: e0: user 5 leads, users 9 and 2 tie on count 3 (9 was linked first),
+    #: and user 7 splits 8 / 8 over e0 and e1: entropy ln 2, so she scores
+    #: (8/20)/(2+ln 2) = 0.1485 — between user 5's 0.15 and the tied 0.075.
+    STRADDLE = {0: {5: 6, 9: 3, 2: 3, 7: 8}, 1: {7: 8, 4: 1}}
+
+    def test_tie_at_the_cut_goes_to_the_lower_id(self):
+        ckb = ckb_of(self.STRADDLE)
+        assert rankings(ckb, (0, 1), 3, "entropy")[0] == [5, 7, 2]
+        assert rankings(ckb, (0, 1), 4, "entropy")[0] == [5, 7, 2, 9]
+        # Eq. 6 zeroes a user who sits in every candidate community
+        assert rankings(ckb, (0, 1), 2, "tfidf")[0] == [5, 2]
+        assert rankings(ckb, (0, 1), 3, "tfidf") == {0: [5, 2, 9], 1: [4]}
+
+    @pytest.mark.parametrize("method", ["tfidf", "entropy"])
+    def test_all_shared_and_none_shared(self, method):
+        # every user of e0 also tweets about e1; nobody of e2 tweets elsewhere
+        ckb = ckb_of({0: {1: 4, 2: 1}, 1: {1: 1, 2: 4, 6: 2}, 2: {3: 2, 4: 2, 8: 5}})
+        sets = rankings(ckb, (0, 1, 2), 2, method)
+        assert sets[0] == [1, 2]
+        assert sets[2] == [8, 3]
+
+    @pytest.mark.parametrize("method", ["tfidf", "entropy"])
+    @pytest.mark.parametrize("k", [4, 5, 50])
+    def test_k_at_least_the_community(self, method, k):
+        ckb = ckb_of(self.STRADDLE)
+        expected = [5, 7, 2, 9] if method == "entropy" else [5, 2, 9]
+        assert rankings(ckb, (0, 1), k, method)[0] == expected
+
+    def test_shared_user_above_and_below_every_finalist(self):
+        # user 7 holds most of D_0 and a single stray tweet elsewhere: first
+        above = ckb_of({0: {7: 30, 1: 2, 2: 1}, 1: {7: 1, 3: 5}})
+        assert rankings(above, (0, 1), 2, "entropy")[0] == [7, 1]
+        # the other way round she trails every single-community finalist
+        below = ckb_of({0: {7: 1, 1: 2, 2: 3}, 1: {7: 30, 3: 5}})
+        assert rankings(below, (0, 1), 2, "entropy")[0] == [2, 1]
+        assert rankings(below, (0, 1), 3, "entropy")[0] == [2, 1, 7]
+
+    @pytest.mark.parametrize("method", sorted(_FORMULAS))
+    @pytest.mark.parametrize("num_candidates", [2, 3, 7])
+    def test_single_community_score_strictly_increases_with_count(
+        self, method, num_candidates
+    ):
+        """What the selection rests on: on ``(count,)`` the term is one
+        constant of the set, so the score orders such users by count.  An
+        estimator added to ``_FORMULAS`` without this must fail here, not
+        mis-rank silently."""
+        term, op = _FORMULAS[method]
+        for community_size in (1, 7, 1000, 10**6 + 3):
+            counts = range(1, min(community_size, 400) + 1)
+            assert {term((count,), num_candidates) for count in counts} == {
+                term((1,), num_candidates)
+            }
+            scores = [
+                op(count / community_size, term((count,), num_candidates))
+                for count in counts
+            ]
+            assert all(low < high for low, high in zip(scores, scores[1:]))
+            assert scores[0] > 0.0

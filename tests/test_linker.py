@@ -11,7 +11,7 @@ from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.obs.metrics import METRICS
 from repro.stream.tweet import MentionSpan, Tweet
 
-from conftest import JORDAN_LINKS, fresh_linker, jordan_world
+from conftest import JORDAN_CANDIDATES, JORDAN_LINKS, fresh_linker, jordan_world
 
 
 @pytest.fixture
@@ -292,23 +292,32 @@ class TestWarmEqualsFresh:
             == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
         )
 
-    @pytest.mark.parametrize("nth_read", range(4))
+    @pytest.mark.parametrize("nth_read", range(2 * len(JORDAN_CANDIDATES) + 1))
     def test_write_landing_inside_a_rebuild(self, nth_read):
         """The handler threads share the cache without a lock.  A write
-        that lands between the stamp and the store (here: at the n-th
-        ``user_counts`` read of the rebuild, before or after ``U*_0`` was
-        derived) may only leave an entry stamped too old."""
+        that lands between the stamp and the store (here: at the n-th of
+        the reads a rebuild makes, one ``user_counts`` and one ``count``
+        per candidate — before, between or after any of them; the last
+        case lands right behind the store) may only leave an entry stamped
+        too old."""
 
         class WritesAtNthRead:
             def __init__(self, inner):
                 self._inner = inner
                 self._reads = 0
 
-            def user_counts(self, entity_id):
+            def _read(self):
                 if self._reads == nth_read:
                     self._inner.bulk_link([(0, 1, 10 * DAY)] * 5)
                 self._reads += 1
+
+            def user_counts(self, entity_id):
+                self._read()
                 return self._inner.user_counts(entity_id)
+
+            def count(self, entity_id):
+                self._read()
+                return self._inner.count(entity_id)
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LinkerConfig
-from repro.core.influence import entropy_influence, tfidf_influence, top_influential_users
+from repro.core.influence import (
+    entropy_influence,
+    influential_user_sets,
+    tfidf_influence,
+    top_influential_users,
+)
 from repro.core.popularity import popularity_scores
 from repro.core.recency import sliding_window_recency
 from repro.core.scoring import combine_scores
@@ -159,24 +164,30 @@ class TestInfluenceProperties:
     )
     @settings(max_examples=150)
     def test_ranking_is_the_per_user_definition_sorted(self, links, candidates, k):
-        """The ranking scores most users on ``(count,)`` alone; it must
+        """The ranking scores only the users who can make the cut; it must
         still be the public per-user function sorted by (-influence,
-        user), to the bit, for users in one community or several."""
+        user), to the bit, for users in one community or several — one
+        entity at a time, the whole set in one walk, and for an entity
+        scored outside its own candidate set."""
         ckb = build_ckb(links)
         for method, influence in (
             ("tfidf", tfidf_influence),
             ("entropy", entropy_influence),
         ):
-            for entity in candidates:
+            expected = {}
+            for entity in range(5):
                 scored = sorted(
                     (-influence(ckb, user, entity, candidates), user)
                     for user in ckb.community(entity)
                 )
-                expected = [user for score, user in scored if score < 0.0][:k]
+                expected[entity] = [user for score, user in scored if score < 0.0][:k]
                 assert (
                     top_influential_users(ckb, entity, candidates, k, method)
-                    == expected
+                    == expected[entity]
                 )
+            assert influential_user_sets(ckb, candidates, candidates, k, method) == {
+                entity: expected[entity] for entity in candidates
+            }
 
 
 # ---------------------------------------------------------------------- #
