@@ -75,7 +75,7 @@ class RecencyPropagationNetwork:
         self._max_iterations = max_iterations
         # adjacency: entity -> [(neighbor, normalized weight P(e_i, e_j))]
         self._edges: Dict[int, List[Tuple[int, float]]] = {}
-        self._components: List[List[int]] = []
+        self._components: List[Tuple[int, ...]] = []
         # one dense Eq. 11 operator per cluster, rows and columns in
         # component_members order
         self._operators: List[np.ndarray] = []
@@ -150,7 +150,7 @@ class RecencyPropagationNetwork:
                     if neighbor not in seen:
                         seen.add(neighbor)
                         stack.append(neighbor)
-            self._components.append(sorted(component))
+            self._components.append(tuple(sorted(component)))
 
     def _build_operators(self) -> None:
         """Fold the ``k = max_iterations`` steps of Eq. 11 into one matrix.
@@ -214,8 +214,9 @@ class RecencyPropagationNetwork:
         located = self._rows.get(entity_id)
         return None if located is None else located[0]
 
-    def component_members(self, index: int) -> List[int]:
-        """Members of cluster ``index``, sorted (construction order)."""
+    def component_members(self, index: int) -> Tuple[int, ...]:
+        """Members of cluster ``index``, sorted (construction order): the
+        group ``propagated_recency`` reads with one ``ckb.recent_counts``."""
         return self._components[index]
 
     def operator(self, index: int) -> np.ndarray:
@@ -269,13 +270,14 @@ def propagated_recency(
     """Candidate recency with cluster reinforcement, normalized per Eq. 9.
 
     Raw (burst-gated) recency is gathered once per call for every member
-    of the candidates' clusters; each candidate's propagated value is its
-    operator row dotted with the bursting members (Eq. 11), and the
+    of the candidates' clusters, one ``ckb.recent_counts`` per cluster;
+    each candidate's propagated value is its operator row dotted with the
+    bursting members (Eq. 11), the products added left to right, and the
     values are re-normalized over the candidate set so the feature remains
     comparable with the non-propagated variant.
     """
-    # cluster index -> [(column, gated count)] of its bursting members
-    bursts: Dict[int, List[Tuple[int, float]]] = {}
+    # cluster index -> (columns, gated counts) of its bursting members
+    bursts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     values: Dict[int, float] = {}
     for entity_id in candidates:
         located = network.operator_row(entity_id)
@@ -286,12 +288,14 @@ def propagated_recency(
         index, row = located
         burst = bursts.get(index)
         if burst is None:
-            burst = bursts[index] = []
-            for column, member in enumerate(network.component_members(index)):
-                count = ckb.recent_count(member, now, window)
-                if count >= burst_threshold:
-                    burst.append((column, float(count)))
-        values[entity_id] = float(sum(row[column] * raw for column, raw in burst))
+            counts = ckb.recent_counts(network.component_members(index), now, window)
+            columns = np.flatnonzero(counts >= burst_threshold)
+            burst = bursts[index] = (columns, counts[columns].astype(float))
+        columns, raws = burst
+        # accumulate adds in order, as sum() does: same bits as the oracle
+        values[entity_id] = (
+            float(np.add.accumulate(row[columns] * raws)[-1]) if len(columns) else 0.0
+        )
     total = sum(values.values())
     if total == 0.0:
         return {entity_id: 0.0 for entity_id in candidates}

@@ -6,7 +6,8 @@ to the KB with a batch linker and stores, per entity ``e``:
 * :math:`D_e` — the linked tweets with timestamp and author,
 * :math:`U_e` — the community, i.e. the authors of those tweets,
 * per-user tweet counts :math:`|D_e^u|` (consumed by influence estimation),
-* a time-ordered timestamp list (consumed by the sliding recency window).
+* a time-ordered timestamp list (consumed by the sliding recency window),
+  merged on first read into one timeline per recency cluster.
 
 The structure is incremental: online inference appends confirmed links one
 at a time (Sec. 3.2.2 "update existing knowledge"), which only touches
@@ -17,9 +18,13 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
+from array import array
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.cache.epochs import Epoch
 from repro.kb.knowledgebase import Knowledgebase
@@ -42,6 +47,11 @@ class ComplementedKnowledgebase:
         self._tweets: Dict[int, List[LinkedTweet]] = {}
         self._timestamps: Dict[int, List[float]] = {}
         self._user_counts: Dict[int, Counter] = {}
+        # group -> (sorted timestamps of all its members' links, the float
+        # objects of _timestamps; which member of the group each one links)
+        self._timelines: Dict[Tuple[int, ...], Tuple[List[float], array]] = {}
+        # entity -> [(times, columns, its position) of each group it is in]
+        self._timelines_of: Dict[int, List[Tuple[List[float], array, int]]] = {}
         self._total_links = 0
         self._versions: Dict[int, int] = {}
         #: Versions the link store for ``repro.cache``: bumped by every
@@ -80,7 +90,14 @@ class ComplementedKnowledgebase:
         record = LinkedTweet(user=user, timestamp=timestamp, tweet_id=tweet_id)
         self._tweets.setdefault(entity_id, []).append(record)
         bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
-        self._user_counts.setdefault(entity_id, Counter())[user] += 1
+        for times, columns, column in self._timelines_of.get(entity_id, ()):
+            position = bisect.bisect_right(times, timestamp)
+            times.insert(position, timestamp)
+            columns.insert(position, column)
+        counts = self._user_counts.get(entity_id)
+        if counts is None:
+            counts = self._user_counts[entity_id] = Counter()
+        counts[user] += 1
         self._total_links += 1
         self._versions[entity_id] = self._versions.get(entity_id, 0) + 1
         self.link_epoch.bump()
@@ -120,6 +137,9 @@ class ComplementedKnowledgebase:
                 del self._timestamps[entity_id]
                 del self._user_counts[entity_id]
             self._versions[entity_id] += 1
+        if removed:  # rebuilt by the next recent_counts of each group
+            self._timelines.clear()
+            self._timelines_of.clear()
         self._total_links -= removed
         self.link_epoch.bump()
         return removed
@@ -152,7 +172,8 @@ class ComplementedKnowledgebase:
 
     def user_counts(self, entity_id: int) -> Counter:
         """All :math:`|D_e^u|` for an entity as a Counter over users."""
-        return self._user_counts.get(entity_id, Counter())
+        counts = self._user_counts.get(entity_id)
+        return Counter() if counts is None else counts
 
     def recent_count(self, entity_id: int, now: float, window: float) -> int:
         """:math:`|D_e^\\tau|` — linked tweets with ``t >= now - window``.
@@ -166,6 +187,41 @@ class ComplementedKnowledgebase:
         low = bisect.bisect_left(timestamps, now - window)
         high = bisect.bisect_right(timestamps, now)
         return high - low
+
+    def recent_counts(
+        self, entity_ids: Tuple[int, ...], now: float, window: float
+    ) -> np.ndarray:
+        """:meth:`recent_count` of each entity of a group, in order: two
+        bisections on the group's merged timeline and one ``bincount`` over
+        the window.  The timeline is merged on the group's first read, kept
+        by :meth:`link_tweet` and dropped by :meth:`prune_before`, so there
+        is nothing for a caller to invalidate."""
+        times, columns = self._timelines.get(entity_ids) or self._merge(entity_ids)
+        low = bisect.bisect_left(times, now - window)
+        high = bisect.bisect_right(times, now)
+        in_window = np.frombuffer(
+            columns, columns.typecode, high - low, low * columns.itemsize
+        )
+        return np.bincount(in_window, minlength=len(entity_ids))
+
+    def _merge(self, entity_ids: Tuple[int, ...]) -> Tuple[List[float], array]:
+        per_entity = [self._timestamps.get(entity_id, ()) for entity_id in entity_ids]
+        times = list(itertools.chain.from_iterable(per_entity))
+        # the same stable sort twice, so columns[i] is whose link times[i] is
+        order = np.argsort(np.array(times, dtype=float), kind="stable")
+        times.sort()
+        width = np.min_scalar_type(len(entity_ids))
+        owners = np.repeat(
+            np.arange(len(entity_ids), dtype=width), [len(t) for t in per_entity]
+        )
+        built = times, array(width.char, owners[order].tobytes())
+        # racing first reads (serve handler threads) each merge; one timeline
+        # wins and only that one is registered with link_tweet
+        timeline = self._timelines.setdefault(entity_ids, built)
+        if timeline is built:
+            for column, entity_id in enumerate(entity_ids):
+                self._timelines_of.setdefault(entity_id, []).append((*built, column))
+        return timeline
 
     def linked_entities(self) -> List[int]:
         """Entity ids with at least one linked tweet."""

@@ -22,6 +22,10 @@ bench``'s identity gates and the paper's index tables (``benchmarks/``):
   — Eq. 9–11 as the paper writes them: gather every cluster member's
   gated count, then sweep ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}`` in Python.
   ``propagated_recency`` must agree to 1e-12 on every normalized share.
+* :func:`propagated_recency_by_member` — the gather ``propagated_recency``
+  shipped before the merged timelines: one ``recent_count`` per cluster
+  member and a Python ``sum`` per operator row.  Same products added in
+  the same order, so the shipped function must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "build_two_hop_cover",
     "propagate_by_iteration",
     "propagated_recency_by_iteration",
+    "propagated_recency_by_member",
     "weighted_reachability_from_per_target",
 ]
 
@@ -431,8 +436,42 @@ def propagated_recency_by_iteration(
             count = ckb.recent_count(entity_id, now, window)
             initial[entity_id] = float(count) if count >= burst_threshold else 0.0
     propagated = propagate_by_iteration(network, initial, tolerance)
-    values = {entity_id: propagated[entity_id] for entity_id in candidates}
+    return _shares({entity_id: propagated[entity_id] for entity_id in candidates})
+
+
+def _shares(values: Dict[int, float]) -> Dict[int, float]:
+    """Eq. 9's normalization over the candidate set; all zero when nothing bursts."""
     total = sum(values.values())
     if total == 0.0:
-        return {entity_id: 0.0 for entity_id in candidates}
+        return dict.fromkeys(values, 0.0)
     return {entity_id: value / total for entity_id, value in values.items()}
+
+
+def propagated_recency_by_member(
+    ckb: ComplementedKnowledgebase,
+    network: RecencyPropagationNetwork,
+    candidates: Sequence[int],
+    now: float,
+    window: float,
+    burst_threshold: int,
+) -> Dict[int, float]:
+    """The operator row-dot over per-entity reads: one ``recent_count`` per
+    cluster member, the products summed left to right (a member below the
+    burst threshold adds ``+0.0``, which changes no bit).  The bit-identity
+    reference (``==``, not a tolerance) for ``propagated_recency``."""
+
+    def gated(entity_id: int) -> float:
+        count = ckb.recent_count(entity_id, now, window)
+        return float(count) if count >= burst_threshold else 0.0
+
+    values: Dict[int, float] = {}
+    for entity_id in candidates:
+        located = network.operator_row(entity_id)
+        if located is None:
+            values[entity_id] = gated(entity_id)
+            continue
+        members = network.component_members(located[0])
+        values[entity_id] = float(
+            sum(weight * gated(member) for weight, member in zip(located[1], members))
+        )
+    return _shares(values)

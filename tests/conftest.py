@@ -11,6 +11,7 @@ from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
 from repro.kb.builder import KBProfile
+from repro.kb.checkpoint import restore, snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 from repro.stream.generator import StreamProfile, SyntheticWorld
@@ -132,6 +133,15 @@ def fresh_linker(linker):
     """A linker built now over ``linker``'s world: nothing cached, so
     nothing it could have failed to notice."""
     return SocialTemporalLinker(linker.ckb, linker.graph, config=linker.config)
+
+
+def rebuilt_linker(linker):
+    """A linker built now over a complemented KB restored from a snapshot
+    of ``linker``'s (a replay of ``iter_links()``): nothing cached and no
+    merged timeline yet, so every ``recent_counts`` it makes is a first
+    read."""
+    ckb = restore(linker.ckb.kb, snapshot(linker.ckb))
+    return SocialTemporalLinker(ckb, linker.graph, config=linker.config)
 
 
 def small_profiles(seed: int = 5):

@@ -32,7 +32,7 @@ from repro.core.linker import SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import METRICS
 
-from conftest import build_tiny_ckb, build_tiny_kb, fresh_linker
+from conftest import build_tiny_ckb, build_tiny_kb, fresh_linker, rebuilt_linker
 
 
 @pytest.fixture(autouse=True)
@@ -153,7 +153,8 @@ class TestBitIdentity:
         """Whoever writes — this linker, the CKB's owner, a second linker,
         a prune, a new follow edge — the warm linker's next answer is the
         one a linker constructed for that call gives.  Nobody invalidates
-        anything: ``U*_e`` reads ``ckb.version``, BFS rows ``graph.epoch``."""
+        anything: ``U*_e`` reads ``ckb.version``, BFS rows ``graph.epoch``,
+        and the merged recency timelines are kept by the CKB's own writers."""
         ckb = build_tiny_ckb(build_tiny_kb())
         graph = DiGraph.from_edges(13, [(10, 11), (11, 12), (12, 10), (10, 12)])
         config = _config(influence_method=method)
@@ -163,7 +164,10 @@ class TestBitIdentity:
         for op, a, b in ops + [("link", surface, 11) for surface in _SURFACES]:
             if op == "link":
                 fresh = fresh_linker(warm).link(a, b, now)
-                assert warm.link(a, b, now).ranked == fresh.ranked
+                # ... and the one a linker over a KB rebuilt from the links
+                # gives, whose cluster timelines are merged by this call
+                rebuilt = rebuilt_linker(warm).link(a, b, now)
+                assert warm.link(a, b, now).ranked == fresh.ranked == rebuilt.ranked
             elif op == "confirm":
                 warm.confirm_link(a, user=b, timestamp=now)
             elif op == "ckb_write":

@@ -36,6 +36,14 @@ class TestLinking:
         assert ckb.community(1) == set()
         assert ckb.tweets_of(1) == []
 
+    def test_user_counts_stores_nothing_on_a_miss(self, ckb):
+        assert ckb.user_counts(0) == {} and ckb.community(0) == set()
+        assert ckb.linked_entities() == []
+        ckb.link_tweet(0, user=4, timestamp=1.0)
+        ckb.link_tweet(0, user=4, timestamp=2.0)
+        assert ckb.user_counts(0) == {4: 2}
+        assert ckb.user_counts(0) is ckb.user_counts(0)
+
     def test_bulk_link(self, ckb):
         ckb.bulk_link([(0, 1, 0.0), (1, 2, 1.0)])
         assert ckb.total_links == 2

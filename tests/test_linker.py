@@ -11,7 +11,13 @@ from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.obs.metrics import METRICS
 from repro.stream.tweet import MentionSpan, Tweet
 
-from conftest import JORDAN_CANDIDATES, JORDAN_LINKS, fresh_linker, jordan_world
+from conftest import (
+    JORDAN_CANDIDATES,
+    JORDAN_LINKS,
+    fresh_linker,
+    jordan_world,
+    rebuilt_linker,
+)
 
 
 @pytest.fixture
@@ -272,6 +278,22 @@ WRITES = {
 }
 
 
+def _confirm_a_neighbour(warm, ckb):
+    for _ in range(3):
+        warm.confirm_link(5, user=11, timestamp=9.5 * DAY)
+
+
+#: Writes that move "jordan" through the recency of its clusters in the
+#: Fig.-1 KB ({0, 3, 4} and {1, 5, 6}): 5 and 6 are neighbours, not candidates.
+CLUSTER_WRITES = {
+    "confirm": _confirm_a_neighbour,
+    "direct_ckb_write": lambda warm, ckb: ckb.bulk_link(
+        [(6, 11, 9 * DAY)] * 3 + [(0, 11, 8 * DAY)]
+    ),
+    "prune": lambda warm, ckb: ckb.prune_before(8 * DAY),
+}
+
+
 class TestWarmEqualsFresh:
     """``U*_e`` is stamped with ``ckb.version`` of the whole candidate set,
     so a linker that has linked before scores like one built just now —
@@ -290,7 +312,26 @@ class TestWarmEqualsFresh:
         assert (
             warm.link("jordan", 0, 10 * DAY).ranked
             == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
+            == rebuilt_linker(warm).link("jordan", 0, 10 * DAY).ranked
         )
+
+    @pytest.mark.parametrize("write", sorted(CLUSTER_WRITES))
+    def test_after_a_write_into_a_read_cluster(self, tiny_ckb, social_graph, write):
+        """The merged timelines are kept by the writers, not by a caller:
+        after the warm linker has read both "jordan" clusters, a write to
+        a candidate or to a cluster neighbour must show in its next answer
+        exactly as in a linker over a KB rebuilt from the links, whose
+        timelines do not exist yet."""
+        warm = SocialTemporalLinker(
+            tiny_ckb,
+            social_graph,
+            LinkerConfig(burst_threshold=2, relatedness_threshold=0.2),
+        )
+        before = warm.link("jordan", user=0, now=10 * DAY).ranked
+        CLUSTER_WRITES[write](warm, tiny_ckb)
+        after = warm.link("jordan", 0, 10 * DAY).ranked
+        assert after != before
+        assert after == rebuilt_linker(warm).link("jordan", 0, 10 * DAY).ranked
 
     @pytest.mark.parametrize("nth_read", range(2 * len(JORDAN_CANDIDATES) + 1))
     def test_write_landing_inside_a_rebuild(self, nth_read):

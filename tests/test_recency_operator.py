@@ -3,9 +3,11 @@
 ``repro.core.recency`` folds the ``k`` propagation steps into one dense
 matrix per cluster and answers a mention with one row-dot per candidate;
 ``repro.testing.oracles`` keeps the loop.  This file holds the two to
-each other (every normalized share within ``PARITY``), pins the algebra
-of the operator itself, and guards the cost model by *counting*
-``recent_count`` calls rather than timing anything.
+each other (every normalized share within ``PARITY``), holds the shipped
+gather (one merged-timeline read per cluster, one ordered accumulate per
+row) to the per-member one with ``==``, pins the algebra of the operator
+itself, and guards the cost model by *counting* knowledgebase reads
+rather than timing anything.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.stream.generator import StreamProfile, SyntheticWorld
 from repro.testing.oracles import (
     propagate_by_iteration,
     propagated_recency_by_iteration,
+    propagated_recency_by_member,
 )
 
 #: Largest allowed |operator share − oracle share|.  The two sum the same
@@ -74,6 +77,11 @@ def assert_parity(ckb, network, candidates, now, window, threshold) -> None:
         ckb, network, candidates, now, window, threshold
     )
     assert list(fast) == list(slow) == list(candidates)
+    # same products, same order of addition: not one bit may differ
+    by_member = propagated_recency_by_member(
+        ckb, network, candidates, now, window, threshold
+    )
+    assert fast == by_member, (candidates, now, fast, by_member)
     for entity_id in candidates:
         assert abs(fast[entity_id] - slow[entity_id]) <= PARITY, (
             candidates, now, entity_id, fast, slow,
@@ -217,15 +225,20 @@ class TestOperatorInvariants:
 
 
 class CountingCKB(ComplementedKnowledgebase):
-    """Counts ``recent_count`` calls — the unit the recency stage costs in."""
+    """Counts window reads — the unit the recency stage costs in."""
 
     def __init__(self, kb: Knowledgebase) -> None:
         super().__init__(kb)
-        self.recent_count_calls = 0
+        self.entity_reads = []
+        self.group_reads = []
 
     def recent_count(self, entity_id: int, now: float, window: float) -> int:
-        self.recent_count_calls += 1
+        self.entity_reads.append(entity_id)
         return super().recent_count(entity_id, now, window)
+
+    def recent_counts(self, entity_ids, now: float, window: float):
+        self.group_reads.append(entity_ids)
+        return super().recent_counts(entity_ids, now, window)
 
 
 class TestCostGuard:
@@ -239,15 +252,25 @@ class TestCostGuard:
         ],
     )
     def test_one_bisect_pair_per_touched_member(self, candidates, bound):
-        """One call costs at most Σ(distinct touched cluster sizes) +
-        (isolated candidates) ``recent_count`` calls: members shared by
-        several candidates are gated once, not once per candidate."""
+        """One call reads each touched member once — ``bound`` of them —
+        and pays two bisections per *cluster*, not per member: exactly one
+        ``recent_counts`` per distinct touched cluster (however many
+        candidates share it) plus one ``recent_count`` per isolated
+        candidate."""
         ckb = CountingCKB(CLUSTERED_KB)
         for entity_id in range(12):
             for user in range(4):
                 ckb.link_tweet(entity_id, user=user, timestamp=NOW - DAY)
         propagated_recency(ckb, CLUSTERED_NETWORK, candidates, NOW, WINDOW, 2)
-        assert 0 < ckb.recent_count_calls <= bound
+        network = CLUSTERED_NETWORK
+        clusters = {network.component_index(c) for c in candidates} - {None}
+        assert sorted(ckb.group_reads) == sorted(
+            network.component_members(index) for index in clusters
+        )
+        assert ckb.entity_reads == [
+            c for c in candidates if network.component_index(c) is None
+        ]
+        assert sum(map(len, ckb.group_reads)) + len(ckb.entity_reads) == bound
 
     def test_core_does_not_import_the_oracle(self):
         """The loop is test support: serving a mention must not load it."""
