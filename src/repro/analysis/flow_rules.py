@@ -54,7 +54,6 @@ class ServeExceptionContractRule(ProjectRule):
         boundary = project.modules.get(SERVE_BOUNDARY_MODULE)
         if boundary is None:
             return
-        may_raise = project.may_raise()
         entries = sorted(
             qual
             for qual, function in boundary.functions.items()
@@ -62,7 +61,7 @@ class ServeExceptionContractRule(ProjectRule):
         )
         reported: Set[Tuple[str, int, str]] = set()
         for entry in entries:
-            for raised in sorted(may_raise.get(entry, ())):
+            for raised in sorted(project.may_raise(entry)):
                 if project.exception_matches(raised, SERVE_ROOT_EXCEPTION):
                     continue
                 for origin, line, chain in self._witnesses(project, entry, raised):
@@ -70,7 +69,7 @@ class ServeExceptionContractRule(ProjectRule):
                     if key in reported:
                         continue
                     reported.add(key)
-                    origin_module = project.summary_of(origin)
+                    origin_module = project.modules[project.functions[origin].module]
                     display = raised.split(".")[-1]
                     via = " -> ".join(_qual_display(frame) for frame in chain)
                     yield Finding(
@@ -94,7 +93,6 @@ class ServeExceptionContractRule(ProjectRule):
     ) -> List[Tuple[str, int, Tuple[str, ...]]]:
         """(function, raise line, call chain) of every unguarded site
         producing ``raised`` on some path from ``entry``."""
-        may_raise = project.may_raise()
         results: List[Tuple[str, int, Tuple[str, ...]]] = []
         stack: List[Tuple[str, Tuple[str, ...]]] = [(entry, (entry,))]
         visited: Set[str] = set()
@@ -103,20 +101,15 @@ class ServeExceptionContractRule(ProjectRule):
             if qualname in visited:
                 continue
             visited.add(qualname)
-            summary = project.summary_of(qualname)
-            function = project.functions[qualname]
-            for site in function.raises:
-                canonical = project.canonical_exception(summary, site.name)
-                if canonical == raised and not project._guard_catches(
-                    summary, canonical, site.guards
-                ):
+            module = project.functions[qualname].module
+            for site, canonical in project.unguarded_raises(qualname):
+                if canonical == raised:
                     results.append((qualname, site.line, chain))
             for site, target in project.calls_of(qualname):
                 if (
                     target is not None
-                    and target in may_raise
-                    and raised in may_raise[target]
-                    and not project._guard_catches(summary, raised, site.guards)
+                    and raised in project.may_raise(target)
+                    and not project.is_caught(module, raised, site.guards)
                 ):
                     stack.append((target, chain + (target,)))
         return sorted(results)
@@ -146,7 +139,7 @@ class ImportHygieneRule(ProjectRule):
         for summary in project.modules.values():
             exported = set(summary.dunder_all or ())
             for binding in summary.bindings:
-                if not binding.top_level or binding.is_future:
+                if not binding.top_level:
                     continue
                 if binding.local.startswith("_"):
                     continue

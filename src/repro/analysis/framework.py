@@ -35,7 +35,6 @@ import os
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -221,7 +220,6 @@ def _apply_pragmas(
     pragmas: Dict[int, Pragma],
     path: str,
     anchors: Optional[Dict[int, int]] = None,
-    selected: Optional[FrozenSet[str]] = None,
 ) -> Tuple[List[Finding], List[Finding]]:
     """Split ``findings`` into (kept, suppressed) per the file's pragmas,
     and append an ``ANA-001`` finding for every pragma lacking a
@@ -230,9 +228,6 @@ def _apply_pragmas(
     ``anchors`` maps continuation lines of multi-line statements to the
     statement's first line, so a ``noqa`` on the opening line of a
     wrapped call also covers findings reported on its continuation lines.
-    ``selected`` is the set of rule ids that ran when the run was given a
-    subset: a pragma naming a rule that did not run cannot be judged
-    stale.  ``None`` means every rule ran.
     """
     kept: List[Finding] = []
     suppressed: List[Finding] = []
@@ -255,7 +250,7 @@ def _apply_pragmas(
                 "noqa pragma has no justification; write "
                 "`# repro: noqa[RULE] -- why this boundary is sound`"
             )
-        if line not in used and (selected is None or pragma.rules <= selected):
+        if line not in used:
             problems.append(
                 f"noqa[{','.join(sorted(pragma.rules))}] suppresses no finding "
                 "on this statement; delete the stale pragma (keep the reason "
@@ -340,11 +335,7 @@ class _FileRecord:
     anchors: Dict[int, int]
 
 
-def run_check(
-    paths: Sequence[str],
-    root: str = "",
-    rules: Optional[Sequence[Rule]] = None,
-) -> CheckReport:
+def run_check(paths: Sequence[str], root: str = "") -> CheckReport:
     """Run every rule over every python file under ``paths``.
 
     ``root`` anchors the repo-relative paths used in reports and pragmas,
@@ -357,14 +348,13 @@ def run_check(
     The run is one pass: read and parse each file, run the per-file rules
     over its AST, build the :class:`ProjectContext` from every file's
     module summary and run the whole-program (FLOW) rules over it, then
-    apply the pragmas.  With a ``rules`` subset, a pragma is judged stale
-    only if every rule id it names was selected.
+    apply the pragmas.
     """
     from repro.analysis.project import ProjectContext, summarize
 
-    selected = list(rules) if rules is not None else all_rules()
-    file_rules = [rule for rule in selected if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in selected if isinstance(rule, ProjectRule)]
+    rules = all_rules()
+    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
+    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     report = CheckReport(findings=[], suppressed_pragma=[], files_scanned=0)
 
     # ---- per-file rules + module summaries ---------------------------- #
@@ -403,7 +393,7 @@ def run_check(
         raise FileNotFoundError(f"no python file under: {' '.join(paths)}")
 
     # ---- whole-program (FLOW) rules over the summaries ---------------- #
-    if project_rules and summaries:
+    if summaries:
         project = ProjectContext(summaries)
         for rule in project_rules:
             for finding in rule.check_project(project):
@@ -412,14 +402,9 @@ def run_check(
                     record.raw.append(finding)
 
     # ---- suppression --------------------------------------------------- #
-    selected_ids = None if rules is None else frozenset(r.id for r in selected)
     for path, record in records.items():
         kept, by_pragma = _apply_pragmas(
-            record.raw,
-            parse_pragmas(record.lines),
-            path,
-            record.anchors,
-            selected_ids,
+            record.raw, parse_pragmas(record.lines), path, record.anchors
         )
         report.suppressed_pragma.extend(by_pragma)
         report.findings.extend(kept)

@@ -8,20 +8,22 @@ whole tree:
 
 * an **import graph** — project-internal module dependencies, split into
   top-level (cycle-relevant) and deferred/``TYPE_CHECKING`` edges;
-* a best-effort **call graph** — module-qualified resolution of direct
-  calls, ``self.`` methods, imported names, annotated parameters and
-  attribute-type chains (``self.registry.get(...)`` resolves through the
-  ``__init__`` assignment types).  No dynamic-dispatch heroics: anything
-  the resolver cannot prove is recorded as *unresolved* and contributes
-  nothing to downstream analyses;
+* a best-effort **call graph**, resolved on demand — direct calls,
+  ``self.`` methods, imported and re-exported names, module-level
+  instances, annotated parameters, typed locals and attribute-type chains
+  (``self.registry.get(...)`` resolves through the ``__init__``
+  assignment types).  No dynamic dispatch, no inheritance: a call the
+  resolver cannot prove resolves to ``None`` and contributes nothing to
+  downstream analyses;
 * per-function **may-raise sets**, propagated through the call graph
-  with handler subtraction against the project's own exception
-  hierarchy — the one fixpoint, read by FLOW-002.
+  with handler subtraction against the project's own exception classes
+  and ``builtins`` — the one fixpoint, read by FLOW-002.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import dataclasses
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -29,74 +31,29 @@ from repro.analysis.framework import FileContext
 from repro.analysis.rules import _dotted
 
 __all__ = [
-    "CallSite",
     "ClassSummary",
     "FunctionSummary",
     "ImportBinding",
     "ModuleSummary",
     "ProjectContext",
-    "RaiseSite",
+    "Site",
     "statement_anchors",
     "summarize",
 ]
-
-#: Minimal builtin exception hierarchy (child -> parent) for may-raise
-#: guard subtraction.  Project classes extend it via their ``bases``.
-BUILTIN_EXCEPTION_PARENTS: Dict[str, str] = {
-    "ArithmeticError": "Exception",
-    "AssertionError": "Exception",
-    "AttributeError": "Exception",
-    "BufferError": "Exception",
-    "EOFError": "Exception",
-    "Exception": "BaseException",
-    "FileNotFoundError": "OSError",
-    "FloatingPointError": "ArithmeticError",
-    "IndexError": "LookupError",
-    "IOError": "OSError",
-    "KeyError": "LookupError",
-    "LookupError": "Exception",
-    "MemoryError": "Exception",
-    "NotADirectoryError": "OSError",
-    "NotImplementedError": "RuntimeError",
-    "OSError": "Exception",
-    "OverflowError": "ArithmeticError",
-    "PermissionError": "OSError",
-    "RecursionError": "RuntimeError",
-    "ReferenceError": "Exception",
-    "RuntimeError": "Exception",
-    "StopAsyncIteration": "Exception",
-    "StopIteration": "Exception",
-    "TimeoutError": "OSError",
-    "TypeError": "Exception",
-    "UnicodeDecodeError": "UnicodeError",
-    "UnicodeEncodeError": "UnicodeError",
-    "UnicodeError": "ValueError",
-    "ValueError": "Exception",
-    "ZeroDivisionError": "ArithmeticError",
-}
 
 
 # ---------------------------------------------------------------------- #
 # summaries
 # ---------------------------------------------------------------------- #
 @dataclasses.dataclass(frozen=True)
-class CallSite:
-    """One call expression inside a function body."""
+class Site:
+    """One call expression or one ``raise <Type>`` statement inside a
+    function body (bare re-raises are modeled by transparent guards)."""
 
-    name: str  # dotted callee as written, e.g. "self.admission.release"
+    name: str  # dotted callee or exception type as written, e.g. "self.r.get"
     line: int
     #: Exception type names (as written) of every ``except`` handler whose
-    #: ``try`` body encloses this call within the same function.
-    guards: Tuple[str, ...] = ()
-
-
-@dataclasses.dataclass(frozen=True)
-class RaiseSite:
-    """One ``raise <Type>(...)`` statement (bare re-raises are expanded
-    into one site per enclosing handler type)."""
-
-    name: str  # exception type name as written
-    line: int
+    #: ``try`` body encloses this site within the same function.
     guards: Tuple[str, ...] = ()
 
 
@@ -106,10 +63,11 @@ class FunctionSummary:
 
     name: str
     qualname: str  # "module.Class.method" or "module.func"
+    module: str
     cls: Optional[str]
     line: int
-    calls: List[CallSite] = dataclasses.field(default_factory=list)
-    raises: List[RaiseSite] = dataclasses.field(default_factory=list)
+    calls: List[Site] = dataclasses.field(default_factory=list)
+    raises: List[Site] = dataclasses.field(default_factory=list)
     #: Parameter name -> annotation (dotted source text) where present.
     params: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Local name -> dotted RHS call (``x = Foo(...)`` / ``t = self.r.get(...)``),
@@ -141,7 +99,6 @@ class ImportBinding:
     symbol: str  # imported symbol for from-imports, "" for plain imports
     line: int
     top_level: bool  # module-level and not TYPE_CHECKING-guarded
-    is_future: bool = False
 
 
 @dataclasses.dataclass
@@ -161,9 +118,6 @@ class ModuleSummary:
     #: Continuation line -> first line of its (innermost simple) statement;
     #: identity entries are omitted.
     anchors: Dict[int, int] = dataclasses.field(default_factory=dict)
-
-    def binding_map(self) -> Dict[str, ImportBinding]:
-        return {binding.local: binding for binding in self.bindings}
 
 
 # ---------------------------------------------------------------------- #
@@ -273,8 +227,9 @@ class _Summarizer(ast.NodeVisitor):
         target = _resolve_relative(
             self.ctx.module, self.ctx.is_package_init(), node.module, node.level
         )
+        if target == "__future__":  # a compiler directive, not a name
+            return
         top = not self._function_stack
-        future = target == "__future__"
         for alias in node.names:
             if alias.name == "*":
                 continue
@@ -285,7 +240,6 @@ class _Summarizer(ast.NodeVisitor):
                     symbol=alias.name,
                     line=node.lineno,
                     top_level=top and self._type_checking_depth == 0,
-                    is_future=future,
                 )
             )
         self.generic_visit(node)
@@ -447,6 +401,7 @@ class _Summarizer(ast.NodeVisitor):
         function = FunctionSummary(
             name=node.name,
             qualname=qual,
+            module=self.ctx.module,
             cls=cls.name if cls else None,
             line=node.lineno,
             params=params,
@@ -506,7 +461,7 @@ class _Summarizer(ast.NodeVisitor):
             name = _dotted(target)
             if name:
                 function.raises.append(
-                    RaiseSite(name=name, line=node.lineno, guards=self._guards())
+                    Site(name=name, line=node.lineno, guards=self._guards())
                 )
         self.generic_visit(node)
 
@@ -514,7 +469,7 @@ class _Summarizer(ast.NodeVisitor):
         name = _dotted(node.func)
         if name and self._function_stack:
             self._function_stack[-1].calls.append(
-                CallSite(name=name, line=node.lineno, guards=self._guards())
+                Site(name=name, line=node.lineno, guards=self._guards())
             )
         self.generic_visit(node)
 
@@ -530,12 +485,12 @@ def summarize(ctx: FileContext) -> ModuleSummary:
 # the project context
 # ---------------------------------------------------------------------- #
 class ProjectContext:
-    """All module summaries plus derived graphs and fixpoints.
+    """All module summaries plus the graphs and the fixpoint derived from them.
 
-    The resolver is deliberately *best-effort and explicit about it*:
-    :attr:`unresolved_calls` records every call it could not map to a
-    project function, so downstream rules never silently pretend
-    coverage they do not have.
+    Everything derived is computed on first request: a function's call
+    sites are resolved when :meth:`calls_of` is first asked for them, and
+    :meth:`may_raise` solves its fixpoint over the functions one entry
+    reaches, so a run resolves only what its rules walk.
     """
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
@@ -544,23 +499,18 @@ class ProjectContext:
             for summary in sorted(summaries, key=lambda s: s.module)
         }
         self.functions: Dict[str, FunctionSummary] = {}
+        self._classes: Dict[str, ClassSummary] = {}
         self._bindings: Dict[str, Dict[str, ImportBinding]] = {}
         for summary in self.modules.values():
-            self._bindings[summary.module] = summary.binding_map()
             self.functions.update(summary.functions)
-        self._class_index: Dict[str, Tuple[str, ClassSummary]] = {}
-        for summary in self.modules.values():
             for cls in summary.classes.values():
-                self._class_index[f"{summary.module}.{cls.name}"] = (
-                    summary.module,
-                    cls,
-                )
-        self._exception_parents = self._build_exception_parents()
+                self._classes[f"{summary.module}.{cls.name}"] = cls
+            self._bindings[summary.module] = {
+                binding.local: binding for binding in summary.bindings
+            }
         self._local_type_stack: Set[Tuple[str, str]] = set()
-        self._resolved: Dict[str, List[Tuple[CallSite, Optional[str]]]] = {}
-        self.unresolved_calls: Dict[str, List[CallSite]] = {}
-        self._resolve_all()
-        self._may_raise: Optional[Dict[str, FrozenSet[str]]] = None
+        self._calls: Dict[str, List[Tuple[Site, Optional[str]]]] = {}
+        self._may_raise: Dict[str, FrozenSet[str]] = {}
 
     # -------------------------------------------------------------- #
     # construction
@@ -584,15 +534,14 @@ class ProjectContext:
     # -------------------------------------------------------------- #
     # import graph
     # -------------------------------------------------------------- #
-    def import_edges(self, top_level_only: bool = False) -> Dict[str, List[str]]:
-        """Project-internal import edges ``module -> [imported modules]``."""
+    def import_edges(self) -> Dict[str, List[str]]:
+        """Project-internal top-level import edges ``module -> [imported
+        modules]``; deferred and ``TYPE_CHECKING`` imports are not edges."""
         edges: Dict[str, List[str]] = {}
         for summary in self.modules.values():
             targets: Set[str] = set()
             for binding in summary.bindings:
-                if binding.is_future:
-                    continue
-                if top_level_only and not binding.top_level:
+                if not binding.top_level:
                     continue
                 target = self._project_module_of(binding)
                 if target and target != summary.module:
@@ -618,7 +567,7 @@ class ProjectContext:
     def import_cycles(self) -> List[List[str]]:
         """Module cycles among top-level (non-deferred) imports, each
         reported once, rotated to start at its smallest module name."""
-        edges = self.import_edges(top_level_only=True)
+        edges = self.import_edges()
         index: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
         on_stack: Set[str] = set()
@@ -657,320 +606,203 @@ class ProjectContext:
     # -------------------------------------------------------------- #
     # call resolution
     # -------------------------------------------------------------- #
-    def _resolve_all(self) -> None:
-        for summary in self.modules.values():
-            for function in summary.functions.values():
-                resolved: List[Tuple[CallSite, Optional[str]]] = []
-                missing: List[CallSite] = []
-                for site in function.calls:
-                    target = self.resolve_call(summary, function, site)
-                    resolved.append((site, target))
-                    if target is None:
-                        missing.append(site)
-                self._resolved[function.qualname] = resolved
-                if missing:
-                    self.unresolved_calls[function.qualname] = missing
-
-    def calls_of(self, qualname: str) -> List[Tuple[CallSite, Optional[str]]]:
+    def calls_of(self, qualname: str) -> List[Tuple[Site, Optional[str]]]:
         """``(site, resolved qualname | None)`` pairs of one function."""
-        return self._resolved.get(qualname, [])
+        if qualname not in self._calls:
+            function = self.functions[qualname]
+            self._calls[qualname] = [
+                (site, self._resolve(function, site.name)) for site in function.calls
+            ]
+        return self._calls[qualname]
 
-    def resolve_call(
-        self, summary: ModuleSummary, function: FunctionSummary, site: CallSite
-    ) -> Optional[str]:
-        """Best-effort project-function target of a call site."""
-        parts = site.name.split(".")
-        head, rest = parts[0], parts[1:]
+    def reach(self, entry: str) -> List[str]:
+        """``entry`` and every function a resolved call chain from it reaches."""
+        order: List[str] = []
+        seen: Set[str] = set()
+        stack = [entry]
+        while stack:
+            qualname = stack.pop()
+            if qualname in seen:
+                continue
+            seen.add(qualname)
+            order.append(qualname)
+            stack.extend(t for _, t in self.calls_of(qualname) if t is not None)
+        return order
+
+    def _resolve(self, function: FunctionSummary, name: str) -> Optional[str]:
+        """Project function or method a call to ``name`` inside ``function``
+        reaches; a class called is its ``__init__``."""
+        head, *rest = name.split(".")
         if head == "self" and function.cls:
-            return self._walk_attrs(f"{summary.module}.{function.cls}", rest)
-        for type_name in (
-            function.params.get(head),
-            self._local_type(summary, function, head),
-        ):
-            if type_name:
-                class_qual = self._resolve_class_name(summary, type_name)
-                if class_qual:
-                    return self._walk_attrs(class_qual, rest)
-        bindings = self._bindings[summary.module]
-        if head in bindings and not bindings[head].is_future:
-            binding = bindings[head]
-            target = (
-                f"{binding.module}.{binding.symbol}" if binding.symbol else binding.module
-            )
-            return self._resolve_qualified(".".join([target, *rest]) if rest else target)
-        if not rest:
-            if f"{summary.module}.{head}" in self.functions:
-                return f"{summary.module}.{head}"
-            if head in summary.classes:
-                return self._constructor_of(f"{summary.module}.{head}")
-            return None
-        # module-level instance: VAR.method(...)
-        if head in summary.var_calls:
-            class_qual = self._resolve_class_name(summary, summary.var_calls[head])
-            if class_qual:
-                return self._walk_attrs(class_qual, rest)
-        if f"{summary.module}.{head}" in self._class_index:
-            return self._walk_attrs(f"{summary.module}.{head}", rest)
-        return None
+            cls: Optional[str] = f"{function.module}.{function.cls}"
+        else:
+            cls = self._class_of(function.module, function.params.get(head))
+            cls = cls or self._local_type(function, head)
+        if cls:
+            target = self._walk_attrs(cls, rest)
+        else:
+            target = self._lookup(function.module, name)
+        if target in self._classes:
+            return self._method(target, "__init__")
+        return target
 
-    def _local_type(
-        self, summary: ModuleSummary, function: FunctionSummary, name: str
-    ) -> Optional[str]:
-        """Type of a local bound by ``x = Cls(...)`` or a resolvable call
+    def _local_type(self, function: FunctionSummary, name: str) -> Optional[str]:
+        """Class of a local bound by ``x = Cls(...)`` or by a resolvable call
         with a return annotation (one level, no fixpoint)."""
         rhs = function.local_calls.get(name)
-        if rhs is None:
-            return None
         # self-referential rebinds (`x = x.narrow(...)`) would recurse
-        # forever through resolve_call; bail out of any in-progress local
+        # forever through _resolve; bail out of any in-progress local
         key = (function.qualname, name)
-        if key in self._local_type_stack:
+        if rhs is None or key in self._local_type_stack:
             return None
         self._local_type_stack.add(key)
         try:
-            class_qual = self._resolve_class_name(summary, rhs)
-            if class_qual:
-                return class_qual
-            target = self.resolve_call(
-                summary, function, CallSite(name=rhs, line=function.line)
-            )
-            if target and target in self.functions:
-                callee = self.functions[target]
-                if callee.returns:
-                    callee_summary = self.modules[_module_of(target, callee)]
-                    return self._resolve_class_name(callee_summary, callee.returns)
-            return None
+            cls = self._class_of(function.module, rhs)
+            if cls:
+                return cls
+            callee = self.functions.get(self._resolve(function, rhs) or "")
+            return self._class_of(callee.module, callee.returns) if callee else None
         finally:
             self._local_type_stack.discard(key)
 
-    def _resolve_class_name(
-        self, summary: ModuleSummary, name: str, _seen: Optional[Set[str]] = None
+    def _lookup(
+        self, module: str, dotted: str, seen: FrozenSet[str] = frozenset()
     ) -> Optional[str]:
-        """Resolve a (possibly dotted, possibly imported) class name to a
-        project class qualname, chasing one-level re-exports."""
-        seen = _seen or set()
-        key = f"{summary.module}:{name}"
-        if key in seen:
-            return None
-        seen.add(key)
-        parts = name.split(".")
-        head, rest = parts[0], parts[1:]
-        if not rest and head in summary.classes:
-            return f"{summary.module}.{head}"
-        bindings = self._bindings[summary.module]
-        if head in bindings and not bindings[head].is_future:
-            binding = bindings[head]
-            target = (
-                f"{binding.module}.{binding.symbol}" if binding.symbol else binding.module
-            )
-            return self._qualified_class(".".join([target, *rest]), seen)
-        if rest:
-            return self._qualified_class(name, seen)
-        return None
-
-    def _qualified_class(
-        self, qualified: str, seen: Set[str]
-    ) -> Optional[str]:
-        if qualified in self._class_index:
-            return qualified
-        module, remainder = self._split_module(qualified)
-        if module is None or not remainder:
-            return None
-        if len(remainder) == 1:
-            name = remainder[0]
-            target = self.modules[module]
-            if name in target.classes:
-                return f"{module}.{name}"
-            return self._resolve_class_name(target, name, seen)
-        return None
-
-    def _split_module(
-        self, qualified: str
-    ) -> Tuple[Optional[str], List[str]]:
-        """Longest project-module prefix and the remaining attribute path."""
-        parts = qualified.split(".")
-        for cut in range(len(parts), 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix in self.modules:
-                return prefix, parts[cut:]
-        return None, parts
-
-    def _resolve_qualified(self, qualified: str) -> Optional[str]:
-        module, remainder = self._split_module(qualified)
-        if module is None:
-            return None
+        """The project function, class or method ``dotted`` names in
+        ``module``'s namespace, following imports, re-exports, module-level
+        instances (``METRICS.incr``) and attribute types (``Cls.attr.method``)."""
         summary = self.modules[module]
-        if not remainder:
+        head, *rest = dotted.split(".")
+        qual = f"{module}.{head}"
+        if qual in seen:  # a re-export or instance cycle
             return None
-        head, rest = remainder[0], remainder[1:]
-        if not rest:
-            qual = f"{module}.{head}"
-            if qual in self.functions:
-                return qual
-            if head in summary.classes:
-                return self._constructor_of(qual)
-            bindings = self._bindings[module]
-            if head in bindings and not bindings[head].is_future:
-                binding = bindings[head]
-                target = (
-                    f"{binding.module}.{binding.symbol}"
-                    if binding.symbol
-                    else binding.module
-                )
-                return self._resolve_qualified(target)
-            return None
+        seen = seen | {qual}
         if head in summary.classes:
-            return self._walk_attrs(f"{module}.{head}", rest)
-        if head in summary.var_calls:
-            class_qual = self._resolve_class_name(summary, summary.var_calls[head])
-            if class_qual:
-                return self._walk_attrs(class_qual, rest)
-        bindings = self._bindings[module]
-        if head in bindings and not bindings[head].is_future:
-            binding = bindings[head]
-            target = (
-                f"{binding.module}.{binding.symbol}" if binding.symbol else binding.module
-            )
-            return self._resolve_qualified(".".join([target, *rest]))
+            return self._walk_attrs(qual, rest)
+        if qual in self.functions:
+            return None if rest else qual
+        if rest and head in summary.var_calls:
+            cls = self._class_of(module, summary.var_calls[head], seen)
+            return self._walk_attrs(cls, rest) if cls else None
+        binding = self._bindings[module].get(head)
+        if binding is None:
+            return None
+        target = ".".join(
+            part for part in (binding.module, binding.symbol, *rest) if part
+        )
+        for prefix in _module_prefixes(target):
+            if prefix in self.modules:
+                remainder = target[len(prefix) + 1:]
+                return self._lookup(prefix, remainder, seen) if remainder else None
         return None
 
-    def _constructor_of(self, class_qual: str) -> Optional[str]:
-        method = self._find_method(class_qual, "__init__")
-        return method
+    def _class_of(
+        self, module: str, name: Optional[str], seen: FrozenSet[str] = frozenset()
+    ) -> Optional[str]:
+        """Project class qualname ``name`` (as written in ``module``) denotes."""
+        qual = self._lookup(module, name, seen) if name else None
+        return qual if qual in self._classes else None
 
-    def _walk_attrs(self, class_qual: str, attrs: List[str]) -> Optional[str]:
-        """Follow ``obj.a.b.method()`` through attribute types to a method."""
-        if not attrs:
-            return self._constructor_of(class_qual)
-        current = class_qual
+    def _walk_attrs(self, class_qual: str, attrs: Sequence[str]) -> Optional[str]:
+        """Follow ``obj.a.b.method`` through attribute types to a method;
+        no attributes name the class itself."""
         for attr in attrs[:-1]:
-            type_name = self._attr_type(current, attr)
-            if type_name is None:
-                return None
-            module, _cls = self._class_index[current]
-            resolved = self._resolve_class_name(self.modules[module], type_name)
+            type_name = self._classes[class_qual].attr_types.get(attr)
+            resolved = self._class_of(class_qual.rpartition(".")[0], type_name)
             if resolved is None:
                 return None
-            current = resolved
-        return self._find_method(current, attrs[-1])
+            class_qual = resolved
+        return self._method(class_qual, attrs[-1]) if attrs else class_qual
 
-    def _attr_type(self, class_qual: str, attr: str) -> Optional[str]:
-        for qual in self._mro(class_qual):
-            _module, cls = self._class_index[qual]
-            if attr in cls.attr_types:
-                return cls.attr_types[attr]
+    def _method(self, class_qual: str, method: str) -> Optional[str]:
+        """A method the class itself defines (inherited ones are not
+        followed)."""
+        if method in self._classes[class_qual].methods:
+            return f"{class_qual}.{method}"
         return None
-
-    def _find_method(self, class_qual: str, method: str) -> Optional[str]:
-        for qual in self._mro(class_qual):
-            module, cls = self._class_index[qual]
-            if method in cls.methods:
-                return f"{module}.{cls.name}.{method}"
-        return None
-
-    def _mro(self, class_qual: str) -> List[str]:
-        """Linearized project-class ancestry (best-effort, cycle-safe)."""
-        order: List[str] = []
-        queue = [class_qual]
-        seen: Set[str] = set()
-        while queue:
-            current = queue.pop(0)
-            if current in seen or current not in self._class_index:
-                continue
-            seen.add(current)
-            order.append(current)
-            module, cls = self._class_index[current]
-            summary = self.modules[module]
-            for base in cls.bases:
-                resolved = self._resolve_class_name(summary, base)
-                if resolved:
-                    queue.append(resolved)
-        return order
 
     # -------------------------------------------------------------- #
     # exception hierarchy + may-raise fixpoint
     # -------------------------------------------------------------- #
-    def _build_exception_parents(self) -> Dict[str, str]:
-        parents = dict(BUILTIN_EXCEPTION_PARENTS)
-        for class_qual, (module, cls) in self._class_index.items():
-            summary = self.modules[module]
-            for base in cls.bases:
-                resolved = self._resolve_class_name(summary, base)
-                parents[class_qual] = resolved if resolved else base.split(".")[-1]
-                break  # first base is enough for exception chains
-        return parents
-
-    def canonical_exception(
-        self, summary: ModuleSummary, name: str
-    ) -> str:
-        """Project-qualified exception name, or the bare builtin name."""
-        resolved = self._resolve_class_name(summary, name)
-        return resolved if resolved else name.split(".")[-1]
+    def canonical_exception(self, module: str, name: str) -> str:
+        """Project-qualified exception class, or the bare builtin name."""
+        return self._class_of(module, name) or name.split(".")[-1]
 
     def exception_matches(self, raised: str, guard: str) -> bool:
-        """Would ``except <guard>`` catch an instance of ``raised``?"""
-        if guard in ("BaseException",):
-            return True
-        current: Optional[str] = raised
+        """Would ``except <guard>`` catch an instance of ``raised``?  A
+        project class is followed through its first base, a builtin
+        through :mod:`builtins`."""
         seen: Set[str] = set()
-        while current and current not in seen:
-            if current == guard:
-                return True
-            seen.add(current)
-            current = self._exception_parents.get(current)
-        return False
+        while raised in self._classes and raised != guard and raised not in seen:
+            seen.add(raised)
+            bases = self._classes[raised].bases
+            if not bases:
+                break
+            raised = self.canonical_exception(raised.rpartition(".")[0], bases[0])
+        if raised == guard or guard == "BaseException":
+            return True
+        raised_type = getattr(builtins, raised, None)
+        guard_type = getattr(builtins, guard, None)
+        return (
+            isinstance(raised_type, type)
+            and isinstance(guard_type, type)
+            and issubclass(raised_type, guard_type)
+        )
 
-    def _guard_catches(
-        self, summary: ModuleSummary, raised: str, guards: Tuple[str, ...]
-    ) -> bool:
+    def is_caught(self, module: str, raised: str, guards: Tuple[str, ...]) -> bool:
+        """Does any of ``guards`` (as written in ``module``) catch ``raised``?"""
         return any(
-            self.exception_matches(raised, self.canonical_exception(summary, guard))
+            self.exception_matches(raised, self.canonical_exception(module, guard))
             for guard in guards
         )
 
-    def may_raise(self) -> Dict[str, FrozenSet[str]]:
-        """Escaping exception types per function, propagated through the
-        call graph with per-call-site handler subtraction (fixpoint)."""
-        if self._may_raise is not None:
-            return self._may_raise
-        sets: Dict[str, Set[str]] = {qual: set() for qual in self.functions}
-        module_of = {
-            qual: self.modules[_module_of(qual, function)]
-            for qual, function in self.functions.items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for qual, function in self.functions.items():
-                summary = module_of[qual]
-                current: Set[str] = set()
-                for site in function.raises:
-                    canonical = self.canonical_exception(summary, site.name)
-                    if not self._guard_catches(summary, canonical, site.guards):
-                        current.add(canonical)
-                for site, target in self.calls_of(qual):
-                    if target is None or target not in sets:
-                        continue
-                    for raised in sets[target]:
-                        if not self._guard_catches(summary, raised, site.guards):
-                            current.add(raised)
-                if current - sets[qual]:
-                    sets[qual] |= current
-                    changed = True
-        self._may_raise = {qual: frozenset(value) for qual, value in sets.items()}
-        return self._may_raise
+    def unguarded_raises(self, qualname: str) -> List[Tuple[Site, str]]:
+        """``(site, canonical type)`` of every raise in one function that no
+        enclosing handler of that function catches."""
+        function = self.functions[qualname]
+        pairs = (
+            (site, self.canonical_exception(function.module, site.name))
+            for site in function.raises
+        )
+        return [
+            (site, raised)
+            for site, raised in pairs
+            if not self.is_caught(function.module, raised, site.guards)
+        ]
 
-    def summary_of(self, qualname: str) -> ModuleSummary:
-        """The module summary owning one function qualname."""
-        return self.modules[_module_of(qualname, self.functions[qualname])]
+    def may_raise(self, qualname: str) -> FrozenSet[str]:
+        """Exception types that can escape one function: its unguarded
+        raises plus, per call site, whatever its callee may raise that the
+        site's handlers do not catch (a fixpoint over the function's reach,
+        solved on first request)."""
+        if qualname not in self._may_raise:
+            pending = [q for q in self.reach(qualname) if q not in self._may_raise]
+            sets: Dict[str, Set[str]] = {
+                q: {raised for _, raised in self.unguarded_raises(q)} for q in pending
+            }
+            changed = True
+            while changed:
+                changed = False
+                for qual in pending:
+                    module = self.functions[qual].module
+                    for site, target in self.calls_of(qual):
+                        if target is None:
+                            continue
+                        known = sets if target in sets else self._may_raise
+                        escaping = {
+                            raised
+                            for raised in known[target]
+                            if raised not in sets[qual]
+                            and not self.is_caught(module, raised, site.guards)
+                        }
+                        if escaping:
+                            sets[qual] |= escaping
+                            changed = True
+            self._may_raise.update((q, frozenset(s)) for q, s in sets.items())
+        return self._may_raise[qualname]
 
 
 def _module_prefixes(module: str) -> List[str]:
     """``a.b.c`` -> [``a.b.c``, ``a.b``, ``a``] (longest first)."""
     parts = module.split(".")
     return [".".join(parts[:cut]) for cut in range(len(parts), 0, -1)]
-
-
-def _module_of(qualname: str, function: FunctionSummary) -> str:
-    suffix = f".{function.cls}.{function.name}" if function.cls else f".{function.name}"
-    return qualname[: -len(suffix)]

@@ -11,9 +11,9 @@ change and document it in ``docs/static-analysis.md``.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.framework import CheckReport, Rule, all_rules
+from repro.analysis.framework import CheckReport, all_rules
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,13 +62,9 @@ def render_text(report: CheckReport, strict: bool = False) -> str:
 # JSON
 # ---------------------------------------------------------------------- #
 def render_json(
-    report: CheckReport,
-    strict: bool = False,
-    paths: Sequence[str] = (),
-    rules: Optional[Sequence[Rule]] = None,
+    report: CheckReport, strict: bool = False, paths: Sequence[str] = ()
 ) -> Dict[str, object]:
     """The schema-stable check document (see docs/static-analysis.md)."""
-    selected = list(rules) if rules is not None else all_rules()
     return {
         "meta": {
             "schema_version": SCHEMA_VERSION,
@@ -83,7 +79,7 @@ def render_json(
                 "severity": rule.severity.value,
                 "summary": rule.summary,
             }
-            for rule in selected
+            for rule in all_rules()
         ],
         "findings": [finding.as_dict() for finding in report.findings],
         "suppressed": {

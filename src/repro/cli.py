@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--check-golden", action="store_true",
-        help="diff live traces against the goldens; exit 1 on any drift "
-        "(the CI obs-smoke gate)",
+        help="diff live traces against the goldens; exit 1 on any drift",
     )
     trace.add_argument(
         "--metrics-out", default=None,

@@ -344,10 +344,12 @@ def _parse_link_request(body: Optional[bytes]) -> Dict[str, object]:
     for field in ("tenant", "surface", "user"):
         if field not in request:
             raise BadRequestError(f"missing required field {field!r}")
-    if not str(request["surface"]).strip():
+    surface = request["surface"]
+    if not isinstance(surface, str) or not surface.strip():
         raise BadRequestError("'surface' must be a non-empty string")
     for field in ("now", "top_k"):
-        if field in request and not isinstance(request[field], (int, float)):
+        value = request.get(field, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BadRequestError(f"{field!r} must be a number")
     return request
 
@@ -390,7 +392,7 @@ def _parse_tenant_spec(body: Optional[bytes]) -> TenantSpec:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BadRequestError(f"{field!r} must be a number")
-        kwargs[field] = cast(value)
+        kwargs[field] = _require_int(request, field) if cast is int else cast(value)
     if "admission_class" in request:
         if not isinstance(request["admission_class"], str):
             raise BadRequestError("'admission_class' must be a string")
@@ -407,7 +409,7 @@ def _require_int(
     value = request.get(field, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError(f"{field!r} must be an integer")
-    if float(value) != int(value):
+    if not float(value).is_integer():  # also rejects NaN and ±inf
         raise BadRequestError(f"{field!r} must be an integer")
     return int(value)
 

@@ -15,6 +15,7 @@ the live server passes ``time.monotonic``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -118,6 +119,20 @@ class TenantSpec:
             raise ValueError(f"invalid tenant name {self.name!r}")
         if not self.admission_class:
             raise ValueError("admission_class must be non-empty")
+        positive = {
+            "rate": self.rate,
+            "burst": self.burst,
+            "recovery_timeout": self.recovery_timeout,
+        }
+        if self.deadline_ms is not None:
+            positive["deadline_ms"] = self.deadline_ms
+        for field, value in positive.items():
+            if not 0 < value < math.inf:  # false for NaN too
+                raise ValueError(f"{field} must be finite and > 0, got {value!r}")
+        if not self.failure_threshold >= 1:
+            raise ValueError(
+                f"failure_threshold must be >= 1, got {self.failure_threshold!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)

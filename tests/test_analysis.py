@@ -427,20 +427,6 @@ class TestPragmas:
         assert [(f.rule, f.line) for f in report.findings] == [("ANA-001", 1)]
         assert report.exit_code() == 1
 
-    def test_rule_subset_does_not_make_other_rules_pragmas_stale(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("VALUE = 1  # repro: noqa[DET-001] -- fixture\n")
-        # DET-001 did not run, so its pragma cannot be judged ...
-        report = run_check(
-            [str(target)], root=str(tmp_path), rules=[_RULES["ERR-002"]]
-        )
-        assert report.findings == []
-        # ... and is judged as soon as it does
-        report = run_check(
-            [str(target)], root=str(tmp_path), rules=[_RULES["DET-001"]]
-        )
-        assert [f.rule for f in report.findings] == ["ANA-001"]
-
     def test_pragma_without_justification_is_ana001(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text(

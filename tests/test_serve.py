@@ -218,6 +218,13 @@ class TestServeApp:
              "bad_request"),
             (b'{"tenant": "alpha", "surface": "x", "user": 1, "now": "nope"}',
              "bad_request"),
+            (b'{"tenant": "alpha", "surface": ["x"], "user": 1}', "bad_request"),
+            (b'{"tenant": "alpha", "surface": 123, "user": 1}', "bad_request"),
+            (b'{"tenant": "alpha", "surface": "x", "user": 1, "now": true}',
+             "bad_request"),
+            (b'{"tenant": "alpha", "surface": "x", "user": NaN}', "bad_request"),
+            (b'{"tenant": "alpha", "surface": "x", "user": Infinity}',
+             "bad_request"),
             (b'{"tenant": "ghost", "surface": "x", "user": 1}', "unknown_tenant"),
         ],
     )

@@ -129,7 +129,15 @@ class TestHotAddRemove:
         "body",
         [None, b"", b"not json", b"[1]", b'{"rate": 5.0}', b'{"name": ""}',
          b'{"name": "x", "rate": "fast"}', b'{"name": "x", "color": "red"}',
-         b'{"name": "bad,name"}'],
+         b'{"name": "bad,name"}',
+         # out-of-range numbers: rejected by TenantSpec before provisioning
+         b'{"name": "g", "rate": -1}', b'{"name": "g", "burst": 0}',
+         b'{"name": "g", "deadline_ms": 0}',
+         b'{"name": "g", "failure_threshold": 0}',
+         b'{"name": "g", "recovery_timeout": -5}',
+         b'{"name": "g", "rate": NaN}', b'{"name": "g", "burst": Infinity}',
+         b'{"name": "g", "failure_threshold": NaN}',
+         b'{"name": "g", "failure_threshold": Infinity}'],
     )
     def test_malformed_add_bodies_are_typed_400(self, small_world, body):
         app, _ = build_app(small_world, [spec("alpha")])
