@@ -20,25 +20,34 @@ in ``L_in(t)``: ``distance`` is exact within the horizon.
 
 ``reachability`` is that distance plus Theorem 1 — the followees of ``s``
 on a shortest path to ``t`` are exactly those at distance ``d_st - 1``
-from ``t`` — so Eq. 4 is evaluated on the exact ``F_st``, the same set the
-transitive closure materializes, in ``1 + |F_s|`` label merges.  The
-paper's Algorithm 2 proper, which stores a followee set in every out-label
-and recovers a *subset* of ``F_st`` from them (Theorem 2), is
-:class:`repro.testing.oracles.TwoHopCover`; Table 5 measures that one.
+from ``t`` — so Eq. 4 is evaluated on the exact ``F_st``, the set the
+transitive closure materializes.  The paper's Algorithm 2 proper, which
+recovers a *subset* of ``F_st`` from followee sets stored in the labels
+(Theorem 2), is :class:`repro.testing.oracles.TwoHopCover`.
 
 Layout, CSR-style: ``landmarks[r]`` is the node processed at rank ``r``
 and ``rank_of`` its inverse; ``in_offsets`` / ``out_offsets`` (``q``)
 slice ``in_pivots`` / ``out_pivots`` (``i``) and the parallel distance
-bytes ``in_dists`` / ``out_dists``.  Pivots are stored as *ranks*, so
-every node's run is sorted by construction (landmark ``r`` writes all of
-its entries before ``r + 1`` starts) and a query merges two sorted runs.
+bytes ``in_dists`` / ``out_dists``.  Pivots are stored as *ranks*, each
+node's run ordered by (distance, rank): the pivots within ``j`` hops are
+a prefix one ``bisect_right`` on the distance bytes finds.
+
+A query tests sets instead of merging runs.  With ``T_j`` the set of
+``t``'s in-pivots within ``j`` hops plus ``t``'s rank, ``d(x, t) <= m``
+iff ``x``'s rank is in ``T_m`` or, for some ``i <= m``, ``x``'s
+out-pivots at exactly ``i`` hops meet ``T_{m-i}`` (a C-level
+``isdisjoint``, stopping at the first shared pivot).  ``distance`` is the
+least such ``m``: the ``d <= H`` test first (most random pairs fail it),
+then ``m`` down from ``H - 1``.  No followee of ``s`` is closer to ``t``
+than ``d_st - 1``, so Theorem 1's count is ``d(f, t) <= d_st - 1`` per
+followee, against the same sets.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, List, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterable, List, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
@@ -57,7 +66,8 @@ def _label_distance(
     a_pivots, a_dists, a_lo: int, a_hi: int, a_rank: int,
     b_pivots, b_dists, b_lo: int, b_hi: int, b_rank: int,
 ):
-    """Shortest distance two label runs give, ignoring the hop horizon.
+    """Shortest distance two rank-ordered staging runs give, ignoring the
+    hop horizon: the build's prune test.
 
     Run ``a`` is ``*_pivots[a_lo:a_hi]`` of the node ranked ``a_rank``
     (likewise ``b``); one is an out-label and the other an in-label.  The
@@ -124,51 +134,77 @@ class CompactTwoHopCover:
     def max_hops(self) -> int:
         return self._max_hops
 
+    def _target_sets(self, target: int) -> List[Set[int]]:
+        """``[T_0, .., T_{H-1}]``, each a prefix of ``target``'s in-run
+        plus its own rank; no query needs ``T_H``."""
+        dists = self._in_dists
+        start, hi = self._in_offsets[target : target + 2]
+        sets = [{self._rank_of[target]}]
+        for j in range(1, self._max_hops):
+            end = bisect_right(dists, j, start, hi)
+            sets.append(sets[-1].union(self._in_pivots[start:end]))
+            start = end
+        return sets
+
+    def _meets(self, node: int, m: int, sets: List[Set[int]]) -> bool:
+        """Some pivot ``i <= m`` hops out of ``node`` is in ``T_{m-i}``."""
+        dists = self._out_dists
+        start, hi = self._out_offsets[node : node + 2]
+        for i in range(1, m + 1):
+            if start == hi:
+                return False
+            end = bisect_right(dists, i, start, hi)
+            if not sets[m - i].isdisjoint(self._out_pivots[start:end]):
+                return True
+            start = end
+        return False
+
+    def _within(self, node: int, m: int, sets: List[Set[int]]) -> bool:
+        """``d(node, t) <= m`` for ``m < H`` and ``sets`` those of ``t``."""
+        return self._rank_of[node] in sets[m] or self._meets(node, m, sets)
+
+    def _distance(self, source: int, target: int, sets: List[Set[int]]) -> float:
+        """The ``d <= H`` test (``T_H`` is all of ``target``'s in-run),
+        then ``m`` down from ``H - 1`` until ``d <= m`` fails."""
+        lo, hi = self._in_offsets[target : target + 2]
+        near = self._rank_of[source] in self._in_pivots[lo:hi]
+        if not (near or self._meets(source, self._max_hops, sets)):
+            return INF
+        for m in range(self._max_hops - 1, 0, -1):
+            if not self._within(source, m, sets):
+                return m + 1
+        return 1
+
     def distance(self, source: int, target: int) -> float:
         """Shortest-path distance within ``H`` hops, or ``inf``."""
         if source == target:
             return 0.0
-        best = _label_distance(
-            self._out_pivots,
-            self._out_dists,
-            self._out_offsets[source],
-            self._out_offsets[source + 1],
-            self._rank_of[source],
-            self._in_pivots,
-            self._in_dists,
-            self._in_offsets[target],
-            self._in_offsets[target + 1],
-            self._rank_of[target],
-        )
-        return best if best <= self._max_hops else INF
-
-    def _shortest_path_followees(
-        self, source: int, target: int, d_st: float
-    ) -> Iterator[int]:
-        """Theorem 1 for ``d_st >= 2``: ``|F_s|`` distance queries."""
-        one_closer = d_st - 1
-        for followee in self._graph.out_neighbors(source):
-            if self.distance(followee, target) == one_closer:
-                yield followee
+        return self._distance(source, target, self._target_sets(target))
 
     def exact_followee_set(self, source: int, target: int) -> Set[int]:
         """Exact :math:`F_{st}` via Theorem 1."""
-        d_st = self.distance(source, target)
-        if d_st == INF or d_st == 0:
+        if source == target:
             return set()
-        if d_st == 1:
-            return {target}
-        return set(self._shortest_path_followees(source, target, d_st))
+        sets = self._target_sets(target)
+        d_st = self._distance(source, target, sets)
+        if d_st == INF:
+            return set()
+        followees = self._graph.out_neighbors(source)
+        return {f for f in followees if self._within(f, d_st - 1, sets)}
 
     def reachability(self, source: int, target: int) -> float:
         """Weighted reachability ``R(source, target)`` (Eq. 4) on the
         exact ``F_st``."""
-        d_st = self.distance(source, target)
-        if d_st == INF or d_st == 0:
+        if source == target:
+            return 0.0
+        sets = self._target_sets(target)
+        d_st = self._distance(source, target, sets)
+        if d_st == INF:
             return 0.0
         if d_st == 1:
             return 1.0
-        count = sum(1 for _ in self._shortest_path_followees(source, target, d_st))
+        followees = self._graph.out_neighbors(source)
+        count = sum(1 for f in followees if self._within(f, d_st - 1, sets))
         return reachability_weight(d_st, count, self._graph.out_degree(source))
 
     # ------------------------------------------------------------------ #
@@ -240,14 +276,16 @@ def _pruned_bfs(
 
 
 def _flatten(labels: List[_Label]) -> Tuple[array, array, bytes]:
-    """Concatenate per-node labels into ``(offsets, pivots, dists)``,
-    freeing each node's staging as it is copied."""
+    """Concatenate per-node labels into ``(offsets, pivots, dists)``, each
+    rank-ordered run stably sorted by distance, freeing each node's
+    staging as it is copied."""
     offsets = array("q", [0])
     pivots = array("i")
     dists = bytearray()
     for node, (node_pivots, node_dists) in enumerate(labels):
-        pivots.extend(node_pivots)
-        dists += node_dists
+        order = sorted(range(len(node_dists)), key=node_dists.__getitem__)
+        pivots.extend(map(node_pivots.__getitem__, order))
+        dists += bytes(sorted(node_dists))
         offsets.append(len(pivots))
         labels[node] = None
     return offsets, pivots, bytes(dists)

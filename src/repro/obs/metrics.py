@@ -195,9 +195,11 @@ class MetricsRegistry:
         if histogram is None:
             histogram = Histogram(boundaries)
             self._histograms[name] = histogram
-        elif histogram.boundaries != tuple(float(b) for b in boundaries):
+        elif histogram.boundaries != tuple(boundaries):
             # Every observe() call site passes a module-constant boundary
-            # tuple; a rebind is a code bug, not a request failure.
+            # tuple: ``tuple()`` hands it back uncopied and its floats are
+            # the histogram's own objects.  A rebind is a code bug, not a
+            # request failure.
             raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
                 f"histogram {name!r} already bound to boundaries "
                 f"{histogram.boundaries}"

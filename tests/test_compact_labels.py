@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DEFAULT_MAX_HOPS
+from repro.graph import compact_labels
 from repro.graph.compact_labels import INF, build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import (
@@ -142,12 +144,20 @@ class TestEdgeCases:
         assert compact.distance(0, 2) == oracle.distance(0, 2) == INF
         assert compact.distance(0, 2) is INF or math.isinf(compact.distance(0, 2))
         assert compact.reachability(0, 2) == 0.0
+        # 0 follows 1, which is on no path to 2
+        assert compact.exact_followee_set(0, 2) == set()
 
     def test_beyond_horizon_is_unreachable(self, chain_graph):
         compact = build_compact_two_hop_cover(chain_graph, max_hops=2)
+        # d = max_hops exactly: the d <= H test passes, m = H - 1 fails
         assert compact.distance(0, 2) == 2
+        assert compact.exact_followee_set(0, 2) == {1}
+        assert compact.reachability(0, 2) == 0.5
         assert compact.distance(0, 3) == INF
         assert compact.reachability(0, 3) == 0.0
+        # followee 1 is within the horizon of 3, the source is not
+        assert compact.distance(1, 3) == 2
+        assert compact.exact_followee_set(0, 3) == set()
 
     def test_max_hops_over_255_rejected(self, diamond_graph):
         """Distances live in single bytes; the ctor enforces the ceiling."""
@@ -168,9 +178,44 @@ class TestEdgeCases:
         ).reachability(0, 255) == 1 / 255
 
     def test_distance_one_followee_is_target(self, diamond_graph):
-        compact = build_compact_two_hop_cover(diamond_graph)
-        assert compact.distance(0, 1) == 1
-        assert compact.exact_followee_set(0, 1) == {1}
+        # at max_hops = 1, d_st - 1 = 0: F_st is the own-rank check alone
+        for max_hops in (DEFAULT_MAX_HOPS, 1):
+            compact = build_compact_two_hop_cover(diamond_graph, max_hops=max_hops)
+            assert compact.distance(0, 1) == 1
+            assert compact.exact_followee_set(0, 1) == {1}
+            assert compact.reachability(0, 1) == 1.0
+        assert compact.distance(0, 4) == INF
+        assert compact.exact_followee_set(0, 4) == set()
+        assert compact.reachability(0, 4) == 0.0
+
+
+class TestLayout:
+    def test_runs_are_ordered_by_distance_then_rank(self, monkeypatch):
+        """Every node's in- and out-run is sorted by (distance, rank) and
+        holds exactly the (pivot, distance) entries the build staged in
+        rank order — on a graph where some staged run is not already
+        distance-ordered."""
+        staged = []
+        flatten = compact_labels._flatten
+
+        def spy(labels):
+            staged.append([list(zip(dists, pivots)) for pivots, dists in labels])
+            return flatten(labels)
+
+        monkeypatch.setattr(compact_labels, "_flatten", spy)
+        compact = build_compact_two_hop_cover(random_graph(40, 300, 3), max_hops=4)
+        staged_in, staged_out = staged
+        reordered = 0
+        for offsets, pivots, dists, staging in (
+            (compact._in_offsets, compact._in_pivots, compact._in_dists, staged_in),
+            (compact._out_offsets, compact._out_pivots, compact._out_dists, staged_out),
+        ):
+            for node, entries in enumerate(staging):
+                lo, hi = offsets[node], offsets[node + 1]
+                run = list(zip(dists[lo:hi], pivots[lo:hi]))
+                assert run == sorted(entries), node
+                reordered += run != entries
+        assert reordered > 0
 
 
 class TestSerialization:

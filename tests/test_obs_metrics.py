@@ -123,6 +123,11 @@ class TestRegistry:
         registry.observe("scores", 0.5, boundaries=SCORE_BOUNDARIES)
         with pytest.raises(ValueError):
             registry.observe("scores", 0.5, boundaries=COUNT_BOUNDARIES)
+        # the same values in another container and number type still bind
+        registry.observe("counts", 2, boundaries=COUNT_BOUNDARIES)
+        registry.observe("counts", 3, boundaries=[int(b) for b in COUNT_BOUNDARIES])
+        assert registry.histogram("counts").count == 2
+        assert registry.histogram("counts").boundaries == COUNT_BOUNDARIES
 
     def test_reset(self):
         registry = MetricsRegistry()
