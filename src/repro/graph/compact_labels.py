@@ -41,12 +41,20 @@ least such ``m``: the ``d <= H`` test first (most random pairs fail it),
 then ``m`` down from ``H - 1``.  No followee of ``s`` is closer to ``t``
 than ``d_st - 1``, so Theorem 1's count is ``d(f, t) <= d_st - 1`` per
 followee, against the same sets.
+
+The build prunes by the same kind of test.  Each BFS first loads the
+landmark's opposite label into per-level sets (PLL's root-label load),
+so each reached node costs one set lookup plus one ``isdisjoint`` over
+its staging run.  A staging run is an ``array('i')`` of keys ``d * n +
+rank``, so sorting it gives (distance, rank) order; this needs
+``(max_hops + 1) * n < 2**31``, past which ``array`` raises
+``OverflowError`` rather than wrapping.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Callable, Iterable, List, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
@@ -57,45 +65,6 @@ __all__ = ["CompactTwoHopCover", "build_compact_two_hop_cover"]
 
 #: Sentinel distance for unreachable pairs.
 INF = float("inf")
-
-#: One node's label while the index is built: pivot ranks, distance bytes.
-_Label = Tuple[array, bytearray]
-
-
-def _label_distance(
-    a_pivots, a_dists, a_lo: int, a_hi: int, a_rank: int,
-    b_pivots, b_dists, b_lo: int, b_hi: int, b_rank: int,
-):
-    """Shortest distance two rank-ordered staging runs give, ignoring the
-    hop horizon: the build's prune test.
-
-    Run ``a`` is ``*_pivots[a_lo:a_hi]`` of the node ranked ``a_rank``
-    (likewise ``b``); one is an out-label and the other an in-label.  The
-    minimum is over ``b``'s node as a pivot of ``a``, ``a``'s node as a
-    pivot of ``b``, and every pivot the two sorted runs share.
-    """
-    best = INF
-    k = bisect_left(a_pivots, b_rank, a_lo, a_hi)
-    if k < a_hi and a_pivots[k] == b_rank:
-        best = a_dists[k]
-    k = bisect_left(b_pivots, a_rank, b_lo, b_hi)
-    if k < b_hi and b_pivots[k] == a_rank and b_dists[k] < best:
-        best = b_dists[k]
-    i, j = a_lo, b_lo
-    while i < a_hi and j < b_hi:
-        a = a_pivots[i]
-        b = b_pivots[j]
-        if a == b:
-            d = a_dists[i] + b_dists[j]
-            if d < best:
-                best = d
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return best
 
 
 class CompactTwoHopCover:
@@ -238,54 +207,63 @@ def _pruned_bfs(
     landmark: int,
     rank: int,
     neighbors: Callable[[int], Iterable[int]],
-    grown: List[_Label],
-    opposite: List[_Label],
+    grown: List[array],
+    opposite: List[array],
     rank_of: array,
     max_hops: int,
 ) -> None:
-    """Append ``(rank, d)`` to ``grown[x]`` for every ``x`` the landmark
-    meets along ``neighbors`` at a distance ``d <= max_hops`` strictly
-    shorter than ``grown[x]`` and ``opposite[landmark]`` already give.
+    """Stage ``length * n + rank`` in ``grown[x]`` for every ``x`` the
+    landmark meets along ``neighbors`` at a ``length <= max_hops``
+    strictly shorter than ``grown[x]`` and ``opposite[landmark]`` give.
 
-    Entries of this rank cannot match during the search (the landmark
-    holds none), so writing them as they are found prunes exactly like
-    writing them at the end.
+    At each level ``near`` holds the landmark's pivots within ``length``
+    and ``meets`` the keys ``dx * n + p`` with ``dx >= 1`` and ``dx +
+    d(p, landmark) <= length``, so ``x`` is pruned iff its rank is in
+    ``near`` or its run meets ``meets``.  Entries of this rank are in no
+    run the sets can match, so staging them as they are found prunes
+    exactly like staging them at the end.
     """
-    mark_pivots, mark_dists = opposite[landmark]
-    mark_len = len(mark_pivots)
+    n = len(rank_of)
+    by_dist: List[List[int]] = [[] for _ in range(max_hops + 1)]
+    for entry in opposite[landmark]:
+        by_dist[entry // n].append(entry % n)
+    near: Set[int] = set()
+    meets: Set[int] = set()
     seen = {landmark}
     frontier = [landmark]
     for length in range(1, max_hops + 1):
+        near.update(by_dist[length])
+        for d in range(1, length):
+            meets.update([(length - d) * n + p for p in by_dist[d]])
+        key = length * n + rank
         labelled = []
         for node in frontier:
             for x in neighbors(node):
                 if x in seen:
                     continue
                 seen.add(x)
-                pivots, dists = grown[x]
-                if length < _label_distance(
-                    pivots, dists, 0, len(pivots), rank_of[x],
-                    mark_pivots, mark_dists, 0, mark_len, rank,
-                ):
-                    pivots.append(rank)
-                    dists.append(length)
-                    labelled.append(x)
+                run = grown[x]
+                if rank_of[x] in near or not meets.isdisjoint(run):
+                    continue
+                run.append(key)
+                labelled.append(x)
         if not labelled:
             return
         frontier = labelled
 
 
-def _flatten(labels: List[_Label]) -> Tuple[array, array, bytes]:
-    """Concatenate per-node labels into ``(offsets, pivots, dists)``, each
-    rank-ordered run stably sorted by distance, freeing each node's
-    staging as it is copied."""
+def _flatten(labels: List[array]) -> Tuple[array, array, bytes]:
+    """Decode per-node staging runs into ``(offsets, pivots, dists)``:
+    sorted keys are (distance, rank)-ordered.  Each node's staging is
+    freed as it is copied."""
+    n = len(labels)
     offsets = array("q", [0])
     pivots = array("i")
     dists = bytearray()
-    for node, (node_pivots, node_dists) in enumerate(labels):
-        order = sorted(range(len(node_dists)), key=node_dists.__getitem__)
-        pivots.extend(map(node_pivots.__getitem__, order))
-        dists += bytes(sorted(node_dists))
+    for node, run in enumerate(labels):
+        keys = sorted(run)
+        pivots.extend([key % n for key in keys])
+        dists.extend([key // n for key in keys])
         offsets.append(len(pivots))
         labels[node] = None
     return offsets, pivots, bytes(dists)
@@ -303,8 +281,8 @@ def build_compact_two_hop_cover(
     rank_of = array("i", bytes(4 * n))
     for rank, landmark in enumerate(landmarks):
         rank_of[landmark] = rank
-    label_in: List[_Label] = [(array("i"), bytearray()) for _ in range(n)]
-    label_out: List[_Label] = [(array("i"), bytearray()) for _ in range(n)]
+    label_in = [array("i") for _ in range(n)]
+    label_out = [array("i") for _ in range(n)]
     for rank, landmark in enumerate(landmarks):
         _pruned_bfs(
             landmark, rank, graph.in_neighbors, label_out, label_in, rank_of, max_hops

@@ -12,6 +12,7 @@ density, hop horizon, and seeds; the deterministic classes pin edge cases
 and the ``label_bytes`` accounting.
 """
 
+import hashlib
 import math
 import pickle
 import sys
@@ -188,34 +189,116 @@ class TestEdgeCases:
         assert compact.exact_followee_set(0, 4) == set()
         assert compact.reachability(0, 4) == 0.0
 
+    @pytest.mark.parametrize(
+        "edges, want_in, want_out",
+        [
+            pytest.param(
+                [(0, 1), (0, 2)],
+                {1: {0: 1}, 2: {0: 1}},
+                {},
+                id="pivot-of-the-landmark",
+            ),
+            pytest.param(
+                [(2, 0), (0, 3), (3, 1), (2, 4), (4, 5), (5, 1)],
+                {3: {0: 1}, 1: {0: 2}, 4: {2: 1}, 5: {2: 2, 4: 1}},
+                {2: {0: 1}, 3: {1: 1}, 5: {1: 1}, 4: {1: 2}},
+                id="tie",
+            ),
+            pytest.param(
+                [(2, 3), (3, 0), (0, 1), (2, 4), (4, 5), (5, 1)],
+                {1: {0: 1}, 3: {2: 1}, 4: {2: 1}, 5: {2: 2, 4: 1}},
+                {3: {0: 1}, 2: {0: 2}, 5: {1: 1}, 4: {1: 2}},
+                id="pivot-at-length-minus-one",
+            ),
+        ],
+    )
+    def test_prunes_exactly_what_earlier_landmarks_cover(
+        self, edges, want_in, want_out
+    ):
+        """Labels worked out by hand; ranks equal ids (degree, ties by id).
+
+        pivot-of-the-landmark: landmark 1's backward search meets 0 at
+        one hop, and 0 is in ``L_in(1)`` at one hop, with ``L_out(0)``
+        empty.  tie: landmark 1's backward search meets 2 at three hops,
+        where ``(0, 1)`` in ``L_out(2)`` and ``(0, 2)`` in ``L_in(1)`` sum
+        to three.  pivot-at-length-minus-one: the same meeting, through
+        ``(0, 2)`` in ``L_out(2)`` and ``(0, 1)`` in ``L_in(1)``.
+        """
+        graph = DiGraph.from_edges(1 + max(map(max, edges)), edges)
+        compact = build_compact_two_hop_cover(graph, max_hops=4)
+
+        def labels(offsets, pivots, dists):
+            return {
+                node: dict(zip(pivots[lo:hi], dists[lo:hi]))
+                for node, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+                if hi > lo
+            }
+
+        assert list(compact._landmarks) == list(graph.nodes())
+        assert labels(compact._in_offsets, compact._in_pivots, compact._in_dists) == want_in
+        assert (
+            labels(compact._out_offsets, compact._out_pivots, compact._out_dists)
+            == want_out
+        )
+        assert_bit_identical(compact, build_two_hop_cover(graph, 4), graph)
+
 
 class TestLayout:
     def test_runs_are_ordered_by_distance_then_rank(self, monkeypatch):
         """Every node's in- and out-run is sorted by (distance, rank) and
-        holds exactly the (pivot, distance) entries the build staged in
+        holds exactly the ``distance * n + rank`` keys the build staged in
         rank order — on a graph where some staged run is not already
         distance-ordered."""
         staged = []
         flatten = compact_labels._flatten
 
         def spy(labels):
-            staged.append([list(zip(dists, pivots)) for pivots, dists in labels])
+            staged.append([list(run) for run in labels])
             return flatten(labels)
 
         monkeypatch.setattr(compact_labels, "_flatten", spy)
-        compact = build_compact_two_hop_cover(random_graph(40, 300, 3), max_hops=4)
+        graph = random_graph(40, 300, 3)
+        compact = build_compact_two_hop_cover(graph, max_hops=4)
         staged_in, staged_out = staged
         reordered = 0
         for offsets, pivots, dists, staging in (
             (compact._in_offsets, compact._in_pivots, compact._in_dists, staged_in),
             (compact._out_offsets, compact._out_pivots, compact._out_dists, staged_out),
         ):
-            for node, entries in enumerate(staging):
+            for node, keys in enumerate(staging):
+                entries = [divmod(key, graph.num_nodes) for key in keys]
                 lo, hi = offsets[node], offsets[node + 1]
                 run = list(zip(dists[lo:hi], pivots[lo:hi]))
                 assert run == sorted(entries), node
                 reordered += run != entries
         assert reordered > 0
+
+    @pytest.mark.parametrize(
+        "max_hops, seed, digest",
+        [
+            (2, 7, "67a2c7390ad971f7eeb7b37cddc5a6075dae54856f4846677bd9403a1275eb79"),
+            (4, 9, "291798b7187ce6bdf6fdc07f3cd37b57bb77820fb90e3533e00b5e17abc32be6"),
+        ],
+        ids=["H2", "H4"],
+    )
+    def test_buffers_match_recorded_build(self, max_hops, seed, digest):
+        """sha256 of all eight buffers (native byte order), recorded from
+        the build that pruned by merging label runs: the queries pin
+        answers, this pins every stored entry."""
+        compact = build_compact_two_hop_cover(random_graph(200, 1200, seed), max_hops)
+        sha = hashlib.sha256()
+        for buffer in (
+            compact._landmarks,
+            compact._rank_of,
+            compact._in_offsets,
+            compact._in_pivots,
+            compact._in_dists,
+            compact._out_offsets,
+            compact._out_pivots,
+            compact._out_dists,
+        ):
+            sha.update(bytes(buffer))
+        assert sha.hexdigest() == digest
 
 
 class TestSerialization:
