@@ -77,17 +77,13 @@ def kb_from_dict(payload: Dict[str, Any]) -> Knowledgebase:
 
 
 def ckb_to_dict(ckb: ComplementedKnowledgebase) -> Dict[str, Any]:
-    links = []
-    for entity_id in ckb.linked_entities():
-        for record in ckb.tweets_of(entity_id):
-            links.append([entity_id, record.user, record.timestamp, record.tweet_id])
+    links = [list(link) for link in ckb.iter_links()]
     return {"kb": kb_to_dict(ckb.kb), "links": links}
 
 
 def ckb_from_dict(payload: Dict[str, Any]) -> ComplementedKnowledgebase:
     ckb = ComplementedKnowledgebase(kb_from_dict(payload["kb"]))
-    for entity_id, user, timestamp, tweet_id in payload["links"]:
-        ckb.link_tweet(entity_id, user, timestamp, tweet_id)
+    ckb.bulk_link(payload["links"])
     return ckb
 
 

@@ -9,7 +9,7 @@ information double-counts links replayed after recovery.
 A checkpoint therefore captures three things:
 
 * the full link table ``(entity, user, timestamp, tweet_id)`` in storage
-  order — replaying it rebuilds :math:`D_e`, :math:`U_e`, the per-user
+  order — bulk-loading it rebuilds :math:`D_e`, :math:`U_e`, the per-user
   counts and the sorted timestamp lists exactly;
 * the ingestor *watermark* — where the re-serialized stream was complete;
 * the *applied tweet ids* — so a resumed
@@ -68,10 +68,7 @@ def snapshot(
     applied_ids: Iterable[int] = (),
 ) -> StreamCheckpoint:
     """Capture the current KB link table and stream progress."""
-    links = tuple(
-        (entity_id, record.user, record.timestamp, record.tweet_id)
-        for entity_id, record in ckb.iter_links()
-    )
+    links = tuple(ckb.iter_links())
     if watermark is not None and not math.isfinite(watermark):
         watermark = None  # nothing ingested yet; JSON has no -inf
     return StreamCheckpoint(
@@ -80,14 +77,19 @@ def snapshot(
 
 
 def restore(kb: Knowledgebase, checkpoint: StreamCheckpoint) -> ComplementedKnowledgebase:
-    """Rebuild a complemented KB over ``kb`` by replaying the link table.
+    """Rebuild a complemented KB over ``kb`` by bulk-loading the link table.
 
-    Replay order equals storage order, so per-entity record lists (and
-    hence every derived structure) match the pre-crash instance exactly.
+    Load order equals storage order, so per-entity columns (and hence
+    every derived structure) match the pre-crash instance exactly.  A link
+    naming an entity ``kb`` lacks, or a non-finite timestamp (JSON admits
+    ``NaN``), raises :class:`~repro.errors.CheckpointCorruptError` naming
+    the first such link.
     """
     ckb = ComplementedKnowledgebase(kb)
-    for entity_id, user, timestamp, tweet_id in checkpoint.links:
-        ckb.link_tweet(entity_id, user, timestamp, tweet_id)
+    try:
+        ckb.bulk_link(checkpoint.links)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointCorruptError(f"checkpoint {exc.args[0]}") from exc
     return ckb
 
 

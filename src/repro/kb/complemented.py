@@ -3,15 +3,17 @@
 Offline knowledge acquisition (Sec. 3.2.1) links a historical tweet corpus
 to the KB with a batch linker and stores, per entity ``e``:
 
-* :math:`D_e` — the linked tweets with timestamp and author,
+* :math:`D_e` — the linked tweets, as three columns in link order: authors,
+  timestamps and tweet ids,
 * :math:`U_e` — the community, i.e. the authors of those tweets,
 * per-user tweet counts :math:`|D_e^u|` (consumed by influence estimation),
 * a time-ordered timestamp list (consumed by the sliding recency window),
   merged on first read into one timeline per recency cluster.
 
-The structure is incremental: online inference appends confirmed links one
-at a time (Sec. 3.2.2 "update existing knowledge"), which only touches
-per-entity dictionaries — no global recomputation.
+A labelled corpus (or a checkpoint) loads in one :meth:`bulk_link` pass;
+online inference appends confirmed links one at a time (Sec. 3.2.2
+"update existing knowledge") through :meth:`link_tweet`, which only
+touches per-entity structures — no global recomputation.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
 from repro.cache.epochs import Epoch
 from repro.kb.knowledgebase import Knowledgebase
+
+#: One link record: ``(entity_id, user, timestamp, tweet_id)``.
+Link = Tuple[int, int, float, int]
+#: :math:`D_e` of one entity: users, timestamps and tweet ids, in link order.
+Columns = Tuple[array, array, array]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,12 +46,24 @@ class LinkedTweet:
     tweet_id: int = -1
 
 
+def _new_columns() -> Columns:
+    return array("q"), array("d"), array("q")
+
+
+def _require_finite(timestamp: float) -> None:
+    # NaN compares False against everything, so a sorted insert would park
+    # it at an arbitrary position and silently break the sorted invariant
+    # every recency query depends on.
+    if not math.isfinite(timestamp):
+        raise ValueError(f"link timestamp must be finite, got {timestamp!r}")
+
+
 class ComplementedKnowledgebase:
     """A :class:`Knowledgebase` plus per-entity tweet/community knowledge."""
 
     def __init__(self, kb: Knowledgebase) -> None:
         self._kb = kb
-        self._tweets: Dict[int, List[LinkedTweet]] = {}
+        self._columns: Dict[int, Columns] = {}
         self._timestamps: Dict[int, List[float]] = {}
         self._user_counts: Dict[int, Counter] = {}
         # group -> (sorted timestamps of all its members' links, the float
@@ -81,19 +100,20 @@ class ComplementedKnowledgebase:
         with two bisections even when links arrive out of order (backfills
         during offline complementation).
         """
-        if not math.isfinite(timestamp):
-            # NaN compares False against everything, so bisect.insort would
-            # park it at an arbitrary position and silently break the sorted
-            # invariant every recency query depends on.
-            raise ValueError(f"link timestamp must be finite, got {timestamp!r}")
+        _require_finite(timestamp)
         self._kb.entity(entity_id)  # raises KeyError on bad id
-        record = LinkedTweet(user=user, timestamp=timestamp, tweet_id=tweet_id)
-        self._tweets.setdefault(entity_id, []).append(record)
+        columns = self._columns.get(entity_id)
+        if columns is None:
+            columns = self._columns[entity_id] = _new_columns()
+        users, times, tweet_ids = columns
+        users.append(user)
+        times.append(timestamp)
+        tweet_ids.append(tweet_id)
         bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
-        for times, columns, column in self._timelines_of.get(entity_id, ()):
-            position = bisect.bisect_right(times, timestamp)
-            times.insert(position, timestamp)
-            columns.insert(position, column)
+        for merged, owners, column in self._timelines_of.get(entity_id, ()):
+            position = bisect.bisect_right(merged, timestamp)
+            merged.insert(position, timestamp)
+            owners.insert(position, column)
         counts = self._user_counts.get(entity_id)
         if counts is None:
             counts = self._user_counts[entity_id] = Counter()
@@ -102,12 +122,61 @@ class ComplementedKnowledgebase:
         self._versions[entity_id] = self._versions.get(entity_id, 0) + 1
         self.link_epoch.bump()
 
-    def bulk_link(
-        self, links: Iterable[Tuple[int, int, float]]
-    ) -> None:
-        """Link many ``(entity_id, user, timestamp)`` records at once."""
-        for entity_id, user, timestamp in links:
-            self.link_tweet(entity_id, user, timestamp)
+    def bulk_link(self, links: Iterable[Link]) -> None:
+        """Link ``(entity_id, user, timestamp, tweet_id)`` records in order.
+
+        The resulting state equals one :meth:`link_tweet` per record, but
+        each entity is written once: its columns extended, its timestamps
+        sorted and its user counts updated for all of its records.  Every
+        record is checked first, so a bad one raises :meth:`link_tweet`'s
+        ``KeyError`` / ``ValueError``, naming it, and nothing is written.
+        """
+        grouped: Dict[int, Tuple[List[int], List[float], array]] = {}
+        for position, (entity_id, user, timestamp, tweet_id) in enumerate(links):
+            added = grouped.get(entity_id)
+            try:
+                if added is None:
+                    self._kb.entity(entity_id)
+                    added = grouped[entity_id] = [], [], array("q")
+                _require_finite(timestamp)
+            except (KeyError, ValueError) as exc:
+                record = (entity_id, user, timestamp, tweet_id)
+                raise type(exc)(f"link {position} {record}: {exc.args[0]}") from None
+            users, times, tweet_ids = added
+            users.append(user)
+            times.append(timestamp)
+            tweet_ids.append(tweet_id)
+        # converted before the first write, so a value no column takes
+        # fails the load with nothing written either
+        loaded = {
+            entity_id: (array("q", users), array("d", times), tweet_ids)
+            for entity_id, (users, times, tweet_ids) in grouped.items()
+        }
+        for entity_id, (users, times, _) in grouped.items():
+            columns = self._columns.setdefault(entity_id, loaded[entity_id])
+            if columns is not loaded[entity_id]:
+                for column, more in zip(columns, loaded[entity_id]):
+                    column.extend(more)
+            # the records' own objects, as link_tweet keeps them: communities
+            # keyed by the same user ints intersect by identity in the
+            # influence walk, where ints made from the column compare by value
+            timestamps = self._timestamps.setdefault(entity_id, times)
+            if timestamps is not times:
+                timestamps += times
+            timestamps.sort()  # stable: equal times keep arrival order, as insort
+            self._user_counts.setdefault(entity_id, Counter()).update(users)
+            self._versions[entity_id] = self._versions.get(entity_id, 0) + len(users)
+            self._total_links += len(users)
+        # the touched groups re-merge on their next recent_counts
+        for group in [g for g in self._timelines if not grouped.keys().isdisjoint(g)]:
+            merged = self._timelines.pop(group)[0]
+            for entity_id in group:
+                self._timelines_of[entity_id] = [
+                    entry
+                    for entry in self._timelines_of[entity_id]
+                    if entry[0] is not merged
+                ]
+        self.link_epoch.bump()
 
     def prune_before(self, cutoff: float) -> int:
         """Drop links older than ``cutoff``; returns how many were removed.
@@ -119,21 +188,22 @@ class ComplementedKnowledgebase:
         a deliberate recency bias that long-running linkers usually want.
         """
         removed = 0
-        for entity_id in list(self._tweets.keys()):
-            kept = [r for r in self._tweets[entity_id] if r.timestamp >= cutoff]
-            dropped = len(self._tweets[entity_id]) - len(kept)
+        for entity_id, columns in list(self._columns.items()):
+            keep = [timestamp >= cutoff for timestamp in columns[1]]
+            dropped = keep.count(False)
             if dropped == 0:
                 continue
             removed += dropped
-            if kept:
-                self._tweets[entity_id] = kept
-                self._timestamps[entity_id] = sorted(r.timestamp for r in kept)
-                counter = Counter()
-                for record in kept:
-                    counter[record.user] += 1
-                self._user_counts[entity_id] = counter
+            if dropped < len(keep):
+                users, times, tweet_ids = (
+                    array(column.typecode, itertools.compress(column, keep))
+                    for column in columns
+                )
+                self._columns[entity_id] = users, times, tweet_ids
+                self._timestamps[entity_id] = sorted(times)
+                self._user_counts[entity_id] = Counter(users)
             else:
-                del self._tweets[entity_id]
+                del self._columns[entity_id]
                 del self._timestamps[entity_id]
                 del self._user_counts[entity_id]
             self._versions[entity_id] += 1
@@ -147,13 +217,20 @@ class ComplementedKnowledgebase:
     # ------------------------------------------------------------------ #
     # paper notation accessors
     # ------------------------------------------------------------------ #
-    def tweets_of(self, entity_id: int) -> Sequence[LinkedTweet]:
-        """:math:`D_e` — tweets linked to the entity."""
-        return self._tweets.get(entity_id, [])
+    def link_columns(self, entity_id: int) -> Columns:
+        """:math:`D_e` as its users, timestamps and tweet ids columns, in
+        link order — the stored arrays, for reading only."""
+        columns = self._columns.get(entity_id)
+        return _new_columns() if columns is None else columns
+
+    def tweets_of(self, entity_id: int) -> List[LinkedTweet]:
+        """:math:`D_e` — tweets linked to the entity, one record each."""
+        return list(itertools.starmap(LinkedTweet, zip(*self.link_columns(entity_id))))
 
     def count(self, entity_id: int) -> int:
         """:math:`count(e) = |D_e|` of Eq. 2."""
-        return len(self._tweets.get(entity_id, ()))
+        columns = self._columns.get(entity_id)
+        return 0 if columns is None else len(columns[0])
 
     def community(self, entity_id: int) -> Set[int]:
         """:math:`U_e` — users tweeting about the entity (Definition 6)."""
@@ -194,8 +271,9 @@ class ComplementedKnowledgebase:
         """:meth:`recent_count` of each entity of a group, in order: two
         bisections on the group's merged timeline and one ``bincount`` over
         the window.  The timeline is merged on the group's first read, kept
-        by :meth:`link_tweet` and dropped by :meth:`prune_before`, so there
-        is nothing for a caller to invalidate."""
+        by :meth:`link_tweet` and dropped by :meth:`bulk_link` and
+        :meth:`prune_before`, so there is nothing for a caller to
+        invalidate."""
         times, columns = self._timelines.get(entity_ids) or self._merge(entity_ids)
         low = bisect.bisect_left(times, now - window)
         high = bisect.bisect_right(times, now)
@@ -225,15 +303,14 @@ class ComplementedKnowledgebase:
 
     def linked_entities(self) -> List[int]:
         """Entity ids with at least one linked tweet."""
-        return list(self._tweets.keys())
+        return list(self._columns)
 
-    def iter_links(self) -> Iterator[Tuple[int, LinkedTweet]]:
-        """Every stored ``(entity_id, linked_tweet)`` pair, grouped by
-        entity in insertion order — the serialization feed for
-        :mod:`repro.kb.checkpoint`."""
-        for entity_id, records in self._tweets.items():
-            for record in records:
-                yield entity_id, record
+    def iter_links(self) -> Iterator[Link]:
+        """Every stored ``(entity_id, user, timestamp, tweet_id)`` record,
+        grouped by entity in insertion order — the serialization feed for
+        :mod:`repro.kb.checkpoint` and what :meth:`bulk_link` reloads."""
+        for entity_id, (users, times, tweet_ids) in self._columns.items():
+            yield from zip(itertools.repeat(entity_id), users, times, tweet_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -134,19 +134,18 @@ class PersonalizedSearchEngine:
         seen = set()
         scored: List[SearchHit] = []
         for candidate in linked:
-            for record in self._linker.ckb.tweets_of(candidate.entity_id):
-                if record.timestamp > now or record.tweet_id in seen:
+            _, times, tweet_ids = self._linker.ckb.link_columns(candidate.entity_id)
+            for timestamp, tweet_id in zip(times, tweet_ids):
+                if timestamp > now or tweet_id in seen:
                     continue  # never surface the future during replays
-                tweet = self._store.get(record.tweet_id)
+                tweet = self._store.get(tweet_id)
                 if tweet is None:
                     continue
-                seen.add(record.tweet_id)
+                seen.add(tweet_id)
                 scored.append(
                     SearchHit(
                         tweet=tweet,
-                        score=self._rank_score(
-                            record.tweet_id, record.timestamp, now, parsed
-                        ),
+                        score=self._rank_score(tweet_id, timestamp, now, parsed),
                         entity_id=candidate.entity_id,
                     )
                 )

@@ -116,7 +116,7 @@ def jordan_world(links):
     for entity_id in JORDAN_CANDIDATES:
         kb.add_surface_form("jordan", entity_id)
     ckb = ComplementedKnowledgebase(kb)
-    ckb.bulk_link(links)
+    ckb.bulk_link((*link, -1) for link in links)
     return ckb, DiGraph.from_edges(5, [(0, 1)])
 
 
@@ -137,9 +137,9 @@ def fresh_linker(linker):
 
 def rebuilt_linker(linker):
     """A linker built now over a complemented KB restored from a snapshot
-    of ``linker``'s (a replay of ``iter_links()``): nothing cached and no
-    merged timeline yet, so every ``recent_counts`` it makes is a first
-    read."""
+    of ``linker``'s (one ``bulk_link`` of ``iter_links()``): nothing cached
+    and no merged timeline yet, so every ``recent_counts`` it makes is a
+    first read."""
     ckb = restore(linker.ckb.kb, snapshot(linker.ckb))
     return SocialTemporalLinker(ckb, linker.graph, config=linker.config)
 

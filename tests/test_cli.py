@@ -189,6 +189,19 @@ class TestStream:
         # links, watermark, applied_ids and version
         assert load_checkpoint(part) == load_checkpoint(full)
 
+    def test_resume_from_a_link_the_kb_lacks_exits_typed(
+        self, world_file, tmp_path, caplog
+    ):
+        """A checkpoint that loads (its checksum holds) but names an entity
+        the world's KB lacks: one ``ERROR`` line and exit 1, no traceback."""
+        from repro.kb.checkpoint import StreamCheckpoint, save_checkpoint
+
+        path = str(tmp_path / "bad.json")
+        save_checkpoint(StreamCheckpoint(links=((10**6, 0, 0.0, -1),)), path)
+        code = main(["stream", "--world", world_file, "--checkpoint", path, "--resume"])
+        assert code == 1
+        assert "CheckpointCorruptError: checkpoint link 0" in caplog.text
+
 
 class TestBench:
     def test_smoke_bench_writes_valid_document(self, tmp_path, capsys):

@@ -1,20 +1,66 @@
 """Complemented knowledgebase (Definition 5) tests."""
 
+import hashlib
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DAY
+from repro.eval.context import build_experiment
+from repro.kb.checkpoint import snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.errors import IndexUnavailableError
 from repro.kb.knowledgebase import Knowledgebase
 from repro.testing.faults import FaultSchedule, FlakyKnowledgebase
 
 
+def kb_of(size: int) -> Knowledgebase:
+    kb = Knowledgebase()
+    for index in range(size):
+        kb.add_entity(f"entity {index}")
+    return kb
+
+
 @pytest.fixture
 def ckb():
-    kb = Knowledgebase()
-    kb.add_entity("a")
-    kb.add_entity("b")
-    return ComplementedKnowledgebase(kb)
+    return ComplementedKnowledgebase(kb_of(2))
+
+
+def state(ckb, groups):
+    """Everything a load writes, timestamps bit for bit (``-0.0`` ≠ ``0.0``)."""
+    entities = range(ckb.kb.num_entities)
+    return (
+        [
+            [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
+            for e in entities
+        ],
+        [[t.hex() for t in ckb._timestamps.get(e, ())] for e in entities],
+        [list(ckb.user_counts(e).items()) for e in entities],
+        [ckb.version(e) for e in entities],
+        ckb.total_links,
+        [
+            ckb.recent_counts(group, now, window).tolist()
+            for group in groups
+            for now in (0.0, 3.0, 6.0)
+            for window in (0.0, 2.0, 9.0)
+        ],
+        [(e, u, t.hex(), i) for e, u, t, i in snapshot(ckb).links],
+    )
+
+
+def digest(ckb) -> str:
+    """sha256 over every linked entity's rows, sorted timestamps, user
+    counts and version, then ``total_links``."""
+    sha = hashlib.sha256()
+    for e in ckb.linked_entities():
+        rows = [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
+        stamps = [t.hex() for t in ckb._timestamps[e]]
+        counts = list(ckb.user_counts(e).items())
+        sha.update(repr((e, rows, stamps, counts, ckb.version(e))).encode())
+    sha.update(repr(ckb.total_links).encode())
+    return sha.hexdigest()
 
 
 class TestLinking:
@@ -45,7 +91,7 @@ class TestLinking:
         assert ckb.user_counts(0) is ckb.user_counts(0)
 
     def test_bulk_link(self, ckb):
-        ckb.bulk_link([(0, 1, 0.0), (1, 2, 1.0)])
+        ckb.bulk_link([(0, 1, 0.0, -1), (1, 2, 1.0, -1)])
         assert ckb.total_links == 2
         assert ckb.linked_entities() == [0, 1]
 
@@ -53,6 +99,76 @@ class TestLinking:
         ckb.link_tweet(0, user=7, timestamp=42.0, tweet_id=99)
         record = ckb.tweets_of(0)[0]
         assert (record.user, record.timestamp, record.tweet_id) == (7, 42.0, 99)
+
+
+BULK_KB = kb_of(4)
+#: Overlapping recency groups over ``BULK_KB``, one member never linked to
+#: in most examples.
+BULK_GROUPS = ((0, 1), (1, 2, 3), (3,))
+# A small integer grid plus -0.0, so duplicate timestamps, out-of-order
+# arrivals and the equal-but-distinct -0.0 / 0.0 pair are all common.
+STAMPS = st.one_of(st.just(-0.0), st.integers(0, 6).map(float))
+RECORDS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), STAMPS, st.integers(-1, 50)),
+    max_size=30,
+)
+
+
+class TestBulkLink:
+    """``bulk_link`` writes each entity once; the state must be the one a
+    ``link_tweet`` per record leaves, bit for bit."""
+
+    @given(records=RECORDS, split=st.integers(0, 30), read_first=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_suffix_equals_sequential(self, records, split, read_first):
+        """The first ``split`` records go through ``link_tweet``, the rest
+        through one ``bulk_link``; with ``read_first`` every group's merged
+        timeline is live when the bulk load lands."""
+        sequential = ComplementedKnowledgebase(BULK_KB)
+        for record in records:
+            sequential.link_tweet(*record)
+        mixed = ComplementedKnowledgebase(BULK_KB)
+        for record in records[:split]:
+            mixed.link_tweet(*record)
+        if read_first:
+            for group in BULK_GROUPS:
+                mixed.recent_counts(group, 3.0, 2.0)
+        mixed.bulk_link(records[split:])
+        assert state(mixed, BULK_GROUPS) == state(sequential, BULK_GROUPS)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((5, 2, 2.0, -1), KeyError),
+            ((1, 2, math.nan, -1), ValueError),
+            ((1, 2, -math.inf, -1), ValueError),
+        ],
+    )
+    def test_one_bad_record_writes_nothing(self, ckb, bad, error):
+        ckb.link_tweet(0, user=1, timestamp=1.0)
+        ckb.recent_counts((0, 1), 1.0, 1.0)
+        before, epoch = state(ckb, [(0, 1)]), ckb.link_epoch.value
+        with pytest.raises(error, match=r"link 1 "):
+            ckb.bulk_link([(1, 2, 2.0, 7), bad, (0, 3, 3.0, 8)])
+        assert state(ckb, [(0, 1)]) == before
+        assert ckb.link_epoch.value == epoch
+
+    def test_keeps_the_records_own_objects(self, ckb):
+        """Communities share the callers' user ints, as ``link_tweet``
+        leaves them: the influence walk intersects them by identity."""
+        user, timestamp = int("1000001"), float("12.5")
+        ckb.bulk_link([(0, user, timestamp, -1)])
+        assert next(iter(ckb.user_counts(0))) is user
+        assert ckb._timestamps[0][0] is timestamp
+
+    def test_truth_complement_digest(self, small_world):
+        """The ``small_world`` truth complement, digest recorded from the
+        per-record loader this bulk load replaced."""
+        ckb = build_experiment(world=small_world, complement_method="truth").ckb
+        assert ckb.total_links == 3076
+        assert digest(ckb) == (
+            "26e26f9449925d5ecc8d774133a18517653c47d6bfb05a5881e855a0c014066f"
+        )
 
 
 class TestRecencyWindow:
@@ -120,7 +236,7 @@ class TestVersion:
         seen = [ckb.version(0)]
         ckb.link_tweet(0, user=1, timestamp=0.0)
         seen.append(ckb.version(0))
-        ckb.bulk_link([(0, 2, 10 * DAY), (0, 2, 11 * DAY)])
+        ckb.bulk_link([(0, 2, 10 * DAY, -1), (0, 2, 11 * DAY, -1)])
         seen.append(ckb.version(0))
         assert ckb.prune_before(5 * DAY) == 1
         seen.append(ckb.version(0))

@@ -119,7 +119,7 @@ def ckb_of(communities):
     ckb = ComplementedKnowledgebase(kb)
     for entity, counts in communities.items():
         for user, count in counts.items():
-            ckb.bulk_link([(entity, user, 0.0)] * count)
+            ckb.bulk_link([(entity, user, 0.0, -1)] * count)
     return ckb
 
 

@@ -272,7 +272,7 @@ WRITES = {
     "confirm_twice": (JORDAN_LINKS, _confirms(2)),
     "direct_ckb_write": (
         JORDAN_LINKS,
-        lambda warm, ckb: ckb.bulk_link([(0, 1, 10 * DAY)] * 5),
+        lambda warm, ckb: ckb.bulk_link([(0, 1, 10 * DAY, -1)] * 5),
     ),
     "prune": (PRUNE_LINKS, lambda warm, ckb: ckb.prune_before(1 * DAY)),
 }
@@ -288,7 +288,7 @@ def _confirm_a_neighbour(warm, ckb):
 CLUSTER_WRITES = {
     "confirm": _confirm_a_neighbour,
     "direct_ckb_write": lambda warm, ckb: ckb.bulk_link(
-        [(6, 11, 9 * DAY)] * 3 + [(0, 11, 8 * DAY)]
+        [(6, 11, 9 * DAY, -1)] * 3 + [(0, 11, 8 * DAY, -1)]
     ),
     "prune": lambda warm, ckb: ckb.prune_before(8 * DAY),
 }
@@ -349,7 +349,7 @@ class TestWarmEqualsFresh:
 
             def _read(self):
                 if self._reads == nth_read:
-                    self._inner.bulk_link([(0, 1, 10 * DAY)] * 5)
+                    self._inner.bulk_link([(0, 1, 10 * DAY, -1)] * 5)
                 self._reads += 1
 
             def user_counts(self, entity_id):

@@ -34,6 +34,7 @@ from repro.errors import (
 )
 from repro.graph.digraph import DiGraph
 from repro.kb.checkpoint import (
+    StreamCheckpoint,
     load_checkpoint,
     restore,
     save_checkpoint,
@@ -957,6 +958,32 @@ class TestCheckpointCorruptionMatrix:
             with open(path, "wb") as handle:
                 handle.write(bytes(mutated))
             self.assert_rejected_cleanly(path, tiny_kb, tiny_ckb, reference)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ((9, 10, 4.0 * DAY, -1), "unknown entity id 9"),
+            ((0, 10, math.nan, -1), "nan"),
+            ((0, 10, math.inf, -1), "inf"),
+        ],
+    )
+    def test_link_the_kb_cannot_hold(
+        self, tiny_kb, tiny_ckb, reference, tmp_path, bad, named
+    ):
+        """A link naming an unknown entity or a NaN / ±Infinity timestamp
+        survives JSON and its checksum (``json`` writes and reads ``NaN``
+        and ``Infinity``), so it loads; ``restore`` must refuse it typed,
+        naming the first such link."""
+        links = snapshot(tiny_ckb).links
+        middle = len(links) // 2
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(
+            StreamCheckpoint(links=links[:middle] + (bad,) + links[middle:]), path
+        )
+        loaded = load_checkpoint(path)
+        with pytest.raises(CheckpointCorruptError, match=f"link {middle} .*{named}"):
+            restore(tiny_kb, loaded)
+        assert_ckb_equal(tiny_ckb, reference)
 
     def test_valid_checkpoint_still_loads_after_matrix(
         self, tiny_kb, tiny_ckb, tmp_path
