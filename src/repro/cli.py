@@ -745,14 +745,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # serving front end (docs/serving.md)
 # ---------------------------------------------------------------------- #
-def _chaos_from_args(args: argparse.Namespace):
-    from repro.serve.tenants import ChaosConfig
-
-    if not args.chaos:
-        return ChaosConfig()
-    return ChaosConfig(error_rate=0.05, slow_rate=0.1, slow_ms=40.0)
-
-
 def _tenant_specs(args: argparse.Namespace):
     from repro.serve.admission import DEFAULT_CLASS
     from repro.serve.tenants import TenantSpec
@@ -780,7 +772,7 @@ def _admission_from_args(args: argparse.Namespace):
     ``--admission-classes 'gold=8:16,bronze=2:2'`` declares named classes
     (capacity:queue each); the default is the single class ``default=4:8``.
     """
-    from repro.serve.admission import AdmissionClass, ClassedAdmissionController
+    from repro.serve.admission import AdmissionClass, AdmissionController
 
     classes = []
     for entry in (piece.strip() for piece in args.admission_classes.split(",")):
@@ -800,7 +792,7 @@ def _admission_from_args(args: argparse.Namespace):
             )
         except ValueError as error:
             raise SystemExit(f"--admission-classes entry {entry!r}: {error}")
-    return ClassedAdmissionController(classes)
+    return AdmissionController(classes)
 
 
 def _build_serve_app(args: argparse.Namespace, clock, sleep, defer_release: bool):
@@ -813,7 +805,7 @@ def _build_serve_app(args: argparse.Namespace, clock, sleep, defer_release: bool
         world,
         _tenant_specs(args),
         clock=clock,
-        chaos=_chaos_from_args(args),
+        chaos=args.chaos,
         sleep=sleep,
     )
     app = ServeApp(
@@ -831,14 +823,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import serve_forever
 
-    chaos = _chaos_from_args(args)
     app, _ = _build_serve_app(
-        args, clock=_time.monotonic, sleep=_time.sleep if chaos.enabled else None,
+        args, clock=_time.monotonic, sleep=_time.sleep if args.chaos else None,
         defer_release=False,
     )
     print(
         f"serving tenants {', '.join(app.registry.names())} "
-        f"on http://{args.host}:{args.port} (chaos={'on' if chaos.enabled else 'off'}"
+        f"on http://{args.host}:{args.port} (chaos={'on' if args.chaos else 'off'}"
         f"{', admin' if args.admin_token else ''})"
     )
     serve_forever(app, host=args.host, port=args.port)
@@ -850,23 +841,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
     from repro.serve.client import run_http
     from repro.serve.load import (
-        LoadProfile,
         generate_requests,
         queries_from_dataset,
         run_inprocess,
     )
     from repro.serve.report import validate_load_document
+    from repro.serve.tenants import chaos_meta
     from repro.testing.faults import FakeClock
 
-    chaos = _chaos_from_args(args)
-    chaos_meta = {
-        "enabled": chaos.enabled,
-        "error_rate": chaos.error_rate,
-        "slow_rate": chaos.slow_rate,
-        "slow_ms": chaos.slow_ms,
-        "seed": chaos.seed,
-    }
-    profile = LoadProfile(base_rate=args.base_rate)
+    chaos = chaos_meta(args.chaos)
     specs = _tenant_specs(args)
     if args.url:
         world = load_world(args.world)
@@ -874,12 +857,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
             build_experiment(world=world, complement_method="truth").test_dataset
         )
         planned = generate_requests(
-            args.seed, args.requests, profile, [s.name for s in specs], queries
+            args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
         )
-        document = run_http(
-            args.url, planned, args.seed, profile, chaos_meta,
-            pool_size=args.pool,
-        )
+        document = run_http(args.url, planned, args.seed, chaos, pool_size=args.pool)
     else:
         clock = FakeClock()
         app, context = _build_serve_app(
@@ -887,22 +867,19 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
         queries = queries_from_dataset(context.test_dataset)
         planned = generate_requests(
-            args.seed, args.requests, profile, [s.name for s in specs], queries
+            args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
         )
-        document = run_inprocess(
-            app, clock, planned, args.seed, profile, chaos_meta
-        )
+        document = run_inprocess(app, clock, planned, args.seed, chaos)
     problems = validate_load_document(document)
     with open(args.out, "w", encoding="utf-8") as handle:
         _json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    outcomes = document["outcomes"]
+    outcomes, meta = document["outcomes"], document["meta"]
     print(format_table(
         [{"outcome": name, "count": count}
          for name, count in outcomes.items() if count],
-        title=f"{document['meta']['requests']} requests "
-              f"({document['meta']['mode']}, profile {profile.name}, "
-              f"shed_rate {document['shed_rate']})",
+        title=f"{meta['requests']} requests ({meta['mode']}, profile "
+              f"{meta['profile']}, shed_rate {document['shed_rate']})",
     ))
     print(f"report written to {args.out}")
     if problems:

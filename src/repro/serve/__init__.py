@@ -9,15 +9,10 @@ and deterministically (:mod:`repro.serve.load`) — and emits one
 schema-stable report either way.  See ``docs/serving.md``.
 """
 
-from repro.serve.admission import (
-    AdmissionClass,
-    AdmissionController,
-    ClassedAdmissionController,
-)
+from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.client import run_http
 from repro.serve.handlers import ServeApp, error_body, validate_error_body
 from repro.serve.load import (
-    LoadProfile,
     OutcomeAccounting,
     generate_requests,
     queries_from_dataset,
@@ -30,9 +25,7 @@ from repro.serve.report import (
 )
 from repro.serve.server import ReproHTTPServer, serve_forever
 from repro.serve.tenants import (
-    ChaosConfig,
     Tenant,
-    TenantProvisioner,
     TenantRegistry,
     TenantSpec,
     TokenBucket,
@@ -42,15 +35,11 @@ from repro.serve.tenants import (
 __all__ = [
     "AdmissionClass",
     "AdmissionController",
-    "ChaosConfig",
-    "ClassedAdmissionController",
     "LOAD_SCHEMA_VERSION",
-    "LoadProfile",
     "OutcomeAccounting",
     "ReproHTTPServer",
     "ServeApp",
     "Tenant",
-    "TenantProvisioner",
     "TenantRegistry",
     "TenantSpec",
     "TokenBucket",

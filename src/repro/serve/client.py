@@ -29,10 +29,9 @@ Mechanics:
   through the same :class:`~repro.serve.load.OutcomeAccounting` and
   report writer as the in-process mode — one schema, one validator.
 
-Wall-clock reads here are ``time.monotonic``/``time.sleep`` (injectable
-for tests); this is the live measurement edge, not the deterministic
-replay, so its latencies are real and its reports are not expected to be
-byte-stable across runs.
+Wall-clock reads here are ``time.monotonic``/``time.sleep``; this is the
+live measurement edge, not the deterministic replay, so its latencies
+are real and its reports are not expected to be byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -43,24 +42,20 @@ import queue
 import threading
 import time
 import urllib.parse
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.log import get_logger
-from repro.serve.handlers import validate_error_body
-from repro.serve.load import (
-    LoadProfile,
-    OutcomeAccounting,
-    PlannedRequest,
-    classify_outcome,
-)
-from repro.serve.report import build_load_document
+from repro.serve.load import OutcomeAccounting, PlannedRequest, classify_outcome
 
 __all__ = ["run_http"]
 
 _log = get_logger(__name__)
 
-#: (outcome, latency_s or None, invalid_error_body flag)
-_Result = Tuple[str, Optional[float], bool]
+#: Socket timeout of each worker connection, seconds.
+_TIMEOUT_S = 10.0
+
+#: (outcome, latency_s or None, the body of a non-200 response or None)
+_Result = Tuple[str, Optional[float], Optional[Dict[str, object]]]
 
 
 def _send(
@@ -80,12 +75,8 @@ def run_http(
     url: str,
     planned: List[PlannedRequest],
     seed: int,
-    profile: LoadProfile,
     chaos_meta: Dict[str, object],
     pool_size: int = 8,
-    timeout_s: float = 10.0,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Dict[str, object]:
     """Replay the seeded trace over real sockets, open-loop.
 
@@ -119,7 +110,7 @@ def run_http(
                 try:
                     if connection is None:
                         connection = http.client.HTTPConnection(
-                            hostname, port, timeout=timeout_s
+                            hostname, port, timeout=_TIMEOUT_S
                         )
                     status, payload = _send(connection, request)
                     break
@@ -132,18 +123,19 @@ def run_http(
                             "connection error on %s: %s", request.path, error
                         )
             if payload is None:
-                results[index] = ("connection_error", None, False)
+                results[index] = ("connection_error", None, None)
                 continue
             try:
                 document = json.loads(payload.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as error:
                 _log.warning("unparseable body on %s: %s", request.path, error)
-                results[index] = ("connection_error", None, False)
+                results[index] = ("connection_error", None, None)
                 continue
             outcome = classify_outcome(status, document)
-            invalid = status != 200 and bool(validate_error_body(document))
-            latency = clock() - arrived_at if status == 200 else None
-            results[index] = (outcome, latency, invalid)
+            if status == 200:
+                results[index] = (outcome, time.monotonic() - arrived_at, None)
+            else:
+                results[index] = (outcome, None, document)
         if connection is not None:
             connection.close()
 
@@ -153,41 +145,31 @@ def run_http(
     ]
     for thread in workers:
         thread.start()
-    started_run = clock()
+    started_run = time.monotonic()
     for index, request in enumerate(planned):
         target = started_run + request.at
         while True:
-            delay = target - clock()
+            delay = target - time.monotonic()
             if delay <= 0:
                 break
-            sleep(delay)
-        work.put((index, request, clock()))
+            time.sleep(delay)
+        work.put((index, request, time.monotonic()))
     for _ in workers:
         work.put(None)
     for thread in workers:
         thread.join()
-    duration = clock() - started_run
+    duration = time.monotonic() - started_run
 
     accounting = OutcomeAccounting()
-    invalid_total = 0
     for request, result in zip(planned, results):
         if result is None:  # pragma: no cover - a worker died mid-queue
             accounting.record(request, "connection_error", None)
             continue
-        outcome, latency, invalid = result
-        if invalid:
-            invalid_total += 1
+        outcome, latency, rejection = result
+        if rejection is not None:
+            accounting.check_error_body(rejection)
         accounting.record(request, outcome, latency)
-    return build_load_document(
-        mode="http",
-        seed=seed,
-        profile=profile.name,
-        chaos=chaos_meta,
-        outcomes=accounting.outcomes,
-        by_tenant=accounting.by_tenant,
-        latencies_s=accounting.latencies_s,
-        duration_s=duration,
-        tenant_latencies_s=accounting.tenant_latencies_s,
-        invalid_error_bodies=invalid_total,
+    return accounting.document(
+        "http", seed, chaos_meta, duration,
         client={"pool": pool_size, "open_loop": True},
     )

@@ -41,7 +41,7 @@ from repro.errors import (
     UnauthorizedError,
 )
 from repro.obs.metrics import METRICS, render_metrics_document
-from repro.serve.admission import ClassedAdmissionController
+from repro.serve.admission import AdmissionController
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
 
 __all__ = [
@@ -156,13 +156,13 @@ class ServeApp:
     def __init__(
         self,
         registry: TenantRegistry,
-        admission: Optional[ClassedAdmissionController] = None,
+        admission: Optional[AdmissionController] = None,
         clock: Callable[[], float] = time.monotonic,
         defer_release: bool = False,
         admin_token: Optional[str] = None,
     ) -> None:
         self.registry = registry
-        self.admission = admission or ClassedAdmissionController()
+        self.admission = admission or AdmissionController()
         self._clock = clock
         self._defer_release = defer_release
         self._admin_token = admin_token
@@ -287,17 +287,14 @@ class ServeApp:
             self._require_known_class(spec)
         except ValueError as error:
             raise BadRequestError(str(error)) from error
-        provisioner = self.registry.provisioner
-        if provisioner is None:
-            raise ServeError(
-                "tenant hot-add is unavailable: this server was wired "
-                "without a provisioner"
-            )
-        tenant = provisioner.create(spec)
         try:
-            self.registry.add(tenant)
-        except ValueError as error:
-            raise BadRequestError(str(error)) from error
+            # a taken name is the registry's typed 400 and passes through;
+            # what the build itself raises is a 503 naming the tenant
+            tenant = self.registry.add(spec)
+        except (KeyError, ValueError) as error:
+            raise ServeError(
+                f"tenant {spec.name!r} could not be provisioned: {error}"
+            ) from error
         METRICS.incr("serve.admin.tenant_added")
         return 200, {
             "schema_version": ADMIN_SCHEMA_VERSION,

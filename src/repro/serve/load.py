@@ -19,11 +19,11 @@ traffic generator (:func:`generate_requests`), one outcome accounting
   arrivals are paced against the wall clock and never gated on
   responses, so overload actually overloads the server.
 
-Traffic profiles are seeded non-homogeneous Poisson arrivals: *diurnal*
-modulates the base rate sinusoidally, *spike* overlays square bursts,
-*bursty* (default) composes both.  A seeded slice of requests is malformed
-on purpose (bad JSON, missing fields, out-of-universe users, unknown
-tenants) to prove the error path stays typed under load.
+Traffic is one seeded non-homogeneous Poisson shape, *bursty*: a
+diurnal sinusoid over the base rate with square spikes on top.  A seeded
+slice of requests is malformed on purpose (bad JSON, missing fields,
+out-of-universe users, unknown tenants) to prove the error path stays
+typed under load.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.testing stays opt
     from repro.testing.faults import FakeClock
 
 __all__ = [
-    "LoadProfile",
     "OutcomeAccounting",
     "PlannedRequest",
+    "arrival_rate",
     "classify_outcome",
     "generate_requests",
     "run_inprocess",
@@ -54,37 +54,32 @@ __all__ = [
 _log = get_logger(__name__)
 
 
-@dataclasses.dataclass(frozen=True)
-class LoadProfile:
-    """Shape of the synthetic arrival process."""
-
-    name: str = "bursty"
-    #: Long-run mean arrival rate (requests/second) before modulation.
-    base_rate: float = 200.0
-    #: Diurnal modulation amplitude in [0, 1) and period in seconds.
-    diurnal_amplitude: float = 0.6
-    diurnal_period_s: float = 60.0
-    #: Square spikes: every ``spike_every_s`` the rate multiplies by
-    #: ``spike_factor`` for ``spike_length_s``.
-    spike_factor: float = 4.0
-    spike_every_s: float = 20.0
-    spike_length_s: float = 2.0
-    #: Fraction of requests deliberately malformed / mis-addressed.
-    malformed_rate: float = 0.05
-
-    def rate_at(self, t: float) -> float:
-        rate = self.base_rate
-        if self.name in ("diurnal", "bursty"):
-            rate *= 1.0 + self.diurnal_amplitude * math.sin(
-                2.0 * math.pi * t / self.diurnal_period_s
-            )
-        if self.name in ("spike", "bursty"):
-            if (t % self.spike_every_s) < self.spike_length_s:
-                rate *= self.spike_factor
-        return max(rate, 1e-6)
+#: The arrival shape's name, as the report's ``meta.profile`` gives it.
+PROFILE_NAME = "bursty"
+#: Diurnal modulation amplitude in [0, 1) and period in seconds.
+DIURNAL_AMPLITUDE = 0.6
+DIURNAL_PERIOD_S = 60.0
+#: Square spikes: every ``SPIKE_EVERY_S`` the rate multiplies by
+#: ``SPIKE_FACTOR`` for ``SPIKE_LENGTH_S``.
+SPIKE_FACTOR = 4.0
+SPIKE_EVERY_S = 20.0
+SPIKE_LENGTH_S = 2.0
+#: Fraction of requests deliberately malformed / mis-addressed.
+MALFORMED_RATE = 0.05
 
 
-PROFILE_NAMES = ("diurnal", "spike", "bursty")
+def arrival_rate(t: float, base_rate: float) -> float:
+    """The bursty shape's rate at ``t`` around a long-run ``base_rate``."""
+    rate = base_rate * (
+        1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / DIURNAL_PERIOD_S)
+    )
+    if (t % SPIKE_EVERY_S) < SPIKE_LENGTH_S:
+        rate *= SPIKE_FACTOR
+    return max(rate, 1e-6)
+
+
+#: Distinct ``(surface, user, now)`` triples a trace samples from.
+QUERY_LIMIT = 512
 
 #: Simulated per-request service cost of the in-process replay, seconds
 #: (what ``tests/golden/LOAD_inprocess_golden.json`` was recorded at).
@@ -146,7 +141,7 @@ def _malformed(mode: str, tenant: str, user: int, surface: str, now: float) -> T
 def generate_requests(
     seed: int,
     count: int,
-    profile: LoadProfile,
+    base_rate: float,
     tenants: List[str],
     queries: List[Tuple[str, int, float]],
 ) -> List[PlannedRequest]:
@@ -168,10 +163,10 @@ def generate_requests(
         # rate: adequate for a piecewise-slowly-varying profile and
         # exactly reproducible, which is what the gate cares about.
         u = rng.random()
-        t += -math.log(1.0 - u) / profile.rate_at(t)
+        t += -math.log(1.0 - u) / arrival_rate(t, base_rate)
         surface, user, now = queries[rng.randrange(len(queries))]
         tenant = tenants[rng.randrange(len(tenants))]
-        if rng.random() < profile.malformed_rate:
+        if rng.random() < MALFORMED_RATE:
             mode = MALFORMED_MODES[index % len(MALFORMED_MODES)]
             path, body, counted_tenant = _malformed(mode, tenant, user, surface, now)
             planned.append(
@@ -191,13 +186,13 @@ def generate_requests(
     return planned
 
 
-def queries_from_dataset(dataset, limit: int = 512) -> List[Tuple[str, int, float]]:
+def queries_from_dataset(dataset) -> List[Tuple[str, int, float]]:
     """``(surface, user, now)`` triples from a test split, stable order."""
     queries: List[Tuple[str, int, float]] = []
     for tweet in dataset.tweets:
         for mention in tweet.mentions:
             queries.append((mention.surface, tweet.user, tweet.timestamp))
-            if len(queries) >= limit:
+            if len(queries) >= QUERY_LIMIT:
                 return queries
     return queries
 
@@ -244,13 +239,35 @@ class OutcomeAccounting:
         if validate_error_body(document):
             self.invalid_error_bodies += 1
 
+    def document(
+        self,
+        mode: str,
+        seed: int,
+        chaos_meta: Dict[str, object],
+        duration_s: float,
+        client: Optional[Dict[str, object]] = None,
+    ) -> Dict[str, object]:
+        """The load report of everything recorded."""
+        return build_load_document(
+            mode=mode,
+            seed=seed,
+            profile=PROFILE_NAME,
+            chaos=chaos_meta,
+            outcomes=self.outcomes,
+            by_tenant=self.by_tenant,
+            latencies_s=self.latencies_s,
+            duration_s=duration_s,
+            tenant_latencies_s=self.tenant_latencies_s,
+            invalid_error_bodies=self.invalid_error_bodies,
+            client=client,
+        )
+
 
 def run_inprocess(
     app: ServeApp,
     clock: FakeClock,
     planned: List[PlannedRequest],
     seed: int,
-    profile: LoadProfile,
     chaos_meta: Dict[str, object],
 ) -> Dict[str, object]:
     """Deterministic single-queue replay against a deferring ``ServeApp``.
@@ -296,16 +313,4 @@ def run_inprocess(
     while completions:
         _, admission_class = heapq.heappop(completions)
         app.admission.release(admission_class)
-    duration = clock() - run_started
-    return build_load_document(
-        mode="inprocess",
-        seed=seed,
-        profile=profile.name,
-        chaos=chaos_meta,
-        outcomes=accounting.outcomes,
-        by_tenant=accounting.by_tenant,
-        latencies_s=accounting.latencies_s,
-        duration_s=duration,
-        tenant_latencies_s=accounting.tenant_latencies_s,
-        invalid_error_bodies=accounting.invalid_error_bodies,
-    )
+    return accounting.document("inprocess", seed, chaos_meta, clock() - run_started)

@@ -105,7 +105,6 @@ def build_load_document(
     by_tenant: Dict[str, Dict[str, int]],
     latencies_s: List[float],
     duration_s: float,
-    tool: str = "repro load",
     tenant_latencies_s: Optional[Dict[str, List[float]]] = None,
     invalid_error_bodies: int = 0,
     client: Optional[Dict[str, object]] = None,
@@ -127,7 +126,7 @@ def build_load_document(
     return {
         "meta": {
             "schema_version": LOAD_SCHEMA_VERSION,
-            "tool": tool,
+            "tool": "repro load",
             "mode": mode,
             "seed": seed,
             "requests": total,

@@ -10,6 +10,13 @@ never affects a neighbor — the isolation boundary is the namespace.
 Everything takes an injected ``clock`` so the deterministic load harness
 (:mod:`repro.serve.load`) can replay identical traffic byte-for-byte;
 the live server passes ``time.monotonic``.
+
+Chaos is on or off: when on, every tenant's reachability provider gets
+seeded faults at the ``CHAOS_*`` constants below (what ``--chaos``
+means).  Each tenant derives its own schedule from ``CHAOS_SEED`` and
+its index, so chaos is reproducible per tenant regardless of arrival
+interleaving; the slowness advances a virtual clock, or really sleeps
+in live mode.
 """
 
 from __future__ import annotations
@@ -22,18 +29,28 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
-from repro.errors import UnknownTenantError
+from repro.errors import BadRequestError, UnknownTenantError
 from repro.resilience.breaker import CircuitBreaker
 
 __all__ = [
-    "ChaosConfig",
+    "CHAOS_ERROR_RATE",
+    "CHAOS_SEED",
+    "CHAOS_SLOW_MS",
+    "CHAOS_SLOW_RATE",
     "Tenant",
-    "TenantProvisioner",
     "TenantRegistry",
     "TenantSpec",
     "TokenBucket",
     "build_tenant_registry",
+    "chaos_meta",
 ]
+
+#: Under chaos: share of index calls that fail (what trips breakers) ...
+CHAOS_ERROR_RATE = 0.05
+#: ... and share that take ``CHAOS_SLOW_MS`` (what exhausts deadlines).
+CHAOS_SLOW_RATE = 0.1
+CHAOS_SLOW_MS = 40.0
+CHAOS_SEED = 0
 
 
 class TokenBucket:
@@ -69,21 +86,20 @@ class TokenBucket:
             self._tokens = min(self._capacity, self._tokens + elapsed * self._rate)
         self._refilled_at = now
 
-    def try_acquire(self, amount: float = 1.0) -> bool:
-        """Take ``amount`` tokens if available; never blocks."""
+    def try_acquire(self) -> bool:
+        """Take one token if available; never blocks."""
         with self._lock:
             self._refill(self._clock())
-            if self._tokens >= amount:
-                self._tokens -= amount
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return True
             return False
 
-    def retry_after(self, amount: float = 1.0) -> float:
-        """Seconds until ``amount`` tokens will have refilled."""
+    def retry_after(self) -> float:
+        """Seconds until one token will have refilled."""
         with self._lock:
             self._refill(self._clock())
-            missing = amount - self._tokens
-            return max(0.0, missing / self._rate)
+            return max(0.0, (1.0 - self._tokens) / self._rate)
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -135,28 +151,6 @@ class TenantSpec:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class ChaosConfig:
-    """Seeded fault wiring applied to every tenant's reachability provider.
-
-    ``error_rate`` injects transient index failures (what trips the
-    breaker); ``slow_rate``/``slow_ms`` makes a fraction of index calls
-    slow (what exhausts deadline budgets).  In deterministic mode the
-    slowness advances the injected clock; in live mode it really sleeps.
-    Each tenant derives its own schedule from ``seed`` and its index, so
-    chaos is reproducible per-tenant regardless of arrival interleaving.
-    """
-
-    error_rate: float = 0.0
-    slow_rate: float = 0.0
-    slow_ms: float = 0.0
-    seed: int = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.error_rate > 0.0 or (self.slow_rate > 0.0 and self.slow_ms > 0.0)
-
-
 class Tenant:
     """One fully wired tenant namespace."""
 
@@ -196,7 +190,15 @@ class Tenant:
 
 
 class TenantRegistry:
-    """Name → :class:`Tenant` lookup with a typed miss.
+    """Name → :class:`Tenant` lookup with a typed miss; it also wires
+    every tenant it hosts.
+
+    The heavy read-side structures (reachability provider, recency
+    propagation network, dataset catalog) come from one shared
+    ``context``; :meth:`add` wires a fresh namespace over them — its own
+    complemented KB, breaker, deadline budget, token bucket and (under
+    chaos) its own seeded fault schedule — so a hot-added tenant is
+    indistinguishable from a boot-time one.
 
     The tenant map is mutable at runtime — the admin endpoint hot-adds
     and hot-removes namespaces while the threaded HTTP server keeps
@@ -204,21 +206,26 @@ class TenantRegistry:
     already resolved their :class:`Tenant` keep using it after a remove
     (its linker, bucket and breaker stay functional); only *new* lookups
     see the typed 404.
+
+    Chaos seeds derive from a monotone per-registry counter: boot tenants
+    take indexes 0..n-1 in spec order and each hot-add takes the next
+    index, so churn never re-deals an existing schedule.
     """
 
-    def __init__(self, tenants: List[Tenant]) -> None:
-        if not tenants:
-            raise ValueError("a server needs at least one tenant")
+    def __init__(
+        self,
+        context,
+        clock: Callable[[], float],
+        chaos: bool,
+        sleep: Optional[Callable[[float], None]],
+    ) -> None:
+        self._context = context
+        self._clock = clock
+        self._chaos = chaos
+        self._sleep = sleep
+        self._next_index = 0
         self._lock = threading.RLock()
         self._tenants: Dict[str, Tenant] = {}
-        #: Optional :class:`TenantProvisioner` (set by
-        #: :func:`build_tenant_registry`) that the admin endpoint uses to
-        #: wire brand-new namespaces over the shared world.
-        self.provisioner: Optional["TenantProvisioner"] = None
-        for tenant in tenants:
-            if tenant.name in self._tenants:
-                raise ValueError(f"duplicate tenant name {tenant.name!r}")
-            self._tenants[tenant.name] = tenant
 
     def get(self, name: str) -> Tenant:
         with self._lock:
@@ -230,12 +237,82 @@ class TenantRegistry:
                 )
             return tenant
 
-    def add(self, tenant: Tenant) -> None:
-        """Hot-add a tenant; duplicate names are a caller error."""
+    def add(self, spec: TenantSpec) -> Tenant:
+        """Wire and host one tenant; a taken name is a typed 400.
+
+        The name is checked before the (costly) build and again at the
+        insert, which stays the authority when two adds race.
+        """
         with self._lock:
-            if tenant.name in self._tenants:
-                raise ValueError(f"duplicate tenant name {tenant.name!r}")
-            self._tenants[tenant.name] = tenant
+            self._require_free(spec.name)
+            index = self._next_index
+            self._next_index += 1
+        tenant = self._build(spec, index)
+        with self._lock:
+            self._require_free(spec.name)
+            self._tenants[spec.name] = tenant
+        return tenant
+
+    def _require_free(self, name: str) -> None:
+        if name in self._tenants:
+            raise BadRequestError(f"duplicate tenant name {name!r}")
+
+    def _build(self, spec: TenantSpec, index: int) -> Tenant:
+        from repro.eval.context import complement_knowledgebase
+
+        context = self._context
+        world = context.world
+        config: LinkerConfig = context.config
+        provider = context.reachability_index
+        if self._chaos:
+            # Lazy import: repro.testing is opt-in wiring, never a cost of
+            # the fault-free serving path.
+            from repro.testing.faults import (
+                FakeClock,
+                FaultSchedule,
+                FlakyReachabilityProvider,
+            )
+
+            provider = FlakyReachabilityProvider(
+                provider,
+                schedule=FaultSchedule(
+                    seed=CHAOS_SEED * 1000 + index, error_rate=CHAOS_ERROR_RATE
+                ),
+                # a virtual clock takes the slowness; a real one cannot be
+                # advanced, so live runs get it from ``sleep``
+                clock=self._clock if isinstance(self._clock, FakeClock) else None,
+                slow_schedule=FaultSchedule(
+                    seed=CHAOS_SEED * 1000 + index + 500,
+                    error_rate=CHAOS_SLOW_RATE,
+                ),
+                slow_latency=CHAOS_SLOW_MS / 1000.0,
+                sleep=self._sleep,
+            )
+        breaker = CircuitBreaker(
+            failure_threshold=spec.failure_threshold,
+            recovery_timeout=spec.recovery_timeout,
+            clock=self._clock,
+        )
+        linker = SocialTemporalLinker(
+            complement_knowledgebase(
+                world, context.catalog.dataset(context.threshold), method="truth"
+            ),
+            world.graph,
+            config=dataclasses.replace(config, deadline_ms=spec.deadline_ms),
+            reachability=provider,
+            propagation_network=(
+                context.propagation_network if config.recency_propagation else None
+            ),
+            breaker=breaker,
+            clock=self._clock,
+        )
+        return Tenant(
+            spec=spec,
+            linker=linker,
+            breaker=breaker,
+            bucket=TokenBucket(rate=spec.rate, capacity=spec.burst, clock=self._clock),
+            num_users=world.num_users,
+        )
 
     def remove(self, name: str) -> Tenant:
         """Hot-remove and return a tenant; unknown names get a typed 404."""
@@ -260,166 +337,39 @@ class TenantRegistry:
         return [tenant.snapshot() for tenant in self.tenants()]
 
 
-class TenantProvisioner:
-    """Builds fully wired tenant namespaces over one shared world.
-
-    The heavy read-side structures (reachability provider, recency
-    propagation network, dataset catalog) are captured once; every
-    :meth:`create` call wires a fresh namespace — its own complemented
-    KB, breaker, deadline budget, token bucket and (under chaos) its own
-    seeded fault schedule.  The admin endpoint uses the same provisioner
-    at runtime, so a hot-added tenant is indistinguishable from a
-    boot-time one.
-
-    Chaos seeds derive from a monotone per-provisioner counter: boot
-    tenants take indexes 0..n-1 in spec order (exactly the pre-refactor
-    assignment, keeping seeded replays byte-identical) and each hot-add
-    takes the next index, so churn never re-deals an existing schedule.
-    """
-
-    def __init__(
-        self,
-        world,
-        context,
-        clock: Callable[[], float],
-        chaos: Optional[ChaosConfig],
-        sleep: Optional[Callable[[float], None]],
-        threshold: int,
-    ) -> None:
-        self._world = world
-        self._context = context
-        self._config: LinkerConfig = context.config
-        self._clock = clock
-        self._chaos = chaos
-        self._sleep = sleep
-        self._threshold = threshold
-        self._propagation = (
-            context.propagation_network if self._config.recency_propagation else None
-        )
-        self._next_index = 0
-        self._lock = threading.Lock()
-
-    def create(self, spec: TenantSpec) -> Tenant:
-        """Wire one tenant namespace from its spec."""
-        with self._lock:
-            index = self._next_index
-            self._next_index += 1
-        from repro.eval.context import complement_knowledgebase
-
-        provider = self._context.reachability_index
-        if self._chaos is not None and self._chaos.enabled:
-            # Lazy import: repro.testing is opt-in wiring, never a cost of
-            # the fault-free serving path.
-            from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider
-
-            clock_shim = _AdvanceShim(self._clock, self._sleep)
-            provider = FlakyReachabilityProvider(
-                provider,
-                schedule=FaultSchedule(
-                    seed=self._chaos.seed * 1000 + index,
-                    error_rate=self._chaos.error_rate,
-                ),
-                clock=clock_shim if clock_shim.advances else None,
-                slow_schedule=FaultSchedule(
-                    seed=self._chaos.seed * 1000 + index + 500,
-                    error_rate=self._chaos.slow_rate,
-                ),
-                slow_latency=self._chaos.slow_ms / 1000.0,
-                sleep=self._sleep,
-            )
-        tenant_ckb = complement_knowledgebase(
-            self._world,
-            self._context.catalog.dataset(self._threshold),
-            method="truth",
-        )
-        tenant_config = dataclasses.replace(
-            self._config, deadline_ms=spec.deadline_ms
-        )
-        breaker = CircuitBreaker(
-            failure_threshold=spec.failure_threshold,
-            recovery_timeout=spec.recovery_timeout,
-            clock=self._clock,
-        )
-        linker = SocialTemporalLinker(
-            tenant_ckb,
-            self._world.graph,
-            config=tenant_config,
-            reachability=provider,
-            propagation_network=self._propagation,
-            breaker=breaker,
-            clock=self._clock,
-        )
-        bucket = TokenBucket(
-            rate=spec.rate, capacity=spec.burst, clock=self._clock
-        )
-        return Tenant(
-            spec=spec,
-            linker=linker,
-            breaker=breaker,
-            bucket=bucket,
-            num_users=self._world.num_users,
-        )
-
-
 def build_tenant_registry(
     world,
     specs: List[TenantSpec],
     config: Optional[LinkerConfig] = None,
     clock: Callable[[], float] = time.monotonic,
-    chaos: Optional[ChaosConfig] = None,
+    chaos: bool = False,
     sleep: Optional[Callable[[float], None]] = None,
-    threshold: int = 10,
 ) -> Tuple[TenantRegistry, object]:
     """Wire one tenant per spec over a shared world.
 
     Returns ``(registry, context)``; the context is handed back so
     callers can reuse the catalog (e.g. the load harness samples request
-    surfaces from the same test split the tenants were built from).  The
-    registry carries the :class:`TenantProvisioner` it was built with, so
-    the admin endpoint can hot-add namespaces over the same shared world.
+    surfaces from the same test split the tenants were built from).
     """
+    if not specs:
+        raise ValueError("a server needs at least one tenant")
     from repro.eval.context import build_experiment
 
     context = build_experiment(
-        world=world,
-        threshold=threshold,
-        complement_method="truth",
-        config=config or DEFAULT_CONFIG,
+        world=world, complement_method="truth", config=config or DEFAULT_CONFIG
     )
-    provisioner = TenantProvisioner(
-        world,
-        context,
-        clock=clock,
-        chaos=chaos,
-        sleep=sleep,
-        threshold=threshold,
-    )
-    registry = TenantRegistry([provisioner.create(spec) for spec in specs])
-    registry.provisioner = provisioner
+    registry = TenantRegistry(context, clock=clock, chaos=chaos, sleep=sleep)
+    for spec in specs:
+        registry.add(spec)
     return registry, context
 
 
-class _AdvanceShim:
-    """Adapt an arbitrary clock to the ``FakeClock.advance`` protocol.
-
-    The fault wrappers advance a :class:`~repro.testing.faults.FakeClock`
-    to model latency.  A real clock cannot be advanced — in live mode the
-    slowness comes from ``sleep`` instead — so the shim only forwards
-    ``advance`` when the underlying clock supports it.
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        sleep: Optional[Callable[[float], None]],
-    ) -> None:
-        self._clock = clock
-        self._sleep = sleep
-        self.advances = hasattr(clock, "advance")
-
-    def __call__(self) -> float:
-        return self._clock()
-
-    def advance(self, seconds: float) -> None:
-        if self.advances:
-            self._clock.advance(seconds)  # type: ignore[attr-defined]
+def chaos_meta(enabled: bool) -> Dict[str, object]:
+    """The ``meta.chaos`` section of a load report."""
+    return {
+        "enabled": enabled,
+        "error_rate": CHAOS_ERROR_RATE if enabled else 0.0,
+        "slow_rate": CHAOS_SLOW_RATE if enabled else 0.0,
+        "slow_ms": CHAOS_SLOW_MS if enabled else 0.0,
+        "seed": CHAOS_SEED,
+    }

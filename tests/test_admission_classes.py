@@ -1,9 +1,9 @@
 """Per-tenant admission classes: isolation, accounting, back-compat.
 
-The classed controller partitions in-flight work into named classes
-(``gold``/``bronze``), each an independent bounded controller — so a
-bronze tenant saturating its class can never shed a gold tenant's
-request.  The integration half drives a real :class:`ServeApp` with
+The admission controller partitions in-flight work into named classes
+(``gold``/``bronze``), each with its own bound — so a bronze tenant
+saturating its class can never shed a gold tenant's request.  The
+integration half drives a real :class:`ServeApp` with
 ``defer_release=True`` so slots are held across requests and the
 isolation boundary is observable from status codes alone.
 """
@@ -13,11 +13,8 @@ import json
 import pytest
 
 from repro.errors import OverloadedError
-from repro.serve.admission import (
-    DEFAULT_CLASS,
-    AdmissionClass,
-    ClassedAdmissionController,
-)
+from repro.obs.metrics import METRICS
+from repro.serve.admission import DEFAULT_CLASS, AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp
 from repro.serve.tenants import TenantSpec, build_tenant_registry
 from repro.testing.faults import FakeClock
@@ -36,22 +33,23 @@ class TestAdmissionClass:
 
 class TestClassedAdmissionController:
     def build(self):
-        return ClassedAdmissionController([
+        return AdmissionController([
             AdmissionClass(name="gold", capacity=2, queue_limit=1),
             AdmissionClass(name="bronze", capacity=1, queue_limit=0),
         ])
 
     def test_empty_config_gets_default_class(self):
-        admission = ClassedAdmissionController()
+        admission = AdmissionController()
         assert admission.names() == [DEFAULT_CLASS]
-        admission.admit()  # default class, default args
+        admission.admit(DEFAULT_CLASS)
         assert admission.pending == 1
-        admission.release()
+        assert admission.snapshot()["classes"][DEFAULT_CLASS]["capacity"] == 8
+        admission.release(DEFAULT_CLASS)
         assert admission.pending == 0
 
     def test_duplicate_class_rejected(self):
         with pytest.raises(ValueError):
-            ClassedAdmissionController(
+            AdmissionController(
                 [AdmissionClass(name="gold"), AdmissionClass(name="gold")]
             )
 
@@ -73,8 +71,9 @@ class TestClassedAdmissionController:
         admission.admit("bronze")
         admission.release("bronze")
         admission.admit("bronze")  # does not raise
-        assert admission.controller("bronze").pending == 1
-        assert admission.controller("gold").pending == 0
+        classes = admission.snapshot()["classes"]
+        assert classes["bronze"]["pending"] == 1
+        assert classes["gold"]["pending"] == 0
 
     def test_unknown_class_is_a_wiring_bug(self):
         admission = self.build()
@@ -88,6 +87,18 @@ class TestClassedAdmissionController:
         admission.admit("gold")
         admission.admit("bronze")
         assert admission.pending == 2
+
+    def test_pending_gauge_counts_every_class(self):
+        admission = AdmissionController([
+            AdmissionClass(name="gold", capacity=4, queue_limit=4),
+            AdmissionClass(name="bronze", capacity=1, queue_limit=1),
+        ])
+        for _ in range(3):
+            admission.admit("gold")
+        admission.admit("bronze")
+        admission.release("bronze")
+        # the gauge is the server's, not the last class touched
+        assert METRICS.gauge_value("serve.pending") == 3.0
 
     def test_snapshot_aggregates_and_breaks_down(self):
         admission = self.build()
@@ -106,14 +117,14 @@ class TestClassedAdmissionController:
         assert json.loads(json.dumps(snap, sort_keys=True)) == snap
 
     def test_explicit_default_class_is_the_unnamed_class(self):
-        admission = ClassedAdmissionController(
+        admission = AdmissionController(
             [AdmissionClass(DEFAULT_CLASS, capacity=1, queue_limit=0)]
         )
         assert admission.names() == [DEFAULT_CLASS]
-        admission.admit()
-        assert admission.controller(DEFAULT_CLASS).pending == 1
+        admission.admit(DEFAULT_CLASS)
+        assert admission.snapshot()["classes"][DEFAULT_CLASS]["pending"] == 1
         with pytest.raises(OverloadedError):
-            admission.admit()
+            admission.admit(DEFAULT_CLASS)
 
 
 class TestServeAppClassIsolation:
@@ -130,7 +141,7 @@ class TestServeAppClassIsolation:
             ],
             clock=clock,
         )
-        admission = ClassedAdmissionController([
+        admission = AdmissionController([
             AdmissionClass(name="gold", capacity=2, queue_limit=0),
             AdmissionClass(name="bronze", capacity=1, queue_limit=0),
         ])
@@ -185,9 +196,7 @@ class TestServeAppClassIsolation:
         with pytest.raises(ValueError, match="unknown admission class"):
             ServeApp(
                 registry,
-                admission=ClassedAdmissionController(
-                    [AdmissionClass(name="gold")]
-                ),
+                admission=AdmissionController([AdmissionClass(name="gold")]),
                 clock=clock,
             )
 

@@ -9,14 +9,15 @@ produce byte-identical reports.
 """
 
 import json
+import math
 
 import pytest
 
-from repro.serve.admission import AdmissionClass, ClassedAdmissionController
+from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp
 from repro.serve.load import (
     MALFORMED_MODES,
-    LoadProfile,
+    arrival_rate,
     generate_requests,
     queries_from_dataset,
     run_inprocess,
@@ -28,17 +29,11 @@ from repro.serve.report import (
     validate_load_document,
     zero_outcomes,
 )
-from repro.serve.tenants import ChaosConfig, TenantSpec, build_tenant_registry
+from repro.serve.tenants import TenantSpec, build_tenant_registry, chaos_meta
 from repro.testing.faults import FakeClock
 
-CHAOS = ChaosConfig(error_rate=0.05, slow_rate=0.1, slow_ms=40.0, seed=3)
-CHAOS_META = {
-    "enabled": True, "error_rate": 0.05, "slow_rate": 0.1,
-    "slow_ms": 40.0, "seed": 3,
-}
 
-
-def build_app(world, clock, chaos=None):
+def build_app(world, clock, chaos=False):
     """2x-overload wiring: arrivals average twice the per-tenant rate."""
     registry, context = build_tenant_registry(
         world,
@@ -51,7 +46,7 @@ def build_app(world, clock, chaos=None):
     )
     app = ServeApp(
         registry,
-        admission=ClassedAdmissionController(
+        admission=AdmissionController(
             [AdmissionClass("default", capacity=4, queue_limit=8)]
         ),
         clock=clock,
@@ -60,16 +55,14 @@ def build_app(world, clock, chaos=None):
     return app, context
 
 
-def run_once(world, requests=600, chaos=None, seed=17):
+def run_once(world, requests=600, chaos=False, seed=17):
     clock = FakeClock()
     app, context = build_app(world, clock, chaos=chaos)
-    profile = LoadProfile(base_rate=100.0)
     planned = generate_requests(
-        seed, requests, profile, ["alpha", "beta"],
+        seed, requests, 100.0, ["alpha", "beta"],
         queries_from_dataset(context.test_dataset),
     )
-    meta = CHAOS_META if chaos else {"enabled": False}
-    return run_inprocess(app, clock, planned, seed, profile, meta)
+    return run_inprocess(app, clock, planned, seed, chaos_meta(chaos))
 
 
 # ---------------------------------------------------------------------- #
@@ -79,47 +72,42 @@ class TestTrafficGeneration:
     QUERIES = [("jordan", 1, 100.0), ("bulls", 2, 200.0)]
 
     def test_same_seed_same_trace(self):
-        profile = LoadProfile()
-        a = generate_requests(7, 200, profile, ["t"], self.QUERIES)
-        b = generate_requests(7, 200, profile, ["t"], self.QUERIES)
+        a = generate_requests(7, 200, 200.0, ["t"], self.QUERIES)
+        b = generate_requests(7, 200, 200.0, ["t"], self.QUERIES)
         assert a == b
 
     def test_different_seed_different_trace(self):
-        profile = LoadProfile()
-        a = generate_requests(7, 200, profile, ["t"], self.QUERIES)
-        b = generate_requests(8, 200, profile, ["t"], self.QUERIES)
+        a = generate_requests(7, 200, 200.0, ["t"], self.QUERIES)
+        b = generate_requests(8, 200, 200.0, ["t"], self.QUERIES)
         assert a != b
 
     def test_arrivals_strictly_increase(self):
-        planned = generate_requests(7, 300, LoadProfile(), ["t"], self.QUERIES)
+        planned = generate_requests(7, 300, 200.0, ["t"], self.QUERIES)
         instants = [request.at for request in planned]
         assert instants == sorted(instants)
         assert len(set(instants)) == len(instants)
 
     def test_malformed_slice_cycles_all_modes(self):
-        profile = LoadProfile(malformed_rate=0.5)
-        planned = generate_requests(7, 400, profile, ["t"], self.QUERIES)
+        planned = generate_requests(7, 2000, 200.0, ["t"], self.QUERIES)
         modes = {r.mode for r in planned if r.mode is not None}
         assert modes == set(MALFORMED_MODES)
         malformed = sum(1 for r in planned if r.mode is not None)
-        assert 100 < malformed < 300  # ~ rate 0.5 of 400
+        assert 60 < malformed < 140  # ~ rate 0.05 of 2000
 
     def test_spike_profile_raises_rate_inside_spike(self):
-        profile = LoadProfile(name="spike", base_rate=100.0,
-                              spike_factor=4.0, spike_every_s=20.0,
-                              spike_length_s=2.0)
-        assert profile.rate_at(1.0) == pytest.approx(400.0)
-        assert profile.rate_at(10.0) == pytest.approx(100.0)
+        # spikes: x4 for the first 2 s of every 20 s, over the diurnal wave
+        diurnal = 100.0 * (1.0 + 0.6 * math.sin(2.0 * math.pi * 41.0 / 60.0))
+        assert arrival_rate(41.0, 100.0) == pytest.approx(4.0 * diurnal)
+        assert arrival_rate(30.0, 100.0) == pytest.approx(100.0)
 
     def test_diurnal_profile_modulates_sinusoidally(self):
-        profile = LoadProfile(name="diurnal", base_rate=100.0,
-                              diurnal_amplitude=0.5, diurnal_period_s=60.0)
-        assert profile.rate_at(15.0) == pytest.approx(150.0)  # sin peak
-        assert profile.rate_at(45.0) == pytest.approx(50.0)   # sin trough
+        # amplitude 0.6, period 60 s; neither instant is inside a spike
+        assert arrival_rate(15.0, 100.0) == pytest.approx(160.0)  # sin peak
+        assert arrival_rate(45.0, 100.0) == pytest.approx(40.0)   # sin trough
 
     def test_queries_required(self):
         with pytest.raises(ValueError):
-            generate_requests(7, 10, LoadProfile(), ["t"], [])
+            generate_requests(7, 10, 200.0, ["t"], [])
 
 
 class TestFakeClock:
@@ -142,7 +130,7 @@ class TestFakeClock:
 class TestChaosLoad:
     @pytest.fixture(scope="class")
     def chaos_report(self, small_world):
-        return run_once(small_world, chaos=CHAOS)
+        return run_once(small_world, chaos=True)
 
     def test_schema_valid(self, chaos_report):
         assert validate_load_document(chaos_report) == []
@@ -186,15 +174,15 @@ class TestChaosLoad:
 
 class TestReplayDeterminism:
     def test_chaos_reports_byte_identical(self, small_world):
-        first = run_once(small_world, chaos=CHAOS)
-        second = run_once(small_world, chaos=CHAOS)
+        first = run_once(small_world, chaos=True)
+        second = run_once(small_world, chaos=True)
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
 
     def test_fault_free_reports_byte_identical(self, small_world):
-        first = run_once(small_world, requests=300, chaos=None)
-        second = run_once(small_world, requests=300, chaos=None)
+        first = run_once(small_world, requests=300)
+        second = run_once(small_world, requests=300)
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
@@ -208,12 +196,12 @@ class TestReplayDeterminism:
 
     def test_admission_slots_fully_released_after_run(self, small_world):
         clock = FakeClock()
-        app, context = build_app(small_world, clock, chaos=CHAOS)
+        app, context = build_app(small_world, clock, chaos=True)
         planned = generate_requests(
-            17, 300, LoadProfile(base_rate=100.0), ["alpha", "beta"],
+            17, 300, 100.0, ["alpha", "beta"],
             queries_from_dataset(context.test_dataset),
         )
-        run_inprocess(app, clock, planned, 17, LoadProfile(), CHAOS_META)
+        run_inprocess(app, clock, planned, 17, chaos_meta(True))
         assert app.admission.pending == 0
 
 

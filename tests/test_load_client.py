@@ -14,10 +14,10 @@ import time
 
 import pytest
 
-from repro.serve.admission import AdmissionClass, ClassedAdmissionController
+from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.client import run_http
 from repro.serve.handlers import ServeApp, validate_error_body
-from repro.serve.load import LoadProfile, OutcomeAccounting, PlannedRequest
+from repro.serve.load import OutcomeAccounting, PlannedRequest
 from repro.serve.report import (
     LOAD_SCHEMA_VERSION,
     build_load_document,
@@ -26,8 +26,6 @@ from repro.serve.report import (
 from repro.serve.server import ReproHTTPServer
 from repro.serve.tenants import TenantSpec, build_tenant_registry
 from repro.testing.faults import FakeClock
-
-PROFILE = LoadProfile(base_rate=100.0, malformed_rate=0.1)
 
 
 class TestReportSchemaV2:
@@ -143,7 +141,7 @@ class TestOpenLoopClient:
         tenant.linker = _SlowLinker(tenant.linker, delay_s=0.05)
         app = ServeApp(
             registry,
-            admission=ClassedAdmissionController(
+            admission=AdmissionController(
                 [AdmissionClass(name="tiny", capacity=1, queue_limit=0)]
             ),
             clock=clock,
@@ -161,7 +159,7 @@ class TestOpenLoopClient:
             for _ in range(24)
         ]
         document = run_http(
-            f"http://{host}:{port}", planned, seed=3, profile=PROFILE,
+            f"http://{host}:{port}", planned, seed=3,
             chaos_meta={"enabled": False}, pool_size=8,
         )
         assert validate_load_document(document) == []
@@ -180,13 +178,11 @@ class TestOpenLoopClient:
 
     def test_pool_size_validated(self):
         with pytest.raises(ValueError, match="pool_size"):
-            run_http("http://127.0.0.1:1", [], seed=1, profile=PROFILE,
-                     chaos_meta={}, pool_size=0)
+            run_http("http://127.0.0.1:1", [], seed=1, chaos_meta={}, pool_size=0)
 
     def test_non_http_url_rejected(self):
         with pytest.raises(ValueError, match="http"):
-            run_http("ftp://example", [], seed=1, profile=PROFILE,
-                     chaos_meta={})
+            run_http("ftp://example", [], seed=1, chaos_meta={})
 
 
 class TestOutcomeAccounting:

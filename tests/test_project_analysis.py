@@ -463,10 +463,10 @@ class TestServeBoundaryReach:
         [
             # return-annotated local: `tenant = self.registry.get(...)`
             "repro.serve.tenants.TokenBucket.try_acquire",
-            # local bound to a method result: `controller = self.controller(name)`
+            # attribute set by `admission or AdmissionController()`
             "repro.serve.admission.AdmissionController.release",
-            # attribute set by `admission or ClassedAdmissionController()`
-            "repro.serve.admission.ClassedAdmissionController.admit",
+            # hot-add: `self.registry.add(spec)` builds the tenant it hosts
+            "repro.serve.tenants.TokenBucket.__init__",
             # parameter annotation + attribute chain: `tenant.linker.link(...)`
             "repro.core.linker.SocialTemporalLinker.link",
             # module-level instance behind an import: `METRICS.incr(...)`

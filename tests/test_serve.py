@@ -24,11 +24,7 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.obs.metrics import validate_metrics_document
-from repro.serve.admission import (
-    AdmissionClass,
-    AdmissionController,
-    ClassedAdmissionController,
-)
+from repro.serve.admission import DEFAULT_CLASS, AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp, error_body
 from repro.serve.tenants import TenantSpec, TokenBucket, build_tenant_registry
 from repro.testing.faults import FakeClock
@@ -74,36 +70,42 @@ class TestTokenBucket:
 # ---------------------------------------------------------------------- #
 # admission controller
 # ---------------------------------------------------------------------- #
+def _one_class(capacity, queue_limit):
+    return AdmissionController(
+        [AdmissionClass(DEFAULT_CLASS, capacity=capacity, queue_limit=queue_limit)]
+    )
+
+
 class TestAdmissionController:
     def test_sheds_beyond_capacity_plus_queue(self):
-        admission = AdmissionController(capacity=2, queue_limit=1)
+        admission = _one_class(capacity=2, queue_limit=1)
         for _ in range(3):
-            admission.admit()
+            admission.admit(DEFAULT_CLASS)
         with pytest.raises(OverloadedError) as excinfo:
-            admission.admit()
+            admission.admit(DEFAULT_CLASS)
         assert excinfo.value.kind == "shed"
         assert excinfo.value.status == 503
         assert admission.snapshot()["shed"] == 1
 
     def test_release_reopens_admission(self):
-        admission = AdmissionController(capacity=1, queue_limit=0)
-        admission.admit()
+        admission = _one_class(capacity=1, queue_limit=0)
+        admission.admit(DEFAULT_CLASS)
         with pytest.raises(OverloadedError):
-            admission.admit()
-        admission.release()
-        admission.admit()  # does not raise
+            admission.admit(DEFAULT_CLASS)
+        admission.release(DEFAULT_CLASS)
+        admission.admit(DEFAULT_CLASS)  # does not raise
         assert admission.snapshot()["admitted"] == 2
 
     def test_release_without_admit_is_a_bug(self):
         with pytest.raises(ValueError):
-            AdmissionController().release()
+            AdmissionController().release(DEFAULT_CLASS)
 
     def test_peak_pending_tracks_high_water_mark(self):
-        admission = AdmissionController(capacity=4, queue_limit=0)
+        admission = _one_class(capacity=4, queue_limit=0)
         for _ in range(3):
-            admission.admit()
-        admission.release()
-        admission.release()
+            admission.admit(DEFAULT_CLASS)
+        admission.release(DEFAULT_CLASS)
+        admission.release(DEFAULT_CLASS)
         snap = admission.snapshot()
         assert snap["pending"] == 1
         assert snap["peak_pending"] == 3
@@ -111,7 +113,7 @@ class TestAdmissionController:
     @pytest.mark.parametrize("capacity,queue_limit", [(0, 1), (1, -1)])
     def test_invalid_parameters_rejected(self, capacity, queue_limit):
         with pytest.raises(ValueError):
-            AdmissionController(capacity=capacity, queue_limit=queue_limit)
+            AdmissionClass(DEFAULT_CLASS, capacity=capacity, queue_limit=queue_limit)
 
 
 # ---------------------------------------------------------------------- #
@@ -162,13 +164,7 @@ def served(small_world):
          TenantSpec(name="beta", rate=10.0, burst=5.0, deadline_ms=None)],
         clock=clock,
     )
-    app = ServeApp(
-        registry,
-        admission=ClassedAdmissionController(
-            [AdmissionClass("default", capacity=2, queue_limit=1)]
-        ),
-        clock=clock,
-    )
+    app = ServeApp(registry, admission=_one_class(capacity=2, queue_limit=1), clock=clock)
     mention = next(
         (tweet, m)
         for tweet in context.test_dataset.tweets
@@ -274,7 +270,7 @@ class TestServeApp:
         app, clock, (tweet, mention) = served
         self._fresh_bucket(app, clock)
         for _ in range(3):  # capacity 2 + queue 1
-            app.admission.admit()
+            app.admission.admit(DEFAULT_CLASS)
         try:
             status, doc = app.handle(
                 "POST", "/v1/link",
@@ -282,7 +278,7 @@ class TestServeApp:
             )
         finally:
             for _ in range(3):
-                app.admission.release()
+                app.admission.release(DEFAULT_CLASS)
         assert (status, doc["error"]["type"]) == (503, "shed")
 
     def test_healthz_exposes_tenant_and_breaker_state(self, served):
@@ -363,9 +359,7 @@ class TestConcurrentHandle:
         # capacity above the thread count: nothing may be shed
         app = ServeApp(
             registry,
-            admission=ClassedAdmissionController(
-                [AdmissionClass("default", capacity=2 * self.THREADS, queue_limit=0)]
-            ),
+            admission=_one_class(capacity=2 * self.THREADS, queue_limit=0),
             clock=clock,
         )
         mentions = [

@@ -7,7 +7,8 @@ Three layers of guarantees:
   that validates against the error schema.
 * **semantics**: added tenants serve immediately and show up in
   ``/v1/tenants``; removed tenants turn into typed ``unknown_tenant``
-  404s; duplicates and unknown admission classes are typed 400s.
+  404s; duplicates and unknown admission classes are typed 400s, found
+  before anything is built; a build that fails is a typed 503.
 * **isolation**: surviving tenants' responses are byte-identical to a
   no-churn run with the same seed, and over real sockets concurrent
   traffic never sees a 500 while tenants churn underneath it.
@@ -18,22 +19,23 @@ import threading
 
 import pytest
 
-from repro.serve.admission import AdmissionClass, ClassedAdmissionController
+import repro.eval.context as context_module
+from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp, validate_error_body
 from repro.serve.server import ReproHTTPServer
-from repro.serve.tenants import ChaosConfig, TenantSpec, build_tenant_registry
+from repro.serve.tenants import TenantSpec, build_tenant_registry
 from repro.testing.faults import FakeClock
 
 TOKEN = "test-admin-token"
 AUTH = {"authorization": f"Bearer {TOKEN}"}
 
 
-def build_app(small_world, specs, admin_token=TOKEN, chaos=None, classes=()):
+def build_app(small_world, specs, admin_token=TOKEN, chaos=False, classes=()):
     clock = FakeClock()
     registry, _ = build_tenant_registry(
         small_world, specs, clock=clock, chaos=chaos
     )
-    admission = ClassedAdmissionController(classes)
+    admission = AdmissionController(classes)
     return ServeApp(
         registry, admission=admission, clock=clock, admin_token=admin_token
     ), clock
@@ -113,6 +115,58 @@ class TestHotAddRemove:
         assert (status, doc["error"]["type"]) == (400, "bad_request")
         assert "duplicate" in doc["error"]["message"]
 
+    def test_duplicate_add_builds_nothing(self, small_world, monkeypatch):
+        app, _ = build_app(small_world, [spec("alpha")])
+        calls = []
+        real = context_module.complement_knowledgebase
+        monkeypatch.setattr(
+            context_module, "complement_knowledgebase",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+        )
+        status, _ = app.handle(
+            "POST", "/admin/v1/tenants", b'{"name": "alpha"}', AUTH
+        )
+        assert status == 400
+        assert calls == []
+
+    def test_racing_duplicate_add_is_typed_400(self, small_world, monkeypatch):
+        """A second add of the same name lands while the first is still
+        building: the insert, not the early check, decides."""
+        app, _ = build_app(small_world, [spec("alpha")])
+        real = context_module.complement_knowledgebase
+        racer = []
+
+        def complement(*args, **kwargs):
+            if not racer:
+                racer.append(None)
+                racer[0] = app.handle(
+                    "POST", "/admin/v1/tenants", b'{"name": "gamma"}', AUTH
+                )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "complement_knowledgebase", complement)
+        status, doc = app.handle(
+            "POST", "/admin/v1/tenants", b'{"name": "gamma"}', AUTH
+        )
+        assert racer[0][0] == 200
+        assert (status, doc["error"]["type"]) == (400, "bad_request")
+        assert "duplicate" in doc["error"]["message"]
+
+    def test_failed_build_is_typed_503(self, small_world, monkeypatch):
+        app, _ = build_app(small_world, [spec("alpha")])
+
+        def broken(*args, **kwargs):
+            raise ValueError("no dataset at this threshold")
+
+        monkeypatch.setattr(context_module, "complement_knowledgebase", broken)
+        status, doc = app.handle(
+            "POST", "/admin/v1/tenants", b'{"name": "gamma"}', AUTH
+        )
+        assert (status, doc["error"]["type"]) == (503, "unavailable")
+        assert validate_error_body(doc) == []
+        assert "gamma" in doc["error"]["message"]
+        assert app.registry.names() == ["alpha"]
+
     def test_unknown_admission_class_is_typed_400(self, small_world):
         app, _ = build_app(
             small_world, [spec("alpha", admission_class="gold")],
@@ -155,11 +209,10 @@ class TestHotAddRemove:
     def test_removed_tenant_never_disturbs_survivors(self, small_world):
         """Byte-identity: alpha's responses with gamma hot-removed
         mid-trace equal a no-churn run with the same seed."""
-        chaos = ChaosConfig(error_rate=0.3, slow_rate=0.2, slow_ms=40.0, seed=7)
         specs = [spec("alpha"), spec("gamma")]
 
         def run(churn):
-            app, clock = build_app(small_world, specs, chaos=chaos)
+            app, clock = build_app(small_world, specs, chaos=True)
             responses = []
             for index in range(12):
                 clock.advance(0.05)
