@@ -1,11 +1,7 @@
 """Reporters for ``repro check``: human text and schema-stable JSON.
 
-The JSON document follows the same discipline as ``BENCH_linking.json``
-(:mod:`repro.bench`): a ``meta.schema_version`` field, a fixed key set,
-and a :func:`validate_check_document` checker that CI runs against the
-emitted file — so future tooling can diff findings across PRs without
-guessing at the shape.  Bump :data:`SCHEMA_VERSION` on any breaking key
-change and document it in ``docs/static-analysis.md``.
+The JSON document is schema-stable (:mod:`repro.schema`), so tooling can
+diff findings across runs without guessing at the shape.
 """
 
 from __future__ import annotations
@@ -13,7 +9,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from repro.analysis.framework import CheckReport, all_rules
+from repro.analysis.framework import CheckReport, Severity, all_rules
+from repro.schema import BOOL, COUNT, STR, ListOf, const, one_of, problems
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -23,16 +20,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-
-_FINDING_KEYS = ("rule", "severity", "path", "line", "col", "message")
-_SUMMARY_KEYS = (
-    "findings",
-    "errors",
-    "warnings",
-    "suppressed_pragma",
-    "files_scanned",
-    "exit_code",
-)
 
 
 # ---------------------------------------------------------------------- #
@@ -96,82 +83,40 @@ def render_json(
     }
 
 
+_SEVERITY = one_of(*(severity.value for severity in Severity))
+_FINDING = {
+    "rule": STR,
+    "severity": _SEVERITY,
+    "path": STR,
+    "line": COUNT,
+    "col": COUNT,
+    "message": STR,
+}
+_CHECK_DOCUMENT = {
+    "meta": {
+        "schema_version": const(SCHEMA_VERSION),
+        "tool": STR,
+        "strict": BOOL,
+        "paths": ListOf(STR),
+        "files_scanned": COUNT,
+    },
+    "rules": ListOf({"id": STR, "severity": _SEVERITY, "summary": STR}, non_empty=True),
+    "findings": ListOf(_FINDING),
+    "suppressed": {"pragma": ListOf(_FINDING)},
+    "summary": {
+        key: COUNT
+        for key in (
+            "findings", "errors", "warnings", "suppressed_pragma",
+            "files_scanned", "exit_code",
+        )
+    },
+}
+
+
 def dump_json(document: Dict[str, object]) -> str:
     return json.dumps(document, indent=2, sort_keys=False) + "\n"
 
 
 def validate_check_document(doc: object) -> List[str]:
     """Schema check; returns a list of problems (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        problems.append("missing or non-object section 'meta'")
-    else:
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            problems.append(
-                f"meta.schema_version is {meta.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
-        for key in ("tool", "strict", "paths", "files_scanned"):
-            if key not in meta:
-                problems.append(f"meta.{key} missing")
-    rules = doc.get("rules")
-    if not isinstance(rules, list) or not rules:
-        problems.append("'rules' must be a non-empty list")
-    else:
-        for index, rule in enumerate(rules):
-            if not isinstance(rule, dict) or not (
-                {"id", "severity", "summary"} <= set(rule)
-            ):
-                problems.append(f"rules[{index}] missing id/severity/summary")
-            elif rule.get("severity") not in _VALID_SEVERITIES:
-                problems.append(
-                    f"rules[{index}].severity is {rule.get('severity')!r}, "
-                    f"expected one of {list(_VALID_SEVERITIES)}"
-                )
-    for section in ("findings",):
-        body = doc.get(section)
-        if not isinstance(body, list):
-            problems.append(f"'{section}' must be a list")
-            continue
-        problems.extend(_check_findings(body, section))
-    suppressed = doc.get("suppressed")
-    if not isinstance(suppressed, dict):
-        problems.append("missing or non-object section 'suppressed'")
-    else:
-        body = suppressed.get("pragma")
-        if not isinstance(body, list):
-            problems.append("suppressed.pragma must be a list")
-        else:
-            problems.extend(_check_findings(body, "suppressed.pragma"))
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("missing or non-object section 'summary'")
-    else:
-        for key in _SUMMARY_KEYS:
-            if not isinstance(summary.get(key), int):
-                problems.append(f"summary.{key} missing or not an integer")
-    return problems
-
-
-_VALID_SEVERITIES = ("error", "warning")
-
-
-def _check_findings(body: List[object], section: str) -> List[str]:
-    problems: List[str] = []
-    for index, finding in enumerate(body):
-        if not isinstance(finding, dict):
-            problems.append(f"{section}[{index}] is not an object")
-            continue
-        for key in _FINDING_KEYS:
-            if key not in finding:
-                problems.append(f"{section}[{index}].{key} missing")
-        severity = finding.get("severity")
-        if severity is not None and severity not in _VALID_SEVERITIES:
-            problems.append(
-                f"{section}[{index}].severity is {severity!r}, "
-                f"expected one of {list(_VALID_SEVERITIES)}"
-            )
-    return problems
+    return problems(doc, _CHECK_DOCUMENT)

@@ -30,7 +30,7 @@ import os
 import platform
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG
 from repro.graph.compact_labels import build_compact_two_hop_cover
@@ -44,6 +44,7 @@ from repro.graph.generators import (
 from repro.graph.reachability import weighted_reachability_from
 from repro.log import get_logger
 from repro.obs.metrics import percentile
+from repro.schema import BOOL, COUNT, INT, REAL, STR, ListOf, const, nullable, problems
 from repro.testing.oracles import (
     build_two_hop_cover,
     weighted_reachability_from_per_target,
@@ -53,90 +54,51 @@ _log = get_logger(__name__)
 
 SCHEMA_VERSION = 6
 
-#: section -> required keys; ``run_bench`` refuses to write a document
-#: that fails this shape, and the tests validate the committed one.
-_REQUIRED_SECTIONS: Dict[str, Tuple[str, ...]] = {
-    "meta": ("schema_version", "tool", "seed", "tiers_measured"),
-    "environment": ("python", "platform", "cpu_count"),
-    "reachability": (
-        "sources",
-        "per_target_s",
-        "one_pass_s",
-        "speedup",
-        "outputs_identical",
-    ),
-    "scale": ("tiers",),
+#: One scale tier row; :func:`scale_gate_errors` branches on
+#: ``outputs_identical`` and ``within_budget``.
+_SCALE_TIER = {
+    "users": COUNT,
+    "factions": COUNT,
+    "edges": COUNT,
+    "tweets": COUNT,
+    "backend": STR,
+    "stream_s": REAL,
+    "index_build_s": REAL,
+    "index_bytes": COUNT,
+    "entries_per_node": REAL,
+    "queries": COUNT,
+    "query_p50_us": REAL,
+    "query_p99_us": REAL,
+    "compact_build_s": nullable(REAL),
+    "compact_bytes": nullable(COUNT),
+    "dict_cover_bytes": nullable(COUNT),
+    "outputs_identical": nullable(BOOL),
+    "memory_budget_bytes": COUNT,
+    "within_budget": BOOL,
 }
-
-_SCALE_TIER_KEYS = (
-    "users",
-    "factions",
-    "edges",
-    "tweets",
-    "backend",
-    "stream_s",
-    "index_build_s",
-    "index_bytes",
-    "entries_per_node",
-    "queries",
-    "query_p50_us",
-    "query_p99_us",
-    "compact_build_s",
-    "compact_bytes",
-    "dict_cover_bytes",
-    "outputs_identical",
-    "memory_budget_bytes",
-    "within_budget",
-)
+#: ``run_bench`` refuses to write a document that fails this shape.
+_BENCH_DOCUMENT = {
+    "meta": {
+        "schema_version": const(SCHEMA_VERSION),
+        "tool": STR,
+        "seed": INT,
+        "tiers_measured": ListOf(COUNT, non_empty=True),
+    },
+    "environment": {"python": STR, "platform": STR, "cpu_count": nullable(COUNT)},
+    "reachability": {
+        "sources": COUNT,
+        "per_target_s": REAL,
+        "one_pass_s": REAL,
+        "speedup": REAL,
+        "outputs_identical": BOOL,
+    },
+    "scale": {"tiers": ListOf(_SCALE_TIER, non_empty=True)},
+}
 
 
 def validate_bench_document(doc: object) -> List[str]:
     """Schema check; returns a list of problems (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    for section, keys in _REQUIRED_SECTIONS.items():
-        body = doc.get(section)
-        if not isinstance(body, dict):
-            problems.append(f"missing or non-object section {section!r}")
-            continue
-        for key in keys:
-            if key not in body:
-                problems.append(f"{section}.{key} missing")
-    meta = doc.get("meta")
-    if isinstance(meta, dict) and meta.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"meta.schema_version is {meta.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    scale = doc.get("scale")
-    if isinstance(scale, dict):
-        tiers = scale.get("tiers")
-        if not isinstance(tiers, list) or not tiers:
-            problems.append("scale.tiers must be a non-empty list")
-        else:
-            for index, row in enumerate(tiers):
-                problems.extend(_tier_row_problems(f"scale.tiers[{index}]", row))
-    return problems
-
-
-def _tier_row_problems(where: str, row: object) -> List[str]:
-    if not isinstance(row, dict):
-        return [f"{where} is not an object"]
-    problems = [f"{where}.{key} missing" for key in _SCALE_TIER_KEYS if key not in row]
-    if problems:
-        return problems
-    # the fields the exit-1 gate and its readers branch on must carry the
-    # type the branch assumes (a JSON ``true`` is a Python int subclass)
-    index_bytes = row["index_bytes"]
-    if not isinstance(index_bytes, int) or isinstance(index_bytes, bool):
-        problems.append(f"{where}.index_bytes must be an integer")
-    identical = row["outputs_identical"]
-    if identical is not None and not isinstance(identical, bool):
-        problems.append(f"{where}.outputs_identical must be true, false or null")
-    if not isinstance(row["within_budget"], bool):
-        problems.append(f"{where}.within_budget must be a boolean")
-    return problems
+    return problems(doc, _BENCH_DOCUMENT)
 
 
 def scale_gate_errors(document: Dict) -> List[str]:
@@ -354,9 +316,9 @@ def run_bench(
         "reachability": reachability,
         "scale": {"tiers": rows},
     }
-    problems = validate_bench_document(document)
-    if problems:  # pragma: no cover - guards future schema drift
-        raise AssertionError(f"bench emitted an invalid document: {problems}")
+    invalid = validate_bench_document(document)
+    if invalid:  # pragma: no cover - guards future schema drift
+        raise AssertionError(f"bench emitted an invalid document: {invalid}")
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=False)

@@ -1,12 +1,7 @@
 """Trace documents: JSON-lines export, schema validation, field diffs.
 
-The trace document follows the same discipline as ``BENCH_linking.json``
-(:mod:`repro.bench`) and the check report (:mod:`repro.analysis`): a
-``meta.schema_version``, a fixed key set per record, and a
-:func:`validate_trace_document` checker CI runs against every emitted
-file.  Schema changes are append-only within a version; any key removal
-or meaning change bumps :data:`SCHEMA_VERSION` and gets documented in
-``docs/observability.md``.
+The trace document is schema-stable (:mod:`repro.schema`); beyond its
+shape, :func:`validate_trace_document` checks the span-tree invariants.
 
 The on-disk form is JSON lines — one ``meta`` record, then one ``span``
 record per finished span in span-id order, each line serialized with
@@ -20,9 +15,11 @@ prints on failure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.trace import Span
+from repro.schema import COUNT, INT, REAL, STR, ListOf, const, nullable, problems
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -35,18 +32,26 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_META_KEYS = ("schema_version", "tool", "scenario", "clock", "span_count")
-_SPAN_KEYS = (
-    "trace_id",
-    "span_id",
-    "parent_id",
-    "name",
-    "start",
-    "end",
-    "attributes",
-    "events",
-)
-_EVENT_KEYS = ("name", "time", "attributes")
+_SPAN = {
+    "trace_id": INT,
+    "span_id": INT,
+    "parent_id": nullable(INT),
+    "name": STR,
+    "start": REAL,
+    "end": REAL,
+    "attributes": {},
+    "events": ListOf({"name": STR, "time": REAL, "attributes": {}}),
+}
+_TRACE_DOCUMENT = {
+    "meta": {
+        "schema_version": const(SCHEMA_VERSION),
+        "tool": STR,
+        "scenario": nullable(STR),
+        "clock": STR,
+        "span_count": COUNT,
+    },
+    "spans": ListOf(_SPAN),
+}
 
 
 def render_trace_document(
@@ -110,111 +115,54 @@ def load_trace_jsonl(text: str) -> Dict[str, object]:
 # validation
 # ---------------------------------------------------------------------- #
 def validate_trace_document(doc: object) -> List[str]:
-    """Schema *and* structure check; returns problems (empty when valid).
+    """Schema check, then (on a document of the right shape) the tree
+    invariants; returns problems (empty when valid)."""
+    return problems(doc, _TRACE_DOCUMENT) or _check_tree(doc)
 
-    Beyond key presence, this asserts the well-formedness invariants the
-    tracer guarantees by construction: unique span ids, exactly one root
-    per trace, parents that exist in the same trace, child intervals
-    nested inside their parent's, and event times inside their span.
-    """
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        problems.append("missing or non-object section 'meta'")
-    else:
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            problems.append(
-                f"meta.schema_version is {meta.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
-        for key in _META_KEYS:
-            if key not in meta:
-                problems.append(f"meta.{key} missing")
-    spans = doc.get("spans")
-    if not isinstance(spans, list):
-        problems.append("'spans' must be a list")
-        return problems
-    if isinstance(meta, dict) and meta.get("span_count") != len(spans):
-        problems.append(
-            f"meta.span_count is {meta.get('span_count')!r} but the document "
-            f"has {len(spans)} span(s)"
-        )
-    by_id: Dict[int, Dict[str, object]] = {}
+
+def _check_tree(doc: Dict) -> List[str]:
+    """What the tracer guarantees by construction: the span count, unique
+    span ids, one root per trace, parents in the same trace, child
+    intervals nested in their parent's, event times inside their span."""
+    spans, count = doc["spans"], doc["meta"]["span_count"]
+    found = [] if count == len(spans) else [
+        f"meta.span_count is {count!r} but the document has {len(spans)} span(s)"
+    ]
+    by_id: Dict[int, Dict] = {}
     for index, span in enumerate(spans):
-        if not isinstance(span, dict):
-            problems.append(f"spans[{index}] is not an object")
-            continue
-        missing = [key for key in _SPAN_KEYS if key not in span]
-        if missing:
-            problems.append(f"spans[{index}] missing {', '.join(missing)}")
-            continue
-        span_id = span["span_id"]
+        span_id, start, end = span["span_id"], span["start"], span["end"]
         if span_id in by_id:
-            problems.append(f"spans[{index}] duplicates span_id {span_id}")
+            found.append(f"spans[{index}] duplicates span_id {span_id}")
             continue
-        by_id[span_id] = span  # type: ignore[index]
-        if span["end"] < span["start"]:  # type: ignore[operator]
-            problems.append(f"spans[{index}] ends before it starts")
-        events = span["events"]
-        if not isinstance(events, list):
-            problems.append(f"spans[{index}].events must be a list")
-            continue
-        for position, event in enumerate(events):
-            if not isinstance(event, dict) or any(
-                key not in event for key in _EVENT_KEYS
-            ):
-                problems.append(
-                    f"spans[{index}].events[{position}] missing "
-                    "name/time/attributes"
-                )
-                continue
-            if not span["start"] <= event["time"] <= span["end"]:  # type: ignore[operator]
-                problems.append(
-                    f"spans[{index}].events[{position}] time "
-                    f"{event['time']} outside the span interval"
-                )
-    problems.extend(_check_tree(by_id))
-    return problems
-
-
-def _check_tree(by_id: Dict[int, Dict[str, object]]) -> List[str]:
-    problems: List[str] = []
-    roots: Dict[int, int] = {}
-    for span in by_id.values():
-        trace_id = span["trace_id"]
+        by_id[span_id] = span
+        if end < start:
+            found.append(f"spans[{index}] ends before it starts")
+        found.extend(
+            f"spans[{index}].events[{position}] time {event['time']} outside "
+            "the span interval"
+            for position, event in enumerate(span["events"])
+            if not start <= event["time"] <= end
+        )
+    for span_id, span in by_id.items():
         parent_id = span["parent_id"]
         if parent_id is None:
-            roots[trace_id] = roots.get(trace_id, 0) + 1  # type: ignore[index]
             continue
-        parent = by_id.get(parent_id)  # type: ignore[arg-type]
+        parent = by_id.get(parent_id)
         if parent is None:
-            problems.append(
-                f"span {span['span_id']} has orphan parent_id {parent_id}"
-            )
+            found.append(f"span {span_id} has orphan parent_id {parent_id}")
             continue
-        if parent["trace_id"] != trace_id:
-            problems.append(
-                f"span {span['span_id']} and its parent {parent_id} "
-                "belong to different traces"
-            )
-        if not (
-            parent["start"] <= span["start"]  # type: ignore[operator]
-            and span["end"] <= parent["end"]  # type: ignore[operator]
-        ):
-            problems.append(
-                f"span {span['span_id']} interval is not nested inside "
-                f"parent {parent_id}"
-            )
-    trace_ids = {span["trace_id"] for span in by_id.values()}
-    for trace_id in trace_ids:
-        count = roots.get(trace_id, 0)  # type: ignore[arg-type]
-        if count != 1:
-            problems.append(
-                f"trace {trace_id} has {count} root span(s), expected exactly 1"
-            )
-    return problems
+        if parent["trace_id"] != span["trace_id"]:
+            found.append(f"span {span_id} and its parent {parent_id} "
+                         "belong to different traces")
+        if not (parent["start"] <= span["start"] and span["end"] <= parent["end"]):
+            found.append(f"span {span_id} interval is not nested inside "
+                         f"parent {parent_id}")
+    roots = Counter(s["trace_id"] for s in by_id.values() if s["parent_id"] is None)
+    for trace_id in sorted({span["trace_id"] for span in by_id.values()}):
+        if roots[trace_id] != 1:
+            found.append(f"trace {trace_id} has {roots[trace_id]} root span(s), "
+                         "expected exactly 1")
+    return found
 
 
 # ---------------------------------------------------------------------- #
@@ -235,7 +183,7 @@ def diff_trace_documents(
             f"live has {len(actual_spans)}"  # type: ignore[arg-type]
         )
     for index, (want, got) in enumerate(zip(expected_spans, actual_spans)):  # type: ignore[arg-type]
-        for key in _SPAN_KEYS:
+        for key in _SPAN:
             if key == "attributes":
                 diffs.extend(
                     _diff_mapping(

@@ -37,6 +37,8 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.schema import COUNT, INT, REAL, STR, ListOf, MapOf, const, problems
+
 __all__ = [
     "COUNT_BOUNDARIES",
     "Histogram",
@@ -322,34 +324,35 @@ def render_metrics_document(
     }
 
 
+_METRICS_DOCUMENT = {
+    "meta": {"schema_version": const(SCHEMA_VERSION), "tool": STR},
+    "metrics": {
+        "counters": MapOf(INT),
+        "gauges": MapOf(REAL),
+        "histograms": MapOf({
+            "boundaries": ListOf(REAL, non_empty=True),
+            "bucket_counts": ListOf(COUNT),
+            "count": COUNT,
+        }),
+        "timers": MapOf({
+            stat: REAL
+            for stat in ("count", "total_s", "mean_s", "p50_s", "p95_s", "p99_s")
+        }),
+    },
+}
+
+
 def validate_metrics_document(doc: object) -> List[str]:
-    """Schema check; returns a list of problems (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        problems.append("missing or non-object section 'meta'")
-    else:
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            problems.append(
-                f"meta.schema_version is {meta.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
-        if "tool" not in meta:
-            problems.append("meta.tool missing")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("missing or non-object section 'metrics'")
-    else:
-        for section in ("counters", "gauges", "histograms", "timers"):
-            if not isinstance(metrics.get(section), dict):
-                problems.append(f"metrics.{section} missing or not an object")
-        histograms = metrics.get("histograms")
-        if isinstance(histograms, dict):
-            for name, payload in histograms.items():
-                try:
-                    Histogram.from_dict(payload)
-                except (KeyError, TypeError, ValueError) as exc:
-                    problems.append(f"metrics.histograms[{name!r}]: {exc!r}")
-    return problems
+    """Schema check, then each histogram through the loader ``merge``
+    uses; returns a list of problems (empty when valid)."""
+    return problems(doc, _METRICS_DOCUMENT) or _histogram_problems(doc)
+
+
+def _histogram_problems(doc: Dict) -> List[str]:
+    found: List[str] = []
+    for name, payload in doc["metrics"]["histograms"].items():
+        try:
+            Histogram.from_dict(payload)
+        except ValueError as exc:
+            found.append(f"metrics.histograms.{name}: {exc}")
+    return found

@@ -41,6 +41,7 @@ from repro.errors import (
     UnauthorizedError,
 )
 from repro.obs.metrics import METRICS, render_metrics_document
+from repro.schema import INT, REAL, STR, const, one_of, problems
 from repro.serve.admission import AdmissionController
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
 
@@ -93,6 +94,12 @@ def error_body(error: ReproError) -> Response:
     return status, {"schema_version": ERROR_SCHEMA_VERSION, "error": payload}
 
 
+_ERROR = {"type": one_of(*ERROR_KINDS), "status": INT, "message": STR}
+_ERROR_BODY = {"schema_version": const(ERROR_SCHEMA_VERSION), "error": _ERROR}
+#: A 429 body also carries its back-off.
+_RATE_LIMITED_BODY = {**_ERROR_BODY, "error": {**_ERROR, "retry_after_s": REAL}}
+
+
 def validate_error_body(document: object) -> List[str]:
     """Schema check on one error body; returns problems (empty = valid).
 
@@ -100,30 +107,9 @@ def validate_error_body(document: object) -> List[str]:
     does not validate here counts as ``invalid_error_bodies`` in the
     load report, and CI requires that count to be zero.
     """
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["error body is not a JSON object"]
-    if document.get("schema_version") != ERROR_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version is {document.get('schema_version')!r}, "
-            f"expected {ERROR_SCHEMA_VERSION}"
-        )
-    error = document.get("error")
-    if not isinstance(error, dict):
-        return problems + ["missing or non-object 'error' section"]
-    kind = error.get("type")
-    if kind not in ERROR_KINDS:
-        problems.append(f"error.type {kind!r} is not a known kind")
-    status = error.get("status")
-    if not isinstance(status, int) or isinstance(status, bool):
-        problems.append("error.status missing or not an int")
-    if not isinstance(error.get("message"), str):
-        problems.append("error.message missing or not a string")
-    if kind == "rate_limited" and not isinstance(
-        error.get("retry_after_s"), (int, float)
-    ):
-        problems.append("rate_limited body missing numeric retry_after_s")
-    return problems
+    error = document.get("error") if isinstance(document, dict) else None
+    limited = isinstance(error, dict) and error.get("type") == "rate_limited"
+    return problems(document, _RATE_LIMITED_BODY if limited else _ERROR_BODY)
 
 
 class ServeApp:

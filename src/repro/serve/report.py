@@ -49,6 +49,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import percentile
+from repro.schema import (
+    BOOL, COUNT, FRACTION, INT, REAL, STR, MapOf, const, one_of, problems,
+)
 
 __all__ = [
     "LOAD_SCHEMA_VERSION",
@@ -159,73 +162,30 @@ def _quantile(sorted_ms: List[float], q: float) -> float:
     return round(percentile(sorted_ms, q), 3)
 
 
+_OUTCOME_COUNTS = {name: COUNT for name in OUTCOMES}
+_LOAD_DOCUMENT = {
+    "meta": {
+        "schema_version": const(LOAD_SCHEMA_VERSION),
+        "tool": STR,
+        "mode": one_of("inprocess", "http"),
+        "seed": INT,
+        "requests": COUNT,
+        "duration_s": REAL,
+        "profile": STR,
+        "chaos": {},
+        "client": {"pool": COUNT, "open_loop": BOOL},
+    },
+    "outcomes": _OUTCOME_COUNTS,
+    "latency_ms": {field: REAL for field in ("p50", "p90", "p95", "p99", "max")},
+    "tenant_latency_ms": MapOf({field: REAL for field in TENANT_PERCENTILES}),
+    "shed_rate": FRACTION,
+    "error_rate": FRACTION,
+    "unhandled": COUNT,
+    "invalid_error_bodies": COUNT,
+    "by_tenant": MapOf(_OUTCOME_COUNTS),
+}
+
+
 def validate_load_document(doc: object) -> List[str]:
     """Schema check; returns a list of problems (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        problems.append("missing or non-object section 'meta'")
-    else:
-        if meta.get("schema_version") != LOAD_SCHEMA_VERSION:
-            problems.append(
-                f"meta.schema_version is {meta.get('schema_version')!r}, "
-                f"expected {LOAD_SCHEMA_VERSION}"
-            )
-        for field, kind in (
-            ("tool", str),
-            ("mode", str),
-            ("seed", int),
-            ("requests", int),
-            ("profile", str),
-            ("chaos", dict),
-            ("client", dict),
-        ):
-            if not isinstance(meta.get(field), kind):
-                problems.append(f"meta.{field} missing or not {kind.__name__}")
-    outcomes = doc.get("outcomes")
-    if not isinstance(outcomes, dict):
-        problems.append("missing or non-object section 'outcomes'")
-    else:
-        for name in OUTCOMES:
-            value = outcomes.get(name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(f"outcomes.{name} missing or not a non-negative int")
-    latency = doc.get("latency_ms")
-    if not isinstance(latency, dict):
-        problems.append("missing or non-object section 'latency_ms'")
-    else:
-        for field in ("p50", "p90", "p95", "p99", "max"):
-            if not isinstance(latency.get(field), (int, float)):
-                problems.append(f"latency_ms.{field} missing or not a number")
-    tenant_latency = doc.get("tenant_latency_ms")
-    if not isinstance(tenant_latency, dict):
-        problems.append("missing or non-object section 'tenant_latency_ms'")
-    else:
-        for name, values in tenant_latency.items():
-            if not isinstance(values, dict):
-                problems.append(f"tenant_latency_ms.{name} is not an object")
-                continue
-            for field in TENANT_PERCENTILES:
-                if not isinstance(values.get(field), (int, float)):
-                    problems.append(
-                        f"tenant_latency_ms.{name}.{field} missing or not a number"
-                    )
-    for field in ("shed_rate", "error_rate"):
-        value = doc.get(field)
-        if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-            problems.append(f"{field} missing or not a fraction in [0, 1]")
-    if not isinstance(doc.get("unhandled"), int):
-        problems.append("unhandled missing or not an int")
-    invalid = doc.get("invalid_error_bodies")
-    if not isinstance(invalid, int) or isinstance(invalid, bool) or invalid < 0:
-        problems.append("invalid_error_bodies missing or not a non-negative int")
-    by_tenant = doc.get("by_tenant")
-    if not isinstance(by_tenant, dict):
-        problems.append("missing or non-object section 'by_tenant'")
-    else:
-        for name, counts in by_tenant.items():
-            if not isinstance(counts, dict):
-                problems.append(f"by_tenant.{name} is not an object")
-    return problems
+    return problems(doc, _LOAD_DOCUMENT)

@@ -509,7 +509,7 @@ class TestReporters:
         assert document["meta"]["strict"] is True
 
     def test_validator_rejects_broken_documents(self):
-        assert validate_check_document([]) == ["document is not a JSON object"]
+        assert validate_check_document([]) == ["document must be an object, got []"]
         problems = validate_check_document({"meta": {"schema_version": 0}})
         assert any("schema_version" in p for p in problems)
         assert any("rules" in p for p in problems)

@@ -12,11 +12,7 @@ import os
 
 import pytest
 
-from repro.obs.export import (
-    diff_trace_documents,
-    load_trace_jsonl,
-    validate_trace_document,
-)
+from repro.obs.export import diff_trace_documents, load_trace_jsonl
 from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -33,8 +29,8 @@ def load_golden(name: str):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 class TestGoldenTraces:
-    def test_golden_fixture_is_schema_valid(self, name):
-        assert validate_trace_document(load_golden(name)) == []
+    """Each fixture's schema is checked with every committed artefact
+    (tests/test_schema.py)."""
 
     def test_live_trace_matches_golden_field_by_field(self, name):
         live = run_scenario(name)[0]

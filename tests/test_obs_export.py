@@ -113,6 +113,26 @@ class TestValidation:
         problems = validate_trace_document(document)
         assert any("ends before" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "span, key, value, path",
+        [
+            (1, "start", "0.5", "spans[1].start"),
+            (0, "events", [{"name": "e", "time": "1", "attributes": {}}],
+             "spans[0].events[0].time"),
+            (1, "span_id", [1], "spans[1].span_id"),
+            (1, "trace_id", [0], "spans[1].trace_id"),
+        ],
+        ids=["string-start", "string-event-time", "list-span-id", "list-trace-id"],
+    )
+    def test_wrong_typed_field_is_reported_not_raised(self, span, key, value, path):
+        """A document off disk (``load_trace_jsonl``) gets its problems
+        back; the tree invariants run only on a document of the right
+        shape, so none of these reach a comparison or a dict key."""
+        document = sample_document()
+        document["spans"][span][key] = value
+        (problem,) = validate_trace_document(document)
+        assert problem.startswith(f"{path} must be ")
+
 
 class TestDiff:
     def test_identical_documents_have_no_diff(self):

@@ -1,6 +1,8 @@
 """Metrics registry: histograms, shard merging, stage timers, documents."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     COUNT_BOUNDARIES,
@@ -14,6 +16,22 @@ from repro.obs.metrics import (
 )
 from repro.obs.scenarios import run_scenario
 from repro.obs.stage import stage
+
+#: Any JSON scalar, so most drawn sections are wrong somewhere.
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)
+)
+_NAMES = st.text(max_size=2)
+_METRICS_SECTION = st.fixed_dictionaries({
+    "counters": st.dictionaries(_NAMES, _JSON_SCALAR, max_size=3),
+    "gauges": st.dictionaries(_NAMES, _JSON_SCALAR, max_size=3),
+    "histograms": st.dictionaries(_NAMES, st.one_of(_JSON_SCALAR, st.fixed_dictionaries({
+        "boundaries": st.lists(st.one_of(st.integers(-2, 4), _JSON_SCALAR), max_size=3),
+        "bucket_counts": st.lists(st.one_of(st.integers(-1, 3), _JSON_SCALAR), max_size=4),
+        "count": st.one_of(st.integers(-1, 6), _JSON_SCALAR),
+    })), max_size=2),
+    "timers": st.just({}),
+})
 
 
 class TestHistogram:
@@ -332,3 +350,22 @@ class TestDocument:
         document = render_metrics_document(registry)
         document["metrics"]["histograms"]["h"]["count"] = 5
         assert any("sum" in p for p in validate_metrics_document(document))
+
+    @pytest.mark.parametrize(
+        "section, values", [("counters", {"a": "zz"}), ("gauges", {"g": None})]
+    )
+    def test_values_merge_cannot_load_are_rejected(self, section, values):
+        document = render_metrics_document(MetricsRegistry())
+        document["metrics"][section] = values
+        assert validate_metrics_document(document) != []
+        with pytest.raises((TypeError, ValueError)):
+            MetricsRegistry().merge(document["metrics"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_METRICS_SECTION)
+    def test_a_valid_document_merges_without_raising(self, metrics):
+        document = {"meta": {"schema_version": 2, "tool": "t"}, "metrics": metrics}
+        if validate_metrics_document(document) == []:
+            registry = MetricsRegistry()
+            registry.merge(metrics)
+            registry.merge(metrics)  # onto the histograms it just loaded

@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import validate_metrics_document
 from repro.serve.admission import DEFAULT_CLASS, AdmissionClass, AdmissionController
-from repro.serve.handlers import ServeApp, error_body
+from repro.serve.handlers import ServeApp, error_body, validate_error_body
 from repro.serve.tenants import TenantSpec, TokenBucket, build_tenant_registry
 from repro.testing.faults import FakeClock
 
@@ -139,6 +139,7 @@ class TestErrorBodies:
         assert body["error"]["type"] == kind
         assert body["error"]["status"] == status
         assert isinstance(body["error"]["message"], str)
+        assert validate_error_body(body) == []
 
     def test_rate_limited_carries_retry_after(self):
         _, body = error_body(RateLimitedError("slow down", retry_after_s=0.75))
