@@ -1,11 +1,18 @@
 """Extended transitive closure: incremental vs exact vs the naive oracle (Algorithm 1)."""
 
+import hashlib
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import transitive_closure
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicTransitiveClosure
+from repro.graph.generators import random_digraph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import (
     build_transitive_closure_incremental,
@@ -79,6 +86,134 @@ class TestIncrementalMatchesExact:
         graph = DiGraph.from_edges(num_nodes, edges)
         closure = build_transitive_closure_incremental(graph, max_hops=4)
         assert_closure_matches_exact(graph, closure, 4)
+
+
+def build_tiled(graph, tile, max_hops=4):
+    """The closure built with ``tile``-wide tiles instead of the shipped edge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transitive_closure, "TILE", tile)
+        return build_transitive_closure_incremental(graph, max_hops=max_hops)
+
+
+def assert_diagonal_clear(closure):
+    """No ``u -> ... -> u`` cycle is stored: both diagonal bytes stay 0."""
+    n = closure.num_nodes
+    assert all(closure._dist[u * n + u] == 0 for u in range(n))
+    assert all(closure._count[u * n + u] == 0 for u in range(n))
+
+
+@pytest.mark.parametrize("tile", [1, 2, 7])
+class TestTileSeams:
+    """Tier-1 graphs fit in one shipped tile, so these shrink the tile until
+    every product crosses row and column seams, ragged last tile included."""
+
+    @given(edge_list_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_property_random_graphs(self, tile, spec):
+        num_nodes, edges = spec
+        graph = DiGraph.from_edges(num_nodes, edges)
+        closure = build_tiled(graph, tile)
+        assert_closure_matches_exact(graph, closure, 4)
+        assert_diagonal_clear(closure)
+
+    def test_random_graph(self, tile):
+        graph = random_graph(25, 80, seed=3)
+        closure = build_tiled(graph, tile)
+        assert_closure_matches_exact(graph, closure, 4)
+        assert_diagonal_clear(closure)
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3])
+    def test_hop_horizons(self, tile, max_hops):
+        graph = random_graph(15, 40, seed=7)
+        closure = build_tiled(graph, tile, max_hops=max_hops)
+        assert_closure_matches_exact(graph, closure, max_hops)
+
+    @pytest.mark.parametrize("num_nodes", [0, 1])
+    def test_no_pairs(self, tile, num_nodes):
+        closure = build_tiled(DiGraph(num_nodes), tile)
+        assert closure.nonzero_entries() == 0
+        assert closure.size_bytes() == 11 * num_nodes
+        assert_diagonal_clear(closure)
+
+    def test_rows_with_zero_out_degree(self, tile):
+        """Sinks 2, 4, 6, 7 and 8 make all-zero adjacency rows, so some
+        row tiles multiply nothing in."""
+        graph = DiGraph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 0), (5, 3)])
+        closure = build_tiled(graph, tile)
+        assert_closure_matches_exact(graph, closure, 4)
+        for sink in (2, 4, 6, 7, 8):
+            assert closure.reachable_from(sink) == {}
+
+    def test_reach_saturates_before_max_hops(self, tile):
+        """On a 5-cycle every pair is set by hop 4; hop 5 finds nothing
+        fresh and the build stops instead of running to hop 255."""
+        graph = DiGraph.from_edges(5, [(u, (u + 1) % 5) for u in range(5)])
+        compared = set()
+        equal = np.equal
+
+        def spy(array, value, **kwargs):
+            compared.add(value)
+            return equal(array, value, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transitive_closure.np, "equal", spy)
+            closure = build_tiled(graph, tile, max_hops=255)
+        assert compared == {1, 2, 3, 4}
+        assert_closure_matches_exact(graph, closure, 255)
+        assert_diagonal_clear(closure)
+
+
+#: Graphs whose buffers are pinned below: the first spans three shipped
+#: tiles, the last one ragged (512 + 512 + 76).
+RECORDED_GRAPHS = {
+    "1100-nodes-H4": (lambda: random_digraph(1100, 9000, random.Random(11)), 4),
+    "300-nodes-H6": (lambda: random_digraph(300, 600, random.Random(7)), 6),
+}
+
+
+class TestRecordedBuild:
+    @pytest.mark.parametrize(
+        "graph, dist_digest, count_digest",
+        [
+            (
+                "1100-nodes-H4",
+                "7d15440ce8ea9768e27d94d20d9acee8ff41c78d45867a8e597202d656a5f2e2",
+                "f0ba722b53862c6daa183613744d529852338382d6be042eb402d73615494a30",
+            ),
+            (
+                "300-nodes-H6",
+                "8323133798ef6aac00767042ea68ee0270875c525d5e95d99371d432ec8c8e85",
+                "cd81bf5464163d4495ed944427fba67fdd5a01fae4536188e51143e7c3352ea1",
+            ),
+        ],
+    )
+    def test_buffers_match_recorded_build(self, graph, dist_digest, count_digest):
+        """sha256 of the distance and count buffers (native byte order),
+        recorded from the untiled build: the queries pin answers, this pins
+        every stored byte."""
+        make, max_hops = RECORDED_GRAPHS[graph]
+        closure = build_transitive_closure_incremental(make(), max_hops=max_hops)
+        assert hashlib.sha256(bytes(closure._dist)).hexdigest() == dist_digest
+        assert hashlib.sha256(bytes(closure._count)).hexdigest() == count_digest
+
+    def test_build_peak_is_the_index_plus_three_tile_operands(self):
+        """numpy reports its buffers to tracemalloc.  The build holds the
+        index, two ``TILE x |V|`` float32 operands, and a ``TILE x TILE``
+        product, masks and edge arrays that fit in a third; a build with a
+        ``|V| x |V|`` float32 operand anywhere is over it (the untiled build
+        peaked at the index plus 9.7 such operands here)."""
+        make, max_hops = RECORDED_GRAPHS["1100-nodes-H4"]
+        graph = make()
+        operand_bytes = 4 * transitive_closure.TILE * graph.num_nodes
+        assert graph.num_nodes > 2 * transitive_closure.TILE
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            closure = build_transitive_closure_incremental(graph, max_hops=max_hops)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= closure.size_bytes() + 3 * operand_bytes
 
 
 class TestNaiveBuilder:
