@@ -40,7 +40,6 @@ from repro.eval import build_experiment, mention_and_tweet_accuracy
 from repro.graph import (
     CompactTwoHopCover,
     DiGraph,
-    DynamicTransitiveClosure,
     OnlineReachability,
     TransitiveClosure,
     build_reachability_index,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DEFAULT_MAX_HOPS",
     "DiGraph",
-    "DynamicTransitiveClosure",
     "IndexUnavailableError",
     "InteractiveLinkingSession",
     "KBProfile",

@@ -77,9 +77,7 @@ EPOCH_MUTATOR_METHODS = frozenset(
         "link_tweet",
         "bulk_link",
         "prune_before",
-        "add_node",
         "add_edge",
-        "remove_edge",
     }
 )
 
@@ -322,8 +320,8 @@ class EpochBumpRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         # A module is in scope iff it constructs an Epoch — that is what
         # makes it the *owner* of structural invalidation.  Modules that
-        # merely wrap an epoch-owning structure (e.g. the dynamic-graph
-        # facade) delegate their mutations and are covered transitively.
+        # merely wrap an epoch-owning structure delegate their mutations
+        # and are covered transitively.
         if not self._owns_epoch(ctx.tree):
             return
         for node in ast.walk(ctx.tree):

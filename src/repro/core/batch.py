@@ -66,9 +66,13 @@ class MicroBatchLinker:
     def link_batch(self, requests: Sequence[LinkRequest]) -> List[LinkResult]:
         """Link a batch of mentions, sharing per-surface computation.
 
-        Output order matches input order.
+        Output order matches input order.  One author outside the follow
+        graph raises :class:`~repro.errors.UnknownUserError` for the whole
+        batch, before any mention is scored.
         """
         linker = self._linker
+        for request in requests:
+            linker._require_user(request.user)
         config = linker.config
         # shared per surface: candidate set + popularity
         candidate_cache: Dict[str, Tuple[int, ...]] = {}

@@ -28,9 +28,8 @@ class ReachabilityProvider(Protocol):
     """Anything that answers weighted reachability queries.
 
     Satisfied by :class:`repro.graph.TransitiveClosure`,
-    :class:`repro.graph.CompactTwoHopCover`,
-    :class:`repro.graph.OnlineReachability` and
-    :class:`repro.graph.DynamicTransitiveClosure`.
+    :class:`repro.graph.CompactTwoHopCover` and
+    :class:`repro.graph.OnlineReachability`.
     """
 
     def reachability(self, source: int, target: int) -> float:

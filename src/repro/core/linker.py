@@ -30,6 +30,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     IndexUnavailableError,
+    UnknownUserError,
 )
 from repro.log import get_logger
 from repro.obs.metrics import METRICS, SCORE_BOUNDARIES
@@ -255,7 +256,7 @@ class SocialTemporalLinker:
 
     @property
     def graph(self) -> DiGraph:
-        """The follow graph this linker scores against (shared, mutable)."""
+        """The follow graph this linker scores against, as built."""
         return self._graph
 
     @property
@@ -284,8 +285,10 @@ class SocialTemporalLinker:
         breaker.  If the index fails, times out, or the breaker is open,
         the mention is still ranked — by ``β·S_r + γ·S_p`` alone, the
         paper's own Appendix-D no-interest bound — and the result carries
-        the degradation reason instead of an exception.
+        the degradation reason instead of an exception.  A ``user`` that is
+        not a node of the follow graph raises :class:`UnknownUserError`.
         """
+        self._require_user(user)
         METRICS.incr("link.requests")
         with stage("link.request", surface=surface, user=user) as root:
             with stage("link.candidates"):
@@ -323,6 +326,14 @@ class SocialTemporalLinker:
             )
             record_link_outcome(root, result, self._config)
             return result
+
+    def _require_user(self, user: int) -> None:
+        """Refuse an author outside the graph before any scoring: a
+        negative id would index another user's row from the end."""
+        if not 0 <= user < self._graph.num_nodes:
+            raise UnknownUserError(
+                f"user {user} outside the follow graph [0, {self._graph.num_nodes})"
+            )
 
     def _interest_or_degradation(
         self, user: int, candidates: Tuple[int, ...]

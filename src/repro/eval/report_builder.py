@@ -34,7 +34,6 @@ SECTIONS: List[Tuple[str, str]] = [
     ("appxd_abstention", "Appendix D — abstention threshold"),
     ("ablation_reachability", "Ablation — reachability providers"),
     ("ablation_window", "Ablation — recency window"),
-    ("ablation_maintenance", "Ablation — closure maintenance"),
     ("ablation_batching", "Ablation — micro-batching"),
     ("ablation_landmarks", "Ablation — landmark ordering"),
     ("ablation_ner", "Ablation — raw-text pipeline"),

@@ -13,11 +13,14 @@ Sec. 4.1 of the paper lives here:
 * :mod:`repro.graph.compact_labels` — hop-bounded 2-hop labels in flat
   buffers + Theorem 1 (the index past the |V|² wall — docs/scaling.md).
 * :mod:`repro.graph.online` — cached per-source BFS, the no-index provider.
-* :mod:`repro.graph.dynamic` — the closure maintained under follow/unfollow.
 * :mod:`repro.graph.dispatch` — :func:`build_reachability_index`, the one
   way production code obtains an index (closure or compact, by graph size).
 * :mod:`repro.graph.generators` — synthetic followee-follower networks,
   including the streaming 100k–1M-user hub/faction worlds.
+
+Three providers answer Eq. 4: the closure, the compact cover and online
+BFS.  The graph is built once and indexed as built; a changed graph is a
+rebuild, whose cost is Fig. 5(b) / Table 5.
 
 The slower, literal Algorithms 1–2 (followee sets in the labels) the
 shipped providers are tested against live in :mod:`repro.testing.oracles`.
@@ -29,7 +32,6 @@ from repro.graph.compact_labels import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.dispatch import build_reachability_index
-from repro.graph.dynamic import DynamicTransitiveClosure
 from repro.graph.generators import (
     SocialGraphConfig,
     StreamingChunk,
@@ -51,7 +53,6 @@ from repro.graph.transitive_closure import (
 __all__ = [
     "CompactTwoHopCover",
     "DiGraph",
-    "DynamicTransitiveClosure",
     "OnlineReachability",
     "SocialGraphConfig",
     "StreamingChunk",

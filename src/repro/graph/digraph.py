@@ -1,6 +1,7 @@
 """Compact directed graph used for the followee-follower network.
 
-Nodes are dense integers ``0..n-1`` (user ids are mapped externally).  The
+Nodes are dense integers ``0..n-1`` (user ids are mapped externally),
+fixed by ``DiGraph(n)``; edges are only ever added.  The
 structure keeps both out- and in-adjacency because Algorithm 2 needs backward
 BFS (who can reach a landmark) as well as forward BFS.
 """
@@ -27,7 +28,7 @@ class DiGraph:
         self._in: List[List[int]] = [[] for _ in range(num_nodes)]
         self._out_sets: List[set] = [set() for _ in range(num_nodes)]
         self._num_edges = 0
-        #: Structure version for ``repro.cache``: every node/edge mutation
+        #: Structure version for ``repro.cache``: every edge insertion
         #: bumps it (CACHE-001), invalidating memoized interest shares.
         self.epoch = Epoch()
 
@@ -42,14 +43,6 @@ class DiGraph:
             graph.add_edge(u, v)
         return graph
 
-    def add_node(self) -> int:
-        """Append a fresh node and return its id."""
-        self._out.append([])
-        self._in.append([])
-        self._out_sets.append(set())
-        self.epoch.bump()
-        return len(self._out) - 1
-
     def add_edge(self, u: int, v: int) -> bool:
         """Insert edge ``u -> v``; returns False if it already existed."""
         if u == v:
@@ -62,17 +55,6 @@ class DiGraph:
         self._out[u].append(v)
         self._in[v].append(u)
         self._num_edges += 1
-        self.epoch.bump()
-        return True
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Delete edge ``u -> v``; returns False if it did not exist."""
-        if v not in self._out_sets[u]:
-            return False
-        self._out_sets[u].remove(v)
-        self._out[u].remove(v)
-        self._in[v].remove(u)
-        self._num_edges -= 1
         self.epoch.bump()
         return True
 

@@ -13,17 +13,15 @@ integers, three bytes a pair; the build peaks at that plus
 evaluates Eq. 4 from them at lookup
 (:func:`repro.graph.reachability.reachability_weight`).  (The paper's
 per-pair strawman it is benchmarked against in Fig. 5(b) is
-:func:`repro.testing.oracles.build_transitive_closure_naive`.)
-
-:class:`TransitiveClosure` also accepts dict-of-dicts rows: that is what
-:meth:`repro.graph.dynamic.DynamicTransitiveClosure.snapshot` freezes into.
+:func:`repro.testing.oracles.build_transitive_closure_naive`.)  The
+closure is built once over the graph as it stands; a changed graph is a
+rebuild.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -45,29 +43,21 @@ _SELF = 255
 class TransitiveClosure:
     """Materialized weighted reachability matrix with O(1) queries.
 
-    ``dense`` is ``(dist, count, degrees)``: ``|V| x |V|`` arrays of ``d_uv``
-    (``uint8``, 0 = unreachable or ``u == v``) and ``|F_uv|`` (set where
-    ``d_uv >= 2``), and the list of ``|F_u|``.  They are read through flat
-    memoryviews, which index faster than numpy scalars but do not pickle;
-    nothing pickles a closure.
+    ``dist`` and ``count`` are ``|V| x |V|`` arrays of ``d_uv`` (``uint8``,
+    0 = unreachable or ``u == v``) and ``|F_uv|`` (set where ``d_uv >= 2``);
+    ``degrees`` is the list of ``|F_u|``.  The matrices are read through
+    flat memoryviews, which index faster than numpy scalars but do not
+    pickle; nothing pickles a closure.
     """
 
     def __init__(
-        self,
-        num_nodes: int,
-        max_hops: int,
-        dense: Optional[Tuple[np.ndarray, np.ndarray, List[int]]] = None,
-        sparse: Optional[List[Dict[int, float]]] = None,
+        self, max_hops: int, dist: np.ndarray, count: np.ndarray, degrees: List[int]
     ) -> None:
-        if (dense is None) == (sparse is None):
-            raise ValueError("exactly one of dense/sparse storage must be given")
-        self._num_nodes = num_nodes
+        self._num_nodes = len(degrees)
         self._max_hops = max_hops
-        self._sparse = sparse
-        if dense is not None:
-            dist, count, self._degrees = dense
-            self._dist = memoryview(dist.ravel())
-            self._count = memoryview(count.ravel())
+        self._degrees = degrees
+        self._dist = memoryview(dist.ravel())
+        self._count = memoryview(count.ravel())
 
     @property
     def num_nodes(self) -> int:
@@ -77,16 +67,10 @@ class TransitiveClosure:
     def max_hops(self) -> int:
         return self._max_hops
 
-    @property
-    def backend(self) -> str:
-        return "dense" if self._sparse is None else "sparse"
-
     def reachability(self, source: int, target: int) -> float:
         """Weighted reachability ``R(source, target)`` — an O(1) lookup."""
         if source == target:
             return 0.0
-        if self._sparse is not None:
-            return self._sparse[source].get(target, 0.0)
         pair = source * self._num_nodes + target
         distance = self._dist[pair]
         if not distance:
@@ -95,8 +79,6 @@ class TransitiveClosure:
 
     def reachable_from(self, source: int) -> Dict[int, float]:
         """All nonzero ``R(source, *)`` as a dict."""
-        if self._sparse is not None:
-            return dict(self._sparse[source])
         row = source * self._num_nodes
         return {
             target: self.reachability(source, target)
@@ -106,17 +88,11 @@ class TransitiveClosure:
 
     def nonzero_entries(self) -> int:
         """Number of stored nonzero pairs (index-size proxy for Table 5)."""
-        if self._sparse is not None:
-            return sum(len(row) for row in self._sparse)
         return int(np.count_nonzero(self._dist))
 
     def size_bytes(self) -> int:
-        """Approximate in-memory footprint of the index (Table 5 column)."""
-        if self._sparse is not None:
-            overhead = sys.getsizeof({})
-            # dict entry of float + int key, rough CPython cost
-            return sum(overhead + 100 * len(row) for row in self._sparse)
-        # both matrices plus one list slot per out-degree
+        """Approximate in-memory footprint of the index (Table 5 column):
+        both matrices plus one list slot per out-degree."""
         return self._dist.nbytes + self._count.nbytes + 8 * len(self._degrees)
 
 
@@ -179,7 +155,7 @@ def build_transitive_closure_incremental(
         if not grew:
             break
     np.fill_diagonal(dist, 0)
-    return TransitiveClosure(n, max_hops, dense=(dist, count, degrees))
+    return TransitiveClosure(max_hops, dist, count, degrees)
 
 
 def exact_followee_set(

@@ -1,9 +1,8 @@
 """Reference implementations the shipped algorithms are tested against.
 
 Nothing here serves a mention: ``repro.graph`` ships the dense transitive
-closure, the compact 2-hop cover, cached online BFS and the dynamic
-closure, and :func:`repro.graph.build_reachability_index` picks between
-the first two; ``repro.core.recency`` ships Eq. 11 as one precomputed
+closure, the compact 2-hop cover and cached online BFS, and
+:func:`repro.graph.build_reachability_index` picks between the first two; ``repro.core.recency`` ships Eq. 11 as one precomputed
 operator per cluster.  These are the slower, more literal versions of the
 same algorithms, kept as oracles for the property battery, ``repro
 bench``'s identity gates and the paper's index tables (``benchmarks/``):
@@ -15,7 +14,7 @@ bench``'s identity gates and the paper's index tables (``benchmarks/``):
   must equal its ``distance``, ``exact_followee_set`` and
   ``reachability(exact_followees=True)``.
 * :func:`build_transitive_closure_naive` — the paper's Fig. 5(b) strawman,
-  one BFS per node pair.
+  one BFS per node pair, kept as per-pair dict rows.
 * :func:`weighted_reachability_from_per_target` — the pre-one-pass
   single-source Eq. 4, one backward DAG walk per target.
 * :func:`propagate_by_iteration` / :func:`propagated_recency_by_iteration`
@@ -40,7 +39,6 @@ from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import reachability_weight, weighted_reachability
-from repro.graph.transitive_closure import TransitiveClosure
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
 from repro.kb.complemented import ComplementedKnowledgebase
 
@@ -328,11 +326,22 @@ def _forward_bfs(
                     queue.append((t, length))
 
 
+class _PairRows:
+    """The naive closure's answers: one dict of nonzero ``R(u, *)`` per
+    source."""
+
+    def __init__(self, rows: List[Dict[int, float]]) -> None:
+        self._rows = rows
+
+    def reachability(self, source: int, target: int) -> float:
+        return self._rows[source].get(target, 0.0)
+
+
 def build_transitive_closure_naive(
     graph: DiGraph,
     max_hops: int = DEFAULT_MAX_HOPS,
     pairs: Optional[Iterable[tuple]] = None,
-) -> TransitiveClosure:
+) -> _PairRows:
     """The paper's naive baseline: an independent BFS per node pair.
 
     ``pairs`` restricts the computation to the given (source, target) pairs
@@ -341,7 +350,7 @@ def build_transitive_closure_naive(
     the single-source DAG across targets — that reuse is precisely the
     advantage the incremental algorithm demonstrates.
     """
-    sparse: List[Dict[int, float]] = [dict() for _ in graph.nodes()]
+    rows: List[Dict[int, float]] = [dict() for _ in graph.nodes()]
     if pairs is None:
         pairs = (
             (u, v) for u in graph.nodes() for v in graph.nodes() if u != v
@@ -349,8 +358,8 @@ def build_transitive_closure_naive(
     for u, v in pairs:
         r = weighted_reachability(graph, u, v, max_hops)
         if r:
-            sparse[u][v] = r
-    return TransitiveClosure(graph.num_nodes, max_hops, sparse=sparse)
+            rows[u][v] = r
+    return _PairRows(rows)
 
 
 def weighted_reachability_from_per_target(

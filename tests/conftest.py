@@ -10,11 +10,10 @@ from repro.config import DAY
 from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
-from repro.kb.builder import KBProfile
 from repro.kb.checkpoint import restore, snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
-from repro.stream.generator import StreamProfile, SyntheticWorld
+from repro.stream.generator import SyntheticWorld
 from repro.stream.profiles import quick_profiles
 
 

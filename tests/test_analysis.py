@@ -339,14 +339,15 @@ class TestCacheRules:
             "CACHE-001",
             """
             class Facade:
-                def __init__(self, graph):
-                    self._graph = graph
+                def __init__(self, ckb):
+                    self._ckb = ckb
+                    self._pruned = []
 
-                def add_edge(self, u, v):
-                    return self._graph.add_edge(u, v)
+                def link_tweet(self, entity_id, user, timestamp):
+                    return self._ckb.link_tweet(entity_id, user, timestamp)
 
-                def remove_edge(self, u, v):
-                    self._edges.discard((u, v))
+                def prune_before(self, cutoff):
+                    self._pruned.append(cutoff)
             """,
         )
 
@@ -356,22 +357,22 @@ class TestCacheRules:
             """
             from repro.cache.epochs import Epoch
 
-            class Graph:
+            class Store:
                 def __init__(self):
                     self.epoch = Epoch()
-                    self._edges = set()
+                    self._links = []
 
-                def add_edge(self, u, v):
-                    self._edges.add((u, v))
+                def link_tweet(self, entity_id, user, timestamp):
+                    self._links.append((entity_id, user, timestamp))
 
-                def remove_edge(self, u, v):
-                    self._edges.discard((u, v))
+                def prune_before(self, cutoff):
+                    self._links = [link for link in self._links if link[2] >= cutoff]
 
-                def out_degree(self, u):
-                    return len(self._edges)
+                def count(self):
+                    return len(self._links)
             """,
         )
-        assert sorted("add_edge" in f.message or "remove_edge" in f.message
+        assert sorted("link_tweet" in f.message or "prune_before" in f.message
                       for f in findings) == [True, True]
 
 

@@ -139,6 +139,17 @@ class TestLink:
         assert code == 1
         assert "no candidates" in caplog.text
 
+    def test_user_outside_the_graph_fails(self, world_file, caplog):
+        """``--user -1`` would wrap to the last user's row; it is refused."""
+        code = main(
+            [
+                "link", "--world", world_file, "--surface", "jordan",
+                "--user", "-1", "--day", "19",
+            ]
+        )
+        assert code == 1
+        assert "UnknownUserError" in caplog.text
+
 
 class TestSearch:
     def test_search_prints_results(self, world_file, capsys):

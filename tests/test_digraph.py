@@ -41,13 +41,6 @@ class TestConstruction:
         graph = DiGraph.from_edges(3, [(0, 1), (1, 2)])
         assert graph.num_edges == 2
 
-    def test_add_node(self):
-        graph = DiGraph(1)
-        new = graph.add_node()
-        assert new == 1
-        graph.add_edge(0, 1)
-        assert graph.has_edge(0, 1)
-
 
 class TestAdjacency:
     def test_followee_and_follower_views(self):

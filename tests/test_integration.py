@@ -1,12 +1,8 @@
 """Cross-module integration tests: the full pipeline on a small world."""
 
-import pytest
-
-from repro.config import LinkerConfig
 from repro.core.batch import MicroBatchLinker
-from repro.eval.context import build_experiment, complement_knowledgebase
+from repro.eval.context import build_experiment
 from repro.eval.metrics import mention_and_tweet_accuracy
-from repro.graph.dynamic import DynamicTransitiveClosure
 from repro.search import PersonalizedSearchEngine, TweetStore
 from repro.stream.generator import SyntheticWorld
 from repro.stream.profiles import quick_profiles
@@ -66,38 +62,6 @@ class TestNerOnGeneratedStream:
 
 
 class TestLiveGraphLinking:
-    def test_linker_on_dynamic_closure_follows_graph_changes(self, small_context):
-        """A linker backed by the dynamic closure reacts to follow events."""
-        from repro.core.linker import SocialTemporalLinker
-
-        from repro.graph.digraph import DiGraph
-
-        world = small_context.world
-        # work on a copy: the session-scoped world's graph must not mutate
-        graph = DiGraph.from_edges(world.graph.num_nodes, world.graph.edges())
-        dynamic = DynamicTransitiveClosure(graph, max_hops=4)
-        linker = SocialTemporalLinker(
-            small_context.ckb,
-            graph,
-            config=small_context.config,
-            reachability=dynamic,
-            propagation_network=small_context.propagation_network,
-        )
-        surface, members = next(
-            iter(world.synthetic_kb.ambiguous_surfaces.items())
-        )
-        target_topic = world.synthetic_kb.topic_of(members[0])
-        hub = world.hubs[target_topic][0]
-        # a brand-new user with no follows: no social signal at all
-        user = dynamic.add_node()
-        before = linker.link(surface, user=user, now=world.timeline.horizon)
-        assert all(c.interest == 0.0 for c in before.ranked)
-        # the user follows the topic hub -> interest appears immediately
-        dynamic.add_edge(user, hub)
-        after = linker.link(surface, user=user, now=world.timeline.horizon)
-        interesting = {c.entity_id: c.interest for c in after.ranked}
-        assert any(value > 0.0 for value in interesting.values())
-
     def test_batch_linker_over_search_engine_tweets(self, small_context):
         """Batch linking + search store compose on the same world."""
         world = small_context.world

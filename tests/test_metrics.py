@@ -1,7 +1,5 @@
 """Accuracy metric tests."""
 
-import pytest
-
 from repro.eval.metrics import (
     accuracy_by_category,
     accuracy_by_tweet_length,

@@ -5,8 +5,6 @@ knowledgebases with arbitrary link patterns, random score inputs, random
 predictions — the invariants must hold for all of them.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -9,7 +9,6 @@ from repro.core.recency import (
     sliding_window_recency,
 )
 from repro.kb.complemented import ComplementedKnowledgebase
-from repro.kb.knowledgebase import Knowledgebase
 
 
 class TestSlidingWindow:

@@ -1,6 +1,7 @@
 """Consolidated report builder tests."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -83,3 +84,16 @@ class TestCliReport:
         code = main(["report", "--results", str(tmp_path / "none")])
         assert code == 1
         assert "no result tables" in caplog.text
+
+
+class TestCommittedReport:
+    def test_report_is_the_rebuild_of_the_results(self):
+        """``REPORT.md`` is ``repro report`` over ``benchmarks/results/``
+        at its own stamp: a re-run table without a regenerated report
+        fails here."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        committed = (root / "REPORT.md").read_text()
+        stamp = re.search(r"^_Generated (\S+)_$", committed, re.MULTILINE).group(1)
+        assert committed == build_report(
+            root / "benchmarks" / "results", generated_at=stamp
+        )

@@ -5,7 +5,7 @@
 *what* the linker decides — these tests pin link-decision parity across
 backends at and around the threshold, assert the ``index.selected``
 trace breadcrumb, and cover the serving tenants' use of the same dispatch.
-They also pin the shelf itself: ``repro.graph`` ships four providers, and
+They also pin the shelf itself: ``repro.graph`` ships three providers, and
 every one of them answers Eq. 4 like the ground truth and the oracles of
 :mod:`repro.testing.oracles`.
 """
@@ -21,16 +21,18 @@ from hypothesis import strategies as st
 
 import repro.graph
 from repro.config import DAY, DEFAULT_CONFIG, LinkerConfig
+from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import SocialTemporalLinker
+from repro.errors import UnknownUserError
 from repro.graph.compact_labels import CompactTwoHopCover
 from repro.graph.digraph import DiGraph
 from repro.graph.dispatch import build_reachability_index
-from repro.graph.dynamic import DynamicTransitiveClosure
 from repro.graph.online import OnlineReachability
 from repro.graph.reachability import reachability_weight, weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE
 from repro.testing.oracles import (
     build_transitive_closure_naive,
@@ -67,20 +69,16 @@ SHIPPED_PROVIDERS = {
         graph, LinkerConfig(index_backend="compact", max_hops=hops)
     ),
     "online": lambda graph, hops: OnlineReachability(graph, max_hops=hops),
-    "dynamic-snapshot": lambda graph, hops: DynamicTransitiveClosure(
-        graph, max_hops=hops
-    ).snapshot(),
 }
 
 
 class TestShippedShelf:
-    """Four providers, one protocol, one answer to Eq. 4."""
+    """Three providers, one protocol, one answer to Eq. 4."""
 
     def test_graph_exports_are_pinned(self):
         assert sorted(repro.graph.__all__) == [
             "CompactTwoHopCover",
             "DiGraph",
-            "DynamicTransitiveClosure",
             "OnlineReachability",
             "SocialGraphConfig",
             "StreamingChunk",
@@ -121,15 +119,10 @@ class TestShippedShelf:
 
 class TestEq4Tie:
     """``R(0, 20) = 3/(3*5)`` and ``R(0, 21) = 2/(2*5)`` are the same
-    rational, so Eq. 1 ties and ascending entity id decides — on every
-    provider, because Eq. 4 is rounded in one place."""
+    rational, so Eq. 1 ties and ascending entity id decides — on all three
+    providers, because Eq. 4 is rounded in one place."""
 
-    PROVIDERS = dict(
-        SHIPPED_PROVIDERS,
-        **{"dynamic-live": lambda graph, hops: DynamicTransitiveClosure(graph, hops)},
-    )
-
-    @pytest.mark.parametrize("provider", sorted(PROVIDERS))
+    @pytest.mark.parametrize("provider", sorted(SHIPPED_PROVIDERS))
     def test_tie_breaks_by_entity_id_on_every_provider(self, provider):
         kb = Knowledgebase()
         kb.add_entity("jordan (a)", description=["a"])
@@ -150,7 +143,7 @@ class TestEq4Tie:
         config = LinkerConfig(influential_users=1)
 
         def link(name):
-            index = self.PROVIDERS[name](graph, config.max_hops)
+            index = SHIPPED_PROVIDERS[name](graph, config.max_hops)
             assert index.reachability(0, 20) == index.reachability(0, 21) == 0.2
             linker = SocialTemporalLinker(ckb, graph, config=config, reachability=index)
             return linker.link("jordan", user=0, now=10 * DAY)
@@ -210,6 +203,37 @@ class TestNoInterestBound:
                 assert candidate.interest == 0.0
                 assert candidate.score <= config.no_interest_bound
             assert result.ranked == link("closure", author).ranked
+
+
+@pytest.mark.parametrize("user", [-1, 13])
+@pytest.mark.parametrize("provider", sorted(SHIPPED_PROVIDERS))
+class TestUnknownUser:
+    """A user id outside the 13-node graph is refused on every provider:
+    ``-1`` would wrap to user 12's row, ``13`` would index past the end."""
+
+    @staticmethod
+    def linker(tiny_ckb, provider):
+        graph = DiGraph.from_edges(13, [(0, 10), (5, 11), (1, 10), (1, 12)])
+        config = LinkerConfig(burst_threshold=2, influential_users=2)
+        index = SHIPPED_PROVIDERS[provider](graph, config.max_hops)
+        return SocialTemporalLinker(tiny_ckb, graph, config=config, reachability=index)
+
+    def test_link_raises(self, tiny_ckb, provider, user):
+        linker = self.linker(tiny_ckb, provider)
+        with pytest.raises(UnknownUserError):
+            linker.link("jordan", user=user, now=100 * DAY)
+        assert linker.link("jordan", user=12, now=100 * DAY).ranked
+
+    def test_link_batch_raises_before_scoring(self, tiny_ckb, provider, user):
+        batch = MicroBatchLinker(self.linker(tiny_ckb, provider))
+        requests = [
+            LinkRequest("jordan", 0, 100 * DAY),
+            LinkRequest("jordan", user, 100 * DAY),
+        ]
+        before = METRICS.counter("link.requests")
+        with pytest.raises(UnknownUserError):
+            batch.link_batch(requests)
+        assert METRICS.counter("link.requests") == before
 
 
 class TestConfigValidation:

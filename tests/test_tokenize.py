@@ -1,6 +1,6 @@
 """Tweet tokenizer tests."""
 
-from repro.text.tokenize import Token, iter_ngrams, tokenize, tokenize_words
+from repro.text.tokenize import iter_ngrams, tokenize, tokenize_words
 
 
 class TestTokenize:

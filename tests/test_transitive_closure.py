@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.graph import transitive_closure
 from repro.graph.digraph import DiGraph
-from repro.graph.dynamic import DynamicTransitiveClosure
 from repro.graph.generators import random_digraph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import (
@@ -40,14 +39,6 @@ def edge_list_strategy(max_nodes=9):
     )
 
 
-def closure_with_storage(graph, backend):
-    """A closure in each storage the container supports: the incremental
-    builder's dense matrix, or the dict rows a dynamic snapshot freezes."""
-    if backend == "dense":
-        return build_transitive_closure_incremental(graph)
-    return DynamicTransitiveClosure(graph).snapshot()
-
-
 def assert_closure_matches_exact(graph, closure, max_hops):
     for u in graph.nodes():
         for v in graph.nodes():
@@ -66,11 +57,9 @@ class TestIncrementalMatchesExact:
         closure = build_transitive_closure_incremental(chain_graph)
         assert_closure_matches_exact(chain_graph, closure, 4)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_random_graph_both_backends(self, backend):
+    def test_random_graph(self):
         graph = random_graph(25, 80, seed=3)
-        closure = closure_with_storage(graph, backend)
-        assert closure.backend == backend
+        closure = build_transitive_closure_incremental(graph)
         assert_closure_matches_exact(graph, closure, 4)
 
     @pytest.mark.parametrize("max_hops", [1, 2, 3])
@@ -243,9 +232,7 @@ class TestClosureContainer:
         assert closure.nonzero_entries() == 4 + 3 + 2 + 1
 
     def test_size_bytes_positive(self, diamond_graph):
-        for backend in ("dense", "sparse"):
-            closure = closure_with_storage(diamond_graph, backend)
-            assert closure.size_bytes() > 0
+        assert build_transitive_closure_incremental(diamond_graph).size_bytes() > 0
 
     def test_dense_size_is_three_bytes_a_pair_plus_degrees(self, diamond_graph):
         """A ``uint8`` distance and a ``uint16`` count per pair, one list
@@ -253,12 +240,6 @@ class TestClosureContainer:
         nodes = diamond_graph.num_nodes
         closure = build_transitive_closure_incremental(diamond_graph)
         assert closure.size_bytes() == 3 * nodes * nodes + 8 * nodes
-
-    def test_constructor_requires_exactly_one_storage(self):
-        from repro.graph.transitive_closure import TransitiveClosure
-
-        with pytest.raises(ValueError):
-            TransitiveClosure(2, 4)
 
 
 class TestExactFolloweeSet:
