@@ -8,9 +8,10 @@ but cannot assert at runtime:
   clock leaks into a scoring path (the paper's recency model, Eq. 9, is
   a function of the *query* time, which must arrive as an argument).
   These three rules are the only walk over the banned-call tables below.
-* **ERR** — the typed error taxonomy.  The transient/permanent retry
-  split in :mod:`repro.errors` only works if code raises taxonomy types
-  and handlers catch exactly what they can handle.
+* **ERR** — the typed error taxonomy.  The serve boundary renders each
+  :mod:`repro.errors` type as its own status and kind, which only works
+  if code raises taxonomy types and handlers catch exactly what they can
+  handle.
 * **CACHE** — incremental consistency.  The score caches trust epoch
   counters for invalidation; a mutator that forgets to bump its owning
   epoch serves stale candidates/popularity/interest silently, breaking
@@ -73,10 +74,8 @@ EPOCH_MUTATOR_METHODS = frozenset(
         "add_entity",
         "add_surface_form",
         "add_hyperlink",
-        "set_description",
         "link_tweet",
         "bulk_link",
-        "prune_before",
         "add_edge",
     }
 )
@@ -271,8 +270,9 @@ class BroadExceptRule(Rule):
             yield self.finding(
                 ctx,
                 node,
-                f"{caught} hides the transient/permanent split (and, wider "
-                "than Exception, swallows KeyboardInterrupt/SystemExit); "
+                f"{caught} hides which taxonomy type failed, the status and "
+                "kind the serve boundary renders (and, wider than Exception, "
+                "swallows KeyboardInterrupt/SystemExit); "
                 "catch ReproError (or narrower taxonomy types), or pragma "
                 "this line as an intentional boundary",
             )

@@ -7,7 +7,7 @@ Three memo tables, bundled as :class:`ScoreCaches` and wired into
 * **candidates** — surface form → candidate tuple, valid while the
   knowledgebase epoch stands (new surface forms / entities bump it);
 * **popularity** — candidate tuple → Eq. 2 shares, valid while the link
-  epoch stands (``link_tweet`` / ``prune_before`` bump it);
+  epoch stands (``link_tweet`` / ``bulk_link`` bump it);
 * **interest** — ``(user, candidates)`` → Eq. 8 shares, valid while both
   the graph epoch and the link epoch stand.  The memo wraps the linker's
   own ``_interest_scores`` computation, so the PR-2 influential-user LRU
@@ -113,9 +113,9 @@ class ScoreCaches:
     ==============  =====================================  ==============
     cache           valid while                            bumped by
     ==============  =====================================  ==============
-    candidates      ``kb.epoch``                           add_entity, add_surface_form, add_hyperlink, set_description
-    popularity      ``ckb.link_epoch``                     link_tweet, prune_before
-    interest        ``graph.epoch`` **and** ``link_epoch``  edge edits, link_tweet, prune_before
+    candidates      ``kb.epoch``                           add_entity, add_surface_form, add_hyperlink
+    popularity      ``ckb.link_epoch``                     link_tweet, bulk_link
+    interest        ``graph.epoch`` **and** ``link_epoch``  edge edits, link_tweet, bulk_link
     ==============  =====================================  ==============
     """
 

@@ -22,9 +22,6 @@ The taxonomy distinguishes three axes:
   request was refused by the front end (bad input, unknown tenant, rate
   limit, load shed); each carries an HTTP ``status`` and a schema-stable
   ``kind`` so ``repro.serve`` renders typed error bodies, never bare 500s.
-
-``TransientError`` marks the dependency errors that retrying may fix;
-:func:`is_transient` is what the ingestor's retry loop consults.
 """
 
 from __future__ import annotations
@@ -58,21 +55,17 @@ class DuplicateTweetError(ReproError):
 
 
 # ---------------------------------------------------------------------- #
-# dependency errors — degrade, retry, or trip the breaker
+# dependency errors — degrade, or trip the breaker
 # ---------------------------------------------------------------------- #
-class TransientError(ReproError):
-    """A failure that retrying with backoff may resolve."""
-
-
-class IndexUnavailableError(TransientError):
+class IndexUnavailableError(ReproError):
     """A reachability index (or other remote dependency) failed to answer."""
 
 
 class DeadlineExceededError(ReproError):
     """A per-mention latency budget ran out mid-computation.
 
-    Deliberately *not* transient: the budget is gone for this mention, the
-    caller must degrade rather than retry within the same request.
+    Not an :class:`IndexUnavailableError`: the budget is gone for this
+    mention, so the caller degrades rather than asking the index again.
     """
 
 
@@ -159,8 +152,3 @@ class OverloadedError(ServeError):
 
     status = 503
     kind = "shed"
-
-
-def is_transient(error: BaseException) -> bool:
-    """Whether the ingestor's retry loop should re-attempt after ``error``."""
-    return isinstance(error, TransientError)

@@ -13,7 +13,8 @@ to the KB with a batch linker and stores, per entity ``e``:
 A labelled corpus (or a checkpoint) loads in one :meth:`bulk_link` pass;
 online inference appends confirmed links one at a time (Sec. 3.2.2
 "update existing knowledge") through :meth:`link_tweet`, which only
-touches per-entity structures — no global recomputation.
+touches per-entity structures — no global recomputation.  Those are the
+only writers, and neither deletes: :math:`D_e` only grows.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class ComplementedKnowledgebase:
         self._versions: Dict[int, int] = {}
         #: Versions the link store for ``repro.cache``: bumped by every
         #: mutator (CACHE-001), so memoized popularity/interest shares
-        #: invalidate structurally when links arrive or are pruned.
+        #: invalidate structurally when links arrive.
         self.link_epoch = Epoch()
 
     @property
@@ -98,7 +99,8 @@ class ComplementedKnowledgebase:
 
         Timestamps are kept sorted so the recency window can be evaluated
         with two bisections even when links arrive out of order (backfills
-        during offline complementation).
+        during offline complementation).  A value a column cannot hold
+        raises with nothing written, as in :meth:`bulk_link`.
         """
         _require_finite(timestamp)
         self._kb.entity(entity_id)  # raises KeyError on bad id
@@ -106,9 +108,16 @@ class ComplementedKnowledgebase:
         if columns is None:
             columns = self._columns[entity_id] = _new_columns()
         users, times, tweet_ids = columns
-        users.append(user)
-        times.append(timestamp)
-        tweet_ids.append(tweet_id)
+        try:
+            users.append(user)
+            times.append(timestamp)
+            tweet_ids.append(tweet_id)
+        except (OverflowError, TypeError):
+            # undo the appends that went in
+            del users[len(tweet_ids) :], times[len(tweet_ids) :]
+            if not tweet_ids:
+                del self._columns[entity_id]
+            raise
         bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
         for merged, owners, column in self._timelines_of.get(entity_id, ()):
             position = bisect.bisect_right(merged, timestamp)
@@ -178,42 +187,6 @@ class ComplementedKnowledgebase:
                 ]
         self.link_epoch.bump()
 
-    def prune_before(self, cutoff: float) -> int:
-        """Drop links older than ``cutoff``; returns how many were removed.
-
-        Streaming deployments cannot keep every historical link forever;
-        pruning bounds memory while leaving every query structure (counts,
-        communities, per-user counts, sorted timestamps) consistent.  Note
-        popularity and influence then reflect the retained horizon only —
-        a deliberate recency bias that long-running linkers usually want.
-        """
-        removed = 0
-        for entity_id, columns in list(self._columns.items()):
-            keep = [timestamp >= cutoff for timestamp in columns[1]]
-            dropped = keep.count(False)
-            if dropped == 0:
-                continue
-            removed += dropped
-            if dropped < len(keep):
-                users, times, tweet_ids = (
-                    array(column.typecode, itertools.compress(column, keep))
-                    for column in columns
-                )
-                self._columns[entity_id] = users, times, tweet_ids
-                self._timestamps[entity_id] = sorted(times)
-                self._user_counts[entity_id] = Counter(users)
-            else:
-                del self._columns[entity_id]
-                del self._timestamps[entity_id]
-                del self._user_counts[entity_id]
-            self._versions[entity_id] += 1
-        if removed:  # rebuilt by the next recent_counts of each group
-            self._timelines.clear()
-            self._timelines_of.clear()
-        self._total_links -= removed
-        self.link_epoch.bump()
-        return removed
-
     # ------------------------------------------------------------------ #
     # paper notation accessors
     # ------------------------------------------------------------------ #
@@ -237,9 +210,9 @@ class ComplementedKnowledgebase:
         return set(self._user_counts.get(entity_id, ()))
 
     def version(self, entity_id: int) -> int:
-        """Writes to :math:`D_e` so far (links, prunes), never reset: what
-        state derived from :math:`D_e` is stamped with.  Bumped *after* the
-        data changed, so a racing reader can only stamp itself too old."""
+        """Links written to :math:`D_e` so far: what state derived from
+        :math:`D_e` is stamped with.  Bumped *after* the data changed, so a
+        racing reader can only stamp itself too old."""
         return self._versions.get(entity_id, 0)
 
     def user_count(self, entity_id: int, user: int) -> int:
@@ -271,9 +244,8 @@ class ComplementedKnowledgebase:
         """:meth:`recent_count` of each entity of a group, in order: two
         bisections on the group's merged timeline and one ``bincount`` over
         the window.  The timeline is merged on the group's first read, kept
-        by :meth:`link_tweet` and dropped by :meth:`bulk_link` and
-        :meth:`prune_before`, so there is nothing for a caller to
-        invalidate."""
+        by :meth:`link_tweet` and dropped by :meth:`bulk_link`, so there is
+        nothing for a caller to invalidate."""
         times, columns = self._timelines.get(entity_ids) or self._merge(entity_ids)
         low = bisect.bisect_left(times, now - window)
         high = bisect.bisect_right(times, now)

@@ -1,10 +1,10 @@
-"""Entity and mention records (Definitions 1–2 of the paper)."""
+"""Entity records of the knowledgebase."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class EntityCategory(enum.Enum):
@@ -46,14 +46,3 @@ class Entity:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.title
 
-
-@dataclasses.dataclass(frozen=True)
-class SurfaceForm:
-    """A mention string together with the entities it may refer to."""
-
-    surface: str
-    entity_ids: Tuple[int, ...]
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return len(self.entity_ids) > 1

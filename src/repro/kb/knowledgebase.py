@@ -82,12 +82,6 @@ class Knowledgebase:
             self._inlinks[target_id].add(source_id)
             self.epoch.bump()
 
-    def set_description(self, entity_id: int, tokens: Sequence[str]) -> None:
-        """Replace the description (page text tokens) of an entity."""
-        self._check_entity(entity_id)
-        self._descriptions[entity_id] = list(tokens)
-        self.epoch.bump()
-
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #

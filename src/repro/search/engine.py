@@ -75,10 +75,6 @@ class PersonalizedSearchEngine:
         self._half_life = freshness_half_life
         self._keyword_weight = keyword_weight
 
-    @property
-    def parser(self) -> QueryParser:
-        return self._parser
-
     # ------------------------------------------------------------------ #
     # search
     # ------------------------------------------------------------------ #

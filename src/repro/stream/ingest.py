@@ -2,21 +2,19 @@
 
 The eval harness replays clean, chronologically sorted synthetic streams.
 A live microblog feed is neither: records arrive late and out of order,
-carry empty text or NaN timestamps, repeat tweet ids on provider retries,
-and the feed itself fails transiently.  This module is the admission
-control in front of :class:`~repro.kb.complemented.ComplementedKnowledgebase`
-and the linker:
+carry empty text or NaN timestamps, and repeat tweet ids on provider
+retries.  This module is the admission control in front of
+:class:`~repro.kb.complemented.ComplementedKnowledgebase` and the linker:
 
 * :class:`TweetValidator` — repairs what is safely repairable (whitespace,
   numeric strings) and rejects the rest with a typed reason;
 * :class:`ResilientIngestor` — watermark-based reordering buffer that
   re-serializes out-of-order arrivals within a configurable lateness
-  bound, a seeded exponential-backoff retry helper for transient feed
-  failures, and a dead-letter queue so nothing is silently dropped;
+  bound, with a dead-letter queue so nothing is silently dropped;
 * :class:`DeadLetter` / :class:`IngestStats` — the observability surface.
 
-Everything is deterministic under a fixed seed and an injected clock, so
-the fault-injection tests can replay exact failure schedules.
+Release order depends only on the records pushed, so a replay of the
+same feed admits, releases and dead-letters exactly the same records.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import collections
 import dataclasses
 import heapq
 import math
-import random
 from typing import (
     Callable,
     Deque,
@@ -35,7 +32,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -45,20 +41,20 @@ from repro.errors import (
     ReproError,
     StaleTimestampError,
     UnknownUserError,
-    is_transient,
 )
 from repro.log import get_logger
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE
 from repro.stream.tweet import MentionSpan, Tweet
 
-T = TypeVar("T")
-
 _log = get_logger(__name__)
 
 #: Anything the validator accepts: an already-constructed tweet or a raw
 #: provider record (field dict).
 RawRecord = Union[Tweet, Dict[str, object]]
+
+#: The largest id the complemented KB's signed 64-bit columns hold.
+_MAX_ID = 2**63 - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,10 +88,6 @@ class IngestStats:
     dead_letter_evictions: int = 0
     duplicates: int = 0
     stale: int = 0
-    retries: int = 0
-
-    def as_row(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
 
 
 class TweetValidator:
@@ -104,8 +96,8 @@ class TweetValidator:
     Repairs are limited to changes that cannot alter linking semantics:
     stripping surrounding whitespace from text, and coercing numeric
     strings / ints to the declared field types.  Anything else — empty
-    text, non-finite or negative timestamps, negative ids, unknown
-    authors — raises the matching taxonomy error.
+    text, non-finite or negative timestamps, ids outside the signed
+    64-bit range, unknown authors — raises the matching taxonomy error.
     """
 
     def __init__(
@@ -130,6 +122,10 @@ class TweetValidator:
         if not math.isfinite(tweet.timestamp) or tweet.timestamp < self._min_timestamp:
             raise MalformedTweetError(
                 f"timestamp {tweet.timestamp!r} outside [{self._min_timestamp}, inf)"
+            )
+        if tweet.tweet_id > _MAX_ID or tweet.user > _MAX_ID:
+            raise MalformedTweetError(
+                f"tweet id {tweet.tweet_id} or user {tweet.user} outside [0, 2**63)"
             )
         if self._known_users is not None and tweet.user not in self._known_users:
             raise UnknownUserError(f"author {tweet.user} not in the user universe")
@@ -188,7 +184,7 @@ class TweetValidator:
 
 
 class ResilientIngestor:
-    """Watermark-ordered, validated, retry-capable stream admission.
+    """Watermark-ordered, validated stream admission.
 
     The ingestor re-serializes a disordered feed: arrivals are buffered
     until the *watermark* (latest event time seen minus ``lateness``)
@@ -206,15 +202,9 @@ class ResilientIngestor:
     max_buffer:
         Backpressure bound; when exceeded, the oldest buffered tweets are
         force-emitted even though the watermark has not reached them.
-    max_retries / backoff_base / backoff_cap:
-        Retry policy of :meth:`fetch` for transient feed errors —
-        exponential backoff with full jitter, seeded for determinism.
     seen_ids:
         Tweet ids already applied downstream (from a checkpoint); arrivals
         with these ids dead-letter as duplicates instead of double-counting.
-    sleep:
-        Injectable sleep for tests; defaults to a no-op accumulator (the
-        waits are recorded in :attr:`total_backoff`).
     advance_hook:
         Optional callback invoked with the *earliest* timestamp of every
         non-empty release batch — a stream low-water mark: by release
@@ -227,29 +217,17 @@ class ResilientIngestor:
         validator: Optional[TweetValidator] = None,
         lateness: float = 0.0,
         max_buffer: int = 1024,
-        max_retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        seed: int = 0,
         seen_ids: Iterable[int] = (),
         max_dead_letters: int = 10_000,
-        sleep: Optional[Callable[[float], None]] = None,
         advance_hook: Optional[Callable[[float], None]] = None,
     ) -> None:
         if lateness < 0:
             raise ValueError("lateness must be non-negative")
         if max_buffer < 1:
             raise ValueError("max_buffer must be positive")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         self._validator = validator or TweetValidator()
         self._lateness = lateness
         self._max_buffer = max_buffer
-        self._max_retries = max_retries
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
-        self._rng = random.Random(seed)
-        self._sleep = sleep
         self._seen: Set[int] = set(seen_ids)
         self._buffer: List[Tuple[float, int, Tweet]] = []
         self._max_event_time = -math.inf
@@ -259,7 +237,6 @@ class ResilientIngestor:
         self._advance_hook = advance_hook
         self.dead_letters: Deque[DeadLetter] = collections.deque()
         self.stats = IngestStats()
-        self.total_backoff = 0.0
 
     # ------------------------------------------------------------------ #
     # admission
@@ -268,11 +245,6 @@ class ResilientIngestor:
     def watermark(self) -> float:
         """Event time up to which the stream is considered complete."""
         return self._max_event_time - self._lateness
-
-    @property
-    def seen_ids(self) -> Set[int]:
-        """Ids admitted so far (including those preloaded from a checkpoint)."""
-        return set(self._seen)
 
     @property
     def pending(self) -> int:
@@ -366,43 +338,6 @@ class ResilientIngestor:
             METRICS.incr("ingest.dead_letters.evicted")
         self.dead_letters.append(letter)
         _log.warning("dead-lettered record (%s): %s", letter.reason, letter.error)
-
-    # ------------------------------------------------------------------ #
-    # transient-failure retry
-    # ------------------------------------------------------------------ #
-    def fetch(self, provider: Callable[[], T]) -> T:
-        """Call a flaky zero-arg provider with backoff + full jitter.
-
-        Retries only errors for which :func:`repro.errors.is_transient`
-        holds; other exceptions propagate immediately.  The final
-        transient error propagates after ``max_retries`` re-attempts.
-        """
-        attempt = 0
-        while True:
-            try:
-                return provider()
-            except ReproError as exc:
-                # Non-taxonomy exceptions propagate uncaught (they were
-                # never retryable); permanent taxonomy errors re-raise on
-                # the is_transient check below.
-                if not is_transient(exc) or attempt >= self._max_retries:
-                    raise
-                delay = min(
-                    self._backoff_cap, self._backoff_base * (2.0**attempt)
-                ) * self._rng.random()
-                attempt += 1
-                self.stats.retries += 1
-                METRICS.incr("ingest.retries")
-                self.total_backoff += delay
-                _log.info(
-                    "transient feed error (attempt %d/%d, backing off %.3fs): %s",
-                    attempt,
-                    self._max_retries,
-                    delay,
-                    exc,
-                )
-                if self._sleep is not None:
-                    self._sleep(delay)
 
     def ingest(self, records: Iterable[RawRecord]) -> List[Tweet]:
         """Push a batch of records and return everything released, without

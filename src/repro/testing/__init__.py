@@ -5,19 +5,13 @@ reachability providers are checked against (:mod:`repro.testing.oracles`)."""
 from repro.testing.faults import (
     FakeClock,
     FaultSchedule,
-    FlakyKnowledgebase,
     FlakyReachabilityProvider,
-    FlakyTweetSource,
-    FlakyTweetStore,
     corrupt_record,
 )
 
 __all__ = [
     "FakeClock",
     "FaultSchedule",
-    "FlakyKnowledgebase",
     "FlakyReachabilityProvider",
-    "FlakyTweetSource",
-    "FlakyTweetStore",
     "corrupt_record",
 ]

@@ -7,25 +7,23 @@ source driven by a seed, explicit call indices, or a fail-the-first-N
 prefix — so ``tests/test_resilience.py`` can replay the exact same
 failure pattern on every run.
 
-Wrappers exist for the three dependencies the linker's online path
-touches: the reachability provider (errors + injected latency against a
-:class:`FakeClock`), the complemented knowledgebase (transient write
-failures), and the tweet store (lookup failures / corrupt records).
-:class:`FlakyTweetSource` plays the role of an unreliable feed in front
-of :class:`~repro.stream.ingest.ResilientIngestor`.
+The one wrapper is for the dependency the linker's online path can lose:
+the reachability provider (errors + injected latency against a
+:class:`FakeClock`).  :func:`corrupt_record` renders the dirty records
+:class:`~repro.stream.ingest.TweetValidator` must dead-letter.
 
-Nothing in this module is imported by production code paths — fault
-injection is strictly opt-in wiring.
+Production code imports it as opt-in wiring: ``repro stream
+--fault-rate`` and ``repro serve --chaos`` wrap their provider in
+:class:`FlakyReachabilityProvider`, and ``repro load`` and ``repro
+trace`` advance a :class:`FakeClock`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.errors import IndexUnavailableError
-from repro.kb.complemented import ComplementedKnowledgebase
-from repro.stream.ingest import RawRecord
 from repro.stream.tweet import Tweet
 
 
@@ -140,98 +138,6 @@ class FlakyReachabilityProvider:
         if self._schedule.should_fault():
             raise self._error(f"injected reachability fault ({source}->{target})")
         return self._inner.reachability(source, target)
-
-
-class FlakyKnowledgebase:
-    """A complemented-KB proxy whose writes fail on schedule.
-
-    Reads always succeed (they are local dictionary lookups in any
-    deployment); :meth:`link_tweet` simulates a flaky persistence layer.
-    Unlisted attributes delegate to the wrapped instance.
-    """
-
-    def __init__(
-        self, inner: ComplementedKnowledgebase, schedule: Optional[FaultSchedule] = None
-    ) -> None:
-        self._inner = inner
-        self._schedule = schedule or FaultSchedule()
-
-    def link_tweet(
-        self, entity_id: int, user: int, timestamp: float, tweet_id: int = -1
-    ) -> None:
-        if self._schedule.should_fault():
-            raise IndexUnavailableError(
-                f"injected KB write fault (entity {entity_id})"
-            )
-        self._inner.link_tweet(entity_id, user, timestamp, tweet_id)
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-class FlakyTweetStore:
-    """A tweet-store proxy injecting lookup failures and corrupt payloads."""
-
-    def __init__(
-        self,
-        inner,
-        schedule: Optional[FaultSchedule] = None,
-        corrupt_schedule: Optional[FaultSchedule] = None,
-    ) -> None:
-        self._inner = inner
-        self._schedule = schedule or FaultSchedule()
-        self._corrupt = corrupt_schedule or FaultSchedule()
-
-    def get(self, tweet_id: int) -> Optional[Tweet]:
-        if self._schedule.should_fault():
-            raise IndexUnavailableError(f"injected store fault (tweet {tweet_id})")
-        tweet = self._inner.get(tweet_id)
-        if tweet is not None and self._corrupt.should_fault():
-            return Tweet(
-                tweet_id=tweet.tweet_id,
-                user=tweet.user,
-                timestamp=tweet.timestamp,
-                text="�" * max(1, len(tweet.text) // 2),
-                mentions=(),
-            )
-        return tweet
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-class FlakyTweetSource:
-    """An unreliable feed: raises transiently, then yields the next record.
-
-    Drive it through :meth:`ResilientIngestor.fetch`, which retries the
-    injected :class:`~repro.errors.IndexUnavailableError` with backoff::
-
-        source = FlakyTweetSource(records, FaultSchedule(error_rate=0.2, seed=7))
-        while not source.exhausted:
-            ingestor.push(ingestor.fetch(source))
-    """
-
-    def __init__(
-        self, records: Sequence[RawRecord], schedule: Optional[FaultSchedule] = None
-    ) -> None:
-        self._records = list(records)
-        self._schedule = schedule or FaultSchedule()
-        self._cursor = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._records)
-
-    def __call__(self) -> RawRecord:
-        if self.exhausted:
-            raise StopIteration("feed exhausted")
-        if self._schedule.should_fault():
-            raise IndexUnavailableError(
-                f"injected feed fault before record {self._cursor}"
-            )
-        record = self._records[self._cursor]
-        self._cursor += 1
-        return record
 
 
 def corrupt_record(tweet: Tweet, mode: str) -> Dict[str, object]:

@@ -341,13 +341,13 @@ class TestCacheRules:
             class Facade:
                 def __init__(self, ckb):
                     self._ckb = ckb
-                    self._pruned = []
+                    self._loaded = []
 
                 def link_tweet(self, entity_id, user, timestamp):
                     return self._ckb.link_tweet(entity_id, user, timestamp)
 
-                def prune_before(self, cutoff):
-                    self._pruned.append(cutoff)
+                def bulk_link(self, links):
+                    self._loaded.append(links)
             """,
         )
 
@@ -365,14 +365,14 @@ class TestCacheRules:
                 def link_tweet(self, entity_id, user, timestamp):
                     self._links.append((entity_id, user, timestamp))
 
-                def prune_before(self, cutoff):
-                    self._links = [link for link in self._links if link[2] >= cutoff]
+                def bulk_link(self, links):
+                    self._links.extend(links)
 
                 def count(self):
                     return len(self._links)
             """,
         )
-        assert sorted("link_tweet" in f.message or "prune_before" in f.message
+        assert sorted("link_tweet" in f.message or "bulk_link" in f.message
                       for f in findings) == [True, True]
 
 

@@ -79,7 +79,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     @pytest.mark.parametrize("propagation", [True, False])
     def test_randomized_interleavings(self, tiny_ckb, seed, propagation):
-        """link / mutate / advance / regress / prune, in random order —
+        """link / mutate / advance / regress / bulk load, in random order —
         the cached linker never deviates from the oracle by one bit."""
         uncached, cached, graph = _pair(
             tiny_ckb, recency_propagation=propagation
@@ -87,7 +87,7 @@ class TestBitIdentity:
         rng = random.Random(seed)
         now = 0.0
         alias = 0
-        for _ in range(150):
+        for step in range(150):
             op = rng.random()
             if op < 0.55:
                 _assert_identical(
@@ -110,8 +110,8 @@ class TestBitIdentity:
                 graph.add_edge(rng.randrange(13), rng.randrange(13))
             elif op < 0.96:
                 now = max(0.0, now - 2 * DAY)  # replay restarts
-            else:
-                tiny_ckb.prune_before(now - 10 * DAY)
+            else:  # draws nothing from rng: the other ops keep their schedule
+                tiny_ckb.bulk_link([(step % 7, 10 + step % 3, now, -1)] * 2)
         # one final sweep over every surface at the final clock
         for surface in _SURFACES:
             _assert_identical(uncached, cached, surface, 11, now)
@@ -141,7 +141,9 @@ class TestBitIdentity:
                     st.integers(0, 6),
                     st.sampled_from((10, 11, 12)),
                 ),
-                st.tuples(st.just("prune"), st.integers(0, 9), st.just(0)),
+                st.tuples(
+                    st.just("bulk"), st.integers(0, 6), st.sampled_from((10, 11, 12))
+                ),
                 st.tuples(st.just("edge"), st.integers(0, 12), st.integers(0, 12)),
             ),
             max_size=25,
@@ -151,7 +153,7 @@ class TestBitIdentity:
     @settings(max_examples=60, deadline=None)
     def test_warm_linker_equals_a_fresh_one(self, ops, method):
         """Whoever writes — this linker, the CKB's owner, a second linker,
-        a prune, a new follow edge — the warm linker's next answer is the
+        a bulk load, a new follow edge — the warm linker's next answer is the
         one a linker constructed for that call gives.  Nobody invalidates
         anything: ``U*_e`` reads ``ckb.version``, BFS rows ``graph.epoch``,
         and the merged recency timelines are kept by the CKB's own writers."""
@@ -174,8 +176,8 @@ class TestBitIdentity:
                 ckb.link_tweet(a, user=b, timestamp=now)
             elif op == "other_linker":
                 other.confirm_link(a, user=b, timestamp=now)
-            elif op == "prune":
-                ckb.prune_before(a * DAY)
+            elif op == "bulk":
+                ckb.bulk_link([(a, b, now, -1)] * 2)
             elif a != b:
                 graph.add_edge(a, b)
 

@@ -11,9 +11,7 @@ from repro.config import DAY
 from repro.eval.context import build_experiment
 from repro.kb.checkpoint import snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
-from repro.errors import IndexUnavailableError
 from repro.kb.knowledgebase import Knowledgebase
-from repro.testing.faults import FaultSchedule, FlakyKnowledgebase
 
 
 def kb_of(size: int) -> Knowledgebase:
@@ -196,38 +194,6 @@ class TestRecencyWindow:
         assert ckb.recent_count(0, now=10 * DAY, window=3 * DAY) == 1
 
 
-class TestPruning:
-    def test_prune_removes_old_links(self, ckb):
-        for day in range(10):
-            ckb.link_tweet(0, user=1, timestamp=day * DAY)
-        removed = ckb.prune_before(5 * DAY)
-        assert removed == 5
-        assert ckb.count(0) == 5
-        assert ckb.total_links == 5
-        assert ckb.recent_count(0, 9 * DAY, 100 * DAY) == 5
-
-    def test_prune_drops_empty_entities(self, ckb):
-        ckb.link_tweet(0, user=1, timestamp=0.0)
-        ckb.link_tweet(1, user=2, timestamp=10 * DAY)
-        ckb.prune_before(5 * DAY)
-        assert ckb.linked_entities() == [1]
-        assert ckb.community(0) == set()
-
-    def test_prune_keeps_user_counts_consistent(self, ckb):
-        ckb.link_tweet(0, user=1, timestamp=0.0)
-        ckb.link_tweet(0, user=1, timestamp=10 * DAY)
-        ckb.link_tweet(0, user=2, timestamp=1.0 * DAY)
-        ckb.prune_before(5 * DAY)
-        assert ckb.user_count(0, 1) == 1
-        assert ckb.user_count(0, 2) == 0
-        assert ckb.community(0) == {1}
-
-    def test_prune_noop(self, ckb):
-        ckb.link_tweet(0, user=1, timestamp=10 * DAY)
-        assert ckb.prune_before(0.0) == 0
-        assert ckb.count(0) == 1
-
-
 class TestVersion:
     """``version(e)`` counts writes to ``D_e``; it is what cached state
     derived from ``D_e`` is stamped with."""
@@ -238,30 +204,41 @@ class TestVersion:
         seen.append(ckb.version(0))
         ckb.bulk_link([(0, 2, 10 * DAY, -1), (0, 2, 11 * DAY, -1)])
         seen.append(ckb.version(0))
-        assert ckb.prune_before(5 * DAY) == 1
-        seen.append(ckb.version(0))
-        assert seen == [0, 1, 3, 4]
+        assert seen == [0, 1, 3]
 
-    def test_prune_leaves_untouched_entities_alone(self, ckb):
-        ckb.link_tweet(0, user=1, timestamp=0.0)
-        ckb.link_tweet(1, user=2, timestamp=10 * DAY)
-        before = ckb.version(1)
-        ckb.prune_before(5 * DAY)
-        assert ckb.version(1) == before
-        assert ckb.prune_before(5 * DAY) == 0  # nothing left to drop
-        assert ckb.version(0) == 2
 
-    def test_prune_then_relink_restores_count_not_version(self, ckb):
-        ckb.link_tweet(0, user=1, timestamp=0.0)
-        count, version = ckb.count(0), ckb.version(0)
-        ckb.prune_before(DAY)  # D_0 emptied and dropped; its version is not
-        ckb.link_tweet(0, user=2, timestamp=2 * DAY)
-        assert ckb.count(0) == count
-        assert ckb.version(0) > version
+class TestLinkTweetAllOrNothing:
+    """A value one column cannot hold fails the whole ``link_tweet``, as it
+    fails a whole ``bulk_link``: nothing of the link is written, whether
+    the entity has links already or not."""
 
-    def test_flaky_proxy_forwards_and_failed_write_does_not_bump(self, ckb):
-        flaky = FlakyKnowledgebase(ckb, FaultSchedule(fail_calls=[1]))
-        flaky.link_tweet(0, user=1, timestamp=0.0)
-        with pytest.raises(IndexUnavailableError):
-            flaky.link_tweet(0, user=1, timestamp=1.0)
-        assert flaky.version(0) == ckb.version(0) == 1
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((2**70, 6.0, 8), OverflowError),
+            ((2, "6.0", 8), TypeError),
+            ((2, 6.0, 2**70), OverflowError),
+        ],
+        ids=["user", "timestamp", "tweet_id"],
+    )
+    def test_failed_write_changes_nothing(self, ckb, bad, error):
+        ckb.link_tweet(0, 1, 5.0, 7)
+        ckb.recent_counts((0, 1), 6.0, 6.0)  # the merged timeline is live
+
+        def written():
+            return (
+                state(ckb, [(0, 1)]),
+                ckb.linked_entities(),
+                [[len(column) for column in ckb.link_columns(e)] for e in (0, 1)],
+                [ckb.count(e) for e in (0, 1)],
+                ckb.link_epoch.value,
+            )
+
+        before = written()
+        for entity_id in (0, 1):
+            with pytest.raises(error):
+                ckb.link_tweet(entity_id, *bad)
+            assert written() == before
+        ckb.link_tweet(0, 2, 6.0, 8)  # the next good link lands whole
+        assert [len(column) for column in ckb.link_columns(0)] == [2, 2, 2]
+        assert ckb.recent_counts((0, 1), 6.0, 6.0).tolist() == [2, 0]

@@ -99,5 +99,3 @@ class TestHyperlinksAndRelatedness:
         kb = Knowledgebase()
         entity = kb.add_entity("a", description=["x", "y"])
         assert kb.description(entity.entity_id) == ["x", "y"]
-        kb.set_description(entity.entity_id, ["z"])
-        assert kb.description(entity.entity_id) == ["z"]

@@ -254,10 +254,6 @@ class TestInfluentialCacheBound:
             LinkerConfig(influential_cache_size=0)
 
 
-#: Recipe C's own world: pruning at day 1 removes user 1 from e1 entirely.
-PRUNE_LINKS = [(1, 1, 0.0)] * 3 + [(1, 2, 5 * DAY)] * 2 + [(0, 3, 5 * DAY)]
-
-
 def _confirms(times):
     def mutate(warm, ckb):
         for _ in range(times):
@@ -274,7 +270,6 @@ WRITES = {
         JORDAN_LINKS,
         lambda warm, ckb: ckb.bulk_link([(0, 1, 10 * DAY, -1)] * 5),
     ),
-    "prune": (PRUNE_LINKS, lambda warm, ckb: ckb.prune_before(1 * DAY)),
 }
 
 
@@ -290,7 +285,6 @@ CLUSTER_WRITES = {
     "direct_ckb_write": lambda warm, ckb: ckb.bulk_link(
         [(6, 11, 9 * DAY, -1)] * 3 + [(0, 11, 8 * DAY, -1)]
     ),
-    "prune": lambda warm, ckb: ckb.prune_before(8 * DAY),
 }
 
 

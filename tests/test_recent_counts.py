@@ -49,7 +49,10 @@ TICKS = st.integers(0, 12).map(float)
 OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("link"), st.sampled_from(LINKED), TICKS),
-        st.tuples(st.just("prune"), TICKS.map(lambda t: t + 1.0)),  # 13.0: total
+        st.tuples(
+            st.just("bulk"),
+            st.lists(st.tuples(st.sampled_from(LINKED), TICKS), max_size=4),
+        ),
         st.tuples(
             st.just("read"), st.integers(0, len(GROUPS) - 1), TICKS, st.integers(0, 6)
         ),
@@ -72,18 +75,19 @@ class TestGroupReadEqualsEntityRead:
         first_read=st.sets(st.integers(0, len(GROUPS) - 1)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_interleaved_writes_prunes_and_reads(self, operations, first_read):
+    def test_interleaved_writes_and_reads(self, operations, first_read):
         """Groups in ``first_read`` get their timeline before any write
         (and are then maintained link by link); the others are merged by
-        whichever read meets them first, possibly after a prune."""
+        whichever read meets them first, possibly after a bulk load
+        dropped the timeline of every group it touched."""
         ckb = ComplementedKnowledgebase(KB)
         for index in sorted(first_read):
             assert_group_equals_members(ckb, GROUPS[index], 6.0, 3.0)
         for operation in operations:
             if operation[0] == "link":
                 ckb.link_tweet(operation[1], user=0, timestamp=operation[2])
-            elif operation[0] == "prune":
-                ckb.prune_before(operation[1])
+            elif operation[0] == "bulk":
+                ckb.bulk_link((e, 0, t, -1) for e, t in operation[1])
             elif operation[0] == "read":
                 _, index, now, window = operation
                 assert_group_equals_members(ckb, GROUPS[index], now, float(window))
@@ -105,17 +109,19 @@ class TestGroupReadEqualsEntityRead:
         assert ckb.recent_counts(group, 10.0, 3.0).tolist() == [1, 1, 0]
         assert ckb.recent_counts(group, 10.5, 4.0).tolist() == [1, 2, 1]
 
-    def test_total_prune_then_relink(self):
+    def test_bulk_link_drops_touched_timelines_then_relink(self):
         ckb = ComplementedKnowledgebase(KB)
-        group = (0, 1)
+        touched, untouched = (0, 1), (5,)
         ckb.link_tweet(0, user=1, timestamp=1.0)
-        assert ckb.recent_counts(group, 2.0, 5.0).tolist() == [1, 0]
-        assert ckb.prune_before(0.5) == 0  # none removed: the timeline stays
-        assert ckb.recent_counts(group, 2.0, 5.0).tolist() == [1, 0]
-        assert ckb.prune_before(9.0) == 1
-        assert ckb.recent_counts(group, 2.0, 5.0).tolist() == [0, 0]
+        assert ckb.recent_counts(touched, 2.0, 5.0).tolist() == [1, 0]
+        assert ckb.recent_counts(untouched, 2.0, 5.0).tolist() == [0]
+        kept = ckb._timelines[untouched]
+        ckb.bulk_link([(1, 1, 2.0, -1)])
+        assert touched not in ckb._timelines
+        assert ckb._timelines[untouched] is kept
+        assert ckb.recent_counts(touched, 2.0, 5.0).tolist() == [1, 1]
         ckb.link_tweet(1, user=1, timestamp=2.0)
-        assert ckb.recent_counts(group, 2.0, 5.0).tolist() == [0, 1]
+        assert ckb.recent_counts(touched, 2.0, 5.0).tolist() == [1, 2]
 
     def test_wide_group_numbers_members_past_one_byte(self):
         ckb = ComplementedKnowledgebase(KB)

@@ -56,30 +56,3 @@ class TestStoreProperties:
             assert overlap_a > overlap_b or (
                 overlap_a == overlap_b and time_a >= time_b
             )
-
-
-class TestPruneIntegration:
-    def test_linker_consistent_after_prune(self, tiny_ckb):
-        """Pruning the complemented KB must leave linking functional and
-        recency reflecting only the retained horizon."""
-        from repro.config import DAY, LinkerConfig
-        from repro.core.linker import SocialTemporalLinker
-        from repro.graph.digraph import DiGraph
-
-        graph = DiGraph(13)
-        graph.add_edge(0, 10)
-        linker = SocialTemporalLinker(
-            tiny_ckb, graph,
-            config=LinkerConfig(burst_threshold=1, influential_users=2),
-        )
-        before = linker.link("jordan", user=0, now=8 * DAY)
-        assert before.best is not None
-        removed = tiny_ckb.prune_before(100 * DAY)  # drop everything
-        assert removed > 0
-        pruned = linker.link("jordan", user=0, now=101 * DAY)
-        # influence rankings must reflect the pruned (empty) communities
-        assert all(c.interest == 0.0 for c in pruned.ranked)
-        linker.confirm_link(0, user=10, timestamp=101 * DAY)  # re-seed
-        after = linker.link("jordan", user=0, now=101 * DAY)
-        assert after.best is not None
-        assert tiny_ckb.count(0) == 1
