@@ -5,7 +5,9 @@ hub-dominated follow graphs that choice is what keeps labels small (the
 first few landmarks cover most shortest paths).  Expected shape: both
 degree-based orders produce substantially smaller indexes and faster
 builds than a random order; query results are identical (distances exact
-under every order).
+under every order).  This ablation builds the paper's cover (the test
+oracle), not the shipped one: ``order=`` exists only there, and the
+shipped cover always takes landmarks by descending degree.
 """
 
 import random

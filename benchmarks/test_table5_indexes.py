@@ -3,20 +3,28 @@
 Paper columns per dataset: node/edge counts, degree stats, indexing time,
 index size, and average weighted-reachability query time; the transitive
 closure rows are blank ("-") on the largest graphs (out of time/memory).
+Each dataset here gets three rows: the closure (Algorithm 1), the paper's
+2-hop cover (Algorithm 2 + Theorem 2, the test oracle) and the cover a
+linker gets past the closure's |V|² wall (PLL + Theorem 1,
+``build_compact_two_hop_cover``); ``benchmarks/test_table5_scale.py`` has
+the rows the closure cannot reach.
 
-Expected shape here: the closure answers queries fastest; the 2-hop cover
-stores far fewer entries than the closure has nonzero cells; both agree
-with the exact Eq.-4 definition.  Two reproduction caveats (EXPERIMENTS.md):
-our incremental closure build is numpy-vectorized and therefore *faster*
-than the pure-Python label construction, inverting the paper's build-time
-column, and at laptop graph sizes the dense closure (3 bytes a pair) can
-undercut the 2-hop labels in raw bytes even while storing many more entries.
+Expected shape: the closure answers queries fastest; both 2-hop covers
+store fewer entries than the closure has nonzero cells; all three agree
+with the exact Eq.-4 definition.  Two reproduction caveats
+(EXPERIMENTS.md): our closure build is numpy-vectorized and therefore
+*faster* than either pure-Python label construction, inverting the
+paper's build-time column; and in bytes the shipped cover is the smallest
+index at every size here (1.1 MB against the closure's 3·n² = 4.3 MB at
+1,200 nodes), while the oracle's dict-of-sets labels are the largest by
+far.
 """
 
 import random
 import time
 
 from repro.eval.reporting import format_table
+from repro.graph.compact_labels import build_compact_two_hop_cover
 from repro.graph.generators import SocialGraphConfig, topical_social_graph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
@@ -45,6 +53,21 @@ def _query_pairs(num_nodes: int, rng: random.Random):
     ]
 
 
+#: The three builders: the closure (Algorithm 1), the paper's 2-hop cover
+#: (the oracle), and the cover a linker gets past the closure's |V|² wall.
+BUILDERS = (
+    ("transitive closure", build_transitive_closure_incremental),
+    ("Algorithm 2 + Theorem 2", build_two_hop_cover),
+    ("PLL + Theorem 1 (shipped)", build_compact_two_hop_cover),
+)
+
+
+def _entries(index) -> int:
+    if hasattr(index, "num_label_entries"):
+        return index.num_label_entries()
+    return index.nonzero_entries()
+
+
 def test_table5_index_comparison(benchmark, report):
     rows = []
     shape_checks = []
@@ -52,51 +75,44 @@ def test_table5_index_comparison(benchmark, report):
         graph = _follow_graph(num_users)
         stats = graph.stats()
         pairs = _query_pairs(num_users, random.Random(17))
-
-        started = time.perf_counter()
-        closure = build_transitive_closure_incremental(graph)
-        closure_build = time.perf_counter() - started
-        started = time.perf_counter()
-        cover = build_two_hop_cover(graph)
-        cover_build = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for u, v in pairs:
-            closure.reachability(u, v)
-        closure_query = (time.perf_counter() - started) / NUM_QUERIES
-        started = time.perf_counter()
-        for u, v in pairs:
-            cover.reachability(u, v)
-        cover_query = (time.perf_counter() - started) / NUM_QUERIES
-
-        rows.append(
-            {
-                "dataset": name,
-                "#node": stats["nodes"],
-                "#edge": stats["edges"],
-                "avg deg": round(stats["avg_degree"], 1),
-                "max deg": stats["max_degree"],
-                "TC build(s)": round(closure_build, 2),
-                "2hop build(s)": round(cover_build, 2),
-                "TC entries": closure.nonzero_entries(),
-                "2hop entries": cover.num_label_entries(),
-                "TC query(µs)": round(closure_query * 1e6, 2),
-                "2hop query(µs)": round(cover_query * 1e6, 2),
-            }
+        measured = {}
+        for label, build in BUILDERS:
+            started = time.perf_counter()
+            index = build(graph)
+            build_s = time.perf_counter() - started
+            started = time.perf_counter()
+            for u, v in pairs:
+                index.reachability(u, v)
+            query_s = (time.perf_counter() - started) / NUM_QUERIES
+            measured[label] = (index, query_s)
+            rows.append(
+                {
+                    "dataset": name,
+                    "#node": stats["nodes"],
+                    "#edge": stats["edges"],
+                    "avg deg": round(stats["avg_degree"], 1),
+                    "max deg": stats["max_degree"],
+                    "index": label,
+                    "build(s)": round(build_s, 2),
+                    "entries": _entries(index),
+                    "bytes": index.size_bytes(),
+                    "query(µs)": round(query_s * 1e6, 2),
+                }
+            )
+        (closure, closure_query), (cover, cover_query), (compact, _) = (
+            measured[label] for label, _ in BUILDERS
         )
         shape_checks.append(
-            (
-                closure_query,
-                cover_query,
-                closure.nonzero_entries(),
-                cover.num_label_entries(),
-            )
+            (closure_query, cover_query, _entries(closure), _entries(cover))
         )
-        # spot-check both indexes against the exact definition
+        # the shipped cover undercuts the closure's 3 bytes a pair
+        assert compact.size_bytes() < closure.size_bytes()
+        # spot-check every index against the exact definition
         for u, v in pairs[:40]:
             exact = weighted_reachability(graph, u, v)
             assert closure.reachability(u, v) == exact
             assert cover.reachability(u, v, exact_followees=True) == exact
+            assert compact.reachability(u, v) == exact
 
     report(
         "table5_indexes",

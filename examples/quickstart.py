@@ -56,7 +56,7 @@ def main() -> None:
 
     # --- the followee-follower network --------------------------------- #
     ALICE, BOB, CAROL = 0, 1, 2  # test users
-    graph = DiGraph(13)
+    graph = DiGraph(26)  # users 20-25 tweet the sneaker drop below
     graph.add_edge(ALICE, NBA_OFFICIAL)  # Alice follows @NBAOfficial
     graph.add_edge(BOB, ML_PROF)         # Bob follows the ML professor
 

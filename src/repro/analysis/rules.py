@@ -42,7 +42,7 @@ __all__ = [
 
 #: Scoring/linking scope of the wall-clock ban: everything whose output
 #: feeds a score, a rank, or an evaluation table.  Serving-side modules
-#: (stream, resilience, cli, bench, log) may read clocks — that is
+#: (stream, resilience, cli, log) may read clocks — that is
 #: their job.  ``repro.obs`` is in scope because golden traces must be
 #: byte-identical run over run: tracer time comes from injected clocks
 #: only (the deterministic TickClock by default), never the wall; its

@@ -8,7 +8,6 @@ Subcommands::
     repro link      --world world.json.gz --surface jordan --user 7 --day 90
     repro search    --world world.json.gz --query "jordan dunk" --user 7
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro bench     [--tiers 1000 50000 --out BENCH_linking.json]
     repro check     [src ...] [--strict --format json --out CHECK_report.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
@@ -19,9 +18,7 @@ Subcommands::
 ``generate`` builds and persists a synthetic world; the other commands
 load one and run the corresponding piece of the pipeline.  ``stream``
 replays the test stream through the resilient online path (validation,
-reordering, degradation, checkpointing); ``bench`` measures the
-streaming-world scale tiers and exits 1 when one fails its identity or
-memory gate (latency is ``perfbench/``'s); ``check`` runs the project's
+reordering, degradation, checkpointing); ``check`` runs the project's
 AST invariant linter (DESIGN.md §8); ``trace`` runs the deterministic
 observability scenarios and maintains the golden-trace fixtures
 (docs/observability.md).  Primary output is plain aligned tables on
@@ -158,21 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cached", action="store_true",
         help="enable the epoch-keyed score memos (repro.cache); output is "
         "bit-identical to the uncached path",
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="measure the streaming-world scale tiers (latency is perfbench's)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_linking.json",
-        help="output document path (schema-stable JSON)",
-    )
-    bench.add_argument("--seed", type=int, default=11)
-    bench.add_argument(
-        "--tiers", type=int, nargs="+", default=None, metavar="USERS",
-        help="user counts to measure, e.g. --tiers 1000 (a few seconds; "
-        "the default 1000 50000 500000 takes ~17 min and > 1 GB)",
     )
 
     trace = commands.add_parser(
@@ -515,7 +497,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     seen_ids = []
     if args.resume and args.checkpoint:
         checkpoint = load_checkpoint(args.checkpoint)
-        ckb = restore(world.kb, checkpoint)
+        ckb = restore(world.kb, checkpoint, world.graph.num_nodes)
         seen_ids = sorted(checkpoint.applied_ids)
         _log.info(
             "resumed from %s: %d links, %d applied tweets",
@@ -603,39 +585,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(format_table(rows, title="resilient stream replay"))
     _metrics_write(args.metrics_out, tool="repro stream")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench, scale_gate_errors
-
-    document = run_bench(seed=args.seed, tiers=args.tiers, out=args.out)
-    tier_rows = [
-        {
-            "users": row["users"],
-            "backend": row["backend"],
-            "build_s": row["index_build_s"],
-            "index_MiB": round(row["index_bytes"] / 2**20, 2),
-            "q_p50_us": row["query_p50_us"],
-            "q_p99_us": row["query_p99_us"],
-            "identical": (
-                "n/a" if row["outputs_identical"] is None
-                else "yes" if row["outputs_identical"] else "NO"
-            ),
-        }
-        for row in document["scale"]["tiers"]
-    ]
-    print(format_table(tier_rows, title="scale tiers (streaming worlds)"))
-    reach = document["reachability"]
-    check = "identical" if reach["outputs_identical"] else "MISMATCH"
-    print(
-        f"one-pass reachability: {reach['speedup']}x vs per-target "
-        f"({reach['sources']} sources, outputs {check})"
-    )
-    print(f"benchmark written to {args.out}")
-    errors = scale_gate_errors(document)
-    for error in errors:
-        print(f"ERROR: {error}")
-    return 1 if errors else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -910,7 +859,6 @@ _HANDLERS = {
     "report": _cmd_report,
     "validate": _cmd_validate,
     "stream": _cmd_stream,
-    "bench": _cmd_bench,
     "check": _cmd_check,
     "trace": _cmd_trace,
     "serve": _cmd_serve,

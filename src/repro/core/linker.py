@@ -372,8 +372,11 @@ class SocialTemporalLinker:
 
         Everything derived from :math:`D_e` (``U_e``, counts, the recency
         window, cached :math:`U^*_e` rankings) follows from the write
-        itself — the same as a direct ``ckb.link_tweet``.
+        itself — the same as a direct ``ckb.link_tweet``.  A ``user`` that
+        is not a node of the follow graph raises :class:`UnknownUserError`
+        and writes nothing.
         """
+        self._require_user(user)
         self._ckb.link_tweet(entity_id, user, timestamp, tweet_id)
 
     # ------------------------------------------------------------------ #

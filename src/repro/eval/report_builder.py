@@ -27,6 +27,7 @@ SECTIONS: List[Tuple[str, str]] = [
     ("fig5c_influential", "Fig. 5(c) — influential-user count"),
     ("fig5d_scalability", "Fig. 5(d) — knowledgebase scalability"),
     ("table5_indexes", "Table 5 — reachability indexes"),
+    ("table5_scale", "Table 5 — reachability indexes at scale"),
     ("fig6ab_weibo", "Fig. 6(a,b) — Weibo generalizability"),
     ("fig6c_tweet_length", "Fig. 6(c) — tweet length"),
     ("fig6d_sensitivity", "Fig. 6(d) — weight sensitivity"),

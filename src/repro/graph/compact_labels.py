@@ -186,7 +186,7 @@ class CompactTwoHopCover:
     def label_bytes(self) -> int:
         """Exact payload bytes of every buffer: ``itemsize * len`` per
         typed array plus the raw distance bytes — hand-computable from the
-        label shape, and what ``repro bench`` holds against its budget."""
+        label shape, and what Table 5's large rows hold against 1 GiB."""
         arrays = (
             self._landmarks,
             self._rank_of,

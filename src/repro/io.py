@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.kb.builder import KBProfile, SyntheticKB
-from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.entity import EntityCategory
 from repro.kb.knowledgebase import Knowledgebase
 from repro.stream.events import Event, EventTimeline
@@ -74,17 +73,6 @@ def kb_from_dict(payload: Dict[str, Any]) -> Knowledgebase:
         for source_id in record["inlinks"]:
             kb.add_hyperlink(source_id, target_id)
     return kb
-
-
-def ckb_to_dict(ckb: ComplementedKnowledgebase) -> Dict[str, Any]:
-    links = [list(link) for link in ckb.iter_links()]
-    return {"kb": kb_to_dict(ckb.kb), "links": links}
-
-
-def ckb_from_dict(payload: Dict[str, Any]) -> ComplementedKnowledgebase:
-    ckb = ComplementedKnowledgebase(kb_from_dict(payload["kb"]))
-    ckb.bulk_link(payload["links"])
-    return ckb
 
 
 def tweet_to_dict(tweet: Tweet) -> Dict[str, Any]:
@@ -191,17 +179,3 @@ def load_world(path: PathLike) -> SyntheticWorld:
     """Read a world written by :func:`save_world`."""
     with _open(path, "r") as handle:
         return world_from_dict(json.load(handle))
-
-
-def save_ckb(ckb: ComplementedKnowledgebase, path: PathLike) -> None:
-    """Persist a complemented knowledgebase (bundles its KB)."""
-    with _open(path, "w") as handle:
-        json.dump({"version": FORMAT_VERSION, **ckb_to_dict(ckb)}, handle)
-
-
-def load_ckb(path: PathLike) -> ComplementedKnowledgebase:
-    with _open(path, "r") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported ckb format version {payload.get('version')!r}")
-    return ckb_from_dict(payload)

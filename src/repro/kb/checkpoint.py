@@ -76,15 +76,24 @@ def snapshot(
     )
 
 
-def restore(kb: Knowledgebase, checkpoint: StreamCheckpoint) -> ComplementedKnowledgebase:
+def restore(
+    kb: Knowledgebase, checkpoint: StreamCheckpoint, num_nodes: int
+) -> ComplementedKnowledgebase:
     """Rebuild a complemented KB over ``kb`` by bulk-loading the link table.
 
     Load order equals storage order, so per-entity columns (and hence
     every derived structure) match the pre-crash instance exactly.  A link
-    naming an entity ``kb`` lacks, or a non-finite timestamp (JSON admits
-    ``NaN``), raises :class:`~repro.errors.CheckpointCorruptError` naming
-    the first such link.
+    whose user is outside the follow graph's ``[0, num_nodes)`` raises
+    :class:`~repro.errors.CheckpointCorruptError` naming the first such
+    link, and so, after that check, does one naming an entity ``kb``
+    lacks or a non-finite timestamp (JSON admits ``NaN``).
     """
+    for position, link in enumerate(checkpoint.links):
+        if not 0 <= link[1] < num_nodes:
+            raise CheckpointCorruptError(
+                f"checkpoint link {position} {link}: user {link[1]} outside "
+                f"the follow graph [0, {num_nodes})"
+            )
     ckb = ComplementedKnowledgebase(kb)
     try:
         ckb.bulk_link(checkpoint.links)

@@ -4,8 +4,8 @@ Nothing here serves a mention: ``repro.graph`` ships the dense transitive
 closure, the compact 2-hop cover and cached online BFS, and
 :func:`repro.graph.build_reachability_index` picks between the first two; ``repro.core.recency`` ships Eq. 11 as one precomputed
 operator per cluster.  These are the slower, more literal versions of the
-same algorithms, kept as oracles for the property battery, ``repro
-bench``'s identity gates and the paper's index tables (``benchmarks/``):
+same algorithms, kept as oracles for the property battery and the
+paper's index tables (``benchmarks/``, Table 5's large rows included):
 
 * :class:`TwoHopCover` / :func:`build_two_hop_cover` — Algorithm 2 and
   Theorem 2 (docs/algorithms.md) as dict-of-dicts with one Python ``set``
@@ -367,9 +367,9 @@ def weighted_reachability_from_per_target(
 ) -> Dict[int, float]:
     """The pre-one-pass implementation: one backward DAG walk per target.
 
-    Kept as the oracle for the property tests and as the baseline the
-    ``repro bench`` reachability micro-benchmark measures the one-pass
-    rewrite against; not used on any production path.
+    Kept as the oracle for the property tests and as the baseline
+    Table 5's one-pass row (``benchmarks/test_table5_scale.py``) times
+    the one-pass rewrite against; not used on any production path.
     """
     result: Dict[int, float] = {}
     num_followees = graph.out_degree(source)

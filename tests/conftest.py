@@ -139,7 +139,7 @@ def rebuilt_linker(linker):
     of ``linker``'s (one ``bulk_link`` of ``iter_links()``): nothing cached
     and no merged timeline yet, so every ``recent_counts`` it makes is a
     first read."""
-    ckb = restore(linker.ckb.kb, snapshot(linker.ckb))
+    ckb = restore(linker.ckb.kb, snapshot(linker.ckb), linker.graph.num_nodes)
     return SocialTemporalLinker(ckb, linker.graph, config=linker.config)
 
 

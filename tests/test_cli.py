@@ -213,22 +213,18 @@ class TestStream:
         assert code == 1
         assert "CheckpointCorruptError: checkpoint link 0" in caplog.text
 
+    def test_resume_from_a_link_outside_the_graph_exits_typed(
+        self, world_file, tmp_path, caplog
+    ):
+        """A link whose user is no node of the world's follow graph: one
+        ``ERROR`` line and exit 1, not a traceback from Eq. 4."""
+        from repro.kb.checkpoint import StreamCheckpoint, save_checkpoint
 
-class TestBench:
-    def test_smoke_bench_writes_valid_document(self, tmp_path, capsys):
-        import json
-
-        from repro.bench import validate_bench_document
-
-        out = tmp_path / "BENCH_linking.json"
-        code = main(
-            [
-                "bench", "--tiers", "1000", "--seed", "5", "--out", str(out),
-            ]
+        path = str(tmp_path / "bad.json")
+        save_checkpoint(StreamCheckpoint(links=((0, 10**6, 0.0, -1),)), path)
+        code = main(["stream", "--world", world_file, "--checkpoint", path, "--resume"])
+        assert code == 1
+        assert (
+            "CheckpointCorruptError: checkpoint link 0 (0, 1000000, 0.0, -1): "
+            "user 1000000 outside the follow graph" in caplog.text
         )
-        assert code == 0
-        with open(out, encoding="utf-8") as handle:
-            assert validate_bench_document(json.load(handle)) == []
-        stdout = capsys.readouterr().out
-        assert "one-pass reachability" in stdout
-        assert "benchmark written" in stdout

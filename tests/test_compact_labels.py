@@ -15,6 +15,7 @@ and the ``label_bytes`` accounting.
 import hashlib
 import math
 import pickle
+import random
 import sys
 
 import pytest
@@ -25,12 +26,16 @@ from repro.config import DEFAULT_MAX_HOPS
 from repro.graph import compact_labels
 from repro.graph.compact_labels import INF, build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import StreamingWorldProfile, streaming_world_graph
 from repro.graph.reachability import (
     weighted_reachability,
     weighted_reachability_from,
 )
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.testing.oracles import build_two_hop_cover
+from repro.testing.oracles import (
+    build_two_hop_cover,
+    weighted_reachability_from_per_target,
+)
 
 from conftest import random_graph
 
@@ -364,3 +369,29 @@ class TestLabelBytes:
         cover = build_two_hop_cover(graph, max_hops=4)
         compact = build_compact_two_hop_cover(graph, max_hops=4)
         assert compact.label_bytes() < cover.label_bytes() / 4
+
+
+class TestScaleTier:
+    def test_1k_streaming_world_answers_as_the_oracles(self):
+        """The smallest of Table 5's large rows
+        (``benchmarks/test_table5_scale.py``), on every run: the compact
+        cover answers as the dict oracle on the tier's 2,000 seeded pairs,
+        and the one-pass walk as the per-target walk from the 80 busiest
+        sources."""
+        graph = streaming_world_graph(
+            StreamingWorldProfile(num_users=1_000, num_factions=8, seed=11)
+        )
+        compact = build_compact_two_hop_cover(graph, DEFAULT_MAX_HOPS)
+        oracle = build_two_hop_cover(graph, DEFAULT_MAX_HOPS)
+        rng = random.Random(11 * 7_919 + 1_000)
+        for _ in range(2_000):
+            s, t = rng.randrange(1_000), rng.randrange(1_000)
+            assert compact.distance(s, t) == oracle.distance(s, t), (s, t)
+            assert compact.reachability(s, t) == oracle.reachability(
+                s, t, exact_followees=True
+            ), (s, t)
+        busiest = sorted(graph.nodes(), key=graph.out_degree, reverse=True)[:80]
+        for s in busiest:
+            assert weighted_reachability_from(
+                graph, s, DEFAULT_MAX_HOPS
+            ) == weighted_reachability_from_per_target(graph, s, DEFAULT_MAX_HOPS), s

@@ -4,15 +4,11 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.io import (
-    ckb_from_dict,
-    ckb_to_dict,
     graph_from_dict,
     graph_to_dict,
     kb_from_dict,
     kb_to_dict,
-    load_ckb,
     load_world,
-    save_ckb,
     save_world,
     world_from_dict,
     world_to_dict,
@@ -51,30 +47,6 @@ class TestKbRoundTrip:
     def test_relatedness_preserved(self, tiny_kb):
         restored = kb_from_dict(kb_to_dict(tiny_kb))
         assert restored.relatedness(0, 3) == pytest.approx(tiny_kb.relatedness(0, 3))
-
-
-class TestCkbRoundTrip:
-    def test_links_preserved(self, tiny_ckb):
-        restored = ckb_from_dict(ckb_to_dict(tiny_ckb))
-        assert restored.total_links == tiny_ckb.total_links
-        for entity_id in tiny_ckb.linked_entities():
-            assert restored.count(entity_id) == tiny_ckb.count(entity_id)
-            assert restored.community(entity_id) == tiny_ckb.community(entity_id)
-            assert restored.recent_count(entity_id, 8 * 86400, 3 * 86400) == (
-                tiny_ckb.recent_count(entity_id, 8 * 86400, 3 * 86400)
-            )
-
-    def test_file_round_trip(self, tiny_ckb, tmp_path):
-        path = tmp_path / "ckb.json"
-        save_ckb(tiny_ckb, path)
-        restored = load_ckb(path)
-        assert restored.total_links == tiny_ckb.total_links
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "ckb.json"
-        path.write_text('{"version": 99, "kb": {"entities": []}, "links": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_ckb(path)
 
 
 class TestWorldRoundTrip:

@@ -92,7 +92,7 @@ class TestGroupReadEqualsEntityRead:
                 _, index, now, window = operation
                 assert_group_equals_members(ckb, GROUPS[index], now, float(window))
             else:  # timelines are not serialised; the restored KB answers the same
-                ckb = restore(KB, snapshot(ckb))
+                ckb = restore(KB, snapshot(ckb), num_nodes=1)
         for group in GROUPS:
             for now in (0.0, 6.0, 12.0, 20.0):
                 for window in (0.0, 3.0, 50.0):

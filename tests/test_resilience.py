@@ -52,9 +52,13 @@ from repro.testing.faults import (
 )
 
 
+#: Nodes of ``social_graph``: the tiny CKB's authors are users 10–12.
+TINY_USERS = 13
+
+
 @pytest.fixture
 def social_graph():
-    graph = DiGraph(13)
+    graph = DiGraph(TINY_USERS)
     graph.add_edge(0, 10)
     graph.add_edge(5, 11)
     graph.add_edge(1, 10)
@@ -510,12 +514,12 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.watermark == 42.0
         assert loaded.applied_ids == frozenset({1, 2, 3})
-        assert_ckb_equal(tiny_ckb, restore(tiny_kb, loaded))
+        assert_ckb_equal(tiny_ckb, restore(tiny_kb, loaded, TINY_USERS))
 
     def test_gzip_roundtrip(self, tiny_ckb, tiny_kb, tmp_path):
         path = str(tmp_path / "ckpt.json.gz")
         save_checkpoint(snapshot(tiny_ckb), path)
-        assert_ckb_equal(tiny_ckb, restore(tiny_kb, load_checkpoint(path)))
+        assert_ckb_equal(tiny_ckb, restore(tiny_kb, load_checkpoint(path), TINY_USERS))
 
     def test_checksum_corruption_detected(self, tiny_ckb, tmp_path):
         import re
@@ -622,7 +626,7 @@ class TestCrashRecovery:
 
         # --- second incarnation: restore, then replay the full feed ---
         checkpoint = load_checkpoint(path)
-        ckb2 = restore(tiny_kb, checkpoint)
+        ckb2 = restore(tiny_kb, checkpoint, TINY_USERS)
         ingestor2 = ResilientIngestor(
             lateness=self.LATENESS, seen_ids=checkpoint.applied_ids
         )
@@ -827,12 +831,12 @@ class TestCheckpointCorruptionMatrix:
         except CheckpointCorruptError:
             pass
         else:
-            assert_ckb_equal(restore(tiny_kb, loaded), reference)
+            assert_ckb_equal(restore(tiny_kb, loaded, TINY_USERS), reference)
         assert_ckb_equal(tiny_ckb, reference)
 
     @pytest.fixture
     def reference(self, tiny_kb, tiny_ckb):
-        return restore(tiny_kb, snapshot(tiny_ckb))
+        return restore(tiny_kb, snapshot(tiny_ckb), TINY_USERS)
 
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.35, 0.6, 0.9, 0.999])
@@ -886,15 +890,17 @@ class TestCheckpointCorruptionMatrix:
             ((9, 10, 4.0 * DAY, -1), "unknown entity id 9"),
             ((0, 10, math.nan, -1), "nan"),
             ((0, 10, math.inf, -1), "inf"),
+            ((0, TINY_USERS, 4.0 * DAY, -1), "user 13 outside the follow graph"),
+            ((0, -1, 4.0 * DAY, -1), "user -1 outside the follow graph"),
         ],
     )
     def test_link_the_kb_cannot_hold(
         self, tiny_kb, tiny_ckb, reference, tmp_path, bad, named
     ):
-        """A link naming an unknown entity or a NaN / ±Infinity timestamp
-        survives JSON and its checksum (``json`` writes and reads ``NaN``
-        and ``Infinity``), so it loads; ``restore`` must refuse it typed,
-        naming the first such link."""
+        """A link naming an unknown entity, a user outside the follow graph
+        or a NaN / ±Infinity timestamp survives JSON and its checksum
+        (``json`` writes and reads ``NaN`` and ``Infinity``), so it loads;
+        ``restore`` must refuse it typed, naming the first such link."""
         links = snapshot(tiny_ckb).links
         middle = len(links) // 2
         path = str(tmp_path / "ckpt.json")
@@ -903,7 +909,7 @@ class TestCheckpointCorruptionMatrix:
         )
         loaded = load_checkpoint(path)
         with pytest.raises(CheckpointCorruptError, match=f"link {middle} .*{named}"):
-            restore(tiny_kb, loaded)
+            restore(tiny_kb, loaded, TINY_USERS)
         assert_ckb_equal(tiny_ckb, reference)
 
     def test_valid_checkpoint_still_loads_after_matrix(
@@ -911,4 +917,4 @@ class TestCheckpointCorruptionMatrix:
     ):
         # guard against the matrix passing because *nothing* loads
         path, _ = self.write(tiny_ckb, tmp_path, "")
-        assert_ckb_equal(tiny_ckb, restore(tiny_kb, load_checkpoint(path)))
+        assert_ckb_equal(tiny_ckb, restore(tiny_kb, load_checkpoint(path), TINY_USERS))

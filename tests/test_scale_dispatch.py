@@ -235,6 +235,16 @@ class TestUnknownUser:
             batch.link_batch(requests)
         assert METRICS.counter("link.requests") == before
 
+    def test_confirm_link_raises_and_writes_nothing(self, tiny_ckb, provider, user):
+        """Confirmed, the author would join ``U*_e`` and be asked about
+        in every later ``link()`` of the entity."""
+        linker = self.linker(tiny_ckb, provider)
+        before = (list(tiny_ckb.iter_links()), tiny_ckb.version(0))
+        with pytest.raises(UnknownUserError):
+            linker.confirm_link(0, user, 100 * DAY, tweet_id=7)
+        assert (list(tiny_ckb.iter_links()), tiny_ckb.version(0)) == before
+        assert user not in tiny_ckb.community(0)
+
 
 class TestConfigValidation:
     def test_defaults(self):

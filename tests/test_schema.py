@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.framework import CheckReport
 from repro.analysis.reporters import render_json, validate_check_document
-from repro.bench import validate_bench_document
 from repro.errors import RateLimitedError
 from repro.obs.export import load_trace_jsonl, validate_trace_document
 from repro.obs.scenarios import SCENARIOS, golden_path
@@ -129,7 +128,6 @@ def _read(path):
 ARTEFACTS = [
     *((golden_path(GOLDEN, name), validate_trace_document) for name in SCENARIOS),
     (os.path.join(GOLDEN, "LOAD_inprocess_golden.json"), validate_load_document),
-    (os.path.join(TESTS, os.pardir, "BENCH_linking.json"), validate_bench_document),
 ]
 
 
