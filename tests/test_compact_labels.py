@@ -372,15 +372,18 @@ class TestLabelBytes:
 
 
 class TestScaleTier:
-    def test_1k_streaming_world_answers_as_the_oracles(self):
-        """The smallest of Table 5's large rows
-        (``benchmarks/test_table5_scale.py``), on every run: the compact
-        cover answers as the dict oracle on the tier's 2,000 seeded pairs,
-        and the one-pass walk as the per-target walk from the 80 busiest
-        sources."""
-        graph = streaming_world_graph(
+    """The smallest of Table 5's large rows
+    (``benchmarks/test_table5_scale.py``), checked on every run."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return streaming_world_graph(
             StreamingWorldProfile(num_users=1_000, num_factions=8, seed=11)
         )
+
+    def test_1k_compact_answers_as_the_oracle(self, graph):
+        """The compact cover answers as the dict oracle on the tier's
+        2,000 seeded pairs."""
         compact = build_compact_two_hop_cover(graph, DEFAULT_MAX_HOPS)
         oracle = build_two_hop_cover(graph, DEFAULT_MAX_HOPS)
         rng = random.Random(11 * 7_919 + 1_000)
@@ -390,6 +393,10 @@ class TestScaleTier:
             assert compact.reachability(s, t) == oracle.reachability(
                 s, t, exact_followees=True
             ), (s, t)
+
+    def test_1k_one_pass_answers_as_per_target(self, graph):
+        """The one-pass walk answers as the per-target walk from the 80
+        busiest sources."""
         busiest = sorted(graph.nodes(), key=graph.out_degree, reverse=True)[:80]
         for s in busiest:
             assert weighted_reachability_from(
