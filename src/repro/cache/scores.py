@@ -22,9 +22,9 @@ no fixed point left to save — cached and uncached linkers call the same
 
 Everything here is conservative: an epoch bump may invalidate entries
 whose values would not have changed, never the reverse — which is why
-the cached path stays bit-identical to the uncached one (the property
-suite in ``tests/test_cache_properties.py`` replays randomized
-link/mutate/advance/feedback interleavings against both).
+the cached path stays bit-identical to the uncached one (the
+differential harness, ``tests/test_differential.py``, replays random
+link/write/feedback scripts with caching off and on).
 
 Hit/miss/eviction counters go to :data:`repro.obs.metrics.METRICS`
 (prefix ``score_cache.``).  A hit or a miss depends on what ran before,

@@ -590,18 +590,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run the deterministic observability scenarios; manage goldens.
 
-    ``--check-golden`` is the CI gate: any field-level drift between a
-    live trace and its committed fixture prints the exact fields that
-    moved and exits 1.  ``--write-golden`` regenerates the fixtures (the
-    diff is then reviewed like any other behavior change).
+    ``--check-golden`` is the CI gate: a live trace that is not byte for
+    byte its committed fixture prints a unified diff (one span a line)
+    and exits 1.  ``--write-golden`` regenerates the fixtures (the diff
+    is then reviewed like any other behavior change).
     """
+    import difflib
     import os as _os
 
-    from repro.obs.export import (
-        diff_trace_documents,
-        dump_trace_jsonl,
-        load_trace_jsonl,
-    )
+    from repro.obs.export import dump_trace_jsonl
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
 
@@ -634,15 +631,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 status = "MISSING"
             else:
                 with open(fixture, "r", encoding="utf-8") as handle:
-                    golden = load_trace_jsonl(handle.read())
-                diffs = diff_trace_documents(golden, document)
-                if diffs:
-                    drifted = True
-                    status = f"DRIFTED ({len(diffs)})"
-                    for diff in diffs:
-                        _log.error("%s: %s", name, diff)
-                else:
+                    golden = handle.read()
+                if golden == rendered:
                     status = "ok"
+                else:
+                    drifted = True
+                    status = "DRIFTED"
+                    diff = difflib.unified_diff(
+                        golden.splitlines(), rendered.splitlines(),
+                        fixture, "live", lineterm="",
+                    )
+                    _log.error("%s drifted:\n%s", name, "\n".join(diff))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(rendered)

@@ -140,7 +140,7 @@ class LinkerConfig:
         short-circuits.  The choice moves where the work happens, not
         what the linker decides: every provider rounds Eq. 4 in
         :func:`repro.graph.reachability.reachability_weight`
-        (``TestEq4Tie`` in ``tests/test_scale_dispatch.py``).
+        (the Eq. 4 tie of ``tests/test_differential.py``).
         """
         if self.index_backend != "auto":
             return self.index_backend

@@ -63,7 +63,11 @@ class InteractiveLinkingSession:
                 result=result, outcome=FeedbackOutcome.UNKNOWN_SURFACE, proposals=[]
             )
         else:
-            proposals = result.top_k(config.top_k, threshold=config.no_interest_bound)
+            # A degraded result never measured interest, so the Appendix-D
+            # bound (which presumes it was measured as absent) does not
+            # apply: propose its recency + popularity ranking, as search does.
+            threshold = None if result.degraded else config.no_interest_bound
+            proposals = result.top_k(config.top_k, threshold=threshold)
             outcome = (
                 FeedbackOutcome.LINKED if proposals else FeedbackOutcome.NEEDS_NEW_MEANING
             )

@@ -490,6 +490,7 @@ class SocialTemporalLinker:
         self, candidates: Sequence[int], now: float
     ) -> Dict[int, float]:
         if self._propagation is not None and self._config.recency_propagation:
+            self._propagation = self._propagation.current()
             return propagated_recency(
                 self._ckb,
                 self._propagation,

@@ -119,8 +119,3 @@ class TextLinkingPipeline:
             if root.recording:
                 root.set_attribute("mentions", len(spans))
         return AnnotatedText(text=text, user=user, timestamp=now, spans=spans)
-
-    def annotate_stream(self, tweets, use_planted_text: bool = True):
-        """Generator: annotate tweets chronologically (for demos/benches)."""
-        for tweet in tweets:
-            yield self.annotate(tweet.text, tweet.user, tweet.timestamp)

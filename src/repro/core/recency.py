@@ -5,8 +5,8 @@ Raw recency is a burst detector: entity ``e`` is *recent* when at least
 normalized over the mention's candidate set.
 
 Recency also *propagates*: a burst on "NBA" reinforces "Michael Jordan
-(basketball)".  The :class:`RecencyPropagationNetwork` is built once from
-the knowledgebase:
+(basketball)".  The :class:`RecencyPropagationNetwork` is built from the
+knowledgebase, and again whenever the KB has changed since:
 
 1. edge weight = WLM topical relatedness (Eq. 10);
 2. edges between co-candidates of the same mention are forbidden (recency
@@ -26,6 +26,7 @@ test oracle (:func:`repro.testing.oracles.propagate_by_iteration`).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -73,6 +74,23 @@ class RecencyPropagationNetwork:
         self._threshold = relatedness_threshold
         self._lambda = propagation_lambda
         self._max_iterations = max_iterations
+        self._build()
+
+    def current(self) -> "RecencyPropagationNetwork":
+        """This network, or one rebuilt with its parameters when the KB has
+        learned an entity, surface form or hyperlink since it was built: a
+        new co-candidate pair splits a cluster, a new in-link moves WLM."""
+        if self._kb_epoch == self._kb.epoch.value:
+            return self
+        rebuilt = copy.copy(self)
+        rebuilt._build()
+        return rebuilt
+
+    # ------------------------------------------------------------------ #
+    # construction
+    # ------------------------------------------------------------------ #
+    def _build(self) -> None:
+        self._kb_epoch = self._kb.epoch.value  # taken before any read
         # adjacency: entity -> [(neighbor, normalized weight P(e_i, e_j))]
         self._edges: Dict[int, List[Tuple[int, float]]] = {}
         self._components: List[Tuple[int, ...]] = []
@@ -81,12 +99,6 @@ class RecencyPropagationNetwork:
         self._operators: List[np.ndarray] = []
         # entity -> (cluster index, the entity's row of that operator)
         self._rows: Dict[int, Tuple[int, np.ndarray]] = {}
-        self._build()
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
         forbidden = self._co_candidate_pairs()
         raw_edges = self._related_pairs(forbidden)
         # Normalize outgoing weights into transition probabilities P.
@@ -119,9 +131,8 @@ class RecencyPropagationNetwork:
         so we enumerate pairs co-cited by some page instead of all O(n²).
         """
         outlinks: Dict[int, List[int]] = {}
-        for entity in self._kb.entities():
-            for source in self._kb.inlinks(entity.entity_id):
-                outlinks.setdefault(source, []).append(entity.entity_id)
+        for source, target in self._kb.hyperlinks():
+            outlinks.setdefault(source, []).append(target)
         pairs: Set[Tuple[int, int]] = set()
         for targets in outlinks.values():
             for i, a in enumerate(targets):

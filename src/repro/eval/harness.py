@@ -39,13 +39,6 @@ class PredictionRun:
     def seconds_per_mention(self) -> float:
         return self.total_seconds / self.num_mentions if self.num_mentions else 0.0
 
-    def timing_row(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "ms/mention": round(self.seconds_per_mention * 1e3, 4),
-            "ms/tweet": round(self.seconds_per_tweet * 1e3, 4),
-        }
-
 
 def _count_mentions(tweets) -> int:
     return sum(t.num_mentions for t in tweets)

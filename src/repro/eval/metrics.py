@@ -28,15 +28,6 @@ class AccuracyReport:
     num_mentions: int
     num_tweets: int
 
-    def as_row(self, name: str) -> Dict[str, object]:
-        return {
-            "method": name,
-            "mention": round(self.mention_accuracy, 4),
-            "tweet": round(self.tweet_accuracy, 4),
-            "#mentions": self.num_mentions,
-            "#tweets": self.num_tweets,
-        }
-
 
 def mention_and_tweet_accuracy(
     tweets: Sequence[Tweet], predictions: Predictions

@@ -34,34 +34,6 @@ class SweepResult:
             raise ValueError("empty sweep")
         return max(self.points, key=lambda p: p[metric])
 
-    def value_range(self, metric: str = "mention_accuracy") -> float:
-        """Spread (max − min) of a metric — the "sensitivity" headline."""
-        values = [float(p[metric]) for p in self.points]
-        return max(values) - min(values)
-
-    def grid_rows(
-        self,
-        row_parameter: str,
-        column_parameter: str,
-        metric: str = "mention_accuracy",
-    ) -> List[Dict[str, object]]:
-        """Pivot the points into rows for ``format_table``."""
-        columns = sorted({p[column_parameter] for p in self.points})
-        rows: List[Dict[str, object]] = []
-        for row_value in sorted({p[row_parameter] for p in self.points}):
-            row: Dict[str, object] = {row_parameter: row_value}
-            for column_value in columns:
-                matches = [
-                    p
-                    for p in self.points
-                    if p[row_parameter] == row_value
-                    and p[column_parameter] == column_value
-                ]
-                cell = round(float(matches[0][metric]), 4) if matches else ""
-                row[f"{column_parameter}={column_value}"] = cell
-            rows.append(row)
-        return rows
-
 
 def sweep_configs(
     context: ExperimentContext,

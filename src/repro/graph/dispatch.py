@@ -33,8 +33,8 @@ def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONF
     Every returned object satisfies the
     :class:`repro.core.interest.ReachabilityProvider` protocol; the
     backends differ in build cost and memory, not in link decisions
-    (``tests/test_scale_dispatch.py``; ``TestEq4Tie`` is a tie that only
-    equal rounding keeps).
+    (``tests/test_differential.py``, whose Eq. 4 tie only equal rounding
+    keeps).
     """
     backend = config.select_index_backend(graph.num_nodes)
     TRACE.event(

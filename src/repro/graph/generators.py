@@ -215,10 +215,6 @@ class StreamingWorldProfile:
     def num_entities(self) -> int:
         return self.num_factions * self.entities_per_faction
 
-    def hub_ids(self) -> range:
-        """All hub account ids (global first, then faction hubs)."""
-        return range(self.num_hubs)
-
     def faction_of(self, user: int) -> int:
         """Faction of any non-global-hub user id (O(1) arithmetic)."""
         if user < self.global_hubs:

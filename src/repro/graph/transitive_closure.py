@@ -21,7 +21,7 @@ rebuild.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -76,15 +76,6 @@ class TransitiveClosure:
         if not distance:
             return 0.0
         return reachability_weight(distance, self._count[pair], self._degrees[source])
-
-    def reachable_from(self, source: int) -> Dict[int, float]:
-        """All nonzero ``R(source, *)`` as a dict."""
-        row = source * self._num_nodes
-        return {
-            target: self.reachability(source, target)
-            for target, distance in enumerate(self._dist[row : row + self._num_nodes])
-            if distance
-        }
 
     def nonzero_entries(self) -> int:
         """Number of stored nonzero pairs (index-size proxy for Table 5)."""

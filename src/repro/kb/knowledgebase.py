@@ -13,7 +13,17 @@ A :class:`Knowledgebase` holds
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cache.epochs import Epoch
 from repro.kb.entity import Entity, EntityCategory
@@ -124,6 +134,12 @@ class Knowledgebase:
         """Pages linking *to* ``entity_id`` — the set :math:`A_e` of Eq. 10."""
         self._check_entity(entity_id)
         return frozenset(self._inlinks[entity_id])
+
+    def hyperlinks(self) -> Iterator[Tuple[int, int]]:
+        """Every ``(source, target)`` hyperlink, grouped by target."""
+        for target, sources in self._inlinks.items():
+            for source in sources:
+                yield source, target
 
     # ------------------------------------------------------------------ #
     # relatedness

@@ -12,8 +12,7 @@ so an instrumented core module loads only what it records into):
 * :mod:`repro.obs.stage` — ``stage()``, the one wrap around a pipeline
   stage: a span to ``TRACE`` and a duration to ``METRICS``;
 * :mod:`repro.obs.export` — the schema-stable JSON-lines trace document
-  (``repro trace``), its validator, and the field-level diff the
-  golden-trace regression suite is built on;
+  (``repro trace``) and its validator; golden traces are byte-compared;
 * :mod:`repro.obs.scenarios` — the fixture worlds behind ``repro trace``
   (it wires real linkers, which themselves import this package).
 """

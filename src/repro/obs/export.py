@@ -1,4 +1,4 @@
-"""Trace documents: JSON-lines export, schema validation, field diffs.
+"""Trace documents: JSON-lines export and schema validation.
 
 The trace document is schema-stable (:mod:`repro.schema`); beyond its
 shape, :func:`validate_trace_document` checks the span-tree invariants.
@@ -6,24 +6,21 @@ shape, :func:`validate_trace_document` checks the span-tree invariants.
 The on-disk form is JSON lines — one ``meta`` record, then one ``span``
 record per finished span in span-id order, each line serialized with
 sorted keys — so a deterministic workload exports byte-identical files
-run over run, and ``diff`` on two exports localizes drift to a line.
-:func:`diff_trace_documents` goes one step further and names the exact
-span field that moved, which is what the golden-trace regression suite
-prints on failure.
+run over run, and the golden-trace gate compares the text itself: a
+unified diff of two exports localizes drift to a span.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.trace import Span
 from repro.schema import COUNT, INT, REAL, STR, ListOf, const, nullable, problems
 
 __all__ = [
     "SCHEMA_VERSION",
-    "diff_trace_documents",
     "dump_trace_jsonl",
     "load_trace_jsonl",
     "render_trace_document",
@@ -163,76 +160,3 @@ def _check_tree(doc: Dict) -> List[str]:
             found.append(f"trace {trace_id} has {roots[trace_id]} root span(s), "
                          "expected exactly 1")
     return found
-
-
-# ---------------------------------------------------------------------- #
-# golden diffing
-# ---------------------------------------------------------------------- #
-def diff_trace_documents(
-    expected: Dict[str, object], actual: Dict[str, object]
-) -> List[str]:
-    """Field-by-field diff between two trace documents, as human-readable
-    problem strings (empty when identical).  ``expected`` is the golden."""
-    diffs: List[str] = []
-    diffs.extend(_diff_mapping("meta", expected.get("meta"), actual.get("meta")))
-    expected_spans = expected.get("spans") or []
-    actual_spans = actual.get("spans") or []
-    if len(expected_spans) != len(actual_spans):  # type: ignore[arg-type]
-        diffs.append(
-            f"span count drifted: golden has {len(expected_spans)}, "  # type: ignore[arg-type]
-            f"live has {len(actual_spans)}"  # type: ignore[arg-type]
-        )
-    for index, (want, got) in enumerate(zip(expected_spans, actual_spans)):  # type: ignore[arg-type]
-        for key in _SPAN:
-            if key == "attributes":
-                diffs.extend(
-                    _diff_mapping(
-                        f"spans[{index}].attributes",
-                        want.get(key),
-                        got.get(key),
-                    )
-                )
-            elif key == "events":
-                diffs.extend(
-                    _diff_events(f"spans[{index}]", want.get(key), got.get(key))
-                )
-            elif want.get(key) != got.get(key):
-                diffs.append(
-                    f"spans[{index}].{key}: golden {want.get(key)!r}, "
-                    f"live {got.get(key)!r}"
-                )
-    return diffs
-
-
-def _diff_mapping(label: str, want: object, got: object) -> List[str]:
-    if not isinstance(want, dict) or not isinstance(got, dict):
-        if want != got:
-            return [f"{label}: golden {want!r}, live {got!r}"]
-        return []
-    diffs: List[str] = []
-    for key in sorted(set(want) | set(got)):
-        if key not in want:
-            diffs.append(f"{label}.{key}: not in golden, live {got[key]!r}")
-        elif key not in got:
-            diffs.append(f"{label}.{key}: golden {want[key]!r}, missing live")
-        elif want[key] != got[key]:
-            diffs.append(f"{label}.{key}: golden {want[key]!r}, live {got[key]!r}")
-    return diffs
-
-
-def _diff_events(label: str, want: object, got: object) -> List[str]:
-    want_events: Sequence = want if isinstance(want, list) else ()
-    got_events: Sequence = got if isinstance(got, list) else ()
-    diffs: List[str] = []
-    if len(want_events) != len(got_events):
-        diffs.append(
-            f"{label}.events: golden has {len(want_events)}, "
-            f"live has {len(got_events)}"
-        )
-    for position, (want_event, got_event) in enumerate(
-        zip(want_events, got_events)
-    ):
-        diffs.extend(
-            _diff_mapping(f"{label}.events[{position}]", want_event, got_event)
-        )
-    return diffs

@@ -7,8 +7,7 @@ attributes (candidate counts, score terms, the chosen entity, the
 abstention signal) and typed events (degradations, breaker transitions,
 dead letters).  Aggregate accuracy metrics tell you *that* behavior
 drifted; a trace tells you *where* — which is why the golden-trace suite
-(``tests/golden/``) diffs live traces field-by-field against committed
-fixtures.
+(``tests/golden/``) byte-compares live traces against committed fixtures.
 
 Determinism is the design center: the tracer never reads a wall clock.
 Timestamps come from an injected clock; the default :class:`TickClock`

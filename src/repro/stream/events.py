@@ -53,10 +53,6 @@ class EventTimeline:
     def events(self) -> List[Event]:
         return list(self._events)
 
-    def active_events(self, timestamp: float) -> List[Event]:
-        """Events in progress at ``timestamp``."""
-        return [e for e in self._events if e.active_at(timestamp)]
-
     def topic_boost(self, topic: int, timestamp: float) -> float:
         """Combined intensity multiplier for ``topic`` at ``timestamp``.
 

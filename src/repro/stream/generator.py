@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,13 +113,6 @@ class SyntheticWorld:
     @property
     def num_users(self) -> int:
         return self.graph.num_nodes
-
-    def tweets_by_user(self) -> Dict[int, List[Tweet]]:
-        """Group the stream by author (preserving chronological order)."""
-        grouped: Dict[int, List[Tweet]] = {}
-        for tweet in self.tweets:
-            grouped.setdefault(tweet.user, []).append(tweet)
-        return grouped
 
     @classmethod
     def generate(

@@ -44,11 +44,6 @@ class TfIdfVectorizer:
         self._max_idf: float = 0.0
         self._fitted = False
 
-    @property
-    def vocabulary_size(self) -> int:
-        """Number of terms with a fitted idf weight."""
-        return len(self._idf)
-
     def fit(self, documents: Iterable[List[str]]) -> "TfIdfVectorizer":
         """Learn idf weights: ``idf(t) = log((1 + N) / (1 + df(t))) + 1``."""
         df: Counter = Counter()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator, List
+from typing import List
 
 # Order matters: URLs before words so "http://t.co/x" is not split.
 _TOKEN_RE = re.compile(
@@ -62,14 +62,3 @@ def tokenize_words(text: str) -> List[str]:
     This is the form consumed by bag-of-words context similarity.
     """
     return [t.text for t in tokenize(text) if t.kind == "word"]
-
-
-def iter_ngrams(words: List[str], max_len: int) -> Iterator[tuple]:
-    """Yield ``(start, length, phrase)`` for every n-gram up to ``max_len``.
-
-    Used by the gazetteer NER to enumerate candidate phrases.
-    """
-    n = len(words)
-    for start in range(n):
-        for length in range(1, min(max_len, n - start) + 1):
-            yield start, length, " ".join(words[start : start + length])

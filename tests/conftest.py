@@ -10,7 +10,6 @@ from repro.config import DAY
 from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
-from repro.kb.checkpoint import restore, snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 from repro.stream.generator import SyntheticWorld
@@ -107,8 +106,8 @@ def tiny_ckb(tiny_kb) -> ComplementedKnowledgebase:
 def jordan_world(links):
     """Two entities behind the surface "jordan", ``links`` as their
     ``(entity, user, timestamp)`` history, and an asker (user 0) who
-    follows user 1 only — the world of the warm-vs-fresh recipes
-    (``test_linker.py::TestWarmEqualsFresh``)."""
+    follows user 1 only — the world of the harness's write-to-a-sibling
+    scripts (``test_differential.py``)."""
     kb = Knowledgebase()
     kb.add_entity("jordan (a)", description=["a"])
     kb.add_entity("jordan (b)", description=["b"])
@@ -132,15 +131,6 @@ def fresh_linker(linker):
     """A linker built now over ``linker``'s world: nothing cached, so
     nothing it could have failed to notice."""
     return SocialTemporalLinker(linker.ckb, linker.graph, config=linker.config)
-
-
-def rebuilt_linker(linker):
-    """A linker built now over a complemented KB restored from a snapshot
-    of ``linker``'s (one ``bulk_link`` of ``iter_links()``): nothing cached
-    and no merged timeline yet, so every ``recent_counts`` it makes is a
-    first read."""
-    ckb = restore(linker.ckb.kb, snapshot(linker.ckb), linker.graph.num_nodes)
-    return SocialTemporalLinker(ckb, linker.graph, config=linker.config)
 
 
 def small_profiles(seed: int = 5):

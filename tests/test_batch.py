@@ -19,21 +19,6 @@ def linker(tiny_ckb):
 
 
 class TestExactness:
-    def test_matches_single_linking(self, linker):
-        batch = MicroBatchLinker(linker, recency_bucket=0.0)
-        requests = [
-            LinkRequest("jordan", user=0, now=8 * DAY),
-            LinkRequest("jordan", user=5, now=8 * DAY),
-            LinkRequest("nba", user=0, now=8 * DAY),
-            LinkRequest("jordan", user=0, now=2 * DAY),
-        ]
-        batched = batch.link_batch(requests)
-        for request, result in zip(requests, batched):
-            single = linker.link(request.surface, request.user, request.now)
-            assert result.candidates == single.candidates
-            for a, b in zip(result.ranked, single.ranked):
-                assert a.score == pytest.approx(b.score)
-
     def test_output_order_preserved(self, linker):
         batch = MicroBatchLinker(linker)
         requests = [
@@ -88,22 +73,6 @@ class TestLinkTweets:
         assert len(grouped[1]) == 2
         assert len(grouped[2]) == 1
         assert grouped[2][0].user == 5
-
-
-class TestBatchOnWorld:
-    def test_world_scale_batch_equals_sequential(self, small_context):
-        """On a real test stream, batch and sequential agree mention-wise."""
-        adapter = small_context.social_temporal()
-        linker = adapter._linker
-        batch = MicroBatchLinker(linker, recency_bucket=0.0)
-        tweets = list(small_context.test_dataset.tweets[:60])
-        grouped = batch.link_tweets(tweets)
-        for tweet in tweets:
-            sequential = [r.result for r in linker.link_tweet(tweet)]
-            for single, batched in zip(sequential, grouped[tweet.tweet_id]):
-                assert single.candidates == batched.candidates
-                if single.best is not None:
-                    assert single.best.entity_id == batched.best.entity_id
 
 
 class _TogglingProvider:

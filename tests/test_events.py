@@ -51,15 +51,6 @@ class TestTimeline:
         )
         assert timeline.topic_boost(0, 1.5 * DAY) == 6.0
 
-    def test_active_events(self):
-        events = [
-            Event(topic=0, start=0.0, end=DAY),
-            Event(topic=1, start=0.5 * DAY, end=2 * DAY),
-        ]
-        timeline = EventTimeline(events, horizon=3 * DAY)
-        active = timeline.active_events(0.75 * DAY)
-        assert {e.topic for e in active} == {0, 1}
-
     def test_events_sorted_by_start(self):
         events = [
             Event(topic=0, start=2 * DAY, end=3 * DAY),

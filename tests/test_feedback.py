@@ -5,6 +5,7 @@ import pytest
 from repro.config import DAY, LinkerConfig
 from repro.core.feedback import FeedbackOutcome, InteractiveLinkingSession
 from repro.core.linker import SocialTemporalLinker
+from repro.errors import IndexUnavailableError
 from repro.graph.digraph import DiGraph
 
 
@@ -34,6 +35,27 @@ class TestPropose:
         # is popularity-only, i.e. <= beta + gamma -> new-meaning signal.
         round_ = session.propose("jordan", user=6, now=100 * DAY)
         assert round_.outcome is FeedbackOutcome.NEEDS_NEW_MEANING
+
+    def test_index_outage_proposes_the_degraded_ranking(self, tiny_ckb):
+        """A degraded result never measured interest, so the no-interest
+        bound does not apply: the recency + popularity ranking is proposed
+        instead of asking the user for a new meaning."""
+
+        class Outage:
+            def reachability(self, source, target):
+                raise IndexUnavailableError("index down")
+
+        linker = SocialTemporalLinker(
+            tiny_ckb,
+            DiGraph(13),
+            config=LinkerConfig(burst_threshold=2, influential_users=2),
+            reachability=Outage(),
+        )
+        round_ = InteractiveLinkingSession(linker).propose("jordan", 0, 100 * DAY)
+        assert round_.result.degradation == "index_unavailable"
+        assert round_.result.best.score <= linker.config.no_interest_bound
+        assert round_.outcome is FeedbackOutcome.LINKED
+        assert round_.proposals == [round_.result.best]
 
     def test_rounds_recorded(self, session):
         session.propose("jordan", user=0, now=100 * DAY)

@@ -2,29 +2,36 @@
 
 Each committed fixture pins the complete decision record of one
 scenario: span structure, tick timestamps, score attributes, degradation
-events.  Any drift — a reordered stage, a changed score, a lost event —
-fails here with the exact field named.  Regenerate deliberately with
+events.  The exporter writes sorted keys under the tick clock, so the
+live export must equal the fixture byte for byte; any drift — a
+reordered stage, a changed score, a lost event — fails here with a
+unified diff, one span a line.  Regenerate deliberately with
 ``repro trace --write-golden`` and review the diff like any other
 behavior change.
 """
 
+import difflib
 import os
 
 import pytest
 
-from repro.obs.export import diff_trace_documents, load_trace_jsonl
+from repro.obs.export import dump_trace_jsonl, load_trace_jsonl
 from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def load_golden(name: str):
+def golden_text(name: str) -> str:
     path = golden_path(GOLDEN_DIR, name)
     assert os.path.exists(path), (
         f"golden fixture {path} missing — run `repro trace --write-golden`"
     )
     with open(path, "r", encoding="utf-8") as handle:
-        return load_trace_jsonl(handle.read())
+        return handle.read()
+
+
+def load_golden(name: str):
+    return load_trace_jsonl(golden_text(name))
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -33,9 +40,11 @@ class TestGoldenTraces:
     (tests/test_schema.py)."""
 
     def test_live_trace_matches_golden_field_by_field(self, name):
-        live = run_scenario(name)[0]
-        diffs = diff_trace_documents(load_golden(name), live)
-        assert diffs == [], "\n".join(diffs)
+        golden, live = golden_text(name), dump_trace_jsonl(run_scenario(name)[0])
+        diff = difflib.unified_diff(
+            golden.splitlines(), live.splitlines(), "golden", "live", lineterm=""
+        )
+        assert live == golden, "\n".join(diff)
 
 
 class TestGoldenContent:

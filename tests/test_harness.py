@@ -31,12 +31,6 @@ class TestAdapters:
             t.tweet_id for t in small_context.test_dataset.tweets
         }
 
-    def test_timing_row(self, small_context):
-        run = small_context.onthefly().run(small_context.test_dataset)
-        row = run.timing_row()
-        assert row["method"] == "on-the-fly"
-        assert row["ms/mention"] >= 0.0
-
     def test_online_reachability_variant(self, small_context):
         """No ``reachability=``: the linker falls back to cached online BFS
         and decides exactly what the context's index-backed linker does."""

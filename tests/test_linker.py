@@ -16,7 +16,6 @@ from conftest import (
     JORDAN_LINKS,
     fresh_linker,
     jordan_world,
-    rebuilt_linker,
 )
 
 
@@ -255,78 +254,12 @@ class TestInfluentialCacheBound:
             LinkerConfig(influential_cache_size=0)
 
 
-def _confirms(times):
-    def mutate(warm, ckb):
-        for _ in range(times):
-            warm.confirm_link(0, user=1, timestamp=10 * DAY)
-
-    return mutate
-
-
-#: name -> (history, the write made after the warm linker's first link()).
-WRITES = {
-    "confirm_once": (JORDAN_LINKS, _confirms(1)),
-    "confirm_twice": (JORDAN_LINKS, _confirms(2)),
-    "direct_ckb_write": (
-        JORDAN_LINKS,
-        lambda warm, ckb: ckb.bulk_link([(0, 1, 10 * DAY, -1)] * 5),
-    ),
-}
-
-
-def _confirm_a_neighbour(warm, ckb):
-    for _ in range(3):
-        warm.confirm_link(5, user=11, timestamp=9.5 * DAY)
-
-
-#: Writes that move "jordan" through the recency of its clusters in the
-#: Fig.-1 KB ({0, 3, 4} and {1, 5, 6}): 5 and 6 are neighbours, not candidates.
-CLUSTER_WRITES = {
-    "confirm": _confirm_a_neighbour,
-    "direct_ckb_write": lambda warm, ckb: ckb.bulk_link(
-        [(6, 11, 9 * DAY, -1)] * 3 + [(0, 11, 8 * DAY, -1)]
-    ),
-}
-
-
 class TestWarmEqualsFresh:
     """``U*_e`` is stamped with ``ckb.version`` of the whole candidate set,
-    so a linker that has linked before scores like one built just now —
-    whoever wrote to ``D_e``, and with no ``invalidate_*`` call to forget.
-    Every case links versus abstains differently at PR 22."""
-
-    @pytest.mark.parametrize("method", ["entropy", "tfidf"])
-    @pytest.mark.parametrize("write", sorted(WRITES))
-    def test_after_a_write_to_a_sibling(self, write, method):
-        links, mutate = WRITES[write]
-        ckb, graph = jordan_world(links)
-        config = LinkerConfig(influential_users=1, influence_method=method)
-        warm = SocialTemporalLinker(ckb, graph, config=config)
-        warm.link("jordan", user=0, now=10 * DAY)
-        mutate(warm, ckb)
-        assert (
-            warm.link("jordan", 0, 10 * DAY).ranked
-            == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
-            == rebuilt_linker(warm).link("jordan", 0, 10 * DAY).ranked
-        )
-
-    @pytest.mark.parametrize("write", sorted(CLUSTER_WRITES))
-    def test_after_a_write_into_a_read_cluster(self, tiny_ckb, social_graph, write):
-        """The merged timelines are kept by the writers, not by a caller:
-        after the warm linker has read both "jordan" clusters, a write to
-        a candidate or to a cluster neighbour must show in its next answer
-        exactly as in a linker over a KB rebuilt from the links, whose
-        timelines do not exist yet."""
-        warm = SocialTemporalLinker(
-            tiny_ckb,
-            social_graph,
-            LinkerConfig(burst_threshold=2, relatedness_threshold=0.2),
-        )
-        before = warm.link("jordan", user=0, now=10 * DAY).ranked
-        CLUSTER_WRITES[write](warm, tiny_ckb)
-        after = warm.link("jordan", 0, 10 * DAY).ranked
-        assert after != before
-        assert after == rebuilt_linker(warm).link("jordan", 0, 10 * DAY).ranked
+    so a linker that has linked before scores like one built just now.
+    That it does after every kind of write is checked by the differential
+    harness (``tests/test_differential.py``); this case injects a write
+    into the middle of a rebuild."""
 
     @pytest.mark.parametrize("nth_read", range(2 * len(JORDAN_CANDIDATES) + 1))
     def test_write_landing_inside_a_rebuild(self, nth_read):

@@ -67,12 +67,6 @@ class TestMentionAndTweetAccuracy:
         assert report.mention_accuracy == 0.0
         assert report.num_tweets == 0
 
-    def test_as_row(self):
-        report = mention_and_tweet_accuracy([tweet_with(1, [10])], {1: [10]})
-        row = report.as_row("ours")
-        assert row["method"] == "ours"
-        assert row["mention"] == 1.0
-
 
 class TestByTweetLength:
     def test_buckets(self):

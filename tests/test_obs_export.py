@@ -1,9 +1,8 @@
-"""Trace documents: JSONL roundtrip, schema validation, field diffs."""
+"""Trace documents: JSONL roundtrip and schema validation."""
 
 import pytest
 
 from repro.obs.export import (
-    diff_trace_documents,
     dump_trace_jsonl,
     load_trace_jsonl,
     render_trace_document,
@@ -132,39 +131,3 @@ class TestValidation:
         document["spans"][span][key] = value
         (problem,) = validate_trace_document(document)
         assert problem.startswith(f"{path} must be ")
-
-
-class TestDiff:
-    def test_identical_documents_have_no_diff(self):
-        assert diff_trace_documents(sample_document(), sample_document()) == []
-
-    def test_attribute_drift_named_precisely(self):
-        golden, live = sample_document(), sample_document()
-        live["spans"][0]["attributes"]["surface"] = "bulls"
-        (diff,) = diff_trace_documents(golden, live)
-        assert "spans[0].attributes.surface" in diff
-        assert "'jordan'" in diff and "'bulls'" in diff
-
-    def test_added_attribute_reported(self):
-        golden, live = sample_document(), sample_document()
-        live["spans"][1]["attributes"]["extra"] = 1
-        (diff,) = diff_trace_documents(golden, live)
-        assert "not in golden" in diff
-
-    def test_span_count_drift_reported(self):
-        golden, live = sample_document(), sample_document()
-        live["spans"].pop()
-        diffs = diff_trace_documents(golden, live)
-        assert any("span count" in d for d in diffs)
-
-    def test_event_drift_reported(self):
-        golden, live = sample_document(), sample_document()
-        live["spans"][0]["events"][0]["attributes"]["reason"] = "deadline"
-        diffs = diff_trace_documents(golden, live)
-        assert any("events[0]" in d and "reason" in d for d in diffs)
-
-    def test_structural_field_drift_reported(self):
-        golden, live = sample_document(), sample_document()
-        live["spans"][1]["name"] = "renamed"
-        diffs = diff_trace_documents(golden, live)
-        assert any("spans[1].name" in d for d in diffs)

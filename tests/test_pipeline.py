@@ -91,7 +91,7 @@ class TestStream:
         linker = small_context.social_temporal()._linker
         pipeline = TextLinkingPipeline(linker)
         tweets = small_context.test_dataset.tweets[:40]
-        annotated = list(pipeline.annotate_stream(tweets))
+        annotated = [pipeline.annotate(t.text, t.user, t.timestamp) for t in tweets]
         assert len(annotated) == 40
         # NER over generated text recovers most planted mentions and the
         # linker resolves a solid share of them to the true entity

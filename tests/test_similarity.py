@@ -56,10 +56,6 @@ class TestTfIdfVectorizer:
         cross = vec.similarity(["nba", "game"], corpus[1])
         assert same > cross
 
-    def test_vocabulary_size(self):
-        vec = TfIdfVectorizer().fit([["a", "b"], ["b", "c"]])
-        assert vec.vocabulary_size == 3
-
 
 class TestCosineSimilarity:
     def test_cached_reference_scoring(self):

@@ -48,11 +48,10 @@ class TestWorldGeneration:
         assert resolvable / total > 0.9
 
     def test_hubs_tweet_heavily_and_on_topic(self, small_world):
-        by_user = small_world.tweets_by_user()
         profile = small_world.stream_profile
         for topic, topic_hubs in enumerate(small_world.hubs):
             for rank, hub in enumerate(topic_hubs):
-                tweets = by_user.get(hub, [])
+                tweets = [t for t in small_world.tweets if t.user == hub]
                 expected = int(profile.hub_tweets * profile.hub_tweets_decay**rank)
                 assert len(tweets) == expected
                 on_topic = sum(

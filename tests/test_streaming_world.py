@@ -93,9 +93,6 @@ class TestProfileValidation:
 
     def test_positional_id_layout(self):
         profile = small_profile()
-        hubs = set(profile.hub_ids())
-        assert len(hubs) == profile.num_hubs
-        assert hubs == set(range(profile.num_hubs))
         # every regular id belongs to exactly one faction, round-robin
         for user in range(profile.num_hubs, profile.num_hubs + 64):
             faction = profile.faction_of(user)

@@ -36,14 +36,6 @@ class TestSweepResult:
         best = result.best()
         assert (best["a"], best["b"]) == (1, 20)
 
-    def test_value_range(self, result):
-        assert result.value_range() == pytest.approx(0.3)
-
-    def test_grid_rows_pivot(self, result):
-        rows = result.grid_rows("a", "b")
-        assert rows[0] == {"a": 1, "b=10": 0.5, "b=20": 0.7}
-        assert rows[1]["b=10"] == 0.6
-
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             SweepResult(parameters=(), points=[]).best()

@@ -1,6 +1,6 @@
 """Tweet tokenizer tests."""
 
-from repro.text.tokenize import iter_ngrams, tokenize, tokenize_words
+from repro.text.tokenize import tokenize, tokenize_words
 
 
 class TestTokenize:
@@ -50,17 +50,3 @@ class TestTokenizeWords:
 
     def test_hashtag_excluded_from_words(self):
         assert tokenize_words("#nba rules") == ["rules"]
-
-
-class TestIterNgrams:
-    def test_all_ngrams_up_to_max(self):
-        grams = list(iter_ngrams(["a", "b", "c"], max_len=2))
-        phrases = [g[2] for g in grams]
-        assert phrases == ["a", "a b", "b", "b c", "c"]
-
-    def test_positions(self):
-        grams = list(iter_ngrams(["x", "y"], max_len=2))
-        assert grams[1] == (0, 2, "x y")
-
-    def test_empty_input(self):
-        assert list(iter_ngrams([], max_len=3)) == []

@@ -131,7 +131,7 @@ class TestTileSeams:
         closure = build_tiled(graph, tile)
         assert_closure_matches_exact(graph, closure, 4)
         for sink in (2, 4, 6, 7, 8):
-            assert closure.reachable_from(sink) == {}
+            assert all(closure.reachability(sink, t) == 0.0 for t in range(9))
 
     def test_reach_saturates_before_max_hops(self, tile):
         """On a 5-cycle every pair is set by hop 4; hop 5 finds nothing
@@ -221,12 +221,6 @@ class TestNaiveBuilder:
 
 
 class TestClosureContainer:
-    def test_reachable_from(self, diamond_graph):
-        closure = build_transitive_closure_incremental(diamond_graph)
-        row = closure.reachable_from(0)
-        assert set(row) == {1, 2, 3, 4}
-        assert row[4] == pytest.approx(1 / 3)
-
     def test_nonzero_entries_counts(self, chain_graph):
         closure = build_transitive_closure_incremental(chain_graph, max_hops=4)
         assert closure.nonzero_entries() == 4 + 3 + 2 + 1
