@@ -17,6 +17,7 @@ import math
 import pickle
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,97 @@ class TestLayout:
         ):
             sha.update(bytes(buffer))
         assert sha.hexdigest() == digest
+
+
+def interleaved_script(graph, oracle, max_hops, seed):
+    """``(method, source, target)`` calls in shuffled blocks: one source
+    about many targets, two sources taking turns, one target from many
+    sources, ``s == t`` / ``d = 1`` / ``d = H`` / unreachable pairs, and
+    ``distance`` / ``exact_followee_set`` right after ``reachability``
+    warmed the source's slot on another target."""
+    rng = random.Random(seed)
+    nodes = list(graph.nodes())
+    by_distance = {}
+    for s in nodes:
+        for t in nodes:
+            by_distance.setdefault(oracle.distance(s, t), []).append((s, t))
+    source, target = rng.choice(nodes), rng.choice(nodes)
+    a, b = rng.sample(nodes, 2)
+    blocks = [
+        [("reachability", source, t) for t in rng.sample(nodes, 10)],
+        [("reachability", s, t) for t in rng.sample(nodes, 6) for s in (a, b)],
+        [("reachability", s, target) for s in rng.sample(nodes, 10)],
+    ]
+    for d in (0.0, 1, max_hops, INF):
+        blocks.append([("reachability", s, t) for s, t in rng.sample(by_distance[d], 5)])
+    for s, t in rng.sample(by_distance[2] + by_distance[3], 8):
+        blocks.append(
+            [
+                ("reachability", s, rng.choice(nodes)),
+                ("distance", s, t),
+                ("exact_followee_set", s, t),
+            ]
+        )
+    rng.shuffle(blocks)
+    return [call for block in blocks for call in block]
+
+
+class TestQueryState:
+    """The source slot and the target memo carry work from one query to
+    the next; no answer may depend on which queries came before it."""
+
+    @pytest.mark.parametrize("memo_size", [2, compact_labels.TARGET_MEMO_SIZE])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_long_lived_cover_answers_as_a_fresh_one(self, monkeypatch, memo_size, seed):
+        monkeypatch.setattr(compact_labels, "TARGET_MEMO_SIZE", memo_size)
+        graph = random_graph(60, 150, seed)
+        oracle = build_two_hop_cover(graph, max_hops=4)
+        cover = build_compact_two_hop_cover(graph, max_hops=4)
+        for method, s, t in interleaved_script(graph, oracle, 4, seed):
+            got = getattr(cover, method)(s, t)
+            fresh = getattr(build_compact_two_hop_cover(graph, max_hops=4), method)(s, t)
+            if method == "reachability":
+                want = oracle.reachability(s, t, exact_followees=True)
+            else:
+                want = getattr(oracle, method)(s, t)
+            assert got == fresh == want, (method, s, t)
+            assert type(got) is type(want), (method, s, t)
+        assert len(cover._targets) <= memo_size
+
+    def test_threads_share_one_cover(self, monkeypatch):
+        """8 threads, each asking its own sources about 7 targets in a row
+        (Eq. 8's pattern), switching as often as the interpreter allows:
+        every answer equals the single-threaded one."""
+        monkeypatch.setattr(compact_labels, "TARGET_MEMO_SIZE", 16)
+        graph = random_graph(300, 1500, 5)
+        pool = random.Random(5).sample(range(300), 40)
+        scripts = []
+        for seed in range(8):
+            rng = random.Random(seed)
+            scripts.append(
+                [(s, t) for s in rng.choices(range(300), k=60) for t in rng.sample(pool, 7)]
+            )
+        single = build_compact_two_hop_cover(graph, max_hops=4)
+        expected = [[single.reachability(s, t) for s, t in script] for script in scripts]
+        shared = build_compact_two_hop_cover(graph, max_hops=4)
+        answers = [None] * len(scripts)
+        start = threading.Barrier(len(scripts))
+
+        def run(k):
+            start.wait()
+            answers[k] = [shared.reachability(s, t) for s, t in scripts[k]]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(scripts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == expected
 
 
 class TestSerialization:
