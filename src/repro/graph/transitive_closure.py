@@ -6,10 +6,10 @@ The paper assumes query efficiency dominates and materializes the full
 matrix hop by hop.  At iteration ``len`` a pair ``(u, v)`` still unset gets
 distance ``len`` and ``|F_uv| = n_v``, the number of ``u``'s followees whose
 distance to ``v`` is exactly ``len - 1`` (Theorem 1).  Iteration ``len``
-is the dense product ``A @ (D == len-1)`` in BLAS, ``O(|V|^3)`` flops,
-taken ``TILE x TILE`` block by block.  The matrix keeps those two
-integers, three bytes a pair; the build peaks at that plus
-``O(TILE * |V|)``.  :meth:`TransitiveClosure.reachability`
+sums, per followee slot, the rows ``D[f, :] == len - 1`` of every
+followee ``f``: ``O(|E| * |V|)`` integer adds, ``TILE`` rows at a time.
+The matrix keeps those two integers, three bytes a pair; the build peaks
+at that plus ``O(TILE * |V|)``.  :meth:`TransitiveClosure.reachability`
 evaluates Eq. 4 from them at lookup
 (:func:`repro.graph.reachability.reachability_weight`).  (The paper's
 per-pair strawman it is benchmarked against in Fig. 5(b) is
@@ -21,7 +21,7 @@ rebuild.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.reachability import check_byte_hops, reachability_weight
 from repro.graph.traversal import shortest_path_dag, followees_on_shortest_paths
 
-#: Edge of the square tiles Algorithm 1 multiplies: the build holds the
-#: index plus two ``TILE x |V|`` float32 operands and one ``TILE x TILE``
-#: product, whatever ``|V|``.
+#: Rows Algorithm 1 tallies at a time: the build holds the index plus four
+#: ``TILE x |V|`` buffers of at most 4 B a cell, whatever ``|V|``.
 TILE = 512
 #: The diagonal's distance during the build: above every ``len - 1``
 #: (``max_hops <= 255``) and not ``1``, so no iteration reads it, and not
@@ -90,63 +89,106 @@ class TransitiveClosure:
 def build_transitive_closure_incremental(
     graph: DiGraph, max_hops: int = DEFAULT_MAX_HOPS
 ) -> TransitiveClosure:
-    """Algorithm 1 — incremental hop-by-hop construction, tile by tile.
+    """Algorithm 1 — incremental hop-by-hop construction, row tile by row tile.
 
     Iteration ``len`` only reads entries of distance ``len - 1`` (the
-    operand) and ``1`` (the adjacency), and only writes ``len``, so
-    in-place updates are safe across tiles: nothing written in an
-    iteration is read back within it, and no edge is overwritten.
+    followees' rows) and only writes ``len``, so in-place updates are safe
+    across tiles: nothing written in an iteration is read back within it,
+    and no edge is overwritten.
     """
     check_byte_hops(max_hops)
     n = graph.num_nodes
     degrees = [graph.out_degree(u) for u in graph.nodes()]
-    # |F_uv| <= |F_u|, so the widest count is the largest out-degree
-    count_dtype = np.uint16 if max(degrees, default=0) <= 0xFFFF else np.uint32
+    # |F_uv| <= |F_u|, so the widest count is the largest out-degree; the
+    # build tallies in the narrowest type that holds it, the index stores
+    # at least uint16
+    tally_dtype = np.min_scalar_type(max(degrees, default=0))
+    count_dtype = np.promote_types(tally_dtype, np.uint16)
     dist = np.zeros((n, n), dtype=np.uint8)
     count = np.zeros((n, n), dtype=count_dtype)
-    sources = np.repeat(np.arange(n), np.array(degrees, dtype=np.intp))
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degrees, out=offsets[1:])
     targets = np.fromiter(
         chain.from_iterable(map(graph.out_neighbors, graph.nodes())),
         dtype=np.intp,
-        count=len(sources),
+        count=offsets[-1],
     )
-    dist[sources, targets] = 1
+    dist[np.repeat(np.arange(n), np.diff(offsets)), targets] = 1
     # the diagonal holds a distance no iteration reads or fills, so no
     # u -> ... -> u cycle is stored; cleared once the build is done
     np.fill_diagonal(dist, _SELF)
-    # single-precision tiles keep the product in BLAS; its counts
-    # (<= |V| < 2**24) are exact
+    tiles = [
+        _followee_slots(offsets, targets, row, min(row + TILE, n))
+        for row in range(0, n, TILE)
+    ]
     side = min(n, TILE)
-    operand = np.empty((n, side), dtype=np.float32)
-    followees = np.empty((side, n), dtype=np.float32)
-    product = np.empty((side, side), dtype=np.float32)
+    buffers = (
+        np.empty((side, n), dtype=np.uint8),
+        np.empty((side, n), dtype=np.bool_),
+        np.empty((side, n), dtype=tally_dtype),
+        np.empty((side, n), dtype=tally_dtype),
+    )
     for length in range(2, max_hops + 1):
-        grew = False
-        for col in range(0, n, TILE):
-            cols = slice(col, col + TILE)
-            width = min(TILE, n - col)
-            np.equal(dist[:, cols], length - 1, out=operand[:, :width])
-            for row in range(0, n, TILE):
-                rows = slice(row, row + TILE)
-                height = min(TILE, n - row)
-                np.equal(dist[rows], 1, out=followees[:height])
-                # counts[u, v] = number of u's followees at distance len-1 from v
-                counts = product[:height, :width]
-                np.matmul(followees[:height], operand[:, :width], out=counts)
-                block, tally = dist[rows, cols], count[rows, cols]
-                fresh = block == 0
-                fresh &= counts > 0
-                # unset pairs hold 0 in both matrices, so adding the masked
-                # tile writes the fresh pairs and leaves the others as they are
-                # (twice as fast as np.copyto(..., where=fresh) on these views)
-                counts *= fresh
-                np.add(tally, counts, out=tally, casting="unsafe")
-                block += fresh * np.uint8(length)
-                grew = grew or fresh.any()
-        if not grew:
+        if not _iterate(dist, count, tiles, buffers, length):
             break
     np.fill_diagonal(dist, 0)
     return TransitiveClosure(max_hops, dist, count, degrees)
+
+
+def _followee_slots(
+    offsets: np.ndarray, targets: np.ndarray, start: int, stop: int
+) -> Tuple[int, np.ndarray, List[np.ndarray]]:
+    """Rows ``start..stop-1`` by descending out-degree, and per followee
+    slot ``k`` the ``k``-th followee of every row that has one.
+
+    Those rows are a prefix of the sorted tile, so slot ``k``'s array is as
+    long as that prefix.  Returns ``(start, rank, slots)``: ``rank[i]`` is
+    row ``start + i``'s position in the sorted tile.
+    """
+    widths = np.diff(offsets[start : stop + 1])
+    order = np.argsort(-widths)
+    widths, firsts = widths[order], offsets[start:stop][order]
+    # widths descend, so the rows with a k-th followee are those with width > k
+    prefix = np.searchsorted(-widths, -np.arange(widths.max(initial=0)), side="left")
+    slots = [targets[firsts[:rows] + k] for k, rows in enumerate(prefix)]
+    return start, np.argsort(order), slots
+
+
+def _iterate(
+    dist: np.ndarray,
+    count: np.ndarray,
+    tiles: List[Tuple[int, np.ndarray, List[np.ndarray]]],
+    buffers: Tuple[np.ndarray, ...],
+    length: int,
+) -> bool:
+    """Iteration ``len`` of Algorithm 1 over every row tile (Theorem 1):
+    ``tally[u, :]`` sums ``D[f, :] == len - 1`` over ``u``'s followees
+    ``f``, and unset pairs it reaches get ``len`` and the tally.  Returns
+    whether any pair was set."""
+    gathered, hits, tally, unsorted = buffers
+    grew = False
+    for start, rank, slots in tiles:
+        if not slots:
+            continue  # a tile of sinks reaches nothing
+        height = len(rank)
+        tally[:height] = 0
+        # every index is in range, and "clip" skips take's checked copy
+        for followees in slots:
+            rows = len(followees)
+            np.take(dist, followees, axis=0, out=gathered[:rows], mode="clip")
+            np.equal(gathered[:rows], length - 1, out=hits[:rows])
+            np.add(tally[:rows], hits[:rows], out=tally[:rows])
+        counts = np.take(tally[:height], rank, axis=0, out=unsorted[:height], mode="clip")
+        block, totals = dist[start : start + height], count[start : start + height]
+        fresh = np.equal(block, 0, out=hits[:height])
+        fresh &= np.greater(counts, 0, out=gathered[:height].view(np.bool_))
+        # unset pairs hold 0 in both matrices, so adding the masked tally
+        # writes the fresh pairs and leaves the others as they are
+        counts *= fresh
+        totals += counts
+        block += np.multiply(fresh, np.uint8(length), out=gathered[:height])
+        grew = grew or bool(fresh.any())
+    return grew
 
 
 def exact_followee_set(

@@ -76,6 +76,16 @@ class TestIncrementalMatchesExact:
         closure = build_transitive_closure_incremental(graph, max_hops=4)
         assert_closure_matches_exact(graph, closure, 4)
 
+    def test_wide_hub(self):
+        """Node 0 follows 1..300, and each of them follows 301, so
+        ``|F_uv| = 300`` for (0, 301): more than a byte can tally."""
+        graph = DiGraph.from_edges(
+            302, [(0, f) for f in range(1, 301)] + [(f, 301) for f in range(1, 301)]
+        )
+        closure = build_transitive_closure_incremental(graph, max_hops=2)
+        assert closure._count[301] == 300
+        assert_closure_matches_exact(graph, closure, 2)
+
 
 def build_tiled(graph, tile, max_hops=4):
     """The closure built with ``tile``-wide tiles instead of the shipped edge."""
@@ -94,7 +104,7 @@ def assert_diagonal_clear(closure):
 @pytest.mark.parametrize("tile", [1, 2, 7])
 class TestTileSeams:
     """Tier-1 graphs fit in one shipped tile, so these shrink the tile until
-    every product crosses row and column seams, ragged last tile included."""
+    the build crosses row seams, ragged last tile included."""
 
     @given(edge_list_strategy())
     @settings(max_examples=40, deadline=None)
@@ -125,29 +135,43 @@ class TestTileSeams:
         assert_diagonal_clear(closure)
 
     def test_rows_with_zero_out_degree(self, tile):
-        """Sinks 2, 4, 6, 7 and 8 make all-zero adjacency rows, so some
-        row tiles multiply nothing in."""
+        """Sinks 2, 4, 6, 7 and 8 have no followee slot, so some row tiles
+        sum nothing in."""
         graph = DiGraph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 0), (5, 3)])
         closure = build_tiled(graph, tile)
         assert_closure_matches_exact(graph, closure, 4)
         for sink in (2, 4, 6, 7, 8):
             assert all(closure.reachability(sink, t) == 0.0 for t in range(9))
 
+    def test_mixed_degree_rows_in_one_tile(self, tile):
+        """Out-degrees 0 3 1 0 2 4 0 1 2 0: each tile sorts its rows by
+        degree to slice its followee slots, and every row's tally must
+        land back on its own index, sinks included."""
+        graph = DiGraph.from_edges(
+            10,
+            [(1, 2), (1, 5), (1, 8), (2, 6), (4, 1), (4, 9), (5, 0), (5, 3)]
+            + [(5, 7), (5, 2), (7, 4), (8, 5), (8, 7)],
+        )
+        closure = build_tiled(graph, tile)
+        assert_closure_matches_exact(graph, closure, 4)
+        assert_diagonal_clear(closure)
+
     def test_reach_saturates_before_max_hops(self, tile):
         """On a 5-cycle every pair is set by hop 4; hop 5 finds nothing
         fresh and the build stops instead of running to hop 255."""
         graph = DiGraph.from_edges(5, [(u, (u + 1) % 5) for u in range(5)])
-        compared = set()
-        equal = np.equal
+        hops = []
+        iterate = transitive_closure._iterate
 
-        def spy(array, value, **kwargs):
-            compared.add(value)
-            return equal(array, value, **kwargs)
+        def spy(*args):
+            grew = iterate(*args)
+            hops.append((args[-1], grew))
+            return grew
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transitive_closure.np, "equal", spy)
+            patch.setattr(transitive_closure, "_iterate", spy)
             closure = build_tiled(graph, tile, max_hops=255)
-        assert compared == {1, 2, 3, 4}
+        assert hops == [(2, True), (3, True), (4, True), (5, False)]
         assert_closure_matches_exact(graph, closure, 255)
         assert_diagonal_clear(closure)
 
@@ -185,12 +209,13 @@ class TestRecordedBuild:
         assert hashlib.sha256(bytes(closure._dist)).hexdigest() == dist_digest
         assert hashlib.sha256(bytes(closure._count)).hexdigest() == count_digest
 
-    def test_build_peak_is_the_index_plus_three_tile_operands(self):
-        """numpy reports its buffers to tracemalloc.  The build holds the
-        index, two ``TILE x |V|`` float32 operands, and a ``TILE x TILE``
-        product, masks and edge arrays that fit in a third; a build with a
-        ``|V| x |V|`` float32 operand anywhere is over it (the untiled build
-        peaked at the index plus 9.7 such operands here)."""
+    def test_build_peak_is_the_index_plus_four_row_tiles(self):
+        """numpy reports its buffers to tracemalloc.  Past the index, the
+        build holds four ``TILE x |V|`` row tiles (the gathered followee
+        rows, their hit mask, the degree-sorted tally and its unsorted
+        copy, each at most 4 B a cell) and arrays of ``|E|`` followees;
+        the bound below is twelve bytes a tile cell.  A build with a
+        ``|V| x |V|`` temporary anywhere is over it."""
         make, max_hops = RECORDED_GRAPHS["1100-nodes-H4"]
         graph = make()
         operand_bytes = 4 * transitive_closure.TILE * graph.num_nodes
