@@ -8,7 +8,6 @@ entity are returned as personalized search results (Sec. 3.2.2).
 Run:  python examples/personalized_search.py
 """
 
-from repro import LinkerConfig
 from repro.eval.context import build_experiment
 from repro.stream.generator import StreamProfile, SyntheticWorld
 

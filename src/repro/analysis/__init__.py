@@ -3,33 +3,28 @@
 ``repro check`` enforces, before every PR, the conventions the serving
 layer relies on but cannot assert at runtime: seeded randomness and
 argument-passed timestamps (**DET**), the typed error taxonomy
-(**ERR**), epoch bumps in cache-visible mutators (**CACHE**), and — via
-the whole-program layer (:mod:`repro.analysis.project`) — the serve
-exception contract and import hygiene (**FLOW**).  See DESIGN.md §8 for
-the rule table and ``docs/static-analysis.md`` for the JSON report
-schema.
+(**ERR**) and epoch bumps in cache-visible mutators (**CACHE**).  Every
+rule reads one file's AST.  See DESIGN.md §8 for the rule table and
+``docs/static-analysis.md`` for the JSON report schema.
 
 Programmatic use::
 
     from repro.analysis import run_check
 
     report = run_check(["src"])
-    assert report.exit_code(strict=True) == 0, report.findings
+    assert report.exit_code() == 0, report.findings
 """
 
 from repro.analysis.framework import (
     CheckReport,
     FileContext,
     Finding,
-    ProjectRule,
     Rule,
-    Severity,
     all_rules,
     register,
     run_check,
 )
 from repro.analysis.pragmas import Pragma, parse_pragmas
-from repro.analysis.project import ProjectContext
 from repro.analysis.reporters import (
     render_json,
     render_text,
@@ -41,10 +36,7 @@ __all__ = [
     "FileContext",
     "Finding",
     "Pragma",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
-    "Severity",
     "all_rules",
     "parse_pragmas",
     "register",

@@ -9,13 +9,15 @@ The moving parts:
 
 * :class:`FileContext` — one parsed file (path, dotted module name,
   source lines, AST) plus helpers rules share;
-* :class:`Rule` — the plugin base class; concrete rules declare ``id``,
-  ``severity``, ``summary`` and yield :class:`Finding`\\ s from
-  :meth:`Rule.check`;
+* :class:`Rule` — the plugin base class; concrete rules declare ``id``
+  and ``summary`` and yield :class:`Finding`\\ s from :meth:`Rule.check`;
 * :func:`register` / :func:`all_rules` — the registry that makes the
   rule pack discoverable without hard-coding a list anywhere;
 * :func:`run_check` — the driver: walk files, parse, run every rule,
   apply ``noqa[...]`` pragmas, and return a :class:`CheckReport`.
+
+Every finding fails the gate: a rule either protects an invariant or it
+should not exist, so there is no severity level to tune.
 
 Suppression has exactly one mechanism, the inline pragma
 (:mod:`repro.analysis.pragmas`), and it carries a *justification* so an
@@ -30,49 +32,21 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import enum
 import os
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type
 
-from repro.analysis.pragmas import Pragma, parse_pragmas
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.project import ProjectContext
+from repro.analysis.pragmas import Pragma, parse_pragmas, statement_anchors
 
 __all__ = [
     "CheckReport",
     "FileContext",
     "Finding",
-    "ProjectRule",
     "Rule",
-    "Severity",
     "all_rules",
     "iter_python_files",
     "register",
     "run_check",
 ]
-
-
-class Severity(enum.Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` fails the gate always; ``WARNING`` fails it only under
-    ``--strict`` (the CI mode).  There is deliberately no "info" level:
-    a rule either protects an invariant or it should not exist.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -84,12 +58,10 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: Severity = dataclasses.field(compare=False, default=Severity.ERROR)
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -131,10 +103,14 @@ class FileContext:
         return self.path.endswith("__init__.py")
 
 
-def _module_name(relative_path: str) -> str:
-    parts = relative_path[:-3].split("/")  # drop ".py"
-    if parts and parts[0] in ("src", "lib"):
-        parts = parts[1:]
+def _module_name(path: str) -> str:
+    """Dotted module name of a posix ``path``: the components after its
+    last ``src``/``lib`` directory, so the name does not depend on where
+    the path starts (``/abs/repo/src/repro/x.py`` is ``repro.x``)."""
+    parts = path[:-3].split("/")  # drop ".py"
+    roots = [index for index, part in enumerate(parts[:-1]) if part in ("src", "lib")]
+    if roots:
+        parts = parts[roots[-1] + 1:]
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -144,13 +120,12 @@ class Rule:
     """Base class of every check; subclasses self-register via
     :func:`register` and yield findings from :meth:`check`.
 
-    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/CACHE/FLOW/ANA families);
+    ``id`` follows ``<FAMILY>-<NNN>`` (DET/ERR/CACHE/ANA families);
     ``summary`` is the one-liner shown in reports and the DESIGN.md rule
     table.
     """
 
     id: str = ""
-    severity: Severity = Severity.ERROR
     summary: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -165,25 +140,7 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule=self.id,
             message=message,
-            severity=self.severity,
         )
-
-
-class ProjectRule(Rule):
-    """Base class of whole-program (FLOW) rules.
-
-    Project rules see the :class:`repro.analysis.project.ProjectContext`
-    built from every scanned file at once; their per-file :meth:`check`
-    is a no-op so the registry can hold both kinds uniformly.  Findings
-    they yield carry normal file/line anchors, so pragmas apply to them
-    exactly like to per-file findings.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -201,7 +158,6 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Every registered rule, in stable id order."""
-    import repro.analysis.flow_rules  # noqa: F401 — registration side effect
     import repro.analysis.rules  # noqa: F401 — registration side effect
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
@@ -219,7 +175,7 @@ def _apply_pragmas(
     findings: List[Finding],
     pragmas: Dict[int, Pragma],
     path: str,
-    anchors: Optional[Dict[int, int]] = None,
+    anchors: Dict[int, int],
 ) -> Tuple[List[Finding], List[Finding]]:
     """Split ``findings`` into (kept, suppressed) per the file's pragmas,
     and append an ``ANA-001`` finding for every pragma lacking a
@@ -231,7 +187,6 @@ def _apply_pragmas(
     """
     kept: List[Finding] = []
     suppressed: List[Finding] = []
-    anchors = anchors or {}
     used = set()
     for finding in findings:
         pragma = pragmas.get(finding.line)
@@ -257,7 +212,7 @@ def _apply_pragmas(
                 "as a plain comment if it still informs)"
             )
         kept.extend(
-            Finding(path, line, 0, PRAGMA_RULE, message, Severity.ERROR)
+            Finding(path, line, 0, PRAGMA_RULE, message)
             for message in problems
         )
     return kept, suppressed
@@ -275,22 +230,9 @@ class CheckReport:
     files_scanned: int
     parse_errors: List[Finding] = dataclasses.field(default_factory=list)
 
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 when the gate passes; 1 when findings fail it.
-
-        Non-strict fails on errors only; ``--strict`` (the CI mode) fails
-        on any unsuppressed finding.
-        """
-        failing = self.findings if strict else self.errors
-        return 1 if failing else 0
+    def exit_code(self) -> int:
+        """0 when the gate passes; 1 when any unsuppressed finding fails it."""
+        return 1 if self.findings else 0
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -326,46 +268,30 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     return iter(sorted(collected))
 
 
-@dataclasses.dataclass
-class _FileRecord:
-    """One scanned file's per-run state (pre-suppression)."""
-
-    lines: Tuple[str, ...]
-    raw: List[Finding]
-    anchors: Dict[int, int]
-
-
 def run_check(paths: Sequence[str], root: str = "") -> CheckReport:
     """Run every rule over every python file under ``paths``.
 
     ``root`` anchors the repo-relative paths used in reports and pragmas,
     so a run from any working directory produces identical output.
-    Unparseable files produce an ``ANA-002`` error finding instead of
-    crashing the gate (a syntax error must fail CI loudly, not with a
-    traceback).  ``paths`` naming no python file at all raises
-    ``FileNotFoundError``.
+    Unparseable files produce an ``ANA-002`` finding instead of crashing
+    the gate (a syntax error must fail CI loudly, not with a traceback).
+    ``paths`` naming no python file at all raises ``FileNotFoundError``.
 
-    The run is one pass: read and parse each file, run the per-file rules
-    over its AST, build the :class:`ProjectContext` from every file's
-    module summary and run the whole-program (FLOW) rules over it, then
-    apply the pragmas.
+    Each file is one pass: read and parse it, run every rule over its
+    AST, then apply its pragmas.
     """
-    from repro.analysis.project import ProjectContext, summarize
-
+    files = list(iter_python_files(paths))
+    if not files:
+        raise FileNotFoundError(f"no python file under: {' '.join(paths)}")
     rules = all_rules()
-    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     report = CheckReport(findings=[], suppressed_pragma=[], files_scanned=0)
-
-    # ---- per-file rules + module summaries ---------------------------- #
-    records: Dict[str, _FileRecord] = {}  # by repo-relative posix path
-    summaries = []
-    for file_path in iter_python_files(paths):
+    for file_path in files:
         with open(file_path, "r", encoding="utf-8") as handle:
             source = handle.read()
         try:
             ctx = FileContext.parse(file_path, source, root=root)
         except SyntaxError as exc:
+            # no rule ran on this file, so its pragmas cannot be judged
             relative = (
                 os.path.relpath(file_path, root) if root else file_path
             ).replace(os.sep, "/")
@@ -376,35 +302,13 @@ def run_check(paths: Sequence[str], root: str = "") -> CheckReport:
                     col=exc.offset or 0,
                     rule="ANA-002",
                     message=f"file does not parse: {exc.msg}",
-                    severity=Severity.ERROR,
                 )
             )
-            # no rule ran on this file, so its pragmas cannot be judged
-            records[relative] = _FileRecord((), [], {})
             continue
         report.files_scanned += 1
-        raw: List[Finding] = []
-        for rule in file_rules:
-            raw.extend(rule.check(ctx))
-        summary = summarize(ctx)
-        summaries.append(summary)
-        records[ctx.path] = _FileRecord(ctx.lines, raw, summary.anchors)
-    if not records:
-        raise FileNotFoundError(f"no python file under: {' '.join(paths)}")
-
-    # ---- whole-program (FLOW) rules over the summaries ---------------- #
-    if summaries:
-        project = ProjectContext(summaries)
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                record = records.get(finding.path)
-                if record is not None:
-                    record.raw.append(finding)
-
-    # ---- suppression --------------------------------------------------- #
-    for path, record in records.items():
+        raw = [finding for rule in rules for finding in rule.check(ctx)]
         kept, by_pragma = _apply_pragmas(
-            record.raw, parse_pragmas(record.lines), path, record.anchors
+            raw, parse_pragmas(ctx.lines), ctx.path, statement_anchors(ctx.tree)
         )
         report.suppressed_pragma.extend(by_pragma)
         report.findings.extend(kept)

@@ -21,13 +21,14 @@ literal, suppress nothing, and must not be reported stale for it.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 import re
 import tokenize
 from typing import Dict, FrozenSet, Sequence
 
-__all__ = ["Pragma", "parse_pragmas"]
+__all__ = ["Pragma", "parse_pragmas", "statement_anchors"]
 
 #: ``# repro: noqa[RULE-ID,...]`` with an optional ``-- why`` tail.
 _PRAGMA_RE = re.compile(
@@ -72,3 +73,27 @@ def parse_pragmas(lines: Sequence[str]) -> Dict[int, Pragma]:
             justification=(match.group("why") or "").strip(),
         )
     return pragmas
+
+
+def statement_anchors(tree: ast.Module) -> Dict[int, int]:
+    """Map continuation lines of multi-line statements to their first line.
+
+    Simple statements anchor their whole span; compound statements anchor
+    only their *header* (``def``/``if``/``for`` line through the line
+    before the first body statement), so a pragma on a ``def`` line never
+    blankets the function body.  Walk order guarantees inner statements
+    overwrite outer ones, so the innermost anchor wins.
+    """
+    anchors: Dict[int, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt):
+            continue
+        start = node.lineno
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.stmt):
+            end = body[0].lineno - 1
+        else:
+            end = node.end_lineno or start
+        for line in range(start + 1, end + 1):
+            anchors[line] = start
+    return anchors

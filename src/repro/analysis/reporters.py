@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from repro.analysis.framework import CheckReport, Severity, all_rules
-from repro.schema import BOOL, COUNT, STR, ListOf, const, one_of, problems
+from repro.analysis.framework import CheckReport, all_rules
+from repro.schema import COUNT, STR, ListOf, const, problems
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -19,25 +19,24 @@ __all__ = [
     "validate_check_document",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------- #
 # text
 # ---------------------------------------------------------------------- #
-def render_text(report: CheckReport, strict: bool = False) -> str:
+def render_text(report: CheckReport) -> str:
     """One `path:line:col: RULE-ID message` line per finding, then a
     summary line — grep-able and editor-clickable."""
     lines: List[str] = []
     for finding in report.findings:
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col}: "
-            f"{finding.rule} [{finding.severity.value}] {finding.message}"
+            f"{finding.rule} {finding.message}"
         )
-    verdict = "FAIL" if report.exit_code(strict=strict) else "OK"
+    verdict = "FAIL" if report.exit_code() else "OK"
     summary = (
         f"{verdict}: {len(report.findings)} finding(s) "
-        f"({len(report.errors)} error, {len(report.warnings)} warning) "
         f"across {report.files_scanned} file(s); "
         f"{len(report.suppressed_pragma)} suppressed by pragma"
     )
@@ -48,45 +47,31 @@ def render_text(report: CheckReport, strict: bool = False) -> str:
 # ---------------------------------------------------------------------- #
 # JSON
 # ---------------------------------------------------------------------- #
-def render_json(
-    report: CheckReport, strict: bool = False, paths: Sequence[str] = ()
-) -> Dict[str, object]:
+def render_json(report: CheckReport, paths: Sequence[str] = ()) -> Dict[str, object]:
     """The schema-stable check document (see docs/static-analysis.md)."""
     return {
         "meta": {
             "schema_version": SCHEMA_VERSION,
             "tool": "repro check",
-            "strict": strict,
             "paths": list(paths),
             "files_scanned": report.files_scanned,
         },
-        "rules": [
-            {
-                "id": rule.id,
-                "severity": rule.severity.value,
-                "summary": rule.summary,
-            }
-            for rule in all_rules()
-        ],
+        "rules": [{"id": rule.id, "summary": rule.summary} for rule in all_rules()],
         "findings": [finding.as_dict() for finding in report.findings],
         "suppressed": {
             "pragma": [f.as_dict() for f in report.suppressed_pragma],
         },
         "summary": {
             "findings": len(report.findings),
-            "errors": len(report.errors),
-            "warnings": len(report.warnings),
             "suppressed_pragma": len(report.suppressed_pragma),
             "files_scanned": report.files_scanned,
-            "exit_code": report.exit_code(strict=strict),
+            "exit_code": report.exit_code(),
         },
     }
 
 
-_SEVERITY = one_of(*(severity.value for severity in Severity))
 _FINDING = {
     "rule": STR,
-    "severity": _SEVERITY,
     "path": STR,
     "line": COUNT,
     "col": COUNT,
@@ -96,19 +81,15 @@ _CHECK_DOCUMENT = {
     "meta": {
         "schema_version": const(SCHEMA_VERSION),
         "tool": STR,
-        "strict": BOOL,
         "paths": ListOf(STR),
         "files_scanned": COUNT,
     },
-    "rules": ListOf({"id": STR, "severity": _SEVERITY, "summary": STR}, non_empty=True),
+    "rules": ListOf({"id": STR, "summary": STR}, non_empty=True),
     "findings": ListOf(_FINDING),
     "suppressed": {"pragma": ListOf(_FINDING)},
     "summary": {
         key: COUNT
-        for key in (
-            "findings", "errors", "warnings", "suppressed_pragma",
-            "files_scanned", "exit_code",
-        )
+        for key in ("findings", "suppressed_pragma", "files_scanned", "exit_code")
     },
 }
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from repro.analysis.framework import FileContext, Finding, Rule, Severity, register
+from repro.analysis.framework import FileContext, Finding, Rule, register
 
 __all__ = [
     "EPOCH_MUTATOR_METHODS",
@@ -144,7 +144,6 @@ def _from_imports(tree: ast.Module, module: str) -> Set[str]:
 @register
 class UnseededRandomRule(Rule):
     id = "DET-001"
-    severity = Severity.ERROR
     summary = "random.Random() must be constructed with an explicit seed"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -167,7 +166,6 @@ class UnseededRandomRule(Rule):
 @register
 class ModuleLevelRandomRule(Rule):
     id = "DET-002"
-    severity = Severity.ERROR
     summary = "no module-level random.* calls (hidden global RNG state)"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -204,7 +202,6 @@ class ModuleLevelRandomRule(Rule):
 @register
 class WallClockRule(Rule):
     id = "DET-003"
-    severity = Severity.ERROR
     summary = (
         "no wall-clock reads in scoring/linking paths — query time flows "
         "in as an argument (Eq. 9 recency)"
@@ -243,7 +240,6 @@ class WallClockRule(Rule):
 @register
 class BroadExceptRule(Rule):
     id = "ERR-002"
-    severity = Severity.ERROR
     summary = (
         "no bare `except:` / `except BaseException` / `except Exception` "
         "outside justified boundaries — catch repro.errors taxonomy types"
@@ -281,7 +277,6 @@ class BroadExceptRule(Rule):
 @register
 class GenericRaiseRule(Rule):
     id = "ERR-003"
-    severity = Severity.ERROR
     summary = (
         "raise taxonomy or contract errors, not generic "
         "Exception/RuntimeError"
@@ -311,7 +306,6 @@ class GenericRaiseRule(Rule):
 @register
 class EpochBumpRule(Rule):
     id = "CACHE-001"
-    severity = Severity.ERROR
     summary = (
         "mutators in epoch-owning modules must bump the epoch (or "
         "delegate to a mutator that does)"
@@ -373,7 +367,6 @@ class EpochBumpRule(Rule):
 @register
 class PragmaJustificationRule(Rule):
     id = "ANA-001"
-    severity = Severity.ERROR
     summary = (
         "every noqa pragma carries a `-- justification` tail and "
         "suppresses at least one finding"
@@ -386,7 +379,6 @@ class PragmaJustificationRule(Rule):
 @register
 class UnparseableFileRule(Rule):
     id = "ANA-002"
-    severity = Severity.ERROR
     summary = "every checked file parses as Python"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

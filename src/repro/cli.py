@@ -8,7 +8,7 @@ Subcommands::
     repro link      --world world.json.gz --surface jordan --user 7 --day 90
     repro search    --world world.json.gz --query "jordan dunk" --user 7
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro check     [src ...] [--strict --format json --out CHECK_report.json]
+    repro check     [src ...] [--format json --out CHECK_report.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
     repro serve     --world world.json.gz [--port 8355 --tenants alpha,beta]
@@ -191,15 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="run the project's AST invariant linter (DET/ERR/CACHE/FLOW)",
+        help="run the project's AST invariant linter (DET/ERR/CACHE)",
     )
     check.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    check.add_argument(
-        "--strict", action="store_true",
-        help="fail on warnings too, not just errors (the CI gate mode)",
     )
     check.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -663,11 +659,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Run the static analyzer; exit 0 iff the gate passes.
-
-    The repo-relative paths in reports are anchored at the current
-    working directory, so run this from the repo root (as CI does).
-    """
+    """Run the static analyzer; exit 0 iff the gate passes."""
     from repro.analysis import run_check
     from repro.analysis.reporters import dump_json, render_json, render_text
 
@@ -677,17 +669,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # a gate that scanned nothing must not read as a pass
         _log.error("check: %s", exc)
         return 2
-    document = dump_json(
-        render_json(report, strict=args.strict, paths=args.paths)
-    )
+    document = dump_json(render_json(report, paths=args.paths))
     if args.format == "json":
         sys.stdout.write(document)
     else:
-        sys.stdout.write(render_text(report, strict=args.strict) + "\n")
+        sys.stdout.write(render_text(report) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(document)
-    return report.exit_code(strict=args.strict)
+    return report.exit_code()
 
 
 # ---------------------------------------------------------------------- #

@@ -112,7 +112,7 @@ def influential_user_sets(
     except KeyError:
         # ``method`` is validated at config load (LinkerConfig.__post_init__),
         # so reaching here from the serve path means a code bug, not bad input.
-        raise ValueError(  # repro: noqa[FLOW-002] -- validated at config load
+        raise ValueError(
             f"unknown influence method {method!r}; expected one of {sorted(_FORMULAS)}"
         ) from None
     communities = {c: ckb.user_counts(c) for c in candidates}

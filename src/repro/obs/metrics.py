@@ -78,7 +78,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         # q is always a literal (50/95/99) at every call site; an
         # out-of-range q is a code bug, not a request error.
-        raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+        raise ValueError(
             f"percentile must be in [0, 100], got {q}"
         )
     ordered = sorted(samples)
@@ -104,11 +104,11 @@ class Histogram:
         if not bounds:
             # Boundaries are module constants; an empty tuple is a code
             # bug worth failing fast on, not a typed degrade.
-            raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+            raise ValueError(
                 "histogram needs at least one bucket boundary"
             )
         if any(b >= a for b, a in zip(bounds, bounds[1:])):
-            raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+            raise ValueError(
                 f"boundaries must be strictly increasing: {bounds}"
             )
         self.boundaries = bounds
@@ -202,7 +202,7 @@ class MetricsRegistry:
             # tuple: ``tuple()`` hands it back uncopied and its floats are
             # the histogram's own objects.  A rebind is a code bug, not a
             # request failure.
-            raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+            raise ValueError(
                 f"histogram {name!r} already bound to boundaries "
                 f"{histogram.boundaries}"
             )

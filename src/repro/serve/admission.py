@@ -95,7 +95,7 @@ class AdmissionController:
             # Class membership is validated when a tenant spec is accepted
             # (ServeApp construction / admin add), so an unknown class here
             # is a wiring bug worth a loud 500, not a typed body.
-            raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+            raise ValueError(
                 f"unknown admission class {name!r} "
                 f"(configured: {', '.join(self.names())})"
             )
@@ -128,7 +128,7 @@ class AdmissionController:
             if record["pending"] <= 0:
                 # Admit/release pairing is enforced by the _link finally
                 # block; a miscount is a handler bug worth a loud 500.
-                raise ValueError(  # repro: noqa[FLOW-002] -- code-bug invariant
+                raise ValueError(
                     "release() without a matching admit()"
                 )
             record["pending"] -= 1

@@ -5,7 +5,7 @@ and one clean snippet (the rule stays quiet), so a rule that silently
 stops matching — an ``ast`` API change, a refactor of the rule pack —
 fails here before it fails to protect the tree.  The meta-test at the
 bottom runs the real analyzer over the repo's own ``src/`` and asserts
-the strict gate is green: the repo must always pass its own linter.
+the gate is green: the repo must always pass its own linter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from repro.analysis import (
     CheckReport,
     FileContext,
-    Severity,
     all_rules,
     parse_pragmas,
     render_json,
@@ -438,7 +437,7 @@ class TestPragmas:
         # suppression still applies, but the missing "why" fails the gate
         assert [f.rule for f in report.findings] == ["ANA-001"]
         assert len(report.suppressed_pragma) == 1
-        assert report.exit_code(strict=True) == 1
+        assert report.exit_code() == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -451,15 +450,6 @@ class TestFramework:
         report = run_check([str(target)], root=str(tmp_path))
         assert [f.rule for f in report.findings] == ["ANA-002"]
         assert report.exit_code() == 1
-
-    def test_exit_codes_by_severity(self, tmp_path):
-        # FLOW-004 is warning severity: non-strict passes, strict fails
-        target = tmp_path / "mod.py"
-        target.write_text("import os\n")
-        report = run_check([str(target)], root=str(tmp_path))
-        assert [f.rule for f in report.findings] == ["FLOW-004"]
-        assert report.exit_code(strict=False) == 0
-        assert report.exit_code(strict=True) == 1
 
     def test_findings_are_sorted_and_deterministic(self, tmp_path):
         (tmp_path / "b.py").write_text("import random\nx = random.Random()\n")
@@ -475,10 +465,9 @@ class TestFramework:
         files = list(iter_python_files([str(target), str(tmp_path)]))
         assert files == [str(target)]
 
-    def test_every_rule_has_id_severity_summary(self):
+    def test_every_rule_has_id_and_summary(self):
         for rule in all_rules():
             assert rule.id and rule.summary
-            assert isinstance(rule.severity, Severity)
 
     def test_rule_ids_are_unique_and_sorted(self):
         ids = [rule.id for rule in all_rules()]
@@ -499,15 +488,15 @@ class TestReporters:
 
     def test_text_reporter_is_grep_able(self, report):
         text = render_text(report)
-        assert "mod.py:2:6: DET-001 [error]" in text
+        assert "mod.py:2:6: DET-001 unseeded random.Random()" in text
         assert "FAIL: 1 finding(s)" in text
 
     def test_json_document_validates(self, report):
-        document = render_json(report, strict=True, paths=["src"])
+        document = render_json(report, paths=["src"])
         assert validate_check_document(document) == []
-        assert document["summary"]["errors"] == 1
+        assert document["summary"]["findings"] == 1
         assert document["summary"]["exit_code"] == 1
-        assert document["meta"]["strict"] is True
+        assert document["meta"]["paths"] == ["src"]
 
     def test_validator_rejects_broken_documents(self):
         assert validate_check_document([]) == ["document must be an object, got []"]
@@ -518,9 +507,9 @@ class TestReporters:
     def test_clean_report_exit_zero(self, tmp_path):
         (tmp_path / "clean.py").write_text("VALUE = 1\n")
         report = run_check([str(tmp_path)], root=str(tmp_path))
-        document = render_json(report, strict=True)
+        document = render_json(report)
         assert document["summary"]["exit_code"] == 0
-        assert "OK: 0 finding(s)" in render_text(report, strict=True)
+        assert "OK: 0 finding(s)" in render_text(report)
 
 
 # ---------------------------------------------------------------------- #
@@ -532,28 +521,37 @@ class TestCheckCommand:
 
         (tmp_path / "mod.py").write_text("import random\nx = random.Random()\n")
         monkeypatch.chdir(tmp_path)
-        code = main(["check", "mod.py", "--strict", "--format", "json"])
+        code = main(["check", "mod.py", "--format", "json"])
         document = json.loads(capsys.readouterr().out)
         assert code == 1
         assert validate_check_document(document) == []
         assert [f["rule"] for f in document["findings"]] == ["DET-001"]
 
-    def test_document_is_schema_2_without_the_removed_keys(self, tmp_path):
-        (tmp_path / "mod.py").write_text("VALUE = 1\n")
+    def test_document_is_schema_3_without_the_removed_keys(self, tmp_path):
+        (tmp_path / "mod.py").write_text("import random\nx = random.Random()\n")
         document = render_json(run_check([str(tmp_path)], root=str(tmp_path)))
-        assert document["meta"]["schema_version"] == SCHEMA_VERSION == 2
-        assert "cache" not in document["meta"]
+        assert document["meta"]["schema_version"] == SCHEMA_VERSION == 3
+        assert set(document["meta"]) == {
+            "schema_version", "tool", "paths", "files_scanned",
+        }
         assert "stale_baseline" not in document
         assert set(document["suppressed"]) == {"pragma"}
-        assert "suppressed_baseline" not in document["summary"]
+        assert set(document["summary"]) == {
+            "findings", "suppressed_pragma", "files_scanned", "exit_code",
+        }
+        assert set(document["rules"][0]) == {"id", "summary"}
+        assert set(document["findings"][0]) == {
+            "rule", "path", "line", "col", "message",
+        }
 
     def test_v1_document_is_rejected(self, tmp_path):
         (tmp_path / "mod.py").write_text("VALUE = 1\n")
         document = render_json(run_check([str(tmp_path)], root=str(tmp_path)))
         assert validate_check_document(document) == []
-        document["meta"]["schema_version"] = 1
-        problems = validate_check_document(document)
-        assert any("schema_version" in p for p in problems)
+        for version in (1, 2):  # only the current schema validates
+            document["meta"]["schema_version"] = version
+            problems = validate_check_document(document)
+            assert any("schema_version" in p for p in problems)
 
     @pytest.mark.parametrize(
         "flag",
@@ -564,6 +562,7 @@ class TestCheckCommand:
             ["--write-baseline"],
             ["--prune-baseline"],
             ["--graph", "g.json"],
+            ["--strict"],
         ],
         ids=lambda flag: flag[0],
     )
@@ -581,7 +580,7 @@ class TestCheckCommand:
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        assert main(["check", "no_such_dir", "--strict"]) == 2
+        assert main(["check", "no_such_dir"]) == 2
         assert "OK" not in capsys.readouterr().out
 
     def test_zero_file_scan_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -589,7 +588,7 @@ class TestCheckCommand:
 
         (tmp_path / "notes.txt").write_text("not python\n")
         monkeypatch.chdir(tmp_path)
-        assert main(["check", ".", "--strict"]) == 2
+        assert main(["check", "."]) == 2
         assert "OK" not in capsys.readouterr().out
 
     def test_out_is_the_json_document_under_either_format(
@@ -610,23 +609,38 @@ class TestCheckCommand:
 # the repo checks itself
 # ---------------------------------------------------------------------- #
 class TestRepoIsClean:
-    def test_strict_gate_green_on_src(self, monkeypatch):
-        """`repro check --strict` must exit 0 on the repo's own tree."""
+    def test_gate_green_on_src(self, monkeypatch):
+        """`repro check` must exit 0 on the repo's own tree."""
         monkeypatch.chdir(REPO_ROOT)
         report = run_check(["src"])
-        assert report.findings == [], render_text(report, strict=True)
-        assert report.exit_code(strict=True) == 0
+        assert report.findings == [], render_text(report)
+        assert report.exit_code() == 0
         assert report.files_scanned >= 80
 
-    def test_ten_rules_and_no_stale_pragma(self, monkeypatch):
+    def test_eight_rules_and_no_stale_pragma(self, monkeypatch):
         assert [rule.id for rule in all_rules()] == [
             "ANA-001", "ANA-002", "CACHE-001", "DET-001", "DET-002",
-            "DET-003", "ERR-002", "ERR-003", "FLOW-002", "FLOW-004",
+            "DET-003", "ERR-002", "ERR-003",
         ]
         monkeypatch.chdir(REPO_ROOT)
         report = run_check(["src"])
         assert [f for f in report.findings if f.rule == "ANA-001"] == []
         assert report.suppressed_pragma  # the pragmas left are live ones
+
+    def test_module_names_do_not_depend_on_the_cwd(self, monkeypatch, tmp_path):
+        """DET-003's scope is a module prefix: an absolute ``src`` path run
+        from elsewhere must name ``repro.*`` modules as the root run does."""
+        monkeypatch.chdir(REPO_ROOT)
+        from_root = run_check(["src"])
+        monkeypatch.chdir(tmp_path)
+        elsewhere = run_check([os.path.join(REPO_ROOT, "src")])
+
+        def rows(findings):
+            return [(f.rule, f.line, f.col, f.message) for f in findings]
+
+        assert rows(elsewhere.findings) == rows(from_root.findings) == []
+        assert rows(elsewhere.suppressed_pragma) == rows(from_root.suppressed_pragma)
+        assert len(elsewhere.suppressed_pragma) == len(from_root.suppressed_pragma) == 4
 
     def test_every_repo_pragma_is_justified(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -638,11 +652,11 @@ class TestRepoIsClean:
                     f"{path}:{pragma.line} pragma has no justification"
                 )
 
-    def test_cli_check_strict_json_on_src(self, monkeypatch, capsys):
+    def test_cli_check_json_on_src(self, monkeypatch, capsys):
         from repro.cli import main
 
         monkeypatch.chdir(REPO_ROOT)
-        code = main(["check", "src", "--strict", "--format", "json"])
+        code = main(["check", "src", "--format", "json"])
         document = json.loads(capsys.readouterr().out)
         assert code == 0, document["findings"]
         assert validate_check_document(document) == []
@@ -730,61 +744,3 @@ class TestReporterEdgeCases:
         second = run_check([str(target)], root=str(tmp_path))
         assert first.findings == second.findings
         assert [f.line for f in first.findings] == [2, 3]
-
-    def test_validator_rejects_unknown_finding_severity(self, report=None):
-        document = {
-            "meta": {
-                "schema_version": SCHEMA_VERSION,
-                "tool": "repro check",
-                "strict": False,
-                "paths": [],
-                "files_scanned": 1,
-            },
-            "rules": [{"id": "DET-001", "severity": "error", "summary": "s"}],
-            "findings": [
-                {
-                    "rule": "DET-001",
-                    "severity": "fatal",
-                    "path": "mod.py",
-                    "line": 1,
-                    "col": 0,
-                    "message": "m",
-                }
-            ],
-            "suppressed": {"pragma": []},
-            "summary": {
-                "findings": 1,
-                "errors": 1,
-                "warnings": 0,
-                "suppressed_pragma": 0,
-                "files_scanned": 1,
-                "exit_code": 1,
-            },
-        }
-        problems = validate_check_document(document)
-        assert any("severity" in p and "'fatal'" in p for p in problems)
-
-    def test_validator_rejects_unknown_rule_severity(self):
-        document = {
-            "meta": {
-                "schema_version": SCHEMA_VERSION,
-                "tool": "repro check",
-                "strict": False,
-                "paths": [],
-                "files_scanned": 0,
-            },
-            "rules": [{"id": "X-001", "severity": "fatal", "summary": "s"}],
-            "findings": [],
-            "suppressed": {"pragma": []},
-            "summary": {
-                "findings": 0,
-                "errors": 0,
-                "warnings": 0,
-                "suppressed_pragma": 0,
-                "files_scanned": 0,
-                "exit_code": 0,
-            },
-        }
-        problems = validate_check_document(document)
-        assert any("rules[0].severity" in p for p in problems)
-

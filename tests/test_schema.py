@@ -96,12 +96,12 @@ class TestNumbers:
             (validate_load_document, _load_document, "meta.seed", True),
             (validate_load_document, _load_document, "meta.requests", -5),
             (validate_load_document, _load_document, "latency_ms.p50", math.nan),
-            (validate_check_document, _check_document, "summary.errors", True),
+            (validate_check_document, _check_document, "summary.findings", True),
             (validate_error_body, _rate_limited_body, "error.retry_after_s", True),
         ],
         ids=[
             "load-unhandled", "load-meta.seed", "load-meta.requests",
-            "load-latency_ms.p50", "check-summary.errors",
+            "load-latency_ms.p50", "check-summary.findings",
             "error-retry_after_s",
         ],
     )

@@ -4,7 +4,6 @@ import hashlib
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
