@@ -23,6 +23,7 @@ gamma = popularity**.  See DESIGN.md.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 #: Seconds in one day; timestamps throughout the library are POSIX seconds.
@@ -100,12 +101,16 @@ class LinkerConfig:
 
     def __post_init__(self) -> None:
         weights = (self.alpha, self.beta, self.gamma)
+        # NaN fails every comparison below, so it would pass every check:
+        # rejected first, with infinities (a budget that never fires)
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"feature weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError(f"feature weights must be non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"alpha + beta + gamma must be 1, got {sum(weights)}")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be positive and finite, got {self.window!r}")
         if self.burst_threshold < 0:
             raise ValueError("burst_threshold must be non-negative")
         if not 0.0 <= self.relatedness_threshold <= 1.0:
@@ -122,8 +127,12 @@ class LinkerConfig:
             raise ValueError("fuzzy_edit_distance must be non-negative")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive when set")
+        if self.deadline_ms is not None and not (
+            math.isfinite(self.deadline_ms) and self.deadline_ms > 0
+        ):
+            raise ValueError(
+                f"deadline_ms must be positive and finite when set, got {self.deadline_ms!r}"
+            )
         if self.influential_cache_size < 1:
             raise ValueError("influential_cache_size must be at least 1")
         if self.index_backend not in ("auto", "closure", "compact"):

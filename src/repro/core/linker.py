@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache.scores import ScoreCaches
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.candidates import CandidateGenerator
-from repro.core.influence import influential_user_sets
+from repro.core.influence import InfluentialSets
 from repro.core.interest import ReachabilityProvider, normalized_interest
 from repro.errors import (
     CircuitOpenError,
@@ -234,9 +234,9 @@ class SocialTemporalLinker:
                 propagation_lambda=config.propagation_lambda,
             )
         self._propagation = propagation_network
-        # candidate set -> (ckb.version of each member, {e: U*_e}), LRU-bounded
-        # at config.influential_cache_size (see influential_users).
-        self._influential_cache: "OrderedDict[Tuple[int, ...], Tuple[Tuple[int, ...], Dict[int, List[int]]]]" = OrderedDict()
+        # candidate set -> its U*_e sets, stamped with ckb.version of each
+        # member; LRU-bounded at config.influential_cache_size.
+        self._influential_cache: "OrderedDict[Tuple[int, ...], InfluentialSets]" = OrderedDict()
         # Epoch-keyed candidate / popularity / interest memos (DESIGN.md
         # §10): off by default, and bit-identical to the uncached path.
         self._caches: Optional[ScoreCaches] = (
@@ -447,31 +447,34 @@ class SocialTemporalLinker:
 
         One entry per set, stamped with ``ckb.version`` of every member:
         Eq. 6 / 7 weigh a user over the whole set, so a write to any
-        :math:`D_c` can reorder every sibling's ranking.  The stamp is taken
-        before any count is read: a write racing a rebuild leaves an entry
-        stamped older than its data (the next reader rebuilds), never newer.
+        :math:`D_c` can reorder every sibling's ranking.  A stale entry is
+        refreshed from the authors written since its stamp, not rebuilt,
+        and the refresh is published as a new entry.  The stamp is taken
+        before any count is read: a write racing a refresh leaves an entry
+        stamped older than its data (the next reader refreshes), never newer.
         """
         stamp = tuple(self._ckb.version(c) for c in candidates)
         cached = self._influential_cache.get(candidates)
-        if cached is not None and cached[0] == stamp:
+        if cached is not None and cached.stamp == stamp:
             self._mark_recently_used(candidates)
             METRICS.incr("influential_cache.hit")
-            return cached[1]
-        METRICS.incr("influential_cache.miss")
-        with stage("link.influence", candidates=len(candidates)):
-            influential = influential_user_sets(
-                self._ckb,
-                candidates,
-                candidates,
-                k=self._config.influential_users,
-                method=self._config.influence_method,
-            )
-        self._influential_cache[candidates] = (stamp, influential)
+            return cached.rankings
+        k, method = self._config.influential_users, self._config.influence_method
+        if cached is None:
+            METRICS.incr("influential_cache.miss")
+            with stage("link.influence", candidates=len(candidates)):
+                entry = InfluentialSets.build(self._ckb, candidates, stamp, k, method)
+        else:
+            METRICS.incr("influential_cache.refresh")
+            authors = sum(stamp) - sum(cached.stamp)
+            with stage("link.influence", candidates=len(candidates), authors=authors):
+                entry = cached.refresh(self._ckb, candidates, stamp, k, method)
+        self._influential_cache[candidates] = entry
         self._mark_recently_used(candidates)
         while len(self._influential_cache) > self._config.influential_cache_size:
             self._influential_cache.popitem(last=False)
             METRICS.incr("influential_cache.evictions")
-        return influential
+        return entry.rankings
 
     def _mark_recently_used(self, key: Tuple[int, ...]) -> None:
         """LRU touch that survives a concurrent eviction.

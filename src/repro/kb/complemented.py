@@ -6,7 +6,8 @@ to the KB with a batch linker and stores, per entity ``e``:
 * :math:`D_e` — the linked tweets, as three columns in link order: authors,
   timestamps and tweet ids,
 * :math:`U_e` — the community, i.e. the authors of those tweets,
-* per-user tweet counts :math:`|D_e^u|` (consumed by influence estimation),
+* per-user tweet counts :math:`|D_e^u|`, and :math:`U_e` ordered by
+  ``(-|D_e^u|, u)`` (both consumed by influence estimation),
 * a time-ordered timestamp list (consumed by the sliding recency window),
   merged on first read into one timeline per recency cluster.
 
@@ -67,6 +68,8 @@ class ComplementedKnowledgebase:
         self._columns: Dict[int, Columns] = {}
         self._timestamps: Dict[int, List[float]] = {}
         self._user_counts: Dict[int, Counter] = {}
+        # entity -> U_e ordered by (-|D_e^u|, u)
+        self._by_count: Dict[int, List[int]] = {}
         # group -> (sorted timestamps of all its members' links, the float
         # objects of _timestamps; which member of the group each one links)
         self._timelines: Dict[Tuple[int, ...], Tuple[List[float], array]] = {}
@@ -126,7 +129,16 @@ class ComplementedKnowledgebase:
         counts = self._user_counts.get(entity_id)
         if counts is None:
             counts = self._user_counts[entity_id] = Counter()
+            self._by_count[entity_id] = []
+        order = self._by_count[entity_id]
+
+        def key(u: int) -> Tuple[int, int]:
+            return -counts[u], u
+
+        if user in counts:
+            del order[bisect.bisect_left(order, key(user), key=key)]
         counts[user] += 1
+        bisect.insort(order, user, key=key)
         self._total_links += 1
         self._versions[entity_id] = self._versions.get(entity_id, 0) + 1
         self.link_epoch.bump()
@@ -173,7 +185,12 @@ class ComplementedKnowledgebase:
             if timestamps is not times:
                 timestamps += times
             timestamps.sort()  # stable: equal times keep arrival order, as insort
-            self._user_counts.setdefault(entity_id, Counter()).update(users)
+            counts = self._user_counts.setdefault(entity_id, Counter())
+            counts.update(users)
+            # by user, then stably by count: both sorts keyed in C
+            self._by_count[entity_id] = sorted(
+                sorted(counts), key=counts.__getitem__, reverse=True
+            )
             self._versions[entity_id] = self._versions.get(entity_id, 0) + len(users)
             self._total_links += len(users)
         # the touched groups re-merge on their next recent_counts
@@ -224,6 +241,12 @@ class ComplementedKnowledgebase:
         """All :math:`|D_e^u|` for an entity as a Counter over users."""
         counts = self._user_counts.get(entity_id)
         return Counter() if counts is None else counts
+
+    def users_by_count(self, entity_id: int) -> List[int]:
+        """:math:`U_e` ordered by ``(-|D_e^u|, u)`` — the stored list, for
+        reading only.  :meth:`link_tweet` moves its author with one bisect
+        and one insort; :meth:`bulk_link` sorts each touched entity once."""
+        return self._by_count.get(entity_id, [])
 
     def recent_count(self, entity_id: int, now: float, window: float) -> int:
         """:math:`|D_e^\\tau|` — linked tweets with ``t >= now - window``.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import DAY
 from repro.eval.context import build_experiment
-from repro.kb.checkpoint import snapshot
+from repro.kb.checkpoint import restore, snapshot
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 
@@ -36,6 +36,7 @@ def state(ckb, groups):
         ],
         [[t.hex() for t in ckb._timestamps.get(e, ())] for e in entities],
         [list(ckb.user_counts(e).items()) for e in entities],
+        [list(ckb.users_by_count(e)) for e in entities],
         [ckb.version(e) for e in entities],
         ckb.total_links,
         [
@@ -205,6 +206,44 @@ class TestVersion:
         ckb.bulk_link([(0, 2, 10 * DAY, -1), (0, 2, 11 * DAY, -1)])
         seen.append(ckb.version(0))
         assert seen == [0, 1, 3]
+
+
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("one"), st.integers(0, 2), st.integers(0, 6)),
+        st.tuples(
+            st.just("bulk"),
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6)), max_size=6),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestCountOrder:
+    """``users_by_count(e)`` is ``U_e`` ordered by ``(-|D_e^u|, u)`` and
+    ``version(e) == count(e)`` under any mix of writers, and after a
+    checkpoint round trip."""
+
+    @staticmethod
+    def assert_invariants(ckb):
+        for e in range(ckb.kb.num_entities):
+            counts = ckb.user_counts(e)
+            assert ckb.users_by_count(e) == sorted(counts, key=lambda u: (-counts[u], u))
+            assert ckb.version(e) == ckb.count(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_writes)
+    def test_any_interleaving_of_writers(self, writes):
+        ckb = ComplementedKnowledgebase(kb_of(3))
+        for kind, *args in writes:
+            if kind == "one":
+                entity, user = args
+                ckb.link_tweet(entity, user, timestamp=float(user))
+            else:
+                ckb.bulk_link((e, u, float(u), -1) for e, u in args[0])
+            self.assert_invariants(ckb)
+        self.assert_invariants(restore(ckb.kb, snapshot(ckb), num_nodes=7))
 
 
 class TestLinkTweetAllOrNothing:

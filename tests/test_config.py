@@ -45,6 +45,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="window"):
             LinkerConfig(window=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("alpha", "finite"),
+            ("beta", "finite"),
+            ("gamma", "finite"),
+            ("window", "window"),
+            ("deadline_ms", "deadline_ms"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, field, match, value):
+        # NaN fails every comparison, so a bare ``<= 0`` check let it pass
+        with pytest.raises(ValueError, match=match):
+            LinkerConfig(**{field: value})
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError, match="relatedness_threshold"):
             LinkerConfig(relatedness_threshold=1.5)

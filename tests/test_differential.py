@@ -12,7 +12,9 @@ configurations, each over its own copy of the world:
 - ``score_caching`` off or on;
 - lifetime: one *warm* linker for the whole script, a *fresh* one per link
   op over the same CKB, or one *rebuilt* per link op over
-  ``restore(kb, snapshot(ckb), n)``.  Confirms go through the warm linker.
+  ``restore(kb, snapshot(ckb), n)``.  Confirms go through the warm linker;
+  after each, every ``U*_e`` set it holds must refresh to what
+  ``influential_user_sets`` derives from scratch.
 
 Every configuration must give the first one's (closure · link · uncached ·
 warm) ``ranked`` tuples and ``degradation`` values op by op, refuse the
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.config import DAY, LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
+from repro.core.influence import influential_user_sets
 from repro.core.linker import SocialTemporalLinker
 from repro.errors import UnknownUserError
 from repro.graph.digraph import DiGraph
@@ -168,6 +171,12 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
             if not known(args[1]):
                 return refused(op, lambda: warm.confirm_link(*args))
             warm.confirm_link(*args)
+            # every set the warm linker holds refreshes to the oracle's sets
+            k, method = config.influential_users, config.influence_method
+            for held in list(warm._influential_cache):
+                assert warm.influential_users(held) == influential_user_sets(
+                    ckb, held, held, k, method
+                ), f"{configuration}: U*_e of {held} after {op}"
         elif kind == "write":
             ckb.link_tweet(*args)
         elif kind == "bulk":

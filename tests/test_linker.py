@@ -1,10 +1,13 @@
 """SocialTemporalLinker end-to-end behaviour on the Fig.-1 miniature."""
 
+import sys
+import threading
 from collections import OrderedDict
 
 import pytest
 
 from repro.config import DAY, LinkerConfig
+from repro.core.influence import influential_user_sets
 from repro.core.linker import LinkResult, ScoredCandidate, SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
@@ -261,14 +264,14 @@ class TestWarmEqualsFresh:
     harness (``tests/test_differential.py``); this case injects a write
     into the middle of a rebuild."""
 
-    @pytest.mark.parametrize("nth_read", range(2 * len(JORDAN_CANDIDATES) + 1))
+    @pytest.mark.parametrize("nth_read", range(3 * len(JORDAN_CANDIDATES) + 1))
     def test_write_landing_inside_a_rebuild(self, nth_read):
         """The handler threads share the cache without a lock.  A write
         that lands between the stamp and the store (here: at the n-th of
-        the reads a rebuild makes, one ``user_counts`` and one ``count``
+        the reads a rebuild makes, two ``user_counts`` and one ``count``
         per candidate — before, between or after any of them; the last
         case lands right behind the store) may only leave an entry stamped
-        too old."""
+        too old, which the next read refreshes."""
 
         class WritesAtNthRead:
             def __init__(self, inner):
@@ -300,3 +303,56 @@ class TestWarmEqualsFresh:
             warm.link("jordan", 0, 10 * DAY).ranked
             == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
         )
+
+
+class TestRefreshPublishes:
+    """A stale entry is refreshed into a new one: serve's handler threads
+    share the cache without a lock, so a rankings dict already handed out
+    must never change under its reader."""
+
+    SETS = ((0, 1, 2), (3,), (4,), (0, 4), (1, 2, 5))
+
+    def test_rankings_held_across_a_confirm_stay_as_read(self, linker, tiny_ckb):
+        held = linker.influential_users((0, 1, 2))
+        copied = {e: list(users) for e, users in held.items()}
+        for i in range(30):  # a prolific new author floods e2's community
+            linker.confirm_link(2, user=40, timestamp=float(i))
+        refreshes = METRICS.counter("influential_cache.refresh")
+        after = linker.influential_users((0, 1, 2))
+        assert METRICS.counter("influential_cache.refresh") == refreshes + 1
+        assert held == copied and 40 not in held[2]
+        assert after == influential_user_sets(tiny_ckb, (0, 1, 2), (0, 1, 2), 2)
+        assert 40 in after[2]
+
+    def test_threads_reading_stale_entries_get_the_sequential_answers(
+        self, linker, tiny_ckb
+    ):
+        for candidates in self.SETS:
+            linker.influential_users(candidates)
+        for i, entity in enumerate((0, 1, 2, 3, 4, 5) * 3):  # every entry stale
+            linker.confirm_link(entity, user=13 + i % 5, timestamp=float(i))
+        expected = {c: influential_user_sets(tiny_ckb, c, c, 2) for c in self.SETS}
+        start = threading.Barrier(8)
+        answers = [None] * 8
+
+        def read(slot):
+            start.wait(timeout=60)
+            answers[slot] = [
+                (c, linker.influential_users(c))
+                for _ in range(20)
+                for c in self.SETS[slot % len(self.SETS) :] + self.SETS
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for answer in answers:
+            assert answer and all(got == expected[c] for c, got in answer)

@@ -90,6 +90,17 @@ class TestLinkerInstrumentation:
             "link.combine",
         } <= children
 
+    def test_confirm_then_link_refreshes_the_influence_entry(self, linker):
+        linker.link("jordan", user=0, now=8 * DAY)
+        linker.confirm_link(1, user=12, timestamp=8 * DAY)
+        linker.confirm_link(2, user=12, timestamp=8 * DAY)
+        TRACE.enable()
+        linker.link("jordan", user=0, now=8 * DAY)
+        assert METRICS.counter("influential_cache.miss") == 1
+        assert METRICS.counter("influential_cache.refresh") > 0
+        influence = [s for s in TRACE.drain() if s.name == "link.influence"]
+        assert [s.attributes for s in influence] == [{"candidates": 3, "authors": 2}]
+
     def test_degraded_link_counted_by_reason(self, tiny_ckb):
         linker = SocialTemporalLinker(
             tiny_ckb, DiGraph(13), reachability=_FailingProvider()
