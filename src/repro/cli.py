@@ -757,14 +757,25 @@ def _build_serve_app(args: argparse.Namespace, clock, sleep, defer_release: bool
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import gc
     import time as _time
 
     from repro.serve.server import serve_forever
 
-    app, _ = _build_serve_app(
-        args, clock=_time.monotonic, sleep=_time.sleep if args.chaos else None,
-        defer_release=False,
-    )
+    # The boot builds ~200k long-lived, acyclic objects: build them with
+    # the cyclic collector off, then freeze them so no later collection
+    # rescans them.  A boot that raises must not leave the collector off.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        app, _ = _build_serve_app(
+            args, clock=_time.monotonic, sleep=_time.sleep if args.chaos else None,
+            defer_release=False,
+        )
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
     print(
         f"serving tenants {', '.join(app.registry.names())} "
         f"on http://{args.host}:{args.port} (chaos={'on' if args.chaos else 'off'}"

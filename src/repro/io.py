@@ -11,7 +11,7 @@ from __future__ import annotations
 import gzip
 import json
 import pathlib
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO, Optional, Union
 
 import numpy as np
 
@@ -85,16 +85,33 @@ def tweet_to_dict(tweet: Tweet) -> Dict[str, Any]:
     }
 
 
-def tweet_from_dict(payload: Dict[str, Any]) -> Tweet:
+def tweet_from_dict(
+    payload: Dict[str, Any], spans: Optional[Dict[tuple, MentionSpan]] = None
+) -> Tweet:
+    """Decode one tweet.  ``spans`` interns mention spans across calls:
+    an equal ``(surface, entity)`` pair decodes to the one
+    :class:`MentionSpan` built (and validated) on its first sighting."""
+    if spans is None:
+        spans = {}
     return Tweet(
         tweet_id=payload["id"],
         user=payload["user"],
         timestamp=payload["t"],
         text=payload["text"],
-        mentions=tuple(
-            MentionSpan(surface=s, true_entity=e) for s, e in payload["mentions"]
-        ),
+        mentions=tuple(_span(spans, s, e) for s, e in payload["mentions"]),
     )
+
+
+def _span(spans: Dict[tuple, MentionSpan], surface, entity) -> MentionSpan:
+    # the type keeps 1, 1.0 and True apart, so a re-save writes what was read
+    key = (surface, entity, type(entity))
+    try:
+        span = spans.get(key)
+    except TypeError:  # an unhashable field: MentionSpan judges it alone
+        return MentionSpan(surface=surface, true_entity=entity)
+    if span is None:
+        span = spans[key] = MentionSpan(surface=surface, true_entity=entity)
+    return span
 
 
 def world_to_dict(world: SyntheticWorld) -> Dict[str, Any]:
@@ -142,13 +159,15 @@ def world_from_dict(payload: Dict[str, Any]) -> SyntheticWorld:
         ],
         horizon=payload["horizon"],
     )
+    spans: Dict[tuple, MentionSpan] = {}
     return SyntheticWorld(
         synthetic_kb=synthetic_kb,
         graph=graph_from_dict(payload["graph"]),
         interests=np.array(payload["interests"], dtype=np.float64),
         hubs=[list(h) for h in payload["hubs"]],
         timeline=timeline,
-        tweets=[tweet_from_dict(t) for t in payload["tweets"]],
+        # 99,572 mentions of the bench world are 5,360 distinct spans
+        tweets=[tweet_from_dict(t, spans) for t in payload["tweets"]],
         stream_profile=StreamProfile(**payload["stream_profile"]),
     )
 

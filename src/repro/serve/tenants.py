@@ -1,11 +1,12 @@
 """Per-tenant namespaces for the serving front end.
 
-One server hosts many *tenants*: each gets its own complemented
-knowledgebase, its own linker (with its own circuit breaker and deadline
-budget) and its own token-bucket rate limit, over a world, reachability
-index and recency-propagation network that are shared read-only.  A
-tenant that confirms links, trips its breaker, or exhausts its budget
-never affects a neighbor — the isolation boundary is the namespace.
+One server hosts many *tenants*: each gets its own linker (with its own
+``U*_e`` cache, circuit breaker and deadline budget), token-bucket rate
+limit and admission class, over a world, complemented knowledgebase,
+reachability index and recency-propagation network that are built once
+and shared read-only (no serve path writes a link).  A tenant that trips
+its breaker or exhausts its budget never affects a neighbor — the
+isolation boundary is the namespace.
 
 Everything takes an injected ``clock`` so the deterministic load harness
 (:mod:`repro.serve.load`) can replay identical traffic byte-for-byte;
@@ -193,10 +194,10 @@ class TenantRegistry:
     """Name → :class:`Tenant` lookup with a typed miss; it also wires
     every tenant it hosts.
 
-    The heavy read-side structures (reachability provider, recency
-    propagation network, dataset catalog) come from one shared
-    ``context``; :meth:`add` wires a fresh namespace over them — its own
-    complemented KB, breaker, deadline budget, token bucket and (under
+    The heavy read-side structures (complemented KB, reachability
+    provider, recency propagation network, dataset catalog) come from one
+    shared ``context``; :meth:`add` wires a fresh namespace over them —
+    its own linker, breaker, deadline budget, token bucket and (under
     chaos) its own seeded fault schedule — so a hot-added tenant is
     indistinguishable from a boot-time one.
 
@@ -240,8 +241,8 @@ class TenantRegistry:
     def add(self, spec: TenantSpec) -> Tenant:
         """Wire and host one tenant; a taken name is a typed 400.
 
-        The name is checked before the (costly) build and again at the
-        insert, which stays the authority when two adds race.
+        The name is checked before the build and again at the insert,
+        which stays the authority when two adds race.
         """
         with self._lock:
             self._require_free(spec.name)
@@ -258,8 +259,6 @@ class TenantRegistry:
             raise BadRequestError(f"duplicate tenant name {name!r}")
 
     def _build(self, spec: TenantSpec, index: int) -> Tenant:
-        from repro.eval.context import complement_knowledgebase
-
         context = self._context
         world = context.world
         config: LinkerConfig = context.config
@@ -294,9 +293,7 @@ class TenantRegistry:
             clock=self._clock,
         )
         linker = SocialTemporalLinker(
-            complement_knowledgebase(
-                world, context.catalog.dataset(context.threshold), method="truth"
-            ),
+            context.ckb,
             world.graph,
             config=dataclasses.replace(config, deadline_ms=spec.deadline_ms),
             reachability=provider,

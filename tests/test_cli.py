@@ -228,3 +228,17 @@ class TestStream:
             "CheckpointCorruptError: checkpoint link 0 (0, 1000000, 0.0, -1): "
             "user 1000000 outside the follow graph" in caplog.text
         )
+
+
+class TestServe:
+    def test_failed_boot_leaves_the_collector_on(self, tmp_path, caplog):
+        """The boot runs with the cyclic collector paused; a ``--world``
+        that fails to load exits 1 with one ``ERROR`` line and resumes it."""
+        import gc
+
+        path = tmp_path / "corrupt.json"
+        path.write_text('{"version": 1, "kb": ', encoding="utf-8")
+        assert gc.isenabled()
+        assert main(["serve", "--world", str(path), "--port", "0"]) == 1
+        assert gc.isenabled()
+        assert "JSONDecodeError" in caplog.text

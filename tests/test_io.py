@@ -1,5 +1,7 @@
 """Serialization round-trip tests."""
 
+import json
+
 import pytest
 
 from repro.graph.digraph import DiGraph
@@ -10,6 +12,7 @@ from repro.io import (
     kb_to_dict,
     load_world,
     save_world,
+    tweet_from_dict,
     world_from_dict,
     world_to_dict,
 )
@@ -101,3 +104,52 @@ class TestWorldRoundTrip:
             reloaded.test_dataset.tweets, run_b.predictions
         )
         assert acc_a == acc_b
+
+
+class TestMentionInterning:
+    def test_equal_spans_load_as_one_object(self, small_world, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(small_world, path)
+        restored = load_world(path)
+        first = {}
+        for tweet in restored.tweets:
+            for span in tweet.mentions:
+                key = (span.surface, span.true_entity)
+                assert first.setdefault(key, span) is span
+        assert len(first) < sum(t.num_mentions for t in restored.tweets)
+        assert restored.tweets == small_world.tweets
+
+    def test_equal_entities_of_other_types_stay_apart(self, small_world):
+        """``1`` and ``1.0`` are equal keys; a re-save still writes each."""
+        tweets = world_to_dict(small_world)["tweets"]
+        i, j = [k for k, t in enumerate(tweets) if t["mentions"]][:2]
+        tweets[j]["mentions"] = [[tweets[i]["mentions"][0][0], 1.0]]
+        tweets[i]["mentions"] = [[tweets[i]["mentions"][0][0], 1]]
+        spans = {}
+        restored = [tweet_from_dict(t, spans) for t in tweets]
+        assert type(restored[i].mentions[0].true_entity) is int
+        assert type(restored[j].mentions[0].true_entity) is float
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("surface", "", "mention surface must be non-empty"),
+            ("surface", ["x"], "mention surface must be non-empty"),
+            ("user", -1, "user must be non-negative"),
+        ],
+        ids=["empty_surface", "unhashable_surface", "negative_user"],
+    )
+    def test_corrupt_tweets_still_raise(
+        self, small_world, tmp_path, field, value, match
+    ):
+        payload = world_to_dict(small_world)
+        # a late tweet, so its spans are looked up after many were interned
+        tweet = [t for t in payload["tweets"] if t["mentions"]][-1]
+        if field == "user":
+            tweet["user"] = value
+        else:
+            tweet["mentions"][0][0] = value
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_world(path)

@@ -205,6 +205,35 @@ class TestReplayDeterminism:
         assert app.admission.pending == 0
 
 
+class TestSharedKnowledgebase:
+    def test_tenants_share_one_ckb_that_a_replay_leaves_unwritten(
+        self, small_world
+    ):
+        """Every tenant, boot-time or hot-added, links against the
+        context's one complemented KB, and serving never writes to it."""
+        clock = FakeClock()
+        app, context = build_app(small_world, clock, chaos=True)
+        app.registry.add(TenantSpec(name="gamma", rate=25.0, burst=50.0))
+        ckb = context.ckb
+        assert [t.linker.ckb is ckb for t in app.registry.tenants()] == [True] * 3
+
+        def state():
+            return (
+                ckb.total_links,
+                ckb.link_epoch.value,
+                [ckb.version(e) for e in range(ckb.kb.num_entities)],
+            )
+
+        before = state()
+        planned = generate_requests(
+            17, 300, 100.0, ["alpha", "beta", "gamma"],
+            queries_from_dataset(context.test_dataset),
+        )
+        report = run_inprocess(app, clock, planned, 17, chaos_meta(True))
+        assert report["by_tenant"]["gamma"]["ok"] > 0
+        assert state() == before
+
+
 # ---------------------------------------------------------------------- #
 # report schema
 # ---------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-import repro.eval.context as context_module
+import repro.serve.tenants as tenants_module
 from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp, validate_error_body
 from repro.serve.server import ReproHTTPServer
@@ -118,9 +118,9 @@ class TestHotAddRemove:
     def test_duplicate_add_builds_nothing(self, small_world, monkeypatch):
         app, _ = build_app(small_world, [spec("alpha")])
         calls = []
-        real = context_module.complement_knowledgebase
+        real = tenants_module.SocialTemporalLinker
         monkeypatch.setattr(
-            context_module, "complement_knowledgebase",
+            tenants_module, "SocialTemporalLinker",
             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
         )
         status, _ = app.handle(
@@ -133,10 +133,10 @@ class TestHotAddRemove:
         """A second add of the same name lands while the first is still
         building: the insert, not the early check, decides."""
         app, _ = build_app(small_world, [spec("alpha")])
-        real = context_module.complement_knowledgebase
+        real = tenants_module.SocialTemporalLinker
         racer = []
 
-        def complement(*args, **kwargs):
+        def build_linker(*args, **kwargs):
             if not racer:
                 racer.append(None)
                 racer[0] = app.handle(
@@ -144,7 +144,7 @@ class TestHotAddRemove:
                 )
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(context_module, "complement_knowledgebase", complement)
+        monkeypatch.setattr(tenants_module, "SocialTemporalLinker", build_linker)
         status, doc = app.handle(
             "POST", "/admin/v1/tenants", b'{"name": "gamma"}', AUTH
         )
@@ -158,7 +158,7 @@ class TestHotAddRemove:
         def broken(*args, **kwargs):
             raise ValueError("no dataset at this threshold")
 
-        monkeypatch.setattr(context_module, "complement_knowledgebase", broken)
+        monkeypatch.setattr(tenants_module, "SocialTemporalLinker", broken)
         status, doc = app.handle(
             "POST", "/admin/v1/tenants", b'{"name": "gamma"}', AUTH
         )
