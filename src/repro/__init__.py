@@ -24,6 +24,7 @@ from repro.errors import (
     ReproError,
     StaleTimestampError,
     UnknownUserError,
+    WorldFileError,
 )
 from repro.core import (
     CandidateGenerator,
@@ -109,6 +110,7 @@ __all__ = [
     "TweetStore",
     "TweetValidator",
     "UnknownUserError",
+    "WorldFileError",
     "build_experiment",
     "configure_logging",
     "get_logger",

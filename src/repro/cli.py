@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from repro.config import DAY
 from repro.errors import ReproError
-from repro.eval.context import build_experiment
+from repro.eval.context import activity_split, build_experiment
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 from repro.io import load_world, save_world
@@ -801,10 +801,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     chaos = chaos_meta(args.chaos)
     specs = _tenant_specs(args)
     if args.url:
-        world = load_world(args.world)
-        queries = queries_from_dataset(
-            build_experiment(world=world, complement_method="truth").test_dataset
-        )
+        queries = queries_from_dataset(activity_split(load_world(args.world)).test)
         planned = generate_requests(
             args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
         )

@@ -14,17 +14,21 @@ Two estimators:
   entropy of the user's tweet distribution over the candidates; robust to
   the occasional off-topic posting.
 
-The linker caches one :class:`InfluentialSets` per candidate set and
-refreshes it from the links written since its stamp;
-:func:`influential_user_sets` derives the same rankings from scratch.
+:func:`influential_user_sets` ranks :math:`U^*_e` by a threshold scan
+over the count-ordered community: no user's term beats that of a user of
+one community only, so ``op(share, that term)`` bounds her influence, and
+the walk stops once the bound falls behind the k-th best.
+The linker caches the rankings per candidate set, stamped with
+``ckb.version`` of every member, and rescans a stale entry.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import operator
-from typing import AbstractSet, Callable, Dict, List, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.kb.complemented import ComplementedKnowledgebase
 
@@ -60,10 +64,11 @@ def _entropy_term(counts: Sequence[int], num_candidates: int) -> float:
 
 
 #: method -> (term, op): influence is ``op(share of D_e, term)``.  The term
-#: belongs to the user and the candidate set, not to ``e``, and on a lone
-#: count ``(n,)`` it is the same for every ``n`` — so among the users of one
-#: community only, influence must be strictly increasing in the count
-#: (``tests/test_influence.py`` pins it for every row): the ranking relies on it.
+#: belongs to the user and the candidate set, not to ``e``.  On a lone count
+#: ``(n,)`` it is the same for every ``n`` and no user's term does better, so
+#: ``op(share, term((1,)))`` bounds every user's influence; the scan stops on
+#: that bound, which must be strictly increasing in the count
+#: (``tests/test_influence.py`` pins it for every row).
 _FORMULAS: Dict[str, Tuple[Callable[..., float], Callable[..., float]]] = {
     "tfidf": (_idf_term, operator.mul),
     "entropy": (_entropy_term, operator.truediv),
@@ -110,59 +115,44 @@ def _formula(method: str) -> Tuple[Callable[..., float], Callable[..., float]]:
         ) from None
 
 
-def _rank(
+#: Sorts after every ranking key of a positive influence and before the
+#: key ``(-0.0, u)`` of a zero one: the scan's stop key until ``k`` are kept.
+_POSITIVE = (0.0, -1)
+
+
+def _scan(
     ckb: ComplementedKnowledgebase,
     entity: int,
-    mine: AbstractSet[int],
-    terms: Dict[int, float],
-    lone_term: float,
+    communities: Sequence[Counter],
+    lone: float,
+    term: Callable[..., float],
     op: Callable[..., float],
     k: int,
 ) -> List[int]:
-    """:math:`U^*_e` from ``mine`` (the users of ``U_e`` who sit in another
-    candidate community too, with their ``terms``) and the first ``k``
-    others in :meth:`~ComplementedKnowledgebase.users_by_count` order: those
-    share ``lone_term``, so they rank among themselves by ``(-count, user)``."""
+    """:math:`U^*_e`: walk :meth:`~ComplementedKnowledgebase.users_by_count`
+    keeping the best ``k`` keys ``(-influence, u)``, and stop at the first
+    user whose bound key ``(-op(share, lone), u)`` sorts after the k-th.
+    ``lone`` is the term of a user of one community only and no user's
+    term does better, so no user from there on can make the cut."""
     own = ckb.user_counts(entity)
     total = ckb.count(entity)
-    scored = [(-op(own[u] / total, terms[u]), u) for u in mine]
-    lone = (u for u in ckb.users_by_count(entity) if u not in mine)
-    scored += [(-op(own[u] / total, lone_term), u) for u in itertools.islice(lone, k)]
-    scored.sort()
-    return [u for negated, u in scored[:k] if negated < 0.0]
-
-
-def _from_scratch(
-    ckb: ComplementedKnowledgebase,
-    entities: Sequence[int],
-    candidates: Sequence[int],
-    k: int,
-    method: str,
-) -> Tuple[Dict[int, float], Dict[int, AbstractSet[int]], Dict[int, List[int]]]:
-    """``(terms, mine, rankings)``: the term of every user who sits in two of
-    the communities, each entity's such users, and each entity's ranking."""
-    term, op = _formula(method)
-    communities = {c: ckb.user_counts(c) for c in candidates}
-    ranked = {
-        e: communities[e] if e in communities else ckb.user_counts(e) for e in entities
-    }
-    shared: set = set()
-    for e, own in ranked.items():
-        for c, other in communities.items():
-            if c > e or c not in ranked:  # each unordered pair once
-                shared |= own.keys() & other.keys()
     size = len(communities)
-    terms = {
-        u: term([c[u] for c in communities.values() if u in c], size) for u in shared
-    }
-    mine = {e: own.keys() & shared for e, own in ranked.items()}
-    rankings = {}
-    for e in ranked:
-        # a user of this community alone: her vector is ``(count,)``, or
-        # empty when ``e`` is scored outside its own candidate set
-        lone_term = term((1,) if e in communities else (), size)
-        rankings[e] = _rank(ckb, e, mine[e], terms, lone_term, op, k)
-    return terms, mine, rankings
+    best: List[Tuple[float, int]] = []
+    worst = _POSITIVE
+    for u in ckb.users_by_count(entity):
+        share = own[u] / total
+        key = (-op(share, lone), u)
+        if key > worst:
+            break
+        counts = [c[u] for c in communities if u in c]
+        if len(counts) != 1:  # on one count her term is ``lone`` itself
+            key = (-op(share, term(counts, size)), u)
+        if key < worst:
+            bisect.insort(best, key)
+            del best[k:]
+            if best and len(best) == k:
+                worst = best[-1]
+    return [u for _, u in best]
 
 
 def influential_user_sets(
@@ -173,85 +163,11 @@ def influential_user_sets(
     method: str = "entropy",
 ) -> Dict[int, List[int]]:
     """:func:`top_influential_users` of each of ``entities`` (the linker:
-    all of them) against one candidate set, from scratch: every community is
-    read once, and the term of a user who sits in several is derived once.
-    This is the oracle :meth:`InfluentialSets.refresh` is checked against."""
-    return _from_scratch(ckb, entities, candidates, k, method)[2]
-
-
-class InfluentialSets:
-    """:math:`U^*_e` of every member of one candidate set, and what a
-    refresh reuses: the ``ckb.version`` stamp it was built at, the term of
-    every user sitting in two or more of the communities, and each member's
-    such users.  Never edited once built — a refresh builds a new one, so a
-    ``rankings`` dict a reader holds stays as it was handed out."""
-
-    __slots__ = ("stamp", "rankings", "_terms", "_mine")
-
-    def __init__(
-        self,
-        stamp: Tuple[int, ...],
-        terms: Dict[int, float],
-        mine: Dict[int, AbstractSet[int]],
-        rankings: Dict[int, List[int]],
-    ) -> None:
-        self.stamp = stamp
-        self.rankings = rankings
-        self._terms = terms
-        self._mine = mine
-
-    @classmethod
-    def build(
-        cls,
-        ckb: ComplementedKnowledgebase,
-        candidates: Tuple[int, ...],
-        stamp: Tuple[int, ...],
-        k: int,
-        method: str,
-    ) -> "InfluentialSets":
-        """From scratch, stamped with ``stamp`` (read before any count)."""
-        return cls(stamp, *_from_scratch(ckb, candidates, candidates, k, method))
-
-    def refresh(
-        self,
-        ckb: ComplementedKnowledgebase,
-        candidates: Tuple[int, ...],
-        stamp: Tuple[int, ...],
-        k: int,
-        method: str,
-    ) -> "InfluentialSets":
-        """The same sets at ``stamp``, from the links written since
-        :attr:`stamp`.  ``D_e`` only grows and a user's counts move only
-        with her own links, so only those authors can change term or join
-        another community; each member is then re-ranked from its shared
-        users and the count order, unless neither its ``D_e`` nor any of its
-        users moved."""
-        term, op = _formula(method)
-        communities = {c: ckb.user_counts(c) for c in candidates}
-        authors: set = set()
-        for c, before, now in zip(candidates, self.stamp, stamp):
-            authors.update(ckb.link_columns(c)[0][before:now])
-        size = len(communities)
-        fresh = {}
-        joined: Dict[int, set] = {}
-        for u in authors:
-            among = [c for c, own in communities.items() if u in own]
-            if len(among) > 1:
-                fresh[u] = term([communities[c][u] for c in among], size)
-                for c in among:
-                    joined.setdefault(c, set()).add(u)
-        terms = {**self._terms, **fresh} if fresh else self._terms
-        mine = dict(self._mine)
-        for c, users in joined.items():
-            mine[c] = mine[c] | users
-        lone_term = term((1,), size)
-        rankings = {}
-        for c, before, now in zip(candidates, self.stamp, stamp):
-            if before == now and communities[c].keys().isdisjoint(authors):
-                rankings[c] = self.rankings[c]
-            else:
-                rankings[c] = _rank(ckb, c, mine[c], terms, lone_term, op, k)
-        return InfluentialSets(stamp, terms, mine, rankings)
+    all of them) against one candidate set, each by one threshold scan."""
+    term, op = _formula(method)
+    communities = [ckb.user_counts(c) for c in candidates]
+    lone = term((1,), len(candidates))
+    return {e: _scan(ckb, e, communities, lone, term, op, k) for e in entities}
 
 
 def top_influential_users(

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache.scores import ScoreCaches
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.candidates import CandidateGenerator
-from repro.core.influence import InfluentialSets
+from repro.core.influence import influential_user_sets
 from repro.core.interest import ReachabilityProvider, normalized_interest
 from repro.errors import (
     CircuitOpenError,
@@ -234,9 +234,9 @@ class SocialTemporalLinker:
                 propagation_lambda=config.propagation_lambda,
             )
         self._propagation = propagation_network
-        # candidate set -> its U*_e sets, stamped with ckb.version of each
-        # member; LRU-bounded at config.influential_cache_size.
-        self._influential_cache: "OrderedDict[Tuple[int, ...], InfluentialSets]" = OrderedDict()
+        # candidate set -> (ckb.version of each member, its U*_e sets), never
+        # edited once stored; LRU-bounded at config.influential_cache_size.
+        self._influential_cache: "OrderedDict[Tuple[int, ...], tuple]" = OrderedDict()
         # Epoch-keyed candidate / popularity / interest memos (DESIGN.md
         # §10): off by default, and bit-identical to the uncached path.
         self._caches: Optional[ScoreCaches] = (
@@ -448,33 +448,36 @@ class SocialTemporalLinker:
         One entry per set, stamped with ``ckb.version`` of every member:
         Eq. 6 / 7 weigh a user over the whole set, so a write to any
         :math:`D_c` can reorder every sibling's ranking.  A stale entry is
-        refreshed from the authors written since its stamp, not rebuilt,
-        and the refresh is published as a new entry.  The stamp is taken
-        before any count is read: a write racing a refresh leaves an entry
-        stamped older than its data (the next reader refreshes), never newer.
+        rescanned and the scan published as a new entry.  The stamp is taken
+        before any count is read: a write racing a scan leaves an entry
+        stamped older than its data (the next reader rescans), never newer.
         """
         stamp = tuple(self._ckb.version(c) for c in candidates)
         cached = self._influential_cache.get(candidates)
-        if cached is not None and cached.stamp == stamp:
+        if cached is not None and cached[0] == stamp:
             self._mark_recently_used(candidates)
             METRICS.incr("influential_cache.hit")
-            return cached.rankings
-        k, method = self._config.influential_users, self._config.influence_method
+            return cached[1]
+        attributes = {"candidates": len(candidates)}
         if cached is None:
             METRICS.incr("influential_cache.miss")
-            with stage("link.influence", candidates=len(candidates)):
-                entry = InfluentialSets.build(self._ckb, candidates, stamp, k, method)
         else:
             METRICS.incr("influential_cache.refresh")
-            authors = sum(stamp) - sum(cached.stamp)
-            with stage("link.influence", candidates=len(candidates), authors=authors):
-                entry = cached.refresh(self._ckb, candidates, stamp, k, method)
-        self._influential_cache[candidates] = entry
+            attributes["authors"] = sum(stamp) - sum(cached[0])
+        with stage("link.influence", **attributes):
+            rankings = influential_user_sets(
+                self._ckb,
+                candidates,
+                candidates,
+                self._config.influential_users,
+                self._config.influence_method,
+            )
+        self._influential_cache[candidates] = (stamp, rankings)
         self._mark_recently_used(candidates)
         while len(self._influential_cache) > self._config.influential_cache_size:
             self._influential_cache.popitem(last=False)
             METRICS.incr("influential_cache.evictions")
-        return entry.rankings
+        return rankings
 
     def _mark_recently_used(self, key: Tuple[int, ...]) -> None:
         """LRU touch that survives a concurrent eviction.

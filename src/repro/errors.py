@@ -7,7 +7,7 @@ how to handle is a subclass of :class:`ReproError`, so callers can write
 one ``except ReproError`` at the service boundary and still dispatch on
 the precise kind when a handler cares.
 
-The taxonomy distinguishes three axes:
+The taxonomy distinguishes four axes:
 
 * **input errors** (:class:`MalformedTweetError`, :class:`UnknownUserError`,
   :class:`StaleTimestampError`, :class:`DuplicateTweetError`) — the record
@@ -16,8 +16,10 @@ The taxonomy distinguishes three axes:
   :class:`DeadlineExceededError`, :class:`CircuitOpenError`) — a provider
   is at fault; the linker degrades to the no-interest bound (Appendix D)
   and the circuit breaker decides when to probe again;
-* **state errors** (:class:`CheckpointCorruptError`) — persisted state is
-  at fault; recovery falls back to the previous checkpoint or a cold start.
+* **state errors** (:class:`CheckpointCorruptError`,
+  :class:`WorldFileError`) — persisted state is at fault; recovery falls
+  back to the previous checkpoint or a cold start, and a world that cannot
+  be read stops the command with one line.
 * **serving rejections** (:class:`ServeError` and subclasses) — the
   request was refused by the front end (bad input, unknown tenant, rate
   limit, load shed); each carries an HTTP ``status`` and a schema-stable
@@ -83,6 +85,11 @@ class CircuitOpenError(IndexUnavailableError):
 # ---------------------------------------------------------------------- #
 class CheckpointCorruptError(ReproError):
     """A checkpoint failed structural, version, or checksum verification."""
+
+
+class WorldFileError(ReproError):
+    """A world file is not one :func:`repro.io.save_world` writes: a bad
+    container, bad JSON, a missing key or a value of the wrong type."""
 
 
 # ---------------------------------------------------------------------- #

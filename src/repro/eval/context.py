@@ -133,6 +133,16 @@ class ExperimentContext:
         return CollectiveAdapter(CollectiveLinker(self.ckb, scorer=self.scorer))
 
 
+def activity_split(world: SyntheticWorld, test_user_cap: int = 200) -> DatasetCatalog:
+    """The activity split (Table 2) of ``world``'s stream, hub accounts
+    excluded: what :func:`build_experiment` complements from and tests on,
+    and all a load client replaying the test split needs."""
+    hub_users = {h for topic_hubs in world.hubs for h in topic_hubs}
+    return split_by_activity(
+        world.tweets, test_user_cap=test_user_cap, exclude_users=hub_users
+    )
+
+
 def build_experiment(
     world: Optional[SyntheticWorld] = None,
     threshold: int = 10,
@@ -143,10 +153,7 @@ def build_experiment(
     """Assemble an :class:`ExperimentContext` (generating a world if needed)."""
     if world is None:
         world = SyntheticWorld.generate()
-    hub_users = {h for topic_hubs in world.hubs for h in topic_hubs}
-    catalog = split_by_activity(
-        world.tweets, test_user_cap=test_user_cap, exclude_users=hub_users
-    )
+    catalog = activity_split(world, test_user_cap)
     ckb = complement_knowledgebase(
         world, catalog.dataset(threshold), method=complement_method
     )

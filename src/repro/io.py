@@ -11,10 +11,12 @@ from __future__ import annotations
 import gzip
 import json
 import pathlib
+import zlib
 from typing import Any, Dict, IO, Optional, Union
 
 import numpy as np
 
+from repro.errors import WorldFileError
 from repro.graph.digraph import DiGraph
 from repro.kb.builder import KBProfile, SyntheticKB
 from repro.kb.entity import EntityCategory
@@ -195,6 +197,21 @@ def save_world(world: SyntheticWorld, path: PathLike) -> None:
 
 
 def load_world(path: PathLike) -> SyntheticWorld:
-    """Read a world written by :func:`save_world`."""
-    with _open(path, "r") as handle:
-        return world_from_dict(json.load(handle))
+    """Read a world written by :func:`save_world`; anything else raises
+    :class:`~repro.errors.WorldFileError` naming ``path``."""
+    try:
+        with _open(path, "r") as handle:
+            payload = json.load(handle)
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
+        # EOFError / zlib.error: a truncated or bit-flipped gzip member
+        raise WorldFileError(
+            f"unreadable world {str(path)!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not isinstance(payload, dict):
+        raise WorldFileError(f"{str(path)!r} is not a repro world")
+    try:
+        return world_from_dict(payload)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise WorldFileError(
+            f"malformed world {str(path)!r}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -25,6 +25,8 @@ paper's index tables (``benchmarks/``, Table 5's large rows included):
   shipped before the merged timelines: one ``recent_count`` per cluster
   member and a Python ``sum`` per operator row.  Same products added in
   the same order, so the shipped function must equal it bit for bit.
+* :func:`influential_users_by_definition` — Eq. 6 / 7's :math:`U^*_e` by
+  scoring and sorting all of :math:`U_e`; the threshold scan must equal it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
+from repro.core.influence import entropy_influence, tfidf_influence
 from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
@@ -484,3 +487,22 @@ def propagated_recency_by_member(
             sum(weight * gated(member) for weight, member in zip(located[1], members))
         )
     return _shares(values)
+
+
+def influential_users_by_definition(
+    ckb: ComplementedKnowledgebase,
+    entity_id: int,
+    candidates: Sequence[int],
+    k: int,
+    method: str = "entropy",
+) -> List[int]:
+    """:math:`U^*_e` as Sec. 4.1.2 defines it: every user of :math:`U_e`
+    scored by the public per-user function, sorted by ``(-influence, u)``,
+    the positive top ``k``.  The oracle for the threshold scan of
+    :func:`repro.core.influence.influential_user_sets` (``==``)."""
+    influence = {"tfidf": tfidf_influence, "entropy": entropy_influence}[method]
+    scored = sorted(
+        (-influence(ckb, user, entity_id, candidates), user)
+        for user in ckb.community(entity_id)
+    )
+    return [user for negated, user in scored if negated < 0.0][:k]

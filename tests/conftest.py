@@ -93,6 +93,19 @@ def build_tiny_ckb(kb: Knowledgebase) -> ComplementedKnowledgebase:
     return ckb
 
 
+def ckb_of(communities, num_entities=None) -> ComplementedKnowledgebase:
+    """A CKB from ``{entity: {user: |D_e^u|}}``, users linked in the order
+    given, over ``num_entities`` entities (default: up to the largest)."""
+    kb = Knowledgebase()
+    for entity in range(num_entities or max(communities) + 1):
+        kb.add_entity(f"entity {entity}")
+    ckb = ComplementedKnowledgebase(kb)
+    for entity, counts in communities.items():
+        for user, count in counts.items():
+            ckb.bulk_link([(entity, user, 0.0, -1)] * count)
+    return ckb
+
+
 @pytest.fixture
 def tiny_kb() -> Knowledgebase:
     return build_tiny_kb()

@@ -151,6 +151,87 @@ class TestLink:
         assert "UnknownUserError" in caplog.text
 
 
+class TestBadWorld:
+    """A ``--world`` that is not a saved world is one ``ERROR`` line naming
+    the file and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("bad.json.gz", b"not a gzip file"),
+            ("keyless.json", b'{"version": 1}'),
+            ("truncated.json.gz", None),  # the first half of a saved world
+        ],
+        ids=["not_gzip", "missing_key", "truncated"],
+    )
+    def test_link_exits_1_with_one_error_line(
+        self, world_file, tmp_path, caplog, capsys, name, content
+    ):
+        import logging
+        import pathlib
+
+        if content is None:
+            whole = pathlib.Path(world_file).read_bytes()
+            content = whole[: len(whole) // 2]
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = main(
+            ["link", "--world", str(path), "--surface", "x", "--user", "0", "--day", "1"]
+        )
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().startswith("WorldFileError: ")
+        assert str(path) in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestLoadUrl:
+    def test_plan_is_the_test_split_and_nothing_is_complemented(
+        self, world_file, tmp_path, monkeypatch
+    ):
+        """``--url`` replays the test split of the activity split that
+        ``build_experiment`` makes, without complementing a KB it never
+        reads."""
+        import repro.eval.context
+        import repro.serve.client
+        from repro.eval.context import build_experiment
+        from repro.io import load_world
+        from repro.serve.load import generate_requests, queries_from_dataset
+
+        dataset = build_experiment(
+            world=load_world(world_file), complement_method="truth"
+        ).test_dataset
+        expected = generate_requests(
+            17, 40, 50.0, ["alpha", "beta"], queries_from_dataset(dataset)
+        )
+        planned = []
+
+        class Sent(Exception):
+            pass
+
+        def run_http(url, plan, seed, chaos, pool_size):
+            planned.extend(plan)
+            raise Sent
+
+        def complement_knowledgebase(*args, **kwargs):
+            raise AssertionError("complemented a KB the client never reads")
+
+        monkeypatch.setattr(repro.serve.client, "run_http", run_http)
+        monkeypatch.setattr(
+            repro.eval.context, "complement_knowledgebase", complement_knowledgebase
+        )
+        with pytest.raises(Sent):
+            main(
+                [
+                    "load", "--world", world_file, "--url", "http://127.0.0.1:1",
+                    "--requests", "40", "--seed", "17", "--base-rate", "50",
+                    "--out", str(tmp_path / "load.json"),
+                ]
+            )
+        assert planned == expected and len(planned) == 40
+
+
 class TestSearch:
     def test_search_prints_results(self, world_file, capsys):
         from repro.io import load_world

@@ -13,8 +13,8 @@ configurations, each over its own copy of the world:
 - lifetime: one *warm* linker for the whole script, a *fresh* one per link
   op over the same CKB, or one *rebuilt* per link op over
   ``restore(kb, snapshot(ckb), n)``.  Confirms go through the warm linker;
-  after each, every ``U*_e`` set it holds must refresh to what
-  ``influential_user_sets`` derives from scratch.
+  after each, every ``U*_e`` set it holds must rescan to what
+  ``influential_users_by_definition`` sorts out of all of ``U_e``.
 
 Every configuration must give the first one's (closure · link · uncached ·
 warm) ``ranked`` tuples and ``degradation`` values op by op, refuse the
@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.config import DAY, LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
-from repro.core.influence import influential_user_sets
 from repro.core.linker import SocialTemporalLinker
 from repro.errors import UnknownUserError
 from repro.graph.digraph import DiGraph
@@ -43,6 +42,7 @@ from repro.graph.dispatch import build_reachability_index
 from repro.graph.online import OnlineReachability
 from repro.kb.checkpoint import restore, snapshot
 from repro.obs.metrics import METRICS
+from repro.testing.oracles import influential_users_by_definition
 
 from conftest import JORDAN_LINKS, build_tiny_ckb, build_tiny_kb, jordan_world
 
@@ -171,12 +171,13 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
             if not known(args[1]):
                 return refused(op, lambda: warm.confirm_link(*args))
             warm.confirm_link(*args)
-            # every set the warm linker holds refreshes to the oracle's sets
+            # every set the warm linker holds rescans to the definition's sets
             k, method = config.influential_users, config.influence_method
             for held in list(warm._influential_cache):
-                assert warm.influential_users(held) == influential_user_sets(
-                    ckb, held, held, k, method
-                ), f"{configuration}: U*_e of {held} after {op}"
+                assert warm.influential_users(held) == {
+                    e: influential_users_by_definition(ckb, e, held, k, method)
+                    for e in held
+                }, f"{configuration}: U*_e of {held} after {op}"
         elif kind == "write":
             ckb.link_tweet(*args)
         elif kind == "bulk":

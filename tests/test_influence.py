@@ -16,8 +16,9 @@ from repro.core.influence import (
     tfidf_influence,
     top_influential_users,
 )
-from repro.kb.complemented import ComplementedKnowledgebase
-from repro.kb.knowledgebase import Knowledgebase
+from repro.testing.oracles import influential_users_by_definition
+
+from conftest import ckb_of
 
 CANDIDATES = (0, 1, 2)
 
@@ -87,6 +88,9 @@ class TestTopInfluentialUsers:
     def test_k_limits_result(self, tiny_ckb):
         assert len(top_influential_users(tiny_ckb, 0, CANDIDATES, k=1)) == 1
 
+    def test_k_zero_is_empty(self, tiny_ckb):
+        assert top_influential_users(tiny_ckb, 0, CANDIDATES, k=0) == []
+
     def test_short_community(self, tiny_ckb):
         top = top_influential_users(tiny_ckb, 2, CANDIDATES, k=10)
         assert top == [12]
@@ -111,36 +115,21 @@ class TestTopInfluentialUsers:
         assert top_influential_users(tiny_ckb, 0, (1, 2), k=3, method=method) == [11]
 
 
-def ckb_of(communities):
-    """A CKB from ``{entity: {user: |D_e^u|}}``, users linked in the order given."""
-    kb = Knowledgebase()
-    for entity in range(max(communities) + 1):
-        kb.add_entity(f"entity {entity}")
-    ckb = ComplementedKnowledgebase(kb)
-    for entity, counts in communities.items():
-        for user, count in counts.items():
-            ckb.bulk_link([(entity, user, 0.0, -1)] * count)
-    return ckb
-
-
 def rankings(ckb, candidates, k, method):
     """Both entry points, checked against each other and against the
     per-user definition sorted by ``(-influence, user)``."""
-    influence = {"tfidf": tfidf_influence, "entropy": entropy_influence}[method]
     sets = influential_user_sets(ckb, candidates, candidates, k, method)
     for entity in candidates:
-        scored = sorted(
-            (-influence(ckb, user, entity, candidates), user)
-            for user in ckb.community(entity)
+        assert sets[entity] == influential_users_by_definition(
+            ckb, entity, candidates, k, method
         )
-        assert sets[entity] == [user for score, user in scored if score < 0.0][:k]
         assert sets[entity] == top_influential_users(ckb, entity, candidates, k, method)
     return sets
 
 
 class TestFinalistSelection:
-    """Only the k best single-community users are scored; the cut must fall
-    where the exhaustive ranking would put it."""
+    """The scan stops at the first user whose lone-user bound falls behind
+    the k-th best; the cut must fall where the exhaustive ranking puts it."""
 
     #: e0: user 5 leads, users 9 and 2 tie on count 3 (9 was linked first),
     #: and user 7 splits 8 / 8 over e0 and e1: entropy ln 2, so she scores
@@ -178,6 +167,18 @@ class TestFinalistSelection:
         below = ckb_of({0: {7: 1, 1: 2, 2: 3}, 1: {7: 30, 3: 5}})
         assert rankings(below, (0, 1), 2, "entropy")[0] == [2, 1]
         assert rankings(below, (0, 1), 3, "entropy")[0] == [2, 1, 7]
+
+    def test_a_lone_user_tying_the_kth_key_at_a_lower_count(self):
+        # Eq. 6 over four candidates: user 9 (2 of D_0's 3 tweets, one
+        # stray on e1) scores (2/3)·log 2, exactly what user 3's lone
+        # tweet scores, (1/3)·log 4.  The bound reached at count 1 ties the
+        # k-th value, and the lower id must still be let in.
+        ckb = ckb_of({0: {9: 2, 3: 1}, 1: {9: 1}, 2: {}, 3: {}})
+        assert tfidf_influence(ckb, 9, 0, (0, 1, 2, 3)) == tfidf_influence(
+            ckb, 3, 0, (0, 1, 2, 3)
+        )
+        assert rankings(ckb, (0, 1, 2, 3), 1, "tfidf")[0] == [3]
+        assert rankings(ckb, (0, 1, 2, 3), 2, "tfidf")[0] == [3, 9]
 
     @pytest.mark.parametrize("method", sorted(_FORMULAS))
     @pytest.mark.parametrize("num_candidates", [2, 3, 7])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import WorldFileError
 from repro.graph.digraph import DiGraph
 from repro.io import (
     graph_from_dict,
@@ -151,5 +152,5 @@ class TestMentionInterning:
             tweet["mentions"][0][0] = value
         path = tmp_path / "world.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(WorldFileError, match=match):
             load_world(path)

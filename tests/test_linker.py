@@ -7,12 +7,12 @@ from collections import OrderedDict
 import pytest
 
 from repro.config import DAY, LinkerConfig
-from repro.core.influence import influential_user_sets
 from repro.core.linker import LinkResult, ScoredCandidate, SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.obs.metrics import METRICS
 from repro.stream.tweet import MentionSpan, Tweet
+from repro.testing.oracles import influential_users_by_definition
 
 from conftest import (
     JORDAN_CANDIDATES,
@@ -33,6 +33,13 @@ def social_graph():
     graph.add_edge(1, 10)
     graph.add_edge(1, 12)
     return graph
+
+
+def by_definition(ckb, candidates, k):
+    """:math:`U^*_e` of every member of ``candidates`` by the definition."""
+    return {
+        e: influential_users_by_definition(ckb, e, candidates, k) for e in candidates
+    }
 
 
 @pytest.fixture
@@ -257,48 +264,75 @@ class TestInfluentialCacheBound:
             LinkerConfig(influential_cache_size=0)
 
 
+class _WritesAtNthRead:
+    """A CKB that counts the reads a rescan makes (``users_by_count``,
+    ``user_counts`` and ``count``) and, when ``write_at`` is one of them,
+    lands a write to ``D_0`` just before it."""
+
+    def __init__(self, inner, write_at=None):
+        self._inner = inner
+        self._write_at = write_at
+        self.reads = []
+
+    def _read(self, name, entity_id):
+        if len(self.reads) == self._write_at:
+            self._inner.bulk_link([(0, 1, 10 * DAY, -1)] * 5)
+        self.reads.append(f"{name}({entity_id})")
+
+    def users_by_count(self, entity_id):
+        self._read("users_by_count", entity_id)
+        return self._inner.users_by_count(entity_id)
+
+    def user_counts(self, entity_id):
+        self._read("user_counts", entity_id)
+        return self._inner.user_counts(entity_id)
+
+    def count(self, entity_id):
+        self._read("count", entity_id)
+        return self._inner.count(entity_id)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _rescan_reads():
+    """The reads one rescan of the "jordan" set makes, in order.  In
+    ``link()`` none comes before them; later ones are the other features'."""
+    ckb, graph = jordan_world(JORDAN_LINKS)
+    reads = _WritesAtNthRead(ckb)
+    linker = SocialTemporalLinker(reads, graph, config=LinkerConfig(influential_users=1))
+    linker.influential_users(JORDAN_CANDIDATES)
+    return reads.reads
+
+
 class TestWarmEqualsFresh:
     """``U*_e`` is stamped with ``ckb.version`` of the whole candidate set,
     so a linker that has linked before scores like one built just now.
     That it does after every kind of write is checked by the differential
     harness (``tests/test_differential.py``); this case injects a write
-    into the middle of a rebuild."""
+    into the middle of a rescan."""
 
-    @pytest.mark.parametrize("nth_read", range(3 * len(JORDAN_CANDIDATES) + 1))
+    READS = _rescan_reads()
+
+    def test_the_rescan_reads_every_community_then_each_scan(self):
+        per_entity = ["user_counts({})", "count({})", "users_by_count({})"]
+        assert self.READS == [f"user_counts({c})" for c in JORDAN_CANDIDATES] + [
+            read.format(c) for c in JORDAN_CANDIDATES for read in per_entity
+        ]
+
+    @pytest.mark.parametrize("nth_read", range(len(READS) + 1))
     def test_write_landing_inside_a_rebuild(self, nth_read):
         """The handler threads share the cache without a lock.  A write
-        that lands between the stamp and the store (here: at the n-th of
-        the reads a rebuild makes, two ``user_counts`` and one ``count``
-        per candidate — before, between or after any of them; the last
-        case lands right behind the store) may only leave an entry stamped
-        too old, which the next read refreshes."""
-
-        class WritesAtNthRead:
-            def __init__(self, inner):
-                self._inner = inner
-                self._reads = 0
-
-            def _read(self):
-                if self._reads == nth_read:
-                    self._inner.bulk_link([(0, 1, 10 * DAY, -1)] * 5)
-                self._reads += 1
-
-            def user_counts(self, entity_id):
-                self._read()
-                return self._inner.user_counts(entity_id)
-
-            def count(self, entity_id):
-                self._read()
-                return self._inner.count(entity_id)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
+        that lands between the stamp and the store (here: just before the
+        n-th of the reads the rescan makes, :attr:`READS`; the last case
+        lands right behind the store) may only leave an entry stamped too
+        old, which the next read rescans."""
         ckb, graph = jordan_world(JORDAN_LINKS)
         config = LinkerConfig(influential_users=1)
-        warm = SocialTemporalLinker(WritesAtNthRead(ckb), graph, config=config)
+        reads = _WritesAtNthRead(ckb, write_at=nth_read)
+        warm = SocialTemporalLinker(reads, graph, config=config)
         warm.link("jordan", user=0, now=10 * DAY)
-        assert ckb.count(0) == 6  # the write did land mid-rebuild
+        assert ckb.count(0) == 6  # the write did land
         assert (
             warm.link("jordan", 0, 10 * DAY).ranked
             == fresh_linker(warm).link("jordan", 0, 10 * DAY).ranked
@@ -306,7 +340,7 @@ class TestWarmEqualsFresh:
 
 
 class TestRefreshPublishes:
-    """A stale entry is refreshed into a new one: serve's handler threads
+    """A stale entry is rescanned into a new one: serve's handler threads
     share the cache without a lock, so a rankings dict already handed out
     must never change under its reader."""
 
@@ -321,7 +355,7 @@ class TestRefreshPublishes:
         after = linker.influential_users((0, 1, 2))
         assert METRICS.counter("influential_cache.refresh") == refreshes + 1
         assert held == copied and 40 not in held[2]
-        assert after == influential_user_sets(tiny_ckb, (0, 1, 2), (0, 1, 2), 2)
+        assert after == by_definition(tiny_ckb, (0, 1, 2), 2)
         assert 40 in after[2]
 
     def test_threads_reading_stale_entries_get_the_sequential_answers(
@@ -331,7 +365,7 @@ class TestRefreshPublishes:
             linker.influential_users(candidates)
         for i, entity in enumerate((0, 1, 2, 3, 4, 5) * 3):  # every entry stale
             linker.confirm_link(entity, user=13 + i % 5, timestamp=float(i))
-        expected = {c: influential_user_sets(tiny_ckb, c, c, 2) for c in self.SETS}
+        expected = {c: by_definition(tiny_ckb, c, 2) for c in self.SETS}
         start = threading.Barrier(8)
         answers = [None] * 8
 

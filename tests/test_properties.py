@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import LinkerConfig
 from repro.core.influence import (
+    _FORMULAS,
     entropy_influence,
     influential_user_sets,
     tfidf_influence,
@@ -23,6 +24,9 @@ from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 from repro.stream.tweet import MentionSpan, Tweet
+from repro.testing.oracles import influential_users_by_definition
+
+from conftest import ckb_of
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -34,6 +38,20 @@ links_strategy = st.lists(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),  # time
     ),
     max_size=60,
+)
+
+#: a candidate set: 1 to 5 distinct entities of the five, in any order
+candidates_strategy = st.permutations(range(5)).flatmap(
+    lambda order: st.integers(1, 5).map(lambda n: tuple(order[:n]))
+)
+
+#: ``{entity: {user: |D_e^u|}}`` with counts from {1, 2, 4}: ties galore
+communities_strategy = st.dictionaries(
+    st.integers(min_value=0, max_value=4),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=7), st.sampled_from((1, 2, 4)), max_size=8
+    ),
+    max_size=5,
 )
 
 share_strategy = st.dictionaries(
@@ -51,6 +69,22 @@ def build_ckb(links):
     for entity, user, timestamp in links:
         ckb.link_tweet(entity, user, timestamp)
     return ckb
+
+
+class VisitCountingCKB:
+    """A CKB whose :meth:`users_by_count` counts the users taken from it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.visited = 0
+
+    def users_by_count(self, entity_id):
+        for user in self._inner.users_by_count(entity_id):
+            self.visited += 1
+            yield user
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 # ---------------------------------------------------------------------- #
@@ -155,37 +189,99 @@ class TestInfluenceProperties:
 
     @given(
         links_strategy,
-        st.permutations(range(5)).flatmap(
-            lambda order: st.integers(1, 5).map(lambda n: tuple(order[:n]))
-        ),
+        candidates_strategy,
         st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=150)
     def test_ranking_is_the_per_user_definition_sorted(self, links, candidates, k):
-        """The ranking scores only the users who can make the cut; it must
-        still be the public per-user function sorted by (-influence,
-        user), to the bit, for users in one community or several — one
-        entity at a time, the whole set in one walk, and for an entity
-        scored outside its own candidate set."""
+        """The scan scores only the users ahead of its stop; it must still
+        be the public per-user function sorted by (-influence, user), to
+        the bit, for users in one community or several — one entity at a
+        time, the whole set in one call, and for an entity scored outside
+        its own candidate set."""
         ckb = build_ckb(links)
-        for method, influence in (
-            ("tfidf", tfidf_influence),
-            ("entropy", entropy_influence),
-        ):
-            expected = {}
-            for entity in range(5):
-                scored = sorted(
-                    (-influence(ckb, user, entity, candidates), user)
-                    for user in ckb.community(entity)
+        for method in ("tfidf", "entropy"):
+            expected = {
+                entity: influential_users_by_definition(
+                    ckb, entity, candidates, k, method
                 )
-                expected[entity] = [user for score, user in scored if score < 0.0][:k]
+                for entity in range(5)
+            }
+            for entity in range(5):
                 assert (
                     top_influential_users(ckb, entity, candidates, k, method)
                     == expected[entity]
                 )
-            assert influential_user_sets(ckb, candidates, candidates, k, method) == {
-                entity: expected[entity] for entity in candidates
+            assert influential_user_sets(ckb, range(5), candidates, k, method) == expected
+
+    @given(communities_strategy, candidates_strategy, st.integers(1, 5))
+    @settings(max_examples=200)
+    def test_scan_equals_the_definition_on_tied_counts(self, communities, candidates, k):
+        """Counts from {1, 2, 4} over up to five communities tie often, and
+        under Eq. 6 a user with ``2n`` tweets in two of four candidate
+        communities scores exactly what a lone user with ``n`` does: the
+        ``(value, id)`` stop key has to let the lower id through."""
+        ckb = ckb_of(communities, num_entities=5)
+        for method in ("tfidf", "entropy"):
+            assert influential_user_sets(ckb, range(5), candidates, k, method) == {
+                entity: influential_users_by_definition(
+                    ckb, entity, candidates, k, method
+                )
+                for entity in range(5)
             }
+
+    @given(communities_strategy, candidates_strategy)
+    @settings(max_examples=200)
+    def test_no_user_beats_the_lone_user_at_her_count(self, communities, candidates):
+        """The scan's bound: whatever her other counts, a user's influence
+        is at most that of a user of one community only with the same
+        count, inside the candidate set or outside it."""
+        ckb = ckb_of(communities, num_entities=5)
+        for method, influence in (
+            ("tfidf", tfidf_influence),
+            ("entropy", entropy_influence),
+        ):
+            term, op = _FORMULAS[method]
+            lone = term((1,), len(candidates))
+            for entity in range(5):
+                for user, count in ckb.user_counts(entity).items():
+                    bound = op(count / ckb.count(entity), lone)
+                    assert influence(ckb, user, entity, candidates) <= bound
+
+    @given(communities_strategy, candidates_strategy, st.integers(1, 5))
+    @settings(max_examples=200)
+    def test_scan_stops_at_the_first_user_the_bound_rules_out(
+        self, communities, candidates, k
+    ):
+        """It visits every user ahead of the first whose bound key sorts
+        after the final k-th key (or whose bound is not positive), that
+        user, and no one further."""
+        ckb = ckb_of(communities, num_entities=5)
+        for method, influence in (
+            ("tfidf", tfidf_influence),
+            ("entropy", entropy_influence),
+        ):
+            term, op = _FORMULAS[method]
+            lone = term((1,), len(candidates))
+            for entity in range(5):
+                ranking = influential_users_by_definition(
+                    ckb, entity, candidates, k, method
+                )
+                order = ckb.users_by_count(entity)
+                total = ckb.count(entity)
+                kth = (0.0, -1)
+                if len(ranking) == k:
+                    last = ranking[-1]
+                    kth = (-influence(ckb, last, entity, candidates), last)
+                ruled_out = [
+                    i
+                    for i, user in enumerate(order)
+                    if (-op(ckb.user_count(entity, user) / total, lone), user) > kth
+                ]
+                expected = ruled_out[0] + 1 if ruled_out else len(order)
+                visits = VisitCountingCKB(ckb)
+                influential_user_sets(visits, (entity,), candidates, k, method)
+                assert visits.visited == expected
 
 
 # ---------------------------------------------------------------------- #
