@@ -89,7 +89,8 @@ class CheckpointCorruptError(ReproError):
 
 class WorldFileError(ReproError):
     """A world file is not one :func:`repro.io.save_world` writes: a bad
-    container, bad JSON, a missing key or a value of the wrong type."""
+    container, bad JSON, a missing key, a value of the wrong type, or a
+    tweet by a user off the graph or naming an entity not in the KB."""
 
 
 # ---------------------------------------------------------------------- #

@@ -87,21 +87,44 @@ def tweet_to_dict(tweet: Tweet) -> Dict[str, Any]:
     }
 
 
+#: The keys of a tweet record, and of no other object in a world file.
+_TWEET_KEYS = frozenset(("id", "user", "t", "text", "mentions"))
+
+_NUMBER_FIELDS = (
+    ("id", int, "an int"),
+    ("user", int, "an int"),
+    ("t", (int, float), "a real number"),
+)
+
+
 def tweet_from_dict(
     payload: Dict[str, Any], spans: Optional[Dict[tuple, MentionSpan]] = None
 ) -> Tweet:
     """Decode one tweet.  ``spans`` interns mention spans across calls:
     an equal ``(surface, entity)`` pair decodes to the one
-    :class:`MentionSpan` built (and validated) on its first sighting."""
+    :class:`MentionSpan` built (and validated) on its first sighting.
+
+    ``id`` and ``user`` must be ints and ``t`` a real number, never a
+    bool: ``true`` would otherwise load as user 1."""
     if spans is None:
         spans = {}
+    tweet_id, user, timestamp = payload["id"], payload["user"], payload["t"]
+    if not (type(tweet_id) is type(user) is int and type(timestamp) is float):
+        _check_numbers(payload)  # the slow path: judge each field
     return Tweet(
-        tweet_id=payload["id"],
-        user=payload["user"],
-        timestamp=payload["t"],
+        tweet_id=tweet_id,
+        user=user,
+        timestamp=timestamp,
         text=payload["text"],
         mentions=tuple(_span(spans, s, e) for s, e in payload["mentions"]),
     )
+
+
+def _check_numbers(payload: Dict[str, Any]) -> None:
+    for field, kinds, noun in _NUMBER_FIELDS:
+        value = payload[field]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"tweet {field!r} must be {noun}, got {value!r}")
 
 
 def _span(spans: Dict[tuple, MentionSpan], surface, entity) -> MentionSpan:
@@ -109,14 +132,22 @@ def _span(spans: Dict[tuple, MentionSpan], surface, entity) -> MentionSpan:
     key = (surface, entity, type(entity))
     try:
         span = spans.get(key)
-    except TypeError:  # an unhashable field: MentionSpan judges it alone
-        return MentionSpan(surface=surface, true_entity=entity)
+    except TypeError:  # an unhashable field: MentionSpan judges the surface
+        MentionSpan(surface=surface, true_entity=entity)
+        raise TypeError(f"mention entity must be an entity id, got {entity!r}")
     if span is None:
         span = spans[key] = MentionSpan(surface=surface, true_entity=entity)
     return span
 
 
 def world_to_dict(world: SyntheticWorld) -> Dict[str, Any]:
+    payload = _world_fields(world)
+    payload["tweets"] = [tweet_to_dict(t) for t in world.tweets]
+    return payload
+
+
+def _world_fields(world: SyntheticWorld) -> Dict[str, Any]:
+    """:func:`world_to_dict` with ``"tweets"`` held in its place as ``None``."""
     synthetic_kb = world.synthetic_kb
     return {
         "version": FORMAT_VERSION,
@@ -133,12 +164,20 @@ def world_to_dict(world: SyntheticWorld) -> Dict[str, Any]:
             [e.topic, e.start, e.end, e.intensity] for e in world.timeline.events
         ],
         "horizon": world.timeline.horizon,
-        "tweets": [tweet_to_dict(t) for t in world.tweets],
+        "tweets": None,
         "stream_profile": _dataclass_to_dict(world.stream_profile),
     }
 
 
 def world_from_dict(payload: Dict[str, Any]) -> SyntheticWorld:
+    return _world_from_dict(payload, {})
+
+
+def _world_from_dict(
+    payload: Dict[str, Any], spans: Dict[tuple, MentionSpan]
+) -> SyntheticWorld:
+    """Build the world; a tweet :func:`load_world` already decoded while
+    parsing is kept, any other record goes through :func:`tweet_from_dict`."""
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported world format version {payload.get('version')!r}"
@@ -161,15 +200,35 @@ def world_from_dict(payload: Dict[str, Any]) -> SyntheticWorld:
         ],
         horizon=payload["horizon"],
     )
-    spans: Dict[tuple, MentionSpan] = {}
+    graph = graph_from_dict(payload["graph"])
+    # 99,572 mentions of the bench world are 5,360 distinct spans
+    tweets = [
+        t if isinstance(t, Tweet) else tweet_from_dict(t, spans)
+        for t in payload["tweets"]
+    ]
+    users = graph.num_nodes
+    stray = next((t for t in tweets if t.user >= users), None)
+    if stray is not None:
+        raise ValueError(
+            f"tweet {stray.tweet_id} is by user {stray.user}, not a node of "
+            f"the {users}-user graph"
+        )
+    # every span is interned (an unhashable one raised), so this is each once
+    entities = range(synthetic_kb.kb.num_entities)
+    for span in spans.values():
+        entity = span.true_entity
+        if entity is not None and (isinstance(entity, bool) or entity not in entities):
+            raise ValueError(
+                f"mention {span.surface!r} names entity {entity!r}, not one of "
+                f"the KB's {len(entities)}"
+            )
     return SyntheticWorld(
         synthetic_kb=synthetic_kb,
-        graph=graph_from_dict(payload["graph"]),
+        graph=graph,
         interests=np.array(payload["interests"], dtype=np.float64),
         hubs=[list(h) for h in payload["hubs"]],
         timeline=timeline,
-        # 99,572 mentions of the bench world are 5,360 distinct spans
-        tweets=[tweet_from_dict(t, spans) for t in payload["tweets"]],
+        tweets=tweets,
         stream_profile=StreamProfile(**payload["stream_profile"]),
     )
 
@@ -191,17 +250,49 @@ def _open(path: PathLike, mode: str) -> IO:
 
 
 def save_world(world: SyntheticWorld, path: PathLike) -> None:
-    """Write a world to ``path`` (gzip-compressed when it ends in .gz)."""
+    """Write a world to ``path`` (gzip-compressed when it ends in .gz).
+
+    The bytes are ``json.dump(world_to_dict(world))``'s, but the tweets
+    are encoded one record at a time, so their dicts never all exist."""
     with _open(path, "w") as handle:
-        json.dump(world_to_dict(world), handle)
+        separator = "{"
+        for key, value in _world_fields(world).items():
+            handle.write(f"{separator}{json.dumps(key)}: ")
+            separator = ", "
+            if key != "tweets":
+                handle.write(json.dumps(value))
+                continue
+            handle.write("[")
+            for i, tweet in enumerate(world.tweets):
+                handle.write((", " if i else "") + json.dumps(tweet_to_dict(tweet)))
+            handle.write("]")
+        handle.write("}")
+
+
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
 def load_world(path: PathLike) -> SyntheticWorld:
     """Read a world written by :func:`save_world`; anything else raises
-    :class:`~repro.errors.WorldFileError` naming ``path``."""
+    :class:`~repro.errors.WorldFileError` naming ``path``.
+
+    Each tweet record becomes its :class:`Tweet` as soon as the parser
+    has it, so the file's tweet dicts never all exist at once."""
+    spans: Dict[tuple, MentionSpan] = {}
+
+    def decode_tweet(record: Dict[str, Any]) -> Any:
+        if record.keys() != _TWEET_KEYS:
+            return record
+        try:
+            return tweet_from_dict(record, spans)
+        except _DECODE_ERRORS as exc:
+            # a WorldFileError is no ValueError: it leaves json.load and
+            # passes the ``unreadable`` handler below untouched
+            raise _malformed(path, exc) from exc
+
     try:
         with _open(path, "r") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, object_hook=decode_tweet)
     except (OSError, EOFError, zlib.error, ValueError) as exc:
         # EOFError / zlib.error: a truncated or bit-flipped gzip member
         raise WorldFileError(
@@ -210,8 +301,12 @@ def load_world(path: PathLike) -> SyntheticWorld:
     if not isinstance(payload, dict):
         raise WorldFileError(f"{str(path)!r} is not a repro world")
     try:
-        return world_from_dict(payload)
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise WorldFileError(
-            f"malformed world {str(path)!r}: {type(exc).__name__}: {exc}"
-        ) from exc
+        return _world_from_dict(payload, spans)
+    except _DECODE_ERRORS as exc:
+        raise _malformed(path, exc) from exc
+
+
+def _malformed(path: PathLike, exc: Exception) -> WorldFileError:
+    return WorldFileError(
+        f"malformed world {str(path)!r}: {type(exc).__name__}: {exc}"
+    )

@@ -185,6 +185,46 @@ class TestBadWorld:
         assert str(path) in errors[0].getMessage()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "user", [3.5, 1_000_000, True], ids=["float", "outside_graph", "bool"]
+    )
+    def test_tweets_by_a_user_no_graph_holds(
+        self, world_file, tmp_path, caplog, capsys, user
+    ):
+        """The most active user's tweets re-typed or moved off the graph:
+        these loaded and then raised ``TypeError`` in ``bulk_link`` and
+        ``IndexError`` in the closure, or linked as user 1."""
+        import collections
+        import gzip
+        import json
+        import logging
+
+        with gzip.open(world_file, "rt", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        active = collections.Counter(t["user"] for t in payload["tweets"])
+        active = active.most_common(1)[0][0]
+        surfaces = collections.Counter(
+            m[0] for t in payload["tweets"] if t["user"] == active for m in t["mentions"]
+        )
+        for tweet in payload["tweets"]:
+            if tweet["user"] == active:
+                tweet["user"] = user
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(
+            [
+                "link", "--world", str(path), "--surface",
+                surfaces.most_common(1)[0][0], "--user", "0", "--day", "20",
+            ]
+        )
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage().startswith(
+            f"WorldFileError: malformed world {str(path)!r}"
+        )
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestLoadUrl:
     def test_plan_is_the_test_split_and_nothing_is_complemented(

@@ -1,12 +1,16 @@
 """Serialization round-trip tests."""
 
+import dataclasses
+import gzip
 import json
+import tracemalloc
 
 import pytest
 
 from repro.errors import WorldFileError
 from repro.graph.digraph import DiGraph
 from repro.io import (
+    _TWEET_KEYS,
     graph_from_dict,
     graph_to_dict,
     kb_from_dict,
@@ -14,6 +18,7 @@ from repro.io import (
     load_world,
     save_world,
     tweet_from_dict,
+    tweet_to_dict,
     world_from_dict,
     world_to_dict,
 )
@@ -137,8 +142,21 @@ class TestMentionInterning:
             ("surface", "", "mention surface must be non-empty"),
             ("surface", ["x"], "mention surface must be non-empty"),
             ("user", -1, "user must be non-negative"),
+            ("id", True, "'id' must be an int, got True"),
+            ("id", 7.0, "'id' must be an int, got 7.0"),
+            ("t", False, "'t' must be a real number, got False"),
+            ("t", "86400", "'t' must be a real number, got '86400'"),
+            # a flipped digit made entity 12 into 92: it loaded, and the
+            # truth complement's bulk_link raised KeyError under `repro link`
+            ("entity", 10**6, "names entity 1000000, not one of the KB's"),
+            ("entity", True, "names entity True"),
+            ("entity", [1], r"mention entity must be an entity id, got \[1\]"),
         ],
-        ids=["empty_surface", "unhashable_surface", "negative_user"],
+        ids=[
+            "empty_surface", "unhashable_surface", "negative_user", "bool_id",
+            "float_id", "bool_t", "string_t", "entity_past_the_kb", "bool_entity",
+            "unhashable_entity",
+        ],
     )
     def test_corrupt_tweets_still_raise(
         self, small_world, tmp_path, field, value, match
@@ -146,11 +164,71 @@ class TestMentionInterning:
         payload = world_to_dict(small_world)
         # a late tweet, so its spans are looked up after many were interned
         tweet = [t for t in payload["tweets"] if t["mentions"]][-1]
-        if field == "user":
-            tweet["user"] = value
-        else:
+        if field == "surface":
             tweet["mentions"][0][0] = value
+        elif field == "entity":
+            tweet["mentions"][0][1] = value
+        else:
+            tweet[field] = value
         path = tmp_path / "world.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(WorldFileError, match=match):
             load_world(path)
+
+
+class TestStreamedFile:
+    """``save_world`` encodes and ``load_world`` decodes one tweet record
+    at a time; the file is the one ``json.dump`` of the whole dict wrote."""
+
+    @pytest.mark.parametrize("name", ["world.json", "world.json.gz"])
+    @pytest.mark.parametrize("tweets", ["all", "none"])
+    def test_save_writes_the_bytes_of_one_dump(
+        self, small_world, tmp_path, name, tweets
+    ):
+        world = small_world
+        if tweets == "none":
+            world = dataclasses.replace(small_world, tweets=[])
+        path = tmp_path / name
+        save_world(world, path)
+        data = path.read_bytes()
+        if name.endswith(".gz"):
+            data = gzip.decompress(data)
+        assert data == json.dumps(world_to_dict(world)).encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["world.json", "world.json.gz"])
+    def test_load_holds_about_one_file_beside_the_world(
+        self, small_world, tmp_path, name
+    ):
+        """The load's peak above what the world keeps is the parsed text
+        plus slack; the whole list of tweet dicts was ≈ 3.5× the text."""
+        path = tmp_path / name
+        save_world(small_world, path)
+        text_bytes = len(json.dumps(world_to_dict(small_world)))
+        load_world(path)  # anything a first call sets up is not the load's
+        tracemalloc.start()
+        try:
+            world = load_world(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert world.tweets == small_world.tweets
+        assert peak - retained < text_bytes + 64 * 1024
+
+    def test_only_tweet_records_carry_the_tweet_keys(self, small_world):
+        """The parser decodes an object as a tweet by its key set alone."""
+        assert _TWEET_KEYS == set(tweet_to_dict(small_world.tweets[0]))
+        payload = world_to_dict(small_world)
+        carriers = []
+
+        def walk(node, where):
+            if isinstance(node, dict):
+                if node.keys() == _TWEET_KEYS:
+                    carriers.append(where)
+                for key, value in node.items():
+                    walk(value, where + (key,))
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    walk(value, where + (i,))
+
+        walk(payload, ())
+        assert carriers == [("tweets", i) for i in range(len(small_world.tweets))]
