@@ -67,12 +67,14 @@ class MicroBatchLinker:
         """Link a batch of mentions, sharing per-surface computation.
 
         Output order matches input order.  One author outside the follow
-        graph raises :class:`~repro.errors.UnknownUserError` for the whole
-        batch, before any mention is scored.
+        graph raises :class:`~repro.errors.UnknownUserError`, and one ``now``
+        that is not finite ``ValueError``, for the whole batch, before any
+        mention is scored.
         """
         linker = self._linker
         for request in requests:
             linker._require_user(request.user)
+            linker._require_now(request.now)
         config = linker.config
         # shared per surface: candidate set + popularity
         candidate_cache: Dict[str, Tuple[int, ...]] = {}

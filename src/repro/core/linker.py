@@ -17,6 +17,7 @@ fast enough for streaming use.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -286,9 +287,11 @@ class SocialTemporalLinker:
         the mention is still ranked — by ``β·S_r + γ·S_p`` alone, the
         paper's own Appendix-D no-interest bound — and the result carries
         the degradation reason instead of an exception.  A ``user`` that is
-        not a node of the follow graph raises :class:`UnknownUserError`.
+        not a node of the follow graph raises :class:`UnknownUserError`, and
+        a ``now`` that is not finite ``ValueError``, before any stage runs.
         """
         self._require_user(user)
+        self._require_now(now)
         METRICS.incr("link.requests")
         with stage("link.request", surface=surface, user=user) as root:
             with stage("link.candidates"):
@@ -334,6 +337,14 @@ class SocialTemporalLinker:
             raise UnknownUserError(
                 f"user {user} outside the follow graph [0, {self._graph.num_nodes})"
             )
+
+    @staticmethod
+    def _require_now(now: float) -> None:
+        """Refuse a reading time that is not finite before any scoring: NaN
+        bisects the recency timelines at arbitrary positions and ±inf
+        empties every window, so the mention would rank on garbage."""
+        if not math.isfinite(now):
+            raise ValueError(f"link time must be finite, got {now!r}")
 
     def _interest_or_degradation(
         self, user: int, candidates: Tuple[int, ...]

@@ -18,8 +18,8 @@ Eq. 11 is linear in the initial vector, so its ``k`` steps are folded at
 construction into one dense operator per cluster (``S^k = M·S⁰``, see
 :meth:`RecencyPropagationNetwork._build_operators`).  At query time only
 the clusters containing candidate entities are touched, and each
-candidate costs one row of ``M`` dotted with its cluster's bursting
-members — the constraint that makes the model fast enough for the
+candidate costs one row of ``M`` dotted with its cluster's burst-gated
+recent counts — the constraint that makes the model fast enough for the
 0.5 ms/tweet budget of Sec. 5.2.2.  The iteration itself survives as the
 test oracle (:func:`repro.testing.oracles.propagate_by_iteration`).
 """
@@ -280,15 +280,15 @@ def propagated_recency(
 ) -> Dict[int, float]:
     """Candidate recency with cluster reinforcement, normalized per Eq. 9.
 
-    Raw (burst-gated) recency is gathered once per call for every member
-    of the candidates' clusters, one ``ckb.recent_counts`` per cluster;
-    each candidate's propagated value is its operator row dotted with the
-    bursting members (Eq. 11), the products added left to right, and the
-    values are re-normalized over the candidate set so the feature remains
-    comparable with the non-propagated variant.
+    Raw recency is gathered once per call for every member of the
+    candidates' clusters, one ``ckb.recent_counts`` per cluster, and
+    burst-gated in one op; each candidate's propagated value is its
+    operator row dotted with the gated counts (Eq. 11), the products added
+    left to right, and the values are re-normalized over the candidate set
+    so the feature remains comparable with the non-propagated variant.
     """
-    # cluster index -> (columns, gated counts) of its bursting members
-    bursts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # cluster index -> its members' recent counts, zero below the threshold
+    gated: Dict[int, np.ndarray] = {}
     values: Dict[int, float] = {}
     for entity_id in candidates:
         located = network.operator_row(entity_id)
@@ -297,16 +297,15 @@ def propagated_recency(
             values[entity_id] = float(count) if count >= burst_threshold else 0.0
             continue
         index, row = located
-        burst = bursts.get(index)
-        if burst is None:
+        raws = gated.get(index)
+        if raws is None:
             counts = ckb.recent_counts(network.component_members(index), now, window)
-            columns = np.flatnonzero(counts >= burst_threshold)
-            burst = bursts[index] = (columns, counts[columns].astype(float))
-        columns, raws = burst
-        # accumulate adds in order, as sum() does: same bits as the oracle
-        values[entity_id] = (
-            float(np.add.accumulate(row[columns] * raws)[-1]) if len(columns) else 0.0
-        )
+            raws = gated[index] = np.multiply(
+                counts, counts >= burst_threshold, dtype=float
+            )
+        # accumulate adds in order, as sum() does, and a gated member adds
+        # +0.0 (the operator is nonnegative): same bits as the oracle
+        values[entity_id] = float(np.add.accumulate(row * raws)[-1])
     total = sum(values.values())
     if total == 0.0:
         return {entity_id: 0.0 for entity_id in candidates}

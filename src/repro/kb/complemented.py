@@ -8,8 +8,11 @@ to the KB with a batch linker and stores, per entity ``e``:
 * :math:`U_e` — the community, i.e. the authors of those tweets,
 * per-user tweet counts :math:`|D_e^u|`, and :math:`U_e` ordered by
   ``(-|D_e^u|, u)`` (both consumed by influence estimation),
-* a time-ordered timestamp list (consumed by the sliding recency window),
-  merged on first read into one timeline per recency cluster.
+* a time-ordered timestamp list (consumed by the sliding recency window);
+
+and per recency cluster one timeline, merged on first read from its
+members' link-time columns: their times as C doubles, and whose link
+each one is.
 
 A labelled corpus (or a checkpoint) loads in one :meth:`bulk_link` pass;
 online inference appends confirmed links one at a time (Sec. 3.2.2
@@ -70,11 +73,12 @@ class ComplementedKnowledgebase:
         self._user_counts: Dict[int, Counter] = {}
         # entity -> U_e ordered by (-|D_e^u|, u)
         self._by_count: Dict[int, List[int]] = {}
-        # group -> (sorted timestamps of all its members' links, the float
-        # objects of _timestamps; which member of the group each one links)
-        self._timelines: Dict[Tuple[int, ...], Tuple[List[float], array]] = {}
-        # entity -> [(times, columns, its position) of each group it is in]
-        self._timelines_of: Dict[int, List[Tuple[List[float], array, int]]] = {}
+        # group -> (the times of all its members' links as array('d'), which
+        # member each one links), in the order of a stable merge of the
+        # members' sorted _timestamps: by time, then member, then arrival
+        self._timelines: Dict[Tuple[int, ...], Tuple[array, array]] = {}
+        # entity -> [(times, owners, its position) of each group it is in]
+        self._timelines_of: Dict[int, List[Tuple[array, array, int]]] = {}
         self._total_links = 0
         self._versions: Dict[int, int] = {}
         #: Versions the link store for ``repro.cache``: bumped by every
@@ -123,7 +127,11 @@ class ComplementedKnowledgebase:
             raise
         bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
         for merged, owners, column in self._timelines_of.get(entity_id, ()):
-            position = bisect.bisect_right(merged, timestamp)
+            # after the equal times of members up to this one, as a merge puts it
+            ties = bisect.bisect_left(merged, timestamp)
+            position = bisect.bisect_right(
+                owners, column, ties, bisect.bisect_right(merged, timestamp, ties)
+            )
             merged.insert(position, timestamp)
             owners.insert(position, column)
         counts = self._user_counts.get(entity_id)
@@ -277,17 +285,20 @@ class ComplementedKnowledgebase:
         )
         return np.bincount(in_window, minlength=len(entity_ids))
 
-    def _merge(self, entity_ids: Tuple[int, ...]) -> Tuple[List[float], array]:
-        per_entity = [self._timestamps.get(entity_id, ()) for entity_id in entity_ids]
-        times = list(itertools.chain.from_iterable(per_entity))
-        # the same stable sort twice, so columns[i] is whose link times[i] is
-        order = np.argsort(np.array(times, dtype=float), kind="stable")
-        times.sort()
+    def _merge(self, entity_ids: Tuple[int, ...]) -> Tuple[array, array]:
+        per_entity = [self.link_columns(entity_id)[1] for entity_id in entity_ids]
+        times = np.concatenate(per_entity) if per_entity else np.empty(0)
+        # stable: equal times keep member order, then link (arrival) order
+        order = np.argsort(times, kind="stable")
         width = np.min_scalar_type(len(entity_ids))
         owners = np.repeat(
             np.arange(len(entity_ids), dtype=width), [len(t) for t in per_entity]
-        )
-        built = times, array(width.char, owners[order].tobytes())
+        )[order]
+        times = times[order]
+        # filled from the sorted buffers, as bytes: no bytes copy beside them
+        built = array("d"), array(width.char)
+        built[0].frombytes(times.view(np.uint8))
+        built[1].frombytes(owners.view(np.uint8))
         # racing first reads (serve handler threads) each merge; one timeline
         # wins and only that one is registered with link_tweet
         timeline = self._timelines.setdefault(entity_ids, built)

@@ -32,9 +32,7 @@ def wlm_relatedness(
     size_b = len(inlinks_b)
     if size_a == 0 or size_b == 0 or total_pages < 2:
         return 0.0
-    if len(inlinks_a) > len(inlinks_b):
-        inlinks_a, inlinks_b = inlinks_b, inlinks_a
-    common = sum(1 for page in inlinks_a if page in inlinks_b)
+    common = len(inlinks_a & inlinks_b)
     if common == 0:
         return 0.0
     larger = max(size_a, size_b)

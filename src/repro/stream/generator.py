@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -251,6 +251,9 @@ class TweetStreamGenerator:
             for rank, hub in enumerate(topic_hubs)
         }
         raw: List[Tuple[float, int, List[MentionSpan], str]] = []
+        # one MentionSpan per (surface, entity), shared by every tweet
+        # planting it, as a loaded world's are
+        spans: Dict[Tuple[str, int], MentionSpan] = {}
         for user in range(profile.num_users):
             if user in hub_tier:
                 count = int(
@@ -263,7 +266,7 @@ class TweetStreamGenerator:
             for _ in range(count):
                 timestamp = rng.uniform(0.0, profile.horizon)
                 mentions, text = self._compose_tweet(
-                    synthetic_kb, interests[user], timeline, timestamp, rng
+                    synthetic_kb, interests[user], timeline, timestamp, rng, spans
                 )
                 raw.append((timestamp, user, mentions, text))
         raw.sort(key=lambda item: item[0])
@@ -285,6 +288,7 @@ class TweetStreamGenerator:
         timeline: EventTimeline,
         timestamp: float,
         rng: random.Random,
+        spans: Dict[Tuple[str, int], MentionSpan],
     ) -> Tuple[List[MentionSpan], str]:
         profile = self._profile
         topic = self._sample_topic(interest_row, timeline, timestamp, rng)
@@ -299,7 +303,10 @@ class TweetStreamGenerator:
         for _ in range(num_mentions):
             entity_id = rng.choice(synthetic_kb.topic_entities[topic])
             surface = self._pick_surface(synthetic_kb, entity_id, rng)
-            mentions.append(MentionSpan(surface=surface, true_entity=entity_id))
+            span = spans.get((surface, entity_id))
+            if span is None:
+                span = spans[surface, entity_id] = MentionSpan(surface, entity_id)
+            mentions.append(span)
             words.append(surface)
         topic_words = synthetic_kb.topic_vocab[topic]
         common_words = synthetic_kb.common_vocab

@@ -7,6 +7,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.config import DAY, LinkerConfig
+from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import LinkResult, ScoredCandidate, SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
@@ -92,6 +93,32 @@ class TestLinking:
             linker.confirm_link(2, user=20 + i, timestamp=now - 0.1 * DAY)
         result = linker.link("jordan", user=6, now=now)
         assert result.best.entity_id == 2
+
+
+class TestNonFiniteNow:
+    """NaN would bisect the recency timelines anywhere and ±inf empty every
+    window: both entry points refuse the time before any stage runs."""
+
+    NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("now", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_link_refuses(self, linker, now):
+        counters = METRICS.snapshot()["counters"]
+        with pytest.raises(ValueError, match="link time must be finite"):
+            linker.link("jordan", user=0, now=now)
+        assert METRICS.snapshot()["counters"] == counters
+
+    @pytest.mark.parametrize("now", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_link_batch_refuses_the_whole_batch(self, linker, now):
+        batch = MicroBatchLinker(linker)
+        requests = [
+            LinkRequest("jordan", user=0, now=100 * DAY),
+            LinkRequest("jordan", user=5, now=now),
+        ]
+        counters = METRICS.snapshot()["counters"]
+        with pytest.raises(ValueError, match="link time must be finite"):
+            batch.link_batch(requests)
+        assert METRICS.snapshot()["counters"] == counters
 
 
 class TestLinkTweet:

@@ -1,14 +1,17 @@
 """``recent_counts`` (one merged timeline per group) ≡ ``recent_count``.
 
-The group read is an index over the per-entity timestamp lists, kept by
-the knowledgebase's own writers.  Nothing here times anything: every
-test interleaves writes with reads and holds the group answer to the
-per-entity one with ``==``.
+The group read is an index over the members' links: their times as one
+``array('d')`` merged from the link-time columns, and whose link each
+one is.  It is kept by the knowledgebase's own writers.  Nothing here
+times anything: every test interleaves writes with reads and holds the
+group answer to the per-entity one, and the timeline itself to the
+stable merge of the members' sorted timestamp lists, with ``==``.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +63,27 @@ OPERATIONS = st.lists(
     ),
     max_size=40,
 )
+
+
+def stable_merge(ckb, group):
+    """What a group's timeline must be: its members' sorted per-entity
+    lists merged stably — by time, then member, then arrival — as
+    ``(times, owners)``."""
+    merged = sorted(
+        (
+            (float(t), column)
+            for column, entity_id in enumerate(group)
+            for t in ckb._timestamps.get(entity_id, ())
+        ),
+        key=lambda pair: pair[0],
+    )
+    return [t for t, _ in merged], [column for _, column in merged]
+
+
+def assert_timelines_are_merges(ckb) -> None:
+    for group, (times, owners) in ckb._timelines.items():
+        assert isinstance(times, array) and times.typecode == "d", group
+        assert (list(times), list(owners)) == stable_merge(ckb, group), group
 
 
 def assert_group_equals_members(ckb, group, now, window) -> None:
@@ -132,6 +156,87 @@ class TestGroupReadEqualsEntityRead:
         assert counts.nonzero()[0].tolist() == [0, 255, 256, WIDE - 1]
         ckb.link_tweet(257, user=1, timestamp=0.5)
         assert ckb.recent_counts(group, 1.0, 1.0)[257] == 1
+
+
+class TestTimelineIsTheStableMerge:
+    @given(
+        operations=st.lists(
+            st.one_of(
+                # link_tweet keeps an int time as given; the timeline holds doubles
+                st.tuples(
+                    st.just("link"),
+                    st.sampled_from(LINKED),
+                    st.one_of(TICKS, st.integers(0, 12)),
+                ),
+                st.tuples(
+                    st.just("bulk"),
+                    st.lists(st.tuples(st.sampled_from(LINKED), TICKS), max_size=4),
+                ),
+                st.tuples(st.just("read"), st.integers(0, len(GROUPS) - 1)),
+                st.tuples(st.just("restore")),
+            ),
+            max_size=40,
+        ),
+        first_read=st.sets(st.integers(0, len(GROUPS) - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_after_every_write(self, operations, first_read):
+        """Merged on first read, extended by ``link_tweet``, dropped by
+        ``bulk_link``, rebuilt after a restore: every timeline the CKB
+        holds equals a fresh stable merge after each step."""
+        ckb = ComplementedKnowledgebase(KB)
+        for index in sorted(first_read):
+            ckb.recent_counts(GROUPS[index], 6.0, 3.0)
+        for operation in operations:
+            if operation[0] == "link":
+                ckb.link_tweet(operation[1], user=0, timestamp=operation[2])
+            elif operation[0] == "bulk":
+                ckb.bulk_link((e, 0, t, -1) for e, t in operation[1])
+            elif operation[0] == "read":
+                ckb.recent_counts(GROUPS[operation[1]], 6.0, 3.0)
+            else:
+                ckb = restore(KB, snapshot(ckb), num_nodes=1)
+            assert_timelines_are_merges(ckb)
+        for group in GROUPS:
+            ckb.recent_counts(group, 6.0, 3.0)
+        assert set(ckb._timelines) == set(GROUPS)
+        assert_timelines_are_merges(ckb)
+
+    def test_ties_fall_in_member_then_arrival_order(self):
+        ckb = ComplementedKnowledgebase(KB)
+        group = (0, 1, 2)
+        ckb.link_tweet(2, user=1, timestamp=5.0)
+        ckb.link_tweet(0, user=2, timestamp=5)
+        assert ckb.recent_counts(group, 5.0, 1.0).tolist() == [1, 0, 1]
+        ckb.link_tweet(1, user=3, timestamp=5.0)  # between members 0 and 2
+        ckb.link_tweet(0, user=4, timestamp=5.0)  # after member 0's earlier one
+        times, owners = ckb._timelines[group]
+        assert (list(times), list(owners)) == ([5.0] * 4, [0, 0, 1, 2])
+        assert_timelines_are_merges(ckb)
+
+    def test_thousands_of_ties_keep_member_order(self):
+        """A sort that is stable only on short runs passes a handful of
+        ties; 2,000 links on 50 distinct times do not."""
+        ckb = ComplementedKnowledgebase(KB)
+        group = tuple(range(40))
+        ckb.bulk_link(
+            (e, tick, float(tick * 7 % 50), -1) for tick in range(50) for e in group
+        )
+        ckb.recent_counts(group, 30.0, 10.0)
+        assert len(ckb._timelines[group][0]) == 2000
+        assert_timelines_are_merges(ckb)
+
+    def test_wide_and_empty_groups(self):
+        ckb = ComplementedKnowledgebase(KB)
+        for entity_id in (WIDE - 1, 0, 256):
+            ckb.link_tweet(entity_id, user=1, timestamp=2.0)
+        wide = tuple(range(WIDE))
+        assert ckb.recent_counts(wide, 2.0, 1.0).sum() == 3
+        assert ckb.recent_counts((), 2.0, 1.0).tolist() == []
+        assert ckb._timelines[wide][1].typecode == "H"
+        assert list(ckb._timelines[wide][1]) == [0, 256, WIDE - 1]
+        assert list(ckb._timelines[()][0]) == []
+        assert_timelines_are_merges(ckb)
 
 
 class TestConcurrentFirstTouch:

@@ -3,10 +3,27 @@
 import pytest
 
 from repro.config import DAY
+from repro.io import load_world, save_world, world_to_dict
 from repro.kb.builder import KBProfile
 from repro.stream.generator import StreamProfile, SyntheticWorld
 
 from conftest import small_profiles
+
+
+class TestMentionInterning:
+    def test_equal_spans_are_one_object(self, small_world):
+        """As in a loaded world: one ``MentionSpan`` per (surface, entity)."""
+        first = {}
+        for tweet in small_world.tweets:
+            for span in tweet.mentions:
+                key = (span.surface, span.true_entity)
+                assert first.setdefault(key, span) is span
+        assert len(first) < sum(t.num_mentions for t in small_world.tweets)
+
+    def test_save_load_round_trip_is_unchanged(self, small_world, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(small_world, path)
+        assert world_to_dict(load_world(path)) == world_to_dict(small_world)
 
 
 class TestWorldGeneration:
