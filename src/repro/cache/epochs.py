@@ -7,8 +7,8 @@ every cache entry derived from the structure records the epoch values it
 was computed under and is valid **iff** they still match.  Invalidation
 is therefore structural — a consequence of the mutation itself — never a
 heuristic TTL or an explicit ``clear()`` someone has to remember to call.
-The ``CACHE-001`` linter rule (``repro.analysis.rules``) enforces the
-"every mutator bumps" half of the contract statically.
+``tests/test_invariants.py`` checks the "every mutator bumps" half of the
+contract over the owners' source.
 """
 
 from __future__ import annotations

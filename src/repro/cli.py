@@ -7,23 +7,24 @@ Subcommands::
     repro evaluate  --world world.json.gz [--method ours ...]
     repro link      --world world.json.gz --surface jordan --user 7 --day 90
     repro search    --world world.json.gz --query "jordan dunk" --user 7
+    repro report    [--results benchmarks/results --out REPORT.md]
+    repro validate  --world world.json.gz
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro check     [src ...] [--format json --out CHECK_report.json]
     repro trace     [--scenario normal|abstention|degraded|all]
                     [--check-golden | --write-golden] [--metrics-out M.json]
     repro serve     --world world.json.gz [--port 8355 --tenants alpha,beta]
     repro load      --world world.json.gz [--url http://... --chaos
                     --requests 2000 --out LOAD_report.json]
 
-``generate`` builds and persists a synthetic world; the other commands
+``generate`` builds and persists a synthetic world; most other commands
 load one and run the corresponding piece of the pipeline.  ``stream``
 replays the test stream through the resilient online path (validation,
-reordering, degradation, checkpointing); ``check`` runs the project's
-AST invariant linter (DESIGN.md §8); ``trace`` runs the deterministic
-observability scenarios and maintains the golden-trace fixtures
-(docs/observability.md).  Primary output is plain aligned tables on
-stdout (``repro.eval.reporting``); diagnostics go to the ``repro``
-logger on stderr (``--log-level``).
+reordering, degradation, checkpointing); ``report`` consolidates the
+archived benchmark tables; ``validate`` measures a world's structural
+properties; ``trace`` runs the deterministic observability scenarios and
+maintains the golden-trace fixtures (docs/observability.md).  Primary
+output is plain aligned tables on stdout (``repro.eval.reporting``);
+diagnostics go to the ``repro`` logger on stderr (``--log-level``).
 """
 
 from __future__ import annotations
@@ -187,23 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--metrics-out", default=None,
         help="write the scenarios' merged metrics document to this path",
-    )
-
-    check = commands.add_parser(
-        "check",
-        help="run the project's AST invariant linter (DET/ERR/CACHE)",
-    )
-    check.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    check.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format; json follows docs/static-analysis.md",
-    )
-    check.add_argument(
-        "--out", default=None,
-        help="also write the report document to this path",
     )
 
     serve = commands.add_parser(
@@ -658,28 +642,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 1 if drifted else 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Run the static analyzer; exit 0 iff the gate passes."""
-    from repro.analysis import run_check
-    from repro.analysis.reporters import dump_json, render_json, render_text
-
-    try:
-        report = run_check(args.paths)
-    except FileNotFoundError as exc:
-        # a gate that scanned nothing must not read as a pass
-        _log.error("check: %s", exc)
-        return 2
-    document = dump_json(render_json(report, paths=args.paths))
-    if args.format == "json":
-        sys.stdout.write(document)
-    else:
-        sys.stdout.write(render_text(report) + "\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
-    return report.exit_code()
-
-
 # ---------------------------------------------------------------------- #
 # serving front end (docs/serving.md)
 # ---------------------------------------------------------------------- #
@@ -856,7 +818,6 @@ _HANDLERS = {
     "report": _cmd_report,
     "validate": _cmd_validate,
     "stream": _cmd_stream,
-    "check": _cmd_check,
     "trace": _cmd_trace,
     "serve": _cmd_serve,
     "load": _cmd_load,

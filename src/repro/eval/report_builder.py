@@ -64,7 +64,7 @@ def build_report(
         generated_at
         # the one sanctioned wall-clock read in eval/: a CLI-boundary
         # report stamp; tests and reproducible runs inject generated_at
-        or datetime.datetime.now().isoformat(timespec="seconds")  # repro: noqa[DET-003] -- CLI report stamp; callers inject generated_at
+        or datetime.datetime.now().isoformat(timespec="seconds")
     )
     lines: List[str] = [f"# {title}", "", f"_Generated {stamp}_", ""]
     covered = set()

@@ -29,7 +29,8 @@ class DiGraph:
         self._out_sets: List[set] = [set() for _ in range(num_nodes)]
         self._num_edges = 0
         #: Structure version for ``repro.cache``: every edge insertion
-        #: bumps it (CACHE-001), invalidating memoized interest shares.
+        #: bumps it (tests/test_invariants.py), invalidating memoized
+        #: interest shares.
         self.epoch = Epoch()
 
     # ------------------------------------------------------------------ #

@@ -82,8 +82,8 @@ class ComplementedKnowledgebase:
         self._total_links = 0
         self._versions: Dict[int, int] = {}
         #: Versions the link store for ``repro.cache``: bumped by every
-        #: mutator (CACHE-001), so memoized popularity/interest shares
-        #: invalidate structurally when links arrive.
+        #: mutator (tests/test_invariants.py), so memoized popularity/
+        #: interest shares invalidate structurally when links arrive.
         self.link_epoch = Epoch()
 
     @property

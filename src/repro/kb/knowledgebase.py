@@ -34,7 +34,7 @@ class Knowledgebase:
     """Mutable knowledgebase with mention↔entity maps and hyperlinks.
 
     :attr:`epoch` versions the KB structure for ``repro.cache``: every
-    mutator bumps it (enforced by linter rule CACHE-001), so memoized
+    mutator bumps it (checked by tests/test_invariants.py), so memoized
     candidate sets invalidate the moment a surface form or entity is
     added — structurally, with no cache-owner cooperation needed.
     """

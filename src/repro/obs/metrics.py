@@ -306,7 +306,7 @@ METRICS = MetricsRegistry()
 
 
 # ---------------------------------------------------------------------- #
-# document export (mirrors the BENCH/check reporters)
+# document export
 # ---------------------------------------------------------------------- #
 def render_metrics_document(
     registry: MetricsRegistry,

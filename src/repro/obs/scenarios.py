@@ -1,7 +1,7 @@
 """Fixture worlds for ``repro trace`` and the golden-trace suite.
 
 Each scenario is a tiny, fully hand-built world (no RNG at all — the
-strongest form of DET-001 compliance) that drives the live linker down
+strongest form of seeded randomness) that drives the live linker down
 one canonical decision path:
 
 * ``normal``     — a follower of the basketball community links the

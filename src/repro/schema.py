@@ -1,9 +1,9 @@
 """One shape checker for every schema-stable document.
 
-The metrics document, the check report, the load report, the trace
-document and the serve error body each declare their schema as one
-nested *shape* literal next to their renderer, and :func:`problems`
-walks a document against it.  Schemas are append-only
+The metrics document, the load report, the trace document and the
+serve error body each declare their schema as one nested *shape*
+literal next to their renderer, and :func:`problems` walks a document
+against it.  Schemas are append-only
 (a key may be added, never renamed, retyped or re-bucketed), so an object
 shape lists the keys it requires and lets any others through.
 

@@ -229,7 +229,7 @@ class ServeApp:
         self.admission.admit(admission_class)
         try:
             response = self._link_admitted(tenant, request)
-        except Exception:  # repro: noqa[ERR-002] -- slot bookkeeping only: the slot is returned and the exception re-raised untouched, whatever its type
+        except Exception:
             self.admission.release(admission_class)
             raise
         if not self._defer_release:

@@ -292,7 +292,7 @@ def run_inprocess(
         started = clock()
         try:
             status, document = app.handle(request.method, request.path, request.body)
-        except Exception:  # repro: noqa[ERR-002] -- harness boundary mirrors the HTTP server: a non-taxonomy bug is counted as 'internal', and the gate asserts the count stays zero
+        except Exception:
             _log.exception("unhandled error replaying %s", request.path)
             accounting.record(request, "internal", None)
             continue

@@ -102,7 +102,7 @@ class _Handler(BaseHTTPRequestHandler):
             headers = {key.lower(): value for key, value in self.headers.items()}
             status, document = self.app.handle(method, self.path, body, headers)
             payload = json.dumps(document, sort_keys=True).encode("utf-8")
-        except Exception as error:  # repro: noqa[ERR-002] -- outermost HTTP boundary: a non-taxonomy bug must become a typed 500 body, never a dropped connection
+        except Exception as error:
             _log.exception("unhandled error serving %s %s", method, self.path)
             METRICS.incr("serve.error.internal")
             status, payload = 500, _internal_error_body(

@@ -29,6 +29,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
 
+    def test_check_subcommand_is_gone(self):
+        """The source invariants are tests/test_invariants.py now."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["check", "src"])
+        assert exit_info.value.code == 2
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,8 +7,6 @@ import os
 
 import pytest
 
-from repro.analysis.framework import CheckReport
-from repro.analysis.reporters import render_json, validate_check_document
 from repro.errors import RateLimitedError
 from repro.obs.export import load_trace_jsonl, validate_trace_document
 from repro.obs.scenarios import SCENARIOS, golden_path
@@ -80,10 +78,6 @@ def _load_document():
     )
 
 
-def _check_document():
-    return render_json(CheckReport(findings=[], suppressed_pragma=[], files_scanned=0))
-
-
 def _rate_limited_body():
     return error_body(RateLimitedError("slow down", retry_after_s=0.5))[1]
 
@@ -96,13 +90,11 @@ class TestNumbers:
             (validate_load_document, _load_document, "meta.seed", True),
             (validate_load_document, _load_document, "meta.requests", -5),
             (validate_load_document, _load_document, "latency_ms.p50", math.nan),
-            (validate_check_document, _check_document, "summary.findings", True),
             (validate_error_body, _rate_limited_body, "error.retry_after_s", True),
         ],
         ids=[
             "load-unhandled", "load-meta.seed", "load-meta.requests",
-            "load-latency_ms.p50", "check-summary.findings",
-            "error-retry_after_s",
+            "load-latency_ms.p50", "error-retry_after_s",
         ],
     )
     def test_bool_nan_and_negative_are_not_numbers(
