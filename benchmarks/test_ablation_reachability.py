@@ -3,7 +3,8 @@
 The linker runs unchanged on three providers: the materialized transitive
 closure, the 2-hop cover a linker gets past the closure's |V|² wall
 (``build_compact_two_hop_cover``: PLL + Theorem 1, exact followee sets),
-and plain cached online BFS (the "online search" category of Sec. 2).
+and plain cached online BFS (the "online search" category of Sec. 2,
+``repro.testing.oracles.OnlineReachability``).
 Expected shape: accuracy is identical across providers, because all three
 evaluate Eq. 4 on the exact followee set; the closure-backed linker is
 the fastest and the pre-computation-free online provider pays at query
@@ -17,6 +18,7 @@ from repro.eval.harness import SocialTemporalAdapter
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 from repro.graph.compact_labels import build_compact_two_hop_cover
+from repro.testing.oracles import OnlineReachability
 
 
 def test_ablation_reachability_provider(benchmark, contexts, report):
@@ -37,7 +39,7 @@ def test_ablation_reachability_provider(benchmark, contexts, report):
     providers = {
         "transitive closure": closure,
         "2-hop cover": cover,
-        "online BFS": None,  # linker builds its cached BFS provider
+        "online BFS": OnlineReachability(context.world.graph, context.config.max_hops),
     }
     rows = []
     accuracies = {}

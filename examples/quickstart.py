@@ -56,9 +56,13 @@ def main() -> None:
 
     # --- the followee-follower network --------------------------------- #
     ALICE, BOB, CAROL = 0, 1, 2  # test users
-    graph = DiGraph(26)  # users 20-25 tweet the sneaker drop below
-    graph.add_edge(ALICE, NBA_OFFICIAL)  # Alice follows @NBAOfficial
-    graph.add_edge(BOB, ML_PROF)         # Bob follows the ML professor
+    graph = DiGraph(  # users 20-25 tweet the sneaker drop below
+        26,
+        [
+            (ALICE, NBA_OFFICIAL),  # Alice follows @NBAOfficial
+            (BOB, ML_PROF),         # Bob follows the ML professor
+        ],
+    )
 
     linker = SocialTemporalLinker(
         ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)

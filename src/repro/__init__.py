@@ -41,7 +41,6 @@ from repro.eval import build_experiment, mention_and_tweet_accuracy
 from repro.graph import (
     CompactTwoHopCover,
     DiGraph,
-    OnlineReachability,
     TransitiveClosure,
     build_reachability_index,
     build_transitive_closure_incremental,
@@ -93,7 +92,6 @@ __all__ = [
     "MalformedTweetError",
     "MicroBatchLinker",
     "OnTheFlyLinker",
-    "OnlineReachability",
     "PersonalizedSearchEngine",
     "RecencyPropagationNetwork",
     "ReproError",

@@ -1,9 +1,9 @@
 """Epoch-keyed memoization for the scoring hot path (DESIGN.md §10).
 
 **Epochs** are monotone version counters owned by the mutable structures
-(:class:`~repro.kb.knowledgebase.Knowledgebase`,
-:class:`~repro.kb.complemented.ComplementedKnowledgebase`,
-:class:`~repro.graph.digraph.DiGraph`); every mutator bumps its owner,
+(:class:`~repro.kb.knowledgebase.Knowledgebase` and
+:class:`~repro.kb.complemented.ComplementedKnowledgebase`; the follow
+graph is immutable); every mutator bumps its owner,
 so memoized candidate/popularity/interest results invalidate
 structurally.  Recency is not cached — it is one row-dot per candidate
 over a precomputed operator (:mod:`repro.core.recency`).

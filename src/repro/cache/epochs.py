@@ -1,8 +1,8 @@
 """Epoch counters — the structural-invalidation primitive of ``repro.cache``.
 
 An :class:`Epoch` is a monotone integer version owned by exactly one
-mutable structure (the knowledgebase, the complemented KB's link store,
-the follow graph).  Every mutator of the owning structure bumps it;
+mutable structure (the knowledgebase or the complemented KB's link
+store).  Every mutator of the owning structure bumps it;
 every cache entry derived from the structure records the epoch values it
 was computed under and is valid **iff** they still match.  Invalidation
 is therefore structural — a consequence of the mutation itself — never a

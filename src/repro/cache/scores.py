@@ -8,8 +8,8 @@ Three memo tables, bundled as :class:`ScoreCaches` and wired into
   knowledgebase epoch stands (new surface forms / entities bump it);
 * **popularity** — candidate tuple → Eq. 2 shares, valid while the link
   epoch stands (``link_tweet`` / ``bulk_link`` bump it);
-* **interest** — ``(user, candidates)`` → Eq. 8 shares, valid while both
-  the graph epoch and the link epoch stand.  The memo wraps the linker's
+* **interest** — ``(user, candidates)`` → Eq. 8 shares, valid while the
+  link epoch stands (the follow graph is immutable).  The memo wraps the linker's
   own ``_interest_scores`` computation, so the PR-2 influential-user LRU
   semantics (including its documented staleness under direct KB
   mutation) are preserved exactly — a hit returns precisely what the
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple, TypeVar
 from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.digraph import DiGraph
     from repro.kb.complemented import ComplementedKnowledgebase
 
 K = TypeVar("K")
@@ -115,13 +114,12 @@ class ScoreCaches:
     ==============  =====================================  ==============
     candidates      ``kb.epoch``                           add_entity, add_surface_form, add_hyperlink
     popularity      ``ckb.link_epoch``                     link_tweet, bulk_link
-    interest        ``graph.epoch`` **and** ``link_epoch``  edge edits, link_tweet, bulk_link
+    interest        ``ckb.link_epoch``                     link_tweet, bulk_link
     ==============  =====================================  ==============
     """
 
-    def __init__(self, ckb: "ComplementedKnowledgebase", graph: "DiGraph") -> None:
+    def __init__(self, ckb: "ComplementedKnowledgebase") -> None:
         self._ckb = ckb
-        self._graph = graph
         self.candidates = EpochKeyedCache("score_cache.candidates", SCORE_CACHE_SIZE)
         self.popularity = EpochKeyedCache("score_cache.popularity", SCORE_CACHE_SIZE)
         self.interest = EpochKeyedCache("score_cache.interest", SCORE_CACHE_SIZE)
@@ -133,7 +131,7 @@ class ScoreCaches:
         return (self._ckb.link_epoch.value,)
 
     def interest_epochs(self) -> Tuple[int, ...]:
-        return (self._graph.epoch.value, self._ckb.link_epoch.value)
+        return (self._ckb.link_epoch.value,)
 
     def pre_advance(self, now: float) -> None:
         """No-op: nothing here tracks the stream clock any more.  Kept only

@@ -28,8 +28,8 @@ class ReachabilityProvider(Protocol):
     """Anything that answers weighted reachability queries.
 
     Satisfied by :class:`repro.graph.TransitiveClosure`,
-    :class:`repro.graph.CompactTwoHopCover` and
-    :class:`repro.graph.OnlineReachability`.
+    :class:`repro.graph.CompactTwoHopCover` and the oracle
+    :class:`repro.testing.oracles.OnlineReachability`.
     """
 
     def reachability(self, source: int, target: int) -> float:

@@ -45,7 +45,7 @@ from repro.core.recency import (
 )
 from repro.core.scoring import ScoredCandidate, combine_scores
 from repro.graph.digraph import DiGraph
-from repro.graph.online import OnlineReachability
+from repro.graph.dispatch import build_reachability_index
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.tweet import Tweet
 
@@ -202,10 +202,9 @@ class SocialTemporalLinker:
         Parameters
         ----------
         reachability:
-            Pre-built index, normally from
-            :func:`~repro.graph.build_reachability_index`; defaults to
-            cached online BFS, which needs no pre-computation but has
-            higher latency.
+            Pre-built index; when omitted, the linker builds the one
+            :func:`~repro.graph.build_reachability_index` selects for
+            ``graph`` and ``config``.
         propagation_network:
             Pre-built recency clusters; built from the KB on demand when
             ``config.recency_propagation`` is on.
@@ -220,9 +219,9 @@ class SocialTemporalLinker:
         self._ckb = ckb
         self._graph = graph
         self._config = config
-        self._reachability = reachability or OnlineReachability(
-            graph, max_hops=config.max_hops
-        )
+        if reachability is None:
+            reachability = build_reachability_index(graph, config)
+        self._reachability = reachability
         self._breaker = breaker
         self._clock = clock
         self._candidates = candidate_generator or CandidateGenerator(
@@ -241,7 +240,7 @@ class SocialTemporalLinker:
         # Epoch-keyed candidate / popularity / interest memos (DESIGN.md
         # §10): off by default, and bit-identical to the uncached path.
         self._caches: Optional[ScoreCaches] = (
-            ScoreCaches(ckb, graph) if config.score_caching else None
+            ScoreCaches(ckb) if config.score_caching else None
         )
 
     # ------------------------------------------------------------------ #
@@ -262,8 +261,8 @@ class SocialTemporalLinker:
 
     @property
     def reachability_provider(self) -> ReachabilityProvider:
-        """The index answering Eq. 4 for this linker (closure, compact
-        cover, or the cached online BFS default)."""
+        """The index answering Eq. 4 for this linker (the closure or the
+        compact cover unless the caller passed another provider)."""
         return self._reachability
 
     @property
@@ -430,7 +429,7 @@ class SocialTemporalLinker:
     def _interest_scores(
         self, user: int, candidates: Sequence[int], provider: ReachabilityProvider
     ) -> Dict[int, float]:
-        """Eq. 8 interest shares, memoized on (graph, link) epochs.
+        """Eq. 8 interest shares, memoized on the link epoch.
 
         A memo hit skips the guarded provider entirely, so under injected
         reachability faults a cached mention cannot degrade — a documented

@@ -12,18 +12,19 @@ Sec. 4.1 of the paper lives here:
   built incrementally (Algorithm 1).
 * :mod:`repro.graph.compact_labels` — hop-bounded 2-hop labels in flat
   buffers + Theorem 1 (the index past the |V|² wall — docs/scaling.md).
-* :mod:`repro.graph.online` — cached per-source BFS, the no-index provider.
 * :mod:`repro.graph.dispatch` — :func:`build_reachability_index`, the one
   way production code obtains an index (closure or compact, by graph size).
 * :mod:`repro.graph.generators` — synthetic followee-follower networks,
   including the streaming 100k–1M-user hub/faction worlds.
 
-Three providers answer Eq. 4: the closure, the compact cover and online
-BFS.  The graph is built once and indexed as built; a changed graph is a
-rebuild, whose cost is Fig. 5(b) / Table 5.
+Two providers answer Eq. 4, the closure and the compact cover, and
+:func:`build_reachability_index` is where a linker gets one.  The graph is
+immutable and indexed as built; a changed graph is a rebuild, whose cost
+is Fig. 5(b) / Table 5.
 
-The slower, literal Algorithms 1–2 (followee sets in the labels) the
-shipped providers are tested against live in :mod:`repro.testing.oracles`.
+The slower, literal Algorithms 1–2 (followee sets in the labels) and
+cached online BFS, which the shipped providers are tested against, live
+in :mod:`repro.testing.oracles`.
 """
 
 from repro.graph.compact_labels import (
@@ -43,7 +44,6 @@ from repro.graph.generators import (
     topical_social_graph,
     random_digraph,
 )
-from repro.graph.online import OnlineReachability
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import (
     TransitiveClosure,
@@ -53,7 +53,6 @@ from repro.graph.transitive_closure import (
 __all__ = [
     "CompactTwoHopCover",
     "DiGraph",
-    "OnlineReachability",
     "SocialGraphConfig",
     "StreamingChunk",
     "StreamingWorldProfile",

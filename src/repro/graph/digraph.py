@@ -1,67 +1,58 @@
 """Compact directed graph used for the followee-follower network.
 
-Nodes are dense integers ``0..n-1`` (user ids are mapped externally),
-fixed by ``DiGraph(n)``; edges are only ever added.  The
-structure keeps both out- and in-adjacency because Algorithm 2 needs backward
-BFS (who can reach a landmark) as well as forward BFS.
+Nodes are dense integers ``0..n-1`` (user ids are mapped externally).  A
+graph is built once, from its node count and edge list, and never edited:
+the reachability indexes of Sec. 4.1 are precomputed over it, so a changed
+graph is a new graph and a rebuild.  The structure keeps both out- and
+in-adjacency because Algorithm 2 needs backward BFS (who can reach a
+landmark) as well as forward BFS.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
-
-from repro.cache.epochs import Epoch
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 
 class DiGraph:
-    """Directed graph over dense integer nodes.
+    """Immutable directed graph over dense integer nodes.
 
     An edge ``(u, v)`` reads "u follows v": ``v`` is in ``u``'s followee list
     ``out_neighbors(u)`` and ``u`` is in ``v``'s follower list
-    ``in_neighbors(v)``.  Parallel edges are collapsed; self-loops rejected.
+    ``in_neighbors(v)``.  Both lists keep the order edges were given in; a
+    repeated edge is collapsed onto its first occurrence.  Self-loops,
+    out-of-range ends and ends that are not ``int`` (``bool`` included)
+    are rejected.
     """
 
-    def __init__(self, num_nodes: int = 0) -> None:
+    def __init__(self, num_nodes: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
+        if type(num_nodes) is not int:
+            raise TypeError(f"num_nodes must be an int, got {num_nodes!r}")
         if num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
-        self._out: List[List[int]] = [[] for _ in range(num_nodes)]
-        self._in: List[List[int]] = [[] for _ in range(num_nodes)]
-        self._out_sets: List[set] = [set() for _ in range(num_nodes)]
-        self._num_edges = 0
-        #: Structure version for ``repro.cache``: every edge insertion
-        #: bumps it (tests/test_invariants.py), invalidating memoized
-        #: interest shares.
-        self.epoch = Epoch()
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_edges(cls, num_nodes: int, edges: Iterable[Tuple[int, int]]) -> "DiGraph":
-        """Build a graph from an edge iterable."""
-        graph = cls(num_nodes)
+        # one int object per node, shared by every tuple naming it
+        node = list(range(num_nodes))
+        out: list = [[] for _ in node]
+        into: list = [[] for _ in node]
         for u, v in edges:
-            graph.add_edge(u, v)
-        return graph
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge ``u -> v``; returns False if it already existed."""
-        if u == v:
-            raise ValueError(f"self-loop on node {u} is not allowed")
-        if not (0 <= u < len(self._out) and 0 <= v < len(self._out)):
-            raise IndexError(f"edge ({u}, {v}) out of range for {len(self._out)} nodes")
-        if v in self._out_sets[u]:
-            return False
-        self._out_sets[u].add(v)
-        self._out[u].append(v)
-        self._in[v].append(u)
-        self._num_edges += 1
-        self.epoch.bump()
-        return True
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r}, {v!r}) ends must be ints")
+            if u == v:
+                raise ValueError(f"self-loop on node {u} is not allowed")
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise IndexError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+            out[u].append(node[v])
+            into[v].append(node[u])
+        # a node's first sighting of a neighbour is its edge's first occurrence
+        for lists in (out, into):
+            for i, neighbours in enumerate(lists):
+                lists[i] = tuple(dict.fromkeys(neighbours))
+        self._out: Sequence[Tuple[int, ...]] = out
+        self._in: Sequence[Tuple[int, ...]] = into
+        self._num_edges = sum(map(len, out))
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff ``u`` follows ``v``."""
-        return v in self._out_sets[u]
+        return v in self._out[u]
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -121,7 +112,7 @@ class DiGraph:
 
     def reverse(self) -> "DiGraph":
         """Return a new graph with every edge flipped."""
-        return DiGraph.from_edges(self.num_nodes, ((v, u) for u, v in self.edges()))
+        return DiGraph(self.num_nodes, ((v, u) for u, v in self.edges()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiGraph(nodes={self.num_nodes}, edges={self.num_edges})"

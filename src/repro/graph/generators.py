@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,13 +57,13 @@ def random_digraph(
     max_edges = num_nodes * (num_nodes - 1)
     if num_edges > max_edges:
         raise ValueError(f"cannot place {num_edges} edges on {num_nodes} nodes")
-    graph = DiGraph(num_nodes)
-    while graph.num_edges < num_edges:
+    edges: Dict[Tuple[int, int], None] = {}  # distinct, in draw order
+    while len(edges) < num_edges:
         u = rng.randrange(num_nodes)
         v = rng.randrange(num_nodes)
         if u != v:
-            graph.add_edge(u, v)
-    return graph
+            edges[u, v] = None
+    return DiGraph(num_nodes, edges)
 
 
 def topical_social_graph(
@@ -88,7 +88,7 @@ def topical_social_graph(
     num_users, num_topics = interests.shape
     if len(hubs) != num_topics:
         raise ValueError(f"expected {num_topics} hub lists, got {len(hubs)}")
-    graph = DiGraph(num_users)
+    edges: List[Tuple[int, int]] = []
     hub_set = {h for topic_hubs in hubs for h in topic_hubs}
 
     # Pre-bucket users by dominant topic for homophilous peer sampling.
@@ -104,14 +104,14 @@ def topical_social_graph(
             for _ in range(rng.randint(0, 2)):
                 other = rng.randrange(num_users)
                 if other != user:
-                    graph.add_edge(user, other)
+                    edges.append((user, other))
             continue
         # 1. follow topic hubs proportionally to interest
         for topic in range(num_topics):
             probability = min(1.0, config.hub_follow_scale * float(row[topic]))
             for hub in hubs[topic]:
                 if hub != user and rng.random() < probability:
-                    graph.add_edge(user, hub)
+                    edges.append((user, hub))
         if user in hub_set:
             continue  # hubs follow almost nobody, like real official accounts
         # 2. homophilous peers: sample topics from the interest row, then a
@@ -123,14 +123,14 @@ def topical_social_graph(
             if len(bucket) > 1:
                 peer = bucket[rng.randrange(len(bucket))]
                 if peer != user:
-                    graph.add_edge(user, peer)
+                    edges.append((user, peer))
         # 3. weak ties
         n_random = _poisson_like(config.random_per_user, rng)
         for _ in range(n_random):
             other = rng.randrange(num_users)
             if other != user:
-                graph.add_edge(user, other)
-    return graph
+                edges.append((user, other))
+    return DiGraph(num_users, edges)
 
 
 # ---------------------------------------------------------------------- #
@@ -404,10 +404,7 @@ def stream_tweet_events(
 def streaming_world_graph(profile: StreamingWorldProfile) -> DiGraph:
     """Materialize just the follow graph (the index build input); tweet
     events stay streamable."""
-    graph = DiGraph(profile.num_users)
-    for u, v in stream_follow_edges(profile):
-        graph.add_edge(u, v)
-    return graph
+    return DiGraph(profile.num_users, stream_follow_edges(profile))
 
 
 def _sample_topic(row: np.ndarray, rng: random.Random) -> int:

@@ -5,9 +5,9 @@
 ``R(u, v) = 0`` when ``v`` is not reachable from ``u`` within ``H`` hops.
 
 Algorithm 1 and Theorem 1 produce two integers per pair, ``d_uv`` and
-``|F_uv|``.  Each of the three providers
-(:mod:`repro.graph.transitive_closure`, :mod:`repro.graph.compact_labels`,
-:mod:`repro.graph.online`) and every oracle finds those two its own way
+``|F_uv|``.  Each of the two providers
+(:mod:`repro.graph.transitive_closure`, :mod:`repro.graph.compact_labels`)
+and every oracle finds those two its own way
 and hands them to :func:`reachability_weight`, the one place Eq. 4 is
 rounded — so which index answers cannot change which entity wins, and the
 test suite holds the providers to this definition with ``==``.
@@ -62,9 +62,7 @@ def weighted_reachability(
     """Exact :math:`R(u, v)` by BFS over the shortest-path DAG.
 
     This is the naive per-pair computation the paper's Fig. 5(b) baseline
-    performs |V|² times; the library uses it as ground truth only (a linker
-    given no index answers from
-    :class:`repro.graph.online.OnlineReachability`).
+    performs |V|² times; the library uses it as ground truth only.
     """
     if source == target:
         return 0.0

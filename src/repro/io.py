@@ -39,9 +39,16 @@ def graph_to_dict(graph: DiGraph) -> Dict[str, Any]:
 
 
 def graph_from_dict(payload: Dict[str, Any]) -> DiGraph:
-    return DiGraph.from_edges(
-        payload["nodes"], ((u, v) for u, v in payload["edges"])
-    )
+    """Decode a graph; the constructor refuses a count or end that is not
+    an ``int``, and a repeated edge is refused here: a save after the load
+    would write other bytes."""
+    edges = payload["edges"]
+    graph = DiGraph(payload["nodes"], ((u, v) for u, v in edges))
+    if graph.num_edges != len(edges):
+        raise ValueError(
+            f"{len(edges) - graph.num_edges} repeated edge(s) in the graph"
+        )
+    return graph
 
 
 def kb_to_dict(kb: Knowledgebase) -> Dict[str, Any]:

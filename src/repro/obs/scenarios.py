@@ -39,6 +39,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE
 from repro.resilience.breaker import CircuitBreaker
 from repro.testing.faults import FakeClock
+from repro.testing.oracles import OnlineReachability
 
 __all__ = ["SCENARIOS", "golden_path", "run_scenario"]
 
@@ -106,7 +107,7 @@ def _fixture_ckb(kb: Knowledgebase) -> ComplementedKnowledgebase:
 
 def _fixture_graph() -> DiGraph:
     """User 0 follows the basketball hub; user 5 is fully isolated."""
-    return DiGraph.from_edges(
+    return DiGraph(
         _NUM_USERS,
         [
             (_FOLLOWER, _HUB_BBALL),
@@ -154,7 +155,13 @@ def _build_linker(name: str) -> SocialTemporalLinker:
                 clock=FakeClock(),
             ),
         )
-    return SocialTemporalLinker(ckb, graph, config=config)
+    # cached online BFS, so the traces show one reachability.bfs span per source
+    return SocialTemporalLinker(
+        ckb,
+        graph,
+        config=config,
+        reachability=OnlineReachability(graph, max_hops=config.max_hops),
+    )
 
 
 def run_scenario(

@@ -1,8 +1,8 @@
 """Reference implementations the shipped algorithms are tested against.
 
 Nothing here serves a mention: ``repro.graph`` ships the dense transitive
-closure, the compact 2-hop cover and cached online BFS, and
-:func:`repro.graph.build_reachability_index` picks between the first two; ``repro.core.recency`` ships Eq. 11 as one precomputed
+closure and the compact 2-hop cover, and
+:func:`repro.graph.build_reachability_index` picks between them; ``repro.core.recency`` ships Eq. 11 as one precomputed
 operator per cluster.  These are the slower, more literal versions of the
 same algorithms, kept as oracles for the property battery and the
 paper's index tables (``benchmarks/``, Table 5's large rows included):
@@ -17,6 +17,10 @@ paper's index tables (``benchmarks/``, Table 5's large rows included):
   one BFS per node pair, kept as per-pair dict rows.
 * :func:`weighted_reachability_from_per_target` — the pre-one-pass
   single-source Eq. 4, one backward DAG walk per target.
+* :class:`OnlineReachability` — the index-free "online search" of Sec. 2:
+  one one-pass BFS per source, LRU-cached.  The golden traces
+  (:mod:`repro.obs.scenarios`) and the reachability ablation pass it to a
+  linker explicitly; a linker given no provider builds an index.
 * :func:`propagate_by_iteration` / :func:`propagated_recency_by_iteration`
   — Eq. 9–11 as the paper writes them: gather every cluster member's
   gated count, then sweep ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}`` in Python.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
@@ -41,11 +45,18 @@ from repro.core.influence import entropy_influence, tfidf_influence
 from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
-from repro.graph.reachability import reachability_weight, weighted_reachability
+from repro.graph.reachability import (
+    reachability_weight,
+    weighted_reachability,
+    weighted_reachability_from,
+)
 from repro.graph.traversal import followees_on_shortest_paths, shortest_path_dag
 from repro.kb.complemented import ComplementedKnowledgebase
+from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACE
 
 __all__ = [
+    "OnlineReachability",
     "TwoHopCover",
     "build_transitive_closure_naive",
     "build_two_hop_cover",
@@ -386,6 +397,38 @@ def weighted_reachability_from_per_target(
         followees = followees_on_shortest_paths(graph, source, dist, preds, target)
         result[target] = reachability_weight(d_uv, len(followees), num_followees)
     return result
+
+
+class OnlineReachability:
+    """Cached per-source BFS provider: no pre-computation, higher query
+    latency.  A single BFS yields all targets for a source, so scoring one
+    user against many influential users costs one traversal."""
+
+    def __init__(
+        self, graph: DiGraph, max_hops: int = DEFAULT_MAX_HOPS, cache_size: int = 256
+    ) -> None:
+        if cache_size < 1:
+            raise ValueError("cache_size must be positive")
+        self._graph = graph
+        self._max_hops = max_hops
+        self._cache_size = cache_size
+        self._cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
+
+    def reachability(self, source: int, target: int) -> float:
+        row = self._cache.get(source)
+        if row is None:
+            METRICS.incr("online_bfs.miss")
+            with TRACE.span("reachability.bfs", source=source) as span:
+                row = weighted_reachability_from(self._graph, source, self._max_hops)
+                if span.recording:
+                    span.set_attribute("reached", len(row))
+            self._cache[source] = row
+            if len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+        else:
+            METRICS.incr("online_bfs.hit")
+            self._cache.move_to_end(source)
+        return row.get(target, 0.0)
 
 
 def propagate_by_iteration(

@@ -10,6 +10,7 @@ from repro.config import DAY
 from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import random_digraph
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 from repro.stream.generator import SyntheticWorld
@@ -23,24 +24,17 @@ def diamond_graph() -> DiGraph:
     Hand-checkable weighted reachabilities:
     R(0,1)=R(0,2)=R(0,3)=1 (direct), R(0,4) = (1/2) * (2/3) = 1/3.
     """
-    return DiGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
+    return DiGraph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
 
 
 @pytest.fixture
 def chain_graph() -> DiGraph:
     """0 -> 1 -> 2 -> 3 -> 4 (single path, tests hop horizon)."""
-    return DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    return DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 def random_graph(num_nodes: int, num_edges: int, seed: int) -> DiGraph:
-    rng = random.Random(seed)
-    graph = DiGraph(num_nodes)
-    while graph.num_edges < num_edges:
-        u = rng.randrange(num_nodes)
-        v = rng.randrange(num_nodes)
-        if u != v:
-            graph.add_edge(u, v)
-    return graph
+    return random_digraph(num_nodes, num_edges, random.Random(seed))
 
 
 def build_tiny_kb() -> Knowledgebase:
@@ -128,7 +122,7 @@ def jordan_world(links):
         kb.add_surface_form("jordan", entity_id)
     ckb = ComplementedKnowledgebase(kb)
     ckb.bulk_link((*link, -1) for link in links)
-    return ckb, DiGraph.from_edges(5, [(0, 1)])
+    return ckb, DiGraph(5, [(0, 1)])
 
 
 #: The candidate set of "jordan" in :func:`jordan_world`.

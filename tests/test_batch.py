@@ -10,9 +10,7 @@ from repro.graph.digraph import DiGraph
 
 @pytest.fixture
 def linker(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)
-    graph.add_edge(5, 11)
+    graph = DiGraph(13, [(0, 10), (5, 11)])
     return SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )
@@ -96,8 +94,7 @@ class TestDegradation:
         from repro.core.linker import SocialTemporalLinker
         from repro.graph.digraph import DiGraph
 
-        graph = DiGraph(13)
-        graph.add_edge(0, 10)
+        graph = DiGraph(13, [(0, 10)])
         return SocialTemporalLinker(
             tiny_ckb,
             graph,

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cache import Epoch, EpochKeyedCache, ScoreCaches
 from repro.config import DAY
-from repro.graph.digraph import DiGraph
 from repro.obs.metrics import METRICS
 
 
@@ -113,11 +112,10 @@ class TestEpochKeyedCache:
 class TestScoreCaches:
     @pytest.fixture
     def caches(self, tiny_ckb):
-        graph = DiGraph.from_edges(13, [(10, 11), (11, 12)])
-        return ScoreCaches(tiny_ckb, graph), tiny_ckb, graph
+        return ScoreCaches(tiny_ckb), tiny_ckb
 
     def test_epoch_tuples_track_their_owners(self, caches):
-        bundle, ckb, graph = caches
+        bundle, ckb = caches
         before = (
             bundle.candidate_epochs(),
             bundle.popularity_epochs(),
@@ -125,7 +123,6 @@ class TestScoreCaches:
         )
         ckb.kb.add_surface_form("his airness", 0)
         ckb.link_tweet(0, user=10, timestamp=9 * DAY)
-        graph.add_edge(12, 10)
         after = (
             bundle.candidate_epochs(),
             bundle.popularity_epochs(),
@@ -134,7 +131,7 @@ class TestScoreCaches:
         assert all(a != b for a, b in zip(before, after))
 
     def test_kb_mutation_leaves_link_epochs_alone(self, caches):
-        bundle, ckb, _ = caches
+        bundle, ckb = caches
         popularity = bundle.popularity_epochs()
         interest = bundle.interest_epochs()
         ckb.kb.add_surface_form("goat", 0)
@@ -142,7 +139,7 @@ class TestScoreCaches:
         assert bundle.interest_epochs() == interest
 
     def test_clear_is_safe(self, caches):
-        bundle, _, _ = caches
+        bundle, _ = caches
         bundle.candidates.put("jordan", bundle.candidate_epochs(), (0, 1, 2))
         bundle.clear()
         assert bundle.candidates.get("jordan", bundle.candidate_epochs()) is None

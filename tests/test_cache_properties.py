@@ -26,8 +26,8 @@ def clean_metrics():
 
 
 def _cached(tiny_ckb):
-    """A score-caching linker over ``tiny_ckb`` and the graph it reads."""
-    graph = DiGraph.from_edges(13, [(10, 11), (11, 12), (12, 10), (10, 12)])
+    """A score-caching linker over ``tiny_ckb``."""
+    graph = DiGraph(13, [(10, 11), (11, 12), (12, 10), (10, 12)])
     config = LinkerConfig(
         burst_threshold=2,
         influential_users=2,
@@ -35,7 +35,7 @@ def _cached(tiny_ckb):
         fuzzy_edit_distance=0,
         score_caching=True,
     )
-    return SocialTemporalLinker(tiny_ckb, graph, config=config), graph
+    return SocialTemporalLinker(tiny_ckb, graph, config=config)
 
 
 class TestInvalidationExactness:
@@ -63,7 +63,7 @@ class TestInvalidationExactness:
         }
 
     def test_warm_path_all_hits(self, tiny_ckb):
-        cached, _ = _cached(tiny_ckb)
+        cached = _cached(tiny_ckb)
         self._warm(cached)
         delta = self._delta(cached)
         assert delta["score_cache.candidates.hit"] == 1
@@ -74,7 +74,7 @@ class TestInvalidationExactness:
         assert delta["score_cache.interest.miss"] == 0
 
     def test_kb_bump_invalidates_candidates_only(self, tiny_ckb):
-        cached, _ = _cached(tiny_ckb)
+        cached = _cached(tiny_ckb)
         self._warm(cached)
         tiny_ckb.kb.add_surface_form("unrelated", 5)  # bumps kb.epoch
         delta = self._delta(cached)
@@ -85,7 +85,7 @@ class TestInvalidationExactness:
         assert delta["score_cache.interest.hit"] == 1
 
     def test_link_bump_invalidates_popularity_and_interest(self, tiny_ckb):
-        cached, _ = _cached(tiny_ckb)
+        cached = _cached(tiny_ckb)
         self._warm(cached)
         tiny_ckb.link_tweet(5, user=12, timestamp=8 * DAY)  # bumps link_epoch
         delta = self._delta(cached)
@@ -93,19 +93,10 @@ class TestInvalidationExactness:
         assert delta["score_cache.popularity.miss"] == 1
         assert delta["score_cache.interest.miss"] == 1
 
-    def test_graph_bump_invalidates_interest_only(self, tiny_ckb):
-        cached, graph = _cached(tiny_ckb)
-        self._warm(cached)
-        assert graph.add_edge(11, 10)  # bumps graph.epoch
-        delta = self._delta(cached)
-        assert delta["score_cache.candidates.hit"] == 1
-        assert delta["score_cache.popularity.hit"] == 1
-        assert delta["score_cache.interest.miss"] == 1
-
     def test_window_slide_leaves_epoch_caches_alone(self, tiny_ckb):
         """Time moving forward is not a structural mutation: recency is
         recomputed (it is never memoized), the memo tables hit."""
-        cached, _ = _cached(tiny_ckb)
+        cached = _cached(tiny_ckb)
         self._warm(cached)
         delta = self._delta(cached, now=9 * DAY)
         assert delta["score_cache.candidates.hit"] == 1

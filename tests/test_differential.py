@@ -2,11 +2,11 @@
 
 The paper links each mention independently (Sec. 3.2.2), so neither the
 index that answers Eq. 4, batching, score caching nor the linker's age may
-change a ``ranked`` tuple.  Every script runs through a lattice of 36
+change a ``ranked`` tuple.  Every script runs through a lattice of 24
 configurations, each over its own copy of the world:
 
-- provider: the closure and the compact cover (``build_reachability_index``
-  with a forced backend), or the linker's default ``OnlineReachability``;
+- provider: the closure or the compact cover (``build_reachability_index``
+  with a forced backend);
 - call path: ``link()`` per op, or one ``MicroBatchLinker.link_batch`` per
   maximal run of consecutive link ops;
 - ``score_caching`` off or on;
@@ -19,8 +19,7 @@ configurations, each over its own copy of the world:
 Every configuration must give the first one's (closure · link · uncached ·
 warm) ``ranked`` tuples and ``degradation`` values op by op, refuse the
 same unknown authors and end with the same ``list(ckb.iter_links())``.
-Scripts that add follow edges run on the 12 online configurations only:
-the closure and the compact cover are static indexes.
+The follow graph is immutable, so no script edits it.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from repro.core.linker import SocialTemporalLinker
 from repro.errors import UnknownUserError
 from repro.graph.digraph import DiGraph
 from repro.graph.dispatch import build_reachability_index
-from repro.graph.online import OnlineReachability
 from repro.kb.checkpoint import restore, snapshot
 from repro.obs.metrics import METRICS
-from repro.testing.oracles import influential_users_by_definition
+from repro.testing.oracles import OnlineReachability, influential_users_by_definition
 
 from conftest import JORDAN_LINKS, build_tiny_ckb, build_tiny_kb, jordan_world
 
@@ -61,7 +59,7 @@ class Configuration(NamedTuple):
 LATTICE = [
     Configuration(*point)
     for point in itertools.product(
-        ("closure", "compact", "online"),
+        ("closure", "compact"),
         ("link", "batch"),
         (False, True),
         ("warm", "fresh", "rebuilt"),
@@ -96,7 +94,6 @@ REFUSED = "UnknownUserError"
 #   ("write", entity, user, now)          ckb.link_tweet
 #   ("bulk", ((entity, user, now), ...))  ckb.bulk_link
 #   ("surface", surface, entity)          candidate_generator.register_surface
-#   ("edge", u, v)                        graph.add_edge
 
 
 class Run(NamedTuple):
@@ -108,11 +105,9 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
     """Play ``script`` on a new copy of ``world`` under ``configuration``."""
     ckb, graph, network = world.build()
     config = dataclasses.replace(world.config, score_caching=configuration.caching)
-    index = None
-    if configuration.provider != "online":
-        index = build_reachability_index(
-            graph, dataclasses.replace(config, index_backend=configuration.provider)
-        )
+    index = build_reachability_index(
+        graph, dataclasses.replace(config, index_backend=configuration.provider)
+    )
 
     def new_linker(over) -> SocialTemporalLinker:
         return SocialTemporalLinker(
@@ -182,11 +177,9 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
             ckb.link_tweet(*args)
         elif kind == "bulk":
             ckb.bulk_link((*row, -1) for row in args[0])
-        elif kind == "surface":
-            warm.candidate_generator.register_surface(*args)
         else:
-            assert kind == "edge", op
-            graph.add_edge(*args)
+            assert kind == "surface", op
+            warm.candidate_generator.register_surface(*args)
         return None
 
     outcomes: list = []
@@ -199,21 +192,18 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
 
 
 def check(world: World, script: Sequence[tuple]) -> Run:
-    """Run ``script`` through every configuration that can play it, assert
-    each equals the first, and return that reference run."""
-    lattice = LATTICE
-    if any(op[0] == "edge" for op in script):
-        lattice = [c for c in LATTICE if c.provider == "online"]
-    reference = run(world, script, lattice[0])
-    for configuration in lattice[1:]:
+    """Run ``script`` through every configuration, assert each equals the
+    first, and return that reference run."""
+    reference = run(world, script, LATTICE[0])
+    for configuration in LATTICE[1:]:
         got = run(world, script, configuration)
         for position, (want, have) in enumerate(zip(reference.outcomes, got.outcomes)):
             assert have == want, (
-                f"{configuration} differs from {lattice[0]} at op {position} of "
+                f"{configuration} differs from {LATTICE[0]} at op {position} of "
                 f"{list(script[: position + 1])}:\n  got  {have}\n  want {want}"
             )
         assert got.links == reference.links, (
-            f"{configuration} ends with other links than {lattice[0]}: {list(script)}"
+            f"{configuration} ends with other links than {LATTICE[0]}: {list(script)}"
         )
     return reference
 
@@ -221,12 +211,12 @@ def check(world: World, script: Sequence[tuple]) -> Run:
 def fig1(num_nodes: int, edges) -> Callable[[], tuple]:
     """The Fig. 1 KB and CKB (``conftest.build_tiny_ckb``) over a follow graph."""
     return lambda: (
-        build_tiny_ckb(build_tiny_kb()), DiGraph.from_edges(num_nodes, edges), None
+        build_tiny_ckb(build_tiny_kb()), DiGraph(num_nodes, edges), None
     )
 
 
-def test_lattice_has_36_configurations_led_by_the_reference():
-    assert len(set(LATTICE)) == 36
+def test_lattice_has_24_configurations_led_by_the_reference():
+    assert len(set(LATTICE)) == 24
     assert str(LATTICE[0]) == "closure·link·uncached·warm"
 
 
@@ -256,15 +246,14 @@ _op = st.one_of(
         st.lists(st.tuples(_entities, _users, _times), min_size=1, max_size=3).map(tuple),
     ),
     st.tuples(st.just("surface"), st.sampled_from(_ALIASES + _SURFACES), _entities),
-    st.tuples(st.just("edge"), _users, _users).filter(lambda op: op[1] != op[2]),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_op, max_size=24), st.sampled_from(VARIANTS))
 def test_random_scripts_on_the_fig1_world(script, world_variant):
-    """Links, confirms (known and unknown authors), direct and bulk writes,
-    new surfaces and new follow edges in any order, then every surface."""
+    """Links, confirms (known and unknown authors), direct and bulk writes
+    and new surfaces in any order, then every surface."""
     sweep = [("link", surface, 11, 12 * DAY) for surface in _SURFACES]
     check(variant(FIG1, *world_variant), script + sweep)
 
@@ -280,7 +269,7 @@ def test_random_scripts_on_the_fig1_world(script, world_variant):
 TIE = World(
     lambda: (
         jordan_world([(e, 20 + e, ts * DAY) for ts in range(3) for e in (0, 1)])[0],
-        DiGraph.from_edges(
+        DiGraph(
             22,
             [(0, f) for f in (1, 2, 3, 4, 5)]
             + [(1, 6), (6, 20), (2, 7), (7, 20), (3, 8), (8, 20), (4, 21), (5, 21)],
@@ -294,7 +283,7 @@ TIE = World(
 @pytest.mark.parametrize("world_variant", VARIANTS)
 def test_eq4_tie_breaks_by_entity_id(world_variant):
     """Eq. 1 ties and ascending entity id decides, on every provider,
-    because Eq. 4 is rounded in one place."""
+    because Eq. 4 is rounded in one place (the online BFS oracle too)."""
     world = variant(TIE, *world_variant)
     reference = check(world, [("link", "jordan", 0, 10 * DAY)])
     assert reference.outcomes[0][0][0].entity_id == 0
@@ -417,7 +406,7 @@ def test_small_context_confirming_each_best(small_context, world_variant):
     time, each best confirmed after its batch.  Every configuration
     restores its own CKB; the graph and the recency network are read-only
     here, so they are shared.  Two variants (the world's parameters and
-    both flipped) keep the file near 11 s: each is 720 restores."""
+    both flipped) keep the file near 11 s: each is 480 restores."""
     graph = small_context.world.graph
     world = variant(
         World(

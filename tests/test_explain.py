@@ -12,8 +12,12 @@ from conftest import JORDAN_LINKS, jordan_world
 
 @pytest.fixture
 def linker(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)  # Alice follows @NBAOfficial
+    graph = DiGraph(
+        13,
+        [
+            (0, 10),  # Alice follows @NBAOfficial
+        ],
+    )
     return SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )

@@ -11,8 +11,7 @@ from repro.graph.digraph import DiGraph
 
 @pytest.fixture
 def session(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)
+    graph = DiGraph(13, [(0, 10)])
     linker = SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )

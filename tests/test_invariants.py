@@ -35,7 +35,7 @@ SCORING_MODULES = (
 )
 EPOCH_MUTATOR_METHODS = frozenset({
     "add_entity", "add_surface_form", "add_hyperlink", "link_tweet",
-    "bulk_link", "add_edge",
+    "bulk_link",
 })
 #: Functions of the ``random`` module that use its shared global state.
 RANDOM_FUNCTIONS = frozenset({

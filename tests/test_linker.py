@@ -28,12 +28,7 @@ def social_graph():
     """User 0 follows @NBAOfficial (10); user 5 follows the ML expert (11);
     user 6 follows nobody (isolated information seeker), and neither do
     users 13–40, the new authors the feedback tests confirm links for."""
-    graph = DiGraph(41)
-    graph.add_edge(0, 10)
-    graph.add_edge(5, 11)
-    graph.add_edge(1, 10)
-    graph.add_edge(1, 12)
-    return graph
+    return DiGraph(41, [(0, 10), (5, 11), (1, 10), (1, 12)])
 
 
 def by_definition(ckb, candidates, k):

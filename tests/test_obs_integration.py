@@ -36,9 +36,7 @@ def clean_observability():
 
 @pytest.fixture
 def linker(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)
-    graph.add_edge(5, 11)
+    graph = DiGraph(13, [(0, 10), (5, 11)])
     return SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )

@@ -10,9 +10,13 @@ from repro.graph.digraph import DiGraph
 
 @pytest.fixture
 def linker(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)  # Alice follows @NBAOfficial
-    graph.add_edge(5, 11)  # Bob follows the ML expert
+    graph = DiGraph(
+        13,
+        [
+            (0, 10),  # Alice follows @NBAOfficial
+            (5, 11),  # Bob follows the ML expert
+        ],
+    )
     return SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )

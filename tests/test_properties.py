@@ -410,7 +410,7 @@ class TestOnePassReachability:
         )
         from repro.testing.oracles import weighted_reachability_from_per_target
 
-        graph = DiGraph.from_edges(12, edges)
+        graph = DiGraph(12, edges)
         one_pass = weighted_reachability_from(graph, source, max_hops=max_hops)
         per_target = weighted_reachability_from_per_target(
             graph, source, max_hops=max_hops
@@ -427,7 +427,7 @@ class TestOnePassReachability:
         from repro.graph.digraph import DiGraph
         from repro.graph.reachability import weighted_reachability_from
 
-        graph = DiGraph.from_edges(12, edges)
+        graph = DiGraph(12, edges)
         scores = weighted_reachability_from(graph, source)
         assert source not in scores
         for target in graph.out_neighbors(source):

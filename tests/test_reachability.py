@@ -31,16 +31,16 @@ class TestWeightedReachability:
 
     def test_more_connecting_followees_raise_reachability(self):
         # u follows a, b, c; only a reaches v vs. a and b reach v.
-        sparse = DiGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
-        dense = DiGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
+        sparse = DiGraph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+        dense = DiGraph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
         assert weighted_reachability(dense, 0, 4) > weighted_reachability(
             sparse, 0, 4
         )
 
     def test_shorter_distance_raises_reachability(self):
         # identical followee fractions, different path lengths
-        two_hop = DiGraph.from_edges(3, [(0, 1), (1, 2)])
-        three_hop = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        two_hop = DiGraph(3, [(0, 1), (1, 2)])
+        three_hop = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert weighted_reachability(two_hop, 0, 2) > weighted_reachability(
             three_hop, 0, 3
         )

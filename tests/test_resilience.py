@@ -58,12 +58,7 @@ TINY_USERS = 13
 
 @pytest.fixture
 def social_graph():
-    graph = DiGraph(TINY_USERS)
-    graph.add_edge(0, 10)
-    graph.add_edge(5, 11)
-    graph.add_edge(1, 10)
-    graph.add_edge(1, 12)
-    return graph
+    return DiGraph(TINY_USERS, [(0, 10), (5, 11), (1, 10), (1, 12)])
 
 
 def make_linker(ckb, graph, **kwargs):

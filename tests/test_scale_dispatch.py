@@ -6,9 +6,9 @@
 differential harness's claim (``tests/test_differential.py``); these
 tests pin the selection around the threshold, the ``index.selected``
 trace breadcrumb and the serving tenants' use of the same dispatch.
-They also pin the shelf itself: ``repro.graph`` ships three providers, and
-every one of them answers Eq. 4 like the ground truth and the oracles of
-:mod:`repro.testing.oracles`.
+They also pin the shelf itself: ``repro.graph`` ships two providers, and
+each of them, like the cached online BFS oracle, answers Eq. 4 like the
+ground truth and the other oracles of :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import repro.graph
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.graph.compact_labels import CompactTwoHopCover
 from repro.graph.dispatch import build_reachability_index
-from repro.graph.online import OnlineReachability
 from repro.graph.reachability import reachability_weight, weighted_reachability
 from repro.graph.transitive_closure import TransitiveClosure
 from repro.obs.trace import TRACE
 from repro.testing.oracles import (
+    OnlineReachability,
     build_transitive_closure_naive,
     build_two_hop_cover,
     weighted_reachability_from_per_target,
@@ -55,7 +55,7 @@ def _selection_events():
     ]
 
 
-SHIPPED_PROVIDERS = {
+PROVIDERS = {
     "closure": lambda graph, hops: build_reachability_index(
         graph, LinkerConfig(index_backend="closure", max_hops=hops)
     ),
@@ -67,13 +67,13 @@ SHIPPED_PROVIDERS = {
 
 
 class TestShippedShelf:
-    """Three providers, one protocol, one answer to Eq. 4."""
+    """Two shipped providers and the online oracle, one protocol, one
+    answer to Eq. 4."""
 
     def test_graph_exports_are_pinned(self):
         assert sorted(repro.graph.__all__) == [
             "CompactTwoHopCover",
             "DiGraph",
-            "OnlineReachability",
             "SocialGraphConfig",
             "StreamingChunk",
             "StreamingWorldProfile",
@@ -90,7 +90,7 @@ class TestShippedShelf:
             "weighted_reachability",
         ]
 
-    @pytest.mark.parametrize("provider", sorted(SHIPPED_PROVIDERS))
+    @pytest.mark.parametrize("provider", sorted(PROVIDERS))
     @pytest.mark.parametrize(
         "nodes, edges, seed, hops", [(14, 40, 2, 4), (22, 110, 5, 3), (30, 70, 9, 2)]
     )
@@ -98,7 +98,7 @@ class TestShippedShelf:
         self, provider, nodes, edges, seed, hops
     ):
         graph = random_graph(nodes, edges, seed)
-        index = SHIPPED_PROVIDERS[provider](graph, hops)
+        index = PROVIDERS[provider](graph, hops)
         naive = build_transitive_closure_naive(graph, max_hops=hops)
         cover = build_two_hop_cover(graph, max_hops=hops)
         for s in graph.nodes():

@@ -74,9 +74,13 @@ class TestQueryParser:
 
 @pytest.fixture
 def engine(tiny_ckb):
-    graph = DiGraph(13)
-    graph.add_edge(0, 10)  # Alice follows @NBAOfficial
-    graph.add_edge(5, 11)  # Bob follows the ML expert
+    graph = DiGraph(
+        13,
+        [
+            (0, 10),  # Alice follows @NBAOfficial
+            (5, 11),  # Bob follows the ML expert
+        ],
+    )
     linker = SocialTemporalLinker(
         tiny_ckb,
         graph,

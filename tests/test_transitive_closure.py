@@ -71,14 +71,14 @@ class TestIncrementalMatchesExact:
     @settings(max_examples=60, deadline=None)
     def test_property_random_graphs(self, spec):
         num_nodes, edges = spec
-        graph = DiGraph.from_edges(num_nodes, edges)
+        graph = DiGraph(num_nodes, edges)
         closure = build_transitive_closure_incremental(graph, max_hops=4)
         assert_closure_matches_exact(graph, closure, 4)
 
     def test_wide_hub(self):
         """Node 0 follows 1..300, and each of them follows 301, so
         ``|F_uv| = 300`` for (0, 301): more than a byte can tally."""
-        graph = DiGraph.from_edges(
+        graph = DiGraph(
             302, [(0, f) for f in range(1, 301)] + [(f, 301) for f in range(1, 301)]
         )
         closure = build_transitive_closure_incremental(graph, max_hops=2)
@@ -109,7 +109,7 @@ class TestTileSeams:
     @settings(max_examples=40, deadline=None)
     def test_property_random_graphs(self, tile, spec):
         num_nodes, edges = spec
-        graph = DiGraph.from_edges(num_nodes, edges)
+        graph = DiGraph(num_nodes, edges)
         closure = build_tiled(graph, tile)
         assert_closure_matches_exact(graph, closure, 4)
         assert_diagonal_clear(closure)
@@ -136,7 +136,7 @@ class TestTileSeams:
     def test_rows_with_zero_out_degree(self, tile):
         """Sinks 2, 4, 6, 7 and 8 have no followee slot, so some row tiles
         sum nothing in."""
-        graph = DiGraph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 0), (5, 3)])
+        graph = DiGraph(9, [(0, 1), (1, 2), (3, 4), (5, 0), (5, 3)])
         closure = build_tiled(graph, tile)
         assert_closure_matches_exact(graph, closure, 4)
         for sink in (2, 4, 6, 7, 8):
@@ -146,7 +146,7 @@ class TestTileSeams:
         """Out-degrees 0 3 1 0 2 4 0 1 2 0: each tile sorts its rows by
         degree to slice its followee slots, and every row's tally must
         land back on its own index, sinks included."""
-        graph = DiGraph.from_edges(
+        graph = DiGraph(
             10,
             [(1, 2), (1, 5), (1, 8), (2, 6), (4, 1), (4, 9), (5, 0), (5, 3)]
             + [(5, 7), (5, 2), (7, 4), (8, 5), (8, 7)],
@@ -158,7 +158,7 @@ class TestTileSeams:
     def test_reach_saturates_before_max_hops(self, tile):
         """On a 5-cycle every pair is set by hop 4; hop 5 finds nothing
         fresh and the build stops instead of running to hop 255."""
-        graph = DiGraph.from_edges(5, [(u, (u + 1) % 5) for u in range(5)])
+        graph = DiGraph(5, [(u, (u + 1) % 5) for u in range(5)])
         hops = []
         iterate = transitive_closure._iterate
 

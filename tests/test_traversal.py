@@ -19,7 +19,7 @@ class TestBfsDistances:
         assert 0 not in bfs_distances(diamond_graph, 0, max_hops=4)
 
     def test_unreachable_nodes_absent(self):
-        graph = DiGraph.from_edges(3, [(0, 1)])
+        graph = DiGraph(3, [(0, 1)])
         assert 2 not in bfs_distances(graph, 0, max_hops=5)
 
     def test_directionality(self, chain_graph):
@@ -39,7 +39,7 @@ class TestShortestPathDag:
     def test_only_shortest_predecessors_recorded(self):
         # 0->1->3 and 0->2->4->3: node 3 reachable at distance 2 and 3;
         # only the distance-2 predecessor counts.
-        graph = DiGraph.from_edges(5, [(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)])
+        graph = DiGraph(5, [(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)])
         dist, preds = shortest_path_dag(graph, 0, max_hops=4)
         assert dist[3] == 2
         assert preds[3] == [1]
@@ -63,7 +63,7 @@ class TestFolloweesOnShortestPaths:
 
     def test_three_hop_path(self):
         # 0 -> 1 -> 2 -> 3 plus shortcut 0 -> 4 -> 3 (also length... 2 hops via 4)
-        graph = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+        graph = DiGraph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
         dist, preds = shortest_path_dag(graph, 0, max_hops=4)
         assert dist[3] == 2
         followees = followees_on_shortest_paths(graph, 0, dist, preds, 3)

@@ -71,7 +71,7 @@ class TestDistances:
     @settings(max_examples=60, deadline=None)
     def test_property_distances_exact(self, spec):
         num_nodes, edges = spec
-        graph = DiGraph.from_edges(num_nodes, edges)
+        graph = DiGraph(num_nodes, edges)
         cover = build_two_hop_cover(graph, max_hops=4)
         assert_distances_exact(graph, cover, 4)
 
@@ -88,7 +88,7 @@ class TestFolloweeSets:
     @settings(max_examples=60, deadline=None)
     def test_property_subset_of_exact(self, spec):
         num_nodes, edges = spec
-        graph = DiGraph.from_edges(num_nodes, edges)
+        graph = DiGraph(num_nodes, edges)
         cover = build_two_hop_cover(graph, max_hops=4)
         for u in graph.nodes():
             for v in graph.nodes():
@@ -138,7 +138,7 @@ class TestReachability:
     def test_property_label_mode_bounds(self, spec):
         """Label-recovered R is positive iff reachable and never exceeds Eq. 4."""
         num_nodes, edges = spec
-        graph = DiGraph.from_edges(num_nodes, edges)
+        graph = DiGraph(num_nodes, edges)
         cover = build_two_hop_cover(graph, max_hops=4)
         for u in graph.nodes():
             for v in graph.nodes():
@@ -183,10 +183,11 @@ class TestLandmarkOrdering:
         import random as _random
 
         rng = _random.Random(3)
-        graph = DiGraph(60)
+        edges = []
         for node in range(5, 60):
-            graph.add_edge(node, rng.randrange(5))        # follow a hub
-            graph.add_edge(rng.randrange(5), node)        # hub follows back
+            edges.append((node, rng.randrange(5)))        # follow a hub
+            edges.append((rng.randrange(5), node))        # hub follows back
+        graph = DiGraph(60, edges)
         degree_cover = build_two_hop_cover(graph, order="degree")
         random_cover = build_two_hop_cover(graph, order="random", seed=9)
         assert degree_cover.num_label_entries() <= random_cover.num_label_entries()
