@@ -3,7 +3,7 @@
 Paper: the entropy estimator beats the tf-idf one because it tolerates an
 influential user's occasional off-community posting.  Expected shape:
 entropy ≥ tf-idf on both accuracy metrics; the gap is small (as in the
-paper).  Note the estimator is instantiated as ``share / (1 + entropy)`` —
+paper).  Note the estimator is instantiated as ``share / (2 + entropy)`` —
 the literal ``1/entropy`` of Eq. 7 is undefined at zero and any vanishing
 epsilon inverts the intended ranking (DESIGN.md §5).
 """

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Streaming entity linking with online knowledge updates.
 
-Replays the test stream chronologically through the interactive session of
-Appendix D: confident links update the complemented knowledgebase on the
-fly (communities, counts, recency window); low-confidence mentions abstain
-instead of force-linking.  Prints running accuracy and latency — the
-real-time scenario of Sec. 5.2.2.
+Replays the test stream chronologically through Appendix D's loop:
+confident links update the complemented knowledgebase on the fly
+(communities, counts, recency window); mentions with no candidate above
+the no-interest bound abstain instead of force-linking.  Prints running
+accuracy and latency — the real-time scenario of Sec. 5.2.2.
 
 Run:  python examples/streaming_linking.py
 """
 
 import time
 
-from repro.core.feedback import FeedbackOutcome, InteractiveLinkingSession
 from repro.eval.context import build_experiment
 from repro.stream.generator import StreamProfile, SyntheticWorld
 
@@ -22,22 +21,24 @@ def main() -> None:
     world = SyntheticWorld.generate(stream_profile=StreamProfile(seed=13))
     context = build_experiment(world=world, complement_method="collective")
     linker = context.social_temporal()._linker
-    session = InteractiveLinkingSession(linker)
+    bound = linker.config.no_interest_bound
 
     correct = total = abstained = 0
     started = time.perf_counter()
     dataset = context.test_dataset
     for tweet in dataset.tweets:
         for mention in tweet.mentions:
-            round_ = session.propose(mention.surface, tweet.user, tweet.timestamp)
+            result = linker.link(mention.surface, tweet.user, tweet.timestamp)
+            proposals = result.top_k(1, threshold=bound)
             total += 1
-            if round_.outcome is FeedbackOutcome.LINKED:
-                prediction = round_.proposals[0].entity_id
-                if prediction == mention.true_entity:
+            if proposals:
+                if proposals[0].entity_id == mention.true_entity:
                     correct += 1
                 # the "tweet author confirms" loop of Appendix D — here the
                 # generator's ground truth plays the author
-                session.confirm(round_, mention.true_entity, tweet.tweet_id)
+                linker.confirm_link(
+                    mention.true_entity, tweet.user, tweet.timestamp, tweet.tweet_id
+                )
             else:
                 abstained += 1
     elapsed = time.perf_counter() - started

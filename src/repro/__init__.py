@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.core import (
     CandidateGenerator,
-    InteractiveLinkingSession,
     LinkResult,
     RecencyPropagationNetwork,
     ScoredCandidate,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_MAX_HOPS",
     "DiGraph",
     "IndexUnavailableError",
-    "InteractiveLinkingSession",
     "KBProfile",
     "Knowledgebase",
     "LinkRequest",

@@ -7,8 +7,6 @@ ablation experiments and reuse.
 
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.candidates import CandidateGenerator
-from repro.core.explain import LinkExplanation, explain_link
-from repro.core.feedback import FeedbackOutcome, InteractiveLinkingSession
 from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.core.influence import entropy_influence, tfidf_influence, top_influential_users
 from repro.core.interest import ReachabilityProvider, user_interest
@@ -20,14 +18,10 @@ from repro.core.scoring import ScoredCandidate, combine_scores
 __all__ = [
     "AnnotatedText",
     "CandidateGenerator",
-    "FeedbackOutcome",
-    "InteractiveLinkingSession",
-    "LinkExplanation",
     "LinkRequest",
     "LinkResult",
     "MicroBatchLinker",
     "TextLinkingPipeline",
-    "explain_link",
     "MentionResult",
     "ReachabilityProvider",
     "RecencyPropagationNetwork",

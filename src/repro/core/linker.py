@@ -109,16 +109,11 @@ def record_link_outcome(
 ) -> None:
     """Record the terminal metrics and root-span attributes for one link.
 
-    ``abstained`` follows Appendix D exactly as the pipeline applies it:
-    an empty candidate set abstains, and a full-fidelity best score at or
-    below the no-interest bound ``β + γ`` abstains — but a *degraded*
-    result never measured interest, so the bound is not evidence of an
-    unknown meaning and the flag stays ``False``.
+    ``abstained`` is Appendix D's rule as :meth:`LinkResult.top_k` applies
+    it: no candidate survives the no-interest bound ``β + γ``.
     """
     best = result.best
-    abstained = best is None or (
-        result.degradation is None and best.score <= config.no_interest_bound
-    )
+    abstained = not result.top_k(1, threshold=config.no_interest_bound)
     if abstained:
         METRICS.incr("link.abstained")
     if best is not None:
@@ -164,14 +159,17 @@ class LinkResult:
         return self.ranked[0] if self.ranked else None
 
     def top_k(self, k: int, threshold: Optional[float] = None) -> List[ScoredCandidate]:
-        """Top-k candidates, optionally dropping scores ≤ ``threshold``.
+        """Top-k candidates; a full-fidelity result drops scores ≤ ``threshold``.
 
-        Passing ``config.no_interest_bound`` implements the Appendix-D
-        false-positive guard for not-yet-known entity meanings.
+        Passing ``config.no_interest_bound`` applies Appendix D: a candidate
+        at or under ``β + γ`` with *measured* interest is a not-yet-known
+        meaning and is not linked.  A degraded result never measured
+        interest (every score is ≤ ``β + γ`` by construction), so it keeps
+        its ``β·S_r + γ·S_p`` ranking whatever ``threshold`` is.
         """
         selected = self.ranked[:k]
-        if threshold is not None:
-            selected = tuple(c for c in selected if c.score > threshold)
+        if threshold is not None and self.degradation is None:
+            return [c for c in selected if c.score > threshold]
         return list(selected)
 
 

@@ -4,9 +4,9 @@ The evaluation harness replays *planted* mentions (the paper's inputs are
 "an entity mention along with its author"); a downstream consumer has only
 raw text.  :class:`TextLinkingPipeline` chains the knowledge-based NER of
 Appendix A (longest-cover gazetteer over the KB mention vocabulary) with
-candidate generation and the social-temporal linker, and optionally feeds
-confirmed links back into the complemented KB (the online update loop of
-Sec. 3.2.2).
+candidate generation and the social-temporal linker.  It only reads: each
+span carries the linker's full ranking, and writing a link back is the
+caller's :meth:`~repro.core.linker.SocialTemporalLinker.confirm_link`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class AnnotatedText:
     spans: List[LinkedSpan]
 
     def entities(self) -> List[int]:
-        """Linked entity ids in reading order (skipping abstentions)."""
+        """Linked entity ids in reading order (skipping spans with no candidate)."""
         return [span.entity_id for span in self.spans if span.entity_id is not None]
 
     @property
@@ -76,20 +76,10 @@ class TextLinkingPipeline:
     """NER + candidate generation + social-temporal linking over raw text."""
 
     def __init__(
-        self,
-        linker: SocialTemporalLinker,
-        ner: Optional[GazetteerNER] = None,
-        abstain_below_bound: bool = False,
-        auto_confirm: bool = False,
+        self, linker: SocialTemporalLinker, ner: Optional[GazetteerNER] = None
     ) -> None:
-        """``abstain_below_bound`` applies the Appendix-D no-interest
-        threshold (spans scoring ≤ β+γ are left unlinked);
-        ``auto_confirm`` writes every linked span back into the
-        complemented KB (streaming self-training — use with care)."""
         self._linker = linker
         self._ner = ner or GazetteerNER(linker.ckb.kb.mentions())
-        self._abstain = abstain_below_bound
-        self._auto_confirm = auto_confirm
 
     @property
     def ner(self) -> GazetteerNER:
@@ -98,24 +88,12 @@ class TextLinkingPipeline:
     def annotate(self, text: str, user: int, now: float) -> AnnotatedText:
         """Recognize and link every mention in ``text``."""
         spans: List[LinkedSpan] = []
-        config = self._linker.config
         METRICS.incr("pipeline.texts")
         with TRACE.span("pipeline.annotate", user=user) as root:
             for mention in self._ner.recognize(text):
                 METRICS.incr("pipeline.mentions")
                 result = self._linker.link(mention.surface, user=user, now=now)
-                if self._abstain and result.ranked and not result.degraded:
-                    # A degraded result never measured interest, so the
-                    # Appendix-D bound (which presumes it was measured as
-                    # absent) does not apply — see the same rule in search.
-                    kept = result.top_k(
-                        config.top_k, threshold=config.no_interest_bound
-                    )
-                    if not kept:
-                        result = dataclasses.replace(result, ranked=())
                 spans.append(LinkedSpan(mention=mention, result=result))
-                if self._auto_confirm and result.best is not None:
-                    self._linker.confirm_link(result.best.entity_id, user, now)
             if root.recording:
                 root.set_attribute("mentions", len(spans))
         return AnnotatedText(text=text, user=user, timestamp=now, spans=spans)

@@ -15,7 +15,6 @@ from repro.kb.checkpoint import (
     snapshot,
 )
 from repro.kb.complemented import ComplementedKnowledgebase, LinkedTweet
-from repro.kb.deletion_index import DeletionIndex
 from repro.kb.entity import Entity, EntityCategory
 from repro.kb.knowledgebase import Knowledgebase
 from repro.kb.surface_index import SegmentIndex
@@ -23,7 +22,6 @@ from repro.kb.wlm import wlm_relatedness
 
 __all__ = [
     "ComplementedKnowledgebase",
-    "DeletionIndex",
     "Entity",
     "EntityCategory",
     "KBProfile",

@@ -89,12 +89,9 @@ class PersonalizedSearchEngine:
         for surface in parsed.mentions:
             result = self._linker.link(surface, user=user, now=now)
             degraded = degraded or result.degraded
-            # The Appendix-D bound filters candidates whose interest was
-            # *measured* as absent; a degraded result never measured it
-            # (every score is ≤ β+γ by construction), so applying the
-            # threshold would blank entity search for the whole outage.
-            threshold = None if result.degraded else config.no_interest_bound
-            linked.extend(result.top_k(config.top_k, threshold=threshold))
+            linked.extend(
+                result.top_k(config.top_k, threshold=config.no_interest_bound)
+            )
         if not linked:
             hits = self._keyword_fallback(parsed, now, limit)
             return SearchResponse(

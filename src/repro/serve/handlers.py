@@ -401,10 +401,9 @@ def _render_link(tenant: Tenant, result: LinkResult, top_k: int) -> Dict[str, ob
     config: LinkerConfig = tenant.linker.config
     selected = result.top_k(top_k, threshold=config.no_interest_bound)
     best = selected[0] if selected else None
-    # Degradation dominates the outcome label: a degraded score tops out
-    # at β+γ — exactly the no-interest bound — so the candidate list is
-    # usually empty and the interesting fact is *why* (Appendix D), not
-    # that the bound did its job.
+    # Degradation dominates the outcome label: a degraded reply names the
+    # top entity of the β·S_r + γ·S_p ranking (top_k does not bound-filter
+    # it), and the interesting fact is *why* interest went unmeasured.
     if result.degraded:
         outcome = "degraded"
     elif best is None:

@@ -2,6 +2,7 @@
 
 from repro.eval.metrics import (
     accuracy_by_category,
+    accuracy_by_connectivity,
     accuracy_by_tweet_length,
     mention_and_tweet_accuracy,
 )
@@ -90,3 +91,32 @@ class TestByCategory:
         accuracy = accuracy_by_category(tweets, {1: [0, 99]}, kb)
         assert accuracy["Person"] == 1.0
         assert accuracy["Location"] == 0.0
+
+
+class TestConnectivityMetric:
+    def test_buckets_partition_users(self, small_context):
+        run = small_context.social_temporal().run(small_context.test_dataset)
+        buckets = accuracy_by_connectivity(
+            small_context.test_dataset.tweets,
+            run.predictions,
+            small_context.world.graph,
+        )
+        total = sum(report.num_tweets for report in buckets.values())
+        assert total == sum(
+            1
+            for t in small_context.test_dataset.tweets
+            if t.labeled_mentions()
+        )
+
+    def test_connected_users_gain_from_social_context(self, small_context):
+        run = small_context.social_temporal().run(small_context.test_dataset)
+        buckets = accuracy_by_connectivity(
+            small_context.test_dataset.tweets,
+            run.predictions,
+            small_context.world.graph,
+            thresholds=(0, 3),
+        )
+        isolated = buckets.get("followees 0-2")
+        connected = buckets.get("followees 3+")
+        if isolated and connected and isolated.num_mentions > 30:
+            assert connected.mention_accuracy > isolated.mention_accuracy

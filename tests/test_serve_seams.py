@@ -205,6 +205,11 @@ class TestTaxonomyErrors:
         assert (status, document["outcome"]) == (200, "degraded")
         assert document["degradation"] == DEGRADING[error]
         assert document_problems(status, document) == []
+        # a degraded reply names the top of the β·S_r + γ·S_p ranking
+        request = json.loads(body)
+        result = tenant.linker.link(request["surface"], request["user"], request["now"])
+        assert result.degraded
+        assert document["entity"] == result.best.entity_id
 
     def test_tripped_breaker_still_degrades(self, served, monkeypatch):
         app, tenant, body = served
