@@ -9,6 +9,7 @@ from repro.search.engine import PersonalizedSearchEngine
 from repro.search.query import QueryParser
 from repro.search.store import TweetStore
 from repro.stream.tweet import MentionSpan, Tweet
+from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider
 
 
 def make_tweet(tweet_id, user, timestamp, text):
@@ -152,6 +153,25 @@ class TestEngine:
         response = engine.search("jordan", user=6, now=100 * DAY)
         assert response.used_fallback
         assert response.linked_entities == []
+
+    def test_degraded_search_links_the_ranking(self, engine, tiny_ckb):
+        """With the index down no interest is measured, so the bound does
+        not apply: the isolated user's query links the top of the
+        ``β·S_r + γ·S_p`` ranking instead of falling back to keywords."""
+        healthy = engine._linker
+        failing = FlakyReachabilityProvider(
+            healthy.reachability_provider, FaultSchedule(error_rate=1.0)
+        )
+        linker = SocialTemporalLinker(
+            tiny_ckb, healthy.graph, config=healthy.config, reachability=failing
+        )
+        degraded = PersonalizedSearchEngine(linker, engine._store)
+        response = degraded.search("jordan", user=6, now=100 * DAY)
+        result = linker.link("jordan", user=6, now=100 * DAY)
+        assert response.degraded and not response.used_fallback
+        assert response.linked_entities == result.top_k(linker.config.top_k)
+        assert response.hits
+        assert all(hit.entity_id == result.best.entity_id for hit in response.hits)
 
     def test_engine_validation(self, engine):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,9 +70,21 @@ class TestLookup:
         index.add("x y")
         assert len(index) == 1
 
-    def test_negative_max_edits_rejected(self):
-        import pytest
+    def test_case_and_whitespace_normalised(self):
+        index = SegmentIndex(["  Jordan "], max_edits=1)
+        index.add("JORDAN")
+        index.add("   ")
+        assert len(index) == 1
+        assert index.lookup(" JORDON") == ["jordan"]
 
+    @pytest.mark.parametrize("k, entries", [(0, 3), (1, 6), (2, 7)])
+    def test_one_inverted_entry_per_segment(self, k, entries):
+        """A surface of at least ``k + 1`` characters is filed under its
+        ``k + 1`` segments; a shorter one sits once in the short bucket."""
+        index = SegmentIndex(["jordan", "bulls", "ab"], max_edits=k)
+        assert index.num_index_entries() == entries
+
+    def test_negative_max_edits_rejected(self):
         with pytest.raises(ValueError):
             SegmentIndex([], max_edits=-1)
 
