@@ -33,13 +33,13 @@ def test_ablation_reachability_provider(benchmark, contexts, report):
     closure = context.reachability_index
     build_times["transitive closure"] = time.perf_counter() - started
     started = time.perf_counter()
-    cover = build_compact_two_hop_cover(context.world.graph, context.config.max_hops)
+    cover = build_compact_two_hop_cover(context.world.graph)
     build_times["2-hop cover"] = time.perf_counter() - started
 
     providers = {
         "transitive closure": closure,
         "2-hop cover": cover,
-        "online BFS": OnlineReachability(context.world.graph, context.config.max_hops),
+        "online BFS": OnlineReachability(context.world.graph),
     }
     rows = []
     accuracies = {}

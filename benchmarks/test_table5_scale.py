@@ -24,7 +24,7 @@ import platform
 import random
 import time
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, DEFAULT_MAX_HOPS
 from repro.eval.reporting import format_table
 from repro.graph.compact_labels import build_compact_two_hop_cover
 from repro.graph.dispatch import build_reachability_index
@@ -94,9 +94,9 @@ def _tier(users: int):
     identical = None
     if users <= IDENTITY_CAP:
         started = time.perf_counter()
-        compact = build_compact_two_hop_cover(graph, DEFAULT_CONFIG.max_hops)
+        compact = build_compact_two_hop_cover(graph, DEFAULT_MAX_HOPS)
         compact_build_s = round(time.perf_counter() - started, 3)
-        oracle = build_two_hop_cover(graph, DEFAULT_CONFIG.max_hops)
+        oracle = build_two_hop_cover(graph, DEFAULT_MAX_HOPS)
         compact_bytes = compact.size_bytes()
         dict_cover_bytes = oracle.size_bytes()
         identical = all(
@@ -131,7 +131,7 @@ def _tier(users: int):
 def _one_pass_row(graph):
     sources = sorted(graph.nodes(), key=graph.out_degree, reverse=True)
     sources = sources[:BUSIEST_SOURCES]
-    hops = DEFAULT_CONFIG.max_hops
+    hops = DEFAULT_MAX_HOPS
     started = time.perf_counter()
     per_target = [
         weighted_reachability_from_per_target(graph, s, hops) for s in sources

@@ -2,7 +2,7 @@
 """Weighted-reachability index trade-offs on a synthetic follow graph.
 
 ``build_reachability_index`` is how the library obtains an index: the
-extended transitive closure (Algorithm 1) up to ``closure_max_nodes``
+extended transitive closure (Algorithm 1) up to ``CLOSURE_MAX_NODES``
 users, the compact 2-hop cover (distance labels + Theorem 1) above.  This
 script forces each backend over the same follow network and reports
 the Table-5 trade-off: the closure answers queries fastest, the 2-hop

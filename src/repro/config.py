@@ -1,18 +1,23 @@
-"""Default parameters of the entity-linking framework.
+"""Parameters of the entity-linking framework.
 
-The values mirror Table 3 of the paper ("Default values of parameters"):
+Table 3 of the paper ("Default values of parameters") and Eq. 11's
+restart probability, each with the value this library ships and where
+that value lives: a lower-case name is a :class:`LinkerConfig` field, an
+option a caller may set; an upper-case name is a constant of this module,
+the one value in use (``tests/test_config.py`` checks every row):
 
-====================  =====  ==========================================
-parameter             value  meaning
-====================  =====  ==========================================
-``alpha``             0.6    weight of user interest :math:`S_{in}`
-``beta``              0.3    weight of entity recency :math:`S_r`
-``gamma``             0.1    weight of entity popularity :math:`S_p`
-``window``            3 d    sliding window :math:`\\tau` for recency
-``burst_threshold``   10     :math:`\\theta_1`, min recent tweets for a burst
-``relatedness_threshold`` 0.6 :math:`\\theta_2`, min WLM weight kept in the
-                             recency propagation network
-====================  =====  ==========================================
+======  =====  =======  ======================  ===========================================
+symbol  paper  shipped  lives in                meaning
+======  =====  =======  ======================  ===========================================
+α       0.6    0.6      alpha                   weight of user interest :math:`S_{in}`
+β       0.3    0.3      beta                    weight of entity recency :math:`S_r`
+γ       0.1    0.1      gamma                   weight of entity popularity :math:`S_p`
+τ       3 d    3 d      window                  sliding window for recency
+θ1      10     3        burst_threshold         min recent tweets for a burst (DESIGN.md §5)
+θ2      0.6    0.6      RELATEDNESS_THRESHOLD   min WLM weight kept in the propagation network
+λ       —      0.5      PROPAGATION_LAMBDA      restart probability of Eq. 11 (not in Table 3)
+H       —      4        DEFAULT_MAX_HOPS        max hops of weighted reachability
+======  =====  =======  ======================  ===========================================
 
 The paper's Eq. 1 and Table 3 disagree on which of ``beta``/``gamma`` is
 recency vs. popularity; we follow Table 3 (and Table 4 / Appendix D, which
@@ -38,6 +43,21 @@ DEFAULT_MAX_HOPS = 4
 #: DESIGN.md §5); the paper's value is kept for reference and tests.
 PAPER_BURST_THRESHOLD = 10
 
+#: :math:`\theta_2` — minimum WLM relatedness kept in the recency
+#: propagation network.
+RELATEDNESS_THRESHOLD = 0.6
+
+#: :math:`\lambda` — restart probability in recency propagation (Eq. 11).
+PROPAGATION_LAMBDA = 0.5
+
+#: Edit-distance threshold of fuzzy candidate generation.
+FUZZY_EDIT_DISTANCE = 1
+
+#: ``index_backend="auto"`` node threshold: at or below it the closure's
+#: O(1) lookups win; above it the |V|² matrix stops fitting and the
+#: compact 2-hop cover takes over.
+CLOSURE_MAX_NODES = 2000
+
 
 @dataclasses.dataclass(frozen=True)
 class LinkerConfig:
@@ -59,22 +79,12 @@ class LinkerConfig:
     #: Paper default is 10 at ~240k tweets/day (``PAPER_BURST_THRESHOLD``);
     #: scaled to the synthetic stream density used throughout this repo.
     burst_threshold: int = 3
-    #: :math:`\theta_2` — minimum WLM relatedness kept in the propagation net.
-    relatedness_threshold: float = 0.6
-    #: :math:`\lambda` — restart probability in recency propagation (Eq. 11).
-    propagation_lambda: float = 0.5
-    #: Maximum hops ``H`` considered for weighted reachability.
-    max_hops: int = DEFAULT_MAX_HOPS
     #: Number of influential users kept per community (:math:`|U^*_e|`).
     influential_users: int = 3
     #: Influence estimator: ``"entropy"`` (Eq. 7) or ``"tfidf"`` (Eq. 6).
     influence_method: str = "entropy"
     #: Enable recency reinforcement between related entities (Fig. 4(d)).
     recency_propagation: bool = True
-    #: Edit-distance threshold for fuzzy candidate generation.
-    fuzzy_edit_distance: int = 1
-    #: Number of candidates returned by online inference.
-    top_k: int = 1
     #: Per-mention latency budget (milliseconds) for online inference.
     #: ``None`` disables the budget entirely — the default, so batch/eval
     #: runs are untouched.  When set, a mention whose interest computation
@@ -94,10 +104,6 @@ class LinkerConfig:
     #: Algorithm 1) and ``"compact"`` (array-backed 2-hop cover,
     #: docs/scaling.md).
     index_backend: str = "auto"
-    #: ``"auto"`` node threshold: at or below it the closure's O(1) lookups
-    #: win; above it the |V|² matrix stops fitting and the compact 2-hop
-    #: cover takes over.
-    closure_max_nodes: int = 2000
 
     def __post_init__(self) -> None:
         weights = (self.alpha, self.beta, self.gamma)
@@ -113,20 +119,10 @@ class LinkerConfig:
             raise ValueError(f"window must be positive and finite, got {self.window!r}")
         if self.burst_threshold < 0:
             raise ValueError("burst_threshold must be non-negative")
-        if not 0.0 <= self.relatedness_threshold <= 1.0:
-            raise ValueError("relatedness_threshold must be in [0, 1]")
-        if not 0.0 <= self.propagation_lambda <= 1.0:
-            raise ValueError("propagation_lambda must be in [0, 1]")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be at least 1")
         if self.influential_users < 1:
             raise ValueError("influential_users must be at least 1")
         if self.influence_method not in ("entropy", "tfidf"):
             raise ValueError(f"unknown influence method {self.influence_method!r}")
-        if self.fuzzy_edit_distance < 0:
-            raise ValueError("fuzzy_edit_distance must be non-negative")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
         if self.deadline_ms is not None and not (
             math.isfinite(self.deadline_ms) and self.deadline_ms > 0
         ):
@@ -137,14 +133,12 @@ class LinkerConfig:
             raise ValueError("influential_cache_size must be at least 1")
         if self.index_backend not in ("auto", "closure", "compact"):
             raise ValueError(f"unknown index backend {self.index_backend!r}")
-        if self.closure_max_nodes < 0:
-            raise ValueError("closure_max_nodes must be non-negative")
 
     def select_index_backend(self, num_nodes: int) -> str:
         """Scale-aware reachability-index choice.
 
         ``"auto"`` resolves by graph size: the transitive closure at or
-        below ``closure_max_nodes`` (O(1) lookups, |V|²-bounded build),
+        below ``CLOSURE_MAX_NODES`` (O(1) lookups, |V|²-bounded build),
         the compact 2-hop cover above it.  A forced ``index_backend``
         short-circuits.  The choice moves where the work happens, not
         what the linker decides: every provider rounds Eq. 4 in
@@ -153,7 +147,7 @@ class LinkerConfig:
         """
         if self.index_backend != "auto":
             return self.index_backend
-        return "closure" if num_nodes <= self.closure_max_nodes else "compact"
+        return "closure" if num_nodes <= CLOSURE_MAX_NODES else "compact"
 
     def with_weights(self, alpha: float, beta: float, gamma: float) -> "LinkerConfig":
         """Return a copy with the three feature weights replaced."""

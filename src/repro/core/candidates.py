@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.config import FUZZY_EDIT_DISTANCE
 from repro.kb.knowledgebase import Knowledgebase
 from repro.kb.surface_index import SegmentIndex
 
@@ -20,7 +21,7 @@ from repro.kb.surface_index import SegmentIndex
 class CandidateGenerator:
     """Exact-then-fuzzy candidate generation over a knowledgebase."""
 
-    def __init__(self, kb: Knowledgebase, max_edits: int = 1) -> None:
+    def __init__(self, kb: Knowledgebase, max_edits: int = FUZZY_EDIT_DISTANCE) -> None:
         self._kb = kb
         self._index = SegmentIndex(kb.mentions(), max_edits=max_edits)
 

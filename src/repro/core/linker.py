@@ -222,15 +222,9 @@ class SocialTemporalLinker:
         self._reachability = reachability
         self._breaker = breaker
         self._clock = clock
-        self._candidates = candidate_generator or CandidateGenerator(
-            ckb.kb, max_edits=config.fuzzy_edit_distance
-        )
+        self._candidates = candidate_generator or CandidateGenerator(ckb.kb)
         if propagation_network is None and config.recency_propagation:
-            propagation_network = RecencyPropagationNetwork(
-                ckb.kb,
-                relatedness_threshold=config.relatedness_threshold,
-                propagation_lambda=config.propagation_lambda,
-            )
+            propagation_network = RecencyPropagationNetwork(ckb.kb)
         self._propagation = propagation_network
         # candidate set -> (ckb.version of each member, its U*_e sets), never
         # edited once stored; LRU-bounded at config.influential_cache_size.

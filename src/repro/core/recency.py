@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.config import PROPAGATION_LAMBDA, RELATEDNESS_THRESHOLD
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 
@@ -62,8 +63,8 @@ class RecencyPropagationNetwork:
     def __init__(
         self,
         kb: Knowledgebase,
-        relatedness_threshold: float,
-        propagation_lambda: float,
+        relatedness_threshold: float = RELATEDNESS_THRESHOLD,
+        propagation_lambda: float = PROPAGATION_LAMBDA,
         max_iterations: int = 6,
     ) -> None:
         if not 0.0 <= relatedness_threshold <= 1.0:

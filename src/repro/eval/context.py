@@ -84,11 +84,7 @@ class ExperimentContext:
     @property
     def propagation_network(self) -> RecencyPropagationNetwork:
         if self._propagation is None:
-            self._propagation = RecencyPropagationNetwork(
-                self.world.kb,
-                relatedness_threshold=self.config.relatedness_threshold,
-                propagation_lambda=self.config.propagation_lambda,
-            )
+            self._propagation = RecencyPropagationNetwork(self.world.kb)
         return self._propagation
 
     @property

@@ -4,7 +4,7 @@ One entry point, :func:`build_reachability_index`, turns a follow graph
 plus a :class:`~repro.config.LinkerConfig` into the reachability provider
 the linker should score Eq. 4 against at that scale:
 
-* at or below ``closure_max_nodes`` — the extended transitive closure
+* at or below ``CLOSURE_MAX_NODES`` — the extended transitive closure
   (Algorithm 1): O(1) lookups, but a |V|²-bounded build;
 * above it — the compact 2-hop cover (hop-bounded PLL + Theorem 1,
   :mod:`repro.graph.compact_labels`); both backends find the exact
@@ -18,7 +18,7 @@ production trace always shows *which* index served a linker and why.
 
 from __future__ import annotations
 
-from repro.config import DEFAULT_CONFIG, LinkerConfig
+from repro.config import CLOSURE_MAX_NODES, DEFAULT_CONFIG, LinkerConfig
 from repro.graph.compact_labels import build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.transitive_closure import build_transitive_closure_incremental
@@ -43,10 +43,8 @@ def build_reachability_index(graph: DiGraph, config: LinkerConfig = DEFAULT_CONF
         requested=config.index_backend,
         nodes=graph.num_nodes,
         edges=graph.num_edges,
-        closure_max_nodes=config.closure_max_nodes,
+        closure_max_nodes=CLOSURE_MAX_NODES,
     )
     if backend == "closure":
-        return build_transitive_closure_incremental(
-            graph, max_hops=config.max_hops
-        )
-    return build_compact_two_hop_cover(graph, max_hops=config.max_hops)
+        return build_transitive_closure_incremental(graph)
+    return build_compact_two_hop_cover(graph)

@@ -9,8 +9,8 @@ information double-counts links replayed after recovery.
 A checkpoint therefore captures three things:
 
 * the full link table ``(entity, user, timestamp, tweet_id)`` in storage
-  order — bulk-loading it rebuilds :math:`D_e`, :math:`U_e`, the per-user
-  counts and the sorted timestamp lists exactly;
+  order — bulk-loading it rebuilds :math:`D_e`, :math:`U_e` and the
+  per-user counts exactly;
 * the ingestor *watermark* — where the re-serialized stream was complete;
 * the *applied tweet ids* — so a resumed
   :class:`~repro.stream.ingest.ResilientIngestor` dead-letters re-deliveries

@@ -7,10 +7,10 @@ to the KB with a batch linker and stores, per entity ``e``:
   timestamps and tweet ids,
 * :math:`U_e` — the community, i.e. the authors of those tweets,
 * per-user tweet counts :math:`|D_e^u|`, and :math:`U_e` ordered by
-  ``(-|D_e^u|, u)`` (both consumed by influence estimation),
-* a time-ordered timestamp list (consumed by the sliding recency window);
+  ``(-|D_e^u|, u)`` (both consumed by influence estimation);
 
-and per recency cluster one timeline, merged on first read from its
+and per group of entities one timeline for the sliding recency window —
+a recency cluster, or one entity alone — merged on first read from its
 members' link-time columns: their times as C doubles, and whose link
 each one is.
 
@@ -69,13 +69,12 @@ class ComplementedKnowledgebase:
     def __init__(self, kb: Knowledgebase) -> None:
         self._kb = kb
         self._columns: Dict[int, Columns] = {}
-        self._timestamps: Dict[int, List[float]] = {}
         self._user_counts: Dict[int, Counter] = {}
         # entity -> U_e ordered by (-|D_e^u|, u)
         self._by_count: Dict[int, List[int]] = {}
         # group -> (the times of all its members' links as array('d'), which
         # member each one links), in the order of a stable merge of the
-        # members' sorted _timestamps: by time, then member, then arrival
+        # members' time columns: by time, then member, then arrival
         self._timelines: Dict[Tuple[int, ...], Tuple[array, array]] = {}
         # entity -> [(times, owners, its position) of each group it is in]
         self._timelines_of: Dict[int, List[Tuple[array, array, int]]] = {}
@@ -104,10 +103,11 @@ class ComplementedKnowledgebase:
     ) -> None:
         """Attach one tweet to an entity (incremental, O(log |D_e|)).
 
-        Timestamps are kept sorted so the recency window can be evaluated
-        with two bisections even when links arrive out of order (backfills
-        during offline complementation).  A value a column cannot hold
-        raises with nothing written, as in :meth:`bulk_link`.
+        Each merged timeline holding the entity takes the time in sorted
+        place, so the recency window stays two bisections even when links
+        arrive out of order (backfills during offline complementation).
+        A value a column cannot hold raises with nothing written, as in
+        :meth:`bulk_link`.
         """
         _require_finite(timestamp)
         self._kb.entity(entity_id)  # raises KeyError on bad id
@@ -125,7 +125,6 @@ class ComplementedKnowledgebase:
             if not tweet_ids:
                 del self._columns[entity_id]
             raise
-        bisect.insort(self._timestamps.setdefault(entity_id, []), timestamp)
         for merged, owners, column in self._timelines_of.get(entity_id, ()):
             # after the equal times of members up to this one, as a merge puts it
             ties = bisect.bisect_left(merged, timestamp)
@@ -155,10 +154,10 @@ class ComplementedKnowledgebase:
         """Link ``(entity_id, user, timestamp, tweet_id)`` records in order.
 
         The resulting state equals one :meth:`link_tweet` per record, but
-        each entity is written once: its columns extended, its timestamps
-        sorted and its user counts updated for all of its records.  Every
-        record is checked first, so a bad one raises :meth:`link_tweet`'s
-        ``KeyError`` / ``ValueError``, naming it, and nothing is written.
+        each entity is written once: its columns extended and its user
+        counts updated for all of its records.  Every record is checked
+        first, so a bad one raises :meth:`link_tweet`'s ``KeyError`` /
+        ``ValueError``, naming it, and nothing is written.
         """
         grouped: Dict[int, Tuple[List[int], List[float], array]] = {}
         for position, (entity_id, user, timestamp, tweet_id) in enumerate(links):
@@ -181,7 +180,7 @@ class ComplementedKnowledgebase:
             entity_id: (array("q", users), array("d", times), tweet_ids)
             for entity_id, (users, times, tweet_ids) in grouped.items()
         }
-        for entity_id, (users, times, _) in grouped.items():
+        for entity_id, (users, _, _) in grouped.items():
             columns = self._columns.setdefault(entity_id, loaded[entity_id])
             if columns is not loaded[entity_id]:
                 for column, more in zip(columns, loaded[entity_id]):
@@ -189,10 +188,6 @@ class ComplementedKnowledgebase:
             # the records' own objects, as link_tweet keeps them: communities
             # keyed by the same user ints intersect by identity in the
             # influence walk, where ints made from the column compare by value
-            timestamps = self._timestamps.setdefault(entity_id, times)
-            if timestamps is not times:
-                timestamps += times
-            timestamps.sort()  # stable: equal times keep arrival order, as insort
             counts = self._user_counts.setdefault(entity_id, Counter())
             counts.update(users)
             # by user, then stably by count: both sorts keyed in C
@@ -260,14 +255,13 @@ class ComplementedKnowledgebase:
         """:math:`|D_e^\\tau|` — linked tweets with ``t >= now - window``.
 
         Tweets timestamped *after* ``now`` are excluded: during replay of a
-        historical stream, the future must not leak into recency.
+        historical stream, the future must not leak into recency.  Two
+        bisections on the timeline of the one-member group ``(entity_id,)``,
+        kept and dropped as :meth:`recent_counts` keeps a cluster's.
         """
-        timestamps = self._timestamps.get(entity_id)
-        if not timestamps:
-            return 0
-        low = bisect.bisect_left(timestamps, now - window)
-        high = bisect.bisect_right(timestamps, now)
-        return high - low
+        group = (entity_id,)
+        times = (self._timelines.get(group) or self._merge(group))[0]
+        return bisect.bisect_right(times, now) - bisect.bisect_left(times, now - window)
 
     def recent_counts(
         self, entity_ids: Tuple[int, ...], now: float, window: float

@@ -160,7 +160,7 @@ def _build_linker(name: str) -> SocialTemporalLinker:
         ckb,
         graph,
         config=config,
-        reachability=OnlineReachability(graph, max_hops=config.max_hops),
+        reachability=OnlineReachability(graph),
     )
 
 

@@ -89,9 +89,7 @@ class PersonalizedSearchEngine:
         for surface in parsed.mentions:
             result = self._linker.link(surface, user=user, now=now)
             degraded = degraded or result.degraded
-            linked.extend(
-                result.top_k(config.top_k, threshold=config.no_interest_bound)
-            )
+            linked.extend(result.top_k(1, threshold=config.no_interest_bound))
         if not linked:
             hits = self._keyword_fallback(parsed, now, limit)
             return SearchResponse(

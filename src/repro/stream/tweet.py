@@ -32,7 +32,7 @@ class Tweet:
     """A microblog posting ``d`` with author ``d.u`` and timestamp ``d.t``.
 
     Construction validates the invariants every downstream structure
-    assumes (sorted timestamp lists, non-negative ids, tokenizable text);
+    assumes (finite timestamps, non-negative ids, tokenizable text);
     dirty records from a live stream must be repaired or rejected *before*
     they become :class:`Tweet` objects — see
     :class:`repro.stream.ingest.TweetValidator`.

@@ -13,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import DAY, LinkerConfig
+from repro.core.candidates import CandidateGenerator
 from repro.core.linker import SocialTemporalLinker
+from repro.core.recency import RecencyPropagationNetwork
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import METRICS
 
@@ -28,14 +30,16 @@ def clean_metrics():
 def _cached(tiny_ckb):
     """A score-caching linker over ``tiny_ckb``."""
     graph = DiGraph(13, [(10, 11), (11, 12), (12, 10), (10, 12)])
-    config = LinkerConfig(
-        burst_threshold=2,
-        influential_users=2,
-        relatedness_threshold=0.2,
-        fuzzy_edit_distance=0,
-        score_caching=True,
+    config = LinkerConfig(burst_threshold=2, influential_users=2, score_caching=True)
+    return SocialTemporalLinker(
+        tiny_ckb,
+        graph,
+        config=config,
+        candidate_generator=CandidateGenerator(tiny_ckb.kb, max_edits=0),
+        propagation_network=RecencyPropagationNetwork(
+            tiny_ckb.kb, relatedness_threshold=0.2
+        ),
     )
-    return SocialTemporalLinker(tiny_ckb, graph, config=config)
 
 
 class TestInvalidationExactness:

@@ -34,7 +34,7 @@ def state(ckb, groups):
             [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
             for e in entities
         ],
-        [[t.hex() for t in ckb._timestamps.get(e, ())] for e in entities],
+        [[t.hex() for t in sorted(ckb.link_columns(e)[1])] for e in entities],
         [list(ckb.user_counts(e).items()) for e in entities],
         [list(ckb.users_by_count(e)) for e in entities],
         [ckb.version(e) for e in entities],
@@ -55,7 +55,7 @@ def digest(ckb) -> str:
     sha = hashlib.sha256()
     for e in ckb.linked_entities():
         rows = [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
-        stamps = [t.hex() for t in ckb._timestamps[e]]
+        stamps = [t.hex() for t in sorted(ckb.link_columns(e)[1])]
         counts = list(ckb.user_counts(e).items())
         sha.update(repr((e, rows, stamps, counts, ckb.version(e))).encode())
     sha.update(repr(ckb.total_links).encode())
@@ -155,10 +155,9 @@ class TestBulkLink:
     def test_keeps_the_records_own_objects(self, ckb):
         """Communities share the callers' user ints, as ``link_tweet``
         leaves them: the influence walk intersects them by identity."""
-        user, timestamp = int("1000001"), float("12.5")
-        ckb.bulk_link([(0, user, timestamp, -1)])
+        user = int("1000001")
+        ckb.bulk_link([(0, user, 12.5, -1)])
         assert next(iter(ckb.user_counts(0))) is user
-        assert ckb._timestamps[0][0] is timestamp
 
     def test_truth_complement_digest(self, small_world):
         """The ``small_world`` truth complement, digest recorded from the

@@ -5,8 +5,8 @@ index that answers Eq. 4, batching, score caching nor the linker's age may
 change a ``ranked`` tuple.  Every script runs through a lattice of 24
 configurations, each over its own copy of the world:
 
-- provider: the closure or the compact cover (``build_reachability_index``
-  with a forced backend);
+- provider: the closure or the compact cover, built at the world's
+  ``max_hops`` by the builder ``build_reachability_index`` dispatches to;
 - call path: ``link()`` per op, or one ``MicroBatchLinker.link_batch`` per
   maximal run of consecutive link ops;
 - ``score_caching`` off or on;
@@ -32,12 +32,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DAY, LinkerConfig
+from repro.config import DAY, DEFAULT_MAX_HOPS, RELATEDNESS_THRESHOLD, LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import SocialTemporalLinker
+from repro.core.recency import RecencyPropagationNetwork
 from repro.errors import UnknownUserError
+from repro.graph.compact_labels import build_compact_two_hop_cover
 from repro.graph.digraph import DiGraph
-from repro.graph.dispatch import build_reachability_index
+from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.kb.checkpoint import restore, snapshot
 from repro.obs.metrics import METRICS
 from repro.testing.oracles import OnlineReachability, influential_users_by_definition
@@ -66,6 +68,12 @@ LATTICE = [
     )
 ]
 
+#: The two shipped providers by name, each built as ``builder(graph, max_hops)``.
+PROVIDERS = {
+    "closure": build_transitive_closure_incremental,
+    "compact": build_compact_two_hop_cover,
+}
+
 #: (recency_propagation, influence_method): the world parameters scripts vary.
 VARIANTS = list(itertools.product((True, False), ("entropy", "tfidf")))
 
@@ -76,6 +84,7 @@ class World(NamedTuple):
 
     build: Callable[[], tuple]
     config: LinkerConfig
+    max_hops: int = DEFAULT_MAX_HOPS
 
 
 def variant(world: World, propagation: bool, method: str) -> World:
@@ -105,9 +114,7 @@ def run(world: World, script: Sequence[tuple], configuration: Configuration) -> 
     """Play ``script`` on a new copy of ``world`` under ``configuration``."""
     ckb, graph, network = world.build()
     config = dataclasses.replace(world.config, score_caching=configuration.caching)
-    index = build_reachability_index(
-        graph, dataclasses.replace(config, index_backend=configuration.provider)
-    )
+    index = PROVIDERS[configuration.provider](graph, world.max_hops)
 
     def new_linker(over) -> SocialTemporalLinker:
         return SocialTemporalLinker(
@@ -208,11 +215,18 @@ def check(world: World, script: Sequence[tuple]) -> Run:
     return reference
 
 
-def fig1(num_nodes: int, edges) -> Callable[[], tuple]:
-    """The Fig. 1 KB and CKB (``conftest.build_tiny_ckb``) over a follow graph."""
-    return lambda: (
-        build_tiny_ckb(build_tiny_kb()), DiGraph(num_nodes, edges), None
-    )
+def fig1(
+    num_nodes: int, edges, relatedness_threshold: float = RELATEDNESS_THRESHOLD
+) -> Callable[[], tuple]:
+    """The Fig. 1 KB and CKB (``conftest.build_tiny_ckb``) over a follow
+    graph, with a recency network over that KB at ``relatedness_threshold``."""
+
+    def build() -> tuple:
+        ckb = build_tiny_ckb(build_tiny_kb())
+        network = RecencyPropagationNetwork(ckb.kb, relatedness_threshold)
+        return ckb, DiGraph(num_nodes, edges), network
+
+    return build
 
 
 def test_lattice_has_24_configurations_led_by_the_reference():
@@ -227,8 +241,12 @@ def test_lattice_has_24_configurations_led_by_the_reference():
 #: User 0 follows @NBAOfficial (10), user 5 the ML expert (11), user 1
 #: follows 10 and 12, and the three experts follow each other.
 FIG1 = World(
-    fig1(13, [(0, 10), (5, 11), (1, 10), (1, 12), (10, 11), (11, 12), (12, 10), (10, 12)]),
-    LinkerConfig(burst_threshold=2, influential_users=2, relatedness_threshold=0.2),
+    fig1(
+        13,
+        [(0, 10), (5, 11), (1, 10), (1, 12), (10, 11), (11, 12), (12, 10), (10, 12)],
+        relatedness_threshold=0.2,
+    ),
+    LinkerConfig(burst_threshold=2, influential_users=2),
 )
 
 _SURFACES = ("jordan", "nba", "chicago bulls", "icml", "air jordan", "zzzz")
@@ -288,9 +306,8 @@ def test_eq4_tie_breaks_by_entity_id(world_variant):
     reference = check(world, [("link", "jordan", 0, 10 * DAY)])
     assert reference.outcomes[0][0][0].entity_id == 0
     _, graph, _ = world.build()
-    providers = [OnlineReachability(graph, max_hops=world.config.max_hops)] + [
-        build_reachability_index(graph, dataclasses.replace(world.config, index_backend=b))
-        for b in ("closure", "compact")
+    providers = [
+        build(graph, world.max_hops) for build in (OnlineReachability, *PROVIDERS.values())
     ]
     for index in providers:
         assert index.reachability(0, 20) == index.reachability(0, 21) == 0.2
@@ -301,7 +318,8 @@ def test_eq4_tie_breaks_by_entity_id(world_variant):
 #: from 10 and 11 (and nowhere near 12), past ``max_hops = 2``.
 NO_INTEREST = World(
     fig1(13, [(0, 1), (1, 2), (2, 3), (3, 10), (0, 7), (7, 8), (8, 9), (9, 11)]),
-    LinkerConfig(burst_threshold=2, influential_users=2, max_hops=2),
+    LinkerConfig(burst_threshold=2, influential_users=2),
+    max_hops=2,
 )
 
 
@@ -365,8 +383,8 @@ def test_after_a_write_into_a_read_cluster(write, method):
     has read both "jordan" clusters, a neighbour's write moves its next
     answer as it moves a linker's over a KB rebuilt from the links."""
     world = World(
-        fig1(41, [(0, 10), (5, 11), (1, 10), (1, 12)]),
-        LinkerConfig(burst_threshold=2, relatedness_threshold=0.2, influence_method=method),
+        fig1(41, [(0, 10), (5, 11), (1, 10), (1, 12)], relatedness_threshold=0.2),
+        LinkerConfig(burst_threshold=2, influence_method=method),
     )
     ask = ("link", "jordan", 0, 10 * DAY)
     reference = check(world, [ask, *CLUSTER_WRITES[write], ask])

@@ -46,7 +46,7 @@ class TestAdapters:
                 reachability=provider,
                 propagation_network=small_context.propagation_network,
             )
-            for provider in (None, OnlineReachability(graph, config.max_hops))
+            for provider in (None, OnlineReachability(graph))
         )
         assert isinstance(default.reachability_provider, TransitiveClosure)
         indexed = small_context.social_temporal().run(small_context.test_dataset)

@@ -6,6 +6,8 @@ argument).  ERR: the serve boundary renders each ``repro.errors`` type as
 its own status, so code raises typed errors and catches no more than it
 handles.  CACHE: a score memo is valid while its epochs match, so each
 mutator of an ``Epoch`` owner bumps it or delegates to a mutator that does.
+IMP: a module imports only what it reads, once (ruff's F401 and F811, held
+in tier-1 over ``src/repro`` and ``tests/``, the tree CI's lint reads).
 
 Each rule maps one parsed module to ``(lineno, rule, message)`` hits.  Call
 names resolve through the module's own imports, so ``import time as t;
@@ -19,7 +21,7 @@ from __future__ import annotations
 import ast
 import textwrap
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -78,6 +80,7 @@ class Module(NamedTuple):
     name: str  # dotted, e.g. "repro.core.linker"
     tree: ast.Module
     imports: Dict[str, str]  # local name -> dotted origin
+    lines: List[str]
 
 
 def parse(source: str, name: str) -> Module:
@@ -91,7 +94,7 @@ def parse(source: str, name: str) -> Module:
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             for alias in node.names:
                 imports[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return Module(name, tree, imports)
+    return Module(name, tree, imports, source.splitlines())
 
 
 def origin(node: ast.AST, module: Module) -> Optional[str]:
@@ -196,10 +199,73 @@ def cache_001(module: Module) -> Iterator[Hit]:
             yield node.lineno, "CACHE-001", f"{node.name}() never bumps the epoch"
 
 
+def bindings(module: Module) -> Iterator[Tuple[ast.AST, ast.alias, str]]:
+    """``(statement, alias, bound name)`` of every import outside a
+    ``# noqa`` line; ``import a.b`` binds ``a``."""
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                lines = {node.lineno, alias.lineno}
+                if alias.name != "*" and not any(
+                    "# noqa" in module.lines[line - 1] for line in lines
+                ):
+                    yield node, alias, alias.asname or alias.name.split(".")[0]
+
+
+def read_names(module: Module) -> set:
+    """Every name the module loads, with the names of its string
+    annotations and its ``__all__``."""
+    names = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for text in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                try:  # read as code, as pyflakes does; a Literal's text may not parse
+                    quoted = ast.parse(text.value)
+                except SyntaxError:
+                    continue
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def imp_001(module: Module) -> Iterator[Hit]:
+    read = read_names(module)
+    for node, _, name in bindings(module):
+        if name not in read:
+            yield node.lineno, "IMP-001", f"{name} imported but never read"
+
+
+def imp_002(module: Module) -> Iterator[Hit]:
+    # a name's scope is the innermost function or class around its import
+    scope_of = {}
+    for parent in ast.walk(module.tree):
+        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for child in ast.walk(parent):
+                scope_of[child] = parent  # inner scopes are walked later
+    seen = {}
+    for node, alias, name in sorted(bindings(module), key=lambda hit: hit[0].lineno):
+        key = scope_of.get(node), name
+        dotted = isinstance(node, ast.Import) and "." in alias.name and not alias.asname
+        if key in seen and not dotted:
+            yield node.lineno, "IMP-002", f"{name} imported again (line {seen[key]})"
+        seen.setdefault(key, node.lineno)
+
+
 RULES = {
     "DET-001": det_001, "DET-002": det_002, "DET-003": det_003,
     "ERR-002": err_002, "ERR-003": err_003, "CACHE-001": cache_001,
+    "IMP-001": imp_001, "IMP-002": imp_002,
 }
+IMPORT_RULES = ("IMP-001", "IMP-002")
 
 
 def enclosing_function(tree: ast.Module, lineno: int) -> str:
@@ -213,16 +279,17 @@ def enclosing_function(tree: ast.Module, lineno: int) -> str:
     return name
 
 
-def scan(root: Path):
-    """``(path, function, rule, lineno, message)`` of every hit under root."""
+def scan(root: Path, rules=tuple(RULES)):
+    """``(path, function, rule, lineno, message)`` of every hit of ``rules``
+    under root."""
     hits = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
         dotted = ".".join(["repro", *relative[: -len(".py")].split("/")])
         source = path.read_text(encoding="utf-8")
         module = parse(source, dotted.removesuffix(".__init__"))
-        for rule in RULES.values():
-            for lineno, rule_id, message in rule(module):
+        for rule in rules:
+            for lineno, rule_id, message in RULES[rule](module):
                 function = enclosing_function(module.tree, lineno)
                 hits.append((relative, function, rule_id, lineno, message))
     return hits
@@ -241,6 +308,14 @@ def test_src_keeps_every_invariant_outside_the_allow_list():
         for path, function, rule, lineno, message in unallowed
     )
     assert stale == [], f"allow-list entries that match no hit: {stale}"
+
+
+def test_tests_import_only_what_they_read():
+    hits = scan(SRC.parents[1] / "tests", IMPORT_RULES)
+    assert hits == [], "\n".join(
+        f"tests/{path}:{lineno} {rule} {message}"
+        for path, _, rule, lineno, message in hits
+    )
 
 
 def test_an_entry_matching_nothing_and_an_unlisted_hit_both_fail():
@@ -317,6 +392,18 @@ CASES = [
                 self.link_tweet(*link)
 """, [], "bump-or-delegate"),
     _case("CACHE-001", _STORE.replace("Epoch()", "ckb.epoch"), [], "no-epoch-owner"),
+    _case("IMP-001", "import os\nimport json\nfrom typing import Dict, List\n"
+          "x: List[int] = json.loads('[]')", [1, 3], "unread"),
+    _case("IMP-001", "import os.path\nfrom a import (\n    b,  # noqa: F401\n    c,\n)\n"
+          "from d import e as f\n__all__ = ['c']\nx: 'f' = os.sep", [], "read-exported-noqa"),
+    _case("IMP-001", "import json  # noqa\nfrom __future__ import annotations",
+          [], "noqa-and-future"),
+    _case("IMP-001", "from typing import Literal\nfrom a import b\n"
+          "def f(x: 'Literal[\"not code\"]') -> 'b': pass", [], "string-annotations"),
+    _case("IMP-002", "import re\nfrom os import path\nimport re\nfrom posixpath import path",
+          [3, 4], "rebound"),
+    _case("IMP-002", "import os\nimport os.path\ndef f():\n    import os\n    return os\n"
+          "class C:\n    from os import sep", [], "submodule-and-scopes"),
 ]
 
 

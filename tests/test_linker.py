@@ -342,7 +342,7 @@ class TestScoreEvidence:
         linker = SocialTemporalLinker(tiny_ckb, social_graph, config=config)
         result = linker.link("jordan", user=user, now=now)
         candidates = result.candidates
-        oracle = OnlineReachability(social_graph, max_hops=config.max_hops)
+        oracle = OnlineReachability(social_graph)
         influential = by_definition(tiny_ckb, candidates, config.influential_users)
         raw = {
             e: sum(oracle.reachability(user, v) for v in influential[e])
@@ -387,7 +387,7 @@ class TestScoreEvidence:
         for _ in range(confirms):
             linker.confirm_link(0, user=1, timestamp=10 * DAY)
         result = linker.link("jordan", user=0, now=10 * DAY)
-        oracle = OnlineReachability(graph, max_hops=linker.config.max_hops)
+        oracle = OnlineReachability(graph)
         influential = by_definition(ckb, JORDAN_CANDIDATES, 1)
         raw = {
             e: sum(oracle.reachability(0, v) for v in users) / len(users)

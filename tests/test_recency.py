@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import DAY
+from repro.config import DAY, PROPAGATION_LAMBDA, RELATEDNESS_THRESHOLD
 from repro.core.recency import (
     RecencyPropagationNetwork,
     propagated_recency,
@@ -47,6 +47,23 @@ def build_network(kb, threshold=0.5, lam=0.5):
 
 
 class TestNetworkConstruction:
+    @pytest.mark.parametrize(
+        "threshold, lam, match",
+        [(1.5, 0.5, "relatedness_threshold"), (0.5, -0.1, "propagation_lambda")],
+    )
+    def test_out_of_range_parameter_rejected(self, tiny_kb, threshold, lam, match):
+        with pytest.raises(ValueError, match=match):
+            build_network(tiny_kb, threshold=threshold, lam=lam)
+
+    def test_defaults_are_the_shipped_constants(self, tiny_kb):
+        default = RecencyPropagationNetwork(tiny_kb)
+        explicit = build_network(tiny_kb, RELATEDNESS_THRESHOLD, PROPAGATION_LAMBDA)
+        assert default.propagation_lambda == PROPAGATION_LAMBDA
+        entities = range(tiny_kb.num_entities)
+        assert [default.neighbors(e) for e in entities] == [
+            explicit.neighbors(e) for e in entities
+        ]
+
     def test_co_candidates_never_connected(self, tiny_kb):
         network = build_network(tiny_kb, threshold=0.0)
         # e0 and e1 share the surface "jordan" but are also... they are in

@@ -103,7 +103,7 @@ def recency_calls(context):
     """``propagated_recency`` arguments for every test mention of
     ``context`` that has candidates — what ``link()`` would pass."""
     config = context.config
-    generator = CandidateGenerator(context.ckb.kb, config.fuzzy_edit_distance)
+    generator = CandidateGenerator(context.ckb.kb)
     for tweet in context.test_dataset.tweets:
         for mention in tweet.mentions:
             candidates = generator.candidates(mention.surface)

@@ -66,14 +66,14 @@ OPERATIONS = st.lists(
 
 
 def stable_merge(ckb, group):
-    """What a group's timeline must be: its members' sorted per-entity
-    lists merged stably — by time, then member, then arrival — as
+    """What a group's timeline must be: its members' sorted time columns
+    merged stably — by time, then member, then arrival — as
     ``(times, owners)``."""
     merged = sorted(
         (
             (float(t), column)
             for column, entity_id in enumerate(group)
-            for t in ckb._timestamps.get(entity_id, ())
+            for t in sorted(ckb.link_columns(entity_id)[1])
         ),
         key=lambda pair: pair[0],
     )

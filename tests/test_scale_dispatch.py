@@ -13,7 +13,6 @@ ground truth and the other oracles of :mod:`repro.testing.oracles`.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,11 +22,18 @@ from hypothesis import strategies as st
 import repro.core
 import repro.graph
 import repro.kb
-from repro.config import DEFAULT_CONFIG, LinkerConfig
-from repro.graph.compact_labels import CompactTwoHopCover
+import repro.config
+from repro.config import CLOSURE_MAX_NODES, DEFAULT_CONFIG, LinkerConfig
+from repro.graph.compact_labels import (
+    CompactTwoHopCover,
+    build_compact_two_hop_cover,
+)
 from repro.graph.dispatch import build_reachability_index
 from repro.graph.reachability import reachability_weight, weighted_reachability
-from repro.graph.transitive_closure import TransitiveClosure
+from repro.graph.transitive_closure import (
+    TransitiveClosure,
+    build_transitive_closure_incremental,
+)
 from repro.obs.trace import TRACE
 from repro.testing.oracles import (
     OnlineReachability,
@@ -58,13 +64,9 @@ def _selection_events():
 
 
 PROVIDERS = {
-    "closure": lambda graph, hops: build_reachability_index(
-        graph, LinkerConfig(index_backend="closure", max_hops=hops)
-    ),
-    "compact": lambda graph, hops: build_reachability_index(
-        graph, LinkerConfig(index_backend="compact", max_hops=hops)
-    ),
-    "online": lambda graph, hops: OnlineReachability(graph, max_hops=hops),
+    "closure": build_transitive_closure_incremental,
+    "compact": build_compact_two_hop_cover,
+    "online": OnlineReachability,
 }
 
 
@@ -231,30 +233,33 @@ class TestEq4Tie:
         assert reachability_weight(1, on_path, followees) == 1.0
 
 
+@pytest.fixture
+def threshold_10(monkeypatch):
+    """``CLOSURE_MAX_NODES`` lowered to 10, where a 30-node graph is
+    above it."""
+    monkeypatch.setattr(repro.config, "CLOSURE_MAX_NODES", 10)
+
+
 class TestConfigValidation:
     def test_defaults(self):
         assert DEFAULT_CONFIG.index_backend == "auto"
-        assert DEFAULT_CONFIG.closure_max_nodes == 2000
+        assert CLOSURE_MAX_NODES == 2000
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             LinkerConfig(index_backend="quantum")
 
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            LinkerConfig(closure_max_nodes=-1)
-
 
 class TestSelection:
     def test_auto_at_and_around_threshold(self):
-        config = LinkerConfig(closure_max_nodes=100)
-        assert config.select_index_backend(99) == "closure"
-        assert config.select_index_backend(100) == "closure"
-        assert config.select_index_backend(101) == "compact"
+        config = LinkerConfig()
+        assert config.select_index_backend(CLOSURE_MAX_NODES - 1) == "closure"
+        assert config.select_index_backend(CLOSURE_MAX_NODES) == "closure"
+        assert config.select_index_backend(CLOSURE_MAX_NODES + 1) == "compact"
 
     @pytest.mark.parametrize("backend", ["closure", "compact"])
     def test_forced_backend_short_circuits(self, backend):
-        config = LinkerConfig(index_backend=backend, closure_max_nodes=100)
+        config = LinkerConfig(index_backend=backend)
         assert config.select_index_backend(2) == backend
         assert config.select_index_backend(10_000) == backend
 
@@ -262,12 +267,12 @@ class TestSelection:
 class TestDispatchBuild:
     def test_builds_closure_below_threshold(self):
         graph = random_graph(30, 120, seed=1)
-        index = build_reachability_index(graph, LinkerConfig(closure_max_nodes=100))
+        index = build_reachability_index(graph, LinkerConfig())
         assert isinstance(index, TransitiveClosure)
 
-    def test_builds_compact_above_threshold(self):
+    def test_builds_compact_above_threshold(self, threshold_10):
         graph = random_graph(30, 120, seed=1)
-        index = build_reachability_index(graph, LinkerConfig(closure_max_nodes=10))
+        index = build_reachability_index(graph, LinkerConfig())
         assert isinstance(index, CompactTwoHopCover)
 
     def test_forced_two_hop(self):
@@ -278,17 +283,16 @@ class TestDispatchBuild:
 
     def test_selection_is_traced(self):
         graph = random_graph(30, 120, seed=1)
-        config = LinkerConfig(closure_max_nodes=10)
         with TRACE.span("test.dispatch"):
-            build_reachability_index(graph, config)
+            build_reachability_index(graph, LinkerConfig())
         events = _selection_events()
         assert len(events) == 1
         attrs = events[0].attributes
-        assert attrs["backend"] == "compact"
+        assert attrs["backend"] == "closure"
         assert attrs["requested"] == "auto"
         assert attrs["nodes"] == 30
         assert attrs["edges"] == graph.num_edges
-        assert attrs["closure_max_nodes"] == 10
+        assert attrs["closure_max_nodes"] == CLOSURE_MAX_NODES
 
 
 class TestDecisionParity:
@@ -304,15 +308,17 @@ class TestDecisionParity:
 class TestServeDispatch:
     """``repro serve`` tenants get their index from the same dispatch."""
 
-    def test_tenant_above_threshold_serves_from_the_compact_cover(self, small_world):
+    def test_tenant_above_threshold_serves_from_the_compact_cover(
+        self, small_world, monkeypatch
+    ):
         from repro.serve.tenants import TenantSpec, build_tenant_registry
 
         specs = [TenantSpec(name="alpha", deadline_ms=None)]
-        above = dataclasses.replace(
-            DEFAULT_CONFIG, closure_max_nodes=small_world.graph.num_nodes - 1
-        )
         below_registry, context = build_tenant_registry(small_world, specs)
-        above_registry, _ = build_tenant_registry(small_world, specs, config=above)
+        monkeypatch.setattr(
+            repro.config, "CLOSURE_MAX_NODES", small_world.graph.num_nodes - 1
+        )
+        above_registry, _ = build_tenant_registry(small_world, specs)
         via_closure = below_registry.get("alpha").linker
         via_compact = above_registry.get("alpha").linker
         assert isinstance(via_closure.reachability_provider, TransitiveClosure)

@@ -85,7 +85,7 @@ def engine(tiny_ckb):
     linker = SocialTemporalLinker(
         tiny_ckb,
         graph,
-        config=LinkerConfig(burst_threshold=2, influential_users=2, top_k=1),
+        config=LinkerConfig(burst_threshold=2, influential_users=2),
     )
     store = TweetStore()
     # tiny_ckb records carry tweet_id=-1; add store-resolvable links with
@@ -169,7 +169,7 @@ class TestEngine:
         response = degraded.search("jordan", user=6, now=100 * DAY)
         result = linker.link("jordan", user=6, now=100 * DAY)
         assert response.degraded and not response.used_fallback
-        assert response.linked_entities == result.top_k(linker.config.top_k)
+        assert response.linked_entities == result.top_k(1)
         assert response.hits
         assert all(hit.entity_id == result.best.entity_id for hit in response.hits)
 
