@@ -10,8 +10,8 @@ query p50 / p99 over 2,000 seeded pairs.  At ≤ 2,000 users the compact
 cover and the dict-backed oracle (Algorithm 2 + Theorem 2) are also
 built, their bytes reported and their answers compared.
 
-Expected shape: the closure ships at 1k users (3 B a pair); above that
-the closure would be 3·|V|² bytes (7.5 GB at 50k users, 750 GB at 500k:
+Expected shape: the closure ships at 1k users (2 B a pair); above that
+the closure would be at least 2·|V|² bytes (5 GB at 50k users, 500 GB at 500k:
 the paper's "-"), and the compact cover ships with entries per node
 roughly flat in |V|, bytes linear in |V| and flat query times.  The
 second table is the Fig. 5 inner loop on the 1k graph's 80 busiest

@@ -32,15 +32,12 @@ class CollectiveLinker:
         candidate_generator: Optional[CandidateGenerator] = None,
         damping: float = 0.5,
         iterations: int = 10,
-        fuzzy_edit_distance: int = 1,
     ) -> None:
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
         self._ckb = ckb
         self._scorer = scorer or IntraTweetScorer(ckb)
-        self._candidates = candidate_generator or CandidateGenerator(
-            ckb.kb, max_edits=fuzzy_edit_distance
-        )
+        self._candidates = candidate_generator or CandidateGenerator(ckb.kb)
         self._damping = damping
         self._iterations = iterations
 

@@ -25,13 +25,10 @@ class OnTheFlyLinker:
         ckb: ComplementedKnowledgebase,
         scorer: Optional[IntraTweetScorer] = None,
         candidate_generator: Optional[CandidateGenerator] = None,
-        fuzzy_edit_distance: int = 1,
     ) -> None:
         self._ckb = ckb
         self._scorer = scorer or IntraTweetScorer(ckb)
-        self._candidates = candidate_generator or CandidateGenerator(
-            ckb.kb, max_edits=fuzzy_edit_distance
-        )
+        self._candidates = candidate_generator or CandidateGenerator(ckb.kb)
 
     def link_tweet(self, tweet: Tweet) -> List[Optional[int]]:
         """Predicted entity per mention (``None`` when :math:`E_m` is empty)."""

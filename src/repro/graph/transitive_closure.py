@@ -8,9 +8,10 @@ distance ``len`` and ``|F_uv| = n_v``, the number of ``u``'s followees whose
 distance to ``v`` is exactly ``len - 1`` (Theorem 1).  Iteration ``len``
 sums, per followee slot, the rows ``D[f, :] == len - 1`` of every
 followee ``f``: ``O(|E| * |V|)`` integer adds, ``TILE`` rows at a time.
-The matrix keeps those two integers, three bytes a pair; the build peaks
-at that plus ``O(TILE * |V|)``.  :meth:`TransitiveClosure.reachability`
-evaluates Eq. 4 from them at lookup
+The matrix keeps those two integers, the count in the narrowest unsigned
+type that holds the largest out-degree (2 B a pair up to 255 followees);
+the build peaks at that plus ``O(TILE * |V|)``.
+:meth:`TransitiveClosure.reachability` evaluates Eq. 4 from them at lookup
 (:func:`repro.graph.reachability.reachability_weight`).  (The paper's
 per-pair strawman it is benchmarked against in Fig. 5(b) is
 :func:`repro.testing.oracles.build_transitive_closure_naive`.)  The
@@ -100,10 +101,8 @@ def build_transitive_closure_incremental(
     n = graph.num_nodes
     degrees = [graph.out_degree(u) for u in graph.nodes()]
     # |F_uv| <= |F_u|, so the widest count is the largest out-degree; the
-    # build tallies in the narrowest type that holds it, the index stores
-    # at least uint16
-    tally_dtype = np.min_scalar_type(max(degrees, default=0))
-    count_dtype = np.promote_types(tally_dtype, np.uint16)
+    # tally and the stored count take the narrowest type that holds it
+    count_dtype = np.min_scalar_type(max(degrees, default=0))
     dist = np.zeros((n, n), dtype=np.uint8)
     count = np.zeros((n, n), dtype=count_dtype)
     offsets = np.zeros(n + 1, dtype=np.intp)
@@ -125,8 +124,8 @@ def build_transitive_closure_incremental(
     buffers = (
         np.empty((side, n), dtype=np.uint8),
         np.empty((side, n), dtype=np.bool_),
-        np.empty((side, n), dtype=tally_dtype),
-        np.empty((side, n), dtype=tally_dtype),
+        np.empty((side, n), dtype=count_dtype),
+        np.empty((side, n), dtype=count_dtype),
     )
     for length in range(2, max_hops + 1):
         if not _iterate(dist, count, tiles, buffers, length):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import SocialGraphConfig, topical_social_graph
 from repro.kb.builder import KBProfile, SyntheticKB, SyntheticWikipediaBuilder
 from repro.stream.events import EventTimeline
-from repro.stream.tweet import MentionSpan, Tweet
+from repro.stream.tweet import MentionIntern, MentionSpan, Tweet
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,10 +250,9 @@ class TweetStreamGenerator:
             for topic_hubs in hubs
             for rank, hub in enumerate(topic_hubs)
         }
-        raw: List[Tuple[float, int, List[MentionSpan], str]] = []
-        # one MentionSpan per (surface, entity), shared by every tweet
-        # planting it, as a loaded world's are
-        spans: Dict[Tuple[str, int], MentionSpan] = {}
+        raw: List[Tuple[float, int, Tuple[MentionSpan, ...], str]] = []
+        # spans and mention tuples shared across tweets, as a loaded world's are
+        interned = MentionIntern()
         for user in range(profile.num_users):
             if user in hub_tier:
                 count = int(
@@ -265,10 +264,10 @@ class TweetStreamGenerator:
                 ))
             for _ in range(count):
                 timestamp = rng.uniform(0.0, profile.horizon)
-                mentions, text = self._compose_tweet(
-                    synthetic_kb, interests[user], timeline, timestamp, rng, spans
+                pairs, text = self._compose_tweet(
+                    synthetic_kb, interests[user], timeline, timestamp, rng
                 )
-                raw.append((timestamp, user, mentions, text))
+                raw.append((timestamp, user, interned.mentions(pairs), text))
         raw.sort(key=lambda item: item[0])
         return [
             Tweet(
@@ -276,7 +275,7 @@ class TweetStreamGenerator:
                 user=user,
                 timestamp=timestamp,
                 text=text,
-                mentions=tuple(mentions),
+                mentions=mentions,
             )
             for tweet_id, (timestamp, user, mentions, text) in enumerate(raw)
         ]
@@ -288,8 +287,7 @@ class TweetStreamGenerator:
         timeline: EventTimeline,
         timestamp: float,
         rng: random.Random,
-        spans: Dict[Tuple[str, int], MentionSpan],
-    ) -> Tuple[List[MentionSpan], str]:
+    ) -> Tuple[List[Tuple[str, int]], str]:
         profile = self._profile
         topic = self._sample_topic(interest_row, timeline, timestamp, rng)
         num_mentions = 1
@@ -298,15 +296,12 @@ class TweetStreamGenerator:
             and rng.random() < profile.extra_mention_rate
         ):
             num_mentions += 1
-        mentions: List[MentionSpan] = []
+        pairs: List[Tuple[str, int]] = []
         words: List[str] = []
         for _ in range(num_mentions):
             entity_id = rng.choice(synthetic_kb.topic_entities[topic])
             surface = self._pick_surface(synthetic_kb, entity_id, rng)
-            span = spans.get((surface, entity_id))
-            if span is None:
-                span = spans[surface, entity_id] = MentionSpan(surface, entity_id)
-            mentions.append(span)
+            pairs.append((surface, entity_id))
             words.append(surface)
         topic_words = synthetic_kb.topic_vocab[topic]
         common_words = synthetic_kb.common_vocab
@@ -317,7 +312,7 @@ class TweetStreamGenerator:
             for _ in range(profile.context_words)
         )
         rng.shuffle(words)
-        return mentions, " ".join(words)
+        return pairs, " ".join(words)
 
     def _sample_topic(
         self,

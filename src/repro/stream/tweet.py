@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class MentionSpan:
     """One entity mention planted in (or recognized from) a tweet."""
 
@@ -27,7 +27,62 @@ class MentionSpan:
             raise ValueError(f"mention surface must be non-empty, got {self.surface!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+class MentionIntern:
+    """The mention records one world's tweets share: one
+    :class:`MentionSpan` per ``(surface, entity)`` and one mention tuple
+    per sequence of them, each built (and validated) on its first sighting.
+
+    A span is found by its raw pair plus the entity's type, which keeps
+    ``1``, ``1.0`` and ``True`` apart, so a re-save writes what was read;
+    a longer tuple by its spans' positions.  No dataclass ``__hash__`` runs.
+    """
+
+    __slots__ = ("_positions", "_singles", "_tuples")
+
+    def __init__(self) -> None:
+        self._positions: Dict[tuple, int] = {}
+        #: ``(span,)`` per span, in order of first sighting.
+        self._singles: List[Tuple[MentionSpan]] = []
+        self._tuples: Dict[Tuple[int, ...], Tuple[MentionSpan, ...]] = {}
+
+    @property
+    def spans(self) -> List[MentionSpan]:
+        """Every span, in order of first sighting."""
+        return [span for (span,) in self._singles]
+
+    def mentions(self, pairs: Sequence[Sequence]) -> Tuple[MentionSpan, ...]:
+        """The shared tuple of the spans of ``(surface, entity)`` ``pairs``."""
+        positions = self._positions
+        try:
+            if len(pairs) == 1:  # three tweets in four name one span
+                (surface, entity), = pairs
+                return self._singles[positions[surface, entity, type(entity)]]
+            key = tuple([positions[s, e, type(e)] for s, e in pairs])
+        except (KeyError, TypeError):  # a new span, or an unhashable field
+            key = tuple([self._position(s, e) for s, e in pairs])
+            if len(key) == 1:
+                return self._singles[key[0]]
+        mentions = self._tuples.get(key)
+        if mentions is None:
+            singles = self._singles
+            mentions = self._tuples[key] = tuple([singles[i][0] for i in key])
+        return mentions
+
+    def _position(self, surface, entity) -> int:
+        key = (surface, entity, type(entity))
+        try:
+            position = self._positions.get(key)
+        except TypeError:  # an unhashable field: MentionSpan judges the surface
+            MentionSpan(surface=surface, true_entity=entity)
+            raise TypeError(f"mention entity must be an entity id, got {entity!r}")
+        if position is None:
+            span = MentionSpan(surface=surface, true_entity=entity)
+            position = self._positions[key] = len(self._singles)
+            self._singles.append((span,))
+        return position
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class Tweet:
     """A microblog posting ``d`` with author ``d.u`` and timestamp ``d.t``.
 

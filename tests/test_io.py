@@ -22,6 +22,7 @@ from repro.io import (
     world_from_dict,
     world_to_dict,
 )
+from repro.stream.tweet import MentionIntern
 
 
 class TestGraphRoundTrip:
@@ -125,14 +126,36 @@ class TestMentionInterning:
         assert len(first) < sum(t.num_mentions for t in restored.tweets)
         assert restored.tweets == small_world.tweets
 
+    def test_tweets_retain_at_most_260_bytes_each(self, small_world, tmp_path):
+        """What a loaded tweet keeps past the rest of the world (tracemalloc):
+        a slotted record, its text and numbers, and a mention tuple shared
+        with every tweet naming the same spans: ≈ 218 B.  A dict-backed
+        tweet with a tuple of its own keeps ≈ 322 B."""
+
+        def retained(world):
+            path = tmp_path / "world.json"
+            save_world(world, path)
+            load_world(path)  # anything a first call sets up is not the load's
+            tracemalloc.start()
+            try:
+                loaded = load_world(path)
+                return tracemalloc.get_traced_memory()[0], loaded
+            finally:
+                tracemalloc.stop()
+
+        bare, _ = retained(dataclasses.replace(small_world, tweets=[]))
+        full, world = retained(small_world)
+        assert world.tweets == small_world.tweets
+        assert (full - bare) / len(world.tweets) < 260
+
     def test_equal_entities_of_other_types_stay_apart(self, small_world):
         """``1`` and ``1.0`` are equal keys; a re-save still writes each."""
         tweets = world_to_dict(small_world)["tweets"]
         i, j = [k for k, t in enumerate(tweets) if t["mentions"]][:2]
         tweets[j]["mentions"] = [[tweets[i]["mentions"][0][0], 1.0]]
         tweets[i]["mentions"] = [[tweets[i]["mentions"][0][0], 1]]
-        spans = {}
-        restored = [tweet_from_dict(t, spans) for t in tweets]
+        interned = MentionIntern()
+        restored = [tweet_from_dict(t, interned) for t in tweets]
         assert type(restored[i].mentions[0].true_entity) is int
         assert type(restored[j].mentions[0].true_entity) is float
 

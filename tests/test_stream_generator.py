@@ -1,11 +1,16 @@
 """Synthetic tweet stream generator tests."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import DAY
 from repro.io import load_world, save_world, world_to_dict
 from repro.kb.builder import KBProfile
 from repro.stream.generator import StreamProfile, SyntheticWorld
+from repro.stream.tweet import MentionSpan, Tweet
 
 from conftest import small_profiles
 
@@ -24,6 +29,65 @@ class TestMentionInterning:
         path = tmp_path / "world.json"
         save_world(small_world, path)
         assert world_to_dict(load_world(path)) == world_to_dict(small_world)
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_equal_mention_tuples_are_one_object(self, small_world, tmp_path, source):
+        world = small_world
+        if source == "loaded":
+            path = tmp_path / "world.json"
+            save_world(small_world, path)
+            world = load_world(path)
+        first = {}
+        for tweet in world.tweets:
+            key = tuple((m.surface, m.true_entity) for m in tweet.mentions)
+            assert first.setdefault(key, tweet.mentions) is tweet.mentions
+        assert len(first) < len(world.tweets)
+
+
+class TestTweetRecords:
+    """``Tweet`` and ``MentionSpan`` are slotted: no per-instance dict, and
+    they still compare, hash, copy and pickle as values."""
+
+    def tweet(self):
+        spans = (MentionSpan("jordan", 3), MentionSpan("bulls"))
+        return Tweet(
+            tweet_id=7, user=2, timestamp=86400.5, text="jordan bulls", mentions=spans
+        )
+
+    def test_no_instance_dict(self):
+        tweet = self.tweet()
+        for record in (tweet, tweet.mentions[0]):
+            assert not hasattr(record, "__dict__")
+
+    def test_equal_and_hash_equal(self):
+        a, b = self.tweet(), self.tweet()
+        assert a == b and hash(a) == hash(b)
+        assert a.mentions[0] == MentionSpan("jordan", 3)
+        assert hash(a.mentions[1]) == hash(MentionSpan("bulls", None))
+        assert a != dataclasses.replace(a, user=3)
+
+    def test_pickle_and_copy_round_trip(self):
+        tweet = self.tweet()
+        for clone in (pickle.loads(pickle.dumps(tweet)), copy.deepcopy(tweet)):
+            assert clone == tweet and hash(clone) == hash(tweet)
+            assert clone.mentions[0].true_entity == 3
+
+    def test_replace_keeps_fields_and_validates(self):
+        tweet = self.tweet()
+        assert dataclasses.replace(tweet) == tweet
+        moved = dataclasses.replace(tweet, timestamp=90000.0)
+        assert (moved.tweet_id, moved.mentions) == (tweet.tweet_id, tweet.mentions)
+        with pytest.raises(ValueError, match="timestamp must be non-negative"):
+            dataclasses.replace(tweet, timestamp=-1.0)
+        with pytest.raises(ValueError, match="mention surface"):
+            dataclasses.replace(tweet.mentions[0], surface=" ")
+
+    def test_frozen(self):
+        tweet = self.tweet()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tweet.user = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tweet.mentions[0].surface = "x"
 
 
 class TestWorldGeneration:

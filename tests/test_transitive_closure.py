@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,7 @@ class TestIncrementalMatchesExact:
         )
         closure = build_transitive_closure_incremental(graph, max_hops=2)
         assert closure._count[301] == 300
+        assert closure._count.format == "H"  # uint16: past a byte, not past two
         assert_closure_matches_exact(graph, closure, 2)
 
 
@@ -130,7 +132,8 @@ class TestTileSeams:
     def test_no_pairs(self, tile, num_nodes):
         closure = build_tiled(DiGraph(num_nodes), tile)
         assert closure.nonzero_entries() == 0
-        assert closure.size_bytes() == 11 * num_nodes
+        # 2 B a pair (no followee, so a uint8 count) plus a degree slot
+        assert closure.size_bytes() == 2 * num_nodes**2 + 8 * num_nodes
         assert_diagonal_clear(closure)
 
     def test_rows_with_zero_out_degree(self, tile):
@@ -200,13 +203,17 @@ class TestRecordedBuild:
         ],
     )
     def test_buffers_match_recorded_build(self, graph, dist_digest, count_digest):
-        """sha256 of the distance and count buffers (native byte order),
-        recorded from the untiled build: the queries pin answers, this pins
-        every stored byte."""
+        """sha256 of the distance buffer and of the counts widened to
+        ``uint16`` (native byte order), recorded from the untiled build when
+        every count was stored that wide: the queries pin answers, this pins
+        every stored value.  Both graphs' out-degrees fit a byte, so the
+        counts are stored as ``uint8``."""
         make, max_hops = RECORDED_GRAPHS[graph]
         closure = build_transitive_closure_incremental(make(), max_hops=max_hops)
+        assert closure._count.format == "B"
+        counts = np.frombuffer(closure._count, dtype=np.uint8).astype(np.uint16)
         assert hashlib.sha256(bytes(closure._dist)).hexdigest() == dist_digest
-        assert hashlib.sha256(bytes(closure._count)).hexdigest() == count_digest
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == count_digest
 
     def test_build_peak_is_the_index_plus_four_row_tiles(self):
         """numpy reports its buffers to tracemalloc.  Past the index, the
@@ -252,12 +259,17 @@ class TestClosureContainer:
     def test_size_bytes_positive(self, diamond_graph):
         assert build_transitive_closure_incremental(diamond_graph).size_bytes() > 0
 
-    def test_dense_size_is_three_bytes_a_pair_plus_degrees(self, diamond_graph):
-        """A ``uint8`` distance and a ``uint16`` count per pair, one list
-        slot per out-degree."""
-        nodes = diamond_graph.num_nodes
-        closure = build_transitive_closure_incremental(diamond_graph)
-        assert closure.size_bytes() == 3 * nodes * nodes + 8 * nodes
+    @pytest.mark.parametrize("followees, pair_bytes", [(255, 2), (256, 3)])
+    def test_dense_size_is_a_pair_in_the_narrowest_count_plus_degrees(
+        self, followees, pair_bytes
+    ):
+        """A ``uint8`` distance per pair and a count in the narrowest type
+        that holds the largest out-degree: 2 B a pair while it is <= 255,
+        3 B past it; one list slot per out-degree."""
+        nodes = followees + 1
+        graph = DiGraph(nodes, [(0, f) for f in range(1, nodes)])
+        closure = build_transitive_closure_incremental(graph)
+        assert closure.size_bytes() == pair_bytes * nodes * nodes + 8 * nodes
 
 
 class TestExactFolloweeSet:
