@@ -14,7 +14,7 @@ import random
 import time
 
 from repro.eval.reporting import format_table
-from repro.graph.generators import SocialGraphConfig, topical_social_graph
+from repro.graph.generators import topical_social_graph
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
 from repro.testing.oracles import build_two_hop_cover
 
@@ -26,9 +26,7 @@ def _follow_graph(num_users: int):
         stream_profile=StreamProfile(num_users=num_users)
     )
     interests, hubs = generator._make_users(8, random.Random(num_users))
-    return topical_social_graph(
-        interests, hubs, SocialGraphConfig(), random.Random(num_users + 1)
-    )
+    return topical_social_graph(interests, hubs, random.Random(num_users + 1))
 
 
 def test_ablation_landmark_ordering(benchmark, report):

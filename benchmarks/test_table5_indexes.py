@@ -25,7 +25,7 @@ import time
 
 from repro.eval.reporting import format_table
 from repro.graph.compact_labels import build_compact_two_hop_cover
-from repro.graph.generators import SocialGraphConfig, topical_social_graph
+from repro.graph.generators import topical_social_graph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
@@ -41,9 +41,7 @@ def _follow_graph(num_users: int):
         stream_profile=StreamProfile(num_users=num_users)
     )
     interests, hubs = generator._make_users(8, random.Random(num_users))
-    return topical_social_graph(
-        interests, hubs, SocialGraphConfig(), random.Random(num_users + 1)
-    )
+    return topical_social_graph(interests, hubs, random.Random(num_users + 1))
 
 
 def _query_pairs(num_nodes: int, rng: random.Random):

@@ -17,7 +17,7 @@ import time
 
 from repro.config import LinkerConfig
 from repro.graph import build_reachability_index, weighted_reachability
-from repro.graph.generators import SocialGraphConfig, topical_social_graph
+from repro.graph.generators import topical_social_graph
 from repro.stream.generator import StreamProfile, TweetStreamGenerator
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     # a follow graph with topical hubs, like the experiments use
     generator = TweetStreamGenerator(stream_profile=StreamProfile(num_users=800))
     interests, hubs = generator._make_users(8, random.Random(1))
-    graph = topical_social_graph(interests, hubs, SocialGraphConfig(), random.Random(2))
+    graph = topical_social_graph(interests, hubs, random.Random(2))
     stats = graph.stats()
     print(f"follow graph: {stats['nodes']} users, {stats['edges']} edges, "
           f"max degree {stats['max_degree']}")

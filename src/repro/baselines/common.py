@@ -22,21 +22,18 @@ from repro.kb.complemented import ComplementedKnowledgebase
 from repro.text.similarity import CosineSimilarity, TfIdfVectorizer
 from repro.text.tokenize import tokenize_words
 
+#: Weights of the popularity prior, context similarity and coherence in
+#: :meth:`IntraTweetScorer.score`.
+WEIGHT_POPULARITY = 0.4
+WEIGHT_CONTEXT = 0.3
+WEIGHT_COHERENCE = 0.3
+
 
 class IntraTweetScorer:
     """Popularity prior + context similarity + coherence voting."""
 
-    def __init__(
-        self,
-        ckb: ComplementedKnowledgebase,
-        weight_popularity: float = 0.4,
-        weight_context: float = 0.3,
-        weight_coherence: float = 0.3,
-    ) -> None:
+    def __init__(self, ckb: ComplementedKnowledgebase) -> None:
         self._ckb = ckb
-        self._w_pop = weight_popularity
-        self._w_ctx = weight_context
-        self._w_coh = weight_coherence
         vectorizer = TfIdfVectorizer()
         kb = ckb.kb
         descriptions = [kb.description(e.entity_id) for e in kb.entities()]
@@ -122,9 +119,9 @@ class IntraTweetScorer:
         coherence = self.coherence(candidates, other_mention_candidates)
         return {
             e: (
-                self._w_pop * prior[e]
-                + self._w_ctx * context[e]
-                + self._w_coh * coherence[e]
+                WEIGHT_POPULARITY * prior[e]
+                + WEIGHT_CONTEXT * context[e]
+                + WEIGHT_COHERENCE * coherence[e]
             )
             for e in candidates
         }

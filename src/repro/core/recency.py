@@ -35,6 +35,9 @@ from repro.config import PROPAGATION_LAMBDA, RELATEDNESS_THRESHOLD
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
 
+#: ``k`` — the number of Eq. 11 steps folded into each cluster's operator.
+PROPAGATION_STEPS = 6
+
 
 def sliding_window_recency(
     ckb: ComplementedKnowledgebase,
@@ -65,7 +68,6 @@ class RecencyPropagationNetwork:
         kb: Knowledgebase,
         relatedness_threshold: float = RELATEDNESS_THRESHOLD,
         propagation_lambda: float = PROPAGATION_LAMBDA,
-        max_iterations: int = 6,
     ) -> None:
         if not 0.0 <= relatedness_threshold <= 1.0:
             raise ValueError("relatedness_threshold must be in [0, 1]")
@@ -74,7 +76,6 @@ class RecencyPropagationNetwork:
         self._kb = kb
         self._threshold = relatedness_threshold
         self._lambda = propagation_lambda
-        self._max_iterations = max_iterations
         self._build()
 
     def current(self) -> "RecencyPropagationNetwork":
@@ -165,7 +166,7 @@ class RecencyPropagationNetwork:
             self._components.append(tuple(sorted(component)))
 
     def _build_operators(self) -> None:
-        """Fold the ``k = max_iterations`` steps of Eq. 11 into one matrix.
+        """Fold the ``k = PROPAGATION_STEPS`` steps of Eq. 11 into one matrix.
 
         ``S^i = λ·S⁰ + Q·S^{i-1}`` with ``Q = (1-λ)·P`` is linear in
         ``S⁰``, so ``S^k = M·S⁰`` where ``M_0 = I`` and
@@ -183,7 +184,7 @@ class RecencyPropagationNetwork:
                     step[row, position[neighbor]] = damping * weight
             restart = self._lambda * np.eye(size)
             operator = np.eye(size)
-            for _ in range(self._max_iterations):
+            for _ in range(PROPAGATION_STEPS):
                 operator = restart + step @ operator
             self._operators.append(operator)
             for entity_id, row in position.items():
@@ -204,11 +205,6 @@ class RecencyPropagationNetwork:
     def propagation_lambda(self) -> float:
         """:math:`\\lambda` of Eq. 11 — the restart weight on ``S⁰``."""
         return self._lambda
-
-    @property
-    def max_iterations(self) -> int:
-        """``k`` — the number of Eq. 11 steps folded into the operators."""
-        return self._max_iterations
 
     def neighbors(self, entity_id: int) -> List[Tuple[int, float]]:
         """Propagation neighbors with normalized transition weights."""
@@ -234,7 +230,7 @@ class RecencyPropagationNetwork:
     def operator(self, index: int) -> np.ndarray:
         """The Eq. 11 operator ``M`` of cluster ``index``: entry ``[i, j]``
         is what a unit of raw recency on member ``j`` contributes to
-        member ``i`` after ``max_iterations`` steps (members in
+        member ``i`` after ``PROPAGATION_STEPS`` steps (members in
         :meth:`component_members` order).  Callers must not write to it."""
         return self._operators[index]
 
@@ -248,14 +244,14 @@ class RecencyPropagationNetwork:
     # propagation
     # ------------------------------------------------------------------ #
     def propagate(self, initial: Dict[int, float]) -> Dict[int, float]:
-        """Eq. 11 — ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}``, ``max_iterations`` times.
+        """Eq. 11 — ``S^i = λ·S⁰ + (1-λ)·P·S^{i-1}``, ``PROPAGATION_STEPS`` times.
 
         ``initial`` maps entity → raw recency; entities missing from the map
         have initial recency 0.  Only clusters holding an entity listed in
         ``initial`` are computed, each as ``M·S⁰`` over the whole cluster.
 
         The step count is fixed: the linker renormalizes the result over
-        the candidate set, so the default ``max_iterations = 6`` (residual
+        the candidate set, so ``PROPAGATION_STEPS = 6`` (residual
         < 2% of mass at λ = 0.5) yields rankings indistinguishable from
         full convergence.
         """

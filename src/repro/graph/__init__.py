@@ -34,12 +34,9 @@ from repro.graph.compact_labels import (
 from repro.graph.digraph import DiGraph
 from repro.graph.dispatch import build_reachability_index
 from repro.graph.generators import (
-    SocialGraphConfig,
-    StreamingChunk,
     StreamingWorldProfile,
     stream_follow_edges,
     stream_tweet_events,
-    stream_user_chunks,
     streaming_world_graph,
     topical_social_graph,
     random_digraph,
@@ -53,8 +50,6 @@ from repro.graph.transitive_closure import (
 __all__ = [
     "CompactTwoHopCover",
     "DiGraph",
-    "SocialGraphConfig",
-    "StreamingChunk",
     "StreamingWorldProfile",
     "TransitiveClosure",
     "build_compact_two_hop_cover",
@@ -63,7 +58,6 @@ __all__ = [
     "random_digraph",
     "stream_follow_edges",
     "stream_tweet_events",
-    "stream_user_chunks",
     "streaming_world_graph",
     "topical_social_graph",
     "weighted_reachability",

@@ -25,25 +25,22 @@ from repro.config import DAY
 from repro.graph.digraph import DiGraph
 
 
-@dataclasses.dataclass(frozen=True)
-class SocialGraphConfig:
-    """Knobs of :func:`topical_social_graph`."""
-
-    #: Number of hub (celebrity/official) accounts per topic.
-    hubs_per_topic: int = 2
-    #: Probability a user follows each hub of a topic, scaled by her
-    #: interest in that topic.
-    hub_follow_scale: float = 3.0
-    #: Expected number of same-interest peers each user follows.
-    peers_per_user: float = 6.0
-    #: Expected number of uniformly random follows per user (weak ties that
-    #: create the small-world shortcuts).
-    random_per_user: float = 2.0
-    #: Fraction of non-hub users who are socially passive information
-    #: seekers: they follow at most one or two accounts, so the social
-    #: interest signal is silent for them (the population the paper's
-    #: recency/popularity features exist for).
-    isolation_rate: float = 0.25
+# Constants of :func:`topical_social_graph`.
+#: Number of hub (celebrity/official) accounts per topic.
+HUBS_PER_TOPIC = 2
+#: Probability a user follows each hub of a topic, scaled by the user's
+#: interest in that topic.
+HUB_FOLLOW_SCALE = 3.0
+#: Expected number of same-interest peers each user follows.
+PEERS_PER_USER = 6.0
+#: Expected number of uniformly random follows per user (weak ties that
+#: create the small-world shortcuts).
+RANDOM_PER_USER = 2.0
+#: Fraction of non-hub users who are socially passive information seekers:
+#: they follow at most one or two accounts, so the social interest signal
+#: is silent for them (the population the paper's recency/popularity
+#: features exist for).
+ISOLATION_RATE = 0.25
 
 
 def random_digraph(
@@ -69,7 +66,6 @@ def random_digraph(
 def topical_social_graph(
     interests: np.ndarray,
     hubs: Sequence[Sequence[int]],
-    config: SocialGraphConfig = SocialGraphConfig(),
     rng: Optional[random.Random] = None,
 ) -> DiGraph:
     """Build a followee-follower network from user interest vectors.
@@ -99,7 +95,7 @@ def topical_social_graph(
 
     for user in range(num_users):
         row = interests[user]
-        if user not in hub_set and rng.random() < config.isolation_rate:
+        if user not in hub_set and rng.random() < ISOLATION_RATE:
             # Passive information seeker: at most a couple of weak follows.
             for _ in range(rng.randint(0, 2)):
                 other = rng.randrange(num_users)
@@ -108,7 +104,7 @@ def topical_social_graph(
             continue
         # 1. follow topic hubs proportionally to interest
         for topic in range(num_topics):
-            probability = min(1.0, config.hub_follow_scale * float(row[topic]))
+            probability = min(1.0, HUB_FOLLOW_SCALE * float(row[topic]))
             for hub in hubs[topic]:
                 if hub != user and rng.random() < probability:
                     edges.append((user, hub))
@@ -116,7 +112,7 @@ def topical_social_graph(
             continue  # hubs follow almost nobody, like real official accounts
         # 2. homophilous peers: sample topics from the interest row, then a
         #    peer whose dominant topic matches
-        n_peers = _poisson_like(config.peers_per_user, rng)
+        n_peers = _poisson_like(PEERS_PER_USER, rng)
         for _ in range(n_peers):
             topic = _sample_topic(row, rng)
             bucket = by_topic[topic]
@@ -125,7 +121,7 @@ def topical_social_graph(
                 if peer != user:
                     edges.append((user, peer))
         # 3. weak ties
-        n_random = _poisson_like(config.random_per_user, rng)
+        n_random = _poisson_like(RANDOM_PER_USER, rng)
         for _ in range(n_random):
             other = rng.randrange(num_users)
             if other != user:
@@ -136,91 +132,83 @@ def topical_social_graph(
 # ---------------------------------------------------------------------- #
 # streaming million-user worlds (docs/scaling.md)
 # ---------------------------------------------------------------------- #
+# Constants of the streaming hub/faction worlds.  The id layout is
+# positional: ids ``[0, GLOBAL_HUBS)`` are bandwagon celebrities everyone
+# may follow, the next ``num_factions * FACTION_HUBS`` ids are faction hub
+# accounts, and every remaining id belongs to faction
+# ``(id - num_hubs) % num_factions``.
+#: Hub (celebrity) accounts per faction.
+FACTION_HUBS = 2
+#: Global celebrity accounts followed across factions.
+GLOBAL_HUBS = 8
+#: Base probability of following a global hub; scaled per hub by the
+#: bandwagon weight ``1 / sqrt(1 + hub_rank)`` (earlier hubs are the
+#: established celebrities, so they keep attracting more followers).
+GLOBAL_HUB_FOLLOW_PROB = 0.12
+#: Probability of following each hub of the user's own faction.
+FACTION_HUB_FOLLOW_PROB = 0.5
+#: Expected members a faction hub follows *back* (Poisson).  Follow-backs
+#: make hubs transit nodes instead of pure sinks — member→hub→member paths
+#: exist, matching real mutual-follow behavior and keeping 2-hop labels
+#: hub-dominated (landmarks on actual shortest paths) instead of mesh-sized.
+HUB_FOLLOW_BACK = 12.0
+#: Probability a global hub follows the first hub of each faction (the
+#: "celebrities follow insiders" edges that put global hubs on
+#: cross-faction shortest paths).
+GLOBAL_HUB_INSIDER_PROB = 0.25
+#: Expected intra-faction peer follows per user (Poisson).
+FACTION_PEERS_PER_USER = 4.0
+#: Expected uniformly random follows per user (weak ties).
+WEAK_TIES_PER_USER = 1.0
+#: Fraction of users who are passive lurkers (0–2 follows, no signal).
+LURKER_RATE = 0.25
+#: Expected tweets per regular user over the horizon (Poisson).
+TWEETS_PER_USER = 2.0
+#: Multiplier on ``TWEETS_PER_USER`` for hub accounts.
+HUB_TWEET_MULTIPLIER = 20.0
+#: Entities mentioned per faction; tweet entity ids are
+#: ``faction * ENTITIES_PER_FACTION + rank`` with a popularity skew.
+ENTITIES_PER_FACTION = 12
+#: Stream horizon in seconds.
+STREAMING_HORIZON = 30 * DAY
+
+
 @dataclasses.dataclass(frozen=True)
 class StreamingWorldProfile:
-    """Knobs of the streaming hub/faction follow-graph + tweet generator.
+    """Size and seed of a streaming hub/faction follow-graph + tweet world.
 
     Built for the 100k–1M-user scale tiers: everything about a user —
     faction membership, followees, tweets — is derived from a per-user
     seeded RNG and O(1) arithmetic over the profile, so the world can be
-    emitted user by user without materializing any global state.  The id
-    layout is positional: ids ``[0, global_hubs)`` are bandwagon
-    celebrities everyone may follow, the next ``num_factions *
-    faction_hubs`` ids are faction hub accounts, and every remaining id
-    belongs to faction ``(id - num_hubs) % num_factions``.
+    emitted user by user without materializing any global state.
     """
 
     #: Total users (nodes of the follow graph).
     num_users: int = 100_000
     #: Number of interest factions (communities).
     num_factions: int = 64
-    #: Hub (celebrity) accounts per faction.
-    faction_hubs: int = 2
-    #: Global celebrity accounts followed across factions.
-    global_hubs: int = 8
-    #: Base probability of following a global hub; scaled per hub by the
-    #: bandwagon weight ``1 / sqrt(1 + hub_rank)`` (earlier hubs are the
-    #: established celebrities, so they keep attracting more followers).
-    global_hub_follow_prob: float = 0.12
-    #: Probability of following each hub of the user's own faction.
-    faction_hub_follow_prob: float = 0.5
-    #: Expected members a faction hub follows *back* (Poisson).  Follow-backs
-    #: make hubs transit nodes instead of pure sinks — member→hub→member
-    #: paths exist, matching real mutual-follow behavior and keeping 2-hop
-    #: labels hub-dominated (landmarks on actual shortest paths) instead of
-    #: mesh-sized.
-    hub_follow_back: float = 12.0
-    #: Probability a global hub follows the first hub of each faction (the
-    #: "celebrities follow insiders" edges that put global hubs on
-    #: cross-faction shortest paths).
-    global_hub_insider_prob: float = 0.25
-    #: Expected intra-faction peer follows per user (Poisson).
-    peers_per_user: float = 4.0
-    #: Expected uniformly random follows per user (weak ties).
-    weak_ties_per_user: float = 1.0
-    #: Fraction of users who are passive lurkers (0–2 follows, no signal).
-    lurker_rate: float = 0.25
-    #: Expected tweets per regular user over the horizon (Poisson).
-    tweets_per_user: float = 2.0
-    #: Multiplier on ``tweets_per_user`` for hub accounts.
-    hub_tweet_multiplier: float = 20.0
-    #: Entities mentioned per faction; tweet entity ids are
-    #: ``faction * entities_per_faction + rank`` with a popularity skew.
-    entities_per_faction: int = 12
-    #: Stream horizon in seconds.
-    horizon: float = 30 * DAY
     #: Master seed; each user derives an independent sub-seed from it.
     seed: int = 11
 
     def __post_init__(self) -> None:
+        if self.num_factions < 1:
+            raise ValueError("num_factions must be at least 1")
         if self.num_users <= self.num_hubs:
             raise ValueError(
                 f"num_users={self.num_users} must exceed the "
                 f"{self.num_hubs} hub accounts"
             )
-        if self.num_factions < 1 or self.faction_hubs < 0 or self.global_hubs < 0:
-            raise ValueError("faction/hub counts must be positive")
-        if not 0.0 <= self.lurker_rate <= 1.0:
-            raise ValueError("lurker_rate must be in [0, 1]")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.entities_per_faction < 1:
-            raise ValueError("entities_per_faction must be at least 1")
 
     @property
     def num_hubs(self) -> int:
-        return self.global_hubs + self.num_factions * self.faction_hubs
-
-    @property
-    def num_entities(self) -> int:
-        return self.num_factions * self.entities_per_faction
+        return GLOBAL_HUBS + self.num_factions * FACTION_HUBS
 
     def faction_of(self, user: int) -> int:
         """Faction of any non-global-hub user id (O(1) arithmetic)."""
-        if user < self.global_hubs:
+        if user < GLOBAL_HUBS:
             raise ValueError(f"user {user} is a global hub, not in a faction")
         if user < self.num_hubs:
-            return (user - self.global_hubs) // self.faction_hubs
+            return (user - GLOBAL_HUBS) // FACTION_HUBS
         return (user - self.num_hubs) % self.num_factions
 
     def faction_member(self, faction: int, index: int) -> int:
@@ -231,17 +219,6 @@ class StreamingWorldProfile:
         """Number of regular (non-hub) members of ``faction``."""
         regular = self.num_users - self.num_hubs
         return (regular - faction + self.num_factions - 1) // self.num_factions
-
-
-@dataclasses.dataclass(frozen=True)
-class StreamingChunk:
-    """One consumable block of the streaming world: users ``[start, stop)``
-    with their follow edges and ``(timestamp, user, entity)`` tweet events."""
-
-    start: int
-    stop: int
-    edges: Tuple[Tuple[int, int], ...]
-    tweets: Tuple[Tuple[float, int, int], ...]
 
 
 def _user_rng(profile: StreamingWorldProfile, user: int, stream: int) -> random.Random:
@@ -269,34 +246,32 @@ def _user_edges(
             followed.add(target)
             edges.append((user, target))
 
-    if user < profile.global_hubs:
+    if user < GLOBAL_HUBS:
         # celebrities follow a couple of each other plus faction insiders
-        for other in range(profile.global_hubs):
+        for other in range(GLOBAL_HUBS):
             if other != user and rng.random() < 0.3:
                 follow(other)
         for faction in range(profile.num_factions):
-            if profile.faction_hubs and (
-                rng.random() < profile.global_hub_insider_prob
-            ):
-                follow(profile.global_hubs + faction * profile.faction_hubs)
+            if rng.random() < GLOBAL_HUB_INSIDER_PROB:
+                follow(GLOBAL_HUBS + faction * FACTION_HUBS)
         return edges
     if user < profile.num_hubs:
         # faction hubs follow the global celebrities and — crucially for
         # both realism and index size — a sample of their own members
-        for rank in range(profile.global_hubs):
+        for rank in range(GLOBAL_HUBS):
             weight = 1.0 / math.sqrt(1.0 + rank)
-            if rng.random() < profile.global_hub_follow_prob * weight:
+            if rng.random() < GLOBAL_HUB_FOLLOW_PROB * weight:
                 follow(rank)
         faction = profile.faction_of(user)
         size = profile.faction_size(faction)
         if size:
-            for _ in range(_poisson_like(profile.hub_follow_back, rng)):
+            for _ in range(_poisson_like(HUB_FOLLOW_BACK, rng)):
                 # follow-backs target the faction's mini-hubs (same
                 # quadratic skew as peer follows), closing the
                 # member→hub→mini-hub→member transit loops
                 follow(profile.faction_member(faction, int(size * rng.random() ** 2)))
         return edges
-    if rng.random() < profile.lurker_rate:
+    if rng.random() < LURKER_RATE:
         # passive information seeker: at most a couple of random follows
         for _ in range(rng.randint(0, 2)):
             target = rng.randrange(profile.num_users)
@@ -305,14 +280,14 @@ def _user_edges(
         return edges
     faction = profile.faction_of(user)
     # 1. bandwagon: global hubs, rank-skewed (the earlier the hotter)
-    for rank in range(profile.global_hubs):
+    for rank in range(GLOBAL_HUBS):
         weight = 1.0 / math.sqrt(1.0 + rank)
-        if rng.random() < profile.global_hub_follow_prob * weight:
+        if rng.random() < GLOBAL_HUB_FOLLOW_PROB * weight:
             follow(rank)
     # 2. own faction's hub accounts
-    first_hub = profile.global_hubs + faction * profile.faction_hubs
-    for hub in range(first_hub, first_hub + profile.faction_hubs):
-        if rng.random() < profile.faction_hub_follow_prob:
+    first_hub = GLOBAL_HUBS + faction * FACTION_HUBS
+    for hub in range(first_hub, first_hub + FACTION_HUBS):
+        if rng.random() < FACTION_HUB_FOLLOW_PROB:
             follow(hub)
     # 3. intra-faction peers (homophily) with a bandwagon skew: the
     #    quadratic transform concentrates follows on each faction's
@@ -321,12 +296,12 @@ def _user_edges(
     #    keeps 2-hop labels hub-dominated instead of mesh-sized)
     size = profile.faction_size(faction)
     if size > 1:
-        for _ in range(_poisson_like(profile.peers_per_user, rng)):
+        for _ in range(_poisson_like(FACTION_PEERS_PER_USER, rng)):
             peer = profile.faction_member(faction, int(size * rng.random() ** 2))
             if peer != user:
                 follow(peer)
     # 4. weak ties across the whole graph (small-world shortcuts)
-    for _ in range(_poisson_like(profile.weak_ties_per_user, rng)):
+    for _ in range(_poisson_like(WEAK_TIES_PER_USER, rng)):
         target = rng.randrange(profile.num_users)
         if target != user:
             follow(target)
@@ -337,56 +312,37 @@ def _user_tweets(
     profile: StreamingWorldProfile, user: int
 ) -> List[Tuple[float, int, int]]:
     rng = _user_rng(profile, user, stream=1)
-    mean = profile.tweets_per_user
+    mean = TWEETS_PER_USER
     if user < profile.num_hubs:
-        mean *= profile.hub_tweet_multiplier
+        mean *= HUB_TWEET_MULTIPLIER
     count = _poisson_like(mean, rng)
     if not count:
         return []
-    if user < profile.global_hubs:
+    if user < GLOBAL_HUBS:
         faction = rng.randrange(profile.num_factions)
     else:
         faction = profile.faction_of(user)
     tweets: List[Tuple[float, int, int]] = []
     for _ in range(count):
-        timestamp = rng.random() * profile.horizon
+        timestamp = rng.random() * STREAMING_HORIZON
         # popularity skew inside the faction's entity slate: rank 0 is the
         # head entity, the tail thins out quadratically
-        rank = int(profile.entities_per_faction * rng.random() ** 2)
-        entity = faction * profile.entities_per_faction + min(
-            rank, profile.entities_per_faction - 1
-        )
+        rank = int(ENTITIES_PER_FACTION * rng.random() ** 2)
+        entity = faction * ENTITIES_PER_FACTION + min(rank, ENTITIES_PER_FACTION - 1)
         tweets.append((timestamp, user, entity))
     tweets.sort()
     return tweets
 
 
-def stream_user_chunks(
-    profile: StreamingWorldProfile, chunk_size: int = 10_000
-) -> Iterator[StreamingChunk]:
-    """Yield the world in bounded user blocks.
-
-    Peak memory is O(chunk) — the 100k-tier tracemalloc test pins this.
-    Because every user's output depends only on (seed, user id), the
-    concatenation of chunks is byte-identical for *any* chunk size and to
-    the eager :func:`stream_follow_edges` / :func:`stream_tweet_events`.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    for start in range(0, profile.num_users, chunk_size):
-        stop = min(start + chunk_size, profile.num_users)
-        edges: List[Tuple[int, int]] = []
-        tweets: List[Tuple[float, int, int]] = []
-        for user in range(start, stop):
-            edges.extend(_user_edges(profile, user))
-            tweets.extend(_user_tweets(profile, user))
-        yield StreamingChunk(start, stop, tuple(edges), tuple(tweets))
-
-
 def stream_follow_edges(
     profile: StreamingWorldProfile,
 ) -> Iterator[Tuple[int, int]]:
-    """All follow edges ``(follower, followee)``, user-major order."""
+    """All follow edges ``(follower, followee)``, user-major order.
+
+    Each user's edges depend only on ``(seed, user id)`` and are drawn
+    when the iterator reaches that user, so streaming a world holds one
+    user's edges at a time, never the world's.
+    """
     for user in range(profile.num_users):
         yield from _user_edges(profile, user)
 
@@ -395,8 +351,8 @@ def stream_tweet_events(
     profile: StreamingWorldProfile,
 ) -> Iterator[Tuple[float, int, int]]:
     """All ``(timestamp, user, entity)`` events, user-major order
-    (timestamps sort within a user, not globally — consumers needing a
-    global time order merge chunks, which stays O(chunk) per step)."""
+    (timestamps sort within a user, not globally), drawn one user at a
+    time like :func:`stream_follow_edges`."""
     for user in range(profile.num_users):
         yield from _user_tweets(profile, user)
 

@@ -107,8 +107,8 @@ _NUMBER_FIELDS = (
 def tweet_from_dict(
     payload: Dict[str, Any], interned: Optional[MentionIntern] = None
 ) -> Tweet:
-    """Decode one tweet.  ``interned`` shares mention spans and mention
-    tuples across calls (:class:`~repro.stream.tweet.MentionIntern`).
+    """Decode one tweet.  ``interned`` shares author ids, mention spans and
+    mention tuples across calls (:class:`~repro.stream.tweet.MentionIntern`).
 
     ``id`` and ``user`` must be ints and ``t`` a real number, never a
     bool: ``true`` would otherwise load as user 1."""
@@ -119,7 +119,7 @@ def tweet_from_dict(
         _check_numbers(payload)  # the slow path: judge each field
     return Tweet(
         tweet_id=tweet_id,
-        user=user,
+        user=interned.user(user),
         timestamp=timestamp,
         text=payload["text"],
         mentions=interned.mentions(payload["mentions"]),

@@ -64,7 +64,7 @@ SCORE_BOUNDARIES: Tuple[float, ...] = (
 
 #: Timer samples kept per stage (a bounded window so a long stream cannot
 #: grow memory without limit; percentiles describe the recent window).
-DEFAULT_MAX_SAMPLES = 65_536
+MAX_SAMPLES = 65_536
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -159,10 +159,7 @@ class Histogram:
 class MetricsRegistry:
     """Process-local counters, gauges, histograms and stage timers."""
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be positive")
-        self._max_samples = max_samples
+    def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -215,7 +212,7 @@ class MetricsRegistry:
             return
         samples = self._timers.get(name)
         if samples is None:
-            samples = self._timers[name] = deque(maxlen=self._max_samples)
+            samples = self._timers[name] = deque(maxlen=MAX_SAMPLES)
         samples.append(seconds)
 
     def reset(self) -> None:

@@ -42,7 +42,7 @@ __all__ = [
 #: Finished spans kept per tracer; beyond this, new spans are counted in
 #: :attr:`Tracer.dropped` instead of stored (a long traced stream must
 #: not grow memory without bound).
-DEFAULT_MAX_SPANS = 100_000
+MAX_SPANS = 100_000
 
 
 class TickClock:
@@ -181,16 +181,9 @@ class Tracer:
     asserts under random operation sequences.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        max_spans: int = DEFAULT_MAX_SPANS,
-    ) -> None:
-        if max_spans < 1:
-            raise ValueError("max_spans must be positive")
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._owns_clock = clock is None
         self._clock: Callable[[], float] = clock if clock is not None else TickClock()
-        self._max_spans = max_spans
         self._enabled = False
         self._stack: List[Span] = []
         self._finished: List[Span] = []
@@ -286,7 +279,7 @@ class Tracer:
             self._stack.pop()
         elif span in self._stack:
             self._stack.remove(span)
-        if len(self._finished) >= self._max_spans:
+        if len(self._finished) >= MAX_SPANS:
             self.dropped += 1
             return
         self._finished.append(span)

@@ -41,6 +41,9 @@ SNAPSHOT_SCHEMA_VERSION = 1
 #: Trip reasons kept in the bounded snapshot history (newest last).
 TRIP_HISTORY_LIMIT = 8
 
+#: Consecutive half-open successes required to close again.
+SUCCESS_THRESHOLD = 1
+
 
 class CircuitBreaker:
     """Failure-counting breaker with timed recovery probes.
@@ -51,8 +54,6 @@ class CircuitBreaker:
         Consecutive failures that trip the breaker open.
     recovery_timeout:
         Seconds the breaker stays open before admitting a probe call.
-    success_threshold:
-        Consecutive half-open successes required to close again.
     clock:
         Monotonic time source; injectable for deterministic tests.
     """
@@ -61,18 +62,14 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         recovery_timeout: float = 30.0,
-        success_threshold: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
         if recovery_timeout <= 0:
             raise ValueError("recovery_timeout must be positive")
-        if success_threshold < 1:
-            raise ValueError("success_threshold must be at least 1")
         self._failure_threshold = failure_threshold
         self._recovery_timeout = recovery_timeout
-        self._success_threshold = success_threshold
         self._clock = clock
         self._state = BreakerState.CLOSED
         self._failures = 0
@@ -124,7 +121,7 @@ class CircuitBreaker:
             "consecutive_failures": self._failures,
             "half_open_successes": self._successes,
             "failure_threshold": self._failure_threshold,
-            "success_threshold": self._success_threshold,
+            "success_threshold": SUCCESS_THRESHOLD,
             "recovery_timeout_s": self._recovery_timeout,
             "time_to_probe_s": time_to_probe,
             "trip_reasons": list(self._trip_reasons),
@@ -141,7 +138,7 @@ class CircuitBreaker:
         self._failures = 0
         if self._state is BreakerState.HALF_OPEN:
             self._successes += 1
-            if self._successes >= self._success_threshold:
+            if self._successes >= SUCCESS_THRESHOLD:
                 self._state = BreakerState.CLOSED
                 METRICS.incr("breaker.closed")
                 TRACE.event("breaker.closed")

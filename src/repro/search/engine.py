@@ -51,6 +51,13 @@ class SearchResponse:
     degraded: bool = False
 
 
+#: Half-life of a result's freshness, the recency decay of result ranking.
+FRESHNESS_HALF_LIFE = 7 * DAY
+#: Weight of keyword overlap against freshness in a result's rank score
+#: (both in [0, 1]).
+KEYWORD_WEIGHT = 0.5
+
+
 class PersonalizedSearchEngine:
     """Entity-aware, socially-personalized tweet search."""
 
@@ -59,21 +66,10 @@ class PersonalizedSearchEngine:
         linker: SocialTemporalLinker,
         store: TweetStore,
         parser: Optional[QueryParser] = None,
-        freshness_half_life: float = 7 * DAY,
-        keyword_weight: float = 0.5,
     ) -> None:
-        """``freshness_half_life`` controls recency decay of result
-        ranking; ``keyword_weight`` trades keyword overlap against
-        freshness (both in [0, 1] after normalization)."""
-        if freshness_half_life <= 0:
-            raise ValueError("freshness_half_life must be positive")
-        if not 0.0 <= keyword_weight <= 1.0:
-            raise ValueError("keyword_weight must be in [0, 1]")
         self._linker = linker
         self._store = store
         self._parser = parser or QueryParser(linker.ckb.kb)
-        self._half_life = freshness_half_life
-        self._keyword_weight = keyword_weight
 
     # ------------------------------------------------------------------ #
     # search
@@ -113,11 +109,9 @@ class PersonalizedSearchEngine:
     # ------------------------------------------------------------------ #
     def _rank_score(self, tweet_id: int, timestamp: float, now: float, parsed) -> float:
         age = max(now - timestamp, 0.0)
-        freshness = math.exp(-math.log(2) * age / self._half_life)
+        freshness = math.exp(-math.log(2) * age / FRESHNESS_HALF_LIFE)
         overlap = self._store.keyword_overlap(tweet_id, parsed.keywords)
-        return (
-            self._keyword_weight * overlap + (1 - self._keyword_weight) * freshness
-        )
+        return KEYWORD_WEIGHT * overlap + (1 - KEYWORD_WEIGHT) * freshness
 
     def _entity_hits(
         self, parsed: ParsedQuery, linked, now: float, limit: int

@@ -16,6 +16,9 @@ from repro.stream.tweet import Tweet
 
 #: Activity thresholds of the paper's D-series.
 PAPER_THRESHOLDS: Tuple[int, ...] = (10, 30, 50, 70, 90)
+#: Users with fewer than this many postings count as inactive, the
+#: population the test set is sampled from.
+INACTIVE_BELOW = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +82,6 @@ def split_by_activity(
     tweets: Sequence[Tweet],
     thresholds: Sequence[int] = PAPER_THRESHOLDS,
     test_user_cap: int = 200,
-    inactive_below: int = 10,
     exclude_users: Optional[Set[int]] = None,
     rng: Optional[random.Random] = None,
 ) -> DatasetCatalog:
@@ -95,8 +97,6 @@ def split_by_activity(
     test_user_cap:
         Maximum number of inactive users sampled for the test set
         (paper: 200).
-    inactive_below:
-        Users with fewer than this many postings count as inactive.
     exclude_users:
         Users never eligible for the test set (e.g. hub accounts).
     """
@@ -118,7 +118,7 @@ def split_by_activity(
     inactive = sorted(
         user
         for user, count in counts.items()
-        if count < inactive_below and user not in excluded
+        if count < INACTIVE_BELOW and user not in excluded
     )
     if len(inactive) > test_user_cap:
         inactive = rng.sample(inactive, test_user_cap)

@@ -14,6 +14,10 @@ import dataclasses
 import random
 from typing import List, Optional, Sequence
 
+#: Mean of the exponential burst duration of :meth:`EventTimeline.random`
+#: (seconds; five days).
+MEAN_EVENT_DURATION = 5 * 86_400.0
+
 
 @dataclasses.dataclass(frozen=True)
 class Event:
@@ -71,7 +75,6 @@ class EventTimeline:
         num_topics: int,
         horizon: float,
         events_per_topic: int = 2,
-        mean_duration: float = 5 * 86_400.0,
         intensity: float = 6.0,
         rng: Optional[random.Random] = None,
     ) -> "EventTimeline":
@@ -80,7 +83,7 @@ class EventTimeline:
         events: List[Event] = []
         for topic in range(num_topics):
             for _ in range(events_per_topic):
-                duration = min(horizon, rng.expovariate(1.0 / mean_duration))
+                duration = min(horizon, rng.expovariate(1.0 / MEAN_EVENT_DURATION))
                 duration = max(duration, horizon / 100.0)
                 start = rng.uniform(0.0, max(horizon - duration, 0.0))
                 events.append(

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.config import DAY
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import SocialGraphConfig, topical_social_graph
+from repro.graph.generators import HUBS_PER_TOPIC, topical_social_graph
 from repro.kb.builder import KBProfile, SyntheticKB, SyntheticWikipediaBuilder
 from repro.stream.events import EventTimeline
 from repro.stream.tweet import MentionIntern, MentionSpan, Tweet
@@ -119,10 +119,9 @@ class SyntheticWorld:
         cls,
         kb_profile: KBProfile = KBProfile(),
         stream_profile: StreamProfile = StreamProfile(),
-        graph_config: SocialGraphConfig = SocialGraphConfig(),
     ) -> "SyntheticWorld":
         """Build KB, users, follow graph, timeline, and the tweet stream."""
-        generator = TweetStreamGenerator(kb_profile, stream_profile, graph_config)
+        generator = TweetStreamGenerator(kb_profile, stream_profile)
         return generator.generate()
 
 
@@ -133,11 +132,9 @@ class TweetStreamGenerator:
         self,
         kb_profile: KBProfile = KBProfile(),
         stream_profile: StreamProfile = StreamProfile(),
-        graph_config: SocialGraphConfig = SocialGraphConfig(),
     ) -> None:
         self._kb_profile = kb_profile
         self._profile = stream_profile
-        self._graph_config = graph_config
 
     # ------------------------------------------------------------------ #
     # pipeline
@@ -150,7 +147,7 @@ class TweetStreamGenerator:
 
         interests, hubs = self._make_users(num_topics, rng)
         graph = topical_social_graph(
-            interests, hubs, self._graph_config, random.Random(rng.randrange(2**31))
+            interests, hubs, random.Random(rng.randrange(2**31))
         )
         timeline = EventTimeline.random(
             num_topics=num_topics,
@@ -183,8 +180,7 @@ class TweetStreamGenerator:
         ``interests_per_user`` topics with a small uniform floor.
         """
         profile = self._profile
-        hubs_per_topic = self._graph_config.hubs_per_topic
-        num_hubs = hubs_per_topic * num_topics
+        num_hubs = HUBS_PER_TOPIC * num_topics
         if num_hubs >= profile.num_users:
             raise ValueError("num_users too small for the configured hubs")
         interests = np.full(
@@ -194,7 +190,7 @@ class TweetStreamGenerator:
         hubs: List[List[int]] = [[] for _ in range(num_topics)]
         user = 0
         for topic in range(num_topics):
-            for _ in range(hubs_per_topic):
+            for _ in range(HUBS_PER_TOPIC):
                 interests[user, topic] += 0.98
                 hubs[topic].append(user)
                 user += 1

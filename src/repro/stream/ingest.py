@@ -55,6 +55,12 @@ RawRecord = Union[Tweet, Dict[str, object]]
 
 #: The largest id the complemented KB's signed 64-bit columns hold.
 _MAX_ID = 2**63 - 1
+#: Backpressure bound of :class:`ResilientIngestor`: past this many
+#: buffered tweets the oldest are force-emitted even though the watermark
+#: has not reached them.
+MAX_BUFFER = 1024
+#: Dead letters retained before the oldest is evicted (and counted).
+MAX_DEAD_LETTERS = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,13 +106,8 @@ class TweetValidator:
     64-bit range, unknown authors — raises the matching taxonomy error.
     """
 
-    def __init__(
-        self,
-        known_users: Optional[Iterable[int]] = None,
-        min_timestamp: float = 0.0,
-    ) -> None:
+    def __init__(self, known_users: Optional[Iterable[int]] = None) -> None:
         self._known_users = frozenset(known_users) if known_users is not None else None
-        self._min_timestamp = min_timestamp
         self.repairs = 0
 
     def validate(self, record: RawRecord) -> Tweet:
@@ -119,9 +120,9 @@ class TweetValidator:
             raise MalformedTweetError(
                 f"unsupported record type {type(record).__name__}"
             )
-        if not math.isfinite(tweet.timestamp) or tweet.timestamp < self._min_timestamp:
+        if not math.isfinite(tweet.timestamp) or tweet.timestamp < 0.0:
             raise MalformedTweetError(
-                f"timestamp {tweet.timestamp!r} outside [{self._min_timestamp}, inf)"
+                f"timestamp {tweet.timestamp!r} outside [0.0, inf)"
             )
         if tweet.tweet_id > _MAX_ID or tweet.user > _MAX_ID:
             raise MalformedTweetError(
@@ -191,17 +192,16 @@ class ResilientIngestor:
     passes their timestamp, then released in ``(timestamp, tweet_id)``
     order.  A stream delivered out of order — within the lateness bound —
     therefore produces byte-identical downstream state to in-order
-    delivery.  Arrivals older than the watermark, duplicates, and
-    unrepairable records go to :attr:`dead_letters` with a typed reason.
+    delivery.  Arrivals older than the watermark or sorting before a tweet
+    already released (which a :data:`MAX_BUFFER` forced release can do),
+    duplicates, and unrepairable records go to :attr:`dead_letters` with
+    a typed reason.
 
     Parameters
     ----------
     lateness:
         How far (seconds) event time may lag the newest arrival before a
         record counts as too late.  0 admits only monotone streams.
-    max_buffer:
-        Backpressure bound; when exceeded, the oldest buffered tweets are
-        force-emitted even though the watermark has not reached them.
     seen_ids:
         Tweet ids already applied downstream (from a checkpoint); arrivals
         with these ids dead-letter as duplicates instead of double-counting.
@@ -216,24 +216,18 @@ class ResilientIngestor:
         self,
         validator: Optional[TweetValidator] = None,
         lateness: float = 0.0,
-        max_buffer: int = 1024,
         seen_ids: Iterable[int] = (),
-        max_dead_letters: int = 10_000,
         advance_hook: Optional[Callable[[float], None]] = None,
     ) -> None:
         if lateness < 0:
             raise ValueError("lateness must be non-negative")
-        if max_buffer < 1:
-            raise ValueError("max_buffer must be positive")
         self._validator = validator or TweetValidator()
         self._lateness = lateness
-        self._max_buffer = max_buffer
         self._seen: Set[int] = set(seen_ids)
         self._buffer: List[Tuple[float, int, Tweet]] = []
         self._max_event_time = -math.inf
-        if max_dead_letters < 1:
-            raise ValueError("max_dead_letters must be positive")
-        self._max_dead_letters = max_dead_letters
+        #: ``(timestamp, tweet_id)`` of the last tweet released downstream.
+        self._last_released: Tuple[float, int] = (-math.inf, -1)
         self._advance_hook = advance_hook
         self.dead_letters: Deque[DeadLetter] = collections.deque()
         self.stats = IngestStats()
@@ -269,6 +263,11 @@ class ResilientIngestor:
                     f"tweet {tweet.tweet_id} at t={tweet.timestamp:.3f} is behind "
                     f"the watermark {self.watermark:.3f}"
                 )
+            if (tweet.timestamp, tweet.tweet_id) < self._last_released:
+                raise StaleTimestampError(
+                    f"tweet {tweet.tweet_id} at t={tweet.timestamp:.3f} sorts "
+                    f"before the released tweet {self._last_released[1]}"
+                )
         except ReproError as exc:
             self._dead_letter(record, exc)
             return []
@@ -286,24 +285,27 @@ class ResilientIngestor:
         """Release every buffered tweet (end of stream / before checkpoint)."""
         released = [item[2] for item in sorted(self._buffer)]
         self._buffer.clear()
-        self.stats.emitted += len(released)
-        METRICS.incr("ingest.emitted", len(released))
         METRICS.gauge("ingest.pending", 0)
-        if released and self._advance_hook is not None:
-            self._advance_hook(released[0].timestamp)
-        return released
+        return self._emit(released)
 
     def _release(self) -> List[Tweet]:
         released: List[Tweet] = []
         watermark = self.watermark
         while self._buffer and (
-            self._buffer[0][0] <= watermark or len(self._buffer) > self._max_buffer
+            self._buffer[0][0] <= watermark or len(self._buffer) > MAX_BUFFER
         ):
             released.append(heapq.heappop(self._buffer)[2])
+        return self._emit(released)
+
+    def _emit(self, released: List[Tweet]) -> List[Tweet]:
+        """Account for one release batch, in release order: the counters,
+        the key later arrivals must not sort before, the advance hook."""
         self.stats.emitted += len(released)
         METRICS.incr("ingest.emitted", len(released))
-        if released and self._advance_hook is not None:
-            self._advance_hook(released[0].timestamp)
+        if released:
+            self._last_released = (released[-1].timestamp, released[-1].tweet_id)
+            if self._advance_hook is not None:
+                self._advance_hook(released[0].timestamp)
         return released
 
     def drain(self) -> List[DeadLetter]:
@@ -311,7 +313,7 @@ class ResilientIngestor:
 
         This is the supported way to consume the queue — an operator's
         re-ingestion or archival job drains it periodically; letters that
-        overflowed :attr:`_max_dead_letters` before a drain are already
+        overflowed :data:`MAX_DEAD_LETTERS` before a drain are already
         gone (evicted oldest-first, counted in
         ``stats.dead_letter_evictions``).
         """
@@ -332,7 +334,7 @@ class ResilientIngestor:
         # Bounded retention with *explicit* overflow: evict the oldest
         # letter (the one least likely to still matter) and say so in the
         # metrics, instead of silently refusing to record new failures.
-        if len(self.dead_letters) >= self._max_dead_letters:
+        if len(self.dead_letters) >= MAX_DEAD_LETTERS:
             self.dead_letters.popleft()
             self.stats.dead_letter_evictions += 1
             METRICS.incr("ingest.dead_letters.evicted")

@@ -28,27 +28,33 @@ class MentionSpan:
 
 
 class MentionIntern:
-    """The mention records one world's tweets share: one
-    :class:`MentionSpan` per ``(surface, entity)`` and one mention tuple
-    per sequence of them, each built (and validated) on its first sighting.
+    """The records one world's tweets share: one :class:`MentionSpan` per
+    ``(surface, entity)``, one mention tuple per sequence of them, each
+    built (and validated) on its first sighting, and one ``int`` per author.
 
     A span is found by its raw pair plus the entity's type, which keeps
     ``1``, ``1.0`` and ``True`` apart, so a re-save writes what was read;
     a longer tuple by its spans' positions.  No dataclass ``__hash__`` runs.
     """
 
-    __slots__ = ("_positions", "_singles", "_tuples")
+    __slots__ = ("_positions", "_singles", "_tuples", "_users")
 
     def __init__(self) -> None:
         self._positions: Dict[tuple, int] = {}
         #: ``(span,)`` per span, in order of first sighting.
         self._singles: List[Tuple[MentionSpan]] = []
         self._tuples: Dict[Tuple[int, ...], Tuple[MentionSpan, ...]] = {}
+        self._users: Dict[int, int] = {}
 
     @property
     def spans(self) -> List[MentionSpan]:
         """Every span, in order of first sighting."""
         return [span for (span,) in self._singles]
+
+    def user(self, user: int) -> int:
+        """The shared object of author id ``user``; a JSON parser makes a
+        new ``int`` per record, and ids past 256 are not cached."""
+        return self._users.setdefault(user, user)
 
     def mentions(self, pairs: Sequence[Sequence]) -> Tuple[MentionSpan, ...]:
         """The shared tuple of the spans of ``(surface, entity)`` ``pairs``."""

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.core.influence import entropy_influence, tfidf_influence
-from repro.core.recency import RecencyPropagationNetwork
+from repro.core.recency import PROPAGATION_STEPS, RecencyPropagationNetwork
 from repro.graph.compact_labels import INF
 from repro.graph.digraph import DiGraph
 from repro.graph.reachability import (
@@ -440,7 +440,7 @@ def propagate_by_iteration(
     mention before it folded the steps into one operator per cluster.
 
     Same contract as :meth:`RecencyPropagationNetwork.propagate`.  Runs
-    ``network.max_iterations`` sweeps; ``tolerance`` restores the old
+    ``PROPAGATION_STEPS`` sweeps; ``tolerance`` restores the old
     early exit (stop once a sweep moves the cluster by less than that in
     L1), which the shipped fixed-``k`` operator does not have.
     """
@@ -455,7 +455,7 @@ def propagate_by_iteration(
         if not any(base.values()):
             continue
         scores = base
-        for _ in range(network.max_iterations):
+        for _ in range(PROPAGATION_STEPS):
             delta = 0.0
             fresh: Dict[int, float] = {}
             for entity_id in component:

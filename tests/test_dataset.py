@@ -45,7 +45,7 @@ class TestSplit:
 
     def test_test_set_only_inactive_users(self):
         tweets = make_tweets({1: 3, 2: 50, 3: 9, 4: 10})
-        catalog = split_by_activity(tweets, inactive_below=10)
+        catalog = split_by_activity(tweets)
         assert catalog.test.users == frozenset({1, 3})
 
     def test_test_user_cap(self):

@@ -5,11 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.graph.generators import (
-    SocialGraphConfig,
-    random_digraph,
-    topical_social_graph,
-)
+from repro.graph import generators
+from repro.graph.generators import random_digraph, topical_social_graph
 
 
 def make_interests(num_users, num_topics, seed=0):
@@ -40,7 +37,7 @@ class TestTopicalSocialGraph:
         with pytest.raises(ValueError):
             topical_social_graph(interests, hubs=[[0]], rng=random.Random(0))
 
-    def test_hubs_attract_followers(self):
+    def test_hubs_attract_followers(self, monkeypatch):
         num_users, num_topics = 150, 3
         interests = np.zeros((num_users, num_topics))
         hubs = [[0], [1], [2]]
@@ -50,19 +47,19 @@ class TestTopicalSocialGraph:
             for hub in topic_hubs:
                 interests[hub] = 0.0
                 interests[hub, topic] = 1.0
-        config = SocialGraphConfig(isolation_rate=0.0)
-        graph = topical_social_graph(interests, hubs, config, random.Random(2))
+        monkeypatch.setattr(generators, "ISOLATION_RATE", 0.0)
+        graph = topical_social_graph(interests, hubs, random.Random(2))
         hub_in = sum(graph.in_degree(h) for row in hubs for h in row) / 3
         non_hub_in = sum(
             graph.in_degree(u) for u in range(3, num_users)
         ) / (num_users - 3)
         assert hub_in > 3 * non_hub_in
 
-    def test_isolation_rate_produces_quiet_users(self):
+    def test_isolation_rate_produces_quiet_users(self, monkeypatch):
         interests = make_interests(200, 4, seed=3)
         hubs = [[0], [1], [2], [3]]
-        config = SocialGraphConfig(isolation_rate=0.5)
-        graph = topical_social_graph(interests, hubs, config, random.Random(5))
+        monkeypatch.setattr(generators, "ISOLATION_RATE", 0.5)
+        graph = topical_social_graph(interests, hubs, random.Random(5))
         quiet = sum(1 for u in range(4, 200) if graph.out_degree(u) <= 2)
         assert quiet > 50  # roughly half the non-hub population
 
@@ -73,7 +70,7 @@ class TestTopicalSocialGraph:
         b = topical_social_graph(interests, hubs, rng=random.Random(9))
         assert sorted(a.edges()) == sorted(b.edges())
 
-    def test_homophily(self):
+    def test_homophily(self, monkeypatch):
         """Users follow same-dominant-topic peers more than cross-topic ones."""
         num_users, num_topics = 240, 4
         interests = np.full((num_users, num_topics), 0.02)
@@ -82,8 +79,9 @@ class TestTopicalSocialGraph:
             interests[user, topic] = 1.0
         interests = interests / interests.sum(axis=1, keepdims=True)
         hubs = [[t] for t in range(num_topics)]
-        config = SocialGraphConfig(isolation_rate=0.0, random_per_user=0.0)
-        graph = topical_social_graph(interests, hubs, config, random.Random(4))
+        monkeypatch.setattr(generators, "ISOLATION_RATE", 0.0)
+        monkeypatch.setattr(generators, "RANDOM_PER_USER", 0.0)
+        graph = topical_social_graph(interests, hubs, random.Random(4))
         same = cross = 0
         for u, v in graph.edges():
             if u < num_topics or v < num_topics:

@@ -7,7 +7,8 @@ its own status, so code raises typed errors and catches no more than it
 handles.  CACHE: a score memo is valid while its epochs match, so each
 mutator of an ``Epoch`` owner bumps it or delegates to a mutator that does.
 IMP: a module imports only what it reads, once (ruff's F401 and F811, held
-in tier-1 over ``src/repro`` and ``tests/``, the tree CI's lint reads).
+in tier-1 over ``src/repro`` and ``tests/``, the tree CI's lint reads, and
+over ``benchmarks/`` and ``examples/``, which it does not).
 
 Each rule maps one parsed module to ``(lineno, rule, message)`` hits.  Call
 names resolve through the module's own imports, so ``import time as t;
@@ -310,12 +311,23 @@ def test_src_keeps_every_invariant_outside_the_allow_list():
     assert stale == [], f"allow-list entries that match no hit: {stale}"
 
 
-def test_tests_import_only_what_they_read():
-    hits = scan(SRC.parents[1] / "tests", IMPORT_RULES)
+def assert_imports_read(directory: str) -> None:
+    hits = scan(SRC.parents[1] / directory, IMPORT_RULES)
     assert hits == [], "\n".join(
-        f"tests/{path}:{lineno} {rule} {message}"
+        f"{directory}/{path}:{lineno} {rule} {message}"
         for path, _, rule, lineno, message in hits
     )
+
+
+def test_tests_import_only_what_they_read():
+    assert_imports_read("tests")
+
+
+@pytest.mark.parametrize("directory", ["benchmarks", "examples"])
+def test_scripts_import_only_what_they_read(directory):
+    """The benchmark tables and the examples, which CI's ruff job does not
+    lint, keep the same two import rules."""
+    assert_imports_read(directory)
 
 
 def test_an_entry_matching_nothing_and_an_unlisted_hit_both_fail():

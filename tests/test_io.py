@@ -22,6 +22,8 @@ from repro.io import (
     world_from_dict,
     world_to_dict,
 )
+from repro.stream.generator import SyntheticWorld
+from repro.stream.profiles import quick_profiles
 from repro.stream.tweet import MentionIntern
 
 
@@ -125,6 +127,23 @@ class TestMentionInterning:
                 assert first.setdefault(key, span) is span
         assert len(first) < sum(t.num_mentions for t in restored.tweets)
         assert restored.tweets == small_world.tweets
+
+    def test_one_user_object_per_author(self, tmp_path):
+        """A loaded world holds one ``int`` per author, as a generated one
+        does, not one per tweet.  400 users: ids past 256 are not cached
+        by the interpreter, so only the intern can share them."""
+        kb_profile, stream_profile = quick_profiles()
+        world = SyntheticWorld.generate(
+            kb_profile,
+            dataclasses.replace(stream_profile, num_users=400, activity_log_mean=1.0),
+        )
+        path = tmp_path / "world.json"
+        save_world(world, path)
+        restored = load_world(path)
+        users = {t.user for t in restored.tweets}
+        assert max(users) > 256
+        assert len({id(t.user) for t in restored.tweets}) == len(users)
+        assert restored.tweets == world.tweets
 
     def test_tweets_retain_at_most_260_bytes_each(self, small_world, tmp_path):
         """What a loaded tweet keeps past the rest of the world (tracemalloc):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.trace import TRACE, TickClock, Tracer
 
 
@@ -141,14 +142,11 @@ class TestSwitches:
 
 
 class TestBounds:
-    def test_max_spans_drops_and_counts(self):
-        tracer = make_tracer(max_spans=2)
+    def test_max_spans_drops_and_counts(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_SPANS", 2)
+        tracer = make_tracer()
         for _ in range(4):
             with tracer.span("s"):
                 pass
         assert len(tracer.finished_spans()) == 2
         assert tracer.dropped == 2
-
-    def test_invalid_max_spans_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(max_spans=0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DAY, PROPAGATION_LAMBDA, RELATEDNESS_THRESHOLD
+from repro.core import recency
 from repro.core.recency import (
     RecencyPropagationNetwork,
     propagated_recency,
@@ -131,10 +132,10 @@ class TestPropagation:
         result = network.propagate({})
         assert result == {}
 
-    def test_convergence_fixed_point(self, tiny_kb):
+    def test_convergence_fixed_point(self, tiny_kb, monkeypatch):
+        monkeypatch.setattr(recency, "PROPAGATION_STEPS", 200)
         network = RecencyPropagationNetwork(
-            tiny_kb, relatedness_threshold=0.1, propagation_lambda=0.5,
-            max_iterations=200,
+            tiny_kb, relatedness_threshold=0.1, propagation_lambda=0.5
         )
         initial = {4: 10.0, 3: 2.0}
         result = network.propagate(initial)

@@ -41,6 +41,7 @@ from repro.kb.checkpoint import (
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.search import PersonalizedSearchEngine, TweetStore
+from repro.stream import ingest
 from repro.stream.ingest import DeadLetter, ResilientIngestor, TweetValidator
 from repro.stream.tweet import MentionSpan, Tweet
 from repro.testing.faults import (
@@ -276,8 +277,9 @@ class TestReorderingBuffer:
         ingestor.push(make_tweet(2, 96.0))
         assert ingestor.stats.admitted == 2
 
-    def test_buffer_cap_forces_emission(self):
-        ingestor = ResilientIngestor(lateness=1e9, max_buffer=3)
+    def test_buffer_cap_forces_emission(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_BUFFER", 3)
+        ingestor = ResilientIngestor(lateness=1e9)
         released = []
         for i in range(6):
             released.extend(ingestor.push(make_tweet(i, float(i))))
@@ -285,6 +287,29 @@ class TestReorderingBuffer:
         assert len(released) == 3
         assert [t.tweet_id for t in released] == [0, 1, 2]
         assert ingestor.pending == 3
+
+    def test_forced_release_never_lets_an_older_tweet_out(self, monkeypatch):
+        """After a cap-forced release, an arrival that sorts before the
+        released tweet is stale even within the lateness bound: letting it
+        out would invert the release order."""
+        monkeypatch.setattr(ingest, "MAX_BUFFER", 1)
+        ingestor = ResilientIngestor(lateness=100.0)
+        released = []
+        for i, ts in enumerate([50.0, 60.0, 40.0]):
+            released.extend(ingestor.push(make_tweet(i, ts)))
+        released.extend(ingestor.flush())
+        assert [t.timestamp for t in released] == [50.0, 60.0]
+        assert [d.reason for d in ingestor.dead_letters] == ["stale"]
+        assert ingestor.stats.stale == 1
+
+    def test_equal_timestamp_orders_by_tweet_id(self):
+        """A released ``(t, id)`` also bars a later arrival at the same
+        ``t`` with a smaller id; a larger id is still admitted."""
+        ingestor = ResilientIngestor(lateness=0.0)
+        assert [t.tweet_id for t in ingestor.push(make_tweet(5, 10.0))] == [5]
+        assert ingestor.push(make_tweet(3, 10.0)) == []
+        assert [t.tweet_id for t in ingestor.push(make_tweet(7, 10.0))] == [7]
+        assert [d.reason for d in ingestor.dead_letters] == ["stale"]
 
 
 # ---------------------------------------------------------------------- #
@@ -752,8 +777,9 @@ class TestDeadLetterOverflow:
         # empty text is irreparable -> MalformedTweetError -> dead letter
         return {"tweet_id": index, "user": 0, "timestamp": 1.0, "text": "   "}
 
-    def test_overflow_evicts_oldest_and_counts(self):
-        ingestor = ResilientIngestor(max_dead_letters=3)
+    def test_overflow_evicts_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_DEAD_LETTERS", 3)
+        ingestor = ResilientIngestor()
         for index in range(5):
             assert ingestor.push(self.bad_record(index)) == []
         assert len(ingestor.dead_letters) == 3
@@ -762,24 +788,26 @@ class TestDeadLetterOverflow:
         assert ingestor.stats.dead_lettered == 5
         assert ingestor.stats.dead_letter_evictions == 2
 
-    def test_exactly_at_capacity_keeps_everything(self):
-        ingestor = ResilientIngestor(max_dead_letters=3)
+    def test_exactly_at_capacity_keeps_everything(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_DEAD_LETTERS", 3)
+        ingestor = ResilientIngestor()
         for index in range(3):
             ingestor.push(self.bad_record(index))
         assert len(ingestor.dead_letters) == 3
         assert ingestor.stats.dead_letter_evictions == 0
 
-    def test_eviction_metric_emitted(self):
+    def test_eviction_metric_emitted(self, monkeypatch):
         from repro.obs.metrics import METRICS
 
         METRICS.reset()
-        ingestor = ResilientIngestor(max_dead_letters=1)
+        monkeypatch.setattr(ingest, "MAX_DEAD_LETTERS", 1)
+        ingestor = ResilientIngestor()
         ingestor.push(self.bad_record(0))
         ingestor.push(self.bad_record(1))
         assert METRICS.counter("ingest.dead_letters.evicted") == 1
 
     def test_drain_returns_and_clears(self):
-        ingestor = ResilientIngestor(max_dead_letters=2)
+        ingestor = ResilientIngestor()
         ingestor.push(self.bad_record(0))
         ingestor.push(self.bad_record(1))
         drained = ingestor.drain()
@@ -789,10 +817,6 @@ class TestDeadLetterOverflow:
         assert ingestor.drain() == []
         # the counter survives the drain: it tracks loss, not occupancy
         assert ingestor.stats.dead_lettered == 2
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ResilientIngestor(max_dead_letters=0)
 
 
 # ---------------------------------------------------------------------- #

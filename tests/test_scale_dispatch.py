@@ -78,8 +78,6 @@ class TestShippedShelf:
         assert sorted(repro.graph.__all__) == [
             "CompactTwoHopCover",
             "DiGraph",
-            "SocialGraphConfig",
-            "StreamingChunk",
             "StreamingWorldProfile",
             "TransitiveClosure",
             "build_compact_two_hop_cover",
@@ -88,7 +86,6 @@ class TestShippedShelf:
             "random_digraph",
             "stream_follow_edges",
             "stream_tweet_events",
-            "stream_user_chunks",
             "streaming_world_graph",
             "topical_social_graph",
             "weighted_reachability",

@@ -172,13 +172,3 @@ class TestEngine:
         assert response.linked_entities == result.top_k(1)
         assert response.hits
         assert all(hit.entity_id == result.best.entity_id for hit in response.hits)
-
-    def test_engine_validation(self, engine):
-        with pytest.raises(ValueError):
-            PersonalizedSearchEngine(
-                engine._linker, engine._store, freshness_half_life=0.0
-            )
-        with pytest.raises(ValueError):
-            PersonalizedSearchEngine(
-                engine._linker, engine._store, keyword_weight=2.0
-            )

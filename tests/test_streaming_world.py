@@ -1,22 +1,25 @@
 """Streaming world-generator tests: determinism and bounded memory.
 
 The contract of :mod:`repro.graph.generators`' streaming API is that a
-profile's output is a pure function of ``(seed, user id)``: the same
-profile yields byte-identical edge and tweet streams whether consumed
-eagerly, chunk-at-a-time, or at any chunk size — and emitting a 100k-user
-world allocates O(chunk), never O(world) (the tracemalloc pin below).
+profile's output is a pure function of the profile: the same profile
+yields byte-identical edge and tweet streams on every pass — and emitting
+a 100k-user world draws one user at a time, so it allocates O(user),
+never O(world) (the tracemalloc pin below).
 """
 
+import dataclasses
 import tracemalloc
 
 import pytest
 
+from repro.graph import generators
 from repro.graph.generators import (
-    StreamingChunk,
+    ENTITIES_PER_FACTION,
+    GLOBAL_HUBS,
+    STREAMING_HORIZON,
     StreamingWorldProfile,
     stream_follow_edges,
     stream_tweet_events,
-    stream_user_chunks,
     streaming_world_graph,
 )
 
@@ -28,22 +31,6 @@ def small_profile(**overrides) -> StreamingWorldProfile:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("chunk_size", [1, 37, 500, 5_000])
-    def test_chunked_equals_eager(self, chunk_size):
-        """Concatenated chunks == the eager streams, byte for byte."""
-        profile = small_profile()
-        eager_edges = list(stream_follow_edges(profile))
-        eager_tweets = list(stream_tweet_events(profile))
-        chunked_edges = []
-        chunked_tweets = []
-        for chunk in stream_user_chunks(profile, chunk_size=chunk_size):
-            assert isinstance(chunk, StreamingChunk)
-            assert chunk.stop - chunk.start <= chunk_size
-            chunked_edges.extend(chunk.edges)
-            chunked_tweets.extend(chunk.tweets)
-        assert chunked_edges == eager_edges
-        assert chunked_tweets == eager_tweets
-
     def test_same_seed_same_world(self):
         a = small_profile()
         b = small_profile()
@@ -84,12 +71,27 @@ class TestDeterminism:
 class TestProfileValidation:
     def test_rejects_more_hubs_than_users(self):
         with pytest.raises(ValueError):
-            StreamingWorldProfile(num_users=10, num_factions=8, faction_hubs=2)
+            StreamingWorldProfile(num_users=10, num_factions=8)
 
-    def test_rejects_bad_chunk_size(self):
-        profile = small_profile()
+    def test_rejects_no_factions(self):
         with pytest.raises(ValueError):
-            next(stream_user_chunks(profile, chunk_size=0))
+            StreamingWorldProfile(num_users=100, num_factions=0)
+
+    def test_fields_are_pinned(self):
+        """Size and seed are the whole option set; the generator's shape
+        is module constants (a new field must be set by some caller)."""
+        assert [f.name for f in dataclasses.fields(StreamingWorldProfile)] == [
+            "num_users",
+            "num_factions",
+            "seed",
+        ]
+
+    def test_global_hubs_belong_to_no_faction(self):
+        profile = small_profile()
+        for user in range(GLOBAL_HUBS):
+            with pytest.raises(ValueError):
+                profile.faction_of(user)
+        assert profile.faction_of(GLOBAL_HUBS) == 0
 
     def test_positional_id_layout(self):
         profile = small_profile()
@@ -108,15 +110,36 @@ class TestProfileValidation:
                 assert profile.faction_of(member) == faction
 
 
+class TestTweetEvents:
+    def test_events_stay_in_horizon_and_faction_slate(self):
+        """Every regular user mentions only its own faction's entities,
+        inside the stream horizon."""
+        profile = small_profile()
+        for timestamp, user, entity in stream_tweet_events(profile):
+            assert 0.0 <= timestamp < STREAMING_HORIZON
+            if user >= GLOBAL_HUBS:
+                first = profile.faction_of(user) * ENTITIES_PER_FACTION
+                assert first <= entity < first + ENTITIES_PER_FACTION
+
+    def test_lurkers_follow_at_most_two(self, monkeypatch):
+        """With every regular user a lurker, none follows more than two
+        accounts; the hubs are unaffected."""
+        monkeypatch.setattr(generators, "LURKER_RATE", 1.0)
+        profile = small_profile()
+        graph = streaming_world_graph(profile)
+        regular = range(profile.num_hubs, profile.num_users)
+        assert max(graph.out_degree(u) for u in regular) <= 2
+        assert max(graph.out_degree(u) for u in range(profile.num_hubs)) > 2
+
+
 class TestBoundedMemory:
     def test_100k_tier_streams_in_bounded_memory(self):
-        """Peak allocation while streaming 100k users stays O(chunk).
+        """Peak allocation while streaming 100k users stays O(user).
 
         An eager materialization of this world is ~500k edges and ~200k
-        tweet events — tens of MiB of tuples.  The chunked stream must
-        hold only one chunk of users at a time; 16 MiB of headroom is an
-        order of magnitude below eager and far above one 2 000-user
-        chunk.
+        tweet events — tens of MiB of tuples.  The per-user iterators
+        hold one user's draws at a time; 16 MiB of headroom is an order
+        of magnitude below eager.
         """
         profile = StreamingWorldProfile(
             num_users=100_000, num_factions=800, seed=11
@@ -126,9 +149,10 @@ class TestBoundedMemory:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            for chunk in stream_user_chunks(profile, chunk_size=2_000):
-                edges += len(chunk.edges)
-                tweets += len(chunk.tweets)
+            for _ in stream_follow_edges(profile):
+                edges += 1
+            for _ in stream_tweet_events(profile):
+                tweets += 1
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
