@@ -51,24 +51,16 @@ class RunCache:
         return self._contexts
 
     def run(self, index: int, variant: str) -> PredictionRun:
+        """``variant`` is ``on-the-fly``, ``collective``, ``ours`` or
+        ``ours:<spec>`` (see :func:`_variant_config`)."""
         key = (index, variant)
         if key not in self._runs:
-            context = self._contexts[index]
-            adapter = self._adapter(context, variant)
-            self._runs[key] = adapter.run(context.test_dataset)
+            method, _, spec = variant.partition(":")
+            config = _variant_config(spec) if spec else None
+            self._runs[key] = self._contexts[index].run(
+                "onthefly" if method == "on-the-fly" else method, config
+            )
         return self._runs[key]
-
-    def _adapter(self, context: ExperimentContext, variant: str):
-        if variant == "on-the-fly":
-            return context.onthefly()
-        if variant == "collective":
-            return context.collective()
-        if variant == "ours":
-            return context.social_temporal()
-        if variant.startswith("ours:"):
-            config = _variant_config(variant.split(":", 1)[1])
-            return context.social_temporal(config=config)
-        raise ValueError(f"unknown variant {variant!r}")
 
     def accuracy(self, variant: str) -> AccuracyReport:
         """Seed-averaged accuracy of a variant."""

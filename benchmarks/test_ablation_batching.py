@@ -15,13 +15,12 @@ from repro.eval.reporting import format_table
 
 def test_ablation_micro_batching(benchmark, contexts, report):
     context = contexts[0]
-    adapter = context.social_temporal()
-    linker = adapter._linker
+    linker = context.social_temporal()
     tweets = list(context.test_dataset.tweets)
 
     started = time.perf_counter()
     sequential = {
-        tweet.tweet_id: [r.result for r in linker.link_tweet(tweet)]
+        tweet.tweet_id: linker.link_tweet(tweet)
         for tweet in tweets
     }
     sequential_s = time.perf_counter() - started

@@ -14,23 +14,14 @@ import random
 import time
 
 from repro.eval.reporting import format_table
-from repro.graph.generators import topical_social_graph
-from repro.stream.generator import StreamProfile, TweetStreamGenerator
+from repro.stream.generator import follow_graph
 from repro.testing.oracles import build_two_hop_cover
 
 ORDERS = ("degree", "coverage", "random")
 
 
-def _follow_graph(num_users: int):
-    generator = TweetStreamGenerator(
-        stream_profile=StreamProfile(num_users=num_users)
-    )
-    interests, hubs = generator._make_users(8, random.Random(num_users))
-    return topical_social_graph(interests, hubs, random.Random(num_users + 1))
-
-
 def test_ablation_landmark_ordering(benchmark, report):
-    graph = _follow_graph(500)
+    graph = follow_graph(500, 8, seed=500)
     rng = random.Random(3)
     pairs = [(rng.randrange(500), rng.randrange(500)) for _ in range(400)]
 

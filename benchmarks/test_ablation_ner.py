@@ -19,7 +19,7 @@ from repro.eval.reporting import format_table
 
 def test_ablation_ner_pipeline(benchmark, runs, report):
     context = runs.contexts[0]
-    linker = context.social_temporal()._linker
+    linker = context.social_temporal()
     pipeline = TextLinkingPipeline(linker)
     tweets = list(context.test_dataset.tweets)
 

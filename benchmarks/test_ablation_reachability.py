@@ -14,7 +14,7 @@ time on cold caches.
 import time
 
 from repro.core.linker import SocialTemporalLinker
-from repro.eval.harness import SocialTemporalAdapter
+from repro.eval.harness import replay
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 from repro.graph.compact_labels import build_compact_two_hop_cover
@@ -51,7 +51,7 @@ def test_ablation_reachability_provider(benchmark, contexts, report):
             reachability=provider,
             propagation_network=context.propagation_network,
         )
-        run = SocialTemporalAdapter(linker, name=name).run(context.test_dataset)
+        run = replay(linker, context.test_dataset.tweets)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )

@@ -27,7 +27,7 @@ def test_ablation_recency_window(benchmark, contexts, report):
             config = dataclasses.replace(
                 base, window=days * DAY, burst_threshold=threshold
             )
-            run = context.social_temporal(config=config).run(context.test_dataset)
+            run = context.run("ours", config)
             accuracy = mention_and_tweet_accuracy(
                 context.test_dataset.tweets, run.predictions
             )
@@ -44,8 +44,8 @@ def test_ablation_recency_window(benchmark, contexts, report):
         format_table(rows, title="Ablation — recency-only accuracy over (τ, θ1)"),
     )
 
-    adapter = context.social_temporal(config=base)
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[0])
+    linker = context.social_temporal(config=base)
+    benchmark(linker.link_tweet, context.test_dataset.tweets[0])
 
     best_days, best_threshold = max(grid, key=grid.get)
     # an interior window wins: neither the 6-hour nor the 30-day extreme

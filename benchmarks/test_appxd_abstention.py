@@ -24,7 +24,7 @@ def test_appxd_abstention_tradeoff(benchmark, runs, report):
             threshold = step * config.no_interest_bound / 0.4 if step else None
             # interpret steps as absolute score thresholds scaled so that
             # step 0.4 equals the paper's beta + gamma bound
-            linker = context.social_temporal()._linker
+            linker = context.social_temporal()
             for tweet in context.test_dataset.tweets:
                 for mention in tweet.mentions:
                     if mention.true_entity is None:
@@ -59,7 +59,7 @@ def test_appxd_abstention_tradeoff(benchmark, runs, report):
     )
 
     context = runs.contexts[0]
-    linker = context.social_temporal()._linker
+    linker = context.social_temporal()
     result = linker.link(
         context.test_dataset.tweets[0].mentions[0].surface,
         context.test_dataset.tweets[0].user,

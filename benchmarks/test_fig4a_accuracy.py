@@ -58,9 +58,9 @@ def test_fig4a_method_accuracy(benchmark, runs, report):
 
     # benchmark the online path: our linker on one test tweet
     context = runs.contexts[0]
-    adapter = context.social_temporal()
+    linker = context.social_temporal()
     tweet = context.test_dataset.tweets[0]
-    benchmark(adapter.predict_tweet, tweet)
+    benchmark(linker.link_tweet, tweet)
 
     # shape: ours > collective > on-the-fly, mention >= tweet accuracy
     ours, collective, onthefly = (

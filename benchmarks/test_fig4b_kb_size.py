@@ -32,7 +32,7 @@ def per_threshold_accuracy():
         context = build_experiment(
             world=world, threshold=threshold, complement_method="collective"
         )
-        run = context.social_temporal().run(context.test_dataset)
+        run = context.run("ours")
         results[threshold] = (
             context,
             mention_and_tweet_accuracy(context.test_dataset.tweets, run.predictions),
@@ -58,8 +58,8 @@ def test_fig4b_complementation_size(benchmark, per_threshold_accuracy, report):
     context10, acc10 = per_threshold_accuracy[10]
     _, acc90 = per_threshold_accuracy[90]
     # benchmark one link on the richest KB
-    adapter = context10.social_temporal()
-    benchmark(adapter.predict_tweet, context10.test_dataset.tweets[0])
+    linker = context10.social_temporal()
+    benchmark(linker.link_tweet, context10.test_dataset.tweets[0])
 
     # shape: the best accuracy lives on the coverage-rich side (θ ≤ 50);
     # at our KB scale D10's advantage over D90 saturates (EXPERIMENTS.md),

@@ -34,9 +34,9 @@ def test_fig5a_linking_latency(benchmark, runs, report):
     )
 
     context = runs.contexts[0]
-    adapter = context.social_temporal()
+    linker = context.social_temporal()
     tweet = context.test_dataset.tweets[0]
-    stats = benchmark(adapter.predict_tweet, tweet)
+    stats = benchmark(linker.link_tweet, tweet)
     assert stats is not None
 
     # shape: on-the-fly is the fastest method

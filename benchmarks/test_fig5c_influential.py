@@ -24,8 +24,7 @@ def test_fig5c_influential_user_count(benchmark, contexts, report):
     latencies = []
     for k in K_VALUES:
         config = dataclasses.replace(LinkerConfig(), influential_users=k)
-        adapter = context.social_temporal(config=config)
-        run = adapter.run(context.test_dataset)
+        run = context.run("ours", config)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )
@@ -42,10 +41,10 @@ def test_fig5c_influential_user_count(benchmark, contexts, report):
         format_table(rows, title="Fig 5(c) — time vs influential users checked"),
     )
 
-    adapter = context.social_temporal(
+    linker = context.social_temporal(
         config=dataclasses.replace(LinkerConfig(), influential_users=50)
     )
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[0])
+    benchmark(linker.link_tweet, context.test_dataset.tweets[0])
 
     # shape: the paper observes an "insignificant difference" with a mild
     # upward trend — large k must not be cheaper than small k beyond noise

@@ -21,8 +21,7 @@ def test_fig5d_kb_scalability(benchmark, contexts, report):
         context = build_experiment(
             world=world, threshold=threshold, complement_method="truth"
         )
-        adapter = context.social_temporal()
-        run = adapter.run(context.test_dataset)
+        run = context.run("ours")
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )
@@ -42,8 +41,8 @@ def test_fig5d_kb_scalability(benchmark, contexts, report):
     )
 
     context = build_experiment(world=world, threshold=10, complement_method="truth")
-    adapter = context.social_temporal()
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[0])
+    linker = context.social_temporal()
+    benchmark(linker.link_tweet, context.test_dataset.tweets[0])
 
     # shape: link volume grows much faster than latency
     volume_growth = link_volumes[-1] / link_volumes[0]

@@ -32,12 +32,12 @@ def weibo_context():
 def test_fig6ab_weibo_generalizability(benchmark, weibo_context, runs, report):
     context = weibo_context
     results = {}
-    for name, adapter in [
-        ("on-the-fly", context.onthefly()),
-        ("collective", context.collective()),
-        ("ours", context.social_temporal()),
+    for name, method in [
+        ("on-the-fly", "onthefly"),
+        ("collective", "collective"),
+        ("ours", "ours"),
     ]:
-        run = adapter.run(context.test_dataset)
+        run = context.run(method)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )
@@ -63,8 +63,8 @@ def test_fig6ab_weibo_generalizability(benchmark, weibo_context, runs, report):
         ),
     )
 
-    adapter = context.social_temporal()
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[0])
+    linker = context.social_temporal()
+    benchmark(linker.link_tweet, context.test_dataset.tweets[0])
 
     ours, collective, onthefly = (
         results["ours"][0],

@@ -49,9 +49,9 @@ def test_fig6c_accuracy_by_tweet_length(benchmark, runs, report):
     )
 
     context = runs.contexts[0]
-    adapter = context.social_temporal()
+    linker = context.social_temporal()
     long_tweet = max(context.test_dataset.tweets, key=lambda t: t.num_mentions)
-    benchmark(adapter.predict_tweet, long_tweet)
+    benchmark(linker.link_tweet, long_tweet)
 
     ours = per_method["ours"]
     onthefly = per_method["on-the-fly"]

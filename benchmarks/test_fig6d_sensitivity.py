@@ -43,8 +43,8 @@ def test_fig6d_weight_sensitivity(benchmark, contexts, report):
         ),
     )
 
-    adapter = context.social_temporal()
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[0])
+    linker = context.social_temporal()
+    benchmark(linker.link_tweet, context.test_dataset.tweets[0])
 
     # sensitivity: the spread over the grid is substantial
     values = list(grid.values())

@@ -34,8 +34,8 @@ def test_table4_feature_ablation(benchmark, runs, report):
     )
 
     context = runs.contexts[0]
-    adapter = context.social_temporal()
-    benchmark(adapter.predict_tweet, context.test_dataset.tweets[-1])
+    linker = context.social_temporal()
+    benchmark(linker.link_tweet, context.test_dataset.tweets[-1])
 
     interest = reports["interest only (α=1)"]
     recency = reports["recency only (β=1)"]

@@ -25,23 +25,14 @@ import time
 
 from repro.eval.reporting import format_table
 from repro.graph.compact_labels import build_compact_two_hop_cover
-from repro.graph.generators import topical_social_graph
 from repro.graph.reachability import weighted_reachability
 from repro.graph.transitive_closure import build_transitive_closure_incremental
-from repro.stream.generator import StreamProfile, TweetStreamGenerator
+from repro.stream.generator import follow_graph
 from repro.testing.oracles import build_two_hop_cover
 
 #: Follow-graph sizes standing in for the D90..D10 / full-crawl rows.
 SIZES = [("D90'", 200), ("D70'", 400), ("D50'", 700), ("D10'", 1200)]
 NUM_QUERIES = 3000
-
-
-def _follow_graph(num_users: int):
-    generator = TweetStreamGenerator(
-        stream_profile=StreamProfile(num_users=num_users)
-    )
-    interests, hubs = generator._make_users(8, random.Random(num_users))
-    return topical_social_graph(interests, hubs, random.Random(num_users + 1))
 
 
 def _query_pairs(num_nodes: int, rng: random.Random):
@@ -70,7 +61,7 @@ def test_table5_index_comparison(benchmark, report):
     rows = []
     shape_checks = []
     for name, num_users in SIZES:
-        graph = _follow_graph(num_users)
+        graph = follow_graph(num_users, 8, seed=num_users)
         stats = graph.stats()
         pairs = _query_pairs(num_users, random.Random(17))
         measured = {}
@@ -118,7 +109,7 @@ def test_table5_index_comparison(benchmark, report):
     )
 
     # benchmark: closure queries on the largest graph
-    graph = _follow_graph(SIZES[-1][1])
+    graph = follow_graph(SIZES[-1][1], 8, seed=SIZES[-1][1])
     closure = build_transitive_closure_incremental(graph)
     benchmark(closure.reachability, 3, 7)
 

@@ -17,15 +17,12 @@ import time
 
 from repro.config import LinkerConfig
 from repro.graph import build_reachability_index, weighted_reachability
-from repro.graph.generators import topical_social_graph
-from repro.stream.generator import StreamProfile, TweetStreamGenerator
+from repro.stream.generator import follow_graph
 
 
 def main() -> None:
     # a follow graph with topical hubs, like the experiments use
-    generator = TweetStreamGenerator(stream_profile=StreamProfile(num_users=800))
-    interests, hubs = generator._make_users(8, random.Random(1))
-    graph = topical_social_graph(interests, hubs, random.Random(2))
+    graph = follow_graph(800, 8, seed=1)
     stats = graph.stats()
     print(f"follow graph: {stats['nodes']} users, {stats['edges']} edges, "
           f"max degree {stats['max_degree']}")

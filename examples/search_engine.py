@@ -19,7 +19,7 @@ def main() -> None:
     print("generating a synthetic microblog world ...")
     world = SyntheticWorld.generate(stream_profile=StreamProfile(seed=13))
     context = build_experiment(world=world, complement_method="truth")
-    linker = context.social_temporal()._linker
+    linker = context.social_temporal()
     engine = PersonalizedSearchEngine(linker, TweetStore(world.tweets))
     kb = world.kb
     now = world.stream_profile.horizon

@@ -20,7 +20,7 @@ def main() -> None:
     print("generating a synthetic microblog world ...")
     world = SyntheticWorld.generate(stream_profile=StreamProfile(seed=13))
     context = build_experiment(world=world, complement_method="collective")
-    linker = context.social_temporal()._linker
+    linker = context.social_temporal()
     bound = linker.config.no_interest_bound
 
     correct = total = abstained = 0

@@ -6,8 +6,7 @@ Quickstart::
     from repro import build_experiment
 
     context = build_experiment()        # KB + users + stream + linkers
-    ours = context.social_temporal()
-    run = ours.run(context.test_dataset)
+    run = context.run("ours")           # replay the test set, timed
 
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.

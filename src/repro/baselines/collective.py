@@ -21,6 +21,12 @@ from repro.core.candidates import CandidateGenerator
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.tweet import Tweet
 
+#: Share of a candidate's score kept from its own intra-tweet score at
+#: each propagation step; the rest flows in over WLM relatedness.
+DAMPING = 0.5
+#: Propagation steps, unless the scores settle first.
+ITERATIONS = 10
+
 
 class CollectiveLinker:
     """Per-user batch linker with interest propagation."""
@@ -29,17 +35,10 @@ class CollectiveLinker:
         self,
         ckb: ComplementedKnowledgebase,
         scorer: Optional[IntraTweetScorer] = None,
-        candidate_generator: Optional[CandidateGenerator] = None,
-        damping: float = 0.5,
-        iterations: int = 10,
     ) -> None:
-        if not 0.0 <= damping <= 1.0:
-            raise ValueError("damping must be in [0, 1]")
         self._ckb = ckb
         self._scorer = scorer or IntraTweetScorer(ckb)
-        self._candidates = candidate_generator or CandidateGenerator(ckb.kb)
-        self._damping = damping
-        self._iterations = iterations
+        self._candidates = CandidateGenerator(ckb.kb)
 
     # ------------------------------------------------------------------ #
     # batch linking
@@ -75,10 +74,6 @@ class CollectiveLinker:
                 candidates, key=lambda e: (-propagated.get(e, 0.0), e)
             )
         return predictions
-
-    def link_tweet(self, tweet: Tweet) -> List[Optional[int]]:
-        """Single-tweet convenience wrapper (a batch of one)."""
-        return self.link_user([tweet])[tweet.tweet_id]
 
     # ------------------------------------------------------------------ #
     # internals
@@ -125,7 +120,7 @@ class CollectiveLinker:
             if total > 0.0:
                 transitions[a] = [(b, w / total) for b, w in weights]
         scores = dict(initial)
-        for _ in range(self._iterations):
+        for _ in range(ITERATIONS):
             fresh: Dict[int, float] = {}
             for entity_id in entities:
                 incoming = sum(
@@ -133,8 +128,8 @@ class CollectiveLinker:
                     for b, weight in transitions.get(entity_id, ())
                 )
                 fresh[entity_id] = (
-                    self._damping * initial[entity_id]
-                    + (1.0 - self._damping) * incoming
+                    DAMPING * initial[entity_id]
+                    + (1.0 - DAMPING) * incoming
                 )
             if all(abs(fresh[e] - scores[e]) < 1e-9 for e in entities):
                 scores = fresh

@@ -24,11 +24,9 @@ class OnTheFlyLinker:
         self,
         ckb: ComplementedKnowledgebase,
         scorer: Optional[IntraTweetScorer] = None,
-        candidate_generator: Optional[CandidateGenerator] = None,
     ) -> None:
-        self._ckb = ckb
         self._scorer = scorer or IntraTweetScorer(ckb)
-        self._candidates = candidate_generator or CandidateGenerator(ckb.kb)
+        self._candidates = CandidateGenerator(ckb.kb)
 
     def link_tweet(self, tweet: Tweet) -> List[Optional[int]]:
         """Predicted entity per mention (``None`` when :math:`E_m` is empty)."""

@@ -11,7 +11,7 @@ Subcommands::
     repro validate  --world world.json.gz
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
     repro trace     [--scenario normal|abstention|degraded|all]
-                    [--check-golden | --write-golden] [--metrics-out M.json]
+                    [--check-golden | --write-golden]
     repro serve     --world world.json.gz [--port 8355 --tenants alpha,beta]
     repro load      --world world.json.gz [--url http://... --chaos
                     --requests 2000 --out LOAD_report.json]
@@ -35,7 +35,7 @@ from typing import List, Optional
 
 from repro.config import DAY
 from repro.errors import ReproError
-from repro.eval.context import activity_split, build_experiment
+from repro.eval.context import METHODS, activity_split, build_experiment
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 from repro.io import load_world, save_world
@@ -44,7 +44,6 @@ from repro.log import configure_logging, get_logger
 from repro.search import PersonalizedSearchEngine, TweetStore
 from repro.stream.generator import StreamProfile, SyntheticWorld
 
-METHODS = ("ours", "onthefly", "collective")
 #: Rows ``repro link`` prints.
 _LINK_TOP_K = 3
 
@@ -185,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-golden", action="store_true",
         help="diff live traces against the goldens; exit 1 on any drift",
     )
-    trace.add_argument(
-        "--metrics-out", default=None,
-        help="write the scenarios' merged metrics document to this path",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -272,7 +267,7 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# metrics export (shared by evaluate / stream / trace)
+# metrics export (shared by evaluate / stream)
 # ---------------------------------------------------------------------- #
 def _metrics_begin(path: Optional[str]) -> None:
     """Reset the metrics registry and time stages for a ``--metrics-out``
@@ -290,10 +285,9 @@ def _metrics_begin(path: Optional[str]) -> None:
     METRICS.timing = True
 
 
-def _metrics_write(path: Optional[str], tool: str, registry=None) -> None:
-    """Render and write the metrics document of ``registry`` (default:
-    the global one), schema-checked; ends the timing ``_metrics_begin``
-    started."""
+def _metrics_write(path: Optional[str], tool: str) -> None:
+    """Render and write the global registry's metrics document,
+    schema-checked; ends the timing ``_metrics_begin`` started."""
     if not path:
         return
     import json as _json
@@ -305,9 +299,7 @@ def _metrics_write(path: Optional[str], tool: str, registry=None) -> None:
     )
 
     METRICS.timing = False
-    document = render_metrics_document(
-        METRICS if registry is None else registry, tool=tool
-    )
+    document = render_metrics_document(METRICS, tool=tool)
     problems = validate_metrics_document(document)
     if problems:  # pragma: no cover - the renderer emits its own schema
         raise ValueError(f"invalid metrics document: {problems}")
@@ -358,14 +350,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         world=load_world(args.world), complement_method=args.complement
     )
     selected = METHODS if args.method == "all" else (args.method,)
-    adapters = {
-        "ours": context.social_temporal,
-        "onthefly": context.onthefly,
-        "collective": context.collective,
-    }
     rows = []
     for name in selected:
-        run = adapters[name]().run(context.test_dataset)
+        run = context.run(name)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )
@@ -386,8 +373,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_link(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     context = build_experiment(world=world, complement_method="truth")
-    linker = context.social_temporal()._linker
-    result = linker.link(args.surface, user=args.user, now=args.day * DAY)
+    result = context.social_temporal().link(
+        args.surface, user=args.user, now=args.day * DAY
+    )
     if not result.ranked:
         _log.error("no candidates for surface %r", args.surface)
         return 1
@@ -410,7 +398,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     context = build_experiment(world=world, complement_method="truth")
     engine = PersonalizedSearchEngine(
-        context.social_temporal()._linker, TweetStore(world.tweets)
+        context.social_temporal(), TweetStore(world.tweets)
     )
     now = (args.day * DAY) if args.day is not None else world.timeline.horizon
     response = engine.search(args.query, user=args.user, now=now, limit=args.limit)
@@ -533,7 +521,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     def _consume(released) -> None:
         for tweet in released:
-            _apply(tweet, [o.result for o in linker.link_tweet(tweet)])
+            _apply(tweet, linker.link_tweet(tweet))
 
     for index, tweet in enumerate(tweets, start=1):
         _consume(ingestor.push(tweet))
@@ -579,7 +567,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import os as _os
 
     from repro.obs.export import dump_trace_jsonl
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
 
     if args.write_golden and args.check_golden:
@@ -590,12 +577,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         _log.error("--out needs a single --scenario, not %r", args.scenario)
         return 2
 
-    merged = MetricsRegistry()
     rows = []
     drifted = False
     for name in names:
         document, metrics, results = run_scenario(name)
-        merged.merge(metrics)
         rendered = dump_trace_jsonl(document)
         status = "-"
         fixture = golden_path(args.golden_dir, name)
@@ -638,7 +623,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows, title="observability scenarios"))
-    _metrics_write(args.metrics_out, "repro trace", merged)
     return 1 if drifted else 0
 
 

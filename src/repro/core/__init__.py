@@ -10,7 +10,7 @@ from repro.core.candidates import CandidateGenerator
 from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.core.influence import entropy_influence, tfidf_influence, top_influential_users
 from repro.core.interest import ReachabilityProvider, user_interest
-from repro.core.linker import LinkResult, MentionResult, SocialTemporalLinker
+from repro.core.linker import LinkResult, SocialTemporalLinker
 from repro.core.popularity import popularity_scores
 from repro.core.recency import RecencyPropagationNetwork, sliding_window_recency
 from repro.core.scoring import ScoredCandidate, combine_scores
@@ -22,7 +22,6 @@ __all__ = [
     "LinkResult",
     "MicroBatchLinker",
     "TextLinkingPipeline",
-    "MentionResult",
     "ReachabilityProvider",
     "RecencyPropagationNetwork",
     "ScoredCandidate",

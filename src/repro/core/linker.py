@@ -173,14 +173,6 @@ class LinkResult:
         return list(selected)
 
 
-@dataclasses.dataclass(frozen=True)
-class MentionResult:
-    """A mention's link result paired with its position in the tweet."""
-
-    mention_index: int
-    result: LinkResult
-
-
 class SocialTemporalLinker:
     """Online entity linker over a complemented KB and a follow graph."""
 
@@ -354,14 +346,11 @@ class SocialTemporalLinker:
         except IndexUnavailableError:
             return {}, "index_unavailable"
 
-    def link_tweet(self, tweet: Tweet) -> List[MentionResult]:
-        """Link every mention of a tweet independently."""
+    def link_tweet(self, tweet: Tweet) -> List[LinkResult]:
+        """Link every mention of a tweet independently, in mention order."""
         return [
-            MentionResult(
-                mention_index=index,
-                result=self.link(mention.surface, tweet.user, tweet.timestamp),
-            )
-            for index, mention in enumerate(tweet.mentions)
+            self.link(mention.surface, tweet.user, tweet.timestamp)
+            for mention in tweet.mentions
         ]
 
     # ------------------------------------------------------------------ #

@@ -1,12 +1,7 @@
 """Evaluation harness: metrics, chronological replay, experiment setup."""
 
 from repro.eval.context import ExperimentContext, build_experiment
-from repro.eval.harness import (
-    CollectiveAdapter,
-    OnTheFlyAdapter,
-    PredictionRun,
-    SocialTemporalAdapter,
-)
+from repro.eval.harness import PredictionRun, replay
 from repro.eval.metrics import (
     AccuracyReport,
     accuracy_by_category,
@@ -33,14 +28,12 @@ __all__ = [
     "weight_grid",
     "write_report",
     "AccuracyReport",
-    "CollectiveAdapter",
     "ExperimentContext",
-    "OnTheFlyAdapter",
     "PredictionRun",
-    "SocialTemporalAdapter",
     "accuracy_by_category",
     "accuracy_by_tweet_length",
     "build_experiment",
     "format_table",
     "mention_and_tweet_accuracy",
+    "replay",
 ]

@@ -3,8 +3,9 @@
 One :class:`ExperimentContext` corresponds to one experimental setting of
 the paper: a synthetic world (KB + users + follow graph + stream), the
 activity split (Table 2), a knowledgebase complemented from one of the
-active-user datasets (Sec. 3.2.1), and factories for the three competing
-methods.
+active-user datasets (Sec. 3.2.1), factories for the three competing
+methods, and :meth:`ExperimentContext.run`, which replays the test set
+through one of them.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from repro.baselines.onthefly import OnTheFlyLinker
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.core.recency import RecencyPropagationNetwork
-from repro.eval.harness import (
-    CollectiveAdapter,
-    OnTheFlyAdapter,
-    SocialTemporalAdapter,
-)
+from repro.eval.harness import PredictionRun, replay
 from repro.graph.dispatch import build_reachability_index
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.stream.dataset import DatasetCatalog, TweetDataset, split_by_activity
 from repro.stream.generator import SyntheticWorld
+
+#: The three competing methods, by the names ``ExperimentContext.run`` and
+#: ``repro evaluate --method`` take: ours, TAGME-style, Shen et al.
+METHODS = ("ours", "onthefly", "collective")
 
 
 def complement_knowledgebase(
@@ -107,26 +108,42 @@ class ExperimentContext:
     # ------------------------------------------------------------------ #
     def social_temporal(
         self, config: Optional[LinkerConfig] = None
-    ) -> SocialTemporalAdapter:
+    ) -> SocialTemporalLinker:
         """Our method, scoring Eq. 4 against :attr:`reachability_index`."""
         effective = config or self.config
         propagation = (
             self.propagation_network if effective.recency_propagation else None
         )
-        linker = SocialTemporalLinker(
+        return SocialTemporalLinker(
             self.ckb,
             self.world.graph,
             config=effective,
             reachability=self.reachability_index,
             propagation_network=propagation,
         )
-        return SocialTemporalAdapter(linker)
 
-    def onthefly(self) -> OnTheFlyAdapter:
-        return OnTheFlyAdapter(OnTheFlyLinker(self.ckb, scorer=self.scorer))
+    def onthefly(self) -> OnTheFlyLinker:
+        return OnTheFlyLinker(self.ckb, scorer=self.scorer)
 
-    def collective(self) -> CollectiveAdapter:
-        return CollectiveAdapter(CollectiveLinker(self.ckb, scorer=self.scorer))
+    def collective(self) -> CollectiveLinker:
+        return CollectiveLinker(self.ckb, scorer=self.scorer)
+
+    def run(
+        self, method: str, config: Optional[LinkerConfig] = None
+    ) -> PredictionRun:
+        """Replay the test set through one of :data:`METHODS`; ``config``
+        (default: the context's) configures ``ours``."""
+        if method == "ours":
+            linker = self.social_temporal(config)
+        elif config is not None:
+            raise ValueError(f"a config configures 'ours', not {method!r}")
+        elif method == "onthefly":
+            linker = self.onthefly()
+        elif method == "collective":
+            linker = self.collective()
+        else:
+            raise ValueError(f"unknown method {method!r}, not one of {METHODS}")
+        return replay(linker, self.test_dataset.tweets)
 
 
 def activity_split(world: SyntheticWorld, test_user_cap: int = 200) -> DatasetCatalog:

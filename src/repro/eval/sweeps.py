@@ -2,9 +2,8 @@
 
 Fig. 6(d) and the window/landmark ablations all share the same skeleton:
 vary some :class:`~repro.config.LinkerConfig` fields over a grid, replay
-the test set, collect accuracy (and latency).  :func:`sweep_configs` runs
-that loop once; :class:`SweepResult` knows how to find optima and render
-paper-style grid tables.
+the test set, collect accuracy (and latency).  :func:`sweep_explicit` runs
+that loop once; :class:`SweepResult` finds the optimum.
 """
 
 from __future__ import annotations
@@ -49,20 +48,11 @@ def sweep_configs(
     """
     base = base or context.config
     parameters = tuple(grid.keys())
-    points: List[SweepPoint] = []
-    for combination in itertools.product(*grid.values()):
-        overrides = dict(zip(parameters, combination))
-        config = dataclasses.replace(base, **overrides)
-        run = context.social_temporal(config=config).run(context.test_dataset)
-        accuracy = mention_and_tweet_accuracy(
-            context.test_dataset.tweets, run.predictions
-        )
-        point: SweepPoint = dict(overrides)
-        point["mention_accuracy"] = accuracy.mention_accuracy
-        point["tweet_accuracy"] = accuracy.tweet_accuracy
-        point["ms_per_tweet"] = run.seconds_per_tweet * 1e3
-        points.append(point)
-    return SweepResult(parameters=parameters, points=points)
+    configs = {
+        values: dataclasses.replace(base, **dict(zip(parameters, values)))
+        for values in itertools.product(*grid.values())
+    }
+    return sweep_explicit(context, configs, parameters)
 
 
 def sweep_explicit(
@@ -78,7 +68,7 @@ def sweep_explicit(
     """
     points: List[SweepPoint] = []
     for values, config in configs.items():
-        run = context.social_temporal(config=config).run(context.test_dataset)
+        run = context.run("ours", config)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions
         )

@@ -17,22 +17,29 @@ from typing import Dict, Iterable, List, Set, Tuple
 from repro.text.edit_distance import within_edit_distance
 
 
-def _segments(text: str, pieces: int) -> List[Tuple[int, str]]:
-    """Split ``text`` into ``pieces`` contiguous segments, shorter first.
+def _slot_layout(length: int, pieces: int) -> List[Tuple[int, int]]:
+    """``(start, size)`` of each of the ``pieces`` contiguous segments a
+    string of ``length`` splits into, shorter first.
 
-    Returns ``(start, segment)`` pairs; the scheme is deterministic so the
-    query side can reconstruct every slot's position and length.
+    Both sides read this one partition, so the query side reconstructs
+    every slot's position and length exactly as the index cut it.
     """
-    length = len(text)
-    base = length // pieces
-    longer = length % pieces  # the last `longer` segments get base+1 chars
-    result: List[Tuple[int, str]] = []
+    base, longer = divmod(length, pieces)  # the last `longer` get base+1 chars
+    layout: List[Tuple[int, int]] = []
     position = 0
-    for index in range(pieces):
-        size = base + (1 if index >= pieces - longer else 0)
-        result.append((position, text[position : position + size]))
+    for slot in range(pieces):
+        size = base + (1 if slot >= pieces - longer else 0)
+        layout.append((position, size))
         position += size
-    return result
+    return layout
+
+
+def _segments(text: str, pieces: int) -> List[Tuple[int, str]]:
+    """``(start, segment)`` pairs of ``text`` split per :func:`_slot_layout`."""
+    return [
+        (start, text[start : start + size])
+        for start, size in _slot_layout(len(text), pieces)
+    ]
 
 
 class SegmentIndex:
@@ -94,7 +101,7 @@ class SegmentIndex:
         candidate_ids: Set[int] = set()
         pieces = k + 1
         for entry_length in range(max(pieces, query_length - k), query_length + k + 1):
-            for slot, start, size in _slot_layout(entry_length, pieces):
+            for slot, (start, size) in enumerate(_slot_layout(entry_length, pieces)):
                 # The segment can shift by at most k positions inside query.
                 low = max(0, start - k)
                 high = min(query_length - size, start + k)
@@ -114,16 +121,3 @@ class SegmentIndex:
                 matches.append(surface)
         return matches
 
-
-def _slot_layout(length: int, pieces: int) -> List[Tuple[int, int, int]]:
-    """``(slot, start, size)`` of each segment for entries of ``length``."""
-    base = length // pieces
-    longer = length % pieces
-    layout: List[Tuple[int, int, int]] = []
-    position = 0
-    for slot in range(pieces):
-        size = base + (1 if slot >= pieces - longer else 0)
-        if size > 0:
-            layout.append((slot, position, size))
-        position += size
-    return layout

@@ -7,7 +7,7 @@ so an instrumented core module loads only what it records into):
   clocks, one root span per link request) behind the process-global
   ``TRACE``;
 * :mod:`repro.obs.metrics` — the one registry, ``METRICS``: counters /
-  gauges / fixed-bucket histograms, mergeable across registries, plus
+  gauges / fixed-bucket histograms, plus
   stage timers recorded only while its timing switch is on;
 * :mod:`repro.obs.stage` — ``stage()``, the one wrap around a pipeline
   stage: a span to ``TRACE`` and a duration to ``METRICS``;

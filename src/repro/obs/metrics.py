@@ -11,14 +11,8 @@ design constraints, in order:
    *decision*, never a duration, and durations are recorded only while
    :attr:`MetricsRegistry.timing` is set (``--metrics-out`` runs), so
    identical seeded runs produce identical snapshots.
-2. **Mergeability** — :meth:`MetricsRegistry.merge` folds another
-   registry's snapshot in by summing counters and histogram buckets
-   (gauges take the max, the only order-free combiner for level
-   readings); ``repro trace`` combines its per-scenario registries
-   this way.  Timer percentiles do not combine, so timers stay local.
-3. **Fixed buckets** — histogram boundaries are declared at first
-   ``observe`` and never inferred from data, so two registries'
-   histograms are always bucket-compatible and snapshots diff cleanly
+2. **Fixed buckets** — histogram boundaries are declared at first
+   ``observe`` and never inferred from data, so snapshots diff cleanly
    across runs.
 
 The process-global :data:`METRICS` takes always-on dictionary updates,
@@ -90,10 +84,8 @@ class Histogram:
     """Fixed-boundary histogram: ``boundaries[i]`` is the inclusive upper
     bound of bucket ``i``; one implicit overflow bucket catches the rest.
 
-    Deliberately integer-only state — a floating-point running sum would
-    make merged totals depend on merge order (float addition is not
-    associative).  The bucket tallies are the only state: ``count`` is
-    their sum, so the two can never disagree, even when another thread
+    The integer bucket tallies are the only state: ``count`` is their
+    sum, so the two can never disagree, even when another thread
     observes between two reads.
     """
 
@@ -120,15 +112,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect.bisect_left(self.boundaries, value)] += 1
-
-    def merge(self, other: "Histogram") -> None:
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histograms with different boundaries: "
-                f"{self.boundaries} vs {other.boundaries}"
-            )
-        for index, bucket in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket
 
     def as_dict(self) -> Dict[str, object]:
         buckets = list(self.bucket_counts)  # one copy: count matches it
@@ -176,7 +159,7 @@ class MetricsRegistry:
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
-        """Set level reading ``name`` (merges take the max)."""
+        """Set level reading ``name``."""
         self._gauges[name] = float(value)
 
     def observe(
@@ -187,8 +170,7 @@ class MetricsRegistry:
     ) -> None:
         """Record ``value`` into histogram ``name``.
 
-        ``boundaries`` bind on first use; later calls must agree (fixed
-        buckets are what keep histograms mergeable).
+        ``boundaries`` bind on first use; later calls must agree.
         """
         histogram = self._histograms.get(name)
         if histogram is None:
@@ -253,7 +235,7 @@ class MetricsRegistry:
         return {key: round(value, 9) for key, value in stats.items()}
 
     def snapshot(self) -> Dict[str, object]:
-        """Everything, JSON-ready and key-sorted (mergeable + diffable).
+        """Everything, JSON-ready and key-sorted (diffable).
 
         ``timers`` is empty unless durations were recorded, so a seeded
         run with timing off snapshots identically every time.
@@ -272,30 +254,6 @@ class MetricsRegistry:
                 name: self.timer_stats(name) for name in sorted(self._timers)
             },
         }
-
-    # ------------------------------------------------------------------ #
-    # aggregation
-    # ------------------------------------------------------------------ #
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram buckets sum; gauges keep the maximum —
-        the only combiner that is independent of merge order.  Timer
-        stats are percentiles of a raw window and are not merged.
-        """
-        for name, value in snapshot.get("counters", {}).items():  # type: ignore[union-attr]
-            self.incr(name, int(value))
-        for name, value in snapshot.get("gauges", {}).items():  # type: ignore[union-attr]
-            current = self._gauges.get(name)
-            merged = float(value) if current is None else max(current, float(value))
-            self._gauges[name] = merged
-        for name, payload in snapshot.get("histograms", {}).items():  # type: ignore[union-attr]
-            incoming = Histogram.from_dict(payload)
-            existing = self._histograms.get(name)
-            if existing is None:
-                self._histograms[name] = incoming
-            else:
-                existing.merge(incoming)
 
 
 #: The process-global registry every instrumented module records into.
@@ -340,8 +298,8 @@ _METRICS_DOCUMENT = {
 
 
 def validate_metrics_document(doc: object) -> List[str]:
-    """Schema check, then each histogram through the loader ``merge``
-    uses; returns a list of problems (empty when valid)."""
+    """Schema check, then each histogram's count against its bucket sum;
+    returns a list of problems (empty when valid)."""
     return problems(doc, _METRICS_DOCUMENT) or _histogram_problems(doc)
 
 

@@ -92,15 +92,11 @@ class TestCollectiveLinker:
     def test_single_tweet_batch(self, tiny_ckb):
         linker = CollectiveLinker(tiny_ckb)
         tweet = make_tweet(7, 50, "jordan", ["jordan"])
-        assert linker.link_tweet(tweet) == [0]  # popularity prior fallback
+        assert linker.link_user([tweet]) == {7: [0]}  # popularity prior fallback
 
     def test_empty_batch(self, tiny_ckb):
         linker = CollectiveLinker(tiny_ckb)
         assert linker.link_user([]) == {}
-
-    def test_bad_damping_rejected(self, tiny_ckb):
-        with pytest.raises(ValueError):
-            CollectiveLinker(tiny_ckb, damping=1.5)
 
     def test_complement_kb_records_links(self, tiny_kb):
         ckb = ComplementedKnowledgebase(tiny_kb)

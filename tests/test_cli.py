@@ -1,9 +1,12 @@
 """CLI tests (driving main(argv) directly)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.io import save_world
+from repro.obs.metrics import METRICS, validate_metrics_document
 
 from conftest import small_profiles
 
@@ -72,6 +75,18 @@ class TestParser:
         assert exit_info.value.code == 2
         assert build_parser().parse_args(argv[:3]).command == argv[0]
 
+    def test_trace_metrics_out_is_gone(self):
+        """The trace table prints the scenarios' counters; ``evaluate`` and
+        ``stream`` keep the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["trace", "--metrics-out", "m.json"])
+        assert exit_info.value.code == 2
+        for command in ("evaluate", "stream"):
+            args = build_parser().parse_args(
+                [command, "--world", "w", "--metrics-out", "m.json"]
+            )
+            assert args.metrics_out == "m.json"
+
 
 class TestGenerate:
     def test_generates_and_reports(self, tmp_path, capsys):
@@ -117,6 +132,27 @@ class TestEvaluate:
         out = capsys.readouterr().out
         for name in ("ours", "onthefly", "collective"):
             assert name in out
+
+    def test_metrics_out_document_validates(self, world_file, tmp_path):
+        out = str(tmp_path / "metrics.json")
+        code = main(
+            [
+                "evaluate", "--world", world_file, "--method", "ours",
+                "--complement", "truth", "--metrics-out", out,
+            ]
+        )
+        assert code == 0
+        with open(out, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert validate_metrics_document(document) == []
+        assert document["meta"] == {"schema_version": 2, "tool": "repro evaluate"}
+        assert "perf" not in document
+        metrics = document["metrics"]
+        assert metrics["counters"]["link.requests"] > 0
+        assert metrics["counters"]["influential_cache.miss"] > 0
+        # the run had timing on, and ended it
+        assert metrics["timers"]["link.request"]["count"] > 0
+        assert not METRICS.timing
 
 
 class TestLink:

@@ -1,35 +1,55 @@
-"""Replay adapters and experiment-context tests (uses the small world)."""
+"""Timed replay and experiment-context tests (uses the small world)."""
 
 import pytest
 
 from repro.core.linker import SocialTemporalLinker
 from repro.eval.context import build_experiment, complement_knowledgebase
-from repro.eval.harness import SocialTemporalAdapter
+from repro.eval.harness import replay
 from repro.graph.transitive_closure import TransitiveClosure
 from repro.eval.metrics import mention_and_tweet_accuracy
 from repro.eval.reporting import format_table
 from repro.testing.oracles import OnlineReachability
 
 
-class TestAdapters:
+class TestReplay:
     def test_social_temporal_run_covers_dataset(self, small_context):
-        run = small_context.social_temporal().run(small_context.test_dataset)
+        run = small_context.run("ours")
         assert run.num_tweets == small_context.test_dataset.num_tweets
-        assert set(run.predictions) == {
+        # one tweet a step, in test-set order
+        assert list(run.predictions) == [
             t.tweet_id for t in small_context.test_dataset.tweets
-        }
+        ]
         assert run.total_seconds > 0.0
 
     def test_prediction_alignment(self, small_context):
-        run = small_context.onthefly().run(small_context.test_dataset)
+        run = small_context.run("onthefly")
         for tweet in small_context.test_dataset.tweets:
             assert len(run.predictions[tweet.tweet_id]) == tweet.num_mentions
 
-    def test_collective_adapter_batches_by_user(self, small_context):
-        run = small_context.collective().run(small_context.test_dataset)
-        assert set(run.predictions) == {
-            t.tweet_id for t in small_context.test_dataset.tweets
-        }
+    def test_collective_links_one_author_a_step(self, small_context):
+        tweets = small_context.test_dataset.tweets
+        linker = small_context.collective()
+        steps = []
+        link_user = linker.link_user
+
+        def recording_link_user(batch):
+            steps.append(batch)
+            return link_user(batch)
+
+        linker.link_user = recording_link_user
+        run = replay(linker, tweets)
+        assert set(run.predictions) == {t.tweet_id for t in tweets}
+        authors = list(dict.fromkeys(t.user for t in tweets))
+        assert [batch[0].user for batch in steps] == authors
+        for batch in steps:
+            assert batch == [t for t in tweets if t.user == batch[0].user]
+        assert run.predictions == small_context.run("collective").predictions
+
+    def test_unknown_method_rejected(self, small_context):
+        with pytest.raises(ValueError, match="unknown method"):
+            small_context.run("tagme")
+        with pytest.raises(ValueError, match="configures 'ours'"):
+            small_context.run("collective", small_context.config)
 
     def test_default_and_online_providers_decide_like_the_context(
         self, small_context
@@ -49,9 +69,9 @@ class TestAdapters:
             for provider in (None, OnlineReachability(graph))
         )
         assert isinstance(default.reachability_provider, TransitiveClosure)
-        indexed = small_context.social_temporal().run(small_context.test_dataset)
+        indexed = small_context.run("ours")
         for linker in (default, online):
-            run = SocialTemporalAdapter(linker).run(small_context.test_dataset)
+            run = replay(linker, small_context.test_dataset.tweets)
             assert run.num_tweets == small_context.test_dataset.num_tweets
             assert run.predictions == indexed.predictions
 
@@ -90,7 +110,7 @@ class TestContext:
     def test_ours_beats_chance(self, small_context):
         """End-to-end sanity: with truth complementation our linker must be
         far above the ~1/ambiguity random baseline on the test set."""
-        run = small_context.social_temporal().run(small_context.test_dataset)
+        run = small_context.run("ours")
         report = mention_and_tweet_accuracy(
             small_context.test_dataset.tweets, run.predictions
         )

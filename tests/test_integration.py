@@ -11,7 +11,7 @@ from repro.text.ner import GazetteerNER
 
 class TestFullPipeline:
     def test_ours_beats_random_guessing(self, small_context):
-        run = small_context.social_temporal().run(small_context.test_dataset)
+        run = small_context.run("ours")
         report = mention_and_tweet_accuracy(
             small_context.test_dataset.tweets, run.predictions
         )
@@ -19,25 +19,21 @@ class TestFullPipeline:
         assert report.mention_accuracy > 0.5
 
     def test_all_methods_complete_end_to_end(self, small_context):
-        for adapter in (
-            small_context.onthefly(),
-            small_context.collective(),
-            small_context.social_temporal(),
-        ):
-            run = adapter.run(small_context.test_dataset)
+        for method in ("onthefly", "collective", "ours"):
+            run = small_context.run(method)
             assert run.num_tweets == small_context.test_dataset.num_tweets
 
     def test_runs_are_deterministic(self, small_context):
-        first = small_context.social_temporal().run(small_context.test_dataset)
-        second = small_context.social_temporal().run(small_context.test_dataset)
+        first = small_context.run("ours")
+        second = small_context.run("ours")
         assert first.predictions == second.predictions
 
     def test_collective_complementation_hurts_vs_truth(self, small_world):
         """Complementation noise must cost accuracy — the Fig. 4(b) driver."""
         truth = build_experiment(world=small_world, complement_method="truth")
         noisy = build_experiment(world=small_world, complement_method="collective")
-        run_truth = truth.social_temporal().run(truth.test_dataset)
-        run_noisy = noisy.social_temporal().run(noisy.test_dataset)
+        run_truth = truth.run("ours")
+        run_noisy = noisy.run("ours")
         acc_truth = mention_and_tweet_accuracy(
             truth.test_dataset.tweets, run_truth.predictions
         )
@@ -65,7 +61,7 @@ class TestLiveGraphLinking:
     def test_batch_linker_over_search_engine_tweets(self, small_context):
         """Batch linking + search store compose on the same world."""
         world = small_context.world
-        linker = small_context.social_temporal()._linker
+        linker = small_context.social_temporal()
         batch = MicroBatchLinker(linker)
         store = TweetStore(world.tweets)
         engine = PersonalizedSearchEngine(linker, store)

@@ -8,7 +8,9 @@ handles.  CACHE: a score memo is valid while its epochs match, so each
 mutator of an ``Epoch`` owner bumps it or delegates to a mutator that does.
 IMP: a module imports only what it reads, once (ruff's F401 and F811, held
 in tier-1 over ``src/repro`` and ``tests/``, the tree CI's lint reads, and
-over ``benchmarks/`` and ``examples/``, which it does not).
+over ``benchmarks/`` and ``examples/``, which it does not).  PRIV: the
+benchmarks and examples drive the library through its public API, so
+they read no ``x._name`` of an ``x`` other than ``self`` or ``cls``.
 
 Each rule maps one parsed module to ``(lineno, rule, message)`` hits.  Call
 names resolve through the module's own imports, so ``import time as t;
@@ -261,12 +263,26 @@ def imp_002(module: Module) -> Iterator[Hit]:
         seen.setdefault(key, node.lineno)
 
 
+def priv_001(module: Module) -> Iterator[Hit]:
+    reads = [
+        node for node in ast.walk(module.tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    for node in sorted(reads, key=lambda node: node.lineno):
+        yield node.lineno, "PRIV-001", f"{ast.unparse(node)} is private"
+
+
 RULES = {
     "DET-001": det_001, "DET-002": det_002, "DET-003": det_003,
     "ERR-002": err_002, "ERR-003": err_003, "CACHE-001": cache_001,
-    "IMP-001": imp_001, "IMP-002": imp_002,
+    "IMP-001": imp_001, "IMP-002": imp_002, "PRIV-001": priv_001,
 }
 IMPORT_RULES = ("IMP-001", "IMP-002")
+#: ``src/repro``'s modules may read their own package's private state.
+SRC_RULES = tuple(rule for rule in RULES if rule != "PRIV-001")
 
 
 def enclosing_function(tree: ast.Module, lineno: int) -> str:
@@ -280,7 +296,7 @@ def enclosing_function(tree: ast.Module, lineno: int) -> str:
     return name
 
 
-def scan(root: Path, rules=tuple(RULES)):
+def scan(root: Path, rules):
     """``(path, function, rule, lineno, message)`` of every hit of ``rules``
     under root."""
     hits = []
@@ -303,7 +319,7 @@ def audit(hits, allowed):
 
 
 def test_src_keeps_every_invariant_outside_the_allow_list():
-    unallowed, stale = audit(scan(SRC), ALLOWED)
+    unallowed, stale = audit(scan(SRC, SRC_RULES), ALLOWED)
     assert unallowed == [], "\n".join(
         f"{path}:{lineno} ({function}) {rule} {message}"
         for path, function, rule, lineno, message in unallowed
@@ -311,8 +327,8 @@ def test_src_keeps_every_invariant_outside_the_allow_list():
     assert stale == [], f"allow-list entries that match no hit: {stale}"
 
 
-def assert_imports_read(directory: str) -> None:
-    hits = scan(SRC.parents[1] / directory, IMPORT_RULES)
+def assert_no_hits(directory: str, rules) -> None:
+    hits = scan(SRC.parents[1] / directory, rules)
     assert hits == [], "\n".join(
         f"{directory}/{path}:{lineno} {rule} {message}"
         for path, _, rule, lineno, message in hits
@@ -320,14 +336,19 @@ def assert_imports_read(directory: str) -> None:
 
 
 def test_tests_import_only_what_they_read():
-    assert_imports_read("tests")
+    assert_no_hits("tests", IMPORT_RULES)
 
 
 @pytest.mark.parametrize("directory", ["benchmarks", "examples"])
 def test_scripts_import_only_what_they_read(directory):
     """The benchmark tables and the examples, which CI's ruff job does not
     lint, keep the same two import rules."""
-    assert_imports_read(directory)
+    assert_no_hits(directory, IMPORT_RULES)
+
+
+@pytest.mark.parametrize("directory", ["benchmarks", "examples"])
+def test_scripts_read_no_private_attributes(directory):
+    assert_no_hits(directory, ("PRIV-001",))
 
 
 def test_an_entry_matching_nothing_and_an_unlisted_hit_both_fail():
@@ -416,6 +437,12 @@ CASES = [
           [3, 4], "rebound"),
     _case("IMP-002", "import os\nimport os.path\ndef f():\n    import os\n    return os\n"
           "class C:\n    from os import sep", [], "submodule-and-scopes"),
+    _case("PRIV-001", "linker = context.social_temporal()._linker\n"
+          "users = generator._make_users(8, rng)\nobj.__secret = 1", [1, 2, 3],
+          "other-objects"),
+    _case("PRIV-001", "class C:\n    def f(self):\n"
+          "        return self._x, C.__name__\n    @classmethod\n"
+          "    def g(cls):\n        return cls._y", [], "self-cls-dunder"),
 ]
 
 

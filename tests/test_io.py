@@ -104,8 +104,8 @@ class TestWorldRoundTrip:
         restored = world_from_dict(world_to_dict(small_world))
         original = build_experiment(world=small_world, complement_method="truth")
         reloaded = build_experiment(world=restored, complement_method="truth")
-        run_a = original.social_temporal().run(original.test_dataset)
-        run_b = reloaded.social_temporal().run(reloaded.test_dataset)
+        run_a = original.run("ours")
+        run_b = reloaded.run("ours")
         acc_a = mention_and_tweet_accuracy(
             original.test_dataset.tweets, run_a.predictions
         )

@@ -137,8 +137,9 @@ class TestLinkTweet:
         )
         results = linker.link_tweet(tweet)
         assert len(results) == 2
-        assert results[0].result.best.entity_id == 0
-        assert results[1].result.best.entity_id == 3
+        assert [r.surface for r in results] == ["jordan", "chicago bulls"]
+        assert results[0].best.entity_id == 0
+        assert results[1].best.entity_id == 3
 
     def test_empty_mentions(self, linker):
         tweet = Tweet(tweet_id=1, user=0, timestamp=0.0, text="hello")

@@ -95,7 +95,7 @@ class TestByCategory:
 
 class TestConnectivityMetric:
     def test_buckets_partition_users(self, small_context):
-        run = small_context.social_temporal().run(small_context.test_dataset)
+        run = small_context.run("ours")
         buckets = accuracy_by_connectivity(
             small_context.test_dataset.tweets,
             run.predictions,
@@ -109,7 +109,7 @@ class TestConnectivityMetric:
         )
 
     def test_connected_users_gain_from_social_context(self, small_context):
-        run = small_context.social_temporal().run(small_context.test_dataset)
+        run = small_context.run("ours")
         buckets = accuracy_by_connectivity(
             small_context.test_dataset.tweets,
             run.predictions,

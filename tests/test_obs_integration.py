@@ -1,7 +1,6 @@
 """Observability wiring end to end: instrumented modules, degradation
 counting, and the ``repro trace`` CLI."""
 
-import json
 import os
 
 import pytest
@@ -14,7 +13,7 @@ from repro.core.pipeline import TextLinkingPipeline
 from repro.errors import IndexUnavailableError
 from repro.graph.digraph import DiGraph
 from repro.obs.export import load_trace_jsonl, validate_trace_document
-from repro.obs.metrics import METRICS, validate_metrics_document
+from repro.obs.metrics import METRICS
 from repro.obs.scenarios import SCENARIOS, golden_path
 from repro.obs.trace import TRACE
 from repro.resilience.breaker import CircuitBreaker
@@ -255,15 +254,3 @@ class TestTraceCli:
     def test_write_and_check_are_mutually_exclusive(self):
         assert main(["trace", "--write-golden", "--check-golden"]) == 2
 
-    def test_metrics_out_document_validates(self, tmp_path):
-        out = str(tmp_path / "metrics.json")
-        assert main(["trace", "--metrics-out", out]) == 0
-        with open(out, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert validate_metrics_document(document) == []
-        assert document["meta"]["schema_version"] == 2
-        assert "perf" not in document
-        # three scenarios, four link requests in total
-        assert document["metrics"]["counters"]["link.requests"] == 4
-        # the cache counters ride in the same merged registry
-        assert document["metrics"]["counters"]["influential_cache.miss"] > 0

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.obs.export import render_trace_document, validate_trace_document
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import Tracer
 
 
@@ -85,24 +85,3 @@ class TestHistogramProperties:
         for _ in range(observations):
             histogram.observe(rng.uniform(-100.0, 100.0))
         assert sum(histogram.bucket_counts) == histogram.count == observations
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_sharded_observation_merges_to_sequential(self, seed):
-        """Splitting one value stream across registries and merging equals
-        observing the whole stream in one registry — the exact property
-        the ParallelBatchLinker metrics merge rests on."""
-        rng = random.Random(3000 + seed)
-        boundaries = (0.25, 0.5, 0.75, 1.0)
-        values = [rng.random() for _ in range(rng.randrange(1, 120))]
-        sequential = MetricsRegistry()
-        shards = [MetricsRegistry() for _ in range(4)]
-        for value in values:
-            sequential.observe("v", value, boundaries=boundaries)
-            sequential.incr("n")
-            shard = shards[rng.randrange(4)]
-            shard.observe("v", value, boundaries=boundaries)
-            shard.incr("n")
-        merged = MetricsRegistry()
-        for shard in shards:
-            merged.merge(shard.snapshot())
-        assert merged.snapshot() == sequential.snapshot()

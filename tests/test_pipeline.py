@@ -90,7 +90,7 @@ class TestAnnotate:
 
 class TestStream:
     def test_annotate_stream_on_world(self, small_context):
-        linker = small_context.social_temporal()._linker
+        linker = small_context.social_temporal()
         pipeline = TextLinkingPipeline(linker)
         tweets = small_context.test_dataset.tweets[:40]
         annotated = [pipeline.annotate(t.text, t.user, t.timestamp) for t in tweets]

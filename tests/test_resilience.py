@@ -678,9 +678,7 @@ class TestDefaultsUnchanged:
         assert linker._guarded_provider() is linker._reachability
 
     def test_eval_accuracy_identical_with_resilience_wiring(self, small_context):
-        run_plain = small_context.social_temporal().run(
-            small_context.test_dataset
-        )
+        run_plain = small_context.run("ours")
         wired = SocialTemporalLinker(
             small_context.ckb,
             small_context.world.graph,
@@ -691,9 +689,9 @@ class TestDefaultsUnchanged:
             propagation_network=small_context.propagation_network,
             breaker=CircuitBreaker(),
         )
-        from repro.eval.harness import SocialTemporalAdapter
+        from repro.eval.harness import replay
 
-        run_wired = SocialTemporalAdapter(wired).run(small_context.test_dataset)
+        run_wired = replay(wired, small_context.test_dataset.tweets)
         assert run_plain.predictions == run_wired.predictions
 
 

@@ -151,7 +151,6 @@ class TestShippedShelf:
             "CandidateGenerator",
             "LinkRequest",
             "LinkResult",
-            "MentionResult",
             "MicroBatchLinker",
             "ReachabilityProvider",
             "RecencyPropagationNetwork",
@@ -297,7 +296,7 @@ class TestDecisionParity:
         """``social_temporal()`` (and so ``repro evaluate``) scores against
         the context's one cached, auto-dispatched index — the closure at
         this world's size."""
-        linker = small_context.social_temporal()._linker
+        linker = small_context.social_temporal()
         assert linker.reachability_provider is small_context.reachability_index
         assert isinstance(linker.reachability_provider, TransitiveClosure)
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.config import DAY
 from repro.io import load_world, save_world, world_to_dict
 from repro.kb.builder import KBProfile
-from repro.stream.generator import StreamProfile, SyntheticWorld
+from repro.stream.generator import StreamProfile, SyntheticWorld, follow_graph
 from repro.stream.tweet import MentionSpan, Tweet
 
 from conftest import small_profiles
@@ -155,6 +156,20 @@ class TestWorldGeneration:
         ]
         assert sorted(first.graph.edges()) == sorted(second.graph.edges())
 
+    @pytest.mark.parametrize(
+        "num_users, seed, edges, digest",
+        [(200, 200, 1570, "a7e58b615208a1ad"), (800, 1, 7127, "c133664d8c9fe685")],
+    )
+    def test_follow_graph_draws_are_pinned(self, num_users, seed, edges, digest):
+        """Table 5's D90' graph and the reachability example's: the user
+        draws from ``Random(seed)`` and the edge draws from
+        ``Random(seed + 1)`` the benches made before ``follow_graph``."""
+        graph = follow_graph(num_users, 8, seed=seed)
+        assert graph.num_nodes == num_users
+        assert graph.num_edges == edges
+        ordered = repr(sorted(graph.edges())).encode()
+        assert hashlib.sha256(ordered).hexdigest()[:16] == digest
+
 
 class TestInterestsDriveContent:
     def test_users_tweet_their_interest_topics(self, small_world):
@@ -252,7 +267,7 @@ class TestTypoModel:
 
     def test_default_worlds_unchanged_by_typo_feature(self):
         """The calibrated default stream must be bit-stable."""
-        from repro.stream.generator import StreamProfile, SyntheticWorld
+        from repro.stream.generator import StreamProfile, SyntheticWorld, follow_graph
 
         world = SyntheticWorld.generate(
             stream_profile=StreamProfile(seed=11, num_users=60, hub_tweets=20)
