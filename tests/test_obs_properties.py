@@ -7,12 +7,18 @@ ever leak out of a histogram's buckets — without pinning any particular
 trace shape.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.obs.export import render_trace_document, validate_trace_document
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    render_metrics_document,
+    validate_metrics_document,
+)
 from repro.obs.trace import Tracer
 
 
@@ -85,3 +91,25 @@ class TestHistogramProperties:
         for _ in range(observations):
             histogram.observe(rng.uniform(-100.0, 100.0))
         assert sum(histogram.bucket_counts) == histogram.count == observations
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_registry_documents_roundtrip_and_guard_bucket_sums(self, seed):
+        """Any registry renders a ``--metrics-out`` document that survives
+        JSON, validates, and loads back to the same histograms; moving one
+        observation's tally breaks the bucket sum and the validator says so."""
+        rng = random.Random(3000 + seed)
+        boundaries = (0.25, 0.5, 0.75, 1.0)
+        registry = MetricsRegistry()
+        for _ in range(rng.randrange(1, 120)):
+            registry.observe(f"v{rng.randrange(3)}", rng.random(), boundaries)
+            registry.incr(f"n{rng.randrange(2)}")
+            registry.gauge("level", rng.uniform(-5.0, 5.0))
+        document = json.loads(json.dumps(render_metrics_document(registry)))
+        assert validate_metrics_document(document) == []
+        histograms = document["metrics"]["histograms"]
+        for name, payload in histograms.items():
+            assert Histogram.from_dict(payload).as_dict() == payload
+            assert payload == registry.histogram(name).as_dict()
+        name = rng.choice(sorted(histograms))
+        histograms[name]["bucket_counts"][rng.randrange(len(boundaries) + 1)] += 1
+        assert any(name in p for p in validate_metrics_document(document))
