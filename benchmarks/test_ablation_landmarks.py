@@ -21,7 +21,7 @@ ORDERS = ("degree", "coverage", "random")
 
 
 def test_ablation_landmark_ordering(benchmark, report):
-    graph = follow_graph(500, 8, seed=500)
+    graph = follow_graph(500, seed=500)
     rng = random.Random(3)
     pairs = [(rng.randrange(500), rng.randrange(500)) for _ in range(400)]
 

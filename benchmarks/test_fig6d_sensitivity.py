@@ -22,7 +22,9 @@ def test_fig6d_weight_sensitivity(benchmark, contexts, report):
     for alpha, beta, gamma in weight_grid(ALPHAS, BETA_FRACTIONS):
         fraction = round(beta / (1.0 - alpha), 2) if alpha < 1.0 else 0.0
         configs[(alpha, fraction)] = LinkerConfig(alpha=alpha, beta=beta, gamma=gamma)
-    sweep = sweep_explicit(context, configs, parameters=("alpha", "beta_share"))
+    sweep = sweep_explicit(
+        context, configs.items(), parameters=("alpha", "beta_share")
+    )
     grid = {
         (point["alpha"], point["beta_share"]): point["mention_accuracy"]
         for point in sweep.points

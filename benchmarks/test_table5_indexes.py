@@ -61,7 +61,7 @@ def test_table5_index_comparison(benchmark, report):
     rows = []
     shape_checks = []
     for name, num_users in SIZES:
-        graph = follow_graph(num_users, 8, seed=num_users)
+        graph = follow_graph(num_users, seed=num_users)
         stats = graph.stats()
         pairs = _query_pairs(num_users, random.Random(17))
         measured = {}
@@ -109,7 +109,7 @@ def test_table5_index_comparison(benchmark, report):
     )
 
     # benchmark: closure queries on the largest graph
-    graph = follow_graph(SIZES[-1][1], 8, seed=SIZES[-1][1])
+    graph = follow_graph(SIZES[-1][1], seed=SIZES[-1][1])
     closure = build_transitive_closure_incremental(graph)
     benchmark(closure.reachability, 3, 7)
 

@@ -22,7 +22,7 @@ from repro.stream.generator import follow_graph
 
 def main() -> None:
     # a follow graph with topical hubs, like the experiments use
-    graph = follow_graph(800, 8, seed=1)
+    graph = follow_graph(800, seed=1)
     stats = graph.stats()
     print(f"follow graph: {stats['nodes']} users, {stats['edges']} edges, "
           f"max degree {stats['max_degree']}")

@@ -11,9 +11,8 @@ is amortized over the batch's tweets.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
-from typing import Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.baselines.collective import CollectiveLinker
 from repro.baselines.onthefly import OnTheFlyLinker
@@ -45,19 +44,23 @@ class PredictionRun:
 def replay(linker: Linker, tweets: Sequence[Tweet]) -> PredictionRun:
     """Time ``linker`` over ``tweets``: ``{tweet_id: [entity or None per
     mention]}`` and the seconds its linking steps took."""
+    predictions: Predictions = {}
     if isinstance(linker, CollectiveLinker):
         by_author: Dict[int, List[Tweet]] = {}
         for tweet in tweets:
             by_author.setdefault(tweet.user, []).append(tweet)
-        steps = list(by_author.values())
-        link_step = linker.link_user
+        start = time.perf_counter()
+        for batch in by_author.values():
+            predictions.update(linker.link_user(batch))
     else:
-        steps = [[tweet] for tweet in tweets]
-        link_step = functools.partial(_link_one, linker)
-    predictions: Predictions = {}
-    start = time.perf_counter()
-    for step in steps:
-        predictions.update(link_step(step))
+        predict = (
+            _best_entities(linker)
+            if isinstance(linker, SocialTemporalLinker)
+            else linker.link_tweet
+        )
+        start = time.perf_counter()
+        for tweet in tweets:
+            predictions[tweet.tweet_id] = predict(tweet)
     elapsed = time.perf_counter() - start
     return PredictionRun(
         predictions=predictions,
@@ -67,9 +70,13 @@ def replay(linker: Linker, tweets: Sequence[Tweet]) -> PredictionRun:
     )
 
 
-def _link_one(linker: Linker, step: List[Tweet]) -> Predictions:
-    (tweet,) = step
-    predicted = linker.link_tweet(tweet)
-    if isinstance(linker, SocialTemporalLinker):
-        predicted = [r.best.entity_id if r.best else None for r in predicted]
-    return {tweet.tweet_id: predicted}
+def _best_entities(
+    linker: SocialTemporalLinker,
+) -> Callable[[Tweet], List[Optional[int]]]:
+    """``linker.link_tweet`` reduced to each mention's top entity."""
+    link_tweet = linker.link_tweet
+
+    def predict(tweet: Tweet) -> List[Optional[int]]:
+        return [r.best.entity_id if r.best else None for r in link_tweet(tweet)]
+
+    return predict

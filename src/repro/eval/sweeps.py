@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.config import LinkerConfig
 from repro.eval.context import ExperimentContext
@@ -48,26 +48,26 @@ def sweep_configs(
     """
     base = base or context.config
     parameters = tuple(grid.keys())
-    configs = {
-        values: dataclasses.replace(base, **dict(zip(parameters, values)))
+    configs = [
+        (values, dataclasses.replace(base, **dict(zip(parameters, values))))
         for values in itertools.product(*grid.values())
-    }
+    ]
     return sweep_explicit(context, configs, parameters)
 
 
 def sweep_explicit(
     context: ExperimentContext,
-    configs: Mapping[Tuple[object, ...], LinkerConfig],
+    configs: Iterable[Tuple[Tuple[object, ...], LinkerConfig]],
     parameters: Tuple[str, ...],
 ) -> SweepResult:
     """Sweep over explicitly constructed configs (co-varying fields).
 
-    ``configs`` maps a tuple of parameter values (aligned with
-    ``parameters``) to the full :class:`LinkerConfig` to evaluate — the
+    ``configs`` pairs a tuple of parameter values (aligned with
+    ``parameters``) with the full :class:`LinkerConfig` to evaluate — the
     form needed when fields must co-vary, like the (α, β, γ) simplex.
     """
     points: List[SweepPoint] = []
-    for values, config in configs.items():
+    for values, config in configs:
         run = context.run("ours", config)
         accuracy = mention_and_tweet_accuracy(
             context.test_dataset.tweets, run.predictions

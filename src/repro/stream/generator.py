@@ -393,11 +393,12 @@ class TweetStreamGenerator:
         return surface[:position] + child.choice(letters) + surface[position + 1 :]
 
 
-def follow_graph(num_users: int, num_topics: int, seed: int) -> DiGraph:
+def follow_graph(num_users: int, seed: int) -> DiGraph:
     """A topical follow graph without a KB or a stream: ``num_users``
-    users (hubs first) drawn as a world's are, from ``Random(seed)``,
-    followed by each other per :func:`topical_social_graph` with
-    ``Random(seed + 1)``."""
+    users (hubs first) over the default KB's topics, drawn as a world's
+    are, from ``Random(seed)``, followed by each other per
+    :func:`topical_social_graph` with ``Random(seed + 1)``."""
     generator = TweetStreamGenerator(stream_profile=StreamProfile(num_users=num_users))
+    num_topics = KBProfile().num_topics
     interests, hubs = generator._make_users(num_topics, random.Random(seed))
     return topical_social_graph(interests, hubs, random.Random(seed + 1))

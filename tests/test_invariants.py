@@ -217,11 +217,11 @@ def bindings(module: Module) -> Iterator[Tuple[ast.AST, ast.alias, str]]:
                     yield node, alias, alias.asname or alias.name.split(".")[0]
 
 
-def read_names(module: Module) -> set:
-    """Every name the module loads, with the names of its string
+def read_names(tree: ast.AST) -> set:
+    """Every name ``tree`` loads, with the names of its string
     annotations and its ``__all__``."""
     names = set()
-    for node in ast.walk(module.tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
@@ -241,9 +241,18 @@ def read_names(module: Module) -> set:
 
 
 def imp_001(module: Module) -> Iterator[Hit]:
-    read = read_names(module)
+    # as in pyflakes, an import inside a function must be read inside it
+    function_of = {}
+    for parent in ast.walk(module.tree):
+        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for child in ast.walk(parent):
+                function_of[child] = parent  # inner functions are walked later
+    read = {None: read_names(module.tree)}
     for node, _, name in bindings(module):
-        if name not in read:
+        scope = function_of.get(node)
+        if scope not in read:
+            read[scope] = read_names(scope)
+        if name not in read[scope]:
             yield node.lineno, "IMP-001", f"{name} imported but never read"
 
 
@@ -431,6 +440,9 @@ CASES = [
           "from d import e as f\n__all__ = ['c']\nx: 'f' = os.sep", [], "read-exported-noqa"),
     _case("IMP-001", "import json  # noqa\nfrom __future__ import annotations",
           [], "noqa-and-future"),
+    _case("IMP-001", "from a import b\ndef f():\n    from a import b, c\n    return c\n"
+          "def g():\n    import d\n    def h():\n        return d\n    return h, b",
+          [3], "function-scope"),
     _case("IMP-001", "from typing import Literal\nfrom a import b\n"
           "def f(x: 'Literal[\"not code\"]') -> 'b': pass", [], "string-annotations"),
     _case("IMP-002", "import re\nfrom os import path\nimport re\nfrom posixpath import path",

@@ -74,7 +74,8 @@ class TestQueryParser:
 
 
 @pytest.fixture
-def engine(tiny_ckb):
+def engine_parts(tiny_ckb):
+    """The linker and the store of :func:`engine`."""
     graph = DiGraph(
         13,
         [
@@ -111,7 +112,12 @@ def engine(tiny_ckb):
         tiny_ckb.link_tweet(
             tweet.mentions[0].true_entity, tweet.user, tweet.timestamp, tweet.tweet_id
         )
-    return PersonalizedSearchEngine(linker, store)
+    return linker, store
+
+
+@pytest.fixture
+def engine(engine_parts):
+    return PersonalizedSearchEngine(*engine_parts)
 
 
 class TestEngine:
@@ -154,18 +160,18 @@ class TestEngine:
         assert response.used_fallback
         assert response.linked_entities == []
 
-    def test_degraded_search_links_the_ranking(self, engine, tiny_ckb):
+    def test_degraded_search_links_the_ranking(self, engine_parts, tiny_ckb):
         """With the index down no interest is measured, so the bound does
         not apply: the isolated user's query links the top of the
         ``β·S_r + γ·S_p`` ranking instead of falling back to keywords."""
-        healthy = engine._linker
+        healthy, store = engine_parts
         failing = FlakyReachabilityProvider(
             healthy.reachability_provider, FaultSchedule(error_rate=1.0)
         )
         linker = SocialTemporalLinker(
             tiny_ckb, healthy.graph, config=healthy.config, reachability=failing
         )
-        degraded = PersonalizedSearchEngine(linker, engine._store)
+        degraded = PersonalizedSearchEngine(linker, store)
         response = degraded.search("jordan", user=6, now=100 * DAY)
         result = linker.link("jordan", user=6, now=100 * DAY)
         assert response.degraded and not response.used_fallback

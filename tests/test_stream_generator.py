@@ -164,7 +164,7 @@ class TestWorldGeneration:
         """Table 5's D90' graph and the reachability example's: the user
         draws from ``Random(seed)`` and the edge draws from
         ``Random(seed + 1)`` the benches made before ``follow_graph``."""
-        graph = follow_graph(num_users, 8, seed=seed)
+        graph = follow_graph(num_users, seed=seed)
         assert graph.num_nodes == num_users
         assert graph.num_edges == edges
         ordered = repr(sorted(graph.edges())).encode()
@@ -267,7 +267,7 @@ class TestTypoModel:
 
     def test_default_worlds_unchanged_by_typo_feature(self):
         """The calibrated default stream must be bit-stable."""
-        from repro.stream.generator import StreamProfile, SyntheticWorld, follow_graph
+        from repro.stream.generator import StreamProfile, SyntheticWorld
 
         world = SyntheticWorld.generate(
             stream_profile=StreamProfile(seed=11, num_users=60, hub_tweets=20)
