@@ -15,8 +15,8 @@ with the exact Eq.-4 definition.  Two reproduction caveats
 (EXPERIMENTS.md): our closure build is numpy-vectorized and therefore
 *faster* than either pure-Python label construction, inverting the
 paper's build-time column; and in bytes the shipped cover is the smallest
-index at every size here (1.1 MB against the closure's 3·n² = 4.3 MB at
-1,200 nodes), while the oracle's dict-of-sets labels are the largest by
+index at every size here (1.1 MB against the closure's 2·n² + 8·n =
+2.9 MB at 1,200 nodes, with one-byte distances and counts), while the oracle's dict-of-sets labels are the largest by
 far.
 """
 

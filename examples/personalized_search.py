@@ -9,25 +9,17 @@ Run:  python examples/personalized_search.py
 """
 
 from repro.eval.context import build_experiment
+from repro.search import PersonalizedSearchEngine, TweetStore
 from repro.stream.generator import StreamProfile, SyntheticWorld
-
-
-def search(context, linker, surface: str, user: int, now: float, limit: int = 5):
-    """Link the query mention, then fetch that entity's freshest tweets."""
-    result = linker.link(surface, user=user, now=now)
-    if result.best is None:
-        return None, []
-    entity_id = result.best.entity_id
-    linked = context.ckb.tweets_of(entity_id)
-    fresh_first = sorted(linked, key=lambda t: t.timestamp, reverse=True)
-    return result.best, fresh_first[:limit]
 
 
 def main() -> None:
     print("generating a synthetic microblog world ...")
     world = SyntheticWorld.generate(stream_profile=StreamProfile(seed=13))
     context = build_experiment(world=world, complement_method="collective")
-    linker = context.social_temporal()
+    engine = PersonalizedSearchEngine(
+        context.social_temporal(), TweetStore(world.tweets)
+    )
     kb = world.kb
 
     # pick an ambiguous mention and two users with opposing interests
@@ -44,13 +36,15 @@ def main() -> None:
 
     for label, user in [(f"user interested in topic {topic_a}", fan_a),
                         (f"user interested in topic {topic_b}", fan_b)]:
-        best, tweets = search(context, linker, surface, user, now)
+        response = engine.search(surface, user=user, now=now, limit=5)
         print(f"\n{label} (user {user}):")
-        print(f"  linked to: {kb.entity(best.entity_id).title}  score={best.score:.3f}")
-        print(f"  top results ({len(tweets)} freshest linked tweets):")
-        for record in tweets:
-            day = record.timestamp / 86_400
-            print(f"    day {day:6.1f}  by user {record.user}")
+        for best in response.linked_entities:
+            title = kb.entity(best.entity_id).title
+            print(f"  linked to: {title}  score={best.score:.3f}")
+        print(f"  top results ({len(response.hits)} freshest linked tweets):")
+        for hit in response.hits:
+            day = hit.tweet.timestamp / 86_400
+            print(f"    day {day:6.1f}  by user {hit.tweet.user}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ Subcommands::
     repro report    [--results benchmarks/results --out REPORT.md]
     repro validate  --world world.json.gz
     repro stream    --world world.json.gz [--checkpoint ckpt.json --resume]
-    repro trace     [--scenario normal|abstention|degraded|all]
-                    [--check-golden | --write-golden]
     repro serve     --world world.json.gz [--port 8355 --tenants alpha,beta]
     repro load      --world world.json.gz [--url http://... --chaos
                     --requests 2000 --out LOAD_report.json]
@@ -21,10 +19,9 @@ load one and run the corresponding piece of the pipeline.  ``stream``
 replays the test stream through the resilient online path (validation,
 reordering, degradation, checkpointing); ``report`` consolidates the
 archived benchmark tables; ``validate`` measures a world's structural
-properties; ``trace`` runs the deterministic observability scenarios and
-maintains the golden-trace fixtures (docs/observability.md).  Primary
-output is plain aligned tables on stdout (``repro.eval.reporting``);
-diagnostics go to the ``repro`` logger on stderr (``--log-level``).
+properties.  Primary output is plain aligned tables on stdout
+(``repro.eval.reporting``); diagnostics go to the ``repro`` logger on
+stderr (``--log-level``).
 """
 
 from __future__ import annotations
@@ -155,34 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cached", action="store_true",
         help="enable the epoch-keyed score memos (repro.cache); output is "
         "bit-identical to the uncached path",
-    )
-
-    trace = commands.add_parser(
-        "trace",
-        help="run the deterministic observability scenarios and export "
-        "their span traces (golden-trace tooling)",
-    )
-    trace.add_argument(
-        "--scenario", choices=("normal", "abstention", "degraded", "all"),
-        default="all", help="which fixture scenario to run",
-    )
-    trace.add_argument(
-        "--out", default=None,
-        help="write one scenario's trace (JSON lines) here; requires a "
-        "single --scenario",
-    )
-    trace.add_argument(
-        "--golden-dir", default="tests/golden",
-        help="directory of the committed golden trace fixtures",
-    )
-    trace.add_argument(
-        "--write-golden", action="store_true",
-        help="regenerate the golden fixtures under --golden-dir "
-        "(review the diff before committing)",
-    )
-    trace.add_argument(
-        "--check-golden", action="store_true",
-        help="diff live traces against the goldens; exit 1 on any drift",
     )
 
     serve = commands.add_parser(
@@ -555,77 +524,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run the deterministic observability scenarios; manage goldens.
-
-    ``--check-golden`` is the CI gate: a live trace that is not byte for
-    byte its committed fixture prints a unified diff (one span a line)
-    and exits 1.  ``--write-golden`` regenerates the fixtures (the diff
-    is then reviewed like any other behavior change).
-    """
-    import difflib
-    import os as _os
-
-    from repro.obs.export import dump_trace_jsonl
-    from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
-
-    if args.write_golden and args.check_golden:
-        _log.error("--write-golden and --check-golden are mutually exclusive")
-        return 2
-    names = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    if args.out and len(names) != 1:
-        _log.error("--out needs a single --scenario, not %r", args.scenario)
-        return 2
-
-    rows = []
-    drifted = False
-    for name in names:
-        document, metrics, results = run_scenario(name)
-        rendered = dump_trace_jsonl(document)
-        status = "-"
-        fixture = golden_path(args.golden_dir, name)
-        if args.write_golden:
-            _os.makedirs(args.golden_dir, exist_ok=True)
-            with open(fixture, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-            status = "written"
-        elif args.check_golden:
-            if not _os.path.exists(fixture):
-                _log.error("golden fixture missing: %s", fixture)
-                drifted = True
-                status = "MISSING"
-            else:
-                with open(fixture, "r", encoding="utf-8") as handle:
-                    golden = handle.read()
-                if golden == rendered:
-                    status = "ok"
-                else:
-                    drifted = True
-                    status = "DRIFTED"
-                    diff = difflib.unified_diff(
-                        golden.splitlines(), rendered.splitlines(),
-                        fixture, "live", lineterm="",
-                    )
-                    _log.error("%s drifted:\n%s", name, "\n".join(diff))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-            print(f"trace written to {args.out}")
-        counters = metrics["counters"]
-        rows.append(
-            {
-                "scenario": name,
-                "spans": document["meta"]["span_count"],
-                "requests": counters.get("link.requests", 0),
-                "degraded": counters.get("link.degraded", 0),
-                "abstained": counters.get("link.abstained", 0),
-                "golden": status,
-            }
-        )
-    print(format_table(rows, title="observability scenarios"))
-    return 1 if drifted else 0
-
-
 # ---------------------------------------------------------------------- #
 # serving front end (docs/serving.md)
 # ---------------------------------------------------------------------- #
@@ -802,7 +700,6 @@ _HANDLERS = {
     "report": _cmd_report,
     "validate": _cmd_validate,
     "stream": _cmd_stream,
-    "trace": _cmd_trace,
     "serve": _cmd_serve,
     "load": _cmd_load,
 }

@@ -14,7 +14,7 @@ from repro.kb.checkpoint import (
     save_checkpoint,
     snapshot,
 )
-from repro.kb.complemented import ComplementedKnowledgebase, LinkedTweet
+from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.entity import Entity, EntityCategory
 from repro.kb.knowledgebase import Knowledgebase
 from repro.kb.surface_index import SegmentIndex
@@ -26,7 +26,6 @@ __all__ = [
     "EntityCategory",
     "KBProfile",
     "Knowledgebase",
-    "LinkedTweet",
     "SegmentIndex",
     "StreamCheckpoint",
     "SyntheticKB",

@@ -24,7 +24,6 @@ only writers, and neither deletes: :math:`D_e` only grows.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import math
 from array import array
@@ -40,15 +39,6 @@ from repro.kb.knowledgebase import Knowledgebase
 Link = Tuple[int, int, float, int]
 #: :math:`D_e` of one entity: users, timestamps and tweet ids, in link order.
 Columns = Tuple[array, array, array]
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkedTweet:
-    """One tweet linked to an entity: ``(d.u, d.t)`` of the paper."""
-
-    user: int
-    timestamp: float
-    tweet_id: int = -1
 
 
 def _new_columns() -> Columns:
@@ -215,10 +205,6 @@ class ComplementedKnowledgebase:
         link order — the stored arrays, for reading only."""
         columns = self._columns.get(entity_id)
         return _new_columns() if columns is None else columns
-
-    def tweets_of(self, entity_id: int) -> List[LinkedTweet]:
-        """:math:`D_e` — tweets linked to the entity, one record each."""
-        return list(itertools.starmap(LinkedTweet, zip(*self.link_columns(entity_id))))
 
     def count(self, entity_id: int) -> int:
         """:math:`count(e) = |D_e|` of Eq. 2."""

@@ -12,7 +12,6 @@ so an instrumented core module loads only what it records into):
 * :mod:`repro.obs.stage` — ``stage()``, the one wrap around a pipeline
   stage: a span to ``TRACE`` and a duration to ``METRICS``;
 * :mod:`repro.obs.export` — the schema-stable JSON-lines trace document
-  (``repro trace``) and its validator; golden traces are byte-compared;
-* :mod:`repro.obs.scenarios` — the fixture worlds behind ``repro trace``
-  (it wires real linkers, which themselves import this package).
+  and its validator; the golden traces (``tests/golden/``) are
+  byte-compared.
 """

@@ -12,7 +12,7 @@ drifted; a trace tells you *where* — which is why the golden-trace suite
 Determinism is the design center: the tracer never reads a wall clock.
 Timestamps come from an injected clock; the default :class:`TickClock`
 returns 0, 1, 2, … so two identical seeded runs produce byte-identical
-exports (the ``repro trace`` contract).  Production callers wanting real
+exports, which is what lets the golden traces be committed.  Production callers wanting real
 durations inject ``time.perf_counter`` — the trace *structure* stays
 identical either way, only the timestamps change.
 
@@ -20,8 +20,7 @@ Overhead discipline: the process-global :data:`TRACE` is disabled by
 default, and a disabled :meth:`Tracer.span` returns a shared no-op span
 whose methods do nothing — the linking hot path pays one attribute check
 per span site.  The tracer keeps one span stack and holds no lock, so it
-must only be enabled where one thread links at a time (``repro trace``,
-tests).  ``repro serve`` runs ``link()`` on ``ThreadingHTTPServer``
+must only be enabled where one thread links at a time (tests).  ``repro serve`` runs ``link()`` on ``ThreadingHTTPServer``
 handler threads and never enables it; while disabled, no tracer state is
 written, so concurrent handlers are safe.
 """
@@ -303,5 +302,5 @@ class Tracer:
 
 
 #: The process-global tracer every instrumented module records into
-#: (disabled by default; ``repro trace`` and tests enable it).
+#: (disabled by default; tests enable it).
 TRACE = Tracer()

@@ -305,7 +305,7 @@ class ServeApp:
                 f"user {user} outside universe [0, {tenant.num_users})"
             )
         surface = str(request["surface"])
-        now = float(request.get("now", self._clock()))
+        now = _as_float(request.get("now", self._clock()), "now")
         if now != now or now in (float("inf"), float("-inf")):
             raise BadRequestError("'now' must be a finite number")
         top_k = _require_int(request, "top_k", default=3)
@@ -375,7 +375,9 @@ def _parse_tenant_spec(body: Optional[bytes]) -> TenantSpec:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BadRequestError(f"{field!r} must be a number")
-        kwargs[field] = _require_int(request, field) if cast is int else cast(value)
+        kwargs[field] = (
+            _require_int(request, field) if cast is int else _as_float(value, field)
+        )
     if "admission_class" in request:
         if not isinstance(request["admission_class"], str):
             raise BadRequestError("'admission_class' must be a string")
@@ -392,9 +394,18 @@ def _require_int(
     value = request.get(field, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError(f"{field!r} must be an integer")
-    if not float(value).is_integer():  # also rejects NaN and ±inf
+    if not _as_float(value, field).is_integer():  # also rejects NaN and ±inf
         raise BadRequestError(f"{field!r} must be an integer")
     return int(value)
+
+
+def _as_float(value: object, field: str) -> float:
+    """``float(value)``, where an integer too large for a float is a
+    typed 400 and not an ``OverflowError``."""
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        raise BadRequestError(f"{field!r} is out of range") from None
 
 
 def _render_link(tenant: Tenant, result: LinkResult, top_k: int) -> Dict[str, object]:

@@ -18,8 +18,8 @@ paper's index tables (``benchmarks/``, Table 5's large rows included):
 * :func:`weighted_reachability_from_per_target` — the pre-one-pass
   single-source Eq. 4, one backward DAG walk per target.
 * :class:`OnlineReachability` — the index-free "online search" of Sec. 2:
-  one one-pass BFS per source, LRU-cached.  The golden traces
-  (:mod:`repro.obs.scenarios`) and the reachability ablation pass it to a
+  one one-pass BFS per source, LRU-cached.  The golden-trace scenarios
+  (``tests/conftest.py``) and the reachability ablation pass it to a
   linker explicitly; a linker given no provider builds an index.
 * :func:`propagate_by_iteration` / :func:`propagated_recency_by_iteration`
   — Eq. 9–11 as the paper writes them: gather every cluster member's

@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic worlds and hand-built graphs."""
+"""Shared fixtures: small deterministic worlds, hand-built graphs and the
+golden-trace scenarios."""
 
 from __future__ import annotations
 
@@ -6,15 +7,22 @@ import random
 
 import pytest
 
-from repro.config import DAY
+from repro.config import DAY, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
+from repro.errors import IndexUnavailableError
 from repro.eval.context import build_experiment
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.kb.knowledgebase import Knowledgebase
+from repro.obs.export import render_trace_document
+from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACE
+from repro.resilience.breaker import CircuitBreaker
 from repro.stream.generator import SyntheticWorld
 from repro.stream.profiles import quick_profiles
+from repro.testing.faults import FakeClock
+from repro.testing.oracles import OnlineReachability
 
 
 @pytest.fixture
@@ -69,14 +77,15 @@ def build_tiny_kb() -> Knowledgebase:
     return kb
 
 
-def build_tiny_ckb(kb: Knowledgebase) -> ComplementedKnowledgebase:
+def build_tiny_ckb(kb: Knowledgebase, first_day: int = 0) -> ComplementedKnowledgebase:
     """Complemented version of the Fig.-1 KB.
 
-    Users: 10 = @NBAOfficial (tweets only basketball), 11 = ML expert who
-    mostly tweets ML but once basketball, 12 = sneakerhead.
+    Users: 10 = @NBAOfficial (tweets only basketball, nine days from
+    ``first_day``), 11 = ML expert who mostly tweets ML but once
+    basketball, 12 = sneakerhead.
     """
     ckb = ComplementedKnowledgebase(kb)
-    for ts in range(9):
+    for ts in range(first_day, first_day + 9):
         ckb.link_tweet(0, user=10, timestamp=float(ts) * DAY)
     ckb.link_tweet(0, user=11, timestamp=2.0 * DAY)
     for ts in range(4):
@@ -138,6 +147,73 @@ def fresh_linker(linker):
     """A linker built now over ``linker``'s world: nothing cached, so
     nothing it could have failed to notice."""
     return SocialTemporalLinker(linker.ckb, linker.graph, config=linker.config)
+
+
+class DownReachability:
+    """A reachability index that is hard-down: every query raises."""
+
+    def reachability(self, source: int, target: int) -> float:
+        raise IndexUnavailableError("index down")
+
+
+#: The golden-trace scenarios (tests/golden/<name>.trace.jsonl) and their
+#: ``(surface, user, now)`` requests, in order.  Each drives the live
+#: linker down one decision path over the Fig.-1 KB:
+#:
+#: * ``normal``: user 0 follows the basketball hub 10 and asks during its
+#:   burst; interest, recency and popularity all fire (Eq. 1).
+#: * ``abstention``: user 5 follows nobody and asks long after the burst;
+#:   the best score is at or below the ``β + γ`` bound (Appendix D).
+#: * ``degraded``: the index is down; the first request degrades and
+#:   trips a threshold-1 breaker, the second is rejected while it is open.
+_SCENARIO_REQUESTS = {
+    "normal": [("jordan", 0, 9.5 * DAY)],
+    "abstention": [("jordan", 5, 30.0 * DAY)],
+    "degraded": [("jordan", 0, 9.5 * DAY), ("jordan", 3, 9.5 * DAY)],
+}
+SCENARIOS = tuple(_SCENARIO_REQUESTS)
+
+
+def _scenario_linker(name: str) -> SocialTemporalLinker:
+    """The linker one scenario runs, over a fresh world: the basketball
+    history starts at day 1 and recency propagation is off, so the trace
+    is about the decision path and not the WLM clustering."""
+    ckb = build_tiny_ckb(build_tiny_kb(), first_day=1)
+    graph = DiGraph(13, [(0, 10), (1, 11), (2, 12), (3, 10), (3, 11)])
+    config = LinkerConfig(recency_propagation=False)
+    if name == "degraded":
+        breaker = CircuitBreaker(
+            failure_threshold=1, recovery_timeout=60.0, clock=FakeClock()
+        )
+        return SocialTemporalLinker(
+            ckb, graph, config=config, reachability=DownReachability(),
+            breaker=breaker,
+        )
+    # online BFS, so the traces show one reachability.bfs span per source
+    return SocialTemporalLinker(
+        ckb, graph, config=config, reachability=OnlineReachability(graph)
+    )
+
+
+def run_scenario(name: str):
+    """Run one scenario under the global TRACE and METRICS, which the
+    production code records into, and return its (trace document,
+    metrics snapshot).
+
+    Both are reset first, restarting the tracer's tick clock at 0, so the
+    document is a pure function of the scenario name.
+    """
+    linker = _scenario_linker(name)
+    TRACE.reset()
+    TRACE.enable()
+    METRICS.reset()
+    try:
+        for surface, user, now in _SCENARIO_REQUESTS[name]:
+            linker.link(surface, user=user, now=now)
+    finally:
+        TRACE.disable()
+    document = render_trace_document(TRACE.drain(), scenario=name)
+    return document, METRICS.snapshot()
 
 
 def small_profiles(seed: int = 5):

@@ -109,4 +109,4 @@ class TestCollectiveLinker:
         assert linked == 2
         assert ckb.count(5) == 1
         assert ckb.count(4) == 1
-        assert ckb.tweets_of(5)[0].user == 50
+        assert list(ckb.link_columns(5)[0]) == [50]

@@ -75,11 +75,11 @@ class TestParser:
         assert exit_info.value.code == 2
         assert build_parser().parse_args(argv[:3]).command == argv[0]
 
-    def test_trace_metrics_out_is_gone(self):
-        """The trace table prints the scenarios' counters; ``evaluate`` and
-        ``stream`` keep the flag."""
+    def test_trace_subcommand_is_gone(self):
+        """The golden traces are tests/test_golden_traces.py now;
+        ``evaluate`` and ``stream`` keep ``--metrics-out``."""
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["trace", "--metrics-out", "m.json"])
+            build_parser().parse_args(["trace"])
         assert exit_info.value.code == 2
         for command in ("evaluate", "stream"):
             args = build_parser().parse_args(

@@ -31,7 +31,7 @@ def state(ckb, groups):
     entities = range(ckb.kb.num_entities)
     return (
         [
-            [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
+            [(u, t.hex(), i) for u, t, i in zip(*ckb.link_columns(e))]
             for e in entities
         ],
         [[t.hex() for t in sorted(ckb.link_columns(e)[1])] for e in entities],
@@ -54,7 +54,7 @@ def digest(ckb) -> str:
     counts and version, then ``total_links``."""
     sha = hashlib.sha256()
     for e in ckb.linked_entities():
-        rows = [(r.user, r.timestamp.hex(), r.tweet_id) for r in ckb.tweets_of(e)]
+        rows = [(u, t.hex(), i) for u, t, i in zip(*ckb.link_columns(e))]
         stamps = [t.hex() for t in sorted(ckb.link_columns(e)[1])]
         counts = list(ckb.user_counts(e).items())
         sha.update(repr((e, rows, stamps, counts, ckb.version(e))).encode())
@@ -79,7 +79,7 @@ class TestLinking:
     def test_unlinked_entity_defaults(self, ckb):
         assert ckb.count(1) == 0
         assert ckb.community(1) == set()
-        assert ckb.tweets_of(1) == []
+        assert list(zip(*ckb.link_columns(1))) == []
 
     def test_user_counts_stores_nothing_on_a_miss(self, ckb):
         assert ckb.user_counts(0) == {} and ckb.community(0) == set()
@@ -96,8 +96,7 @@ class TestLinking:
 
     def test_tweets_keep_metadata(self, ckb):
         ckb.link_tweet(0, user=7, timestamp=42.0, tweet_id=99)
-        record = ckb.tweets_of(0)[0]
-        assert (record.user, record.timestamp, record.tweet_id) == (7, 42.0, 99)
+        assert list(zip(*ckb.link_columns(0))) == [(7, 42.0, 99)]
 
 
 BULK_KB = kb_of(4)

@@ -5,9 +5,9 @@ scenario: span structure, tick timestamps, score attributes, degradation
 events.  The exporter writes sorted keys under the tick clock, so the
 live export must equal the fixture byte for byte; any drift — a
 reordered stage, a changed score, a lost event — fails here with a
-unified diff, one span a line.  Regenerate deliberately with
-``repro trace --write-golden`` and review the diff like any other
-behavior change.
+unified diff, one span a line.  Regenerate deliberately by running this
+file as a script (``PYTHONPATH=src python tests/test_golden_traces.py``)
+and review the diff like any other behavior change.
 """
 
 import difflib
@@ -16,17 +16,18 @@ import os
 import pytest
 
 from repro.obs.export import dump_trace_jsonl, load_trace_jsonl
-from repro.obs.scenarios import SCENARIOS, golden_path, run_scenario
+
+from conftest import SCENARIOS, run_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.trace.jsonl")
+
+
 def golden_text(name: str) -> str:
-    path = golden_path(GOLDEN_DIR, name)
-    assert os.path.exists(path), (
-        f"golden fixture {path} missing — run `repro trace --write-golden`"
-    )
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(golden_path(name), "r", encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -88,3 +89,10 @@ class TestGoldenContent:
             "link.popularity",
             "link.combine",
         } <= names
+
+
+if __name__ == "__main__":
+    for name in SCENARIOS:
+        with open(golden_path(name), "w", encoding="utf-8") as handle:
+            handle.write(dump_trace_jsonl(run_scenario(name)[0]))
+        print(f"wrote {golden_path(name)}")

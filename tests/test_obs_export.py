@@ -8,8 +8,9 @@ from repro.obs.export import (
     render_trace_document,
     validate_trace_document,
 )
-from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.obs.trace import Tracer
+
+from conftest import SCENARIOS, run_scenario
 
 
 def sample_document():

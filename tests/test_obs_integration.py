@@ -1,24 +1,21 @@
-"""Observability wiring end to end: instrumented modules, degradation
-counting, and the ``repro trace`` CLI."""
-
-import os
+"""Observability wiring end to end: instrumented modules and degradation
+counting."""
 
 import pytest
 
-from repro.cli import main
 from repro.config import DAY, LinkerConfig
 from repro.core.batch import LinkRequest, MicroBatchLinker
 from repro.core.linker import SocialTemporalLinker
 from repro.core.pipeline import TextLinkingPipeline
 from repro.errors import IndexUnavailableError
 from repro.graph.digraph import DiGraph
-from repro.obs.export import load_trace_jsonl, validate_trace_document
 from repro.obs.metrics import METRICS
-from repro.obs.scenarios import SCENARIOS, golden_path
 from repro.obs.trace import TRACE
 from repro.resilience.breaker import CircuitBreaker
 from repro.stream.ingest import ResilientIngestor, TweetValidator
 from repro.stream.tweet import Tweet
+
+from conftest import DownReachability
 
 
 @pytest.fixture(autouse=True)
@@ -39,11 +36,6 @@ def linker(tiny_ckb):
     return SocialTemporalLinker(
         tiny_ckb, graph, config=LinkerConfig(burst_threshold=2, influential_users=2)
     )
-
-
-class _FailingProvider:
-    def reachability(self, source: int, target: int) -> float:
-        raise IndexUnavailableError("index down")
 
 
 def _requests():
@@ -100,7 +92,7 @@ class TestLinkerInstrumentation:
 
     def test_degraded_link_counted_by_reason(self, tiny_ckb):
         linker = SocialTemporalLinker(
-            tiny_ckb, DiGraph(13), reachability=_FailingProvider()
+            tiny_ckb, DiGraph(13), reachability=DownReachability()
         )
         result = linker.link("jordan", user=0, now=8 * DAY)
         assert result.degradation == "index_unavailable"
@@ -122,7 +114,7 @@ class TestBatchInstrumentation:
         """Satellite fix: MicroBatchLinker degradations are countable in
         the registry and visible as typed events in the trace."""
         linker = SocialTemporalLinker(
-            tiny_ckb, DiGraph(13), reachability=_FailingProvider()
+            tiny_ckb, DiGraph(13), reachability=DownReachability()
         )
         TRACE.enable()
         results = MicroBatchLinker(linker).link_batch(
@@ -206,51 +198,4 @@ class TestPipelineAndStreamInstrumentation:
         assert METRICS.counter("breaker.half_opened") == 1
         breaker.call(lambda: 42)
         assert METRICS.counter("breaker.closed") == 1
-
-
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-
-
-class TestTraceCli:
-    def test_check_golden_passes_against_fixtures(self):
-        assert main(["trace", "--check-golden", "--golden-dir", GOLDEN_DIR]) == 0
-
-    def test_write_and_check_roundtrip(self, tmp_path):
-        golden_dir = str(tmp_path / "golden")
-        assert main(["trace", "--write-golden", "--golden-dir", golden_dir]) == 0
-        for name in SCENARIOS:
-            assert os.path.exists(golden_path(golden_dir, name))
-        assert main(["trace", "--check-golden", "--golden-dir", golden_dir]) == 0
-
-    def test_check_golden_fails_on_drift(self, tmp_path):
-        golden_dir = str(tmp_path / "golden")
-        main(["trace", "--write-golden", "--golden-dir", golden_dir])
-        path = golden_path(golden_dir, "normal")
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        lines[1] = lines[1].replace('"jordan"', '"bulls"')
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        assert main(["trace", "--check-golden", "--golden-dir", golden_dir]) == 1
-
-    def test_check_golden_fails_on_missing_fixture(self, tmp_path):
-        assert (
-            main(["trace", "--check-golden", "--golden-dir", str(tmp_path / "nope")])
-            == 1
-        )
-
-    def test_out_writes_valid_single_scenario_trace(self, tmp_path):
-        out = str(tmp_path / "normal.trace.jsonl")
-        assert main(["trace", "--scenario", "normal", "--out", out]) == 0
-        with open(out, "r", encoding="utf-8") as handle:
-            document = load_trace_jsonl(handle.read())
-        assert validate_trace_document(document) == []
-        assert document["meta"]["scenario"] == "normal"
-
-    def test_out_requires_single_scenario(self, tmp_path):
-        out = str(tmp_path / "all.trace.jsonl")
-        assert main(["trace", "--out", out]) == 2
-
-    def test_write_and_check_are_mutually_exclusive(self):
-        assert main(["trace", "--write-golden", "--check-golden"]) == 2
 

@@ -15,8 +15,9 @@ from repro.obs.metrics import (
     render_metrics_document,
     validate_metrics_document,
 )
-from repro.obs.scenarios import run_scenario
 from repro.obs.stage import stage
+
+from conftest import SCENARIOS, run_scenario
 
 #: Any JSON scalar, so most drawn sections are wrong somewhere.
 _JSON_SCALAR = st.one_of(
@@ -258,12 +259,12 @@ class TestStage:
 
 
 class TestSeededSnapshots:
-    @pytest.mark.parametrize("name", ["normal", "abstention", "degraded"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_trace_scenario_snapshot_repeats(self, name):
         """Cache counters moved into METRICS are decisions too: a seeded
         scenario run twice snapshots identically."""
-        _, first, _ = run_scenario(name)
-        _, second, _ = run_scenario(name)
+        _, first = run_scenario(name)
+        _, second = run_scenario(name)
         assert first == second
         assert first["timers"] == {}
         if name != "degraded":  # the degraded index fails before any lookup

@@ -173,7 +173,6 @@ class TestShippedShelf:
             "EntityCategory",
             "KBProfile",
             "Knowledgebase",
-            "LinkedTweet",
             "SegmentIndex",
             "StreamCheckpoint",
             "SyntheticKB",

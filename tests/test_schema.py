@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import RateLimitedError
 from repro.obs.export import load_trace_jsonl, validate_trace_document
-from repro.obs.scenarios import SCENARIOS, golden_path
 from repro.schema import (
     BOOL, COUNT, FRACTION, INT, REAL, STR, ListOf, MapOf, const, nullable,
     one_of, problems,
@@ -18,6 +17,8 @@ from repro.serve.handlers import error_body, validate_error_body
 from repro.serve.report import (
     build_load_document, validate_load_document, zero_outcomes,
 )
+
+from conftest import SCENARIOS
 
 TESTS = os.path.dirname(__file__)
 GOLDEN = os.path.join(TESTS, "golden")
@@ -118,7 +119,10 @@ def _read(path):
 
 
 ARTEFACTS = [
-    *((golden_path(GOLDEN, name), validate_trace_document) for name in SCENARIOS),
+    *(
+        (os.path.join(GOLDEN, f"{name}.trace.jsonl"), validate_trace_document)
+        for name in SCENARIOS
+    ),
     (os.path.join(GOLDEN, "LOAD_inprocess_golden.json"), validate_load_document),
 ]
 

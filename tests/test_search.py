@@ -94,12 +94,13 @@ def engine_parts(tiny_ckb):
     tweets = []
     next_id = 100
     for entity_id, text in [(0, "jordan dunk highlight"), (1, "jordan icml talk")]:
-        for record in tiny_ckb.tweets_of(entity_id):
+        users, timestamps, _ = tiny_ckb.link_columns(entity_id)
+        for user, timestamp in zip(users, timestamps):
             tweets.append(
                 Tweet(
                     tweet_id=next_id,
-                    user=record.user,
-                    timestamp=record.timestamp,
+                    user=user,
+                    timestamp=timestamp,
                     text=text,
                     mentions=(MentionSpan("jordan", true_entity=entity_id),),
                 )

@@ -154,6 +154,14 @@ class TestCleanBoundary:
             assert document_problems(status, document) == []
         assert app.admission.pending == 0
 
+    @pytest.mark.parametrize("field", ["user", "now", "top_k"])
+    def test_an_integer_too_large_for_a_float_is_a_typed_400(self, served, field):
+        app, _, body = served
+        request = {**json.loads(body), field: 10**400}
+        status, document = app.handle("POST", "/v1/link", json.dumps(request).encode())
+        assert (status, document["error"]["type"]) == (400, "bad_request")
+        assert app.admission.pending == 0
+
 
 class TestBuiltinsPropagate:
     @pytest.mark.parametrize("error", BUILTINS, ids=lambda e: e.__name__)

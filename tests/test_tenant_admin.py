@@ -191,7 +191,10 @@ class TestHotAddRemove:
          b'{"name": "g", "recovery_timeout": -5}',
          b'{"name": "g", "rate": NaN}', b'{"name": "g", "burst": Infinity}',
          b'{"name": "g", "failure_threshold": NaN}',
-         b'{"name": "g", "failure_threshold": Infinity}'],
+         b'{"name": "g", "failure_threshold": Infinity}',
+         *(pytest.param(b'{"name": "g", "%s": 1%s}' % (field, b"0" * 400),
+                        id=f"{field.decode()}-too-large-for-a-float")
+           for field in (b"rate", b"failure_threshold"))],
     )
     def test_malformed_add_bodies_are_typed_400(self, small_world, body):
         app, _ = build_app(small_world, [spec("alpha")])
