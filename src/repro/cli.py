@@ -30,7 +30,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import DAY
+from repro.config import DAY, DEFAULT_CONFIG
 from repro.errors import ReproError
 from repro.eval.context import METHODS, activity_split, build_experiment
 from repro.eval.metrics import mention_and_tweet_accuracy
@@ -545,6 +545,8 @@ def _tenant_specs(args: argparse.Namespace):
                 admission_class=admission_class or DEFAULT_CLASS,
             )
         )
+    if not specs:
+        raise ValueError("a server needs at least one tenant")
     return specs
 
 
@@ -578,26 +580,39 @@ def _admission_from_args(args: argparse.Namespace):
 
 
 def _build_serve_app(args: argparse.Namespace, clock, sleep, defer_release: bool):
-    """Shared wiring of ``repro serve`` and in-process ``repro load``."""
-    from repro.serve.handlers import ServeApp
-    from repro.serve.tenants import build_tenant_registry
+    """Shared wiring of ``repro serve`` and in-process ``repro load``.
 
+    Only the KB with its ``D_e`` (complemented from ``D10``) and the
+    follow graph outlive the world; one full collection returns the
+    corpus's memory before the index, network and tenants are built,
+    so they reuse it instead of raising the peak.
+    """
+    import gc
+
+    from repro.eval.context import DEFAULT_THRESHOLD, complement_knowledgebase
+    from repro.serve.handlers import ServeApp
+    from repro.serve.tenants import TenantRegistry
+
+    specs = _tenant_specs(args)
     world = load_world(args.world)
-    registry, context = build_tenant_registry(
-        world,
-        _tenant_specs(args),
-        clock=clock,
-        chaos=args.chaos,
-        sleep=sleep,
+    threshold = DEFAULT_THRESHOLD
+    active = activity_split(world, thresholds=(threshold,)).dataset(threshold)
+    ckb = complement_knowledgebase(world, active, method="truth")
+    graph = world.graph
+    del world, active
+    gc.collect()
+    registry = TenantRegistry(
+        ckb, graph, DEFAULT_CONFIG, clock=clock, chaos=args.chaos, sleep=sleep
     )
-    app = ServeApp(
+    for spec in specs:
+        registry.add(spec)
+    return ServeApp(
         registry,
         admission=_admission_from_args(args),
         clock=clock,
         defer_release=defer_release,
         admin_token=getattr(args, "admin_token", None),
     )
-    return app, context
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -606,13 +621,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import serve_forever
 
-    # The boot builds ~200k long-lived, acyclic objects: build them with
-    # the cyclic collector off, then freeze them so no later collection
-    # rescans them.  A boot that raises must not leave the collector off.
+    # What the boot keeps (KB, graph, index, network, tenants) is
+    # long-lived and acyclic: build it with the cyclic collector off
+    # (the boot collects once itself, after dropping the corpus), then
+    # freeze it so no later collection rescans it.  A boot that raises
+    # must not leave the collector off.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        app, _ = _build_serve_app(
+        app = _build_serve_app(
             args, clock=_time.monotonic, sleep=_time.sleep if args.chaos else None,
             defer_release=False,
         )
@@ -644,21 +661,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
     chaos = chaos_meta(args.chaos)
     specs = _tenant_specs(args)
+    queries = queries_from_dataset(activity_split(load_world(args.world)).test)
+    planned = generate_requests(
+        args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
+    )
     if args.url:
-        queries = queries_from_dataset(activity_split(load_world(args.world)).test)
-        planned = generate_requests(
-            args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
-        )
         document = run_http(args.url, planned, args.seed, chaos, pool_size=args.pool)
     else:
         clock = FakeClock()
-        app, context = _build_serve_app(
-            args, clock=clock, sleep=None, defer_release=True
-        )
-        queries = queries_from_dataset(context.test_dataset)
-        planned = generate_requests(
-            args.seed, args.requests, args.base_rate, [s.name for s in specs], queries
-        )
+        app = _build_serve_app(args, clock=clock, sleep=None, defer_release=True)
         document = run_inprocess(app, clock, planned, args.seed, chaos)
     problems = validate_load_document(document)
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -11,7 +11,7 @@ through one of them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.baselines.collective import CollectiveLinker
 from repro.baselines.common import IntraTweetScorer
@@ -22,12 +22,19 @@ from repro.core.recency import RecencyPropagationNetwork
 from repro.eval.harness import PredictionRun, replay
 from repro.graph.dispatch import build_reachability_index
 from repro.kb.complemented import ComplementedKnowledgebase
-from repro.stream.dataset import DatasetCatalog, TweetDataset, split_by_activity
+from repro.stream.dataset import (
+    PAPER_THRESHOLDS,
+    DatasetCatalog,
+    TweetDataset,
+    split_by_activity,
+)
 from repro.stream.generator import SyntheticWorld
 
 #: The three competing methods, by the names ``ExperimentContext.run`` and
 #: ``repro evaluate --method`` take: ours, TAGME-style, Shen et al.
 METHODS = ("ours", "onthefly", "collective")
+#: θ of the dataset ``D_θ`` that complements the KB unless told otherwise.
+DEFAULT_THRESHOLD = 10
 
 
 def complement_knowledgebase(
@@ -146,19 +153,26 @@ class ExperimentContext:
         return replay(linker, self.test_dataset.tweets)
 
 
-def activity_split(world: SyntheticWorld, test_user_cap: int = 200) -> DatasetCatalog:
+def activity_split(
+    world: SyntheticWorld,
+    test_user_cap: int = 200,
+    thresholds: Sequence[int] = PAPER_THRESHOLDS,
+) -> DatasetCatalog:
     """The activity split (Table 2) of ``world``'s stream, hub accounts
     excluded: what :func:`build_experiment` complements from and tests on,
     and all a load client replaying the test split needs."""
     hub_users = {h for topic_hubs in world.hubs for h in topic_hubs}
     return split_by_activity(
-        world.tweets, test_user_cap=test_user_cap, exclude_users=hub_users
+        world.tweets,
+        thresholds=thresholds,
+        test_user_cap=test_user_cap,
+        exclude_users=hub_users,
     )
 
 
 def build_experiment(
     world: Optional[SyntheticWorld] = None,
-    threshold: int = 10,
+    threshold: int = DEFAULT_THRESHOLD,
     complement_method: str = "collective",
     config: LinkerConfig = DEFAULT_CONFIG,
     test_user_cap: int = 200,

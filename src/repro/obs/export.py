@@ -53,7 +53,7 @@ _TRACE_DOCUMENT = {
 
 def render_trace_document(
     spans: Iterable[Span],
-    tool: str = "repro trace",
+    tool: str,
     scenario: Optional[str] = None,
     clock: str = "tick",
 ) -> Dict[str, object]:

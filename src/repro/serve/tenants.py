@@ -2,11 +2,11 @@
 
 One server hosts many *tenants*: each gets its own linker (with its own
 ``U*_e`` cache, circuit breaker and deadline budget), token-bucket rate
-limit and admission class, over a world, complemented knowledgebase,
-reachability index and recency-propagation network that are built once
-and shared read-only (no serve path writes a link).  A tenant that trips
-its breaker or exhausts its budget never affects a neighbor — the
-isolation boundary is the namespace.
+limit and admission class, over a follow graph, complemented
+knowledgebase, reachability index and recency-propagation network that
+are built once and shared read-only (no serve path writes a link).  A
+tenant that trips its breaker or exhausts its budget never affects a
+neighbor — the isolation boundary is the namespace.
 
 Everything takes an injected ``clock`` so the deterministic load harness
 (:mod:`repro.serve.load`) can replay identical traffic byte-for-byte;
@@ -30,7 +30,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
+from repro.core.recency import RecencyPropagationNetwork
 from repro.errors import BadRequestError, UnknownTenantError
+from repro.graph.digraph import DiGraph
+from repro.graph.dispatch import build_reachability_index
+from repro.kb.complemented import ComplementedKnowledgebase
 from repro.resilience.breaker import CircuitBreaker
 
 __all__ = [
@@ -194,12 +198,14 @@ class TenantRegistry:
     """Name → :class:`Tenant` lookup with a typed miss; it also wires
     every tenant it hosts.
 
-    The heavy read-side structures (complemented KB, reachability
-    provider, recency propagation network, dataset catalog) come from one
-    shared ``context``; :meth:`add` wires a fresh namespace over them —
-    its own linker, breaker, deadline budget, token bucket and (under
-    chaos) its own seeded fault schedule — so a hot-added tenant is
-    indistinguishable from a boot-time one.
+    It holds what online inference reads (Sec. 3.2.2) and nothing of
+    the offline corpus: the complemented KB, the follow graph and the
+    config it is given, and the reachability index and recency
+    propagation network it builds from them, all shared read-only.
+    :meth:`add` wires a fresh namespace over them — its own linker,
+    breaker, deadline budget, token bucket and (under chaos) its own
+    seeded fault schedule — so a hot-added tenant is indistinguishable
+    from a boot-time one.
 
     The tenant map is mutable at runtime — the admin endpoint hot-adds
     and hot-removes namespaces while the threaded HTTP server keeps
@@ -215,12 +221,20 @@ class TenantRegistry:
 
     def __init__(
         self,
-        context,
+        ckb: ComplementedKnowledgebase,
+        graph: DiGraph,
+        config: LinkerConfig,
         clock: Callable[[], float],
         chaos: bool,
         sleep: Optional[Callable[[float], None]],
     ) -> None:
-        self._context = context
+        self._ckb = ckb
+        self._graph = graph
+        self._config = config
+        self._reachability = build_reachability_index(graph, config)
+        self._network = (
+            RecencyPropagationNetwork(ckb.kb) if config.recency_propagation else None
+        )
         self._clock = clock
         self._chaos = chaos
         self._sleep = sleep
@@ -259,10 +273,7 @@ class TenantRegistry:
             raise BadRequestError(f"duplicate tenant name {name!r}")
 
     def _build(self, spec: TenantSpec, index: int) -> Tenant:
-        context = self._context
-        world = context.world
-        config: LinkerConfig = context.config
-        provider = context.reachability_index
+        provider = self._reachability
         if self._chaos:
             # Lazy import: repro.testing is opt-in wiring, never a cost of
             # the fault-free serving path.
@@ -293,13 +304,11 @@ class TenantRegistry:
             clock=self._clock,
         )
         linker = SocialTemporalLinker(
-            context.ckb,
-            world.graph,
-            config=dataclasses.replace(config, deadline_ms=spec.deadline_ms),
+            self._ckb,
+            self._graph,
+            config=dataclasses.replace(self._config, deadline_ms=spec.deadline_ms),
             reachability=provider,
-            propagation_network=(
-                context.propagation_network if config.recency_propagation else None
-            ),
+            propagation_network=self._network,
             breaker=breaker,
             clock=self._clock,
         )
@@ -308,7 +317,7 @@ class TenantRegistry:
             linker=linker,
             breaker=breaker,
             bucket=TokenBucket(rate=spec.rate, capacity=spec.burst, clock=self._clock),
-            num_users=world.num_users,
+            num_users=self._graph.num_nodes,
         )
 
     def remove(self, name: str) -> Tenant:
@@ -342,11 +351,13 @@ def build_tenant_registry(
     chaos: bool = False,
     sleep: Optional[Callable[[float], None]] = None,
 ) -> Tuple[TenantRegistry, object]:
-    """Wire one tenant per spec over a shared world.
+    """Wire one tenant per spec over a world this process keeps.
 
-    Returns ``(registry, context)``; the context is handed back so
-    callers can reuse the catalog (e.g. the load harness samples request
-    surfaces from the same test split the tenants were built from).
+    Returns ``(registry, context)``: the registry holds the context's
+    complemented KB and the world's graph, not the context, which (with
+    the world, its activity split and its own lazily built index and
+    network) is the caller's.  ``repro serve`` does not come here: it
+    drops the corpus before it builds its registry (``repro.cli``).
     """
     if not specs:
         raise ValueError("a server needs at least one tenant")
@@ -355,7 +366,10 @@ def build_tenant_registry(
     context = build_experiment(
         world=world, complement_method="truth", config=config or DEFAULT_CONFIG
     )
-    registry = TenantRegistry(context, clock=clock, chaos=chaos, sleep=sleep)
+    registry = TenantRegistry(
+        context.ckb, world.graph, context.config, clock=clock, chaos=chaos,
+        sleep=sleep,
+    )
     for spec in specs:
         registry.add(spec)
     return registry, context

@@ -212,7 +212,7 @@ def run_scenario(name: str):
             linker.link(surface, user=user, now=now)
     finally:
         TRACE.disable()
-    document = render_trace_document(TRACE.drain(), scenario=name)
+    document = render_trace_document(TRACE.drain(), "run_scenario", scenario=name)
     return document, METRICS.snapshot()
 
 

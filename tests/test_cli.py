@@ -405,3 +405,9 @@ class TestServe:
         assert main(["serve", "--world", str(path), "--port", "0"]) == 1
         assert gc.isenabled()
         assert "JSONDecodeError" in caplog.text
+
+    def test_no_tenant_is_refused_before_the_world_loads(self, tmp_path, caplog):
+        missing = str(tmp_path / "missing.json.gz")
+        assert main(["serve", "--world", missing, "--tenants", ","]) == 1
+        assert "a server needs at least one tenant" in caplog.text
+        assert "WorldFileError" not in caplog.text

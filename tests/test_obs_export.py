@@ -20,7 +20,7 @@ def sample_document():
         root.add_event("link.degraded", reason="circuit_open")
         with tracer.span("link.candidates"):
             pass
-    return render_trace_document(tracer.drain(), scenario="unit")
+    return render_trace_document(tracer.drain(), "sample_document", scenario="unit")
 
 
 class TestRoundtrip:

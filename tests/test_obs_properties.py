@@ -47,7 +47,7 @@ class TestSpanTreeProperties:
         tracer.enable()
         random_trace_workload(tracer, rng, steps=rng.randrange(5, 80))
         assert tracer.open_spans == 0
-        document = render_trace_document(tracer.drain())
+        document = render_trace_document(tracer.drain(), "random_trace_workload")
         assert validate_trace_document(document) == []
 
     @pytest.mark.parametrize("seed", range(10))

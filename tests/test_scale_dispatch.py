@@ -24,6 +24,7 @@ import repro.graph
 import repro.kb
 import repro.config
 from repro.config import CLOSURE_MAX_NODES, DEFAULT_CONFIG, LinkerConfig
+from repro.eval.context import activity_split
 from repro.graph.compact_labels import (
     CompactTwoHopCover,
     build_compact_two_hop_cover,
@@ -309,7 +310,7 @@ class TestServeDispatch:
         from repro.serve.tenants import TenantSpec, build_tenant_registry
 
         specs = [TenantSpec(name="alpha", deadline_ms=None)]
-        below_registry, context = build_tenant_registry(small_world, specs)
+        below_registry, _ = build_tenant_registry(small_world, specs)
         monkeypatch.setattr(
             repro.config, "CLOSURE_MAX_NODES", small_world.graph.num_nodes - 1
         )
@@ -320,7 +321,7 @@ class TestServeDispatch:
         assert isinstance(via_compact.reachability_provider, CompactTwoHopCover)
         requests = [
             (m.surface, t.user, t.timestamp)
-            for t in context.test_dataset.tweets
+            for t in activity_split(small_world).test.tweets
             for m in t.mentions
         ][:120]
         assert requests

@@ -23,6 +23,7 @@ from repro.errors import (
     ServeError,
     UnknownTenantError,
 )
+from repro.eval.context import activity_split
 from repro.obs.metrics import validate_metrics_document
 from repro.serve.admission import DEFAULT_CLASS, AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp, error_body, validate_error_body
@@ -159,7 +160,7 @@ class TestErrorBodies:
 @pytest.fixture(scope="module")
 def served(small_world):
     clock = FakeClock()
-    registry, context = build_tenant_registry(
+    registry, _ = build_tenant_registry(
         small_world,
         [TenantSpec(name="alpha", rate=10.0, burst=5.0, deadline_ms=None),
          TenantSpec(name="beta", rate=10.0, burst=5.0, deadline_ms=None)],
@@ -168,7 +169,7 @@ def served(small_world):
     app = ServeApp(registry, admission=_one_class(capacity=2, queue_limit=1), clock=clock)
     mention = next(
         (tweet, m)
-        for tweet in context.test_dataset.tweets
+        for tweet in activity_split(small_world).test.tweets
         for m in tweet.mentions
     )
     return app, clock, mention
@@ -351,7 +352,7 @@ class TestConcurrentHandle:
         import threading
 
         clock = FakeClock()
-        registry, context = build_tenant_registry(
+        registry, _ = build_tenant_registry(
             small_world,
             [TenantSpec(name=name, rate=1e6, burst=1e6, deadline_ms=None)
              for name in ("alpha", "beta")],
@@ -364,7 +365,9 @@ class TestConcurrentHandle:
             clock=clock,
         )
         mentions = [
-            (tweet, m) for tweet in context.test_dataset.tweets for m in tweet.mentions
+            (tweet, m)
+            for tweet in activity_split(small_world).test.tweets
+            for m in tweet.mentions
         ]
         rng = random.Random(23)
         bodies = [
@@ -408,6 +411,79 @@ class TestConcurrentHandle:
 
 
 # ---------------------------------------------------------------------- #
+# the boot of `repro serve`: the model, not the corpus
+# ---------------------------------------------------------------------- #
+#: Run in a fresh interpreter, where no fixture holds tweets: boot the
+#: served app from a saved world, collect, list what is left of the
+#: offline corpus, then answer the queries on stdin.
+_BOOT_PROBE = """
+import collections, gc, json, sys
+from repro.cli import _build_serve_app, build_parser
+from repro.eval.context import ExperimentContext
+from repro.stream.tweet import Tweet
+from repro.testing.faults import FakeClock
+
+args = build_parser().parse_args([
+    "serve", "--world", sys.argv[1], "--tenants", "alpha",
+    "--tenant-rate", "1e6", "--tenant-burst", "1e6",
+])
+app = _build_serve_app(args, clock=FakeClock(), sleep=None, defer_release=False)
+gc.collect()
+held = collections.Counter(
+    type(o).__name__
+    for o in gc.get_objects()
+    if isinstance(o, (Tweet, ExperimentContext))
+)
+replies = [
+    app.handle("POST", "/v1/link", json.dumps(
+        {"tenant": "alpha", "surface": surface, "user": user, "now": now}
+    ).encode())
+    for surface, user, now in json.load(sys.stdin)
+]
+json.dump({"held": held, "replies": replies}, sys.stdout)
+"""
+
+
+class TestServeBoot:
+    def test_booted_app_holds_no_tweet_and_links_like_the_context(
+        self, small_world, small_context, tmp_path
+    ):
+        import subprocess
+        import sys
+
+        from repro.io import save_world
+
+        path = tmp_path / "world.json.gz"
+        save_world(small_world, path)
+        queries = [
+            (m.surface, tweet.user, tweet.timestamp)
+            for tweet in activity_split(small_world).test.tweets
+            for m in tweet.mentions
+        ]
+        probe = subprocess.run(
+            [sys.executable, "-c", _BOOT_PROBE, str(path)],
+            input=json.dumps(queries), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        report = json.loads(probe.stdout)
+        assert report["held"] == {}
+        linker = small_context.social_temporal()
+        bound = linker.config.no_interest_bound
+        expected = [
+            [(c.entity_id, round(c.score, 9))
+             for c in linker.link(*query).top_k(3, threshold=bound)]
+            for query in queries
+        ]
+        served = [
+            [(c["entity"], c["score"]) for c in document["candidates"]]
+            for status, document in report["replies"]
+        ]
+        assert {status for status, _ in report["replies"]} == {200}
+        assert served == expected
+        assert any(served) and not all(served)
+
+
+# ---------------------------------------------------------------------- #
 # real sockets (ephemeral port)
 # ---------------------------------------------------------------------- #
 class TestHTTPSmoke:
@@ -416,14 +492,14 @@ class TestHTTPSmoke:
         from repro.serve.server import ReproHTTPServer
 
         clock = FakeClock()
-        registry, context = build_tenant_registry(
+        registry, _ = build_tenant_registry(
             small_world, [TenantSpec(name="alpha", rate=1000.0, burst=1000.0,
                                      deadline_ms=None)],
             clock=clock,
         )
         app = ServeApp(registry, clock=clock)
         with ReproHTTPServer(app, port=0) as server:
-            yield server, app, context
+            yield server, app, activity_split(small_world).test
 
     @staticmethod
     def request(server, method, path, body=None):
@@ -438,11 +514,9 @@ class TestHTTPSmoke:
             connection.close()
 
     def test_link_and_errors_over_real_sockets(self, http_server):
-        server, app, context = http_server
+        server, app, test_split = http_server
         tweet, mention = next(
-            (tweet, m)
-            for tweet in context.test_dataset.tweets
-            for m in tweet.mentions
+            (tweet, m) for tweet in test_split.tweets for m in tweet.mentions
         )
         status, doc = self.request(
             server, "POST", "/v1/link",

@@ -33,6 +33,7 @@ from repro.errors import (
     IndexUnavailableError,
     ReproError,
 )
+from repro.eval.context import activity_split
 from repro.kb.complemented import ComplementedKnowledgebase
 from repro.obs.metrics import METRICS
 from repro.schema import INT, REAL, STR, ListOf, const, nullable, one_of, problems
@@ -105,14 +106,14 @@ def document_problems(status, document):
 @pytest.fixture(scope="module")
 def served(small_world):
     clock = FakeClock()
-    registry, context = build_tenant_registry(
+    registry, _ = build_tenant_registry(
         small_world, [TenantSpec(name="alpha", rate=1e6, burst=1e6)], clock=clock
     )
     app = ServeApp(registry, clock=clock, admin_token=ADMIN_TOKEN)
     tenant = registry.get("alpha")
     # the first test mention that scores through the provider: only an
     # interest share lifts a score above the no-interest bound
-    for tweet in context.test_dataset.tweets:
+    for tweet in activity_split(small_world).test.tweets:
         for mention in tweet.mentions:
             body = link_body("alpha", mention.surface, tweet.user, tweet.timestamp)
             if app.handle("POST", "/v1/link", body)[1]["outcome"] == "ok":

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 import repro.serve.tenants as tenants_module
+from repro.eval.context import activity_split
 from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp, validate_error_body
 from repro.serve.server import ReproHTTPServer
@@ -106,6 +107,35 @@ class TestHotAddRemove:
         assert doc["tenants"] == ["alpha"]
         status, doc = app.handle("POST", "/v1/link", link_body("gamma"))
         assert (status, doc["error"]["type"]) == (404, "unknown_tenant")
+
+    def test_hot_added_tenant_decides_as_a_boot_time_one(self, small_world):
+        """gamma, added over the admin endpoint, shares alpha's KB, graph,
+        index and network: every test mention gets alpha's reply."""
+        app, _ = build_app(small_world, [spec("alpha")])
+        status, _ = app.handle(
+            "POST", "/admin/v1/tenants",
+            json.dumps({"name": "gamma", "rate": 1000.0, "burst": 1000.0,
+                        "deadline_ms": None}).encode(),
+            AUTH,
+        )
+        assert status == 200
+        alpha, gamma = (app.registry.get(name).linker for name in ("alpha", "gamma"))
+        assert alpha.ckb is gamma.ckb
+        assert alpha.reachability_provider is gamma.reachability_provider
+        replies = {"alpha": [], "gamma": []}
+        for tweet in activity_split(small_world).test.tweets[:60]:
+            for mention in tweet.mentions:
+                for name, kept in replies.items():
+                    body = json.dumps({
+                        "tenant": name, "surface": mention.surface,
+                        "user": tweet.user, "now": tweet.timestamp,
+                    }).encode()
+                    status, doc = app.handle("POST", "/v1/link", body)
+                    assert doc.pop("tenant") == name
+                    kept.append((status, doc))
+        assert replies["gamma"] == replies["alpha"]
+        assert {status for status, _ in replies["alpha"]} == {200}
+        assert {doc["outcome"] for _, doc in replies["alpha"]} == {"ok", "abstained"}
 
     def test_duplicate_add_is_typed_400(self, small_world):
         app, _ = build_app(small_world, [spec("alpha")])
