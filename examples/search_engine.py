@@ -2,10 +2,10 @@
 """Full personalized search engine over a synthetic microblog world.
 
 Wires the high-level :class:`repro.search.PersonalizedSearchEngine` on top
-of a generated world: the query parser detects entity mentions with the
-gazetteer, the linker resolves them per user, and results are ranked by
-freshness × keyword relevance.  Queries without a linkable mention fall
-back to keyword search.
+of a generated world: the text-linking pipeline detects entity mentions
+with the gazetteer and the linker resolves them per user, and results are
+ranked by freshness × relevance to the query's remaining keywords.
+Queries without a linkable mention fall back to keyword search.
 
 Run:  python examples/search_engine.py
 """
@@ -33,8 +33,9 @@ def main() -> None:
 
     print(f"\nquery {query!r} by user {fan}:")
     response = engine.search(query, user=fan, now=now)
-    print(f"  parsed mentions: {response.query.mentions}, "
-          f"keywords: {sorted(response.query.keywords)}")
+    mentions = [span.surface for span in response.annotation.spans]
+    print(f"  parsed mentions: {mentions}, "
+          f"keywords: {sorted(response.keywords)}")
     for candidate in response.linked_entities:
         print(f"  linked entity: {kb.entity(candidate.entity_id).title} "
               f"(score {candidate.score:.3f})")

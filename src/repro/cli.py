@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None,
         help="write the run's metrics document (repro.obs) to this path",
     )
-    stream.add_argument(
-        "--cached", action="store_true",
-        help="enable the epoch-keyed score memos (repro.cache); output is "
-        "bit-identical to the uncached path",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -444,8 +439,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     config = context.config
     if args.deadline_ms is not None:
         config = _dc.replace(config, deadline_ms=args.deadline_ms)
-    if args.cached:
-        config = _dc.replace(config, score_caching=True)
     provider = context.reachability_index
     if args.fault_rate > 0.0:
         from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider

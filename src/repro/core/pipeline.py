@@ -1,10 +1,11 @@
-"""End-to-end text linking: raw tweet text → recognized, linked entities.
+"""End-to-end text linking: raw text → recognized, linked entities.
 
 The evaluation harness replays *planted* mentions (the paper's inputs are
 "an entity mention along with its author"); a downstream consumer has only
-raw text.  :class:`TextLinkingPipeline` chains the knowledge-based NER of
-Appendix A (longest-cover gazetteer over the KB mention vocabulary) with
-candidate generation and the social-temporal linker.  It only reads: each
+raw text — a tweet, or a keyword query (:mod:`repro.search`, Sec. 3.2.2).
+:class:`TextLinkingPipeline` chains the knowledge-based NER of Appendix A
+(longest-cover gazetteer over the KB mention vocabulary) with candidate
+generation and the social-temporal linker.  It only reads: each
 span carries the linker's full ranking, and writing a link back is the
 caller's :meth:`~repro.core.linker.SocialTemporalLinker.confirm_link`.
 """
@@ -75,15 +76,9 @@ class AnnotatedText:
 class TextLinkingPipeline:
     """NER + candidate generation + social-temporal linking over raw text."""
 
-    def __init__(
-        self, linker: SocialTemporalLinker, ner: Optional[GazetteerNER] = None
-    ) -> None:
+    def __init__(self, linker: SocialTemporalLinker) -> None:
         self._linker = linker
-        self._ner = ner or GazetteerNER(linker.ckb.kb.mentions())
-
-    @property
-    def ner(self) -> GazetteerNER:
-        return self._ner
+        self._ner = GazetteerNER(linker.ckb.kb.mentions())
 
     def annotate(self, text: str, user: int, now: float) -> AnnotatedText:
         """Recognize and link every mention in ``text``."""

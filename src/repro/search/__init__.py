@@ -5,21 +5,17 @@ system will collect tweets linked to the top-k entities from the
 complemented knowledgebase and regard them as answers to that query".
 
 * :mod:`repro.search.store` — tweet store with an inverted keyword index;
-* :mod:`repro.search.query` — query parsing (gazetteer mention detection +
-  residual keywords);
-* :mod:`repro.search.engine` — the engine: link the query mention with the
-  user's social-temporal context, fetch the linked entities' tweets, rank
-  by freshness and keyword relevance.
+* :mod:`repro.search.engine` — the engine: link the query's mentions
+  through :class:`~repro.core.pipeline.TextLinkingPipeline` (the same
+  gazetteer and linker as tweets), fetch the linked entities' tweets, rank
+  by freshness and relevance to the words no mention covers.
 """
 
 from repro.search.engine import PersonalizedSearchEngine, SearchHit, SearchResponse
-from repro.search.query import ParsedQuery, QueryParser
 from repro.search.store import TweetStore
 
 __all__ = [
-    "ParsedQuery",
     "PersonalizedSearchEngine",
-    "QueryParser",
     "SearchHit",
     "SearchResponse",
     "TweetStore",

@@ -2,14 +2,15 @@
 
 Pipeline per query:
 
-1. parse the query into entity mentions + residual keywords;
-2. link each mention with the querying user's social-temporal context
-   (:class:`~repro.core.linker.SocialTemporalLinker`), keeping the top-k
-   entities whose score clears the Appendix-D no-interest bound;
-3. collect the tweets linked to those entities in the complemented
+1. annotate the query with :class:`~repro.core.pipeline.TextLinkingPipeline`
+   — the Appendix-A gazetteer finds the entity mentions and the linker
+   ranks each one with the querying user's social-temporal context — and
+   keep each mention's top entity if its score clears the Appendix-D
+   no-interest bound; the words no mention covers are the keywords;
+2. collect the tweets linked to those entities in the complemented
    knowledgebase and rank them by a freshness-decayed keyword-relevance
    score;
-4. queries without any linkable mention fall back to plain keyword search
+3. queries without any linkable mention fall back to plain keyword search
    over the tweet store.
 """
 
@@ -17,14 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.config import DAY
 from repro.core.linker import SocialTemporalLinker
+from repro.core.pipeline import AnnotatedText, TextLinkingPipeline
 from repro.core.scoring import ScoredCandidate
-from repro.search.query import ParsedQuery, QueryParser
 from repro.search.store import TweetStore
 from repro.stream.tweet import Tweet
+from repro.text.tokenize import tokenize_words
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,14 +43,20 @@ class SearchHit:
 class SearchResponse:
     """The outcome of one personalized query."""
 
-    query: ParsedQuery
+    #: The query's recognized mentions, each with the linker's ranking.
+    annotation: AnnotatedText
+    #: Query words that no recognized mention covers (duplicates collapse).
+    keywords: Set[str]
     #: Entities each mention was linked to (empty on keyword fallback).
     linked_entities: List[ScoredCandidate]
     hits: List[SearchHit]
     used_fallback: bool
-    #: True when at least one mention was linked under degraded
-    #: (no-interest fallback) scoring — personalization was reduced.
-    degraded: bool = False
+
+    @property
+    def degraded(self) -> bool:
+        """True when at least one mention was linked under degraded
+        (no-interest fallback) scoring — personalization was reduced."""
+        return self.annotation.degraded
 
 
 #: Half-life of a result's freshness, the recency decay of result ranking.
@@ -61,15 +69,10 @@ KEYWORD_WEIGHT = 0.5
 class PersonalizedSearchEngine:
     """Entity-aware, socially-personalized tweet search."""
 
-    def __init__(
-        self,
-        linker: SocialTemporalLinker,
-        store: TweetStore,
-        parser: Optional[QueryParser] = None,
-    ) -> None:
+    def __init__(self, linker: SocialTemporalLinker, store: TweetStore) -> None:
         self._linker = linker
         self._store = store
-        self._parser = parser or QueryParser(linker.ckb.kb)
+        self._pipeline = TextLinkingPipeline(linker)
 
     # ------------------------------------------------------------------ #
     # search
@@ -78,43 +81,44 @@ class PersonalizedSearchEngine:
         self, text: str, user: int, now: float, limit: int = 10
     ) -> SearchResponse:
         """Run one personalized query issued by ``user`` at time ``now``."""
-        parsed = self._parser.parse(text)
+        if limit < 1:
+            raise ValueError(f"search limit must be at least 1, got {limit}")
+        annotation = self._pipeline.annotate(text, user, now)
+        bound = self._linker.config.no_interest_bound
         linked: List[ScoredCandidate] = []
-        degraded = False
-        config = self._linker.config
-        for surface in parsed.mentions:
-            result = self._linker.link(surface, user=user, now=now)
-            degraded = degraded or result.degraded
-            linked.extend(result.top_k(1, threshold=config.no_interest_bound))
-        if not linked:
-            hits = self._keyword_fallback(parsed, now, limit)
-            return SearchResponse(
-                query=parsed,
-                linked_entities=[],
-                hits=hits,
-                used_fallback=True,
-                degraded=degraded,
-            )
-        hits = self._entity_hits(parsed, linked, now, limit)
+        covered: Set[int] = set()
+        for span in annotation.spans:
+            linked.extend(span.result.top_k(1, threshold=bound))
+            covered.update(range(span.mention.token_start, span.mention.token_end))
+        keywords = {
+            word for index, word in enumerate(tokenize_words(text))
+            if index not in covered
+        }
+        if linked:
+            hits = self._entity_hits(keywords, linked, now, limit)
+        else:
+            hits = self._keyword_fallback(keywords, now, limit)
         return SearchResponse(
-            query=parsed,
+            annotation=annotation,
+            keywords=keywords,
             linked_entities=linked,
             hits=hits,
-            used_fallback=False,
-            degraded=degraded,
+            used_fallback=not linked,
         )
 
     # ------------------------------------------------------------------ #
     # ranking
     # ------------------------------------------------------------------ #
-    def _rank_score(self, tweet_id: int, timestamp: float, now: float, parsed) -> float:
+    def _rank_score(
+        self, tweet_id: int, timestamp: float, now: float, keywords: Set[str]
+    ) -> float:
         age = max(now - timestamp, 0.0)
         freshness = math.exp(-math.log(2) * age / FRESHNESS_HALF_LIFE)
-        overlap = self._store.keyword_overlap(tweet_id, parsed.keywords)
+        overlap = self._store.keyword_overlap(tweet_id, keywords)
         return KEYWORD_WEIGHT * overlap + (1 - KEYWORD_WEIGHT) * freshness
 
     def _entity_hits(
-        self, parsed: ParsedQuery, linked, now: float, limit: int
+        self, keywords: Set[str], linked, now: float, limit: int
     ) -> List[SearchHit]:
         seen = set()
         scored: List[SearchHit] = []
@@ -130,7 +134,7 @@ class PersonalizedSearchEngine:
                 scored.append(
                     SearchHit(
                         tweet=tweet,
-                        score=self._rank_score(tweet_id, timestamp, now, parsed),
+                        score=self._rank_score(tweet_id, timestamp, now, keywords),
                         entity_id=candidate.entity_id,
                     )
                 )
@@ -138,15 +142,15 @@ class PersonalizedSearchEngine:
         return scored[:limit]
 
     def _keyword_fallback(
-        self, parsed: ParsedQuery, now: float, limit: int
+        self, keywords: Set[str], now: float, limit: int
     ) -> List[SearchHit]:
         hits = [
             SearchHit(
                 tweet=tweet,
-                score=self._rank_score(tweet.tweet_id, tweet.timestamp, now, parsed),
+                score=self._rank_score(tweet.tweet_id, tweet.timestamp, now, keywords),
                 entity_id=None,
             )
-            for tweet in self._store.find_by_keywords(parsed.keywords, limit * 3)
+            for tweet in self._store.find_by_keywords(keywords, limit * 3)
             if tweet.timestamp <= now
         ]
         hits.sort(key=lambda hit: (-hit.score, -hit.tweet.timestamp))

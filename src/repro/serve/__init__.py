@@ -18,11 +18,7 @@ from repro.serve.load import (
     queries_from_dataset,
     run_inprocess,
 )
-from repro.serve.report import (
-    LOAD_SCHEMA_VERSION,
-    build_load_document,
-    validate_load_document,
-)
+from repro.serve.report import LOAD_SCHEMA_VERSION, validate_load_document
 from repro.serve.server import ReproHTTPServer, serve_forever
 from repro.serve.tenants import (
     Tenant,
@@ -43,7 +39,6 @@ __all__ = [
     "TenantRegistry",
     "TenantSpec",
     "TokenBucket",
-    "build_load_document",
     "build_tenant_registry",
     "error_body",
     "generate_requests",

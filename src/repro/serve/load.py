@@ -36,8 +36,9 @@ import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.log import get_logger
+from repro.obs.metrics import percentile
 from repro.serve.handlers import ServeApp, validate_error_body
-from repro.serve.report import build_load_document, zero_outcomes
+from repro.serve.report import LOAD_SCHEMA_VERSION, OUTCOMES, REJECTED, UNHANDLED
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.testing stays opt-in
     from repro.testing.faults import FakeClock
@@ -212,7 +213,7 @@ class OutcomeAccounting:
     """Outcome and latency counters shared by both load modes."""
 
     def __init__(self) -> None:
-        self.outcomes = zero_outcomes()
+        self.outcomes = dict.fromkeys(OUTCOMES, 0)
         self.by_tenant: Dict[str, Dict[str, int]] = {}
         self.latencies_s: List[float] = []
         self.tenant_latencies_s: Dict[str, List[float]] = {}
@@ -247,20 +248,53 @@ class OutcomeAccounting:
         duration_s: float,
         client: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        """The load report of everything recorded."""
-        return build_load_document(
-            mode=mode,
-            seed=seed,
-            profile=PROFILE_NAME,
-            chaos=chaos_meta,
-            outcomes=self.outcomes,
-            by_tenant=self.by_tenant,
-            latencies_s=self.latencies_s,
-            duration_s=duration_s,
-            tenant_latencies_s=self.tenant_latencies_s,
-            invalid_error_bodies=self.invalid_error_bodies,
-            client=client,
-        )
+        """The schema-v2 load report (:mod:`repro.serve.report`) of
+        everything recorded."""
+        outcomes = self.outcomes
+        total = sum(outcomes.values())
+
+        def share(names: Tuple[str, ...]) -> float:
+            count = sum(outcomes[name] for name in names)
+            return round(count / total, 6) if total else 0.0
+
+        return {
+            "meta": {
+                "schema_version": LOAD_SCHEMA_VERSION,
+                "tool": "repro load",
+                "mode": mode,
+                "seed": seed,
+                "requests": total,
+                "duration_s": round(duration_s, 6),
+                "profile": PROFILE_NAME,
+                "chaos": chaos_meta,
+                "client": client or {"pool": 0, "open_loop": False},
+            },
+            "outcomes": dict(outcomes),
+            "latency_ms": _latency_ms(self.latencies_s, (50, 90, 95, 99)),
+            "tenant_latency_ms": {
+                name: _latency_ms(values, (50, 95, 99))
+                for name, values in sorted(self.tenant_latencies_s.items())
+            },
+            "shed_rate": share(("shed", "rate_limited")),
+            "error_rate": share(REJECTED + UNHANDLED),
+            "unhandled": sum(outcomes[name] for name in UNHANDLED),
+            "invalid_error_bodies": self.invalid_error_bodies,
+            "by_tenant": {
+                name: {key: counts.get(key, 0) for key in OUTCOMES}
+                for name, counts in sorted(self.by_tenant.items())
+            },
+        }
+
+
+def _latency_ms(
+    latencies_s: List[float], quantiles: Tuple[int, ...]
+) -> Dict[str, float]:
+    """Nearest-rank ``p<q>`` percentiles and the ``max`` of ``latencies_s``
+    in milliseconds, rounded to 3 decimals (all 0.0 when empty)."""
+    latency_ms = sorted(value * 1000.0 for value in latencies_s)
+    summary = {f"p{q}": round(percentile(latency_ms, q), 3) for q in quantiles}
+    summary["max"] = round(latency_ms[-1], 3) if latency_ms else 0.0
+    return summary
 
 
 def run_inprocess(

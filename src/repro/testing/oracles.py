@@ -439,7 +439,11 @@ def propagate_by_iteration(
     """Eq. 11 by sweeping: the loop ``RecencyPropagationNetwork`` ran per
     mention before it folded the steps into one operator per cluster.
 
-    Same contract as :meth:`RecencyPropagationNetwork.propagate`.  Runs
+    ``initial`` maps entity → raw recency (a member missing from it starts
+    at 0).  Only clusters holding an entity of ``initial`` are swept, each
+    whole; every other entry of ``initial`` comes back unchanged.  Each
+    cluster's answer is its operator product
+    ``network.operator(index) @ S⁰``, up to the order of addition.  Runs
     ``PROPAGATION_STEPS`` sweeps; ``tolerance`` restores the old
     early exit (stop once a sweep moves the cluster by less than that in
     L1), which the shipped fixed-``k`` operator does not have.

@@ -60,13 +60,6 @@ class GazetteerNER:
     def __contains__(self, phrase: str) -> bool:
         return phrase.lower().strip() in self._phrases
 
-    def add(self, phrase: str) -> None:
-        """Register a new surface form (KB updates, Appendix D warm-up)."""
-        normalized = phrase.lower().strip()
-        if normalized:
-            self._phrases.add(normalized)
-            self._starts.add(normalized.split(" ", 1)[0])
-
     def recognize(self, text: str) -> List[RecognizedMention]:
         """Extract mentions with the longest-cover scan.
 

@@ -65,11 +65,13 @@ class TestParser:
             ["load", "--world", "w", "--arrivals", "uniform"],
             ["load", "--world", "w", "--service-tick-ms", "8"],
             ["stream", "--world", "w", "--fault-seed", "0"],
+            ["stream", "--world", "w", "--cached"],
         ],
     )
     def test_single_valued_flags_are_gone(self, argv):
         """Each had one value in use; it is the constant behind ``--chaos``,
-        ``--admission-classes``' default, or the load replay now."""
+        ``--admission-classes``' default, or the load replay now
+        (``--cached`` was never set: ``LinkerConfig.score_caching``)."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
@@ -325,6 +327,25 @@ class TestSearch:
         )
         assert code == 0
         assert "results for" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_1_with_one_error_line(
+        self, world_file, caplog, capsys, limit
+    ):
+        import logging
+
+        code = main(
+            ["search", "--world", world_file, "--query", "anything",
+             "--user", "20", "--limit", limit]
+        )
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"ValueError: search limit must be at least 1, got {limit}"
+        ]
+        captured = capsys.readouterr()
+        assert "results for" not in captured.out
+        assert "Traceback" not in captured.err
 
 
 class TestValidate:

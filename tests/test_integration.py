@@ -73,7 +73,7 @@ class TestLiveGraphLinking:
             user=tweets[0].user,
             now=tweets[0].timestamp,
         )
-        assert response.query.has_mention
+        assert response.annotation.spans
 
 
 class TestWorldInvariantsAtScale:

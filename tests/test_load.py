@@ -17,6 +17,8 @@ from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.handlers import ServeApp
 from repro.serve.load import (
     MALFORMED_MODES,
+    OutcomeAccounting,
+    PlannedRequest,
     arrival_rate,
     generate_requests,
     queries_from_dataset,
@@ -25,9 +27,7 @@ from repro.serve.load import (
 from repro.serve.report import (
     LOAD_SCHEMA_VERSION,
     OUTCOMES,
-    build_load_document,
     validate_load_document,
-    zero_outcomes,
 )
 from repro.serve.tenants import TenantSpec, build_tenant_registry, chaos_meta
 from repro.testing.faults import FakeClock
@@ -240,14 +240,15 @@ class TestSharedKnowledgebase:
 class TestReportSchema:
     @staticmethod
     def minimal_document():
-        outcomes = zero_outcomes()
-        outcomes["ok"] = 2
-        outcomes["shed"] = 1
-        return build_load_document(
-            mode="inprocess", seed=1, profile="bursty",
-            chaos={"enabled": False}, outcomes=outcomes,
-            by_tenant={"alpha": {"ok": 2, "shed": 1}},
-            latencies_s=[0.010, 0.020], duration_s=1.5,
+        accounting = OutcomeAccounting()
+        request = PlannedRequest(at=0.0, method="POST", path="/v1/link",
+                                 body=b"{}", tenant="alpha")
+        accounting.record(request, "ok", 0.010)
+        accounting.record(request, "ok", 0.020)
+        accounting.record(request, "shed", None)
+        return accounting.document(
+            mode="inprocess", seed=1, chaos_meta={"enabled": False},
+            duration_s=1.5,
         )
 
     def test_valid_document_passes(self):

@@ -18,31 +18,25 @@ from repro.serve.admission import AdmissionClass, AdmissionController
 from repro.serve.client import run_http
 from repro.serve.handlers import ServeApp, validate_error_body
 from repro.serve.load import OutcomeAccounting, PlannedRequest
-from repro.serve.report import (
-    LOAD_SCHEMA_VERSION,
-    build_load_document,
-    validate_load_document,
-)
+from repro.serve.report import LOAD_SCHEMA_VERSION, validate_load_document
 from repro.serve.server import ReproHTTPServer
 from repro.serve.tenants import TenantSpec, build_tenant_registry
 from repro.testing.faults import FakeClock
 
 
 class TestReportSchemaV2:
-    def build(self, **overrides):
-        outcomes = {name: 0 for name in
-                    ("ok", "shed", "rate_limited", "unauthorized")}
-        outcomes["ok"] = 2
-        outcomes["shed"] = 1
-        kwargs = dict(
-            mode="http", seed=1, profile="bursty", chaos={"enabled": False},
-            outcomes=outcomes, by_tenant={"alpha": {"ok": 2, "shed": 1}},
-            latencies_s=[0.010, 0.020], duration_s=1.5,
-            tenant_latencies_s={"alpha": [0.010, 0.020]},
-            invalid_error_bodies=0, client={"pool": 4, "open_loop": True},
+    def build(self, pooled=True):
+        accounting = OutcomeAccounting()
+        request = PlannedRequest(at=0.0, method="POST", path="/v1/link",
+                                 body=b"{}", tenant="alpha")
+        accounting.record(request, "ok", 0.010)
+        accounting.record(request, "ok", 0.020)
+        accounting.record(request, "shed", None)
+        client = {"pool": 4, "open_loop": True} if pooled else None
+        return accounting.document(
+            mode="http", seed=1, chaos_meta={"enabled": False},
+            duration_s=1.5, client=client,
         )
-        kwargs.update(overrides)
-        return build_load_document(**kwargs)
 
     def test_valid_document_passes(self):
         assert validate_load_document(self.build()) == []
@@ -58,7 +52,7 @@ class TestReportSchemaV2:
     def test_client_metadata_rendered(self):
         assert self.build()["meta"]["client"] == {"pool": 4, "open_loop": True}
         # in-process runs default to the no-pool marker
-        plain = self.build(client=None)
+        plain = self.build(pooled=False)
         assert plain["meta"]["client"] == {"pool": 0, "open_loop": False}
 
     def test_unauthorized_is_a_counted_outcome(self):

@@ -57,13 +57,6 @@ class TestVocabulary:
         assert "JORDAN" in ner
         assert "bulls" not in ner
 
-    def test_add_new_surface(self):
-        ner = GazetteerNER(["jordan"])
-        ner.add("air jordan")
-        assert [m.surface for m in ner.recognize("new air jordan drop")] == [
-            "air jordan"
-        ]
-
     def test_blank_entries_ignored(self):
         ner = GazetteerNER(["", "  ", "jordan"])
         assert len(ner) == 1

@@ -106,31 +106,59 @@ class TestNetworkConstruction:
             build_network(tiny_kb, lam=-1.0)
 
 
+def cluster_product(network, entity_id, initial):
+    """``(members, M·S⁰)`` of the Eq. 11 operator of ``entity_id``'s
+    cluster, ``S⁰`` read off ``initial`` (missing members are 0)."""
+    index = network.component_index(entity_id)
+    members = network.component_members(index)
+    vector = [initial.get(member, 0.0) for member in members]
+    return members, network.operator(index) @ vector
+
+
+def nba_burst(kb, now=10 * DAY):
+    """Eight tweets on NBA (4) half a day before ``now``, nothing else."""
+    ckb = ComplementedKnowledgebase(kb)
+    for i in range(8):
+        ckb.link_tweet(4, user=100 + i, timestamp=now - 0.5 * DAY)
+    return ckb
+
+
 class TestPropagation:
     def test_lambda_one_keeps_initial(self, tiny_kb):
         network = build_network(tiny_kb, threshold=0.1, lam=1.0)
         initial = {3: 5.0, 4: 1.0}
-        result = network.propagate(initial)
-        assert result[3] == pytest.approx(5.0)
-        assert result[4] == pytest.approx(1.0)
+        members, result = cluster_product(network, 4, initial)
+        assert 3 in members
+        for member, value in zip(members, result):
+            assert value == pytest.approx(initial.get(member, 0.0))
 
     def test_recency_flows_to_related_entity(self, tiny_kb):
         # NBA (4) bursts; Michael Jordan (basketball) (0) should inherit.
         network = build_network(tiny_kb, threshold=0.1, lam=0.5)
         assert 0 in network.component(4)  # same basketball cluster
-        result = network.propagate({4: 10.0})
-        assert result.get(0, 0.0) > 0.0
+        scores = propagated_recency(
+            nba_burst(tiny_kb), network, [0, 1, 2], now=10 * DAY,
+            window=3 * DAY, burst_threshold=3,
+        )
+        assert scores[0] > 0.0
 
     def test_no_flow_across_clusters(self, tiny_kb):
         network = build_network(tiny_kb, threshold=0.1, lam=0.5)
-        result = network.propagate({4: 10.0})
         # ICML (5) sits in the ML cluster — untouched by an NBA burst
-        assert result.get(5, 0.0) == 0.0
+        assert network.component_index(5) != network.component_index(4)
+        scores = propagated_recency(
+            nba_burst(tiny_kb), network, [0, 5], now=10 * DAY,
+            window=3 * DAY, burst_threshold=3,
+        )
+        assert scores == {0: 1.0, 5: 0.0}
 
     def test_untouched_components_not_computed(self, tiny_kb):
         network = build_network(tiny_kb, threshold=0.1)
-        result = network.propagate({})
-        assert result == {}
+        scores = propagated_recency(
+            nba_burst(tiny_kb), network, [], now=10 * DAY,
+            window=3 * DAY, burst_threshold=3,
+        )
+        assert scores == {}
 
     def test_convergence_fixed_point(self, tiny_kb, monkeypatch):
         monkeypatch.setattr(recency, "PROPAGATION_STEPS", 200)
@@ -138,12 +166,11 @@ class TestPropagation:
             tiny_kb, relatedness_threshold=0.1, propagation_lambda=0.5
         )
         initial = {4: 10.0, 3: 2.0}
-        result = network.propagate(initial)
+        members, values = cluster_product(network, 4, initial)
+        result = dict(zip(members, values))
         # fixed point: S = λ S0 + (1-λ) P S
-        for entity_id in network.component(4):
-            incoming = sum(
-                w * result.get(n, 0.0) for n, w in network.neighbors(entity_id)
-            )
+        for entity_id in members:
+            incoming = sum(w * result[n] for n, w in network.neighbors(entity_id))
             expected = 0.5 * initial.get(entity_id, 0.0) + 0.5 * incoming
             assert result[entity_id] == pytest.approx(expected, abs=1e-6)
 

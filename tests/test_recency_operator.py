@@ -174,11 +174,19 @@ class TestOperatorMatchesOracle:
     )
     @settings(max_examples=100, deadline=None)
     def test_whole_cluster_propagate(self, initial):
-        fast = CLUSTERED_NETWORK.propagate(initial)
-        slow = propagate_by_iteration(CLUSTERED_NETWORK, initial)
-        assert fast.keys() == slow.keys()
-        for entity_id, value in slow.items():
-            assert fast[entity_id] == pytest.approx(value, abs=PARITY)
+        """Each cluster's operator product ``M·S⁰`` is the loop's answer;
+        an entity in no cluster keeps its initial value."""
+        network = CLUSTERED_NETWORK
+        slow = propagate_by_iteration(network, initial)
+        for index in range(network.num_components):
+            members = network.component_members(index)
+            vector = [initial.get(entity_id, 0.0) for entity_id in members]
+            fast = network.operator(index) @ vector
+            for entity_id, value in zip(members, fast.tolist()):
+                assert slow.get(entity_id, 0.0) == pytest.approx(value, abs=PARITY)
+        for entity_id, value in initial.items():
+            if network.operator_row(entity_id) is None:
+                assert slow[entity_id] == value
 
 
 class TestOperatorInvariants:
@@ -210,11 +218,12 @@ class TestOperatorInvariants:
     def test_no_weight_across_clusters(self):
         """A burst anywhere in one cluster moves nothing in another."""
         network = CLUSTERED_NETWORK
-        result = network.propagate({e: 5.0 for e in network.component_members(0)})
-        assert set(result) == set(network.component_members(0))
+        assert network.component_members(0) == (0, 1, 2, 3, 4, 5)
         ckb = bursting(CLUSTERED_KB, [5] * 6 + [0] * 6)
         scores = propagated_recency(ckb, network, [6, 7, 10], NOW, WINDOW, 1)
         assert scores == {6: 0.0, 7: 0.0, 10: 0.0}
+        scores = propagated_recency(ckb, network, [0, 6, 10], NOW, WINDOW, 1)
+        assert scores == {0: 1.0, 6: 0.0, 10: 0.0}
 
     def test_lambda_one_is_identity(self):
         network = RecencyPropagationNetwork(

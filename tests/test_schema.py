@@ -14,9 +14,8 @@ from repro.schema import (
     one_of, problems,
 )
 from repro.serve.handlers import error_body, validate_error_body
-from repro.serve.report import (
-    build_load_document, validate_load_document, zero_outcomes,
-)
+from repro.serve.load import OutcomeAccounting, PlannedRequest
+from repro.serve.report import validate_load_document
 
 from conftest import SCENARIOS
 
@@ -71,11 +70,12 @@ class TestShapes:
 
 
 def _load_document():
-    outcomes = zero_outcomes()
-    outcomes["ok"] = 1
-    return build_load_document(
-        mode="inprocess", seed=1, profile="bursty", chaos={},
-        outcomes=outcomes, by_tenant={}, latencies_s=[0.01], duration_s=1.0,
+    accounting = OutcomeAccounting()
+    request = PlannedRequest(at=0.0, method="POST", path="/v1/link",
+                             body=b"{}", tenant=None)
+    accounting.record(request, "ok", 0.01)
+    return accounting.document(
+        mode="inprocess", seed=1, chaos_meta={}, duration_s=1.0
     )
 
 

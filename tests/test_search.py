@@ -1,4 +1,4 @@
-"""Personalized search subsystem tests (store, parser, engine)."""
+"""Personalized search subsystem tests (store, query split, engine)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.config import DAY, LinkerConfig
 from repro.core.linker import SocialTemporalLinker
 from repro.graph.digraph import DiGraph
 from repro.search.engine import PersonalizedSearchEngine
-from repro.search.query import QueryParser
 from repro.search.store import TweetStore
 from repro.stream.tweet import MentionSpan, Tweet
 from repro.testing.faults import FaultSchedule, FlakyReachabilityProvider
@@ -49,28 +48,40 @@ class TestTweetStore:
         assert [t.tweet_id for t in results] == [1, 2]
 
 
-class TestQueryParser:
-    def test_mention_and_keywords_split(self, tiny_kb):
-        parser = QueryParser(tiny_kb)
-        parsed = parser.parse("jordan best dunk video")
-        assert parsed.mentions == ["jordan"]
-        assert parsed.keywords == {"best", "dunk", "video"}
-        assert parsed.has_mention
+class TestQuerySplit:
+    """The engine splits a query into the pipeline's recognized mentions
+    and the words none of them covers."""
 
-    def test_multiword_mention(self, tiny_kb):
-        parsed = QueryParser(tiny_kb).parse("chicago bulls tickets")
-        assert parsed.mentions == ["chicago bulls"]
-        assert parsed.keywords == {"tickets"}
+    def test_mention_and_keywords_split(self, engine):
+        response = engine.search("jordan best dunk video", user=0, now=100 * DAY)
+        assert [span.surface for span in response.annotation.spans] == ["jordan"]
+        assert response.keywords == {"best", "dunk", "video"}
 
-    def test_no_mention(self, tiny_kb):
-        parsed = QueryParser(tiny_kb).parse("pasta recipe")
-        assert not parsed.has_mention
-        assert parsed.keywords == {"pasta", "recipe"}
+    def test_multiword_mention(self, engine):
+        response = engine.search("chicago bulls tickets", user=0, now=100 * DAY)
+        assert [span.surface for span in response.annotation.spans] == [
+            "chicago bulls"
+        ]
+        assert response.keywords == {"tickets"}
 
-    def test_register_surface(self, tiny_kb):
-        parser = QueryParser(tiny_kb)
-        parser.register_surface("goat")
-        assert parser.parse("the goat returns").mentions == ["goat"]
+    def test_no_mention(self, engine):
+        response = engine.search("pasta recipe", user=0, now=100 * DAY)
+        assert response.annotation.spans == []
+        assert response.keywords == {"pasta", "recipe"}
+        assert response.used_fallback
+
+    def test_repeated_words_collapse(self, engine):
+        response = engine.search("dunk jordan dunk", user=0, now=100 * DAY)
+        assert response.keywords == {"dunk"}
+
+    def test_search_counts_as_one_annotated_text(self, engine):
+        from repro.obs.metrics import METRICS
+
+        texts = METRICS.counter("pipeline.texts")
+        mentions = METRICS.counter("pipeline.mentions")
+        engine.search("jordan and chicago bulls", user=0, now=100 * DAY)
+        assert METRICS.counter("pipeline.texts") == texts + 1
+        assert METRICS.counter("pipeline.mentions") == mentions + 2
 
 
 @pytest.fixture
@@ -153,6 +164,13 @@ class TestEngine:
     def test_limit_respected(self, engine):
         response = engine.search("jordan", user=0, now=100 * DAY, limit=3)
         assert len(response.hits) <= 3
+
+    @pytest.mark.parametrize("limit", [0, -1, -5])
+    def test_limit_below_one_refused(self, engine, limit):
+        """A negative slice bound dropped hits from the end instead."""
+        for query in ("jordan dunk", "highlight reel"):
+            with pytest.raises(ValueError, match="at least 1"):
+                engine.search(query, user=0, now=100 * DAY, limit=limit)
 
     def test_no_interest_no_hits_via_threshold(self, engine):
         # user 6 is isolated; every candidate scores <= beta + gamma, so the
